@@ -1,19 +1,21 @@
 """Optimal one-direction embedding of cycle requests onto a substrate ring.
 
-The solver builds, for every feasible anchor node and both traversal
-directions, a layered weighted digraph whose vertices are the feasible host
-nodes of each virtual node and whose arcs connect hosts that are compatible
-in ring order with a bandwidth-feasible connecting segment. Directed cycles
-through the anchor vertex correspond exactly to feasible one-direction
-embeddings, and arc weights are chosen so that cycle weight equals total
-bandwidth consumption. A layer-by-layer dynamic program extracts the minimum
-weight cycle; the cheapest over all anchors and directions is the answer.
+Per feasible anchor node and direction, the embeddings are the cycles through
+the anchor of a layered digraph: one layer of feasible hosts per virtual
+node, arcs along bandwidth-feasible ring segments, weight = bandwidth. The
+digraph stays implicit: one sweep per layer with parent pointers finds the
+minimum weight cycle in O(n·m) for n virtual nodes on an m-node ring, and
+arcs are built only for `--dump-wdag` and inspection. Ties go to the
+lexicographically smallest host sequence, then to the first strictly
+cheapest over anchors in sorted order and directions, "+" before "-".
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import accumulate
 
 from .model import (
     Embedding,
@@ -63,10 +65,6 @@ class CycleView:
             delta = -delta
         return delta % self.m
 
-    def node_at(self, start, direction, pos):
-        step = pos if direction == CLOCKWISE else -pos
-        return self.order[(self.index[start] + step) % self.m]
-
     def segment_edges(self, start_node, hops, direction):
         """The SLs crossed by walking `hops` steps from `start_node`."""
         i = self.index[start_node]
@@ -101,26 +99,78 @@ def feasible_sets(net, req):
 
 @dataclass
 class Wdag:
-    """Layered weighted digraph for one (anchor SN, direction) pair.
+    """Layered weighted digraph for one (anchor SN, direction) pair, held
+    implicitly as a snapshot of the residual feasibility.
 
-    `layers[j]` lists the SNs hosting layer-j vertices (layer 0 is the
-    singleton anchor). `arcs[(j, sn)]` holds (head_sn, weight, hops) triples
-    into layer j+1; `closing[sn]` holds the (weight, hops) of the wrap-around
-    arc from a final-layer vertex back to the anchor. A vertex is identified
-    by its (layer, sn) pair; the SN is its host under the vertex-to-SN map.
+    Positions 0..m run along the ring from the anchor in the direction of
+    travel; `order[p]` is the SN there, position m being the anchor again.
+    Layer j has a vertex at each position p with `hosts[j][p]`; layers 0 and
+    n are the anchor at positions 0 and m. `bad[j][p]` marks the SL into
+    position p as unable to carry VL j. A reachable layer-j vertex at t has
+    an arc to each layer-(j+1) vertex at p > t with no bad SL in between,
+    weighing (p - t) * `demands[j]`.
+
+    Explicit views for dumps and inspection, built on first access:
+    `layers[j]` (hosts of layer j < n), `arcs[(j, sn)]` ((head_sn, weight,
+    hops) into layer j+1 < n), `closing[sn]` ((weight, hops) back to the
+    anchor) and `complete` (False when no cycle exists).
     """
 
     start: object
     direction: str
     m: int
     n: int
-    layers: list
-    arcs: dict = field(default_factory=dict)
-    closing: dict = field(default_factory=dict)
-    complete: bool = True  # False when construction died at an empty frontier
+    order: list
+    hosts: list
+    bad: list
+    demands: list
+
+    @cached_property
+    def layers(self):
+        return [[self.start]] + [
+            sorted(v for v, ok in zip(self.order, mask) if ok) for mask in self.hosts[1:-1]]
+
+    @cached_property
+    def _explicit(self):
+        arcs, closing = {}, {}
+        frontier = [0]
+        for j, demand in enumerate(self.demands):
+            heads = sorted((v, p) for p, (v, ok) in enumerate(zip(self.order, self.hosts[j + 1])) if ok)
+            blocked = list(accumulate(self.bad[j]))
+            reached = set()
+            for t in frontier:
+                outs = [(v, (p - t) * demand, p - t) for v, p in heads
+                        if p > t and blocked[p] == blocked[t]]
+                if outs and j == self.n - 1:
+                    closing[self.order[t]] = outs[0][1:]
+                elif outs:
+                    arcs[(j, self.order[t])] = outs
+                    reached.update(t + hops for _v, _w, hops in outs)
+            frontier = reached
+        return arcs, closing
+
+    arcs = property(lambda self: self._explicit[0])
+    closing = property(lambda self: self._explicit[1])
+    complete = property(lambda self: bool(self._explicit[1]))
 
     def arc_count(self):
-        return sum(len(v) for v in self.arcs.values()) + len(self.closing)
+        """Arcs plus closing arcs, counted by one sweep per layer: a head
+        has one arc per reached tail behind it since the last bad SL."""
+        tails = self.hosts[0]
+        total = 0
+        for j in range(self.n):
+            reached = [False] * (self.m + 1)
+            run = 0
+            for p, bad, head, tail in zip(range(self.m + 1), self.bad[j], self.hosts[j + 1], tails):
+                if bad:
+                    run = 0
+                if head and run:
+                    total += run
+                    reached[p] = True
+                if tail:
+                    run += 1
+            tails = reached
+        return total
 
     def max_layer_size(self):
         return max((len(l) for l in self.layers), default=0)
@@ -142,136 +192,95 @@ class Wdag:
         }
 
 
-class _SegmentOracle:
-    """Constant-time feasibility queries for directed ring segments.
-
-    For each VL a prefix count of infeasible SLs along the doubled clockwise
-    edge sequence; a directed segment is feasible iff its clockwise index
-    range contains no infeasible SL.
-    """
-
-    def __init__(self, cycle, fs):
-        m = cycle.m
-        self.m = m
-        self.bad_prefix = []
-        for vl_ok in fs.vl_sets:
-            bad = [0] * (2 * m + 1)
-            for t in range(2 * m):
-                e = edge_key(cycle.order[t % m], cycle.order[(t + 1) % m])
-                bad[t + 1] = bad[t] + (0 if e in vl_ok else 1)
-            self.bad_prefix.append(bad)
-
-    def feasible(self, j, node_idx, hops, direction):
-        # walking h hops from clockwise index i crosses clockwise edges
-        # [i, i+h) for "+" and [i-h, i) for "-"
-        a = node_idx if direction == CLOCKWISE else (node_idx - hops) % self.m
-        bad = self.bad_prefix[j]
-        return bad[a + hops] == bad[a]
+def _anchored(seq, s, direction):
+    """`seq` (by clockwise index) re-indexed by position from index `s`."""
+    if direction == CLOCKWISE:
+        return seq[s:] + seq[:s]
+    return seq[s::-1] + seq[:s:-1]
 
 
-def build_wdag(cycle, req, start, direction, fs=None, seg=None):
-    """Construct the layered digraph for `req` anchored at `start`.
+def _clockwise_masks(cycle, fs):
+    """Per-VN host masks over clockwise node indices and per-VL bad-SL masks
+    over clockwise edge indices (edge i joins indices i and i+1)."""
+    order, m = cycle.order, cycle.m
+    edges = [edge_key(order[i], order[(i + 1) % m]) for i in range(m)]
+    hosts = [[v in ok for v in order] for ok in fs.vn_sets]
+    bad = [[e not in ok for e in edges] for ok in fs.vl_sets]
+    return hosts, bad
 
-    Arcs between consecutive layers require the tail host to sit strictly
-    ahead of the head host in the anchored sequence and every SL on the
-    connecting segment to carry the VL's demand; arc weight is hop count
-    times that demand. Construction stops early (no closing arcs, hence no
-    cycles) as soon as a layer ends up with no positively-indegreed vertex.
+
+def build_wdag(cycle, req, start, direction, fs=None, masks=None):
+    """The layered digraph for `req` anchored at `start`, as a Wdag snapshot
+    of the residual feasibility in ring order from the anchor. O(n·m): the
+    arcs stay implicit. `fs` and `masks` let a caller that builds many
+    graphs for one request compute them once.
     """
     if req.shape is not Shape.CYCLE:
         raise ModelError("request is not a cycle")
-    net = cycle.net
-    n = req.n_vns
     if fs is None:
-        fs = feasible_sets(net, req)
+        fs = feasible_sets(cycle.net, req)
     if start not in fs.vn_sets[0]:
         raise ModelError(f"start {start!r} is not feasible for the first VN")
-    if seg is None:
-        seg = _SegmentOracle(cycle, fs)
-
-    layers = [[start]] + [sorted(fs.vn_sets[j]) for j in range(1, n)]
-    w = Wdag(start=start, direction=direction, m=cycle.m, n=n, layers=layers)
-
-    pos = {v: cycle.seq_pos(start, direction, v) for v in net.nodes}
-    idx = cycle.index
-
-    clockwise = direction == CLOCKWISE
+    hosts, bad = masks or _clockwise_masks(cycle, fs)
     m = cycle.m
-    frontier = [start]
-    for j in range(n - 1):
-        demand = req.bw_demand[req.vls[j]]
-        bad = seg.bad_prefix[j]
-        heads = [(pos[h], idx[h], h) for h in layers[j + 1]]
-        reached = set()
-        for tail in frontier:
-            outs = []
-            p_tail = pos[tail]
-            i_tail = idx[tail]
-            for p_head, i_head, head in heads:
-                hops = p_head - p_tail
-                if hops <= 0:
-                    continue
-                a = i_tail if clockwise else i_head
-                if bad[a + hops] == bad[a]:
-                    outs.append((head, hops * demand, hops))
-                    reached.add(head)
-            if outs:
-                w.arcs[(j, tail)] = outs
-        if not reached:
-            w.complete = False
-            return w
-        frontier = sorted(reached)
-
-    demand = req.bw_demand[req.vls[n - 1]]
-    bad = seg.bad_prefix[n - 1]
-    for tail in frontier:
-        hops = m - pos[tail]
-        a = idx[tail] if clockwise else (idx[tail] - hops) % m
-        if bad[a + hops] == bad[a]:
-            w.closing[tail] = (hops * demand, hops)
-    if not w.closing:
-        w.complete = False
-    return w
+    s = cycle.index[start]
+    # the SL into position p is clockwise edge s+p-1 going "+", s-p going "-"
+    e = s if direction == CLOCKWISE else (s - 1) % m
+    anchor = [True] + [False] * m
+    return Wdag(
+        start=start, direction=direction, m=m, n=req.n_vns,
+        order=_anchored(cycle.order, s, direction) + [start],
+        hosts=[anchor] + [_anchored(h, s, direction) + [False] for h in hosts[1:]] + [anchor[::-1]],
+        bad=[[False] + _anchored(b, e, direction) for b in bad],
+        demands=[req.bw_demand[vl] for vl in req.vls],
+    )
 
 
 def min_weight_cycle(w):
-    """Minimum weight directed cycle through the anchor vertex, or None.
+    """Minimum weight directed cycle through the anchor vertex, as (host
+    list, weight), or None.
 
-    Layer-by-layer relaxation: cost-to-reach per vertex, then the closing
-    arcs. Ties resolve to the host sequence that is lexicographically
-    smallest layer by layer.
+    Arc weight is hops times demand d, so a head at position p is reached
+    cheapest at p·d + min(cost[t] − t·d) over reached tails t < p with no
+    bad SL in between: one sweep per layer keeps that running minimum,
+    resetting it at each bad SL, and parent pointers give back the cycle.
+    For the tie rule each layer is ranked by (parent's rank, host id), and
+    the running minimum prefers the smaller rank.
     """
-    best = {w.start: (0, (w.start,))}
-    for j in range(w.n - 1):
-        nxt = {}
-        for tail, state in best.items():
-            arcs = w.arcs.get((j, tail))
-            if not arcs:
-                continue
-            cost, path = state
-            for head, weight, _hops in arcs:
-                c2 = cost + weight
-                cur = nxt.get(head)
-                if cur is None or c2 < cur[0]:
-                    nxt[head] = (c2, path + (head,))
-                elif c2 == cur[0]:
-                    p2 = path + (head,)
-                    if p2 < cur[1]:
-                        nxt[head] = (c2, p2)
-        best = nxt
-        if not best:
+    m, order = w.m, w.order
+    cost = [0] + [None] * m
+    rank = [0] * (m + 1)
+    parents = []
+    for j in range(w.n):
+        demand = w.demands[j]
+        nxt = [None] * (m + 1)
+        parent = [None] * (m + 1)
+        reached = []
+        rk = None  # best open tail: cost - position * demand (rk), rank (rr), position (rp)
+        for p, bad, head, c in zip(range(m + 1), w.bad[j], w.hosts[j + 1], cost):
+            if bad:
+                rk = None
+            if head and rk is not None:
+                nxt[p] = rk + p * demand
+                parent[p] = rp
+                reached.append((rr, order[p], p))
+            if c is not None:
+                k = c - p * demand
+                if rk is None or k < rk or (k == rk and rank[p] < rr):
+                    rk, rr, rp = k, rank[p], p
+        if not reached:
             return None
-    result = None
-    for tail, (weight, _hops) in w.closing.items():
-        state = best.get(tail)
-        if state is None:
-            continue
-        cand = (state[0] + weight, state[1])
-        if result is None or cand < result:
-            result = cand
-    if result is None:
-        return None
-    return list(result[1]), result[0]
+        reached.sort()
+        for r, (_pr, _v, p) in enumerate(reached):
+            rank[p] = r
+        cost = nxt
+        parents.append(parent)
+    p = m
+    hosts = []
+    for parent in reversed(parents):
+        p = parent[p]
+        hosts.append(order[p])
+    return hosts[::-1], cost[m]
 
 
 @dataclass
@@ -320,21 +329,19 @@ def c2ce(net, req, collect=None):
     """
     cycle = CycleView(net)
     fs = feasible_sets(net, req)
-    seg = _SegmentOracle(cycle, fs)
+    masks = _clockwise_masks(cycle, fs)
     best = None
-    best_cost = None
     for start in sorted(fs.vn_sets[0]):
         for direction in DIRECTIONS:
-            w = build_wdag(cycle, req, start, direction, fs=fs, seg=seg)
+            w = build_wdag(cycle, req, start, direction, fs=fs, masks=masks)
             if collect is not None:
                 collect(w)
             found = min_weight_cycle(w)
             if found is None:
                 continue
             hosts, cost = found
-            if best_cost is None or cost < best_cost:
+            if best is None or cost < best.cost:
                 best = _simplex_from_hosts(cycle, req, start, direction, hosts)
-                best_cost = cost
     return best
 
 

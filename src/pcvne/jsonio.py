@@ -2,20 +2,26 @@
 
     {"nodes":    [{"id": ..., "cpu": ...}, ...],
      "edges":    [{"u": ..., "v": ..., "bw": ...}, ...],
-     "requests": [{"shape": "path"|"cycle"|"general",
+     "requests": [{"id": ..., "shape": "path"|"cycle"|"general",
                    "vns": [{"id": ..., "cpu": ...}, ...],
                    "vls": [{"u": ..., "v": ..., "bw": ...}, ...],
                    "revenue": ...}, ...]}
 
 Quantities may be ints, decimal floats, or "p/q" strings; non-integer values
-round-trip exactly as fractions (written back as "p/q").
+round-trip exactly as fractions (written back as "p/q"). A request without
+an "id" gets its index. Malformed data raises InstanceFormatError, whose
+message names the offending field.
 """
 
 from __future__ import annotations
 
 import json
 
-from .model import Shape, SubstrateNetwork, VirtualRequest, as_quantity, edge_key
+from .model import ModelError, Shape, SubstrateNetwork, VirtualRequest, as_quantity, edge_key
+
+
+class InstanceFormatError(ModelError):
+    """Instance data that does not follow the format above."""
 
 
 def _q_out(x):
@@ -34,6 +40,7 @@ def instance_to_dict(net, requests):
 
 def request_to_dict(req):
     return {
+        "id": req.req_id,
         "shape": req.shape.value,
         "vns": [{"id": v, "cpu": _q_out(req.cpu_demand[v])} for v in req.vns],
         "vls": [{"u": u, "v": v, "bw": _q_out(req.bw_demand[(u, v)])} for u, v in req.vls],
@@ -42,6 +49,14 @@ def request_to_dict(req):
 
 
 def instance_from_dict(data):
+    try:
+        return _parse_instance(data)
+    except (AttributeError, KeyError, TypeError, ValueError):  # ModelError is a ValueError
+        _name_defect(data)
+        raise
+
+
+def _parse_instance(data):
     nodes = [n["id"] for n in data["nodes"]]
     cpu = {n["id"]: as_quantity(n["cpu"]) for n in data["nodes"]}
     edges = [(e["u"], e["v"]) for e in data["edges"]]
@@ -50,7 +65,7 @@ def instance_from_dict(data):
     requests = []
     for i, r in enumerate(data.get("requests", [])):
         requests.append(VirtualRequest(
-            req_id=r.get("id", i),
+            req_id=_id(r, "id", f"requests[{i}]", i),
             shape=Shape(r["shape"]),
             vns=[v["id"] for v in r["vns"]],
             vls=[(l["u"], l["v"]) for l in r["vls"]],
@@ -61,13 +76,77 @@ def instance_from_dict(data):
     return net, requests
 
 
+_REQUIRED = object()
+
+
+def _field(obj, key, where, default=_REQUIRED):
+    if not isinstance(obj, dict):
+        raise InstanceFormatError(f"{where}: expected an object, got {type(obj).__name__}")
+    if key in obj:
+        return obj[key]
+    if default is _REQUIRED:
+        raise InstanceFormatError(f"{where}: missing field {key!r}")
+    return default
+
+
+def _list(obj, key, where, default=_REQUIRED):
+    x = _field(obj, key, where, default)
+    if not isinstance(x, list):
+        raise InstanceFormatError(f"{where}.{key}: expected a list, got {type(x).__name__}")
+    return x
+
+
+def _id(obj, key, where, default=_REQUIRED):
+    x = _field(obj, key, where, default)
+    if isinstance(x, (list, dict)):
+        raise InstanceFormatError(f"{where}.{key}: expected a scalar id, got {type(x).__name__}")
+    return x
+
+
+def _quantity(obj, key, where, default=_REQUIRED):
+    x = _field(obj, key, where, default)
+    try:
+        return as_quantity(x)
+    except ModelError as exc:
+        raise InstanceFormatError(f"{where}.{key}: {exc}") from None
+
+
+def _name_defect(data):
+    """Raise InstanceFormatError naming the first field of `data` that breaks
+    the format above; return if every field follows it."""
+    _check_entries(data, "nodes", "instance", ("id", "cpu"))
+    _check_entries(data, "edges", "instance", ("u", "v", "bw"))
+    for i, r in enumerate(_list(data, "requests", "instance", [])):
+        where = f"requests[{i}]"
+        _id(r, "id", where, i)
+        if _field(r, "shape", where) not in [s.value for s in Shape]:
+            raise InstanceFormatError(f"{where}.shape: unknown shape {r['shape']!r}")
+        _check_entries(r, "vns", where, ("id", "cpu"))
+        _check_entries(r, "vls", where, ("u", "v", "bw"))
+        _quantity(r, "revenue", where, 1)
+
+
+def _check_entries(obj, key, where, fields):
+    """Each entry of the list obj[key] is an object with scalar ids and a
+    quantity as its last field."""
+    for k, entry in enumerate(_list(obj, key, where)):
+        at = f"{where}.{key}[{k}]"
+        for field in fields[:-1]:
+            _id(entry, field, at)
+        _quantity(entry, fields[-1], at)
+
+
 def dump_instance(net, requests, fp):
     json.dump(instance_to_dict(net, requests), fp, indent=2)
     fp.write("\n")
 
 
 def load_instance(fp):
-    return instance_from_dict(json.load(fp))
+    try:
+        data = json.load(fp)
+    except json.JSONDecodeError as exc:
+        raise InstanceFormatError(f"not JSON: {exc}") from None
+    return instance_from_dict(data)
 
 
 def embedding_to_dict(req, emb):

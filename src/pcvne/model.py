@@ -40,9 +40,12 @@ def as_quantity(x):
     if isinstance(x, Fraction):
         return int(x) if x.denominator == 1 else x
     if isinstance(x, float):
-        return as_quantity(Fraction(str(x)))
+        return as_quantity(str(x))
     if isinstance(x, str):
-        return as_quantity(Fraction(x))
+        try:
+            return as_quantity(Fraction(x))
+        except (ValueError, ZeroDivisionError):
+            raise ModelError(f"not a quantity: {x!r}") from None
     raise ModelError(f"not a quantity: {x!r}")
 
 
@@ -50,7 +53,10 @@ def edge_key(u, v):
     """Canonical unordered key for the link between u and v."""
     if u == v:
         raise ModelError(f"self-loop at {u!r}")
-    return (u, v) if u <= v else (v, u)
+    try:
+        return (u, v) if u <= v else (v, u)
+    except TypeError:
+        raise ModelError(f"ids {u!r} and {v!r} are not comparable") from None
 
 
 class Shape(str, enum.Enum):

@@ -178,6 +178,25 @@ def wdag_all_cycles(w):
     return out
 
 
+def tie_rule_oracle(net, req):
+    """The ring solver's answer by exhaustive enumeration, as (start,
+    direction, hosts, cost): per anchor and direction the lexicographically
+    smallest minimum-cost host tuple; over anchors in sorted order, "+"
+    before "-", the first strictly cheapest. None when nothing embeds."""
+    from pcvne.theory import enumerate_simplex_embeddings
+
+    best = None
+    for start in sorted(net.nodes):
+        for direction in ("+", "-"):
+            found = enumerate_simplex_embeddings(net, req, start, direction)
+            if not found:
+                continue
+            hosts, cost = min(found, key=lambda hc: (hc[1], hc[0]))
+            if best is None or cost < best[3]:
+                best = (start, direction, list(hosts), cost)
+    return best
+
+
 def first_fit_paths(net, substrate_paths, requests):
     """Naive control: take requests in input order, place each at the first
     offset of the first decomposed path with room left, commit if it fits the

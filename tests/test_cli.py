@@ -52,6 +52,44 @@ def test_embed_cycles_with_wdag_dump(tmp_path, capsys):
     assert {"start", "direction", "layers", "arcs", "closing"} <= set(g)
 
 
+def _ring_instance():
+    return {
+        "nodes": [{"id": i, "cpu": 5} for i in range(4)],
+        "edges": [{"u": i, "v": (i + 1) % 4, "bw": 5} for i in range(4)],
+        "requests": [{"id": "r", "shape": "cycle",
+                      "vns": [{"id": k, "cpu": 1} for k in range(3)],
+                      "vls": [{"u": k, "v": (k + 1) % 3, "bw": 1} for k in range(3)],
+                      "revenue": 2}],
+    }
+
+
+def _missing_cpu(data):
+    del data["nodes"][2]["cpu"]
+    return data, "nodes[2]: missing field 'cpu'"
+
+
+def _bad_revenue(data):
+    data["requests"][0]["revenue"] = "abc"
+    return data, "requests[0].revenue"
+
+
+def _top_level_list(data):
+    return [data], "instance: expected an object"
+
+
+@pytest.mark.parametrize("corrupt", [_missing_cpu, _bad_revenue, _top_level_list])
+def test_malformed_instance_is_a_clean_error(tmp_path, capsys, corrupt):
+    data, message = corrupt(_ring_instance())
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps(data))
+    with pytest.raises(SystemExit) as exc:
+        main(["embed-cycles", "--instance", str(inst)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
+
+
 def test_embed_generic(tmp_path, capsys):
     inst = tmp_path / "inst.json"
     main(["generate", "--nodes", "10", "--edges", "14", "--shape", "path",

@@ -9,7 +9,7 @@ from conftest import (
     random_ring_instance,
     ring_net,
 )
-from oracles import independent_arcs, simplex_min_cost, wdag_all_cycles
+from oracles import independent_arcs, simplex_min_cost, tie_rule_oracle, wdag_all_cycles
 from pcvne.cycle_embedding import (
     ANTICLOCKWISE,
     CLOCKWISE,
@@ -103,6 +103,17 @@ class TestBuildWdag:
                     assert w.max_layer_size() <= cycle.m
                     assert w.arc_count() <= cycle.m ** 2 * req.n_vns
 
+    def test_graph_is_a_snapshot(self, fig_ring):
+        # the explicit views are built lazily, but from the residuals at
+        # build time: later commits must not leak into a dump
+        net, req = fig_ring
+        fresh = build_wdag(CycleView(net.copy()), req, 0, CLOCKWISE).to_json()
+        w = build_wdag(CycleView(net), req, 0, CLOCKWISE)
+        sx = c2ce(net, req)
+        commit(net, req, sx.to_embedding(req))
+        assert w.to_json() == fresh
+        assert min_weight_cycle(w) == ([0, 1, 3], 8)
+
     def test_start_must_be_feasible(self):
         net = ring_net(4, cpu=1)
         req = make_cycle_request("r", [2, 1, 1], [1, 1, 1])
@@ -134,12 +145,16 @@ class TestMinWeightCycle:
                     w = build_wdag(cycle, req, start, direction, fs=fs)
                     all_cycles = wdag_all_cycles(w)
                     found = min_weight_cycle(w)
+                    assert w.arc_count() == sum(map(len, w.arcs.values())) + len(w.closing)
                     if not all_cycles:
                         assert found is None
                     else:
                         checked += 1
                         assert found is not None
                         assert found[1] == min(c for _, c in all_cycles)
+                        # ties go to the lexicographically smallest host tuple
+                        hosts, cost = min(all_cycles, key=lambda hc: (hc[1], hc[0]))
+                        assert found == (list(hosts), cost)
         assert checked > 20
 
 
@@ -203,6 +218,28 @@ class TestC2ce:
             emb = sx.to_embedding(req)
             ok, violations = validate_embedding(net, req, emb, against_residuals=True)
             assert ok, violations
+
+    def test_uniform_demand_ties_follow_the_rule(self):
+        # every one-direction embedding of a uniform-demand request costs
+        # m * demand, so the tie rule alone picks the answer
+        rng = random.Random(31)
+        checked = 0
+        for _ in range(40):
+            m = rng.randint(4, 8)
+            labels = rng.sample(range(100), m)
+            edges = [(labels[i], labels[(i + 1) % m]) for i in range(m)]
+            net = make_net(labels, edges, rng.randint(2, 4), rng.randint(2, 4))
+            for k in range(6):
+                n = rng.randint(3, min(5, m))
+                d = rng.randint(1, 2)
+                req = make_cycle_request(k, [d] * n, [d] * n)
+                sx = c2ce(net, req)
+                got = None if sx is None else (sx.start, sx.direction, sx.assignment, sx.cost)
+                assert got == tie_rule_oracle(net, req)
+                if sx is not None:
+                    checked += 1
+                    commit(net, req, sx.to_embedding(req))
+        assert checked > 50
 
     def test_infeasible_when_request_larger_than_ring(self):
         net = ring_net(4)

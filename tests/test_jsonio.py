@@ -1,18 +1,22 @@
 import io
 import json
+import re
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_cycle_request, make_net, make_path_request
 from pcvne.jsonio import (
+    InstanceFormatError,
     dump_instance,
     embedding_to_dict,
     instance_from_dict,
     instance_to_dict,
     load_instance,
 )
+from pcvne.model import ModelError
 
 
 def test_round_trip_integers():
@@ -50,6 +54,53 @@ def test_decimal_floats_parse_exactly():
     net, _ = instance_from_dict(data)
     assert net.cpu_capacity[0] == Fraction(3, 2)
     assert net.bw_capacity[(0, 1)] == Fraction(1, 10)
+
+
+def test_round_trip_keeps_ids_and_quantities():
+    from pcvne.generators import RequestSpec, SubstrateSpec, gen_requests, gen_substrate
+
+    net = gen_substrate(SubstrateSpec(n_nodes=8, topology="random", n_edges=12), 4)
+    reqs = gen_requests(RequestSpec(shape="path", count=2), 5, id_offset=50)
+    reqs.append(make_cycle_request("c", [Fraction(1, 3), 2, 3], [1, Fraction(5, 2), 1], revenue=Fraction(7, 2)))
+    buf = io.StringIO()
+    dump_instance(net, reqs, buf)
+    buf.seek(0)
+    net2, reqs2 = load_instance(buf)
+    assert (net2.cpu_capacity, net2.bw_capacity) == (net.cpu_capacity, net.bw_capacity)
+    assert [r.req_id for r in reqs2] == [50, 51, "c"]
+    for a, b in zip(reqs, reqs2):
+        assert (a.shape, a.vns, a.vls, a.revenue) == (b.shape, b.vns, b.vls, b.revenue)
+        assert (a.cpu_demand, a.bw_demand) == (b.cpu_demand, b.bw_demand)
+
+
+def _two_nodes(**request):
+    return {
+        "nodes": [{"id": 0, "cpu": 5}, {"id": 1, "cpu": 5}],
+        "edges": [{"u": 0, "v": 1, "bw": 5}],
+        "requests": [{"shape": "path", "vns": [{"id": 0, "cpu": 1}, {"id": 1, "cpu": 1}],
+                      "vls": [{"u": 0, "v": 1, "bw": 1}], **request}],
+    }
+
+
+@pytest.mark.parametrize("data, field", [
+    ({**_two_nodes(), "nodes": [{"id": 0, "cpu": float("inf")}, {"id": 1, "cpu": 5}]}, "nodes[0].cpu"),
+    ({**_two_nodes(), "nodes": [{"id": [0], "cpu": 5}, {"id": 1, "cpu": 5}]}, "nodes[0].id"),
+    ({**_two_nodes(), "edges": {"u": 0, "v": 1}}, "instance.edges"),
+    (_two_nodes(shape="ring"), "requests[0].shape"),
+    (_two_nodes(revenue="1/0"), "requests[0].revenue"),
+])
+def test_malformed_fields_are_named(data, field):
+    with pytest.raises(InstanceFormatError, match=re.escape(field)):
+        instance_from_dict(data)
+
+
+def test_mixed_id_types_and_bad_json_are_model_errors():
+    data = {"nodes": [{"id": 0, "cpu": 5}, {"id": "a", "cpu": 5}],
+            "edges": [{"u": 0, "v": "a", "bw": 5}]}
+    with pytest.raises(ModelError):
+        instance_from_dict(data)
+    with pytest.raises(InstanceFormatError):
+        load_instance(io.StringIO('{"nodes": ['))
 
 
 def test_request_ids_default_to_index():
