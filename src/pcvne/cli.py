@@ -34,7 +34,11 @@ def _open_out(path):
 def _load(path):
     if path == "-":
         return jsonio.load_instance(sys.stdin)
-    with open(path) as fp:
+    try:
+        fp = open(path)
+    except OSError as exc:
+        raise ModelError(f"cannot open instance {path!r}: {exc.strerror}") from None
+    with fp:
         return jsonio.load_instance(fp)
 
 

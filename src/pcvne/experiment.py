@@ -76,8 +76,18 @@ class ExperimentResult:
         return out
 
 
-def mean_ci(values, confidence=0.95):
-    """Sample mean and CI half-width. Student-t below 30 samples, normal
+# Two-sided 95% Student-t critical values t(0.975, df), df = 1..29.
+_T95 = (
+    12.70620474, 4.30265273, 3.182446305, 2.776445105, 2.570581836, 2.446911851,
+    2.364624252, 2.306004135, 2.262157163, 2.228138852, 2.20098516, 2.17881283,
+    2.160368656, 2.144786688, 2.131449546, 2.119905299, 2.109815578, 2.10092204,
+    2.093024054, 2.085963447, 2.079613845, 2.073873068, 2.06865761, 2.063898562,
+    2.059538553, 2.055529439, 2.051830516, 2.048407142, 2.045229642,
+)
+
+
+def mean_ci(values):
+    """Sample mean and 95% CI half-width. Student-t below 30 samples, normal
     above; a single sample has half-width 0 by definition."""
     n = len(values)
     if n == 0:
@@ -86,12 +96,7 @@ def mean_ci(values, confidence=0.95):
     if n == 1:
         return (mean, 0.0)
     s = statistics.stdev(values)
-    if n < 30:
-        from scipy.stats import t
-
-        crit = float(t.ppf((1 + confidence) / 2, n - 1))
-    else:
-        crit = statistics.NormalDist().inv_cdf((1 + confidence) / 2)
+    crit = _T95[n - 2] if n < 30 else statistics.NormalDist().inv_cdf(0.975)
     return (mean, crit * s / n ** 0.5)
 
 

@@ -4,11 +4,15 @@ Each problem gets a fast greedy heuristic and an exact solver. The exact
 solvers are branch-and-bound searches intended for oracle-scale inputs and
 refuse instances above an explicit item limit rather than silently blowing up.
 All arithmetic is exact (ints / Fractions), feasibility has no tolerance.
+MDKP item sizes are dense length-d sequences or sparse {dimension: size}
+mappings; the MDKP solvers touch only each item's nonzero dimensions.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -48,8 +52,12 @@ class MkpInstance:
 
 @dataclass
 class MdkpInstance:
+    """d capacities and (item_id, profit, sizes) items, where `sizes` is a
+    length-d sequence or a {dimension index in 0..d-1: size} mapping (absent
+    dimensions are 0). Items keep their form (tuple or dict), quantities normalised."""
+
     capacities: list  # d non-negative quantities
-    items: list       # (item_id, profit, size_vector)
+    items: list       # (item_id, profit, sizes)
 
     def __post_init__(self):
         self.capacities = [as_quantity(b) for b in self.capacities]
@@ -59,10 +67,17 @@ class MdkpInstance:
         d = len(self.capacities)
         norm = []
         for item_id, profit, sizes in self.items:
-            if len(sizes) != d:
-                raise ModelError(f"item {item_id!r} has {len(sizes)} size components, expected {d}")
-            sizes = tuple(as_quantity(s) for s in sizes)
-            if any(s < 0 for s in sizes):
+            if isinstance(sizes, Mapping):
+                for i in sizes:
+                    if type(i) is not int or not 0 <= i < d:
+                        raise ModelError(f"item {item_id!r} has size index {i!r} outside 0..{d - 1}")
+                sizes = {i: as_quantity(s) for i, s in sizes.items()}
+                values = sizes.values()
+            else:
+                if len(sizes) != d:
+                    raise ModelError(f"item {item_id!r} has {len(sizes)} size components, expected {d}")
+                sizes = values = tuple(as_quantity(s) for s in sizes)
+            if any(s < 0 for s in values):
                 raise ModelError(f"negative size component on item {item_id!r}")
             norm.append((item_id, as_quantity(profit), sizes))
         self.items = norm
@@ -79,9 +94,10 @@ def _efficiency(profit, size):
     return Fraction(profit, size) if isinstance(profit, int) and isinstance(size, int) else profit / size
 
 
-def _item_order(items):
-    """Profit/size descending, ties by smaller size then lower id."""
-    return sorted(items, key=lambda it: (-_efficiency(it.profit, it.size), it.size, _id_key(it.item_id)))
+def item_order_key(item):
+    """Sort key of a KpItem: profit/size descending, ties by smaller size
+    then lower id. The MKP solvers consider items in this order."""
+    return (-_efficiency(item.profit, item.size), item.size, _id_key(item.item_id))
 
 
 def _id_key(item_id):
@@ -157,22 +173,23 @@ def solve_mkp(inst, mode="greedy", exact_item_limit=DEFAULT_EXACT_ITEM_LIMIT):
 
 
 def _mkp_greedy(inst):
-    residual = list(inst.capacities)
+    # First fit over knapsacks ordered by (-residual, index) tries the roomiest
+    # knapsack first, so an item fits somewhere iff it fits at the heap top.
+    heap = [(-b, k) for k, b in enumerate(inst.capacities)]
+    heapq.heapify(heap)
     assignment = {it.item_id: None for it in inst.items}
     profit = 0
-    for it in _item_order(inst.items):
-        order = sorted(range(len(residual)), key=lambda i: (-residual[i], i))
-        for i in order:
-            if it.size <= residual[i]:
-                residual[i] -= it.size
-                assignment[it.item_id] = i
-                profit += it.profit
-                break
+    for it in sorted(inst.items, key=item_order_key):
+        if heap and it.size <= -heap[0][0]:
+            neg_residual, k = heap[0]
+            heapq.heapreplace(heap, (neg_residual + it.size, k))
+            assignment[it.item_id] = k
+            profit += it.profit
     return assignment, profit
 
 
 def _mkp_exact(inst):
-    items = _item_order(inst.items)
+    items = sorted(inst.items, key=item_order_key)
     m = len(inst.capacities)
     best_profit = 0
     best_assignment = {it.item_id: None for it in inst.items}
@@ -226,15 +243,18 @@ def solve_mdkp(inst, mode="greedy", exact_item_limit=DEFAULT_EXACT_ITEM_LIMIT):
 
 
 def _mdkp_normalized(inst):
-    """Items annotated with their capacity-normalized size (surrogate size).
-    Dimensions with zero capacity only contribute feasibility: any item with a
-    positive size there can never be packed."""
+    """Items as (id, profit, nonzero (index, size) pairs, surrogate weight,
+    packable). The weight is the capacity-normalized size sum. Dimensions
+    with zero capacity only contribute feasibility: any item with a positive
+    size there can never be packed."""
     caps = inst.capacities
     out = []
     for item_id, profit, sizes in inst.items:
-        packable = all(s == 0 for s, b in zip(sizes, caps) if b == 0)
-        weight = sum(Fraction(s, b) for s, b in zip(sizes, caps) if b > 0)
-        out.append((item_id, profit, sizes, weight, packable))
+        pairs = sizes.items() if isinstance(sizes, dict) else enumerate(sizes)
+        pairs = tuple((i, s) for i, s in pairs if s)
+        packable = all(caps[i] > 0 for i, _s in pairs)
+        weight = sum(Fraction(s, caps[i]) for i, s in pairs if caps[i] > 0)
+        out.append((item_id, profit, pairs, weight, packable))
     return out
 
 
@@ -251,17 +271,18 @@ def _mdkp_order(norm):
     )
 
 
-def _fits(sizes, residual):
-    return all(s <= r for s, r in zip(sizes, residual))
+def _fits(pairs, residual):
+    return all(s <= residual[i] for i, s in pairs)
 
 
 def _mdkp_greedy(inst):
     residual = list(inst.capacities)
     selected = []
     profit = 0
-    for item_id, p, sizes, _w, packable in _mdkp_order(_mdkp_normalized(inst)):
-        if packable and _fits(sizes, residual):
-            residual = [r - s for r, s in zip(residual, sizes)]
+    for item_id, p, pairs, _w, packable in _mdkp_order(_mdkp_normalized(inst)):
+        if packable and _fits(pairs, residual):
+            for i, s in pairs:
+                residual[i] -= s
             selected.append(item_id)
             profit += p
     return selected, profit
@@ -292,7 +313,9 @@ def _mdkp_exact(inst):
                 break
         return b
 
-    def dfs(i, profit, residual, used_weight):
+    residual = list(inst.capacities)
+
+    def dfs(i, profit, used_weight):
         nonlocal best_profit, best_set
         if profit > best_profit:
             best_profit = profit
@@ -301,12 +324,16 @@ def _mdkp_exact(inst):
             return
         if profit + bound(i, used_weight) <= best_profit:
             return
-        item_id, p, sizes, w, _ok = norm[i]
-        if _fits(sizes, residual):
+        item_id, p, pairs, w, _ok = norm[i]
+        if _fits(pairs, residual):
+            for k, s in pairs:
+                residual[k] -= s
             chosen.append(item_id)
-            dfs(i + 1, profit + p, [r - s for r, s in zip(residual, sizes)], used_weight + w)
+            dfs(i + 1, profit + p, used_weight + w)
             chosen.pop()
-        dfs(i + 1, profit, residual, used_weight)
+            for k, s in pairs:
+                residual[k] += s
+        dfs(i + 1, profit, used_weight)
 
-    dfs(0, 0, list(inst.capacities), 0)
+    dfs(0, 0, 0)
     return best_set, best_profit

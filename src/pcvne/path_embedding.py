@@ -5,6 +5,7 @@ on the updated residuals until an iteration places nothing."""
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 
 from .knapsack import (
@@ -12,6 +13,7 @@ from .knapsack import (
     KpItem,
     MdkpInstance,
     MkpInstance,
+    item_order_key,
     solve_mdkp,
     solve_mkp,
 )
@@ -178,35 +180,28 @@ def pack_mkp(paths, requests, mode="greedy", exact_item_limit=DEFAULT_EXACT_ITEM
     placements = []
     for k in sorted(by_path):
         offset = 0
-        for item in sorted(by_path[k], key=_packing_order):
+        for item in sorted(by_path[k], key=item_order_key):
             req = index_of[item.item_id]
             placements.append(PathPlacement(req=req, path_index=k, path=paths[k], offset=offset))
             offset += req.length
     return placements
 
 
-def _packing_order(item):
-    from .knapsack import _efficiency, _id_key
-
-    return (-_efficiency(item.profit, item.size), item.size, _id_key(item.item_id))
-
-
 def assign_mdkp(net, placements, mode="greedy", exact_item_limit=DEFAULT_EXACT_ITEM_LIMIT):
     """Fund packed placements with CPU and BW out of the current residuals.
 
-    Each placement becomes an item with one size component per SN (summed CPU
-    demand mapped there) and per SL (BW demand routed there); the capacity
-    vector is the residual vector. Selected placements are committed and
-    returned.
+    Each placement becomes an item with a sparse size mapping: one component
+    per SN it uses (summed CPU demand mapped there) and per SL (BW demand
+    routed there); the capacity vector is the residual vector over all SNs
+    then all SLs. Selected placements are committed and returned.
     """
-    dims = list(net.nodes) + list(net.edges)
-    dim_index = {d: i for i, d in enumerate(dims)}
+    dim_index = {d: i for i, d in enumerate([*net.nodes, *net.edges])}
     capacities = [net.residual_cpu[v] for v in net.nodes] + [net.residual_bw[k] for k in net.edges]
 
+    embeddings = [pl.to_embedding() for pl in placements]
     items = []
-    for idx, pl in enumerate(placements):
-        emb = pl.to_embedding()
-        sizes = [0] * len(dims)
+    for idx, (pl, emb) in enumerate(zip(placements, embeddings)):
+        sizes = defaultdict(int)
         for vn, sn in emb.node_map.items():
             sizes[dim_index[sn]] += pl.req.cpu_demand[vn]
         for vl, sls in emb.link_map.items():
@@ -221,9 +216,8 @@ def assign_mdkp(net, placements, mode="greedy", exact_item_limit=DEFAULT_EXACT_I
     accepted = []
     for idx in sorted(selected):
         pl = placements[idx]
-        emb = pl.to_embedding()
-        commit(net, pl.req, emb)
-        accepted.append((pl, emb))
+        commit(net, pl.req, embeddings[idx])
+        accepted.append((pl, embeddings[idx]))
     return accepted
 
 

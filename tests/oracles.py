@@ -72,6 +72,22 @@ def mdkp_best_profit(capacities, items):
     return best
 
 
+def sorted_first_fit(capacities, ordered_items):
+    """Greedy MKP reference: items in the given order, each into the first
+    knapsack with room after re-sorting all knapsacks by (descending
+    residual, index). Returns {item_id: knapsack index or None}."""
+    residual = list(capacities)
+    assignment = {}
+    for it in ordered_items:
+        assignment[it.item_id] = None
+        for k in sorted(range(len(residual)), key=lambda k: (-residual[k], k)):
+            if it.size <= residual[k]:
+                residual[k] -= it.size
+                assignment[it.item_id] = k
+                break
+    return assignment
+
+
 def cardinality_ddkp_optimum(capacities, size_vectors):
     """Max number of items packable under component-wise capacities."""
     n = len(size_vectors)

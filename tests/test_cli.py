@@ -90,6 +90,16 @@ def test_malformed_instance_is_a_clean_error(tmp_path, capsys, corrupt):
     assert "Traceback" not in err
 
 
+def test_missing_instance_file_is_a_clean_error(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["embed-cycles", "--instance", str(missing)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(missing) in err
+    assert "Traceback" not in err
+
+
 def test_embed_generic(tmp_path, capsys):
     inst = tmp_path / "inst.json"
     main(["generate", "--nodes", "10", "--edges", "14", "--shape", "path",

@@ -5,6 +5,7 @@ import pytest
 from pcvne.experiment import (
     ConfigError,
     ExperimentConfig,
+    _T95,
     mean_ci,
     run_experiment,
     write_csv,
@@ -59,6 +60,12 @@ class TestMeanCi:
         sd = statistics.stdev([1.0, 2.0, 3.0, 4.0, 5.0])
         assert small[1] == pytest.approx(2.7764451052 * sd / 5 ** 0.5, rel=1e-6)
         assert big[1] < small[1]
+
+    def test_t_table_matches_scipy(self):
+        stats = pytest.importorskip("scipy.stats")
+        assert len(_T95) == 29
+        for df, crit in enumerate(_T95, start=1):
+            assert crit == pytest.approx(stats.t.ppf(0.975, df), rel=1e-9)
 
 
 class TestRunExperiment:

@@ -1,15 +1,17 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import kp_best_profit, mdkp_best_profit, mkp_best_profit
+from oracles import kp_best_profit, mdkp_best_profit, mkp_best_profit, sorted_first_fit
 from pcvne.knapsack import (
     ExactSizeError,
     KpItem,
     MdkpInstance,
     MkpInstance,
+    item_order_key,
     solve_kp_dp,
     solve_mdkp,
     solve_mkp,
@@ -138,6 +140,17 @@ class TestMdkp:
         with pytest.raises(ModelError):
             MdkpInstance([3, 3], [(0, 1, (1, 2, 3))])
 
+    @pytest.mark.parametrize("key", [-1, 2, "0", 1.0, True])
+    def test_mapping_index_outside_dimensions_rejected(self, key):
+        with pytest.raises(ModelError):
+            MdkpInstance([3, 3], [(0, 1, {0: 1, key: 1})])
+
+    def test_mapping_sizes_keep_their_form(self):
+        inst = MdkpInstance([3, 3], [(0, 1, {1: 2.5}), (1, 1, [1, "1/2"])])
+        assert inst.items == [(0, 1, {1: Fraction(5, 2)}), (1, 1, (1, Fraction(1, 2)))]
+        with pytest.raises(ModelError):
+            MdkpInstance([3, 3], [(0, 1, {1: -1})])
+
     def test_exact_matches_exhaustive(self):
         rng = random.Random(13)
         for _ in range(25):
@@ -194,3 +207,33 @@ def test_property_kp_dp_optimal(seed):
     capacity = rng.randint(0, 20)
     _, profit = solve_kp_dp(capacity, items)
     assert profit == kp_best_profit(capacity, items)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10 ** 6))
+def test_property_mdkp_sparse_sizes_match_dense(seed):
+    rng = random.Random(seed)
+    d = rng.randint(1, 5)
+    caps = [rng.choice([0, 0, 1, 3, 6, Fraction(9, 2)]) for _ in range(d)]
+    dense = []
+    sparse = []
+    for i in range(rng.randint(0, 9)):
+        sizes = [rng.choice([0, 0, 0, 1, 2, 3, Fraction(3, 2)]) for _ in range(d)]
+        p = rng.randint(0, 9)
+        dense.append((i, p, sizes))
+        # explicit zeros stay in some mappings, the rest are left out
+        sparse.append((i, p, {k: s for k, s in enumerate(sizes) if s or rng.random() < 0.3}))
+    for mode in ("greedy", "exact"):
+        assert (solve_mdkp(MdkpInstance(caps, sparse), mode=mode)
+                == solve_mdkp(MdkpInstance(caps, dense), mode=mode))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10 ** 6))
+def test_property_mkp_greedy_matches_sorted_first_fit(seed):
+    rng = random.Random(seed)
+    items = rand_items(rng, rng.randint(0, 12), max_size=4, max_profit=3)
+    caps = [rng.choice([0, 2, 4, 4, 6]) for _ in range(rng.randint(0, 4))]
+    assignment, profit = solve_mkp(MkpInstance(caps, items), mode="greedy")
+    assert assignment == sorted_first_fit(caps, sorted(items, key=item_order_key))
+    assert profit == sum(it.profit for it in items if assignment[it.item_id] is not None)

@@ -15,6 +15,7 @@ from oracles import first_fit_paths, mkp_best_profit
 from pcvne.knapsack import KpItem, solve_kp_dp
 from pcvne.model import ModelError, edge_key, validate_embedding
 from pcvne.path_embedding import (
+    PathPlacement,
     SubstratePath,
     assign_mdkp,
     decompose_paths,
@@ -187,6 +188,23 @@ class TestAssignMdkp:
             expected = mdkp_best_profit(caps, items)
             accepted = assign_mdkp(net, placements, mode="exact")
             assert sum(pl.req.revenue for pl, _ in accepted) == expected
+
+
+    def test_embeds_each_placement_once(self, monkeypatch):
+        calls = []
+        to_embedding = PathPlacement.to_embedding
+
+        def counting(self):
+            calls.append(self.req.req_id)
+            return to_embedding(self)
+
+        monkeypatch.setattr(PathPlacement, "to_embedding", counting)
+        net = path_net(12, cpu=1, bw=1)
+        reqs = [uniform_path_request(i, 3) for i in range(4)]
+        placements = pack_mkp([SubstratePath(tuple(range(12)))], reqs)
+        accepted = assign_mdkp(net, placements)
+        assert 0 < len(accepted) < len(placements)
+        assert sorted(calls) == sorted(pl.req.req_id for pl in placements)
 
 
 class TestProcedurePe:
