@@ -11,16 +11,14 @@ from __future__ import annotations
 from collections import deque
 from fractions import Fraction
 
-from .model import Embedding, EmbeddingBatch, commit, edge_key
+from .model import Embedding, EmbeddingBatch, commit
 
 
 def node_scores(net, smooth=False):
     """Residual CPU times summed incident residual BW per node, optionally
     averaged once with the neighbors' scores (one power-iteration step)."""
-    scores = {}
-    for v in net.nodes:
-        bw = sum(net.residual_bw[k] for k in net.incident_edges(v))
-        scores[v] = net.residual_cpu[v] * bw
+    bw = net.residual_bw
+    scores = {v: net.residual_cpu[v] * sum(bw[k] for _, k in net.incident(v)) for v in net.nodes}
     if not smooth:
         return scores
     smoothed = {}
@@ -37,41 +35,55 @@ def node_scores(net, smooth=False):
 def _shortest_feasible_path(net, src, dst, usable):
     """Hop-minimal path src -> dst over links satisfying `usable`; among the
     shortest ones, the lexicographically smallest node sequence. Returns the
-    SL key list or None."""
+    SL key list or None.
+
+    The BFS runs from dst and stops once src is labelled: every node closer
+    to dst than src then has its final distance, and those are the only
+    distances the walk back from src reads."""
     if src == dst:
         return None
     dist = {dst: 0}
     queue = deque([dst])
-    while queue:
+    while queue and src not in dist:
         v = queue.popleft()
-        for w in net.neighbors(v):
-            if w not in dist and usable(edge_key(v, w)):
-                dist[w] = dist[v] + 1
+        d = dist[v] + 1
+        for w, k in net.incident(v):
+            if w not in dist and usable(k):
+                dist[w] = d
                 queue.append(w)
     if src not in dist:
         return None
     path = []
     cur = src
     while cur != dst:
-        for w in net.neighbors(cur):  # neighbors are sorted, first hit wins
-            k = edge_key(cur, w)
-            if dist.get(w) == dist[cur] - 1 and usable(k):
+        want = dist[cur] - 1
+        for w, k in net.incident(cur):  # sorted by neighbor, first hit wins
+            if dist.get(w) == want and usable(k):
                 path.append(k)
                 cur = w
                 break
     return path
 
 
-def generic_embed(net, req, smooth=False):
+def _ranking(net, smooth):
+    scores = node_scores(net, smooth=smooth)
+    return sorted(net.nodes, key=lambda v: (-scores[v], v))
+
+
+def generic_embed(net, req, smooth=False, ranked=None):
     """Try to embed one request of any shape against the current residuals.
 
     Node stage: VNs in descending CPU demand (ties by request order) onto the
     highest-scored feasible unused SNs. Link stage: shortest residual-feasible
     substrate path per VL, accounting for bandwidth already claimed by earlier
-    VLs of this request. Returns an Embedding or None.
+    VLs of this request. Returns an Embedding or None; the residuals are left
+    untouched either way.
+
+    `ranked` is the caller's node ranking for the current residuals (SNs by
+    descending `node_scores`, ties by id); when None it is computed here.
     """
-    scores = node_scores(net, smooth=smooth)
-    ranked = sorted(net.nodes, key=lambda v: (-scores[v], v))
+    if ranked is None:
+        ranked = _ranking(net, smooth)
     order = sorted(range(req.n_vns), key=lambda i: (-req.cpu_demand[req.vns[i]], i))
 
     node_map = {}
@@ -105,12 +117,16 @@ def generic_embed(net, req, smooth=False):
 
 
 def generic_batch(net, requests, smooth=False):
-    """Apply generic_embed in input order, committing each success."""
+    """Apply generic_embed in input order, committing each success. Only a
+    commit changes the residuals, so the node ranking is recomputed after
+    each commit and shared by every request in between."""
     batch = EmbeddingBatch()
+    ranked = _ranking(net, smooth)
     for req in requests:
-        emb = generic_embed(net, req, smooth=smooth)
+        emb = generic_embed(net, req, smooth=smooth, ranked=ranked)
         if emb is None:
             continue
         commit(net, req, emb)
         batch.add(req, emb)
+        ranked = _ranking(net, smooth)
     return batch

@@ -14,7 +14,7 @@ from .baseline import generic_batch, generic_embed
 from .cycle_embedding import greedy_revenue
 from .experiment import ExperimentConfig, run_experiment, write_csv, write_json
 from .generators import RequestSpec, SubstrateSpec, gen_requests, gen_substrate
-from .model import ModelError, Shape, batch_metrics
+from .model import ModelError, Shape, SubstrateNetwork, batch_metrics
 from .path_embedding import procedure_pe
 from .theory import (
     Graph,
@@ -142,8 +142,6 @@ def _random_connected_graph(n, rng):
 
 
 def _uniform_net(g):
-    from .model import SubstrateNetwork
-
     return SubstrateNetwork(
         nodes=list(g.nodes), edges=list(g.edges),
         cpu_capacity={v: 2 for v in g.nodes},
@@ -151,42 +149,30 @@ def _uniform_net(g):
     )
 
 
+def _trail_equivalence(g):
+    return brute_force_path_embed(UniformInstance(_uniform_net(g))) == has_spanning_trail(g)
+
+
 def cmd_verify_theory(args):
     rng = random.Random(args.seed)
+
+    def exhaustive(smallest):
+        return (g for n in range(smallest, args.max_nodes + 1) for g in _connected_graphs(n))
+
+    checks = (  # (name, cases, predicate that must hold on every case)
+        ("spanning-trail equivalence (exhaustive)", exhaustive(1), _trail_equivalence),
+        (f"spanning-trail equivalence ({args.sample_nodes}-node samples)",
+         (_random_connected_graph(args.sample_nodes, rng) for _ in range(args.samples)),
+         _trail_equivalence),
+        ("trail-to-circuit reduction (exhaustive)", exhaustive(2),
+         lambda g: has_spanning_trail(g) == any(is_supereulerian(h) for h in sset_to_sg_instances(g))),
+        ("circuit-to-trail reduction (exhaustive)", ((g, v) for g in exhaustive(1) for v in g.nodes),
+         lambda gv: is_supereulerian(gv[0]) == has_spanning_trail(sg_to_sset_instance(*gv))),
+    )
     rows = []
-
-    count = agree = 0
-    for n in range(1, args.max_nodes + 1):
-        for g in _connected_graphs(n):
-            count += 1
-            if brute_force_path_embed(UniformInstance(_uniform_net(g))) == has_spanning_trail(g):
-                agree += 1
-    rows.append(("spanning-trail equivalence (exhaustive)", count, agree == count))
-
-    count = agree = 0
-    for _ in range(args.samples):
-        g = _random_connected_graph(args.sample_nodes, rng)
-        count += 1
-        if brute_force_path_embed(UniformInstance(_uniform_net(g))) == has_spanning_trail(g):
-            agree += 1
-    rows.append((f"spanning-trail equivalence ({args.sample_nodes}-node samples)", count, agree == count))
-
-    count = agree = 0
-    for n in range(2, args.max_nodes + 1):
-        for g in _connected_graphs(n):
-            count += 1
-            if has_spanning_trail(g) == any(is_supereulerian(h) for h in sset_to_sg_instances(g)):
-                agree += 1
-    rows.append(("trail-to-circuit reduction (exhaustive)", count, agree == count))
-
-    count = agree = 0
-    for n in range(1, args.max_nodes + 1):
-        for g in _connected_graphs(n):
-            for v in g.nodes:
-                count += 1
-                if is_supereulerian(g) == has_spanning_trail(sg_to_sset_instance(g, v)):
-                    agree += 1
-    rows.append(("circuit-to-trail reduction (exhaustive)", count, agree == count))
+    for name, cases, holds in checks:
+        results = [holds(case) for case in cases]
+        rows.append((name, len(results), all(results)))
 
     width = max(len(r[0]) for r in rows)
     ok_all = True

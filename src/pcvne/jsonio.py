@@ -137,8 +137,13 @@ def _check_entries(obj, key, where, fields):
 
 
 def dump_instance(net, requests, fp):
-    json.dump(instance_to_dict(net, requests), fp, indent=2)
-    fp.write("\n")
+    """Write the instance as JSON with one node, edge or request per line,
+    each encoded by json.dumps (the C encoder; indent= would not use it)."""
+    sep = "{"
+    for key, entries in instance_to_dict(net, requests).items():
+        fp.write(f'{sep}"{key}": [\n' + ",\n".join(map(json.dumps, entries)) + "\n]")
+        sep = ",\n"
+    fp.write("}\n")
 
 
 def load_instance(fp):

@@ -59,6 +59,21 @@ def edge_key(u, v):
         raise ModelError(f"ids {u!r} and {v!r} are not comparable") from None
 
 
+def is_connected(nodes, adj):
+    """Whether every node of the sequence `nodes` is reachable from the first
+    through `adj` (node -> neighbors). No nodes counts as connected."""
+    if not nodes:
+        return True
+    seen = {nodes[0]}
+    stack = [nodes[0]]
+    while stack:
+        for w in adj[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) == len(nodes)
+
+
 class Shape(str, enum.Enum):
     PATH = "path"
     CYCLE = "cycle"
@@ -108,38 +123,32 @@ class SubstrateNetwork:
             if q < 0:
                 raise ModelError(f"negative bw capacity at {k}")
             self.bw_capacity[k] = q
-        self._adj = {v: [] for v in self.nodes}
-        for u, v in self.edges:
-            self._adj[u].append(v)
-            self._adj[v].append(u)
-        for v in self._adj:
-            self._adj[v].sort()
-        if not self._connected():
+        self._inc = {v: [] for v in self.nodes}
+        for k in self.edges:
+            u, v = k
+            self._inc[u].append((v, k))
+            self._inc[v].append((u, k))
+        for pairs in self._inc.values():
+            pairs.sort()
+        self._adj = {v: [w for w, _ in pairs] for v, pairs in self._inc.items()}
+        if not is_connected(self.nodes, self._adj):
             raise ModelError("substrate graph is not connected")
         self.residual_cpu = dict(self.cpu_capacity)
         self.residual_bw = dict(self.bw_capacity)
 
-    def _connected(self):
-        if not self.nodes:
-            return True
-        seen = {self.nodes[0]}
-        stack = [self.nodes[0]]
-        while stack:
-            v = stack.pop()
-            for w in self._adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == len(self.nodes)
-
     def neighbors(self, v):
         return self._adj[v]
+
+    def incident(self, v):
+        """(neighbor, link key) pairs of v, sorted by neighbor; built once.
+        The list is shared, do not mutate it."""
+        return self._inc[v]
 
     def has_edge(self, u, v):
         return edge_key(u, v) in self.bw_capacity
 
     def incident_edges(self, v):
-        return [edge_key(v, w) for w in self._adj[v]]
+        return [k for _, k in self._inc[v]]
 
     def degree(self, v):
         return len(self._adj[v])

@@ -23,6 +23,7 @@ from .model import (
     VirtualRequest,
     commit,
     edge_key,
+    is_connected,
     release,
 )
 
@@ -60,18 +61,7 @@ class Graph:
         return adj
 
     def is_connected(self):
-        if not self.nodes:
-            return True
-        adj = self.adjacency()
-        seen = {self.nodes[0]}
-        stack = [self.nodes[0]]
-        while stack:
-            v = stack.pop()
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == len(self.nodes)
+        return is_connected(self.nodes, self.adjacency())
 
 
 def has_spanning_trail(g, node_cap=12):
@@ -192,16 +182,7 @@ def is_supereulerian(g, node_cap=12):
         for u, v in members:
             sub.setdefault(u, []).append(v)
             sub.setdefault(v, []).append(u)
-        start = members[0][0]
-        seen = {start}
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            for y in sub[x]:
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        return len(seen) == n
+        return is_connected(list(sub), sub)
 
     for combo in range(1, 1 << len(cycles)):
         mask = 0

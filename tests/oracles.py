@@ -5,9 +5,11 @@ enumeration, own modular arithmetic) so they share no solver logic with the
 code under test.
 """
 
+from collections import deque
+from fractions import Fraction
 from itertools import combinations
 
-from pcvne.model import edge_key
+from pcvne.model import Embedding, EmbeddingBatch, commit, edge_key
 
 
 def kp_best_profit(capacity, items):
@@ -277,3 +279,111 @@ def simplex_min_cost(net, req):
                 if ok and (best is None or cost < best):
                     best = cost
     return best
+
+
+# The generic baseline as it was before it reused one node ranking between
+# commits and cached incident links: a full re-ranking per request and a BFS
+# that labels the whole reachable graph. Kept verbatim as the reference that
+# the faster baseline must match embedding for embedding.
+
+
+def node_scores_reference(net, smooth=False):
+    """Residual CPU times summed incident residual BW per node, optionally
+    averaged once with the neighbors' scores (one power-iteration step)."""
+    scores = {}
+    for v in net.nodes:
+        bw = sum(net.residual_bw[k] for k in net.incident_edges(v))
+        scores[v] = net.residual_cpu[v] * bw
+    if not smooth:
+        return scores
+    smoothed = {}
+    for v in net.nodes:
+        nbrs = net.neighbors(v)
+        if nbrs:
+            avg = Fraction(sum(scores[w] for w in nbrs), len(nbrs))
+        else:
+            avg = 0
+        smoothed[v] = Fraction(scores[v] + avg, 2)
+    return smoothed
+
+
+def shortest_feasible_path_reference(net, src, dst, usable):
+    """Hop-minimal path src -> dst over links satisfying `usable`; among the
+    shortest ones, the lexicographically smallest node sequence. Returns the
+    SL key list or None."""
+    if src == dst:
+        return None
+    dist = {dst: 0}
+    queue = deque([dst])
+    while queue:
+        v = queue.popleft()
+        for w in net.neighbors(v):
+            if w not in dist and usable(edge_key(v, w)):
+                dist[w] = dist[v] + 1
+                queue.append(w)
+    if src not in dist:
+        return None
+    path = []
+    cur = src
+    while cur != dst:
+        for w in net.neighbors(cur):  # neighbors are sorted, first hit wins
+            k = edge_key(cur, w)
+            if dist.get(w) == dist[cur] - 1 and usable(k):
+                path.append(k)
+                cur = w
+                break
+    return path
+
+
+def generic_embed_reference(net, req, smooth=False):
+    """Try to embed one request of any shape against the current residuals.
+
+    Node stage: VNs in descending CPU demand (ties by request order) onto the
+    highest-scored feasible unused SNs. Link stage: shortest residual-feasible
+    substrate path per VL, accounting for bandwidth already claimed by earlier
+    VLs of this request. Returns an Embedding or None.
+    """
+    scores = node_scores_reference(net, smooth=smooth)
+    ranked = sorted(net.nodes, key=lambda v: (-scores[v], v))
+    order = sorted(range(req.n_vns), key=lambda i: (-req.cpu_demand[req.vns[i]], i))
+
+    node_map = {}
+    used = set()
+    for i in order:
+        vn = req.vns[i]
+        demand = req.cpu_demand[vn]
+        host = next((v for v in ranked if v not in used and net.residual_cpu[v] >= demand), None)
+        if host is None:
+            return None
+        node_map[vn] = host
+        used.add(host)
+
+    pending = {}
+    link_map = {}
+    for vl in req.vls:
+        demand = req.bw_demand[vl]
+        u, v = vl
+
+        def usable(k, _d=demand):
+            return net.residual_bw[k] - pending.get(k, 0) >= _d
+
+        path = shortest_feasible_path_reference(net, node_map[u], node_map[v], usable)
+        if path is None:
+            return None
+        for k in path:
+            pending[k] = pending.get(k, 0) + demand
+        link_map[vl] = path
+
+    return Embedding(req_id=req.req_id, node_map=node_map, link_map=link_map)
+
+
+def generic_batch_reference(net, requests, smooth=False):
+    """Apply generic_embed_reference in input order, committing each success."""
+    batch = EmbeddingBatch()
+    for req in requests:
+        emb = generic_embed_reference(net, req, smooth=smooth)
+        if emb is None:
+            continue
+        commit(net, req, emb)
+        batch.add(req, emb)
+    return batch

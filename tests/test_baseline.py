@@ -1,5 +1,10 @@
 import random
+from fractions import Fraction
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import pcvne.baseline as baseline
 from conftest import (
     make_cycle_request,
     make_net,
@@ -8,8 +13,9 @@ from conftest import (
     random_connected_graph,
     uniform_path_request,
 )
+from oracles import generic_batch_reference, shortest_feasible_path_reference
 from pcvne.baseline import generic_batch, generic_embed, node_scores
-from pcvne.model import audit_residuals, validate_embedding
+from pcvne.model import Shape, VirtualRequest, audit_residuals, validate_embedding
 
 
 def graph_net(g, cpu=100, bw=100):
@@ -113,3 +119,96 @@ class TestGenericBatch:
             generic_revenue = generic_batch(net.copy(), reqs).revenue
             pe_revenue = procedure_pe(net.copy(), reqs, mkp_mode="exact", mdkp_mode="exact").revenue
             assert generic_revenue <= pe_revenue
+
+
+# Few distinct small values, so node scores tie and links run out; Fractions
+# among them so the ranking compares exact non-integer scores.
+TIGHT = (1, 2, 3, Fraction(3, 2), Fraction(5, 2))
+
+
+def tight_instance(rng):
+    """A random connected substrate with tight, often equal capacities and a
+    stream of path, cycle and general requests that outgrows it."""
+    n = rng.randint(3, 9)
+    g = random_connected_graph(rng, n)
+    uniform = rng.random() < 0.3
+    net = make_net(list(g.nodes), list(g.edges),
+                   {v: 4 if uniform else rng.choice((2, 3, 4, Fraction(7, 2))) for v in g.nodes},
+                   {e: 3 if uniform else rng.choice(TIGHT) for e in g.edges})
+    reqs = []
+    for i in range(rng.randint(4, 14)):
+        k = rng.randint(1, min(4, n))
+        vns = list(range(k))
+        shape = rng.choice((Shape.PATH, Shape.CYCLE, Shape.GENERAL)) if k >= 3 else Shape.PATH
+        vls = [(j, j + 1) for j in range(k - 1)]
+        if shape is not Shape.PATH:
+            vls.append((0, k - 1))
+        reqs.append(VirtualRequest(
+            req_id=i, shape=shape, vns=vns, vls=vls,
+            cpu_demand={v: rng.choice(TIGHT) for v in vns},
+            bw_demand={l: rng.choice(TIGHT) for l in vls},
+            revenue=rng.randint(1, 5)))
+    return net, reqs
+
+
+def batch_view(batch):
+    return [(req.req_id, emb.node_map, emb.link_map) for req, emb in batch.items]
+
+
+class TestMatchesReference:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.booleans())
+    def test_property_batch_matches_reference(self, seed, smooth):
+        net, reqs = tight_instance(random.Random(seed))
+        ref_net = net.copy()
+        got = generic_batch(net, reqs, smooth=smooth)
+        want = generic_batch_reference(ref_net, reqs, smooth=smooth)
+        assert batch_view(got) == batch_view(want)
+        assert net.residual_cpu == ref_net.residual_cpu
+        assert net.residual_bw == ref_net.residual_bw
+
+    def test_instances_reject_after_commits(self):
+        # the property above only pins the ranking refresh if requests are
+        # rejected once others have committed
+        rejected_late = 0
+        for seed in range(40):
+            net, reqs = tight_instance(random.Random(seed))
+            accepted = set(generic_batch(net, reqs).accepted_ids())
+            first = min(accepted, default=len(reqs))
+            rejected_late += sum(1 for r in reqs[first + 1:] if r.req_id not in accepted)
+        assert rejected_late >= 40
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1))
+    def test_property_route_matches_reference(self, seed):
+        rng = random.Random(seed)
+        g = random_connected_graph(rng, rng.randint(2, 10))
+        net = graph_net(g)
+        allowed = {e for e in g.edges if rng.random() < rng.choice((0.4, 0.7, 1.0))}
+
+        def usable(k):
+            return k in allowed
+
+        src, dst = rng.choice(g.nodes), rng.choice(g.nodes)
+        got = baseline._shortest_feasible_path(net, src, dst, usable)
+        assert got == shortest_feasible_path_reference(net, src, dst, usable)
+
+    def test_unreachable_source_has_no_route(self):
+        net = path_net(4)
+        cut = (1, 2)
+        assert baseline._shortest_feasible_path(net, 0, 3, lambda k: k != cut) is None
+        assert shortest_feasible_path_reference(net, 0, 3, lambda k: k != cut) is None
+
+    def test_ranks_once_per_commit(self, monkeypatch):
+        calls = []
+
+        def counting(net, smooth=False):
+            calls.append(1)
+            return node_scores(net, smooth=smooth)
+
+        monkeypatch.setattr(baseline, "node_scores", counting)
+        net = path_net(6, cpu=3, bw=3)
+        reqs = [uniform_path_request(i, 2) for i in range(8)]
+        batch = generic_batch(net, reqs)
+        assert 0 < len(batch) < len(reqs)
+        assert len(calls) == len(batch) + 1

@@ -1,3 +1,4 @@
+import copy
 import io
 import json
 import re
@@ -16,7 +17,7 @@ from pcvne.jsonio import (
     instance_to_dict,
     load_instance,
 )
-from pcvne.model import ModelError
+from pcvne.model import ModelError, Shape, VirtualRequest
 
 
 def test_round_trip_integers():
@@ -146,3 +147,117 @@ def test_embedding_dict_is_json_serializable():
     payload = embedding_to_dict(req, emb)
     text = json.dumps(payload)
     assert json.loads(text)["request"] == "r"
+
+
+def test_dump_is_one_entry_per_line_json():
+    net = make_net([0, 1, 2], [(0, 1), (1, 2)], {0: 3, 1: Fraction(9, 2), 2: 5}, 7)
+    reqs = [make_path_request("a", [1, 2], [3]), make_cycle_request(4, [1, 1, 1], [2, 2, 2])]
+    buf = io.StringIO()
+    dump_instance(net, reqs, buf)
+    text = buf.getvalue()
+    assert json.loads(text) == instance_to_dict(net, reqs)
+    assert text.endswith("]}\n")
+    assert len(text.splitlines()) == 2 * 3 + len(net.nodes) + len(net.edges) + len(reqs)
+
+
+def test_indented_files_still_load():
+    net = make_net([0, 1, 2], [(0, 1), (1, 2)], {0: 3, 1: Fraction(9, 2), 2: 5}, 7)
+    reqs = [make_path_request("a", [1, 2], [Fraction(1, 3)], revenue=2)]
+    text = json.dumps(instance_to_dict(net, reqs), indent=2) + "\n"
+    net2, reqs2 = load_instance(io.StringIO(text))
+    assert instance_to_dict(net2, reqs2) == instance_to_dict(net, reqs)
+
+
+positive = st.one_of(
+    st.integers(min_value=1, max_value=10 ** 9),
+    st.fractions(min_value=Fraction(1, 10 ** 6), max_value=10 ** 6),
+    st.fractions(min_value=Fraction(1, 10 ** 6), max_value=10 ** 6).map(
+        lambda q: f"{q.numerator}/{q.denominator}"),
+)
+scalar_ids = st.one_of(st.integers(-10 ** 6, 10 ** 6), st.text(max_size=4))
+
+
+@st.composite
+def instances(draw):
+    """A small valid instance: int or string node ids (one kind per
+    instance, so they compare), int/Fraction/"p/q" quantities, path and
+    cycle requests with mixed id types."""
+    id_kind = draw(st.sampled_from((st.integers(-50, 50), st.text(min_size=1, max_size=3))))
+    nodes = draw(st.lists(id_kind, min_size=2, max_size=5, unique=True))
+    edges = [(nodes[i], nodes[i + 1]) for i in range(len(nodes) - 1)]
+    if len(nodes) > 2 and draw(st.booleans()):
+        edges.append((nodes[0], nodes[-1]))
+    net = make_net(nodes, edges, {v: draw(positive) for v in nodes},
+                   {tuple(sorted(e)): draw(positive) for e in edges})
+    reqs = []
+    for _ in range(draw(st.integers(0, 3))):
+        shape = draw(st.sampled_from((Shape.PATH, Shape.CYCLE)))
+        vns = draw(st.lists(id_kind, min_size=3 if shape is Shape.CYCLE else 1, max_size=4, unique=True))
+        vls = [(vns[i], vns[i + 1]) for i in range(len(vns) - 1)]
+        if shape is Shape.CYCLE:
+            vls.append((vns[-1], vns[0]))
+        reqs.append(VirtualRequest(
+            req_id=draw(scalar_ids), shape=shape, vns=vns, vls=vls,
+            cpu_demand={v: draw(positive) for v in vns},
+            bw_demand={tuple(sorted(l)): draw(positive) for l in vls},
+            revenue=draw(st.one_of(st.just(0), positive))))
+    return net, reqs
+
+
+def _exact(mapping):
+    """Values with their types, so 2 and Fraction(2) would differ."""
+    return {k: (type(v), v) for k, v in mapping.items()}
+
+
+@settings(max_examples=150, deadline=None)
+@given(instances())
+def test_property_dump_load_keeps_ids_and_quantities(instance):
+    net, reqs = instance
+    buf = io.StringIO()
+    dump_instance(net, reqs, buf)
+    assert json.loads(buf.getvalue()) == instance_to_dict(net, reqs)
+    indented = json.dumps(instance_to_dict(net, reqs), indent=2)
+    for text in (buf.getvalue(), indented):
+        net2, reqs2 = load_instance(io.StringIO(text))
+        assert (net2.nodes, net2.edges) == (net.nodes, net.edges)
+        assert _exact(net2.cpu_capacity) == _exact(net.cpu_capacity)
+        assert _exact(net2.bw_capacity) == _exact(net.bw_capacity)
+        assert [r.req_id for r in reqs2] == [r.req_id for r in reqs]
+        for a, b in zip(reqs, reqs2):
+            assert (a.shape, a.vns, a.vls) == (b.shape, b.vns, b.vls)
+            assert _exact(a.cpu_demand) == _exact(b.cpu_demand)
+            assert _exact(a.bw_demand) == _exact(b.bw_demand)
+            assert _exact({"revenue": a.revenue}) == _exact({"revenue": b.revenue})
+
+
+def _paths(obj, path=()):
+    yield path
+    children = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, child in children:
+        yield from _paths(child, path + (key,))
+
+
+REPLACEMENTS = ([], [1], {}, {"id": 0}, None, "abc", float("nan"), True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(instances(), st.data())
+def test_property_single_mutation_is_valid_or_model_error(instance, data):
+    original = instance_to_dict(*instance)
+    path = data.draw(st.sampled_from(list(_paths(original))))
+    action = data.draw(st.sampled_from(("drop",) + REPLACEMENTS) if path else st.sampled_from(REPLACEMENTS))
+    mutated = copy.deepcopy(original)
+    if not path:
+        mutated = action
+    else:
+        parent = mutated
+        for key in path[:-1]:
+            parent = parent[key]
+        if action == "drop":
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = action
+    try:
+        instance_from_dict(mutated)
+    except ModelError:
+        pass
