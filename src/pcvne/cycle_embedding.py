@@ -8,6 +8,7 @@ minimum weight cycle in O(n·m) for n virtual nodes on an m-node ring, and
 arcs are built only for `--dump-wdag` and inspection. Ties go to the
 lexicographically smallest host sequence, then to the first strictly
 cheapest over anchors in sorted order and directions, "+" before "-".
+The scan stops at the cost floor and at once when an SL cannot carry min d.
 """
 
 from __future__ import annotations
@@ -324,10 +325,19 @@ def c2ce(net, req, collect=None):
     Scans every feasible anchor for the first VN crossed with both
     directions, takes the minimum weight directed cycle of each layered
     digraph, and keeps the strictly cheapest. Returns a SimplexEmbedding or
-    None when no feasible one-direction embedding exists. `collect`, if
-    given, receives every constructed digraph (used by the dump facility).
+    None when no feasible one-direction embedding exists. An embedding
+    crosses every SL once with h_j >= 1 hops summing to m: it needs min d
+    residual BW on each SL (else None at once), and none costs less than
+    floor = Σ d_j + (m − n)·min d, so the scan stops there. `collect`, if
+    given, receives every digraph (for the dump) and forces the full scan.
     """
     cycle = CycleView(net)
+    if req.shape is not Shape.CYCLE:
+        raise ModelError("request is not a cycle")
+    least = min(req.bw_demand.values())
+    if collect is None and any(net.residual_bw[k] < least for k in net.edges):
+        return None
+    floor = sum(req.bw_demand.values()) + (cycle.m - req.n_vns) * least
     fs = feasible_sets(net, req)
     masks = _clockwise_masks(cycle, fs)
     best = None
@@ -342,6 +352,8 @@ def c2ce(net, req, collect=None):
             hosts, cost = found
             if best is None or cost < best.cost:
                 best = _simplex_from_hosts(cycle, req, start, direction, hosts)
+                if cost == floor and collect is None:
+                    return best
     return best
 
 

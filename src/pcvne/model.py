@@ -144,9 +144,6 @@ class SubstrateNetwork:
         The list is shared, do not mutate it."""
         return self._inc[v]
 
-    def has_edge(self, u, v):
-        return edge_key(u, v) in self.bw_capacity
-
     def incident_edges(self, v):
         return [k for _, k in self._inc[v]]
 

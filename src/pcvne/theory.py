@@ -47,10 +47,6 @@ class Graph:
             canon.add(edge_key(u, v))
         return cls(nodes=nodes, edges=tuple(sorted(canon)))
 
-    @classmethod
-    def from_network(cls, net):
-        return cls.build(net.nodes, net.edges)
-
     def adjacency(self):
         adj = {v: [] for v in self.nodes}
         for u, v in self.edges:

@@ -387,3 +387,66 @@ def generic_batch_reference(net, requests, smooth=False):
         commit(net, req, emb)
         batch.add(req, emb)
     return batch
+
+
+# The ring solver as it was before it stopped at the cost floor and rejected
+# requests that some SL cannot carry: every feasible anchor crossed with both
+# directions, the strictly cheapest kept. Kept verbatim as the reference that
+# the pruned scan must match embedding for embedding.
+
+
+def c2ce_reference(net, req):
+    """Least-BW-cost one-direction embedding by the full anchor x direction
+    scan, as a SimplexEmbedding or None."""
+    from pcvne.cycle_embedding import (
+        DIRECTIONS,
+        CycleView,
+        _clockwise_masks,
+        _simplex_from_hosts,
+        build_wdag,
+        feasible_sets,
+        min_weight_cycle,
+    )
+
+    cycle = CycleView(net)
+    fs = feasible_sets(net, req)
+    masks = _clockwise_masks(cycle, fs)
+    best = None
+    for start in sorted(fs.vn_sets[0]):
+        for direction in DIRECTIONS:
+            w = build_wdag(cycle, req, start, direction, fs=fs, masks=masks)
+            found = min_weight_cycle(w)
+            if found is None:
+                continue
+            hosts, cost = found
+            if best is None or cost < best.cost:
+                best = _simplex_from_hosts(cycle, req, start, direction, hosts)
+    return best
+
+
+def greedy_revenue_reference(net, requests, fallback=None):
+    """greedy_revenue on top of c2ce_reference: descending revenue-to-demand
+    ratio, commit on success, leftovers offered once each to `fallback`."""
+    ranked = sorted(
+        requests,
+        key=lambda r: Fraction(r.revenue, r.total_cpu_demand + r.total_bw_demand),
+        reverse=True,
+    )
+    batch = EmbeddingBatch()
+    leftovers = []
+    for req in ranked:
+        simplex = c2ce_reference(net, req)
+        if simplex is None:
+            leftovers.append(req)
+            continue
+        emb = simplex.to_embedding(req)
+        commit(net, req, emb)
+        batch.add(req, emb)
+    if fallback is not None:
+        for req in leftovers:
+            emb = fallback(net, req)
+            if emb is None:
+                continue
+            commit(net, req, emb)
+            batch.add(req, emb)
+    return batch

@@ -1,15 +1,27 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import pcvne.cycle_embedding as cycle_embedding
 from conftest import (
     make_cycle_request,
     make_net,
+    make_path_request,
     path_net,
     random_ring_instance,
     ring_net,
 )
-from oracles import independent_arcs, simplex_min_cost, tie_rule_oracle, wdag_all_cycles
+from oracles import (
+    c2ce_reference,
+    greedy_revenue_reference,
+    independent_arcs,
+    simplex_min_cost,
+    tie_rule_oracle,
+    wdag_all_cycles,
+)
 from pcvne.cycle_embedding import (
     ANTICLOCKWISE,
     CLOCKWISE,
@@ -44,7 +56,7 @@ class TestCycleView:
         view = CycleView(ring_net(6))
         assert sorted(view.order) == list(range(6))
         for i in range(6):
-            assert view.net.has_edge(view.order[i], view.order[(i + 1) % 6])
+            assert edge_key(view.order[i], view.order[(i + 1) % 6]) in view.net.edges
 
     def test_positions_both_directions(self):
         view = CycleView(ring_net(5))
@@ -245,6 +257,164 @@ class TestC2ce:
         net = ring_net(4)
         req = make_cycle_request("r", [1] * 5, [1] * 5)
         assert c2ce(net, req) is None
+
+    def test_rejects_non_cycle_request_with_feasible_anchor(self):
+        req = make_path_request("p", [1, 1, 1], [1, 1])
+        with pytest.raises(ModelError, match="request is not a cycle"):
+            c2ce(ring_net(4), req)
+
+    def test_rejects_non_cycle_request_without_feasible_anchor(self):
+        # no SN can host the first VN, so no graph would ever be built
+        req = make_path_request("p", [9, 1, 1], [1, 1])
+        with pytest.raises(ModelError, match="request is not a cycle"):
+            c2ce(ring_net(4, cpu=1), req)
+
+    def test_non_ring_substrate_fails_before_the_request_check(self):
+        req = make_path_request("p", [1, 1, 1], [1, 1])
+        with pytest.raises(ModelError, match="substrate is not a cycle"):
+            c2ce(path_net(4), req)
+
+
+def spy(monkeypatch, name):
+    """Record the calls c2ce makes to `cycle_embedding.<name>`."""
+    calls = []
+    original = getattr(cycle_embedding, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cycle_embedding, name, wrapper)
+    return calls
+
+
+def outcome(sx):
+    return None if sx is None else (sx.start, sx.direction, sx.assignment, sx.hops, sx.cost)
+
+
+class TestScanCounts:
+    """How much of the anchor x direction scan c2ce does: none when an SL
+    cannot carry the smallest VL demand, up to the first candidate at the
+    cost floor Σ d_j + (m − n)·min d otherwise, all of it for `collect`."""
+
+    def test_no_graph_when_an_sl_cannot_carry_the_smallest_demand(self, monkeypatch):
+        bw = {edge_key(i, (i + 1) % 6): 9 for i in range(6)}
+        bw[edge_key(2, 3)] = 1
+        net = ring_net(6, cpu=9, bw=bw)
+        req = make_cycle_request("r", [1, 1, 1], [2, 3, 4])
+        counts = [spy(monkeypatch, name)
+                  for name in ("feasible_sets", "build_wdag", "min_weight_cycle")]
+        assert c2ce(net, req) is None
+        assert counts == [[], [], []]
+        assert c2ce_reference(net, req) is None
+
+    def test_one_graph_when_the_first_anchor_reaches_the_floor(self, monkeypatch):
+        net = ring_net(6)
+        req = make_cycle_request("r", [1, 1, 1], [1, 2, 3])
+        built = spy(monkeypatch, "build_wdag")
+        swept = spy(monkeypatch, "min_weight_cycle")
+        sx = c2ce(net, req)
+        assert len(built) == len(swept) == 1
+        # floor = (1 + 2 + 3) + (6 - 3) * 1: the demand-1 VL takes the slack
+        assert outcome(sx) == (0, CLOCKWISE, [0, 4, 5], [4, 1, 1], 9)
+        assert outcome(sx) == outcome(c2ce_reference(net, req))
+
+    def test_every_pair_when_the_floor_is_out_of_reach(self, monkeypatch):
+        # only SNs 0 and 3 host the first and last VN, so the demand-3 VL
+        # closing the cycle always takes 3 hops: cost 2 + 2 + 9 > floor 9
+        net = ring_net(6, cpu={0: 5, 1: 1, 2: 1, 3: 5, 4: 1, 5: 1})
+        req = make_cycle_request("r", [5, 1, 5], [1, 2, 3])
+        swept = spy(monkeypatch, "min_weight_cycle")
+        sx = c2ce(net, req)
+        assert len(swept) == 4  # anchors 0 and 3, both directions
+        assert sx.cost == 13
+        assert outcome(sx) == outcome(c2ce_reference(net, req))
+
+    @pytest.mark.parametrize("dead_link", [False, True])
+    def test_collect_gets_one_graph_per_feasible_anchor_and_direction(self, monkeypatch, dead_link):
+        bw = {edge_key(i, (i + 1) % 6): 9 for i in range(6)}
+        if dead_link:
+            bw[edge_key(4, 5)] = 0
+        net = ring_net(6, cpu={0: 1, 1: 3, 2: 3, 3: 1, 4: 3, 5: 3}, bw=bw)
+        req = make_cycle_request("r", [3, 1, 1], [1, 2, 3])
+        swept = spy(monkeypatch, "min_weight_cycle")
+        graphs = []
+        sx = c2ce(net, req, collect=graphs.append)
+        assert [(w.start, w.direction) for w in graphs] == [
+            (s, d) for s in (1, 2, 4, 5) for d in (CLOCKWISE, ANTICLOCKWISE)]
+        assert len(swept) == len(graphs)
+        assert outcome(sx) == outcome(c2ce_reference(net, req))
+        assert (sx is None) == dead_link
+
+
+def fraction_quantities(low, high):
+    return st.builds(Fraction, st.integers(low, high), st.integers(1, 3))
+
+
+RING_KINDS = ("tight", "uniform", "heterogeneous", "fraction")
+
+
+@st.composite
+def ring_workloads(draw, kinds=RING_KINDS):
+    """A ring with shuffled labels and tight capacities plus a few cycle
+    requests, each committed by the caller before the next. Kinds: "tight"
+    small random demands; "uniform" one demand per request, so every
+    embedding costs m·d and the tie rule decides; "heterogeneous" two big
+    SNs and two heavy VNs per request, so the cost floor is reached only
+    when their spacings match; "fraction" Fraction capacities and demands."""
+    kind = draw(st.sampled_from(kinds))
+    quantities = fraction_quantities if kind == "fraction" else st.integers
+    m = draw(st.integers(5 if kind == "heterogeneous" else 3, 9))
+    labels = draw(st.lists(st.integers(0, 99), min_size=m, max_size=m, unique=True))
+    edges = [(labels[i], labels[(i + 1) % m]) for i in range(m)]
+    if kind == "heterogeneous":
+        big = (labels[0], labels[draw(st.integers(2, m - 2))])
+        cpu = {v: 9 if v in big else 2 for v in labels}
+        bw = st.integers(4, 12)
+    else:
+        bw = quantities(1, {"tight": 6, "uniform": 5, "fraction": 8}[kind])
+        cpu = {v: draw(bw) for v in labels}
+    net = make_net(labels, edges, cpu, {edge_key(u, v): draw(bw) for u, v in edges})
+    reqs = []
+    for k in range(draw(st.integers(1, 5))):
+        n = draw(st.integers(3, m + 1))
+        if kind == "uniform":
+            cpu_demand = bw_demand = [draw(st.integers(1, 2))] * n
+        elif kind == "heterogeneous":
+            heavy = (0, draw(st.integers(1, n - 1)))
+            cpu_demand = [4 if i in heavy else 1 for i in range(n)]
+            bw_demand = [draw(st.integers(1, 8)) for _ in range(n)]
+        else:
+            demand = quantities(1, {"tight": 4, "fraction": 6}[kind])
+            cpu_demand = [draw(demand) for _ in range(n)]
+            bw_demand = [draw(demand) for _ in range(n)]
+        reqs.append(make_cycle_request(k, cpu_demand, bw_demand, revenue=draw(st.integers(1, 9))))
+    return net, reqs
+
+
+class TestPrunedScanMatchesFullScan:
+    @settings(max_examples=300, deadline=None)
+    @given(ring_workloads())
+    def test_c2ce_equals_full_scan_with_commits_between(self, workload):
+        net, reqs = workload
+        for req in reqs:
+            sx = c2ce(net, req)
+            assert outcome(sx) == outcome(c2ce_reference(net, req))
+            if sx is not None:
+                commit(net, req, sx.to_embedding(req))
+
+    @settings(max_examples=150, deadline=None)
+    @given(ring_workloads())
+    def test_greedy_revenue_with_fallback_accepts_the_same_ids(self, workload):
+        from pcvne.baseline import generic_embed
+
+        net, reqs = workload
+        ref_net = net.copy()
+        batch = greedy_revenue(net, reqs, fallback=generic_embed)
+        ref = greedy_revenue_reference(ref_net, reqs, fallback=generic_embed)
+        assert batch.accepted_ids() == ref.accepted_ids()
+        assert net.residual_bw == ref_net.residual_bw
+        assert net.residual_cpu == ref_net.residual_cpu
 
 
 class TestGreedyRevenue:
