@@ -7,23 +7,24 @@ import argparse
 import json
 import random
 import sys
-from itertools import combinations
 
 from . import jsonio
 from .baseline import generic_batch, generic_embed
 from .cycle_embedding import greedy_revenue
 from .experiment import ExperimentConfig, run_experiment, write_csv, write_json
 from .generators import RequestSpec, SubstrateSpec, gen_requests, gen_substrate
-from .model import ModelError, Shape, SubstrateNetwork, batch_metrics
+from .model import ModelError, Shape, batch_metrics
 from .path_embedding import procedure_pe
 from .theory import (
-    Graph,
     UniformInstance,
     brute_force_path_embed,
+    connected_graphs,
     has_spanning_trail,
     is_supereulerian,
+    random_connected_graph,
     sg_to_sset_instance,
     sset_to_sg_instances,
+    uniform_net,
 )
 
 
@@ -121,48 +122,20 @@ def cmd_embed_generic(args):
     _emit_batch(args, "generic", batch, len(requests))
 
 
-def _connected_graphs(n):
-    nodes = tuple(range(n))
-    all_edges = list(combinations(nodes, 2))
-    for mask in range(1 << len(all_edges)):
-        edges = tuple(e for i, e in enumerate(all_edges) if mask >> i & 1)
-        g = Graph.build(nodes, edges)
-        if g.is_connected():
-            yield g
-
-
-def _random_connected_graph(n, rng):
-    nodes = list(range(n))
-    rng.shuffle(nodes)
-    edges = {tuple(sorted((nodes[i], nodes[rng.randrange(i)]))) for i in range(1, n)}
-    extra = rng.randint(0, n * (n - 1) // 2 - (n - 1))
-    candidates = [e for e in combinations(range(n), 2) if e not in edges]
-    edges.update(rng.sample(candidates, min(extra, len(candidates))))
-    return Graph.build(range(n), edges)
-
-
-def _uniform_net(g):
-    return SubstrateNetwork(
-        nodes=list(g.nodes), edges=list(g.edges),
-        cpu_capacity={v: 2 for v in g.nodes},
-        bw_capacity={e: 1 for e in g.edges},
-    )
-
-
 def _trail_equivalence(g):
-    return brute_force_path_embed(UniformInstance(_uniform_net(g))) == has_spanning_trail(g)
+    return brute_force_path_embed(UniformInstance(uniform_net(g))) == has_spanning_trail(g)
 
 
 def cmd_verify_theory(args):
     rng = random.Random(args.seed)
 
     def exhaustive(smallest):
-        return (g for n in range(smallest, args.max_nodes + 1) for g in _connected_graphs(n))
+        return (g for n in range(smallest, args.max_nodes + 1) for g in connected_graphs(n))
 
     checks = (  # (name, cases, predicate that must hold on every case)
         ("spanning-trail equivalence (exhaustive)", exhaustive(1), _trail_equivalence),
         (f"spanning-trail equivalence ({args.sample_nodes}-node samples)",
-         (_random_connected_graph(args.sample_nodes, rng) for _ in range(args.samples)),
+         (random_connected_graph(rng, args.sample_nodes) for _ in range(args.samples)),
          _trail_equivalence),
         ("trail-to-circuit reduction (exhaustive)", exhaustive(2),
          lambda g: has_spanning_trail(g) == any(is_supereulerian(h) for h in sset_to_sg_instances(g))),

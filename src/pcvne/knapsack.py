@@ -6,6 +6,9 @@ refuse instances above an explicit item limit rather than silently blowing up.
 All arithmetic is exact (ints / Fractions), feasibility has no tolerance.
 MDKP item sizes are dense length-d sequences or sparse {dimension: size}
 mappings; the MDKP solvers touch only each item's nonzero dimensions.
+Orders stay exact without a Fraction per comparison: MKP items sort on integer
+ranks taken over the distinct profit/size efficiencies (equal ones share a
+rank), and MDKP surrogate weights are summed as integers, one Fraction each.
 """
 
 from __future__ import annotations
@@ -94,10 +97,14 @@ def _efficiency(profit, size):
     return Fraction(profit, size) if isinstance(profit, int) and isinstance(size, int) else profit / size
 
 
-def item_order_key(item):
-    """Sort key of a KpItem: profit/size descending, ties by smaller size
-    then lower id. The MKP solvers consider items in this order."""
-    return (-_efficiency(item.profit, item.size), item.size, _id_key(item.item_id))
+def order_items(items):
+    """KpItems in MKP order: profit/size descending, ties by smaller size then
+    lower id. Each distinct (profit, size) pair's exact efficiency is computed
+    once and ranked among the distinct values, equal values sharing a rank."""
+    eff = {pair: _efficiency(*pair) for pair in {(it.profit, it.size) for it in items}}
+    rank_of = {e: r for r, e in enumerate(sorted(set(eff.values()), reverse=True))}
+    rank = {pair: rank_of[e] for pair, e in eff.items()}
+    return sorted(items, key=lambda it: (rank[it.profit, it.size], it.size, _id_key(it.item_id)))
 
 
 def _id_key(item_id):
@@ -179,7 +186,7 @@ def _mkp_greedy(inst):
     heapq.heapify(heap)
     assignment = {it.item_id: None for it in inst.items}
     profit = 0
-    for it in sorted(inst.items, key=item_order_key):
+    for it in order_items(inst.items):
         if heap and it.size <= -heap[0][0]:
             neg_residual, k = heap[0]
             heapq.heapreplace(heap, (neg_residual + it.size, k))
@@ -189,7 +196,7 @@ def _mkp_greedy(inst):
 
 
 def _mkp_exact(inst):
-    items = sorted(inst.items, key=item_order_key)
+    items = order_items(inst.items)
     m = len(inst.capacities)
     best_profit = 0
     best_assignment = {it.item_id: None for it in inst.items}
@@ -253,8 +260,12 @@ def _mdkp_normalized(inst):
         pairs = sizes.items() if isinstance(sizes, dict) else enumerate(sizes)
         pairs = tuple((i, s) for i, s in pairs if s)
         packable = all(caps[i] > 0 for i, _s in pairs)
-        weight = sum(Fraction(s, caps[i]) for i, s in pairs if caps[i] > 0)
-        out.append((item_id, profit, pairs, weight, packable))
+        num, den = 0, 1  # the sum of s/caps[i] over positive capacities
+        for i, s in pairs:
+            if caps[i] > 0:
+                d = s.denominator * caps[i].numerator
+                num, den = num * d + s.numerator * caps[i].denominator * den, den * d
+        out.append((item_id, profit, pairs, Fraction(num, den), packable))
     return out
 
 

@@ -13,7 +13,7 @@ from .knapsack import (
     KpItem,
     MdkpInstance,
     MkpInstance,
-    item_order_key,
+    order_items,
     solve_mdkp,
     solve_mkp,
 )
@@ -171,19 +171,14 @@ def pack_mkp(paths, requests, mode="greedy", exact_item_limit=DEFAULT_EXACT_ITEM
     )
     assignment, _profit = solve_mkp(inst, mode=mode, exact_item_limit=exact_item_limit)
 
-    by_path = {}
-    for item in inst.items:
-        k = assignment.get(item.item_id)
-        if k is not None:
-            by_path.setdefault(k, []).append(item)
-
     placements = []
-    for k in sorted(by_path):
-        offset = 0
-        for item in sorted(by_path[k], key=item_order_key):
-            req = index_of[item.item_id]
-            placements.append(PathPlacement(req=req, path_index=k, path=paths[k], offset=offset))
-            offset += req.length
+    used = defaultdict(int)  # links already taken on each path
+    for item in order_items([it for it in inst.items if assignment[it.item_id] is not None]):
+        k = assignment[item.item_id]
+        req = index_of[item.item_id]
+        placements.append(PathPlacement(req=req, path_index=k, path=paths[k], offset=used[k]))
+        used[k] += req.length
+    placements.sort(key=lambda pl: pl.path_index)  # stable: path by path, MKP order within
     return placements
 
 

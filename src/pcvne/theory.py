@@ -20,6 +20,7 @@ from .model import (
     Embedding,
     ModelError,
     Shape,
+    SubstrateNetwork,
     VirtualRequest,
     commit,
     edge_key,
@@ -58,6 +59,33 @@ class Graph:
 
     def is_connected(self):
         return is_connected(self.nodes, self.adjacency())
+
+
+def connected_graphs(n):
+    """Every connected graph on nodes 0..n-1, by edge-subset mask."""
+    all_edges = list(combinations(range(n), 2))
+    for mask in range(1 << len(all_edges)):
+        g = Graph.build(range(n), (e for i, e in enumerate(all_edges) if mask >> i & 1))
+        if g.is_connected():
+            yield g
+
+
+def random_connected_graph(rng, n, extra_edges=None):
+    """Random spanning tree on 0..n-1 plus `extra_edges` (default random) more edges."""
+    perm = list(range(n))
+    rng.shuffle(perm)
+    edges = {edge_key(perm[i], perm[rng.randrange(i)]) for i in range(1, n)}
+    candidates = [e for e in combinations(range(n), 2) if e not in edges]
+    if extra_edges is None:
+        extra_edges = rng.randint(0, len(candidates))
+    edges.update(rng.sample(candidates, min(extra_edges, len(candidates))))
+    return Graph.build(range(n), edges)
+
+
+def uniform_net(g):
+    """The graph as a substrate with CPU 2 on every node and BW 1 on every link."""
+    return SubstrateNetwork(nodes=list(g.nodes), edges=list(g.edges),
+                            cpu_capacity=dict.fromkeys(g.nodes, 2), bw_capacity=dict.fromkeys(g.edges, 1))
 
 
 def has_spanning_trail(g, node_cap=12):

@@ -6,6 +6,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from pcvne.model import Shape, SubstrateNetwork, VirtualRequest, edge_key
+from pcvne.theory import random_connected_graph, uniform_net as uniform_net_of  # noqa: F401  re-exported
 
 
 def make_net(nodes, edges, cpu, bw):
@@ -88,23 +89,6 @@ def fig_ring():
     return net, req
 
 
-def random_connected_graph(rng, n, extra_edges=None):
-    """Random spanning tree plus a random number of extra edges."""
-    from pcvne.theory import Graph
-
-    perm = list(range(n))
-    rng.shuffle(perm)
-    edges = set()
-    for i in range(1, n):
-        edges.add(edge_key(perm[i], perm[rng.randrange(i)]))
-    candidates = [edge_key(u, v) for u in range(n) for v in range(u + 1, n)
-                  if edge_key(u, v) not in edges]
-    if extra_edges is None:
-        extra_edges = rng.randint(0, len(candidates))
-    edges.update(rng.sample(candidates, min(extra_edges, len(candidates))))
-    return Graph.build(range(n), edges)
-
-
 def atlas_connected(max_nodes=6):
     """All non-isomorphic connected graphs with at most `max_nodes` nodes,
     out of the networkx graph atlas."""
@@ -122,7 +106,3 @@ def atlas_connected(max_nodes=6):
             continue
         out.append(Graph.build(range(n), [tuple(e) for e in G.edges()]))
     return out
-
-
-def uniform_net_of(graph):
-    return make_net(list(graph.nodes), list(graph.edges), 2, 1)

@@ -5,6 +5,7 @@ enumeration, own modular arithmetic) so they share no solver logic with the
 code under test.
 """
 
+import math
 from collections import deque
 from fractions import Fraction
 from itertools import combinations
@@ -88,6 +89,29 @@ def sorted_first_fit(capacities, ordered_items):
                 assignment[it.item_id] = k
                 break
     return assignment
+
+
+def _id_key(item_id):
+    return (type(item_id).__name__, repr(item_id))
+
+
+def item_order_key(item):
+    """The MKP item order as one exact key per KpItem: profit/size descending
+    as a Fraction (a zero-size item ranks first if its profit is positive,
+    else at efficiency 0), ties by smaller size, then by the id's type name
+    and repr."""
+    if item.size == 0:
+        eff = math.inf if item.profit > 0 else 0
+    else:
+        eff = Fraction(item.profit) / item.size
+    return (-eff, item.size, _id_key(item.item_id))
+
+
+def mdkp_weight_reference(capacities, sizes):
+    """Surrogate weight of an MDKP item: the sum of size / capacity over the
+    dimensions with positive capacity, one Fraction per component."""
+    pairs = sizes.items() if isinstance(sizes, dict) else enumerate(sizes)
+    return sum(Fraction(s, capacities[i]) for i, s in pairs if capacities[i] > 0)
 
 
 def cardinality_ddkp_optimum(capacities, size_vectors):
@@ -449,4 +473,67 @@ def greedy_revenue_reference(net, requests, fallback=None):
                 continue
             commit(net, req, emb)
             batch.add(req, emb)
+    return batch
+
+
+# The greedy path pipeline in its plain form: one exact Fraction key per item
+# for every sort, a re-sort per path, and a Fraction sum per funding weight,
+# where procedure_pe sorts on integer ranks and sums weights as integers. Only
+# decompose_paths, PathPlacement and commit are shared with the code under test.
+
+
+def procedure_pe_reference(net, requests):
+    """Decompose, first-fit the pending requests in item_order_key order,
+    place each path's items left to right in that order, fund greedily by
+    revenue over mdkp_weight_reference, commit; repeat until an iteration
+    embeds nothing. Mutates `net`; returns the accepted batch."""
+    from pcvne.knapsack import KpItem
+    from pcvne.path_embedding import PathPlacement, decompose_paths
+
+    batch = EmbeddingBatch()
+    pending = list(requests)
+    while pending:
+        paths = decompose_paths(net)
+        if not paths:
+            break
+        items = [KpItem(r.req_id, r.length, r.revenue) for r in pending]
+        assignment = sorted_first_fit([p.length for p in paths], sorted(items, key=item_order_key))
+        req_of = {r.req_id: r for r in pending}
+        placements = []
+        for k, path in enumerate(paths):
+            offset = 0
+            for it in sorted((it for it in items if assignment[it.item_id] == k), key=item_order_key):
+                req = req_of[it.item_id]
+                placements.append(PathPlacement(req=req, path_index=k, path=path, offset=offset))
+                offset += req.length
+
+        caps = {("cpu", v): net.residual_cpu[v] for v in net.nodes}
+        caps.update({("bw", e): net.residual_bw[e] for e in net.edges})
+        funding = []
+        for idx, pl in enumerate(placements):
+            emb = pl.to_embedding()
+            sizes = {}
+            for vn, sn in emb.node_map.items():
+                sizes[("cpu", sn)] = sizes.get(("cpu", sn), 0) + pl.req.cpu_demand[vn]
+            for vl, sls in emb.link_map.items():
+                for e in sls:
+                    e = edge_key(*e)
+                    sizes[("bw", e)] = sizes.get(("bw", e), 0) + pl.req.bw_demand[vl]
+            w = mdkp_weight_reference(caps, sizes)
+            eff = (math.inf if pl.req.revenue > 0 else 0) if w == 0 else pl.req.revenue / w
+            funding.append(((-eff, w, _id_key(idx)), idx, emb, sizes))
+        residual = dict(caps)
+        funded = []
+        for _key, idx, emb, sizes in sorted(funding, key=lambda f: f[0]):
+            if all(s == 0 or (caps[d] > 0 and s <= residual[d]) for d, s in sizes.items()):
+                for d, s in sizes.items():
+                    residual[d] -= s
+                funded.append((idx, emb))
+        if not funded:
+            break
+        for idx, emb in sorted(funded, key=lambda f: f[0]):
+            commit(net, placements[idx].req, emb)
+            batch.add(placements[idx].req, emb)
+        funded_ids = {placements[idx].req.req_id for idx, _ in funded}
+        pending = [r for r in pending if r.req_id not in funded_ids]
     return batch

@@ -5,13 +5,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import kp_best_profit, mdkp_best_profit, mkp_best_profit, sorted_first_fit
+from oracles import (
+    item_order_key,
+    kp_best_profit,
+    mdkp_best_profit,
+    mdkp_weight_reference,
+    mkp_best_profit,
+    sorted_first_fit,
+)
 from pcvne.knapsack import (
     ExactSizeError,
     KpItem,
     MdkpInstance,
     MkpInstance,
-    item_order_key,
+    _mdkp_normalized,
+    order_items,
     solve_kp_dp,
     solve_mdkp,
     solve_mkp,
@@ -237,3 +245,43 @@ def test_property_mkp_greedy_matches_sorted_first_fit(seed):
     assignment, profit = solve_mkp(MkpInstance(caps, items), mode="greedy")
     assert assignment == sorted_first_fit(caps, sorted(items, key=item_order_key))
     assert profit == sum(it.profit for it in items if assignment[it.item_id] is not None)
+
+
+# Profits and sizes chosen so that different (profit, size) pairs share an
+# efficiency (1/5 = 2/10, 1/2 = 5/10 = Fraction(1, 2)/1), int and Fraction
+# forms of one value meet (2 and Fraction(2)), and zero-size items carry
+# zero and positive profit.
+_PROFITS = st.sampled_from([0, 1, 2, Fraction(2), Fraction(4, 2), 3, 5, Fraction(1, 2), Fraction(5, 2)])
+_SIZES = st.sampled_from([0, 1, 2, 4, 5, 10])
+_IDS = st.one_of(st.integers(-3, 12), st.text("ab1", max_size=2), st.tuples(st.integers(0, 2)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.builds(KpItem, item_id=_IDS, size=_SIZES, profit=_PROFITS), max_size=25))
+def test_property_order_items_equals_fraction_key_sort(items):
+    assert order_items(items) == sorted(items, key=item_order_key)
+
+
+def test_order_items_ties_equal_efficiencies_from_different_pairs():
+    items = [KpItem("x", 10, 2), KpItem("y", 5, 1), KpItem("z", 0, 0), KpItem("w", 0, 3),
+             KpItem("v", 4, Fraction(4, 5)), KpItem("u", 5, 2)]
+    # 2/10 = 1/5 = (4/5)/4 tie and fall back to size; zero size, zero profit is last
+    assert [it.item_id for it in order_items(items)] == ["w", "u", "v", "y", "x", "z"]
+
+
+_QUANTITIES = st.sampled_from([0, 0, 1, 2, 3, 6, Fraction(6), Fraction(3, 2), Fraction(9, 2), Fraction(1, 3)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_property_mdkp_weights_match_fraction_sum(data):
+    d = data.draw(st.integers(1, 6))
+    caps = data.draw(st.lists(_QUANTITIES, min_size=d, max_size=d))
+    items = []
+    for i in range(data.draw(st.integers(0, 6))):
+        sizes = data.draw(st.lists(_QUANTITIES, min_size=d, max_size=d))
+        if data.draw(st.booleans()):  # mapping form, some explicit zeros kept
+            sizes = {k: s for k, s in enumerate(sizes) if s or data.draw(st.booleans())}
+        items.append((i, data.draw(_QUANTITIES), sizes))
+    norm = _mdkp_normalized(MdkpInstance(caps, items))
+    assert [t[3] for t in norm] == [mdkp_weight_reference(caps, sizes) for _i, _p, sizes in items]

@@ -1,9 +1,12 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pcvne.knapsack as knapsack
+import pcvne.path_embedding as path_embedding
 from conftest import (
     make_net,
     make_path_request,
@@ -11,7 +14,7 @@ from conftest import (
     random_connected_graph,
     uniform_path_request,
 )
-from oracles import first_fit_paths, mkp_best_profit
+from oracles import first_fit_paths, mkp_best_profit, procedure_pe_reference
 from pcvne.knapsack import KpItem, solve_kp_dp
 from pcvne.model import ModelError, edge_key, validate_embedding
 from pcvne.path_embedding import (
@@ -268,3 +271,62 @@ class TestProcedurePe:
         assert len(trace) <= len(reqs) + 1
         for rec in trace[:-1]:
             assert rec["funded"]
+
+
+def _random_pipeline_instance(rng):
+    """A small random substrate with tight, partly Fraction CPU and BW, and
+    path requests whose lengths and revenues tie often."""
+    g = random_connected_graph(rng, rng.randint(3, 9))
+    cpu = {v: rng.choice([1, 2, 3, 4, Fraction(5, 2), Fraction(7, 3)]) for v in g.nodes}
+    bw = {e: rng.choice([1, 2, 3, Fraction(3, 2)]) for e in g.edges}
+    net = make_net(list(g.nodes), list(g.edges), cpu, bw)
+    reqs = []
+    for i in range(rng.randint(1, 14)):
+        length = rng.randint(1, 4)
+        reqs.append(make_path_request(
+            i,  # int ids: 10 sorts before 9 by repr
+            [rng.choice([1, 1, 2, Fraction(1, 2)]) for _ in range(length + 1)],
+            [rng.choice([1, 1, 2, Fraction(1, 3)]) for _ in range(length)],
+            revenue=rng.choice([1, 1, 2, Fraction(3, 2), length]),
+        ))
+    return net, reqs
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10 ** 6))
+def test_property_procedure_pe_matches_fraction_key_reference(seed):
+    net, reqs = _random_pipeline_instance(random.Random(seed))
+    ref_net = net.copy()
+    batch = procedure_pe(net, reqs)
+    ref = procedure_pe_reference(ref_net, reqs)
+    assert batch.accepted_ids() == ref.accepted_ids()
+    for (req, emb), (ref_req, ref_emb) in zip(batch.items, ref.items):
+        assert req.req_id == ref_req.req_id
+        assert emb.node_map == ref_emb.node_map and emb.link_map == ref_emb.link_map
+    assert net.residual_cpu == ref_net.residual_cpu
+    assert net.residual_bw == ref_net.residual_bw
+
+
+def test_pack_mkp_ranks_each_distinct_pair_once(monkeypatch):
+    # 1000 unit-revenue requests of 6 lengths are 6 distinct (profit, size)
+    # pairs: the efficiency is computed per pair and sort, never per item
+    calls = {"efficiency": 0, "order_items": 0}
+    efficiency, order_items = knapsack._efficiency, knapsack.order_items
+
+    def counting_efficiency(profit, size):
+        calls["efficiency"] += 1
+        return efficiency(profit, size)
+
+    def counting_order_items(items):
+        calls["order_items"] += 1
+        return order_items(items)
+
+    monkeypatch.setattr(knapsack, "_efficiency", counting_efficiency)
+    monkeypatch.setattr(knapsack, "order_items", counting_order_items)
+    monkeypatch.setattr(path_embedding, "order_items", counting_order_items)
+    reqs = [uniform_path_request(i, 5 + i % 6) for i in range(1000)]
+    paths = [SubstratePath(tuple(range(100 * k, 100 * k + 61))) for k in range(40)]
+    placements = pack_mkp(paths, reqs)
+    assert 0 < len(placements) < len(reqs)
+    assert 1 <= calls["order_items"] <= 2
+    assert calls["efficiency"] <= 6 * calls["order_items"]
