@@ -182,7 +182,7 @@ def cmd_experiment(args):
         out.close()
 
 
-def _add_substrate_args(p, require_edges=False):
+def _add_substrate_args(p):
     p.add_argument("--nodes", type=int, required=True)
     p.add_argument("--topology", choices=["random", "complete", "cycle", "path"], default="random")
     p.add_argument("--edges", type=int, default=None, help="edge count (random topology)")

@@ -85,7 +85,12 @@ def gen_requests(spec, seed, id_offset=0):
     dlo, dhi = spec.demand_range
     if lo > hi or dlo > dhi or dlo < 1:
         raise SpecError("bad ranges")
-    shape = Shape(spec.shape)
+    try:
+        shape = Shape(spec.shape)
+    except ValueError:
+        raise SpecError(f"unknown request shape {spec.shape!r}") from None
+    if spec.revenue_rule not in ("unit", "proportional"):
+        raise SpecError(f"unknown revenue rule {spec.revenue_rule!r}")
     if shape is Shape.CYCLE and lo < 3:
         raise SpecError("cycle requests need at least 3 VNs")
     if shape is Shape.PATH and lo < 1:
@@ -102,8 +107,6 @@ def gen_requests(spec, seed, id_offset=0):
         cpu = {v: rng.randint(dlo, dhi) for v in vns}
         bw = {edge_key(u, v): rng.randint(dlo, dhi) for u, v in vls}
         revenue = 1 if spec.revenue_rule == "unit" else n_vns
-        if spec.revenue_rule not in ("unit", "proportional"):
-            raise SpecError(f"unknown revenue rule {spec.revenue_rule!r}")
         requests.append(VirtualRequest(
             req_id=id_offset + k, shape=shape, vns=vns, vls=vls,
             cpu_demand=cpu, bw_demand=bw, revenue=revenue,

@@ -1,8 +1,10 @@
 """0-1 knapsack, multiple-knapsack and multi-dimensional knapsack solvers.
 
-Each problem gets a fast greedy heuristic and an exact solver. The exact
-solvers are branch-and-bound searches intended for oracle-scale inputs and
-refuse instances above an explicit item limit rather than silently blowing up.
+Each problem gets a fast greedy heuristic and an exact solver, selected by
+`mode`. The exact solvers are branch-and-bound searches intended for
+oracle-scale inputs: both prune with one fractional-knapsack bound
+(`_fractional_bound`) and refuse instances above `EXACT_ITEM_LIMIT` items
+rather than silently blowing up.
 All arithmetic is exact (ints / Fractions), feasibility has no tolerance.
 MDKP item sizes are dense length-d sequences or sparse {dimension: size}
 mappings; the MDKP solvers touch only each item's nonzero dimensions.
@@ -21,11 +23,11 @@ from fractions import Fraction
 
 from .model import ModelError, as_quantity
 
-DEFAULT_EXACT_ITEM_LIMIT = 15
+EXACT_ITEM_LIMIT = 15
 
 
 class ExactSizeError(ModelError):
-    """Exact mode invoked above the documented item limit."""
+    """Exact mode invoked above EXACT_ITEM_LIMIT items."""
 
 
 @dataclass(frozen=True)
@@ -140,43 +142,48 @@ def solve_kp_dp(capacity, items):
     return selected, best[capacity]
 
 
-def _fractional_bound(items, capacity):
-    """Optimal profit of the fractional knapsack on the given capacity; a
-    valid upper bound for any 0-1 packing into knapsacks of that total size."""
+def _fractional_bound(pairs, capacity):
+    """Optimal profit of the fractional knapsack over (profit, size) pairs
+    given in efficiency order; a valid upper bound for any 0-1 packing of
+    those items into knapsacks of that total size."""
     bound = 0
     room = capacity
-    for it in items:
-        if it.size == 0:
-            bound += it.profit
+    for profit, size in pairs:
+        if size == 0:
+            bound += profit
             continue
         if room <= 0:
             break
-        if it.size <= room:
-            bound += it.profit
-            room -= it.size
+        if size <= room:
+            bound += profit
+            room -= size
         else:
-            bound += it.profit * Fraction(room, it.size)
+            bound += profit * Fraction(room, size)
             room = 0
     return bound
 
 
-def solve_mkp(inst, mode="greedy", exact_item_limit=DEFAULT_EXACT_ITEM_LIMIT):
+def _solve(problem, inst, mode, greedy, exact):
+    if mode == "greedy":
+        return greedy(inst)
+    if mode == "exact":
+        if len(inst.items) > EXACT_ITEM_LIMIT:
+            raise ExactSizeError(
+                f"exact {problem} limited to {EXACT_ITEM_LIMIT} items, got {len(inst.items)}")
+        return exact(inst)
+    raise ModelError(f"unknown mode {mode!r}")
+
+
+def solve_mkp(inst, mode="greedy"):
     """Multiple knapsack: pack items into knapsacks maximizing packed profit.
 
     Returns (assignment, profit) where assignment maps item_id to a knapsack
     index or None. Greedy sorts items by efficiency and first-fits them into
     knapsacks ordered by descending residual capacity. Exact mode is
-    depth-first branch and bound with a fractional single-knapsack bound over
-    the summed residual capacity; it refuses instances above the item limit.
+    depth-first branch and bound with `_fractional_bound` over the summed
+    residual capacity; it refuses more than `EXACT_ITEM_LIMIT` items.
     """
-    if mode == "greedy":
-        return _mkp_greedy(inst)
-    if mode == "exact":
-        if len(inst.items) > exact_item_limit:
-            raise ExactSizeError(
-                f"exact MKP limited to {exact_item_limit} items, got {len(inst.items)}")
-        return _mkp_exact(inst)
-    raise ModelError(f"unknown mode {mode!r}")
+    return _solve("MKP", inst, mode, _mkp_greedy, _mkp_exact)
 
 
 def _mkp_greedy(inst):
@@ -197,6 +204,7 @@ def _mkp_greedy(inst):
 
 def _mkp_exact(inst):
     items = order_items(inst.items)
+    pairs = [(it.profit, it.size) for it in items]
     m = len(inst.capacities)
     best_profit = 0
     best_assignment = {it.item_id: None for it in inst.items}
@@ -212,7 +220,7 @@ def _mkp_exact(inst):
             best_assignment = snap
         if i == len(items):
             return
-        if profit + _fractional_bound(items[i:], sum(residual)) <= best_profit:
+        if profit + _fractional_bound(pairs[i:], sum(residual)) <= best_profit:
             return
         it = items[i]
         tried = set()
@@ -231,22 +239,16 @@ def _mkp_exact(inst):
     return best_assignment, best_profit
 
 
-def solve_mdkp(inst, mode="greedy", exact_item_limit=DEFAULT_EXACT_ITEM_LIMIT):
+def solve_mdkp(inst, mode="greedy"):
     """d-dimensional knapsack: select items whose summed size vector fits the
     capacity vector component-wise, maximizing profit.
 
     Returns (selected item ids, profit). Greedy sorts by profit over the
     capacity-normalized size sum and takes whatever fits. Exact mode is branch
-    and bound with a surrogate-relaxation fractional bound.
+    and bound with `_fractional_bound` over that surrogate relaxation; it
+    refuses more than `EXACT_ITEM_LIMIT` items.
     """
-    if mode == "greedy":
-        return _mdkp_greedy(inst)
-    if mode == "exact":
-        if len(inst.items) > exact_item_limit:
-            raise ExactSizeError(
-                f"exact MDKP limited to {exact_item_limit} items, got {len(inst.items)}")
-        return _mdkp_exact(inst)
-    raise ModelError(f"unknown mode {mode!r}")
+    return _solve("MDKP", inst, mode, _mdkp_greedy, _mdkp_exact)
 
 
 def _mdkp_normalized(inst):
@@ -269,17 +271,8 @@ def _mdkp_normalized(inst):
     return out
 
 
-def _mdkp_efficiency(profit, weight):
-    if weight == 0:
-        return math.inf if profit > 0 else 0
-    return profit / weight
-
-
 def _mdkp_order(norm):
-    return sorted(
-        norm,
-        key=lambda t: (-_mdkp_efficiency(t[1], t[3]), t[3], _id_key(t[0])),
-    )
+    return sorted(norm, key=lambda t: (-_efficiency(t[1], t[3]), t[3], _id_key(t[0])))
 
 
 def _fits(pairs, residual):
@@ -304,26 +297,10 @@ def _mdkp_exact(inst):
     # surrogate: one knapsack of capacity = number of positive dimensions,
     # item size = its normalized weight; fractional optimum bounds the 0-1 one
     surrogate_cap = sum(1 for b in inst.capacities if b > 0)
+    weights = [(p, w) for _id, p, _s, w, _ok in norm]
     best_profit = 0
     best_set = []
     chosen = []
-
-    def bound(i, used_weight):
-        room = surrogate_cap - used_weight
-        b = 0
-        for _id, p, _s, w, _ok in norm[i:]:
-            if w == 0:
-                b += p
-            elif w <= room:
-                b += p
-                room -= w
-            elif room > 0:
-                b += p * (room / w)
-                room = 0
-            else:
-                break
-        return b
-
     residual = list(inst.capacities)
 
     def dfs(i, profit, used_weight):
@@ -333,7 +310,7 @@ def _mdkp_exact(inst):
             best_set = list(chosen)
         if i == len(norm):
             return
-        if profit + bound(i, used_weight) <= best_profit:
+        if profit + _fractional_bound(weights[i:], surrogate_cap - used_weight) <= best_profit:
             return
         item_id, p, pairs, w, _ok = norm[i]
         if _fits(pairs, residual):

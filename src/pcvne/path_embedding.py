@@ -9,7 +9,6 @@ from collections import defaultdict
 from dataclasses import dataclass
 
 from .knapsack import (
-    DEFAULT_EXACT_ITEM_LIMIT,
     KpItem,
     MdkpInstance,
     MkpInstance,
@@ -150,7 +149,7 @@ def decompose_paths(net):
     return paths
 
 
-def pack_mkp(paths, requests, mode="greedy", exact_item_limit=DEFAULT_EXACT_ITEM_LIMIT):
+def pack_mkp(paths, requests, mode="greedy"):
     """Pack path requests onto the decomposed substrate paths.
 
     Each request is an item of size = its link count and profit = revenue;
@@ -169,7 +168,7 @@ def pack_mkp(paths, requests, mode="greedy", exact_item_limit=DEFAULT_EXACT_ITEM
         items=[KpItem(item_id=req.req_id, size=req.length, profit=req.revenue)
                for req in requests],
     )
-    assignment, _profit = solve_mkp(inst, mode=mode, exact_item_limit=exact_item_limit)
+    assignment, _profit = solve_mkp(inst, mode=mode)
 
     placements = []
     used = defaultdict(int)  # links already taken on each path
@@ -182,7 +181,7 @@ def pack_mkp(paths, requests, mode="greedy", exact_item_limit=DEFAULT_EXACT_ITEM
     return placements
 
 
-def assign_mdkp(net, placements, mode="greedy", exact_item_limit=DEFAULT_EXACT_ITEM_LIMIT):
+def assign_mdkp(net, placements, mode="greedy"):
     """Fund packed placements with CPU and BW out of the current residuals.
 
     Each placement becomes an item with a sparse size mapping: one component
@@ -206,7 +205,7 @@ def assign_mdkp(net, placements, mode="greedy", exact_item_limit=DEFAULT_EXACT_I
         items.append((idx, pl.req.revenue, sizes))
 
     inst = MdkpInstance(capacities=capacities, items=items)
-    selected, _profit = solve_mdkp(inst, mode=mode, exact_item_limit=exact_item_limit)
+    selected, _profit = solve_mdkp(inst, mode=mode)
 
     accepted = []
     for idx in sorted(selected):
@@ -216,8 +215,7 @@ def assign_mdkp(net, placements, mode="greedy", exact_item_limit=DEFAULT_EXACT_I
     return accepted
 
 
-def procedure_pe(net, requests, mkp_mode="greedy", mdkp_mode="greedy",
-                 exact_item_limit=DEFAULT_EXACT_ITEM_LIMIT, trace=None):
+def procedure_pe(net, requests, mkp_mode="greedy", mdkp_mode="greedy", trace=None):
     """Full pipeline loop. Mutates `net` residuals; returns the accepted batch.
 
     Each iteration decomposes the usable residual substrate, packs the still
@@ -235,8 +233,8 @@ def procedure_pe(net, requests, mkp_mode="greedy", mdkp_mode="greedy",
         paths = decompose_paths(net)
         if not paths:
             break
-        placements = pack_mkp(paths, pending, mode=mkp_mode, exact_item_limit=exact_item_limit)
-        accepted = assign_mdkp(net, placements, mode=mdkp_mode, exact_item_limit=exact_item_limit)
+        placements = pack_mkp(paths, pending, mode=mkp_mode)
+        accepted = assign_mdkp(net, placements, mode=mdkp_mode)
         if trace is not None:
             trace.append({
                 "paths": [list(p.nodes) for p in paths],

@@ -5,6 +5,9 @@ import sys
 import pytest
 
 from pcvne.cli import main
+from pcvne.jsonio import load_instance
+from pcvne.knapsack import EXACT_ITEM_LIMIT
+from pcvne.path_embedding import procedure_pe
 
 
 def run_cli(args, tmp_path=None):
@@ -24,6 +27,35 @@ def test_generate_then_embed_paths(tmp_path, capsys):
     lines = [json.loads(l) for l in trace.read_text().splitlines()]
     assert lines, "expected at least one iteration record"
     assert set(lines[0]) == {"paths", "packed", "funded"}
+
+
+_EXACT_MODES = ["--mkp-mode", "exact", "--mdkp-mode", "exact"]
+
+
+def _tight_paths_instance(tmp_path, count):
+    # tight capacities: exact and greedy modes accept different ids here
+    inst = tmp_path / "inst.json"
+    main(["generate", "--nodes", "10", "--edges", "14", "--cpu-capacity", "8",
+          "--bw-capacity", "8", "--shape", "path", "--count", str(count),
+          "--length-min", "2", "--length-max", "4", "--seed", "2", "--out", str(inst)])
+    return inst
+
+
+def test_embed_paths_exact_modes_match_library(tmp_path, capsys):
+    inst = _tight_paths_instance(tmp_path, EXACT_ITEM_LIMIT)
+    main(["embed-paths", "--instance", str(inst), *_EXACT_MODES])
+    with inst.open() as fp:
+        net, requests = load_instance(fp)
+    batch = procedure_pe(net, requests, mkp_mode="exact", mdkp_mode="exact")
+    assert json.loads(capsys.readouterr().out)["accepted"] == batch.accepted_ids()
+
+
+def test_embed_paths_exact_modes_refuse_too_many_requests(tmp_path, capsys):
+    inst = _tight_paths_instance(tmp_path, EXACT_ITEM_LIMIT + 1)
+    with pytest.raises(SystemExit) as exc:
+        main(["embed-paths", "--instance", str(inst), *_EXACT_MODES])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == "error: exact MKP limited to 15 items, got 16\n"
 
 
 def test_embed_paths_refuses_cycles(tmp_path, capsys):

@@ -75,6 +75,13 @@ class TestGenRequests:
                                         revenue_rule="proportional"), 4)
         assert all(r.revenue == r.n_vns for r in reqs)
 
+    @pytest.mark.parametrize("count", [0, 3])
+    @pytest.mark.parametrize("field, value", [("revenue_rule", "bogus"), ("shape", "tree")])
+    def test_unknown_shape_or_revenue_rule_refused(self, field, value, count):
+        spec = RequestSpec(count=count, **{field: value})
+        with pytest.raises(SpecError, match=f"unknown .*'{value}'"):
+            gen_requests(spec, 0)
+
 
 class TestEdpReduction:
     def _line(self):

@@ -14,10 +14,12 @@ from oracles import (
     sorted_first_fit,
 )
 from pcvne.knapsack import (
+    EXACT_ITEM_LIMIT,
     ExactSizeError,
     KpItem,
     MdkpInstance,
     MkpInstance,
+    _fractional_bound,
     _mdkp_normalized,
     order_items,
     solve_kp_dp,
@@ -102,8 +104,10 @@ class TestMkp:
             assert g_profit <= e_profit
 
     def test_exact_refuses_oversized_input(self):
-        items = rand_items(random.Random(0), 16)
-        with pytest.raises(ExactSizeError):
+        items = rand_items(random.Random(0), EXACT_ITEM_LIMIT + 1)
+        _, profit = solve_mkp(MkpInstance([5], items[:-1]), mode="exact")
+        assert profit == kp_best_profit(5, items[:-1])
+        with pytest.raises(ExactSizeError, match="^exact MKP limited to 15 items, got 16$"):
             solve_mkp(MkpInstance([5], items), mode="exact")
 
 
@@ -178,9 +182,21 @@ class TestMdkp:
 
     def test_exact_refuses_oversized_input(self):
         rng = random.Random(0)
-        inst = rand_mdkp(rng, 16, 2)
-        with pytest.raises(ExactSizeError):
+        inst = rand_mdkp(rng, EXACT_ITEM_LIMIT + 1, 2)
+        at_limit = MdkpInstance(inst.capacities, inst.items[:-1])
+        _, profit = solve_mdkp(at_limit, mode="exact")
+        assert profit == mdkp_best_profit(at_limit.capacities, at_limit.items)
+        with pytest.raises(ExactSizeError, match="^exact MDKP limited to 15 items, got 16$"):
             solve_mdkp(inst, mode="exact")
+
+
+@pytest.mark.parametrize("solve, inst", [
+    (solve_mkp, MkpInstance([3], [KpItem(0, 1, 1)])),
+    (solve_mdkp, MdkpInstance([3], [(0, 1, (1,))])),
+])
+def test_unknown_mode_rejected(solve, inst):
+    with pytest.raises(ModelError, match="^unknown mode 'optimal'$"):
+        solve(inst, mode="optimal")
 
 
 def _check_mdkp_selection(inst, selected, profit):
@@ -260,6 +276,15 @@ _IDS = st.one_of(st.integers(-3, 12), st.text("ab1", max_size=2), st.tuples(st.i
 @given(st.lists(st.builds(KpItem, item_id=_IDS, size=_SIZES, profit=_PROFITS), max_size=25))
 def test_property_order_items_equals_fraction_key_sort(items):
     assert order_items(items) == sorted(items, key=item_order_key)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.builds(KpItem, item_id=st.integers(0, 30), size=st.integers(0, 6), profit=_PROFITS),
+                max_size=10, unique_by=lambda it: it.item_id),
+       st.integers(0, 15))
+def test_property_fractional_bound_dominates_kp_optimum(items, capacity):
+    pairs = [(it.profit, it.size) for it in order_items(items)]
+    assert _fractional_bound(pairs, capacity) >= kp_best_profit(capacity, items)
 
 
 def test_order_items_ties_equal_efficiencies_from_different_pairs():
