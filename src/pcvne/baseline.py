@@ -14,22 +14,27 @@ from fractions import Fraction
 from .model import Embedding, EmbeddingBatch, commit
 
 
+def _raw_scores(net, nodes):
+    """Residual CPU times summed incident residual BW, for each of `nodes`."""
+    cpu, bw = net.residual_cpu, net.residual_bw
+    return {v: cpu[v] * sum(bw[k] for _, k in net.incident(v)) for v in nodes}
+
+
+def _smoothed_scores(net, raw, nodes):
+    """Each of `nodes` averaged with the mean raw score of its neighbors."""
+    smoothed = {}
+    for v in nodes:
+        nbrs = net.neighbors(v)
+        avg = Fraction(sum(raw[w] for w in nbrs), len(nbrs)) if nbrs else 0
+        smoothed[v] = Fraction(raw[v] + avg, 2)
+    return smoothed
+
+
 def node_scores(net, smooth=False):
     """Residual CPU times summed incident residual BW per node, optionally
     averaged once with the neighbors' scores (one power-iteration step)."""
-    bw = net.residual_bw
-    scores = {v: net.residual_cpu[v] * sum(bw[k] for _, k in net.incident(v)) for v in net.nodes}
-    if not smooth:
-        return scores
-    smoothed = {}
-    for v in net.nodes:
-        nbrs = net.neighbors(v)
-        if nbrs:
-            avg = Fraction(sum(scores[w] for w in nbrs), len(nbrs))
-        else:
-            avg = 0
-        smoothed[v] = Fraction(scores[v] + avg, 2)
-    return smoothed
+    raw = _raw_scores(net, net.nodes)
+    return _smoothed_scores(net, raw, net.nodes) if smooth else raw
 
 
 def _shortest_feasible_path(net, src, dst, usable):
@@ -65,11 +70,6 @@ def _shortest_feasible_path(net, src, dst, usable):
     return path
 
 
-def _ranking(net, smooth):
-    scores = node_scores(net, smooth=smooth)
-    return sorted(net.nodes, key=lambda v: (-scores[v], v))
-
-
 def generic_embed(net, req, smooth=False, ranked=None):
     """Try to embed one request of any shape against the current residuals.
 
@@ -83,7 +83,8 @@ def generic_embed(net, req, smooth=False, ranked=None):
     descending `node_scores`, ties by id); when None it is computed here.
     """
     if ranked is None:
-        ranked = _ranking(net, smooth)
+        scores = node_scores(net, smooth=smooth)
+        ranked = sorted(net.nodes, key=lambda v: (-scores[v], v))
     order = sorted(range(req.n_vns), key=lambda i: (-req.cpu_demand[req.vns[i]], i))
 
     node_map = {}
@@ -117,16 +118,29 @@ def generic_embed(net, req, smooth=False, ranked=None):
 
 
 def generic_batch(net, requests, smooth=False):
-    """Apply generic_embed in input order, committing each success. Only a
-    commit changes the residuals, so the node ranking is recomputed after
-    each commit and shared by every request in between."""
+    """Apply generic_embed in input order, committing each success.
+
+    Nodes are scored and ranked once. Only a commit changes residuals, and
+    only the raw scores of its hosts and of both endpoints of each SL it
+    uses (under `smooth`, also their neighbors' smoothed scores): the batch
+    re-scores those and re-sorts the kept ranking in place."""
     batch = EmbeddingBatch()
-    ranked = _ranking(net, smooth)
+    raw = node_scores(net)
+    scores = _smoothed_scores(net, raw, net.nodes) if smooth else raw
+
+    def key(v):
+        return (-scores[v], v)
+
+    ranked = sorted(net.nodes, key=key)
     for req in requests:
         emb = generic_embed(net, req, smooth=smooth, ranked=ranked)
         if emb is None:
             continue
         commit(net, req, emb)
         batch.add(req, emb)
-        ranked = _ranking(net, smooth)
+        touched = set(emb.node_map.values()).union(*(k for path in emb.link_map.values() for k in path))
+        raw.update(_raw_scores(net, touched))
+        if smooth:
+            scores.update(_smoothed_scores(net, raw, touched.union(*map(net.neighbors, touched))))
+        ranked.sort(key=key)
     return batch

@@ -319,7 +319,7 @@ def _simplex_from_hosts(cycle, req, start, direction, hosts):
                             segments=segments, hops=hops, cost=cost)
 
 
-def c2ce(net, req, collect=None):
+def c2ce(net, req, collect=None, cycle=None):
     """Least-BW-cost one-direction embedding of a cycle request on a ring.
 
     Scans every feasible anchor for the first VN crossed with both
@@ -330,8 +330,10 @@ def c2ce(net, req, collect=None):
     residual BW on each SL (else None at once), and none costs less than
     floor = Σ d_j + (m − n)·min d, so the scan stops there. `collect`, if
     given, receives every digraph (for the dump) and forces the full scan.
+    `cycle` is the caller's `CycleView` of `net`; when None it is built here.
     """
-    cycle = CycleView(net)
+    if cycle is None:
+        cycle = CycleView(net)
     if req.shape is not Shape.CYCLE:
         raise ModelError("request is not a cycle")
     least = min(req.bw_demand.values())
@@ -363,7 +365,8 @@ def greedy_revenue(net, requests, fallback=None, collect=None):
     Each request is tried once with the ring solver and committed on success.
     Requests the ring solver cannot place are afterwards offered, once each
     and in the same order, to the `fallback` generic embedder (a callable
-    (net, req) -> Embedding or None). Returns the accepted batch.
+    (net, req) -> Embedding or None). Returns the accepted batch. The ring's
+    `CycleView` is built once, before the first request.
     """
     for req in requests:
         if req.shape is not Shape.CYCLE:
@@ -375,8 +378,9 @@ def greedy_revenue(net, requests, fallback=None, collect=None):
     )
     batch = EmbeddingBatch()
     leftovers = []
+    cycle = CycleView(net) if ranked else None
     for req in ranked:
-        simplex = c2ce(net, req, collect=collect)
+        simplex = c2ce(net, req, collect=collect, cycle=cycle)
         if simplex is None:
             leftovers.append(req)
             continue

@@ -40,7 +40,10 @@ class ExperimentConfig:
         for a in self.algorithms:
             if a not in ALGORITHMS:
                 raise ConfigError(f"unknown algorithm {a!r} (have {ALGORITHMS})")
-        shape = Shape(self.requests.shape)
+        try:
+            shape = Shape(self.requests.shape)
+        except ValueError:
+            raise ConfigError(f"unknown request shape {self.requests.shape!r}") from None
         if "pe" in self.algorithms and shape is not Shape.PATH:
             raise ConfigError("pe embeds path requests only")
         if "gr" in self.algorithms and shape is not Shape.CYCLE:

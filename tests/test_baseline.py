@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from unittest.mock import patch
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,7 +14,7 @@ from conftest import (
     random_connected_graph,
     uniform_path_request,
 )
-from oracles import generic_batch_reference, shortest_feasible_path_reference
+from oracles import generic_batch_reference, node_scores_reference, shortest_feasible_path_reference
 from pcvne.baseline import generic_batch, generic_embed, node_scores
 from pcvne.model import Shape, VirtualRequest, audit_residuals, validate_embedding
 
@@ -126,6 +127,25 @@ class TestGenericBatch:
 TIGHT = (1, 2, 3, Fraction(3, 2), Fraction(5, 2))
 
 
+def random_requests(rng, n, values, count):
+    """`count` requests of 1-4 VNs (at most n) with demands drawn from
+    `values`: paths, and from 3 VNs on also cycles and general requests."""
+    reqs = []
+    for i in range(count):
+        k = rng.randint(1, min(4, n))
+        vns = list(range(k))
+        shape = rng.choice((Shape.PATH, Shape.CYCLE, Shape.GENERAL)) if k >= 3 else Shape.PATH
+        vls = [(j, j + 1) for j in range(k - 1)]
+        if shape is not Shape.PATH:
+            vls.append((0, k - 1))
+        reqs.append(VirtualRequest(
+            req_id=i, shape=shape, vns=vns, vls=vls,
+            cpu_demand={v: rng.choice(values) for v in vns},
+            bw_demand={l: rng.choice(values) for l in vls},
+            revenue=rng.randint(1, 5)))
+    return reqs
+
+
 def tight_instance(rng):
     """A random connected substrate with tight, often equal capacities and a
     stream of path, cycle and general requests that outgrows it."""
@@ -135,20 +155,23 @@ def tight_instance(rng):
     net = make_net(list(g.nodes), list(g.edges),
                    {v: 4 if uniform else rng.choice((2, 3, 4, Fraction(7, 2))) for v in g.nodes},
                    {e: 3 if uniform else rng.choice(TIGHT) for e in g.edges})
-    reqs = []
-    for i in range(rng.randint(4, 14)):
-        k = rng.randint(1, min(4, n))
-        vns = list(range(k))
-        shape = rng.choice((Shape.PATH, Shape.CYCLE, Shape.GENERAL)) if k >= 3 else Shape.PATH
-        vls = [(j, j + 1) for j in range(k - 1)]
-        if shape is not Shape.PATH:
-            vls.append((0, k - 1))
-        reqs.append(VirtualRequest(
-            req_id=i, shape=shape, vns=vns, vls=vls,
-            cpu_demand={v: rng.choice(TIGHT) for v in vns},
-            bw_demand={l: rng.choice(TIGHT) for l in vls},
-            revenue=rng.randint(1, 5)))
-    return net, reqs
+    return net, random_requests(rng, n, TIGHT, rng.randint(4, 14))
+
+
+def sparse_instance(rng, fractions):
+    """A sparse random substrate of 15-40 nodes and short requests, so that
+    a commit usually touches a strict subset of the nodes, even counting
+    their neighbors. Capacities are ints, or Fractions when `fractions`."""
+    n = rng.randint(15, 40)
+    g = random_connected_graph(rng, n, extra_edges=rng.randint(0, n))
+    if fractions:
+        def cap():
+            return Fraction(rng.randint(4, 30), rng.randint(1, 4))
+    else:
+        def cap():
+            return rng.randint(2, 9)
+    net = make_net(list(g.nodes), list(g.edges), {v: cap() for v in g.nodes}, {e: cap() for e in g.edges})
+    return net, random_requests(rng, n, TIGHT, rng.randint(10, 40))
 
 
 def batch_view(batch):
@@ -199,7 +222,7 @@ class TestMatchesReference:
         assert baseline._shortest_feasible_path(net, 0, 3, lambda k: k != cut) is None
         assert shortest_feasible_path_reference(net, 0, 3, lambda k: k != cut) is None
 
-    def test_ranks_once_per_commit(self, monkeypatch):
+    def test_scores_once_per_batch(self, monkeypatch):
         calls = []
 
         def counting(net, smooth=False):
@@ -207,8 +230,47 @@ class TestMatchesReference:
             return node_scores(net, smooth=smooth)
 
         monkeypatch.setattr(baseline, "node_scores", counting)
-        net = path_net(6, cpu=3, bw=3)
-        reqs = [uniform_path_request(i, 2) for i in range(8)]
-        batch = generic_batch(net, reqs)
-        assert 0 < len(batch) < len(reqs)
-        assert len(calls) == len(batch) + 1
+        for smooth in (False, True):
+            calls.clear()
+            net = path_net(6, cpu=3, bw=3)
+            reqs = [uniform_path_request(i, 2) for i in range(8)]
+            batch = generic_batch(net, reqs, smooth=smooth)
+            assert 0 < len(batch) < len(reqs)
+            assert len(calls) == 1
+
+
+def reference_ranking(net, smooth):
+    scores = node_scores_reference(net, smooth=smooth)
+    return sorted(net.nodes, key=lambda v: (-scores[v], v))
+
+
+class TestIncrementalRanking:
+    @settings(max_examples=120, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.booleans(), st.booleans())
+    def test_property_every_call_sees_the_fresh_ranking(self, seed, smooth, fractions):
+        net, reqs = sparse_instance(random.Random(seed), fractions)
+        seen = []
+
+        def checking(net, req, smooth=False, ranked=None):
+            assert ranked == reference_ranking(net, smooth)
+            seen.append(req.req_id)
+            return generic_embed(net, req, smooth=smooth, ranked=ranked)
+
+        with patch.object(baseline, "generic_embed", checking):
+            generic_batch(net, reqs, smooth=smooth)
+        assert seen == [r.req_id for r in reqs]
+
+    def test_commits_leave_nodes_untouched(self):
+        # the property above pins the partial refresh only if commits are
+        # followed by more requests and touch a strict subset of the nodes,
+        # neighbors of the touched ones included
+        partial = 0
+        for seed in range(30):
+            net, reqs = sparse_instance(random.Random(seed), seed % 2 == 1)
+            batch = generic_batch(net, reqs)
+            last = reqs[-1].req_id
+            for req, emb in batch.items:
+                touched = set(emb.node_map.values()).union(*(k for path in emb.link_map.values() for k in path))
+                near = touched.union(*map(net.neighbors, touched))
+                partial += req.req_id != last and len(near) < len(net.nodes)
+        assert partial >= 300

@@ -1,5 +1,9 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -276,7 +280,8 @@ class TestC2ce:
 
 
 def spy(monkeypatch, name):
-    """Record the calls c2ce makes to `cycle_embedding.<name>`."""
+    """Record the calls made to `cycle_embedding.<name>` through its module
+    binding."""
     calls = []
     original = getattr(cycle_embedding, name)
 
@@ -427,9 +432,22 @@ class TestGreedyRevenue:
         assert batch.accepted_ids() == ["rich"]
 
     def test_empty_requests(self):
-        net = ring_net(4)
-        batch = greedy_revenue(net, [], fallback=None)
-        assert len(batch) == 0
+        # no request, no ring walk: a non-ring substrate is not an error here
+        for net in (ring_net(4), path_net(4)):
+            assert len(greedy_revenue(net, [], fallback=None)) == 0
+
+    def test_builds_the_cycle_view_once(self, monkeypatch):
+        views = spy(monkeypatch, "CycleView")
+        solves = spy(monkeypatch, "c2ce")
+        reqs = [make_cycle_request(i, [1, 1, 1], [1, 1, 1]) for i in range(5)]
+        batch = greedy_revenue(ring_net(6, cpu=2, bw=2), reqs, fallback=None)
+        assert 0 < len(batch) < len(reqs)
+        assert len(views) == 1 and len(solves) == len(reqs)
+
+    def test_non_ring_substrate_fails(self):
+        req = make_cycle_request("c", [1, 1, 1], [1, 1, 1])
+        with pytest.raises(ModelError, match="substrate is not a cycle"):
+            greedy_revenue(path_net(4), [req], fallback=None)
 
     def test_fallback_gets_leftovers(self):
         from pcvne.baseline import generic_embed
@@ -487,3 +505,13 @@ class TestGreedyRevenue:
         batch = greedy_revenue(net, reqs, fallback=generic_embed)
         ok, violations = batch.validate_against(net)
         assert ok, violations
+
+
+def test_ring_demo_output_is_unchanged():
+    # the demo walks the reference instance through the whole solver, so its
+    # stdout pins the dumped graphs, the cycles and the chosen embedding
+    root = Path(__file__).resolve().parent.parent
+    path = os.pathsep.join(filter(None, (str(root / "src"), os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, str(root / "scripts" / "ring_demo.py")],
+                          capture_output=True, check=True, env=dict(os.environ, PYTHONPATH=path))
+    assert proc.stdout == (root / "tests" / "data" / "ring_demo.out").read_bytes()

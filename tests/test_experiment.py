@@ -40,6 +40,10 @@ class TestConfig:
         with pytest.raises(ConfigError):
             small_cfg(algorithms=["pe", "magic"])
 
+    def test_unknown_request_shape(self):
+        with pytest.raises(ConfigError, match="unknown request shape 'tree'"):
+            small_cfg(algorithms=["generic"], requests=RequestSpec(shape="tree"))
+
     def test_zero_trials(self):
         with pytest.raises(ConfigError):
             small_cfg(trials=0)
