@@ -49,6 +49,7 @@ from .path_embedding import (
     assign_mdkp,
     decompose_paths,
     pack_mkp,
+    path_items,
     procedure_pe,
 )
 from .theory import (

@@ -7,6 +7,7 @@ import argparse
 import json
 import random
 import sys
+from contextlib import nullcontext
 
 from . import jsonio
 from .baseline import generic_batch, generic_embed
@@ -29,7 +30,15 @@ from .theory import (
 
 
 def _open_out(path):
-    return sys.stdout if path in (None, "-") else open(path, "w")
+    """A context manager over the output stream for `path`: stdout for "-",
+    nothing for None, else the file, opened now so an unwritable path fails
+    before any work runs."""
+    if path in (None, "-"):
+        return nullcontext(sys.stdout if path == "-" else None)
+    try:
+        return open(path, "w")
+    except OSError as exc:
+        raise ModelError(f"cannot write {path!r}: {exc.strerror}") from None
 
 
 def _load(path):
@@ -43,7 +52,7 @@ def _load(path):
         return jsonio.load_instance(fp)
 
 
-def _emit_batch(args, algorithm, batch, total, extra=None):
+def _emit_batch(out, algorithm, batch, total):
     ratio, revenue = batch_metrics(batch, total)
     payload = {
         "algorithm": algorithm,
@@ -53,13 +62,8 @@ def _emit_batch(args, algorithm, batch, total, extra=None):
         "revenue": float(revenue),
         "embeddings": [jsonio.embedding_to_dict(req, emb) for req, emb in batch.items],
     }
-    if extra:
-        payload.update(extra)
-    out = _open_out(args.out)
     json.dump(payload, out, indent=2)
     out.write("\n")
-    if out is not sys.stdout:
-        out.close()
 
 
 def cmd_generate(args):
@@ -78,12 +82,10 @@ def cmd_generate(args):
         revenue_rule=args.revenue,
     )
     rng = random.Random(args.seed)
-    net = gen_substrate(sub, rng.randrange(2 ** 31))
-    requests = gen_requests(req, rng.randrange(2 ** 31))
-    out = _open_out(args.out)
-    jsonio.dump_instance(net, requests, out)
-    if out is not sys.stdout:
-        out.close()
+    with _open_out(args.out) as out:
+        net = gen_substrate(sub, rng.randrange(2 ** 31))
+        requests = gen_requests(req, rng.randrange(2 ** 31))
+        jsonio.dump_instance(net, requests, out)
 
 
 def cmd_embed_paths(args):
@@ -91,13 +93,13 @@ def cmd_embed_paths(args):
     for r in requests:
         if r.shape is not Shape.PATH:
             raise ModelError(f"request {r.req_id!r} is not a path; embed-paths handles path requests only")
-    trace = [] if args.trace else None
-    batch = procedure_pe(net, requests, mkp_mode=args.mkp_mode, mdkp_mode=args.mdkp_mode, trace=trace)
-    if args.trace:
-        with open(args.trace, "w") as fp:
+    with _open_out(args.out) as out, _open_out(args.trace) as trace_fp:
+        trace = [] if trace_fp else None
+        batch = procedure_pe(net, requests, mkp_mode=args.mkp_mode, mdkp_mode=args.mdkp_mode, trace=trace)
+        if trace_fp:
             for rec in trace:
-                fp.write(json.dumps(rec) + "\n")
-    _emit_batch(args, "pe", batch, len(requests))
+                trace_fp.write(json.dumps(rec) + "\n")
+        _emit_batch(out, "pe", batch, len(requests))
 
 
 def cmd_embed_cycles(args):
@@ -105,21 +107,22 @@ def cmd_embed_cycles(args):
     for r in requests:
         if r.shape is not Shape.CYCLE:
             raise ModelError(f"request {r.req_id!r} is not a cycle; embed-cycles handles cycle requests only")
-    dumps = []
-    collect = (lambda w: dumps.append(w.to_json())) if args.dump_wdag else None
-    fallback = None if args.no_fallback else generic_embed
-    batch = greedy_revenue(net, requests, fallback=fallback, collect=collect)
-    if args.dump_wdag:
-        with open(args.dump_wdag, "w") as fp:
-            json.dump(dumps, fp, indent=2)
-            fp.write("\n")
-    _emit_batch(args, "gr", batch, len(requests))
+    with _open_out(args.out) as out, _open_out(args.dump_wdag) as dump_fp:
+        dumps = []
+        collect = (lambda w: dumps.append(w.to_json())) if dump_fp else None
+        fallback = None if args.no_fallback else generic_embed
+        batch = greedy_revenue(net, requests, fallback=fallback, collect=collect)
+        if dump_fp:
+            json.dump(dumps, dump_fp, indent=2)
+            dump_fp.write("\n")
+        _emit_batch(out, "gr", batch, len(requests))
 
 
 def cmd_embed_generic(args):
     net, requests = _load(args.instance)
-    batch = generic_batch(net, requests, smooth=args.smooth)
-    _emit_batch(args, "generic", batch, len(requests))
+    with _open_out(args.out) as out:
+        batch = generic_batch(net, requests, smooth=args.smooth)
+        _emit_batch(out, "generic", batch, len(requests))
 
 
 def _trail_equivalence(g):
@@ -172,14 +175,12 @@ def cmd_experiment(args):
         trials=args.trials,
         seed=args.seed,
     )
-    result = run_experiment(cfg, measure_time=not args.no_timing)
-    out = _open_out(args.out)
-    if args.format == "csv":
-        write_csv(result, out)
-    else:
-        write_json(result, out)
-    if out is not sys.stdout:
-        out.close()
+    with _open_out(args.out) as out:
+        result = run_experiment(cfg, measure_time=not args.no_timing)
+        if args.format == "csv":
+            write_csv(result, out)
+        else:
+            write_json(result, out)
 
 
 def _add_substrate_args(p):

@@ -9,8 +9,8 @@
 
 Quantities may be ints, decimal floats, or "p/q" strings; non-integer values
 round-trip exactly as fractions (written back as "p/q"). A request without
-an "id" gets its index. Malformed data raises InstanceFormatError, whose
-message names the offending field.
+an "id" gets its index; request ids must be distinct. Malformed data raises
+InstanceFormatError, whose message names the offending field.
 """
 
 from __future__ import annotations
@@ -63,9 +63,14 @@ def _parse_instance(data):
     bw = {edge_key(e["u"], e["v"]): as_quantity(e["bw"]) for e in data["edges"]}
     net = SubstrateNetwork(nodes, edges, cpu, bw)
     requests = []
+    seen = set()
     for i, r in enumerate(data.get("requests", [])):
+        req_id = _id(r, "id", f"requests[{i}]", i)
+        if req_id in seen:
+            raise InstanceFormatError(f"requests[{i}].id: duplicate id {req_id!r}")
+        seen.add(req_id)
         requests.append(VirtualRequest(
-            req_id=_id(r, "id", f"requests[{i}]", i),
+            req_id=req_id,
             shape=Shape(r["shape"]),
             vns=[v["id"] for v in r["vns"]],
             vls=[(l["u"], l["v"]) for l in r["vls"]],

@@ -11,6 +11,8 @@ mappings; the MDKP solvers touch only each item's nonzero dimensions.
 Orders stay exact without a Fraction per comparison: MKP items sort on integer
 ranks taken over the distinct profit/size efficiencies (equal ones share a
 rank), and MDKP surrogate weights are summed as integers, one Fraction each.
+Greedy MKP is one `first_fit` over items already in that order, so a caller
+keeping them sorted sorts once; it stops when no item can fit any more.
 """
 
 from __future__ import annotations
@@ -187,14 +189,23 @@ def solve_mkp(inst, mode="greedy"):
 
 
 def _mkp_greedy(inst):
-    # First fit over knapsacks ordered by (-residual, index) tries the roomiest
-    # knapsack first, so an item fits somewhere iff it fits at the heap top.
-    heap = [(-b, k) for k, b in enumerate(inst.capacities)]
+    return first_fit(inst.capacities, order_items(inst.items))
+
+
+def first_fit(capacities, items):
+    """Greedy MKP over KpItems in MKP order (`order_items`), returning what
+    `solve_mkp` does: each item goes into the roomiest knapsack (ties: lower
+    index), the top of a heap, if it fits there. Stops once that residual is
+    below the smallest item size, since no later item can fit."""
+    heap = [(-b, k) for k, b in enumerate(capacities)]
     heapq.heapify(heap)
-    assignment = {it.item_id: None for it in inst.items}
+    assignment = dict.fromkeys(it.item_id for it in items)
     profit = 0
-    for it in order_items(inst.items):
-        if heap and it.size <= -heap[0][0]:
+    smallest = min((it.size for it in items), default=0)
+    for it in items:
+        if not heap or -heap[0][0] < smallest:
+            break
+        if it.size <= -heap[0][0]:
             neg_residual, k = heap[0]
             heapq.heapreplace(heap, (neg_residual + it.size, k))
             assignment[it.item_id] = k

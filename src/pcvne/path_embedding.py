@@ -12,6 +12,7 @@ from .knapsack import (
     KpItem,
     MdkpInstance,
     MkpInstance,
+    first_fit,
     order_items,
     solve_mdkp,
     solve_mkp,
@@ -149,34 +150,39 @@ def decompose_paths(net):
     return paths
 
 
-def pack_mkp(paths, requests, mode="greedy"):
-    """Pack path requests onto the decomposed substrate paths.
-
-    Each request is an item of size = its link count and profit = revenue;
-    each substrate path is a knapsack of capacity = its link count. Packed
-    items receive concrete offsets left to right in efficiency order, sharing
-    boundary SNs between consecutive placements.
-    """
+def path_items(requests):
+    """One KpItem per path request (size = its link count, profit = its
+    revenue) paired with the request, in MKP order (`order_items`). Any
+    sublist stays in that order, so the pipeline builds and sorts them once."""
     for req in requests:
         if req.shape is not Shape.PATH:
             raise ModelError(f"request {req.req_id!r} is not a path")
-    index_of = {req.req_id: req for req in requests}
-    if len(index_of) != len(requests):
+    req_of = {req.req_id: req for req in requests}
+    if len(req_of) != len(requests):
         raise ModelError("duplicate request ids")
-    inst = MkpInstance(
-        capacities=[p.length for p in paths],
-        items=[KpItem(item_id=req.req_id, size=req.length, profit=req.revenue)
-               for req in requests],
-    )
-    assignment, _profit = solve_mkp(inst, mode=mode)
+    items = [KpItem(item_id=req.req_id, size=req.length, profit=req.revenue) for req in requests]
+    return [(it, req_of[it.item_id]) for it in order_items(items)]
+
+
+def pack_mkp(paths, items, mode="greedy"):
+    """Pack path requests (`path_items` pairs) onto the decomposed substrate paths.
+
+    Each substrate path is a knapsack of capacity = its link count. Packed
+    items receive concrete offsets left to right in efficiency order, sharing
+    boundary SNs between consecutive placements.
+    """
+    capacities = [p.length for p in paths]
+    kp_items = [it for it, _req in items]
+    assignment, _profit = (first_fit(capacities, kp_items) if mode == "greedy"
+                           else solve_mkp(MkpInstance(capacities, kp_items), mode=mode))
 
     placements = []
     used = defaultdict(int)  # links already taken on each path
-    for item in order_items([it for it in inst.items if assignment[it.item_id] is not None]):
+    for item, req in items:
         k = assignment[item.item_id]
-        req = index_of[item.item_id]
-        placements.append(PathPlacement(req=req, path_index=k, path=paths[k], offset=used[k]))
-        used[k] += req.length
+        if k is not None:
+            placements.append(PathPlacement(req=req, path_index=k, path=paths[k], offset=used[k]))
+            used[k] += req.length
     placements.sort(key=lambda pl: pl.path_index)  # stable: path by path, MKP order within
     return placements
 
@@ -224,16 +230,13 @@ def procedure_pe(net, requests, mkp_mode="greedy", mdkp_mode="greedy", trace=Non
     at most len(requests) iterations. `trace`, if given, is a list receiving
     one record per iteration.
     """
-    for req in requests:
-        if req.shape is not Shape.PATH:
-            raise ModelError(f"request {req.req_id!r} is not a path")
+    items = path_items(requests)
     batch = EmbeddingBatch()
-    pending = list(requests)
-    while pending:
+    while items:
         paths = decompose_paths(net)
         if not paths:
             break
-        placements = pack_mkp(paths, pending, mode=mkp_mode)
+        placements = pack_mkp(paths, items, mode=mkp_mode)
         accepted = assign_mdkp(net, placements, mode=mdkp_mode)
         if trace is not None:
             trace.append({
@@ -247,5 +250,5 @@ def procedure_pe(net, requests, mkp_mode="greedy", mdkp_mode="greedy", trace=Non
         for pl, emb in accepted:
             batch.add(pl.req, emb)
             funded_ids.add(pl.req.req_id)
-        pending = [r for r in pending if r.req_id not in funded_ids]
+        items = [pair for pair in items if pair[0].item_id not in funded_ids]
     return batch

@@ -479,7 +479,33 @@ def greedy_revenue_reference(net, requests, fallback=None):
 # The greedy path pipeline in its plain form: one exact Fraction key per item
 # for every sort, a re-sort per path, and a Fraction sum per funding weight,
 # where procedure_pe sorts on integer ranks and sums weights as integers. Only
-# decompose_paths, PathPlacement and commit are shared with the code under test.
+# decompose_paths, PathPlacement and commit are shared with the code under test
+# (and solve_mkp, in pack_mkp_reference's exact mode).
+
+
+def pack_mkp_reference(paths, requests, mode="greedy"):
+    """Placements by the rule pack_mkp followed while it built its own items:
+    the MKP over one KpItem per request in request order (greedy:
+    sorted_first_fit in item_order_key order; exact: solve_mkp), then path by
+    path the packed items left to right in item_order_key order."""
+    from pcvne.knapsack import KpItem, MkpInstance, solve_mkp
+    from pcvne.path_embedding import PathPlacement
+
+    items = [KpItem(r.req_id, r.length, r.revenue) for r in requests]
+    caps = [p.length for p in paths]
+    if mode == "greedy":
+        assignment = sorted_first_fit(caps, sorted(items, key=item_order_key))
+    else:
+        assignment, _profit = solve_mkp(MkpInstance(caps, items), mode=mode)
+    req_of = {r.req_id: r for r in requests}
+    placements = []
+    for k, path in enumerate(paths):
+        offset = 0
+        for it in sorted((it for it in items if assignment[it.item_id] == k), key=item_order_key):
+            req = req_of[it.item_id]
+            placements.append(PathPlacement(req=req, path_index=k, path=path, offset=offset))
+            offset += req.length
+    return placements
 
 
 def procedure_pe_reference(net, requests):
@@ -487,8 +513,7 @@ def procedure_pe_reference(net, requests):
     place each path's items left to right in that order, fund greedily by
     revenue over mdkp_weight_reference, commit; repeat until an iteration
     embeds nothing. Mutates `net`; returns the accepted batch."""
-    from pcvne.knapsack import KpItem
-    from pcvne.path_embedding import PathPlacement, decompose_paths
+    from pcvne.path_embedding import decompose_paths
 
     batch = EmbeddingBatch()
     pending = list(requests)
@@ -496,16 +521,7 @@ def procedure_pe_reference(net, requests):
         paths = decompose_paths(net)
         if not paths:
             break
-        items = [KpItem(r.req_id, r.length, r.revenue) for r in pending]
-        assignment = sorted_first_fit([p.length for p in paths], sorted(items, key=item_order_key))
-        req_of = {r.req_id: r for r in pending}
-        placements = []
-        for k, path in enumerate(paths):
-            offset = 0
-            for it in sorted((it for it in items if assignment[it.item_id] == k), key=item_order_key):
-                req = req_of[it.item_id]
-                placements.append(PathPlacement(req=req, path_index=k, path=path, offset=offset))
-                offset += req.length
+        placements = pack_mkp_reference(paths, pending)
 
         caps = {("cpu", v): net.residual_cpu[v] for v in net.nodes}
         caps.update({("bw", e): net.residual_bw[e] for e in net.edges})

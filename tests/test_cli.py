@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+import pcvne.cli as cli
 from pcvne.cli import main
 from pcvne.jsonio import load_instance
 from pcvne.knapsack import EXACT_ITEM_LIMIT
@@ -109,7 +110,12 @@ def _top_level_list(data):
     return [data], "instance: expected an object"
 
 
-@pytest.mark.parametrize("corrupt", [_missing_cpu, _bad_revenue, _top_level_list])
+def _duplicate_id(data):
+    data["requests"].append(dict(data["requests"][0]))
+    return data, "requests[1].id: duplicate id 'r'"
+
+
+@pytest.mark.parametrize("corrupt", [_missing_cpu, _bad_revenue, _top_level_list, _duplicate_id])
 def test_malformed_instance_is_a_clean_error(tmp_path, capsys, corrupt):
     data, message = corrupt(_ring_instance())
     inst = tmp_path / "inst.json"
@@ -130,6 +136,31 @@ def test_missing_instance_file_is_a_clean_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(missing) in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("generate", "--out"),
+    ("embed-paths", "--out"),
+    ("embed-paths", "--trace"),
+    ("embed-cycles", "--dump-wdag"),
+])
+def test_unwritable_output_is_a_clean_error_before_the_run(tmp_path, capsys, monkeypatch, command, flag):
+    inst = tmp_path / "inst.json"
+    main(["generate", "--nodes", "6", "--topology", "cycle", "--count", "2",
+          "--shape", "cycle" if command == "embed-cycles" else "path",
+          "--length-min", "3", "--length-max", "4", "--out", str(inst)])
+
+    def never(*args, **kwargs):
+        raise AssertionError("ran before the output was opened")
+
+    for name in ("gen_substrate", "procedure_pe", "greedy_revenue"):
+        monkeypatch.setattr(cli, name, never)
+    target = tmp_path / "missing" / "x.json"
+    args = ["--nodes", "6"] if command == "generate" else ["--instance", str(inst)]
+    with pytest.raises(SystemExit) as exc:
+        main([command, *args, flag, str(target)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == f"error: cannot write '{target}': No such file or directory\n"
 
 
 def test_embed_generic(tmp_path, capsys):

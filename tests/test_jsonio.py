@@ -119,6 +119,21 @@ def test_request_ids_default_to_index():
     assert reqs[0].req_id == 0
 
 
+
+@pytest.mark.parametrize("ids, message", [
+    ([0, 0], "requests[1].id: duplicate id 0"),
+    (["r", 5, "r"], "requests[2].id: duplicate id 'r'"),
+    ([1, None], "requests[1].id: duplicate id 1"),  # the missing id defaults to index 1
+])
+def test_repeated_request_ids_are_refused(ids, message):
+    data = _two_nodes()
+    template = data["requests"].pop()
+    for req_id in ids:
+        data["requests"].append(template if req_id is None else {**template, "id": req_id})
+    with pytest.raises(InstanceFormatError, match=re.escape(message)):
+        instance_from_dict(data)
+
+
 quantities = st.one_of(
     st.integers(min_value=0, max_value=10 ** 9),
     st.fractions(min_value=0, max_value=10 ** 6),
@@ -181,7 +196,7 @@ scalar_ids = st.one_of(st.integers(-10 ** 6, 10 ** 6), st.text(max_size=4))
 def instances(draw):
     """A small valid instance: int or string node ids (one kind per
     instance, so they compare), int/Fraction/"p/q" quantities, path and
-    cycle requests with mixed id types."""
+    cycle requests with distinct ids of mixed types."""
     id_kind = draw(st.sampled_from((st.integers(-50, 50), st.text(min_size=1, max_size=3))))
     nodes = draw(st.lists(id_kind, min_size=2, max_size=5, unique=True))
     edges = [(nodes[i], nodes[i + 1]) for i in range(len(nodes) - 1)]
@@ -190,14 +205,14 @@ def instances(draw):
     net = make_net(nodes, edges, {v: draw(positive) for v in nodes},
                    {tuple(sorted(e)): draw(positive) for e in edges})
     reqs = []
-    for _ in range(draw(st.integers(0, 3))):
+    for req_id in draw(st.lists(scalar_ids, max_size=3, unique=True)):
         shape = draw(st.sampled_from((Shape.PATH, Shape.CYCLE)))
         vns = draw(st.lists(id_kind, min_size=3 if shape is Shape.CYCLE else 1, max_size=4, unique=True))
         vls = [(vns[i], vns[i + 1]) for i in range(len(vns) - 1)]
         if shape is Shape.CYCLE:
             vls.append((vns[-1], vns[0]))
         reqs.append(VirtualRequest(
-            req_id=draw(scalar_ids), shape=shape, vns=vns, vls=vls,
+            req_id=req_id, shape=shape, vns=vns, vls=vls,
             cpu_demand={v: draw(positive) for v in vns},
             bw_demand={tuple(sorted(l)): draw(positive) for l in vls},
             revenue=draw(st.one_of(st.just(0), positive))))

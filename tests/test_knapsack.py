@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -21,6 +21,7 @@ from pcvne.knapsack import (
     MkpInstance,
     _fractional_bound,
     _mdkp_normalized,
+    first_fit,
     order_items,
     solve_kp_dp,
     solve_mdkp,
@@ -270,6 +271,23 @@ def test_property_mkp_greedy_matches_sorted_first_fit(seed):
 _PROFITS = st.sampled_from([0, 1, 2, Fraction(2), Fraction(4, 2), 3, 5, Fraction(1, 2), Fraction(5, 2)])
 _SIZES = st.sampled_from([0, 1, 2, 4, 5, 10])
 _IDS = st.one_of(st.integers(-3, 12), st.text("ab1", max_size=2), st.tuples(st.integers(0, 2)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 8), max_size=4),
+       st.lists(st.builds(KpItem, item_id=st.integers(0, 30), size=st.integers(0, 6), profit=_PROFITS),
+                max_size=12, unique_by=lambda it: it.item_id),
+       st.booleans())
+@example([], [KpItem(0, 0, 1), KpItem(1, 2, 1)], True)  # no knapsacks
+@example([0, 0], [KpItem(0, 0, 0), KpItem(1, 0, 3), KpItem(2, 1, 5)], True)  # all-zero capacities
+@example([3, 2], [KpItem(0, 2, 4), KpItem(1, 3, 3), KpItem(2, 0, 0), KpItem(3, 1, 1)], False)
+def test_property_first_fit_matches_sorted_first_fit(caps, items, mkp_order):
+    # the early stop must not drop an item that still fits, in MKP order or any other
+    if mkp_order:
+        items = order_items(items)
+    assignment, profit = first_fit(caps, items)
+    assert assignment == sorted_first_fit(caps, items)
+    assert profit == sum(it.profit for it in items if assignment[it.item_id] is not None)
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,5 +1,9 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -14,8 +18,9 @@ from conftest import (
     random_connected_graph,
     uniform_path_request,
 )
-from oracles import first_fit_paths, mkp_best_profit, procedure_pe_reference
-from pcvne.knapsack import KpItem, solve_kp_dp
+from oracles import first_fit_paths, mkp_best_profit, pack_mkp_reference, procedure_pe_reference
+from pcvne.generators import RequestSpec, SubstrateSpec, gen_requests, gen_substrate
+from pcvne.knapsack import EXACT_ITEM_LIMIT, KpItem, solve_kp_dp
 from pcvne.model import ModelError, edge_key, validate_embedding
 from pcvne.path_embedding import (
     PathPlacement,
@@ -23,6 +28,7 @@ from pcvne.path_embedding import (
     assign_mdkp,
     decompose_paths,
     pack_mkp,
+    path_items,
     procedure_pe,
 )
 
@@ -83,7 +89,7 @@ class TestPackMkp:
     def test_single_request_at_offset_zero(self):
         paths = [SubstratePath(tuple(range(11)))]
         req = uniform_path_request("r", 5)
-        placements = pack_mkp(paths, [req])
+        placements = pack_mkp(paths, path_items([req]))
         assert len(placements) == 1
         assert placements[0].offset == 0 and placements[0].path_index == 0
 
@@ -91,7 +97,7 @@ class TestPackMkp:
         paths = [SubstratePath(tuple(range(11)))]
         reqs = [uniform_path_request("a", 5, revenue=5),
                 uniform_path_request("b", 6, revenue=6)]
-        placements = pack_mkp(paths, reqs, mode="exact")
+        placements = pack_mkp(paths, path_items(reqs), mode="exact")
         assert len(placements) == 1  # 5 + 6 > 10
         assert placements[0].req.req_id == "b"  # higher profit wins in exact mode
 
@@ -102,7 +108,7 @@ class TestPackMkp:
                      for _ in range(3)]
             reqs = [uniform_path_request(i, rng.randint(1, 6), revenue=rng.randint(1, 9))
                     for i in range(8)]
-            placements = pack_mkp(paths, reqs, mode="exact")
+            placements = pack_mkp(paths, path_items(reqs), mode="exact")
             placed_profit = sum(pl.req.revenue for pl in placements)
             items = [KpItem(item_id=r.req_id, size=r.length, profit=r.revenue) for r in reqs]
             assert placed_profit == mkp_best_profit([p.length for p in paths], items)
@@ -113,7 +119,7 @@ class TestPackMkp:
             paths = [SubstratePath(tuple(range(rng.randint(2, 9)))),
                      SubstratePath(tuple(range(100, 100 + rng.randint(2, 9))))]
             reqs = [uniform_path_request(i, rng.randint(1, 5)) for i in range(7)]
-            placements = pack_mkp(paths, reqs)
+            placements = pack_mkp(paths, path_items(reqs))
             by_path = {}
             for pl in placements:
                 by_path.setdefault(pl.path_index, []).append(pl)
@@ -134,7 +140,7 @@ class TestPackMkp:
         net = graph_net(g)
         paths = decompose_paths(net)
         reqs = [uniform_path_request(i, rng.randint(1, 4)) for i in range(6)]
-        for pl in pack_mkp(paths, reqs):
+        for pl in pack_mkp(paths, path_items(reqs)):
             emb = pl.to_embedding()
             ok, violations = validate_embedding(net, pl.req, emb)
             assert not any(v.kind in ("endpoint", "injectivity") for v in violations)
@@ -142,15 +148,16 @@ class TestPackMkp:
     def test_rejects_non_path_requests(self):
         from conftest import make_cycle_request
 
+        cycle = make_cycle_request(0, [1, 1, 1], [1, 1, 1])
         with pytest.raises(ModelError):
-            pack_mkp([SubstratePath((0, 1))], [make_cycle_request(0, [1, 1, 1], [1, 1, 1])])
+            pack_mkp([SubstratePath((0, 1))], path_items([cycle]))
 
 
 class TestAssignMdkp:
     def test_single_fitting_placement_accepted(self):
         net = path_net(6, cpu=2, bw=1)
         paths = [SubstratePath(tuple(range(6)))]
-        placements = pack_mkp(paths, [uniform_path_request("r", 3)])
+        placements = pack_mkp(paths, path_items([uniform_path_request("r", 3)]))
         accepted = assign_mdkp(net, placements)
         assert [pl.req.req_id for pl, _ in accepted] == ["r"]
         assert net.residual_bw[edge_key(0, 1)] == 0
@@ -159,7 +166,8 @@ class TestAssignMdkp:
         # two placements share node 3; its capacity only fits one end VN
         net = path_net(7, cpu=1, bw=1)
         paths = [SubstratePath(tuple(range(7)))]
-        placements = pack_mkp(paths, [uniform_path_request("a", 3), uniform_path_request("b", 3)])
+        reqs = [uniform_path_request("a", 3), uniform_path_request("b", 3)]
+        placements = pack_mkp(paths, path_items(reqs))
         assert len(placements) == 2
         accepted = assign_mdkp(net, placements)
         assert len(accepted) == 1
@@ -174,7 +182,7 @@ class TestAssignMdkp:
             paths = decompose_paths(net)
             reqs = [uniform_path_request(i, rng.randint(1, 4), revenue=rng.randint(1, 9))
                     for i in range(8)]
-            placements = pack_mkp(paths, reqs)
+            placements = pack_mkp(paths, path_items(reqs))
             dims = list(net.nodes) + list(net.edges)
             dim_index = {d: i for i, d in enumerate(dims)}
             caps = [net.residual_cpu[v] for v in net.nodes] + [net.residual_bw[k] for k in net.edges]
@@ -204,7 +212,7 @@ class TestAssignMdkp:
         monkeypatch.setattr(PathPlacement, "to_embedding", counting)
         net = path_net(12, cpu=1, bw=1)
         reqs = [uniform_path_request(i, 3) for i in range(4)]
-        placements = pack_mkp([SubstratePath(tuple(range(12)))], reqs)
+        placements = pack_mkp([SubstratePath(tuple(range(12)))], path_items(reqs))
         accepted = assign_mdkp(net, placements)
         assert 0 < len(accepted) < len(placements)
         assert sorted(calls) == sorted(pl.req.req_id for pl in placements)
@@ -326,7 +334,68 @@ def test_pack_mkp_ranks_each_distinct_pair_once(monkeypatch):
     monkeypatch.setattr(path_embedding, "order_items", counting_order_items)
     reqs = [uniform_path_request(i, 5 + i % 6) for i in range(1000)]
     paths = [SubstratePath(tuple(range(100 * k, 100 * k + 61))) for k in range(40)]
-    placements = pack_mkp(paths, reqs)
+    placements = pack_mkp(paths, path_items(reqs))
     assert 0 < len(placements) < len(reqs)
-    assert 1 <= calls["order_items"] <= 2
+    assert calls["order_items"] == 1
     assert calls["efficiency"] <= 6 * calls["order_items"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10 ** 6), st.sampled_from(["greedy", "exact"]))
+def test_property_pack_mkp_places_as_the_per_call_items_did(seed, mode):
+    # requests in shuffled order with tied lengths and revenues: the items
+    # sorted once by path_items must give the placements that building and
+    # solving the items in request order gave
+    rng = random.Random(seed)
+    paths = [SubstratePath(tuple(range(100 * k, 100 * k + rng.randint(2, 9))))
+             for k in range(rng.randint(0, 4))]
+    reqs = [uniform_path_request(i, rng.randint(1, 6),
+                                 revenue=rng.choice([1, 2, 3, Fraction(3, 2), Fraction(5, 2)]))
+            for i in range(rng.randint(0, EXACT_ITEM_LIMIT - 3))]
+    rng.shuffle(reqs)
+    got = pack_mkp(paths, path_items(reqs), mode=mode)
+    want = pack_mkp_reference(paths, reqs, mode=mode)
+    assert ([(pl.req.req_id, pl.path_index, pl.offset) for pl in got]
+            == [(pl.req.req_id, pl.path_index, pl.offset) for pl in want])
+
+
+def test_procedure_pe_builds_and_sorts_items_once(monkeypatch):
+    # a 30-node, 150-link substrate with 100 path requests runs 15 iterations
+    rng = random.Random(7)
+    net = gen_substrate(SubstrateSpec(n_nodes=30, n_edges=150), rng.randrange(2 ** 31))
+    reqs = gen_requests(RequestSpec(shape="path", count=100), rng.randrange(2 ** 31))
+    calls = {"order_items": 0, "KpItem": 0}
+    order_items, post_init = knapsack.order_items, KpItem.__post_init__
+
+    def counting_order_items(items):
+        calls["order_items"] += 1
+        return order_items(items)
+
+    def counting_post_init(self):
+        calls["KpItem"] += 1
+        post_init(self)
+
+    monkeypatch.setattr(knapsack, "order_items", counting_order_items)
+    monkeypatch.setattr(path_embedding, "order_items", counting_order_items)
+    monkeypatch.setattr(KpItem, "__post_init__", counting_post_init)
+    trace = []
+    batch = procedure_pe(net, reqs, trace=trace)
+    assert len(trace) >= 10 and 0 < len(batch) < len(reqs)
+    assert calls == {"order_items": 1, "KpItem": len(reqs)}
+
+
+def test_embed_paths_golden_output_is_unchanged(tmp_path):
+    # the report and trace on a 30-node, 150-link substrate with 100 path
+    # requests pin every packing, placement and funding decision of the pipeline
+    root = Path(__file__).resolve().parent.parent
+    path = os.pathsep.join(filter(None, (str(root / "src"), os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONPATH=path)
+    cli = [sys.executable, "-m", "pcvne.cli"]
+    inst, trace = tmp_path / "inst.json", tmp_path / "trace.jsonl"
+    subprocess.run([*cli, "generate", "--nodes", "30", "--edges", "150", "--shape", "path",
+                    "--count", "100", "--seed", "7", "--out", str(inst)], check=True, env=env)
+    proc = subprocess.run([*cli, "embed-paths", "--instance", str(inst), "--trace", str(trace)],
+                          capture_output=True, check=True, env=env)
+    data = root / "tests" / "data"
+    assert proc.stdout == (data / "embed_paths.out").read_bytes()
+    assert trace.read_bytes() == (data / "embed_paths_trace.jsonl").read_bytes()
