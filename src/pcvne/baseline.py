@@ -37,23 +37,24 @@ def node_scores(net, smooth=False):
     return _smoothed_scores(net, raw, net.nodes) if smooth else raw
 
 
-def _shortest_feasible_path(net, src, dst, usable):
-    """Hop-minimal path src -> dst over links satisfying `usable`; among the
-    shortest ones, the lexicographically smallest node sequence. Returns the
-    SL key list or None.
+def _shortest_feasible_path(net, src, dst, demand, pending):
+    """Hop-minimal path src -> dst over links whose residual BW less their
+    `pending` claim ({SL: BW}) is at least `demand`; among the shortest ones,
+    the lexicographically smallest node sequence. Returns the SL key list or None.
 
     The BFS runs from dst and stops once src is labelled: every node closer
     to dst than src then has its final distance, and those are the only
     distances the walk back from src reads."""
     if src == dst:
         return None
+    bw = net.residual_bw
     dist = {dst: 0}
     queue = deque([dst])
     while queue and src not in dist:
         v = queue.popleft()
         d = dist[v] + 1
         for w, k in net.incident(v):
-            if w not in dist and usable(k):
+            if w not in dist and bw[k] - pending.get(k, 0) >= demand:
                 dist[w] = d
                 queue.append(w)
     if src not in dist:
@@ -63,7 +64,7 @@ def _shortest_feasible_path(net, src, dst, usable):
     while cur != dst:
         want = dist[cur] - 1
         for w, k in net.incident(cur):  # sorted by neighbor, first hit wins
-            if dist.get(w) == want and usable(k):
+            if dist.get(w) == want and bw[k] - pending.get(k, 0) >= demand:
                 path.append(k)
                 cur = w
                 break
@@ -103,11 +104,7 @@ def generic_embed(net, req, smooth=False, ranked=None):
     for vl in req.vls:
         demand = req.bw_demand[vl]
         u, v = vl
-
-        def usable(k, _d=demand):
-            return net.residual_bw[k] - pending.get(k, 0) >= _d
-
-        path = _shortest_feasible_path(net, node_map[u], node_map[v], usable)
+        path = _shortest_feasible_path(net, node_map[u], node_map[v], demand, pending)
         if path is None:
             return None
         for k in path:

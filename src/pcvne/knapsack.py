@@ -89,6 +89,14 @@ class MdkpInstance:
             norm.append((item_id, as_quantity(profit), sizes))
         self.items = norm
 
+    @classmethod
+    def trusted(cls, capacities, items):
+        """An instance taken as given, unchecked: only for exact, non-negative
+        quantities and in-range sparse indices, e.g. validated residuals and demands."""
+        inst = object.__new__(cls)
+        inst.capacities, inst.items = capacities, items
+        return inst
+
     @property
     def dimensions(self):
         return len(self.capacities)

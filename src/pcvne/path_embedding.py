@@ -5,6 +5,7 @@ on the updated residuals until an iteration places nothing."""
 
 from __future__ import annotations
 
+import heapq
 from collections import defaultdict
 from dataclasses import dataclass
 
@@ -71,25 +72,27 @@ def _usable_subgraph(net):
 
 
 def _dfs_tree(root, adj):
-    """Iterative depth-first tree (children tried in sorted order); parents
-    assigned at visit time so the tree matches the recursive traversal and
-    stays deep on dense graphs."""
+    """Iterative depth-first tree (children tried in sorted order, parents
+    assigned at visit time as in the recursive traversal, deep on dense
+    graphs) and its deepest node (ties: lowest id), the diameter's first sweep."""
     parent = {}
-    stack = [(root, None)]
+    stack = [(root, None, 0)]
+    best = (0, root)  # (-depth, id)
     while stack:
-        v, p = stack.pop()
+        v, p, d = stack.pop()
         if v in parent:
             continue
         parent[v] = p
+        best = min(best, (-d, v))
         for w in reversed(adj[v]):
             if w not in parent:
-                stack.append((w, v))
-    return parent
+                stack.append((w, v, d + 1))
+    return parent, best[1]
 
 
 def _tree_farthest(start, tree_adj):
-    """Farthest node from `start` inside the tree (ties: lowest id), with the
-    parent pointers of the traversal for path reconstruction."""
+    """Farthest node from `start` inside the tree (ties: lowest id; in a tree
+    any visiting order gives it), with the traversal's parent pointers."""
     parent = {start: None}
     depth = {start: 0}
     stack = [start]
@@ -110,33 +113,29 @@ def decompose_paths(net):
     """Split the usable part of the substrate into link-disjoint simple paths.
 
     Repeatedly: root a DFS tree at the usable node of maximum degree (ties by
-    lowest id), take the longest path inside that tree (its diameter, exact by
-    the classic two-pass sweep), emit it, remove its links, drop isolated
-    nodes. Every usable SL ends up in exactly one returned path.
+    lowest id, off a lazy heap), emit the tree's longest path (a second sweep
+    from the DFS's deepest node) and remove its links; every usable SL ends up
+    in exactly one path. `procedure_pe` reuses the result until a residual hits 0.
     """
     nodes, edges = _usable_subgraph(net)
     adj = {v: [] for v in nodes}
-    for u, v in edges:
+    for u, v in sorted(edges):  # canonical keys in order: each list comes out sorted
         adj[u].append(v)
         adj[v].append(u)
-    for v in adj:
-        adj[v].sort()
+    heap = [(-len(nbrs), v) for v, nbrs in adj.items() if nbrs]
+    heapq.heapify(heap)
 
     paths = []
-    while True:
-        active = [v for v in adj if adj[v]]
-        if not active:
-            break
-        root = min(active, key=lambda v: (-len(adj[v]), v))
-        parent = _dfs_tree(root, adj)
+    while heap:
+        neg_degree, root = heapq.heappop(heap)
+        if len(adj[root]) != -neg_degree:  # stale: the degree fell since the push
+            continue
+        parent, a = _dfs_tree(root, adj)
         tree_adj = {v: [] for v in parent}
         for v, p in parent.items():
             if p is not None:
                 tree_adj[v].append(p)
                 tree_adj[p].append(v)
-        for v in tree_adj:
-            tree_adj[v].sort()
-        a, _ = _tree_farthest(root, tree_adj)
         b, par = _tree_farthest(a, tree_adj)
         seq = [b]
         while par[seq[-1]] is not None:
@@ -147,6 +146,9 @@ def decompose_paths(net):
         for i in range(len(seq) - 1):
             adj[seq[i]].remove(seq[i + 1])
             adj[seq[i + 1]].remove(seq[i])
+        for v in {root, *seq}:
+            if adj[v]:
+                heapq.heappush(heap, (-len(adj[v]), v))
     return paths
 
 
@@ -210,7 +212,7 @@ def assign_mdkp(net, placements, mode="greedy"):
                 sizes[dim_index[edge_key(*e)]] += d
         items.append((idx, pl.req.revenue, sizes))
 
-    inst = MdkpInstance(capacities=capacities, items=items)
+    inst = MdkpInstance.trusted(capacities, items)  # residuals and demands are validated
     selected, _profit = solve_mdkp(inst, mode=mode)
 
     accepted = []
@@ -224,16 +226,19 @@ def assign_mdkp(net, placements, mode="greedy"):
 def procedure_pe(net, requests, mkp_mode="greedy", mdkp_mode="greedy", trace=None):
     """Full pipeline loop. Mutates `net` residuals; returns the accepted batch.
 
-    Each iteration decomposes the usable residual substrate, packs the still
-    pending requests, funds the packed placements, and commits the funded
-    ones. The loop stops as soon as an iteration embeds nothing, so it runs
-    at most len(requests) iterations. `trace`, if given, is a list receiving
-    one record per iteration.
+    Each iteration packs the pending requests onto the decomposed usable
+    residual substrate, funds the packed placements and commits the funded
+    ones; the decomposition is recomputed only once a commit drove the
+    residual of one of its SNs or SLs to 0 (residuals only fall). The loop
+    stops as soon as an iteration embeds nothing, so it runs at most
+    len(requests) iterations. `trace`, if given, gets one record per iteration.
     """
     items = path_items(requests)
     batch = EmbeddingBatch()
+    paths = None
     while items:
-        paths = decompose_paths(net)
+        if paths is None:
+            paths = decompose_paths(net)
         if not paths:
             break
         placements = pack_mkp(paths, items, mode=mkp_mode)
@@ -250,5 +255,8 @@ def procedure_pe(net, requests, mkp_mode="greedy", mdkp_mode="greedy", trace=Non
         for pl, emb in accepted:
             batch.add(pl.req, emb)
             funded_ids.add(pl.req.req_id)
+            if (any(net.residual_cpu[sn] == 0 for sn in emb.node_map.values())
+                    or any(net.residual_bw[e] == 0 for sls in emb.link_map.values() for e in sls)):
+                paths = None
         items = [pair for pair in items if pair[0].item_id not in funded_ids]
     return batch

@@ -476,10 +476,101 @@ def greedy_revenue_reference(net, requests, fallback=None):
     return batch
 
 
+# decompose_paths as first written: a scan over every active node for each
+# path's root, sorted tree lists, and two farthest-node sweeps over the tree.
+
+
+def _dfs_tree_reference(root, adj):
+    """Iterative depth-first tree (children tried in sorted order); parents
+    assigned at visit time so the tree matches the recursive traversal and
+    stays deep on dense graphs."""
+    parent = {}
+    stack = [(root, None)]
+    while stack:
+        v, p = stack.pop()
+        if v in parent:
+            continue
+        parent[v] = p
+        for w in reversed(adj[v]):
+            if w not in parent:
+                stack.append((w, v))
+    return parent
+
+
+def _tree_farthest_reference(start, tree_adj):
+    """Farthest node from `start` inside the tree (ties: lowest id), with the
+    parent pointers of the traversal for path reconstruction."""
+    parent = {start: None}
+    depth = {start: 0}
+    stack = [start]
+    best = start
+    while stack:
+        v = stack.pop()
+        if depth[v] > depth[best] or (depth[v] == depth[best] and v < best):
+            best = v
+        for w in tree_adj[v]:
+            if w not in parent:
+                parent[w] = v
+                depth[w] = depth[v] + 1
+                stack.append(w)
+    return best, parent
+
+
+def decompose_paths_reference(net):
+    """Split the usable part of the substrate (SNs with positive residual CPU,
+    SLs with positive residual BW between two of them) into link-disjoint
+    simple paths.
+
+    Repeatedly: root a DFS tree at the usable node of maximum degree (ties by
+    lowest id), take the longest path inside that tree (its diameter, exact by
+    the classic two-pass sweep), emit it, remove its links, drop isolated
+    nodes. Every usable SL ends up in exactly one returned path.
+    """
+    from pcvne.path_embedding import SubstratePath
+
+    nodes = {v for v in net.nodes if net.residual_cpu[v] > 0}
+    edges = {k for k in net.edges
+             if net.residual_bw[k] > 0 and k[0] in nodes and k[1] in nodes}
+    adj = {v: [] for v in nodes}
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    for v in adj:
+        adj[v].sort()
+
+    paths = []
+    while True:
+        active = [v for v in adj if adj[v]]
+        if not active:
+            break
+        root = min(active, key=lambda v: (-len(adj[v]), v))
+        parent = _dfs_tree_reference(root, adj)
+        tree_adj = {v: [] for v in parent}
+        for v, p in parent.items():
+            if p is not None:
+                tree_adj[v].append(p)
+                tree_adj[p].append(v)
+        for v in tree_adj:
+            tree_adj[v].sort()
+        a, _ = _tree_farthest_reference(root, tree_adj)
+        b, par = _tree_farthest_reference(a, tree_adj)
+        seq = [b]
+        while par[seq[-1]] is not None:
+            seq.append(par[seq[-1]])
+        if seq[0] > seq[-1]:
+            seq.reverse()
+        paths.append(SubstratePath(tuple(seq)))
+        for i in range(len(seq) - 1):
+            adj[seq[i]].remove(seq[i + 1])
+            adj[seq[i + 1]].remove(seq[i])
+    return paths
+
+
 # The greedy path pipeline in its plain form: one exact Fraction key per item
-# for every sort, a re-sort per path, and a Fraction sum per funding weight,
-# where procedure_pe sorts on integer ranks and sums weights as integers. Only
-# decompose_paths, PathPlacement and commit are shared with the code under test
+# for every sort, a re-sort per path, a Fraction sum per funding weight and a
+# fresh decomposition every iteration, where procedure_pe sorts on integer
+# ranks, sums weights as integers and decomposes again only once a residual
+# reached 0. Only PathPlacement and commit are shared with the code under test
 # (and solve_mkp, in pack_mkp_reference's exact mode).
 
 
@@ -509,16 +600,15 @@ def pack_mkp_reference(paths, requests, mode="greedy"):
 
 
 def procedure_pe_reference(net, requests):
-    """Decompose, first-fit the pending requests in item_order_key order,
-    place each path's items left to right in that order, fund greedily by
-    revenue over mdkp_weight_reference, commit; repeat until an iteration
-    embeds nothing. Mutates `net`; returns the accepted batch."""
-    from pcvne.path_embedding import decompose_paths
-
+    """Decompose (decompose_paths_reference), first-fit the pending requests
+    in item_order_key order, place each path's items left to right in that
+    order, fund greedily by revenue over mdkp_weight_reference, commit; repeat
+    until an iteration embeds nothing. Mutates `net`; returns the accepted
+    batch."""
     batch = EmbeddingBatch()
     pending = list(requests)
     while pending:
-        paths = decompose_paths(net)
+        paths = decompose_paths_reference(net)
         if not paths:
             break
         placements = pack_mkp_reference(paths, pending)

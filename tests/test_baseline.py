@@ -208,19 +208,36 @@ class TestMatchesReference:
         g = random_connected_graph(rng, rng.randint(2, 10))
         net = graph_net(g)
         allowed = {e for e in g.edges if rng.random() < rng.choice((0.4, 0.7, 1.0))}
+        for k in net.edges:
+            if k not in allowed:
+                net.residual_bw[k] = 0
 
         def usable(k):
             return k in allowed
 
         src, dst = rng.choice(g.nodes), rng.choice(g.nodes)
-        got = baseline._shortest_feasible_path(net, src, dst, usable)
+        got = baseline._shortest_feasible_path(net, src, dst, 1, {})
         assert got == shortest_feasible_path_reference(net, src, dst, usable)
+
+        # claims of earlier VLs of the same request come off the residuals
+        pending = {k: rng.randint(1, 100) for k in net.edges if rng.random() < 0.5}
+        demand = rng.randint(1, 60)
+
+        def claimed(k):
+            return net.residual_bw[k] - pending.get(k, 0) >= demand
+
+        got = baseline._shortest_feasible_path(net, src, dst, demand, pending)
+        assert got == shortest_feasible_path_reference(net, src, dst, claimed)
 
     def test_unreachable_source_has_no_route(self):
         net = path_net(4)
         cut = (1, 2)
-        assert baseline._shortest_feasible_path(net, 0, 3, lambda k: k != cut) is None
-        assert shortest_feasible_path_reference(net, 0, 3, lambda k: k != cut) is None
+        net.residual_bw[cut] = 0
+        assert baseline._shortest_feasible_path(net, 0, 3, 1, {}) is None
+        assert shortest_feasible_path_reference(net, 0, 3, lambda k: net.residual_bw[k] >= 1) is None
+        net = path_net(4)
+        assert baseline._shortest_feasible_path(net, 0, 3, 1, {cut: 100}) is None
+        assert baseline._shortest_feasible_path(net, 0, 3, 1, {cut: 99}) == [(0, 1), (1, 2), (2, 3)]
 
     def test_scores_once_per_batch(self, monkeypatch):
         calls = []

@@ -18,10 +18,16 @@ from conftest import (
     random_connected_graph,
     uniform_path_request,
 )
-from oracles import first_fit_paths, mkp_best_profit, pack_mkp_reference, procedure_pe_reference
+from oracles import (
+    decompose_paths_reference,
+    first_fit_paths,
+    mkp_best_profit,
+    pack_mkp_reference,
+    procedure_pe_reference,
+)
 from pcvne.generators import RequestSpec, SubstrateSpec, gen_requests, gen_substrate
-from pcvne.knapsack import EXACT_ITEM_LIMIT, KpItem, solve_kp_dp
-from pcvne.model import ModelError, edge_key, validate_embedding
+from pcvne.knapsack import EXACT_ITEM_LIMIT, KpItem, MdkpInstance, solve_kp_dp, solve_mdkp
+from pcvne.model import ModelError, commit, edge_key, validate_embedding
 from pcvne.path_embedding import (
     PathPlacement,
     SubstratePath,
@@ -83,6 +89,23 @@ class TestDecompose:
                 seen.add(e)
         assert seen == set(net.edges)
         assert len(paths) <= len(net.edges)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 10 ** 6))
+    def test_property_matches_reference(self, seed):
+        # the heap of roots, the sweep folded into the DFS and the unsorted
+        # tree lists must give the paths of the plain scan-and-two-sweeps form,
+        # also once exhausted SNs and SLs leave holes in the usable subgraph
+        rng = random.Random(seed)
+        g = random_connected_graph(rng, rng.randint(1, 12))
+        net = graph_net(g)
+        for v in net.nodes:
+            if rng.random() < 0.15:
+                net.residual_cpu[v] = 0
+        for k in net.edges:
+            if rng.random() < 0.25:
+                net.residual_bw[k] = 0
+        assert decompose_paths(net) == decompose_paths_reference(net)
 
 
 class TestPackMkp:
@@ -399,3 +422,116 @@ def test_embed_paths_golden_output_is_unchanged(tmp_path):
     data = root / "tests" / "data"
     assert proc.stdout == (data / "embed_paths.out").read_bytes()
     assert trace.read_bytes() == (data / "embed_paths_trace.jsonl").read_bytes()
+
+
+def _pipeline_events(monkeypatch, net, reqs):
+    """Run procedure_pe and log its stages as one string: D per decomposition,
+    P per packing, and per commit X if it drove a residual of one of its SNs
+    or SLs to 0, else C. Returns (log, batch, trace)."""
+    log = []
+    decompose, pack = path_embedding.decompose_paths, path_embedding.pack_mkp
+
+    def logging_decompose(net):
+        log.append("D")
+        return decompose(net)
+
+    def logging_pack(*args, **kwargs):
+        log.append("P")
+        return pack(*args, **kwargs)
+
+    def logging_commit(net, req, emb):
+        commit(net, req, emb)
+        exhausted = (any(net.residual_cpu[sn] == 0 for sn in emb.node_map.values())
+                     or any(net.residual_bw[edge_key(*e)] == 0 for sls in emb.link_map.values() for e in sls))
+        log.append("X" if exhausted else "C")
+
+    monkeypatch.setattr(path_embedding, "decompose_paths", logging_decompose)
+    monkeypatch.setattr(path_embedding, "pack_mkp", logging_pack)
+    monkeypatch.setattr(path_embedding, "commit", logging_commit)
+    trace = []
+    batch = procedure_pe(net, reqs, trace=trace)
+    return "".join(log), batch, trace
+
+
+def _assert_decomposes_only_after_exhaustion(log, batch, reqs, trace):
+    # one decomposition up front, then one after each iteration whose commits
+    # drove a residual to 0, unless that iteration funded the last request
+    first, *iterations = log.split("P")
+    assert first == "D"
+    for i, events in enumerate(iterations):
+        commits = events.rstrip("D")
+        assert set(commits) <= {"C", "X"} and len(events) - len(commits) <= 1
+        more = i < len(iterations) - 1 or len(batch) < len(reqs)
+        assert events.endswith("D") == ("X" in commits and more), log
+    assert len(trace) == len(iterations)  # one --trace record per iteration
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10 ** 6))
+def test_property_decomposes_only_after_a_residual_reached_zero(seed):
+    net, reqs = _random_pipeline_instance(random.Random(seed))
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        log, batch, trace = _pipeline_events(monkeypatch, net, reqs)
+    _assert_decomposes_only_after_exhaustion(log, batch, reqs, trace)
+
+
+def test_decomposition_is_reused_at_benchmark_scale(monkeypatch):
+    # 30 nodes, 150 links, 100 path requests: most iterations exhaust nothing
+    rng = random.Random(7)
+    net = gen_substrate(SubstrateSpec(n_nodes=30, n_edges=150), rng.randrange(2 ** 31))
+    reqs = gen_requests(RequestSpec(shape="path", count=100), rng.randrange(2 ** 31))
+    ref = procedure_pe_reference(net.copy(), reqs)
+    log, batch, trace = _pipeline_events(monkeypatch, net, reqs)
+    _assert_decomposes_only_after_exhaustion(log, batch, reqs, trace)
+    assert 1 < log.count("D") < log.count("P")
+    assert batch.accepted_ids() == ref.accepted_ids()
+
+
+def test_exhausted_link_forces_a_new_decomposition(monkeypatch):
+    # 0-1-2-3-4, CPU 3 everywhere, BW 1 on 0-1 and 2 elsewhere. Iteration 1
+    # packs A on 0..2 and B on 2..4; SN 2 funds only A, whose BW 1 on 0-1
+    # exhausts that SL. Iteration 2 must decompose 1-2-3-4 afresh, where B
+    # fits at 1..3; on the stale path 0..4 it would land on the dead SL 0-1.
+    bw = {edge_key(i, i + 1): 2 for i in range(4)}
+    bw[edge_key(0, 1)] = 1
+    net = make_net(list(range(5)), list(bw), 3, bw)
+    a = make_path_request("a", [1, 1, 2], [1, 1], revenue=2)
+    b = make_path_request("b", [2, 1, 1], [1, 1], revenue=1)
+    ref_net = net.copy()
+    ref = procedure_pe_reference(ref_net, [a, b])
+    log, batch, trace = _pipeline_events(monkeypatch, net, [a, b])
+    assert log == "DPXDPX"
+    assert [rec["paths"] for rec in trace] == [[[0, 1, 2, 3, 4]], [[1, 2, 3, 4]]]
+    assert batch.accepted_ids() == ref.accepted_ids() == ["a", "b"]
+    assert [emb.node_map for _req, emb in batch.items] == [emb.node_map for _req, emb in ref.items]
+    assert net.residual_cpu == ref_net.residual_cpu and net.residual_bw == ref_net.residual_bw
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10 ** 6))
+def test_property_trusted_funding_instance_equals_the_checked_one(seed):
+    # assign_mdkp skips the constructor's checks; the instance it builds must
+    # be the one the checked constructor makes of the same input, and solve alike
+    net, reqs = _random_pipeline_instance(random.Random(seed))
+    seen, checked = [], []
+    post_init = MdkpInstance.__post_init__
+
+    def capturing(inst, mode="greedy"):
+        seen.append(inst)
+        return solve_mdkp(inst, mode=mode)
+
+    def counting(self):
+        checked.append(self)
+        post_init(self)
+
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(path_embedding, "solve_mdkp", capturing)
+        monkeypatch.setattr(MdkpInstance, "__post_init__", counting)
+        procedure_pe(net, reqs)
+    assert seen and not checked
+    for inst in seen:
+        public = MdkpInstance(inst.capacities, inst.items)
+        assert type(inst) is MdkpInstance and inst == public
+        modes = ["greedy", "exact"] if len(inst.items) <= EXACT_ITEM_LIMIT else ["greedy"]
+        for mode in modes:
+            assert solve_mdkp(inst, mode=mode) == solve_mdkp(public, mode=mode)
