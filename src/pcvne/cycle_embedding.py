@@ -3,19 +3,20 @@
 Per feasible anchor node and direction, the embeddings are the cycles through
 the anchor of a layered digraph: one layer of feasible hosts per virtual
 node, arcs along bandwidth-feasible ring segments, weight = bandwidth. The
-digraph stays implicit: one sweep per layer with parent pointers finds the
-minimum weight cycle in O(n·m) for n virtual nodes on an m-node ring, and
-arcs are built only for `--dump-wdag` and inspection. Ties go to the
-lexicographically smallest host sequence, then to the first strictly
-cheapest over anchors in sorted order and directions, "+" before "-".
-The scan stops at the cost floor and at once when an SL cannot carry min d.
+digraph stays implicit: `feasible_sets` reads the residuals once per request
+into host and bad-SL masks in ring order, and one sweep per layer with parent
+pointers finds the minimum weight cycle in O(n·m) for n virtual nodes on an
+m-node ring. `Wdag.to_json` is the one explicit view, for `--dump-wdag` and
+inspection. Ties go to the lexicographically smallest host sequence, then to
+the first strictly cheapest over anchors in sorted order and directions, "+"
+before "-". The scan stops at the cost floor and at once when an SL cannot
+carry min d.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import accumulate
 
 from .model import (
@@ -78,24 +79,16 @@ class CycleView:
         return edges
 
 
-@dataclass
-class FeasibleSets:
-    """Per-VN feasible host SNs and per-VL feasible SLs, from residuals."""
-
-    vn_sets: list   # list of sets of SNs, one per VN in request order
-    vl_sets: list   # list of sets of SL keys, one per VL in request order
-
-
-def feasible_sets(net, req):
-    vn_sets = [
-        {v for v in net.nodes if net.residual_cpu[v] >= req.cpu_demand[vn]}
-        for vn in req.vns
-    ]
-    vl_sets = [
-        {k for k in net.edges if net.residual_bw[k] >= req.bw_demand[vl]}
-        for vl in req.vls
-    ]
-    return FeasibleSets(vn_sets, vl_sets)
+def feasible_sets(cycle, req):
+    """Per-VN host masks over clockwise node indices and per-VL bad-SL masks
+    over clockwise edge indices (edge i joins indices i and i+1), read from
+    the residuals once, in ring order."""
+    net, order, m = cycle.net, cycle.order, cycle.m
+    cpu = [net.residual_cpu[v] for v in order]
+    bw = [net.residual_bw[edge_key(order[i], order[(i + 1) % m])] for i in range(m)]
+    hosts = [[c >= req.cpu_demand[vn] for c in cpu] for vn in req.vns]
+    bad = [[b < req.bw_demand[vl] for b in bw] for vl in req.vls]
+    return hosts, bad
 
 
 @dataclass
@@ -109,12 +102,7 @@ class Wdag:
     n are the anchor at positions 0 and m. `bad[j][p]` marks the SL into
     position p as unable to carry VL j. A reachable layer-j vertex at t has
     an arc to each layer-(j+1) vertex at p > t with no bad SL in between,
-    weighing (p - t) * `demands[j]`.
-
-    Explicit views for dumps and inspection, built on first access:
-    `layers[j]` (hosts of layer j < n), `arcs[(j, sn)]` ((head_sn, weight,
-    hops) into layer j+1 < n), `closing[sn]` ((weight, hops) back to the
-    anchor) and `complete` (False when no cycle exists).
+    weighing (p - t) * `demands[j]`. `to_json` is the one explicit view.
     """
 
     start: object
@@ -125,34 +113,6 @@ class Wdag:
     hosts: list
     bad: list
     demands: list
-
-    @cached_property
-    def layers(self):
-        return [[self.start]] + [
-            sorted(v for v, ok in zip(self.order, mask) if ok) for mask in self.hosts[1:-1]]
-
-    @cached_property
-    def _explicit(self):
-        arcs, closing = {}, {}
-        frontier = [0]
-        for j, demand in enumerate(self.demands):
-            heads = sorted((v, p) for p, (v, ok) in enumerate(zip(self.order, self.hosts[j + 1])) if ok)
-            blocked = list(accumulate(self.bad[j]))
-            reached = set()
-            for t in frontier:
-                outs = [(v, (p - t) * demand, p - t) for v, p in heads
-                        if p > t and blocked[p] == blocked[t]]
-                if outs and j == self.n - 1:
-                    closing[self.order[t]] = outs[0][1:]
-                elif outs:
-                    arcs[(j, self.order[t])] = outs
-                    reached.update(t + hops for _v, _w, hops in outs)
-            frontier = reached
-        return arcs, closing
-
-    arcs = property(lambda self: self._explicit[0])
-    closing = property(lambda self: self._explicit[1])
-    complete = property(lambda self: bool(self._explicit[1]))
 
     def arc_count(self):
         """Arcs plus closing arcs, counted by one sweep per layer: a head
@@ -173,23 +133,34 @@ class Wdag:
             tails = reached
         return total
 
-    def max_layer_size(self):
-        return max((len(l) for l in self.layers), default=0)
-
     def to_json(self):
+        """`layers` (hosts of layers 0..n-1), `arcs` into layers 1..n-1 and
+        `closing` arcs back to the anchor, each with `weight` and `hops`, out
+        of the tails reached from the anchor only. Tails go by layer, then by
+        repr of their SN; heads by SN."""
+        order = self.order
+        arcs, closing = [], []
+        frontier = [0]
+        for j, demand in enumerate(self.demands):
+            heads = sorted((v, p) for p, (v, ok) in enumerate(zip(order, self.hosts[j + 1])) if ok)
+            blocked = list(accumulate(self.bad[j]))
+            reached = set()
+            for t in sorted(frontier, key=lambda t: repr(order[t])):
+                for v, p in heads:
+                    if p > t and blocked[p] == blocked[t]:
+                        last = j == self.n - 1
+                        (closing if last else arcs).append(
+                            {"tail": [j, order[t]], "head": [0 if last else j + 1, v],
+                             "weight": str((p - t) * demand), "hops": p - t})
+                        reached.add(p)
+            frontier = reached
         return {
             "start": self.start,
             "direction": self.direction,
-            "layers": [list(l) for l in self.layers],
-            "arcs": [
-                {"tail": [j, sn], "head": [j + 1, head], "weight": str(w), "hops": h}
-                for (j, sn), outs in sorted(self.arcs.items(), key=lambda kv: (kv[0][0], repr(kv[0][1])))
-                for head, w, h in outs
-            ],
-            "closing": [
-                {"tail": [self.n - 1, sn], "head": [0, self.start], "weight": str(w), "hops": h}
-                for sn, (w, h) in sorted(self.closing.items(), key=lambda kv: repr(kv[0]))
-            ],
+            "layers": [[self.start]] + [sorted(v for v, ok in zip(order, mask) if ok)
+                                        for mask in self.hosts[1:-1]],
+            "arcs": arcs,
+            "closing": closing,
         }
 
 
@@ -200,31 +171,19 @@ def _anchored(seq, s, direction):
     return seq[s::-1] + seq[:s:-1]
 
 
-def _clockwise_masks(cycle, fs):
-    """Per-VN host masks over clockwise node indices and per-VL bad-SL masks
-    over clockwise edge indices (edge i joins indices i and i+1)."""
-    order, m = cycle.order, cycle.m
-    edges = [edge_key(order[i], order[(i + 1) % m]) for i in range(m)]
-    hosts = [[v in ok for v in order] for ok in fs.vn_sets]
-    bad = [[e not in ok for e in edges] for ok in fs.vl_sets]
-    return hosts, bad
-
-
-def build_wdag(cycle, req, start, direction, fs=None, masks=None):
+def build_wdag(cycle, req, start, direction, masks=None):
     """The layered digraph for `req` anchored at `start`, as a Wdag snapshot
     of the residual feasibility in ring order from the anchor. O(n·m): the
-    arcs stay implicit. `fs` and `masks` let a caller that builds many
-    graphs for one request compute them once.
+    arcs stay implicit. `masks`, the `feasible_sets` of `req`, lets a caller
+    that builds many graphs for one request compute them once.
     """
     if req.shape is not Shape.CYCLE:
         raise ModelError("request is not a cycle")
-    if fs is None:
-        fs = feasible_sets(cycle.net, req)
-    if start not in fs.vn_sets[0]:
+    hosts, bad = masks or feasible_sets(cycle, req)
+    s = cycle.index.get(start)
+    if s is None or not hosts[0][s]:
         raise ModelError(f"start {start!r} is not feasible for the first VN")
-    hosts, bad = masks or _clockwise_masks(cycle, fs)
     m = cycle.m
-    s = cycle.index[start]
     # the SL into position p is clockwise edge s+p-1 going "+", s-p going "-"
     e = s if direction == CLOCKWISE else (s - 1) % m
     anchor = [True] + [False] * m
@@ -340,12 +299,11 @@ def c2ce(net, req, collect=None, cycle=None):
     if collect is None and any(net.residual_bw[k] < least for k in net.edges):
         return None
     floor = sum(req.bw_demand.values()) + (cycle.m - req.n_vns) * least
-    fs = feasible_sets(net, req)
-    masks = _clockwise_masks(cycle, fs)
+    masks = feasible_sets(cycle, req)
     best = None
-    for start in sorted(fs.vn_sets[0]):
+    for start in sorted(v for v, ok in zip(cycle.order, masks[0][0]) if ok):
         for direction in DIRECTIONS:
-            w = build_wdag(cycle, req, start, direction, fs=fs, masks=masks)
+            w = build_wdag(cycle, req, start, direction, masks=masks)
             if collect is not None:
                 collect(w)
             found = min_weight_cycle(w)

@@ -144,15 +144,7 @@ def run_experiment(cfg, measure_time=True):
 
 
 def _fmt(x):
-    if isinstance(x, bool):
-        return str(x)
-    if isinstance(x, int):
-        return str(x)
-    if isinstance(x, Fraction):
-        return repr(float(x))
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
+    return repr(float(x)) if isinstance(x, Fraction) else str(x)
 
 
 CSV_COLUMNS = ("trial", "algorithm", "acceptance_ratio", "revenue", "wall_ms")

@@ -241,11 +241,6 @@ class Embedding:
     node_map: dict
     link_map: dict
 
-    def used_edges(self):
-        for path in self.link_map.values():
-            for e in path:
-                yield e
-
 
 @dataclass(frozen=True)
 class Violation:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 
 from .cycle_embedding import (
     ANTICLOCKWISE,
@@ -398,17 +399,11 @@ def brute_force_simplex_cycle(net, req, m_cap=8, n_cap=5):
               if net.residual_cpu[v] >= req.cpu_demand[req.vns[0]]]
     for start in starts:
         for direction in (CLOCKWISE, ANTICLOCKWISE):
-            examined += _count_tableaux(cycle.m, req.n_vns)
+            examined += comb(cycle.m - 1, req.n_vns - 1)
             for hosts, cost in enumerate_simplex_embeddings(net, req, start, direction):
                 if best is None or cost < best[1]:
                     best = (_simplex_from_hosts(cycle, req, start, direction, list(hosts)), cost)
     return best, examined
-
-
-def _count_tableaux(m, n):
-    from math import comb
-
-    return comb(m - 1, n - 1)
 
 
 def brute_force_max_accepted(net, requests):

@@ -52,6 +52,12 @@ def make_cycle_request(req_id, demands_cpu, demands_bw, revenue=1):
     )
 
 
+def mask_hosts(cycle, mask):
+    """The SNs that a `feasible_sets` host mask (clockwise node indices of
+    `cycle`) marks feasible, sorted."""
+    return sorted(v for v, ok in zip(cycle.order, mask) if ok)
+
+
 def uniform_path_request(req_id, length, revenue=1):
     return make_path_request(req_id, [1] * (length + 1), [1] * length, revenue)
 

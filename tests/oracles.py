@@ -10,7 +10,7 @@ from collections import deque
 from fractions import Fraction
 from itertools import combinations
 
-from pcvne.model import Embedding, EmbeddingBatch, commit, edge_key
+from pcvne.model import Embedding, EmbeddingBatch, as_quantity, commit, edge_key
 
 
 def kp_best_profit(capacity, items):
@@ -203,15 +203,22 @@ def independent_arcs(net, req, start, direction):
 
 def wdag_all_cycles(w):
     """Every directed cycle through the anchor of a layered digraph, by plain
-    depth-first traversal of its arcs. Returns [(host tuple, total weight)]."""
+    depth-first traversal of the arcs in its `to_json` dump. Returns [(host
+    tuple, total weight)]."""
+    dump = w.to_json()
+    arcs, closing = {}, {}
+    for arc in dump["arcs"]:
+        arcs.setdefault(tuple(arc["tail"]), []).append((arc["head"][1], as_quantity(arc["weight"])))
+    for arc in dump["closing"]:
+        closing[arc["tail"][1]] = as_quantity(arc["weight"])
     out = []
 
     def walk(j, tail, path, cost):
         if j == w.n - 1:
-            if tail in w.closing:
-                out.append((tuple(path), cost + w.closing[tail][0]))
+            if tail in closing:
+                out.append((tuple(path), cost + closing[tail]))
             return
-        for head, weight, _h in w.arcs.get((j, tail), ()):
+        for head, weight in arcs.get((j, tail), ()):
             path.append(head)
             walk(j + 1, head, path, cost + weight)
             path.pop()
@@ -415,8 +422,8 @@ def generic_batch_reference(net, requests, smooth=False):
 
 # The ring solver as it was before it stopped at the cost floor and rejected
 # requests that some SL cannot carry: every feasible anchor crossed with both
-# directions, the strictly cheapest kept. Kept verbatim as the reference that
-# the pruned scan must match embedding for embedding.
+# directions, the strictly cheapest kept. Kept, on the current mask API, as
+# the reference that the pruned scan must match embedding for embedding.
 
 
 def c2ce_reference(net, req):
@@ -425,7 +432,6 @@ def c2ce_reference(net, req):
     from pcvne.cycle_embedding import (
         DIRECTIONS,
         CycleView,
-        _clockwise_masks,
         _simplex_from_hosts,
         build_wdag,
         feasible_sets,
@@ -433,12 +439,11 @@ def c2ce_reference(net, req):
     )
 
     cycle = CycleView(net)
-    fs = feasible_sets(net, req)
-    masks = _clockwise_masks(cycle, fs)
+    masks = feasible_sets(cycle, req)
     best = None
-    for start in sorted(fs.vn_sets[0]):
+    for start in sorted(v for v, ok in zip(cycle.order, masks[0][0]) if ok):
         for direction in DIRECTIONS:
-            w = build_wdag(cycle, req, start, direction, fs=fs, masks=masks)
+            w = build_wdag(cycle, req, start, direction, masks=masks)
             found = min_weight_cycle(w)
             if found is None:
                 continue

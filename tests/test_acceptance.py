@@ -13,6 +13,7 @@ from conftest import (
     atlas_connected,
     make_cycle_request,
     make_net,
+    mask_hosts,
     path_net,
     random_connected_graph,
     random_ring_instance,
@@ -80,10 +81,10 @@ def fig_ring_instance():
 
 def per_direction_minimum(net, req, direction):
     cycle = CycleView(net)
-    fs = feasible_sets(net, req)
+    masks = feasible_sets(cycle, req)
     best = None
-    for start in sorted(fs.vn_sets[0]):
-        found = min_weight_cycle(build_wdag(cycle, req, start, direction, fs=fs))
+    for start in mask_hosts(cycle, masks[0][0]):
+        found = min_weight_cycle(build_wdag(cycle, req, start, direction, masks=masks))
         if found and (best is None or found[1] < best):
             best = found[1]
     return best
@@ -136,10 +137,10 @@ def test_criterion_03_cycle_embedding_bijection():
             cpu_range=(1, 6), bw_range=(1, 6))
         instances += 1
         cycle = CycleView(net)
-        fs = feasible_sets(net, req)
-        for start in sorted(fs.vn_sets[0]):
+        masks = feasible_sets(cycle, req)
+        for start in mask_hosts(cycle, masks[0][0]):
             for direction in (CLOCKWISE, ANTICLOCKWISE):
-                w = build_wdag(cycle, req, start, direction, fs=fs)
+                w = build_wdag(cycle, req, start, direction, masks=masks)
                 enumerated = wdag_all_cycles(w)
                 # every directed cycle maps to a feasible embedding of equal cost
                 mapped = set()
@@ -168,13 +169,13 @@ def test_criterion_04_wdag_bounds():
     graphs = 0
     for net, req in nets:
         cycle = CycleView(net)
-        fs = feasible_sets(net, req)
+        masks = feasible_sets(cycle, req)
         m, n = cycle.m, req.n_vns
-        for start in sorted(fs.vn_sets[0]):
+        for start in mask_hosts(cycle, masks[0][0]):
             for direction in (CLOCKWISE, ANTICLOCKWISE):
-                w = build_wdag(cycle, req, start, direction, fs=fs)
+                w = build_wdag(cycle, req, start, direction, masks=masks)
                 graphs += 1
-                assert w.max_layer_size() <= m
+                assert max(map(len, w.to_json()["layers"])) <= m
                 assert w.arc_count() <= m * m * n
     assert graphs > 100
     report(4, f"{graphs} layered graphs within layer<=m and arcs<=m^2*n")
@@ -385,11 +386,12 @@ def test_criterion_11_reduction_generators():
         items = [(j, 1, (rng.randint(1, caps[0]), rng.randint(1, caps[1])))
                  for j in range(n)]
         red = gen_ddkp_reduction(MdkpInstance(caps, items))
+        cycle = CycleView(red.net)
         for req in red.requests:
-            fs = feasible_sets(red.net, req)
+            hosts, _bad = feasible_sets(cycle, req)
             for orig_dim, ring_pos in red.dim_position.items():
                 if orig_dim >= 1:  # the second original dimension and beyond
-                    assert fs.vn_sets[ring_pos] == {red.net.nodes[ring_pos]}
+                    assert mask_hosts(cycle, hosts[ring_pos]) == [red.net.nodes[ring_pos]]
         expected = cardinality_ddkp_optimum(caps, [s for _j, _p, s in items])
         assert brute_force_max_accepted(red.net, red.requests) == expected
         checked_equal += 1

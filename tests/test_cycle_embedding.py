@@ -14,6 +14,7 @@ from conftest import (
     make_cycle_request,
     make_net,
     make_path_request,
+    mask_hosts,
     path_net,
     random_ring_instance,
     ring_net,
@@ -36,15 +37,15 @@ from pcvne.cycle_embedding import (
     greedy_revenue,
     min_weight_cycle,
 )
-from pcvne.model import ModelError, commit, edge_key, validate_embedding
+from pcvne.model import ModelError, as_quantity, commit, edge_key, validate_embedding
 
 
 def per_direction_minimum(net, req, direction):
     cycle = CycleView(net)
-    fs = feasible_sets(net, req)
+    masks = feasible_sets(cycle, req)
     best = None
-    for start in sorted(fs.vn_sets[0]):
-        w = build_wdag(cycle, req, start, direction, fs=fs)
+    for start in mask_hosts(cycle, masks[0][0]):
+        w = build_wdag(cycle, req, start, direction, masks=masks)
         found = min_weight_cycle(w)
         if found and (best is None or found[1] < best):
             best = found[1]
@@ -85,7 +86,7 @@ class TestBuildWdag:
         req = make_cycle_request("r", [1, 9, 1], [1, 1, 1])  # second VN infeasible anywhere
         cycle = CycleView(net)
         w = build_wdag(cycle, req, 0, CLOCKWISE)
-        assert not w.complete
+        assert not w.to_json()["closing"]
         assert min_weight_cycle(w) is None
 
     def test_arcs_match_independent_checker(self):
@@ -93,18 +94,16 @@ class TestBuildWdag:
         for _ in range(30):
             net, req = random_ring_instance(rng, m_range=(7, 7), n_range=(4, 4))
             cycle = CycleView(net)
-            fs = feasible_sets(net, req)
-            if not fs.vn_sets[0]:
-                continue
-            for start in sorted(fs.vn_sets[0]):
+            masks = feasible_sets(cycle, req)
+            for start in mask_hosts(cycle, masks[0][0]):
                 for direction in (CLOCKWISE, ANTICLOCKWISE):
-                    w = build_wdag(cycle, req, start, direction, fs=fs)
+                    w = build_wdag(cycle, req, start, direction, masks=masks)
+                    dump = w.to_json()
                     got = {}
-                    for (j, tail), outs in w.arcs.items():
-                        for head, weight, _h in outs:
-                            got[(j, tail, head)] = weight
-                    for tail, (weight, _h) in w.closing.items():
-                        got[(req.n_vns - 1, tail, start)] = weight
+                    for arc in dump["arcs"]:
+                        got[(arc["tail"][0], arc["tail"][1], arc["head"][1])] = as_quantity(arc["weight"])
+                    for arc in dump["closing"]:
+                        got[(req.n_vns - 1, arc["tail"][1], start)] = as_quantity(arc["weight"])
                     assert got == independent_arcs(net, req, start, direction)
 
     def test_layer_and_arc_bounds(self):
@@ -112,16 +111,29 @@ class TestBuildWdag:
         for _ in range(40):
             net, req = random_ring_instance(rng)
             cycle = CycleView(net)
-            fs = feasible_sets(net, req)
-            for start in sorted(fs.vn_sets[0]):
+            masks = feasible_sets(cycle, req)
+            for start in mask_hosts(cycle, masks[0][0]):
                 for direction in (CLOCKWISE, ANTICLOCKWISE):
-                    w = build_wdag(cycle, req, start, direction, fs=fs)
-                    assert w.max_layer_size() <= cycle.m
+                    w = build_wdag(cycle, req, start, direction, masks=masks)
+                    assert max(map(len, w.to_json()["layers"])) <= cycle.m
                     assert w.arc_count() <= cycle.m ** 2 * req.n_vns
 
+    def test_dump_order(self):
+        # tails by layer, then by repr of their SN (so 10 comes before 2 on
+        # a 12-node ring), heads by SN: the order of every existing dump
+        net = ring_net(12)
+        req = make_cycle_request("r", [1, 1, 1], [1, 1, 1])
+        for direction in (CLOCKWISE, ANTICLOCKWISE):
+            dump = build_wdag(CycleView(net), req, 0, direction).to_json()
+            for kind in ("arcs", "closing"):
+                keys = [(a["tail"][0], repr(a["tail"][1]), a["head"][1]) for a in dump[kind]]
+                assert keys == sorted(keys) and len(set(keys)) == len(keys)
+            tails = [a["tail"][1] for a in dump["closing"]]
+            assert tails.index(10) < tails.index(2)
+
     def test_graph_is_a_snapshot(self, fig_ring):
-        # the explicit views are built lazily, but from the residuals at
-        # build time: later commits must not leak into a dump
+        # the dump is built on request, but from the residuals at build
+        # time: later commits must not leak into it
         net, req = fig_ring
         fresh = build_wdag(CycleView(net.copy()), req, 0, CLOCKWISE).to_json()
         w = build_wdag(CycleView(net), req, 0, CLOCKWISE)
@@ -135,6 +147,10 @@ class TestBuildWdag:
         req = make_cycle_request("r", [2, 1, 1], [1, 1, 1])
         with pytest.raises(ModelError):
             build_wdag(CycleView(net), req, 0, CLOCKWISE)
+        # a start that is not on the ring at all is refused the same way
+        req = make_cycle_request("r", [1, 1, 1], [1, 1, 1])
+        with pytest.raises(ModelError, match="not feasible"):
+            build_wdag(CycleView(net), req, 99, CLOCKWISE)
 
 
 class TestMinWeightCycle:
@@ -155,13 +171,14 @@ class TestMinWeightCycle:
         for _ in range(60):
             net, req = random_ring_instance(rng)
             cycle = CycleView(net)
-            fs = feasible_sets(net, req)
-            for start in sorted(fs.vn_sets[0]):
+            masks = feasible_sets(cycle, req)
+            for start in mask_hosts(cycle, masks[0][0]):
                 for direction in (CLOCKWISE, ANTICLOCKWISE):
-                    w = build_wdag(cycle, req, start, direction, fs=fs)
+                    w = build_wdag(cycle, req, start, direction, masks=masks)
                     all_cycles = wdag_all_cycles(w)
                     found = min_weight_cycle(w)
-                    assert w.arc_count() == sum(map(len, w.arcs.values())) + len(w.closing)
+                    dump = w.to_json()
+                    assert w.arc_count() == len(dump["arcs"]) + len(dump["closing"])
                     if not all_cycles:
                         assert found is None
                     else:
@@ -515,3 +532,21 @@ def test_ring_demo_output_is_unchanged():
     proc = subprocess.run([sys.executable, str(root / "scripts" / "ring_demo.py")],
                           capture_output=True, check=True, env=dict(os.environ, PYTHONPATH=path))
     assert proc.stdout == (root / "tests" / "data" / "ring_demo.out").read_bytes()
+
+
+def test_embed_cycles_dump_is_unchanged(tmp_path):
+    # every layered digraph of a 6-node ring with 4 cycle requests (the dump
+    # forces the full anchor scan) pins the one explicit view: layers, arcs
+    # and closing arcs with their weights, hops and order
+    root = Path(__file__).resolve().parent.parent
+    path = os.pathsep.join(filter(None, (str(root / "src"), os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONPATH=path)
+    cli = [sys.executable, "-m", "pcvne.cli"]
+    inst, dump = tmp_path / "inst.json", tmp_path / "wdag.json"
+    subprocess.run([*cli, "generate", "--nodes", "6", "--topology", "cycle", "--cpu-capacity", "10",
+                    "--bw-capacity", "10", "--shape", "cycle", "--count", "4", "--length-min", "3",
+                    "--length-max", "4", "--revenue", "proportional", "--seed", "3", "--out", str(inst)],
+                   check=True, env=env)
+    subprocess.run([*cli, "embed-cycles", "--instance", str(inst), "--dump-wdag", str(dump)],
+                   capture_output=True, check=True, env=env)
+    assert dump.read_bytes() == (root / "tests" / "data" / "embed_cycles_dump.json").read_bytes()

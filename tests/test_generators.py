@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from conftest import mask_hosts
 from oracles import cardinality_ddkp_optimum
 from pcvne.generators import (
     RequestSpec,
@@ -145,13 +146,14 @@ class TestDdkpReduction:
             items = [(j, 1, (rng.randint(1, caps[0]), rng.randint(1, caps[1])))
                      for j in range(n)]
             red = gen_ddkp_reduction(MdkpInstance(caps, items))
-            from pcvne.cycle_embedding import feasible_sets
+            from pcvne.cycle_embedding import CycleView, feasible_sets
 
+            cycle = CycleView(red.net)
             for req in red.requests:
-                fs = feasible_sets(red.net, req)
+                hosts, _bad = feasible_sets(cycle, req)
                 # original dimension 2 sits at its mapped ring node, alone
                 pos = red.dim_position[1]
-                assert fs.vn_sets[pos] == {pos}
+                assert mask_hosts(cycle, hosts[pos]) == [pos]
 
     def test_identity_assignment_forced_jointly(self):
         # with three or more dimensions the later ring nodes stay CPU-feasible
