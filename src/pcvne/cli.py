@@ -108,12 +108,11 @@ def cmd_embed_cycles(args):
         if r.shape is not Shape.CYCLE:
             raise ModelError(f"request {r.req_id!r} is not a cycle; embed-cycles handles cycle requests only")
     with _open_out(args.out) as out, _open_out(args.dump_wdag) as dump_fp:
-        dumps = []
-        collect = (lambda w: dumps.append(w.to_json())) if dump_fp else None
+        trace = [] if dump_fp else None
         fallback = None if args.no_fallback else generic_embed
-        batch = greedy_revenue(net, requests, fallback=fallback, collect=collect)
+        batch = greedy_revenue(net, requests, fallback=fallback, trace=trace)
         if dump_fp:
-            json.dump(dumps, dump_fp, indent=2)
+            json.dump([g for rec in trace for g in rec], dump_fp, indent=2)
             dump_fp.write("\n")
         _emit_batch(out, "gr", batch, len(requests))
 

@@ -6,11 +6,12 @@ node, arcs along bandwidth-feasible ring segments, weight = bandwidth. The
 digraph stays implicit: `feasible_sets` reads the residuals once per request
 into host and bad-SL masks in ring order, and one sweep per layer with parent
 pointers finds the minimum weight cycle in O(n·m) for n virtual nodes on an
-m-node ring. `Wdag.to_json` is the one explicit view, for `--dump-wdag` and
-inspection. Ties go to the lexicographically smallest host sequence, then to
-the first strictly cheapest over anchors in sorted order and directions, "+"
-before "-". The scan stops at the cost floor and at once when an SL cannot
-carry min d.
+m-node ring. `wdags` is the one enumeration of the digraphs, built lazily,
+and `Wdag.to_json` the one explicit view, for `--dump-wdag` and inspection.
+Ties go to the lexicographically smallest host sequence, then to the first
+strictly cheapest over anchors in sorted order and directions, "+" before
+"-". `c2ce` stops at the cost floor and at once when an SL cannot carry
+min d; the dump takes its own full scan beside the solve.
 """
 
 from __future__ import annotations
@@ -58,25 +59,6 @@ class CycleView:
         self.order = order
         self.index = {v: i for i, v in enumerate(order)}
         self.m = len(order)
-
-    def seq_pos(self, start, direction, node):
-        """Position of `node` in the SN sequence anchored at `start` following
-        `direction` (start itself has position 0)."""
-        delta = self.index[node] - self.index[start]
-        if direction == ANTICLOCKWISE:
-            delta = -delta
-        return delta % self.m
-
-    def segment_edges(self, start_node, hops, direction):
-        """The SLs crossed by walking `hops` steps from `start_node`."""
-        i = self.index[start_node]
-        step = 1 if direction == CLOCKWISE else -1
-        edges = []
-        for t in range(hops):
-            a = self.order[(i + step * t) % self.m]
-            b = self.order[(i + step * (t + 1)) % self.m]
-            edges.append(edge_key(a, b))
-        return edges
 
 
 def feasible_sets(cycle, req):
@@ -196,6 +178,16 @@ def build_wdag(cycle, req, start, direction, masks=None):
     )
 
 
+def wdags(cycle, req, masks=None):
+    """The digraph of every feasible first-VN anchor, in sorted order, crossed
+    with DIRECTIONS, built one at a time as the caller asks for it, so a
+    caller that stops early builds no more. `masks` as for `build_wdag`."""
+    masks = masks or feasible_sets(cycle, req)
+    for start in sorted(v for v, ok in zip(cycle.order, masks[0][0]) if ok):
+        for direction in DIRECTIONS:
+            yield build_wdag(cycle, req, start, direction, masks=masks)
+
+
 def min_weight_cycle(w):
     """Minimum weight directed cycle through the anchor vertex, as (host
     list, weight), or None.
@@ -262,69 +254,66 @@ class SimplexEmbedding:
 
 
 def _simplex_from_hosts(cycle, req, start, direction, hosts):
-    segments = []
-    hops = []
-    cost = 0
-    for j in range(req.n_vns):
-        a = hosts[j]
-        b = hosts[(j + 1) % req.n_vns]
-        h = (cycle.seq_pos(start, direction, b) - cycle.seq_pos(start, direction, a)) % cycle.m
-        if h == 0:
-            h = cycle.m
-        segments.append(cycle.segment_edges(a, h, direction))
-        hops.append(h)
-        cost += h * req.bw_demand[req.vls[j]]
+    """The SimplexEmbedding of `hosts`, a cycle found anchored at `start` going
+    `direction`. Needs hosts[0] == start and ring positions strictly rising
+    from there: the ring is walked once from `start` and each segment is the
+    slice of that walk between two consecutive hosts, the last back to m."""
+    s, m = cycle.index[start], cycle.m
+    walk = _anchored(cycle.order, s, direction) + [start]
+    links = [edge_key(a, b) for a, b in zip(walk, walk[1:])]
+    sign = 1 if direction == CLOCKWISE else -1
+    pos = [sign * (cycle.index[v] - s) % m for v in hosts] + [m]
+    hops = [b - a for a, b in zip(pos, pos[1:])]
+    cost = sum(h * req.bw_demand[vl] for h, vl in zip(hops, req.vls))
     return SimplexEmbedding(start=start, direction=direction, assignment=list(hosts),
-                            segments=segments, hops=hops, cost=cost)
+                            segments=[links[a:b] for a, b in zip(pos, pos[1:])], hops=hops, cost=cost)
 
 
-def c2ce(net, req, collect=None, cycle=None):
+def c2ce(net, req, cycle=None):
     """Least-BW-cost one-direction embedding of a cycle request on a ring.
 
-    Scans every feasible anchor for the first VN crossed with both
-    directions, takes the minimum weight directed cycle of each layered
+    Scans `wdags` (every feasible anchor for the first VN crossed with both
+    directions), takes the minimum weight directed cycle of each layered
     digraph, and keeps the strictly cheapest. Returns a SimplexEmbedding or
     None when no feasible one-direction embedding exists. An embedding
     crosses every SL once with h_j >= 1 hops summing to m: it needs min d
     residual BW on each SL (else None at once), and none costs less than
-    floor = Σ d_j + (m − n)·min d, so the scan stops there. `collect`, if
-    given, receives every digraph (for the dump) and forces the full scan.
-    `cycle` is the caller's `CycleView` of `net`; when None it is built here.
+    floor = Σ d_j + (m − n)·min d, so the scan stops there. `cycle` is the
+    caller's `CycleView` of `net`; when None it is built here.
     """
     if cycle is None:
         cycle = CycleView(net)
     if req.shape is not Shape.CYCLE:
         raise ModelError("request is not a cycle")
     least = min(req.bw_demand.values())
-    if collect is None and any(net.residual_bw[k] < least for k in net.edges):
+    if any(net.residual_bw[k] < least for k in net.edges):
         return None
     floor = sum(req.bw_demand.values()) + (cycle.m - req.n_vns) * least
     masks = feasible_sets(cycle, req)
     best = None
-    for start in sorted(v for v, ok in zip(cycle.order, masks[0][0]) if ok):
-        for direction in DIRECTIONS:
-            w = build_wdag(cycle, req, start, direction, masks=masks)
-            if collect is not None:
-                collect(w)
-            found = min_weight_cycle(w)
-            if found is None:
-                continue
-            hosts, cost = found
-            if best is None or cost < best.cost:
-                best = _simplex_from_hosts(cycle, req, start, direction, hosts)
-                if cost == floor and collect is None:
-                    return best
+    for w in wdags(cycle, req, masks):
+        found = min_weight_cycle(w)
+        if found is None:
+            continue
+        hosts, cost = found
+        if best is None or cost < best.cost:
+            best = _simplex_from_hosts(cycle, req, w.start, w.direction, hosts)
+            if cost == floor:
+                return best
     return best
 
 
-def greedy_revenue(net, requests, fallback=None, collect=None):
+def greedy_revenue(net, requests, fallback=None, trace=None):
     """Embed cycle requests in descending revenue-to-demand ratio.
 
     Each request is tried once with the ring solver and committed on success.
     Requests the ring solver cannot place are afterwards offered, once each
     and in the same order, to the `fallback` generic embedder (a callable
     (net, req) -> Embedding or None). Returns the accepted batch. The ring's
-    `CycleView` is built once, before the first request.
+    `CycleView` is built once, before the first request. `trace`, if given,
+    gets one record per ring-solver request, taken before its solve: the
+    `to_json` of every digraph of the full `wdags` scan, so the solve itself
+    runs the same whether traced or not.
     """
     for req in requests:
         if req.shape is not Shape.CYCLE:
@@ -338,7 +327,9 @@ def greedy_revenue(net, requests, fallback=None, collect=None):
     leftovers = []
     cycle = CycleView(net) if ranked else None
     for req in ranked:
-        simplex = c2ce(net, req, collect=collect, cycle=cycle)
+        if trace is not None:
+            trace.append([w.to_json() for w in wdags(cycle, req)])
+        simplex = c2ce(net, req, cycle=cycle)
         if simplex is None:
             leftovers.append(req)
             continue

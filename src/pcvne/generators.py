@@ -76,7 +76,7 @@ def gen_substrate(spec, seed):
     )
 
 
-def gen_requests(spec, seed, id_offset=0):
+def gen_requests(spec, seed):
     """Deterministic request workload. Path lengths are link counts, cycle
     lengths are VN counts; demands are uniform over the demand range; the
     revenue is 1 under the "unit" rule and the VN count under "proportional"."""
@@ -108,7 +108,7 @@ def gen_requests(spec, seed, id_offset=0):
         bw = {edge_key(u, v): rng.randint(dlo, dhi) for u, v in vls}
         revenue = 1 if spec.revenue_rule == "unit" else n_vns
         requests.append(VirtualRequest(
-            req_id=id_offset + k, shape=shape, vns=vns, vls=vls,
+            req_id=k, shape=shape, vns=vns, vls=vls,
             cpu_demand=cpu, bw_demand=bw, revenue=revenue,
         ))
     return requests
@@ -117,14 +117,11 @@ def gen_requests(spec, seed, id_offset=0):
 @dataclass
 class EdpReduction:
     """Result of translating an edge-disjoint-paths instance into a substrate
-    plus path requests. Keeps the construction tables for inspection."""
+    plus path requests. Keeps the copy table for inspection."""
 
     net: SubstrateNetwork
     requests: list
-    node_order: list      # original nodes, the indexing order of the tables
     copy_of: dict         # original node -> its copy id
-    end_cpu: dict         # original node -> CPU demand its end-VNs carry
-    stem_bw: dict         # original node -> BW demand its end-VLs carry
 
 
 def gen_edp_reduction(nodes, edges, pairs):
@@ -191,10 +188,7 @@ def gen_edp_reduction(nodes, edges, pairs):
             bw_demand={(0, 1): stem_bw_demand[s], (1, 2): 1, (2, 3): stem_bw_demand[t]},
             revenue=1,
         ))
-    return EdpReduction(
-        net=net, requests=requests, node_order=order, copy_of=copy_id,
-        end_cpu=end_cpu, stem_bw=stem_bw_demand,
-    )
+    return EdpReduction(net=net, requests=requests, copy_of=copy_id)
 
 
 @dataclass
@@ -208,7 +202,6 @@ class DdkpReduction:
     net: SubstrateNetwork
     requests: list
     dim_position: dict    # original dimension index -> ring node index
-    scale: list           # per-ring-position CPU scale factor (1 for the first)
 
 
 def gen_ddkp_reduction(inst):
@@ -279,7 +272,7 @@ def gen_ddkp_reduction(inst):
             bw_demand={edge_key(u, v): 1 for u, v in vls},
             revenue=1,
         ))
-    return DdkpReduction(net=net, requests=requests, dim_position=dim_position, scale=scale)
+    return DdkpReduction(net=net, requests=requests, dim_position=dim_position)
 
 
 def cpu_link_feasible_hosts(net, req, vn):

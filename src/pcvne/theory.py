@@ -30,6 +30,13 @@ from .model import (
 )
 
 
+# size caps of the exhaustive searches
+TRAIL_NODE_CAP = 12      # has_spanning_trail, is_supereulerian
+PATH_EMBED_NODE_CAP = 8  # find_uniform_path_embedding, brute_force_path_embed
+SIMPLEX_RING_CAP = 8     # brute_force_simplex_cycle: substrate nodes
+SIMPLEX_VN_CAP = 5       # brute_force_simplex_cycle: virtual nodes
+
+
 class SizeCapExceeded(ModelError):
     """Input too large for exhaustive search; refuse instead of truncating."""
 
@@ -89,7 +96,7 @@ def uniform_net(g):
                             cpu_capacity=dict.fromkeys(g.nodes, 2), bw_capacity=dict.fromkeys(g.edges, 1))
 
 
-def has_spanning_trail(g, node_cap=12):
+def has_spanning_trail(g):
     """Does the graph contain a trail (edge-simple walk) visiting every node?
 
     Backtracking over walks from every possible start, with a reachability
@@ -97,8 +104,8 @@ def has_spanning_trail(g, node_cap=12):
     memo of failed (position, used-edge-set) states.
     """
     n = len(g.nodes)
-    if n > node_cap:
-        raise SizeCapExceeded(f"{n} nodes, cap {node_cap}")
+    if n > TRAIL_NODE_CAP:
+        raise SizeCapExceeded(f"{n} nodes, cap {TRAIL_NODE_CAP}")
     if n <= 1:
         return True
     if not g.is_connected():
@@ -142,7 +149,7 @@ def has_spanning_trail(g, node_cap=12):
     return any(extend(s, 0, frozenset([s])) for s in g.nodes)
 
 
-def is_supereulerian(g, node_cap=12):
+def is_supereulerian(g):
     """Does the graph contain a spanning connected subgraph with all degrees
     even (equivalently, a closed trail visiting every node)?
 
@@ -151,8 +158,8 @@ def is_supereulerian(g, node_cap=12):
     for covering every node and being connected.
     """
     n = len(g.nodes)
-    if n > node_cap:
-        raise SizeCapExceeded(f"{n} nodes, cap {node_cap}")
+    if n > TRAIL_NODE_CAP:
+        raise SizeCapExceeded(f"{n} nodes, cap {TRAIL_NODE_CAP}")
     if n <= 1:
         return True
     if not g.is_connected():
@@ -271,7 +278,7 @@ class UniformInstance:
         )
 
 
-def find_uniform_path_embedding(inst, node_cap=8):
+def find_uniform_path_embedding(inst):
     """Exhaustively search for an embedding of the spanning unit path request.
 
     Enumerates host orderings lazily: from the current host, try every not yet
@@ -280,8 +287,8 @@ def find_uniform_path_embedding(inst, node_cap=8):
     """
     net = inst.net
     n = len(net.nodes)
-    if n > node_cap:
-        raise SizeCapExceeded(f"{n} nodes, cap {node_cap}")
+    if n > PATH_EMBED_NODE_CAP:
+        raise SizeCapExceeded(f"{n} nodes, cap {PATH_EMBED_NODE_CAP}")
     req = inst.request
     if n == 0:
         return None
@@ -338,9 +345,9 @@ def find_uniform_path_embedding(inst, node_cap=8):
     return Embedding(req_id=req.req_id, node_map=node_map, link_map=link_map)
 
 
-def brute_force_path_embed(inst, node_cap=8):
+def brute_force_path_embed(inst):
     """Decide whether the spanning unit path request embeds at all."""
-    return find_uniform_path_embedding(inst, node_cap=node_cap) is not None
+    return find_uniform_path_embedding(inst) is not None
 
 
 def enumerate_simplex_embeddings(net, req, start, direction):
@@ -380,7 +387,7 @@ def enumerate_simplex_embeddings(net, req, start, direction):
     return found
 
 
-def brute_force_simplex_cycle(net, req, m_cap=8, n_cap=5):
+def brute_force_simplex_cycle(net, req):
     """Exhaustive minimum-cost one-direction cycle embedding.
 
     Enumerates every (feasible start, direction, position choice) tableau.
@@ -389,10 +396,10 @@ def brute_force_simplex_cycle(net, req, m_cap=8, n_cap=5):
     other feasibility filtering.
     """
     cycle = CycleView(net)
-    if cycle.m > m_cap:
-        raise SizeCapExceeded(f"{cycle.m} substrate nodes, cap {m_cap}")
-    if req.n_vns > n_cap:
-        raise SizeCapExceeded(f"{req.n_vns} virtual nodes, cap {n_cap}")
+    if cycle.m > SIMPLEX_RING_CAP:
+        raise SizeCapExceeded(f"{cycle.m} substrate nodes, cap {SIMPLEX_RING_CAP}")
+    if req.n_vns > SIMPLEX_VN_CAP:
+        raise SizeCapExceeded(f"{req.n_vns} virtual nodes, cap {SIMPLEX_VN_CAP}")
     examined = 0
     best = None
     starts = [v for v in sorted(net.nodes)

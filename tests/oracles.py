@@ -429,27 +429,17 @@ def generic_batch_reference(net, requests, smooth=False):
 def c2ce_reference(net, req):
     """Least-BW-cost one-direction embedding by the full anchor x direction
     scan, as a SimplexEmbedding or None."""
-    from pcvne.cycle_embedding import (
-        DIRECTIONS,
-        CycleView,
-        _simplex_from_hosts,
-        build_wdag,
-        feasible_sets,
-        min_weight_cycle,
-    )
+    from pcvne.cycle_embedding import CycleView, _simplex_from_hosts, min_weight_cycle, wdags
 
     cycle = CycleView(net)
-    masks = feasible_sets(cycle, req)
     best = None
-    for start in sorted(v for v, ok in zip(cycle.order, masks[0][0]) if ok):
-        for direction in DIRECTIONS:
-            w = build_wdag(cycle, req, start, direction, masks=masks)
-            found = min_weight_cycle(w)
-            if found is None:
-                continue
-            hosts, cost = found
-            if best is None or cost < best.cost:
-                best = _simplex_from_hosts(cycle, req, start, direction, hosts)
+    for w in wdags(cycle, req):
+        found = min_weight_cycle(w)
+        if found is None:
+            continue
+        hosts, cost = found
+        if best is None or cost < best.cost:
+            best = _simplex_from_hosts(cycle, req, w.start, w.direction, hosts)
     return best
 
 

@@ -36,6 +36,7 @@ from pcvne.cycle_embedding import (
     feasible_sets,
     greedy_revenue,
     min_weight_cycle,
+    wdags,
 )
 from pcvne.model import ModelError, as_quantity, commit, edge_key, validate_embedding
 
@@ -62,12 +63,6 @@ class TestCycleView:
         assert sorted(view.order) == list(range(6))
         for i in range(6):
             assert edge_key(view.order[i], view.order[(i + 1) % 6]) in view.net.edges
-
-    def test_positions_both_directions(self):
-        view = CycleView(ring_net(5))
-        assert view.seq_pos(2, CLOCKWISE, 4) == 2
-        assert view.seq_pos(2, ANTICLOCKWISE, 0) == 2
-        assert view.seq_pos(2, CLOCKWISE, 2) == 0
 
 
 class TestBuildWdag:
@@ -317,7 +312,8 @@ def outcome(sx):
 class TestScanCounts:
     """How much of the anchor x direction scan c2ce does: none when an SL
     cannot carry the smallest VL demand, up to the first candidate at the
-    cost floor Σ d_j + (m − n)·min d otherwise, all of it for `collect`."""
+    cost floor Σ d_j + (m − n)·min d otherwise. `wdags` is the full scan,
+    which the dump takes beside the solve; watching never changes c2ce's."""
 
     def test_no_graph_when_an_sl_cannot_carry_the_smallest_demand(self, monkeypatch):
         bw = {edge_key(i, (i + 1) % 6): 9 for i in range(6)}
@@ -353,18 +349,20 @@ class TestScanCounts:
         assert outcome(sx) == outcome(c2ce_reference(net, req))
 
     @pytest.mark.parametrize("dead_link", [False, True])
-    def test_collect_gets_one_graph_per_feasible_anchor_and_direction(self, monkeypatch, dead_link):
+    def test_wdags_gives_one_graph_per_feasible_anchor_and_direction(self, monkeypatch, dead_link):
         bw = {edge_key(i, (i + 1) % 6): 9 for i in range(6)}
         if dead_link:
             bw[edge_key(4, 5)] = 0
         net = ring_net(6, cpu={0: 1, 1: 3, 2: 3, 3: 1, 4: 3, 5: 3}, bw=bw)
         req = make_cycle_request("r", [3, 1, 1], [1, 2, 3])
-        swept = spy(monkeypatch, "min_weight_cycle")
-        graphs = []
-        sx = c2ce(net, req, collect=graphs.append)
+        built = spy(monkeypatch, "build_wdag")
+        graphs = wdags(CycleView(net), req)
+        assert not built  # lazy: nothing is built before the first graph is asked for
+        graphs = list(graphs)
         assert [(w.start, w.direction) for w in graphs] == [
             (s, d) for s in (1, 2, 4, 5) for d in (CLOCKWISE, ANTICLOCKWISE)]
-        assert len(swept) == len(graphs)
+        assert len(built) == len(graphs)
+        sx = c2ce(net, req)
         assert outcome(sx) == outcome(c2ce_reference(net, req))
         assert (sx is None) == dead_link
 
@@ -437,6 +435,32 @@ class TestPrunedScanMatchesFullScan:
         assert batch.accepted_ids() == ref.accepted_ids()
         assert net.residual_bw == ref_net.residual_bw
         assert net.residual_cpu == ref_net.residual_cpu
+
+
+class TestTracingChangesNothing:
+    def test_same_embeddings_and_sweeps_with_and_without_trace(self, monkeypatch):
+        # the trace takes its own full scan before each solve, on the same
+        # residuals, so the solve sweeps and commits exactly as untraced
+        from pcvne.baseline import generic_embed
+
+        swept = spy(monkeypatch, "min_weight_cycle")
+        rng = random.Random(37)
+        graphs = 0
+        for _ in range(60):
+            net, first = random_ring_instance(rng)
+            m = len(net.nodes)
+            reqs = [first] + [random_ring_instance(rng, m_range=(m, m))[1] for _ in range(3)]
+            for k, req in enumerate(reqs):
+                req.req_id = k
+            runs = []
+            for trace in (None, []):
+                before = len(swept)
+                batch = greedy_revenue(net.copy(), reqs, fallback=generic_embed, trace=trace)
+                runs.append(([(req.req_id, emb) for req, emb in batch.items], len(swept) - before))
+            assert runs[0] == runs[1]
+            assert len(trace) == len(reqs)
+            graphs += sum(map(len, trace))
+        assert graphs > 500
 
 
 class TestGreedyRevenue:
@@ -534,19 +558,37 @@ def test_ring_demo_output_is_unchanged():
     assert proc.stdout == (root / "tests" / "data" / "ring_demo.out").read_bytes()
 
 
-def test_embed_cycles_dump_is_unchanged(tmp_path):
-    # every layered digraph of a 6-node ring with 4 cycle requests (the dump
-    # forces the full anchor scan) pins the one explicit view: layers, arcs
-    # and closing arcs with their weights, hops and order
+def _golden_ring(tmp_path):
+    """The golden-file directory, a runner of the CLI on this source tree that
+    returns its stdout, and the 6-node ring with 4 cycle requests that the
+    golden ring files were recorded on."""
     root = Path(__file__).resolve().parent.parent
     path = os.pathsep.join(filter(None, (str(root / "src"), os.environ.get("PYTHONPATH"))))
     env = dict(os.environ, PYTHONPATH=path)
-    cli = [sys.executable, "-m", "pcvne.cli"]
-    inst, dump = tmp_path / "inst.json", tmp_path / "wdag.json"
-    subprocess.run([*cli, "generate", "--nodes", "6", "--topology", "cycle", "--cpu-capacity", "10",
-                    "--bw-capacity", "10", "--shape", "cycle", "--count", "4", "--length-min", "3",
-                    "--length-max", "4", "--revenue", "proportional", "--seed", "3", "--out", str(inst)],
-                   check=True, env=env)
-    subprocess.run([*cli, "embed-cycles", "--instance", str(inst), "--dump-wdag", str(dump)],
-                   capture_output=True, check=True, env=env)
-    assert dump.read_bytes() == (root / "tests" / "data" / "embed_cycles_dump.json").read_bytes()
+
+    def run(*args):
+        return subprocess.run([sys.executable, "-m", "pcvne.cli", *args],
+                              capture_output=True, check=True, env=env).stdout
+
+    inst = tmp_path / "inst.json"
+    run("generate", "--nodes", "6", "--topology", "cycle", "--cpu-capacity", "10", "--bw-capacity", "10",
+        "--shape", "cycle", "--count", "4", "--length-min", "3", "--length-max", "4",
+        "--revenue", "proportional", "--seed", "3", "--out", str(inst))
+    return root / "tests" / "data", run, inst
+
+
+def test_embed_cycles_dump_is_unchanged(tmp_path):
+    # every layered digraph of the full anchor scan of each request pins the
+    # one explicit view: layers, arcs and closing arcs with their weights,
+    # hops and order; the report beside it is the one written without the dump
+    data, run, inst = _golden_ring(tmp_path)
+    dump = tmp_path / "wdag.json"
+    report = run("embed-cycles", "--instance", str(inst), "--dump-wdag", str(dump))
+    assert dump.read_bytes() == (data / "embed_cycles_dump.json").read_bytes()
+    assert report == (data / "embed_cycles.out").read_bytes()
+
+
+def test_embed_cycles_report_is_unchanged(tmp_path):
+    # the ring solver's accepted ids, hosts and segments on the golden ring
+    data, run, inst = _golden_ring(tmp_path)
+    assert run("embed-cycles", "--instance", str(inst)) == (data / "embed_cycles.out").read_bytes()

@@ -61,7 +61,9 @@ def test_round_trip_keeps_ids_and_quantities():
     from pcvne.generators import RequestSpec, SubstrateSpec, gen_requests, gen_substrate
 
     net = gen_substrate(SubstrateSpec(n_nodes=8, topology="random", n_edges=12), 4)
-    reqs = gen_requests(RequestSpec(shape="path", count=2), 5, id_offset=50)
+    reqs = gen_requests(RequestSpec(shape="path", count=2), 5)
+    for k, r in enumerate(reqs):
+        r.req_id = 50 + k
     reqs.append(make_cycle_request("c", [Fraction(1, 3), 2, 3], [1, Fraction(5, 2), 1], revenue=Fraction(7, 2)))
     buf = io.StringIO()
     dump_instance(net, reqs, buf)

@@ -424,6 +424,20 @@ def test_embed_paths_golden_output_is_unchanged(tmp_path):
     assert trace.read_bytes() == (data / "embed_paths_trace.jsonl").read_bytes()
 
 
+def test_embed_paths_golden_report_is_the_same_untraced(tmp_path):
+    # the trace only watches: without it the report is the same golden one
+    root = Path(__file__).resolve().parent.parent
+    path = os.pathsep.join(filter(None, (str(root / "src"), os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONPATH=path)
+    cli = [sys.executable, "-m", "pcvne.cli"]
+    inst = tmp_path / "inst.json"
+    subprocess.run([*cli, "generate", "--nodes", "30", "--edges", "150", "--shape", "path",
+                    "--count", "100", "--seed", "7", "--out", str(inst)], check=True, env=env)
+    proc = subprocess.run([*cli, "embed-paths", "--instance", str(inst)],
+                          capture_output=True, check=True, env=env)
+    assert proc.stdout == (root / "tests" / "data" / "embed_paths.out").read_bytes()
+
+
 def _pipeline_events(monkeypatch, net, reqs):
     """Run procedure_pe and log its stages as one string: D per decomposition,
     P per packing, and per commit X if it drove a residual of one of its SNs
