@@ -112,7 +112,7 @@ def cmd_embed_cycles(args):
         fallback = None if args.no_fallback else generic_embed
         batch = greedy_revenue(net, requests, fallback=fallback, trace=trace)
         if dump_fp:
-            json.dump([g for rec in trace for g in rec], dump_fp, indent=2)
+            json.dump(trace, dump_fp, indent=2)
             dump_fp.write("\n")
         _emit_batch(out, "gr", batch, len(requests))
 

@@ -178,11 +178,12 @@ def build_wdag(cycle, req, start, direction, masks=None):
     )
 
 
-def wdags(cycle, req, masks=None):
+def wdags(cycle, req):
     """The digraph of every feasible first-VN anchor, in sorted order, crossed
     with DIRECTIONS, built one at a time as the caller asks for it, so a
-    caller that stops early builds no more. `masks` as for `build_wdag`."""
-    masks = masks or feasible_sets(cycle, req)
+    caller that stops early builds no more. `feasible_sets` runs once, at the
+    first graph asked for."""
+    masks = feasible_sets(cycle, req)
     for start in sorted(v for v, ok in zip(cycle.order, masks[0][0]) if ok):
         for direction in DIRECTIONS:
             yield build_wdag(cycle, req, start, direction, masks=masks)
@@ -289,9 +290,8 @@ def c2ce(net, req, cycle=None):
     if any(net.residual_bw[k] < least for k in net.edges):
         return None
     floor = sum(req.bw_demand.values()) + (cycle.m - req.n_vns) * least
-    masks = feasible_sets(cycle, req)
     best = None
-    for w in wdags(cycle, req, masks):
+    for w in wdags(cycle, req):
         found = min_weight_cycle(w)
         if found is None:
             continue
@@ -311,9 +311,9 @@ def greedy_revenue(net, requests, fallback=None, trace=None):
     and in the same order, to the `fallback` generic embedder (a callable
     (net, req) -> Embedding or None). Returns the accepted batch. The ring's
     `CycleView` is built once, before the first request. `trace`, if given,
-    gets one record per ring-solver request, taken before its solve: the
-    `to_json` of every digraph of the full `wdags` scan, so the solve itself
-    runs the same whether traced or not.
+    gets, before each ring-solver request's solve, the `to_json` of every
+    digraph of its full `wdags` scan, so the solve itself runs the same
+    whether traced or not.
     """
     for req in requests:
         if req.shape is not Shape.CYCLE:
@@ -328,7 +328,7 @@ def greedy_revenue(net, requests, fallback=None, trace=None):
     cycle = CycleView(net) if ranked else None
     for req in ranked:
         if trace is not None:
-            trace.append([w.to_json() for w in wdags(cycle, req)])
+            trace.extend(w.to_json() for w in wdags(cycle, req))
         simplex = c2ce(net, req, cycle=cycle)
         if simplex is None:
             leftovers.append(req)

@@ -409,7 +409,8 @@ def test_procedure_pe_builds_and_sorts_items_once(monkeypatch):
 
 def test_embed_paths_golden_output_is_unchanged(tmp_path):
     # the report and trace on a 30-node, 150-link substrate with 100 path
-    # requests pin every packing, placement and funding decision of the pipeline
+    # requests pin every packing, placement and funding decision of the
+    # pipeline; the trace only watches, so the report is the same without it
     root = Path(__file__).resolve().parent.parent
     path = os.pathsep.join(filter(None, (str(root / "src"), os.environ.get("PYTHONPATH"))))
     env = dict(os.environ, PYTHONPATH=path)
@@ -419,23 +420,11 @@ def test_embed_paths_golden_output_is_unchanged(tmp_path):
                     "--count", "100", "--seed", "7", "--out", str(inst)], check=True, env=env)
     proc = subprocess.run([*cli, "embed-paths", "--instance", str(inst), "--trace", str(trace)],
                           capture_output=True, check=True, env=env)
+    untraced = subprocess.run([*cli, "embed-paths", "--instance", str(inst)],
+                              capture_output=True, check=True, env=env)
     data = root / "tests" / "data"
-    assert proc.stdout == (data / "embed_paths.out").read_bytes()
+    assert proc.stdout == untraced.stdout == (data / "embed_paths.out").read_bytes()
     assert trace.read_bytes() == (data / "embed_paths_trace.jsonl").read_bytes()
-
-
-def test_embed_paths_golden_report_is_the_same_untraced(tmp_path):
-    # the trace only watches: without it the report is the same golden one
-    root = Path(__file__).resolve().parent.parent
-    path = os.pathsep.join(filter(None, (str(root / "src"), os.environ.get("PYTHONPATH"))))
-    env = dict(os.environ, PYTHONPATH=path)
-    cli = [sys.executable, "-m", "pcvne.cli"]
-    inst = tmp_path / "inst.json"
-    subprocess.run([*cli, "generate", "--nodes", "30", "--edges", "150", "--shape", "path",
-                    "--count", "100", "--seed", "7", "--out", str(inst)], check=True, env=env)
-    proc = subprocess.run([*cli, "embed-paths", "--instance", str(inst)],
-                          capture_output=True, check=True, env=env)
-    assert proc.stdout == (root / "tests" / "data" / "embed_paths.out").read_bytes()
 
 
 def _pipeline_events(monkeypatch, net, reqs):
