@@ -30,11 +30,9 @@ def _smoothed_scores(net, raw, nodes):
     return smoothed
 
 
-def node_scores(net, smooth=False):
-    """Residual CPU times summed incident residual BW per node, optionally
-    averaged once with the neighbors' scores (one power-iteration step)."""
-    raw = _raw_scores(net, net.nodes)
-    return _smoothed_scores(net, raw, net.nodes) if smooth else raw
+def node_scores(net):
+    """Residual CPU times summed incident residual BW, per node."""
+    return _raw_scores(net, net.nodes)
 
 
 def _shortest_feasible_path(net, src, dst, demand, pending):
@@ -71,7 +69,7 @@ def _shortest_feasible_path(net, src, dst, demand, pending):
     return path
 
 
-def generic_embed(net, req, smooth=False, ranked=None):
+def generic_embed(net, req, ranked=None):
     """Try to embed one request of any shape against the current residuals.
 
     Node stage: VNs in descending CPU demand (ties by request order) onto the
@@ -81,10 +79,11 @@ def generic_embed(net, req, smooth=False, ranked=None):
     untouched either way.
 
     `ranked` is the caller's node ranking for the current residuals (SNs by
-    descending `node_scores`, ties by id); when None it is computed here.
+    descending score, ties by id); when None, the SNs are ranked here by
+    their raw `node_scores`.
     """
     if ranked is None:
-        scores = node_scores(net, smooth=smooth)
+        scores = node_scores(net)
         ranked = sorted(net.nodes, key=lambda v: (-scores[v], v))
     order = sorted(range(req.n_vns), key=lambda i: (-req.cpu_demand[req.vns[i]], i))
 
@@ -130,12 +129,12 @@ def generic_batch(net, requests, smooth=False):
 
     ranked = sorted(net.nodes, key=key)
     for req in requests:
-        emb = generic_embed(net, req, smooth=smooth, ranked=ranked)
+        emb = generic_embed(net, req, ranked=ranked)
         if emb is None:
             continue
-        commit(net, req, emb)
+        hosts, links = commit(net, req, emb)
         batch.add(req, emb)
-        touched = set(emb.node_map.values()).union(*(k for path in emb.link_map.values() for k in path))
+        touched = set(hosts).union(*links)
         raw.update(_raw_scores(net, touched))
         if smooth:
             scores.update(_smoothed_scores(net, raw, touched.union(*map(net.neighbors, touched))))

@@ -85,6 +85,8 @@ def gen_requests(spec, seed):
     dlo, dhi = spec.demand_range
     if lo > hi or dlo > dhi or dlo < 1:
         raise SpecError("bad ranges")
+    if spec.count < 0:
+        raise SpecError(f"negative request count {spec.count}")
     try:
         shape = Shape(spec.shape)
     except ValueError:

@@ -203,13 +203,20 @@ class VirtualRequest:
             expected = [edge_key(self.vns[i], self.vns[(i + 1) % n]) for i in range(n)]
             if keys != expected:
                 raise ModelError("cycle request links must chain VNs and close")
-        self.cpu_demand = {v: as_quantity(self.cpu_demand[v]) for v in self.vns}
-        self.bw_demand = {k: as_quantity(self.bw_demand.get(k, self.bw_demand.get((k[1], k[0])))) for k in keys}
+        cpu, bw = self.cpu_demand, self.bw_demand
+        for v in self.vns:
+            if v not in cpu:
+                raise ModelError(f"missing cpu demand for {v!r}")
+        for k in keys:
+            if k not in bw and (k[1], k[0]) not in bw:
+                raise ModelError(f"missing bw demand for {k}")
+        self.cpu_demand = {v: as_quantity(cpu[v]) for v in self.vns}
+        self.bw_demand = {k: as_quantity(bw[k] if k in bw else bw[k[1], k[0]]) for k in keys}
         for v, d in self.cpu_demand.items():
             if d <= 0:
                 raise ModelError(f"cpu demand must be positive at {v!r}")
         for k, d in self.bw_demand.items():
-            if d is None or d <= 0:
+            if d <= 0:
                 raise ModelError(f"bw demand must be positive at {k}")
         self.revenue = as_quantity(self.revenue)
         if self.revenue < 0:
@@ -270,6 +277,21 @@ def _walk_chain(path, start):
     return cur
 
 
+def footprint(pairs):
+    """CPU per SN and BW per canonical SL that the (request, embedding) pairs
+    take together, as two dicts. Commit, release and both batch checks read it."""
+    cpu, bw = {}, {}
+    for req, emb in pairs:
+        for vn, sn in emb.node_map.items():
+            cpu[sn] = cpu.get(sn, 0) + req.cpu_demand[vn]
+        for vl, path in emb.link_map.items():
+            d = req.bw_demand[vl]
+            for e in path:
+                k = edge_key(*e)
+                bw[k] = bw.get(k, 0) + d
+    return cpu, bw
+
+
 def validate_embedding(net, req, emb, against_residuals=False):
     """Check an embedding of `req` into `net`.
 
@@ -279,6 +301,12 @@ def validate_embedding(net, req, emb, against_residuals=False):
     By default checks against full capacities; set against_residuals=True to
     check against current residuals instead.
     """
+    violations, _use = _check(net, req, emb, against_residuals)
+    return (not violations, violations)
+
+
+def _check(net, req, emb, against_residuals):
+    """`validate_embedding`'s violations, and the embedding's footprint."""
     if set(emb.node_map) != set(req.vns):
         raise MalformedEmbeddingError("node map does not cover exactly the request VNs")
     if set(emb.link_map) != set(req.vls):
@@ -317,78 +345,55 @@ def validate_embedding(net, req, emb, against_residuals=False):
 
     cpu_avail = net.residual_cpu if against_residuals else net.cpu_capacity
     bw_avail = net.residual_bw if against_residuals else net.bw_capacity
-
-    cpu_use = {}
-    for vn, sn in emb.node_map.items():
-        cpu_use[sn] = cpu_use.get(sn, 0) + req.cpu_demand[vn]
+    cpu_use, bw_use = use = footprint([(req, emb)])
     for sn, used in cpu_use.items():
         if used > cpu_avail[sn]:
             violations.append(Violation("cpu", f"SN {sn!r} needs {used}, has {cpu_avail[sn]}"))
-
-    bw_use = {}
-    for vl, path in emb.link_map.items():
-        d = req.bw_demand[vl]
-        for e in path:
-            k = edge_key(*e)
-            bw_use[k] = bw_use.get(k, 0) + d
     for k, used in bw_use.items():
         if used > bw_avail[k]:
             violations.append(Violation("bw", f"SL {k} needs {used}, has {bw_avail[k]}"))
 
-    return (not violations, violations)
+    return violations, use
 
 
 def commit(net, req, emb):
-    """Atomically subtract the embedding's demands from the residuals.
-    Raises CommitError (no partial update) if it does not fit."""
-    ok, violations = validate_embedding(net, req, emb, against_residuals=True)
-    if not ok:
+    """Atomically subtract the embedding's footprint from the residuals and
+    return it as (cpu, bw). Raises CommitError (no partial update) if it does
+    not fit."""
+    violations, (cpu, bw) = _check(net, req, emb, True)
+    if violations:
         raise CommitError(violations)
-    for vn, sn in emb.node_map.items():
-        net.residual_cpu[sn] -= req.cpu_demand[vn]
-    for vl, path in emb.link_map.items():
-        d = req.bw_demand[vl]
-        for e in path:
-            net.residual_bw[edge_key(*e)] -= d
+    for sn, d in cpu.items():
+        net.residual_cpu[sn] -= d
+    for k, d in bw.items():
+        net.residual_bw[k] -= d
+    return cpu, bw
 
 
 def release(net, req, emb):
-    """Inverse of commit. Raises if releasing would push a residual above its
-    capacity (i.e. the embedding was never committed here)."""
-    new_cpu = dict(net.residual_cpu)
-    new_bw = dict(net.residual_bw)
-    for vn, sn in emb.node_map.items():
-        new_cpu[sn] += req.cpu_demand[vn]
-        if new_cpu[sn] > net.cpu_capacity[sn]:
+    """Inverse of commit. Raises, changing nothing, if releasing would push a
+    residual above its capacity (i.e. the embedding was never committed here)."""
+    cpu, bw = footprint([(req, emb)])
+    for sn, d in cpu.items():
+        if net.residual_cpu[sn] + d > net.cpu_capacity[sn]:
             raise ModelError(f"release overflows cpu capacity at {sn!r}")
-    for vl, path in emb.link_map.items():
-        d = req.bw_demand[vl]
-        for e in path:
-            k = edge_key(*e)
-            new_bw[k] += d
-            if new_bw[k] > net.bw_capacity[k]:
-                raise ModelError(f"release overflows bw capacity at {k}")
-    net.residual_cpu = new_cpu
-    net.residual_bw = new_bw
+    for k, d in bw.items():
+        if net.residual_bw[k] + d > net.bw_capacity[k]:
+            raise ModelError(f"release overflows bw capacity at {k}")
+    for sn, d in cpu.items():
+        net.residual_cpu[sn] += d
+    for k, d in bw.items():
+        net.residual_bw[k] += d
 
 
 class EmbeddingBatch:
-    """Accepted (request, embedding) pairs plus aggregate per-SN / per-SL usage."""
+    """Accepted (request, embedding) pairs."""
 
     def __init__(self):
         self.items = []
-        self.node_usage = {}
-        self.edge_usage = {}
 
     def add(self, req, emb):
         self.items.append((req, emb))
-        for vn, sn in emb.node_map.items():
-            self.node_usage[sn] = self.node_usage.get(sn, 0) + req.cpu_demand[vn]
-        for vl, path in emb.link_map.items():
-            d = req.bw_demand[vl]
-            for e in path:
-                k = edge_key(*e)
-                self.edge_usage[k] = self.edge_usage.get(k, 0) + d
 
     def __len__(self):
         return len(self.items)
@@ -409,10 +414,11 @@ class EmbeddingBatch:
             for v in vio:
                 if v.kind != "cpu" and v.kind != "bw":
                     violations.append(v)
-        for sn, used in self.node_usage.items():
+        cpu, bw = footprint(self.items)
+        for sn, used in cpu.items():
             if used > net.cpu_capacity[sn]:
                 violations.append(Violation("cpu", f"aggregate at SN {sn!r}: {used} > {net.cpu_capacity[sn]}"))
-        for k, used in self.edge_usage.items():
+        for k, used in bw.items():
             if used > net.bw_capacity[k]:
                 violations.append(Violation("bw", f"aggregate at SL {k}: {used} > {net.bw_capacity[k]}"))
         return (not violations, violations)
@@ -432,16 +438,10 @@ def batch_metrics(batch, total_requests):
 def audit_residuals(net, batches):
     """Check residual = capacity - committed demand, exactly, for every node
     and link, given all batches committed on `net`. Raises on mismatch."""
-    cpu_used = {v: 0 for v in net.nodes}
-    bw_used = {k: 0 for k in net.edges}
-    for batch in batches:
-        for sn, used in batch.node_usage.items():
-            cpu_used[sn] += used
-        for k, used in batch.edge_usage.items():
-            bw_used[k] += used
+    cpu_used, bw_used = footprint(pair for batch in batches for pair in batch.items)
     for v in net.nodes:
-        if net.residual_cpu[v] != net.cpu_capacity[v] - cpu_used[v]:
+        if net.residual_cpu[v] != net.cpu_capacity[v] - cpu_used.get(v, 0):
             raise ModelError(f"residual cpu mismatch at {v!r}")
     for k in net.edges:
-        if net.residual_bw[k] != net.bw_capacity[k] - bw_used[k]:
+        if net.residual_bw[k] != net.bw_capacity[k] - bw_used.get(k, 0):
             raise ModelError(f"residual bw mismatch at {k}")

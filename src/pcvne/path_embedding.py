@@ -18,7 +18,7 @@ from .knapsack import (
     solve_mdkp,
     solve_mkp,
 )
-from .model import Embedding, EmbeddingBatch, ModelError, Shape, commit, edge_key
+from .model import Embedding, EmbeddingBatch, ModelError, Shape, commit, edge_key, footprint
 
 
 @dataclass(frozen=True)
@@ -192,10 +192,10 @@ def pack_mkp(paths, items, mode="greedy"):
 def assign_mdkp(net, placements, mode="greedy"):
     """Fund packed placements with CPU and BW out of the current residuals.
 
-    Each placement becomes an item with a sparse size mapping: one component
-    per SN it uses (summed CPU demand mapped there) and per SL (BW demand
-    routed there); the capacity vector is the residual vector over all SNs
-    then all SLs. Selected placements are committed and returned.
+    Each placement becomes an item whose sparse sizes are its `footprint`, one
+    component per SN it uses and per SL it routes over; the capacity vector is
+    the residual vector over all SNs then all SLs. Selected placements are
+    committed and returned.
     """
     dim_index = {d: i for i, d in enumerate([*net.nodes, *net.edges])}
     capacities = [net.residual_cpu[v] for v in net.nodes] + [net.residual_bw[k] for k in net.edges]
@@ -203,13 +203,7 @@ def assign_mdkp(net, placements, mode="greedy"):
     embeddings = [pl.to_embedding() for pl in placements]
     items = []
     for idx, (pl, emb) in enumerate(zip(placements, embeddings)):
-        sizes = defaultdict(int)
-        for vn, sn in emb.node_map.items():
-            sizes[dim_index[sn]] += pl.req.cpu_demand[vn]
-        for vl, sls in emb.link_map.items():
-            d = pl.req.bw_demand[vl]
-            for e in sls:
-                sizes[dim_index[edge_key(*e)]] += d
+        sizes = {dim_index[d]: q for use in footprint([(pl.req, emb)]) for d, q in use.items()}
         items.append((idx, pl.req.revenue, sizes))
 
     inst = MdkpInstance.trusted(capacities, items)  # residuals and demands are validated

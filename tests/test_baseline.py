@@ -1,5 +1,9 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 from unittest.mock import patch
 
 from hypothesis import given, settings
@@ -33,7 +37,7 @@ class TestNodeScores:
     def test_smoothing_keeps_order_of_magnitude(self):
         net = path_net(4, cpu=3, bw=2)
         raw = node_scores(net)
-        smooth = node_scores(net, smooth=True)
+        smooth = baseline._smoothed_scores(net, raw, net.nodes)
         assert set(smooth) == set(raw)
         assert all(s >= 0 for s in smooth.values())
 
@@ -242,9 +246,9 @@ class TestMatchesReference:
     def test_scores_once_per_batch(self, monkeypatch):
         calls = []
 
-        def counting(net, smooth=False):
+        def counting(net):
             calls.append(1)
-            return node_scores(net, smooth=smooth)
+            return node_scores(net)
 
         monkeypatch.setattr(baseline, "node_scores", counting)
         for smooth in (False, True):
@@ -268,10 +272,10 @@ class TestIncrementalRanking:
         net, reqs = sparse_instance(random.Random(seed), fractions)
         seen = []
 
-        def checking(net, req, smooth=False, ranked=None):
+        def checking(net, req, ranked=None):
             assert ranked == reference_ranking(net, smooth)
             seen.append(req.req_id)
-            return generic_embed(net, req, smooth=smooth, ranked=ranked)
+            return generic_embed(net, req, ranked=ranked)
 
         with patch.object(baseline, "generic_embed", checking):
             generic_batch(net, reqs, smooth=smooth)
@@ -291,3 +295,22 @@ class TestIncrementalRanking:
                 near = touched.union(*map(net.neighbors, touched))
                 partial += req.req_id != last and len(near) < len(net.nodes)
         assert partial >= 300
+
+
+def test_embed_generic_golden_output_is_unchanged(tmp_path):
+    # on a 12-node, 24-link substrate with 20 path requests the plain run
+    # accepts 15 and the smoothed run 16, with different ids, so the two
+    # reports pin rejections, smoothing and every host and route chosen
+    root = Path(__file__).resolve().parent.parent
+    path = os.pathsep.join(filter(None, (str(root / "src"), os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONPATH=path)
+    cli = [sys.executable, "-m", "pcvne.cli"]
+    inst = tmp_path / "inst.json"
+    subprocess.run([*cli, "generate", "--nodes", "12", "--edges", "24", "--cpu-capacity", "20",
+                    "--bw-capacity", "20", "--shape", "path", "--count", "20", "--length-min", "2",
+                    "--length-max", "5", "--seed", "3", "--out", str(inst)], check=True, env=env)
+    data = root / "tests" / "data"
+    for flags, golden in (([], "embed_generic.out"), (["--smooth"], "embed_generic_smooth.out")):
+        proc = subprocess.run([*cli, "embed-generic", "--instance", str(inst), *flags],
+                              capture_output=True, check=True, env=env)
+        assert proc.stdout == (data / golden).read_bytes()

@@ -163,6 +163,14 @@ def test_unwritable_output_is_a_clean_error_before_the_run(tmp_path, capsys, mon
     assert capsys.readouterr().err == f"error: cannot write '{target}': No such file or directory\n"
 
 
+@pytest.mark.parametrize("command", ["generate", "experiment"])
+def test_negative_request_count_is_a_clean_error(tmp_path, capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--nodes", "6", "--edges", "8", "--count", "-1", "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == "error: negative request count -1\n"
+
+
 def test_embed_generic(tmp_path, capsys):
     inst = tmp_path / "inst.json"
     main(["generate", "--nodes", "10", "--edges", "14", "--shape", "path",

@@ -83,6 +83,11 @@ class TestGenRequests:
         with pytest.raises(SpecError, match=f"unknown .*'{value}'"):
             gen_requests(spec, 0)
 
+    def test_negative_count_refused(self):
+        assert gen_requests(RequestSpec(count=0), 0) == []
+        with pytest.raises(SpecError, match="negative request count -1"):
+            gen_requests(RequestSpec(count=-1), 0)
+
 
 class TestEdpReduction:
     def _line(self):

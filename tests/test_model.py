@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_cycle_request, make_net, make_path_request, path_net, uniform_net_of
+from pcvne.baseline import generic_embed
 from pcvne.model import (
     CommitError,
     Embedding,
@@ -14,13 +15,16 @@ from pcvne.model import (
     ModelError,
     Shape,
     VirtualRequest,
+    Violation,
     audit_residuals,
     batch_metrics,
     commit,
     edge_key,
+    footprint,
     release,
     validate_embedding,
 )
+from test_baseline import sparse_instance
 
 
 def triangle():
@@ -64,6 +68,15 @@ class TestVirtualRequest:
     def test_demands_strictly_positive(self):
         with pytest.raises(ModelError):
             make_path_request(0, [0, 1], [1])
+
+    def test_missing_demand_is_named(self):
+        kwargs = dict(req_id=0, shape=Shape.PATH, vns=[0, 1], vls=[(0, 1)])
+        with pytest.raises(ModelError, match=r"^missing cpu demand for 1$"):
+            VirtualRequest(cpu_demand={0: 1}, bw_demand={(0, 1): 1}, **kwargs)
+        with pytest.raises(ModelError, match=r"^missing bw demand for \(0, 1\)$"):
+            VirtualRequest(cpu_demand={0: 1, 1: 1}, bw_demand={}, **kwargs)
+        req = VirtualRequest(cpu_demand={0: 1, 1: 1}, bw_demand={(1, 0): 2}, **kwargs)
+        assert req.bw_demand == {(0, 1): 2}
 
     def test_empty_path_request_allowed(self):
         req = VirtualRequest(req_id=0, shape=Shape.PATH, vns=[], vls=[],
@@ -176,6 +189,45 @@ class TestCommitRelease:
         with pytest.raises(ModelError):
             release(net, req, emb)
 
+    def test_release_overflowing_at_second_sl_changes_nothing(self):
+        net = path_net(3, cpu=4, bw=4)
+        req = make_path_request("r", [1, 1, 1], [1, 1])
+        emb = Embedding("r", {0: 0, 1: 1, 2: 2}, {(0, 1): [(0, 1)], (1, 2): [(1, 2)]})
+        for v in net.nodes:
+            net.residual_cpu[v] = 3
+        net.residual_bw[(0, 1)] = 3  # room to give back here, none on (1, 2)
+        snapshot = dict(net.residual_cpu), dict(net.residual_bw)
+        with pytest.raises(ModelError, match=r"bw capacity at \(1, 2\)"):
+            release(net, req, emb)
+        assert (net.residual_cpu, net.residual_bw) == snapshot
+
+    def test_footprint_sums_pairs_on_canonical_links(self):
+        req = make_path_request("r", [2, 3, 1], [4, 5])
+        emb = Embedding("r", {0: 0, 1: 1, 2: 2}, {(0, 1): [(1, 0)], (1, 2): [(1, 0), (0, 2)]})
+        assert footprint([(req, emb)]) == ({0: 2, 1: 3, 2: 1}, {(0, 1): 9, (0, 2): 5})
+        assert footprint([(req, emb)] * 2) == ({0: 4, 1: 6, 2: 2}, {(0, 1): 18, (0, 2): 10})
+        assert footprint([]) == ({}, {})
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.booleans())
+    def test_property_commit_returns_the_residual_drop(self, seed, fractions):
+        net, reqs = sparse_instance(random.Random(seed), fractions)
+        committed = []
+        for req in reqs:
+            emb = generic_embed(net, req)
+            if emb is None:
+                continue
+            before = dict(net.residual_cpu), dict(net.residual_bw)
+            cpu, bw = commit(net, req, emb)
+            assert all(before[0][v] - net.residual_cpu[v] == cpu.get(v, 0) for v in net.nodes)
+            assert all(before[1][k] - net.residual_bw[k] == bw.get(k, 0) for k in net.edges)
+            assert set(cpu) <= set(net.nodes) and set(bw) <= set(net.edges)
+            committed.append((req, emb, before))
+        assert committed
+        for req, emb, before in reversed(committed):
+            release(net, req, emb)
+            assert (net.residual_cpu, net.residual_bw) == before
+
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.tuples(st.integers(0, 2), st.booleans()), max_size=12))
     def test_commit_release_conserves_residuals(self, ops):
@@ -206,6 +258,39 @@ class TestCommitRelease:
                 batches.append(b)
         audit_residuals(net, batches)
         net.check_residual_bounds()
+
+
+class TestBatchChecks:
+    def _pair(self, req_id, cpu, bw):
+        req = make_path_request(req_id, [cpu, 1], [bw])
+        return req, Embedding(req_id, {0: 0, 1: 1}, {(0, 1): [(0, 1)]})
+
+    def test_validate_against_reports_aggregate_violations(self):
+        # each embedding fits alone, together they overrun SN 0 and SL (0, 1)
+        net = path_net(3, cpu=4, bw=4)
+        batch = EmbeddingBatch()
+        for pair in (self._pair("a", 3, 3), self._pair("b", 2, 2)):
+            assert validate_embedding(net, *pair)[0]
+            batch.add(*pair)
+        ok, violations = batch.validate_against(net)
+        assert not ok
+        assert violations == [Violation("cpu", "aggregate at SN 0: 5 > 4"),
+                              Violation("bw", "aggregate at SL (0, 1): 5 > 4")]
+
+    def test_audit_residuals_catches_a_hand_edit(self):
+        net = path_net(4, cpu=4, bw=4)
+        batch = EmbeddingBatch()
+        for pair in (self._pair("a", 1, 1), self._pair("b", 2, 2)):
+            commit(net, *pair)
+            batch.add(*pair)
+        audit_residuals(net, [batch])
+        for residual, key, kind in ((net.residual_cpu, 0, "cpu"), (net.residual_cpu, 3, "cpu"),
+                                    (net.residual_bw, (0, 1), "bw"), (net.residual_bw, (2, 3), "bw")):
+            residual[key] -= 1
+            with pytest.raises(ModelError, match=f"residual {kind} mismatch at"):
+                audit_residuals(net, [batch])
+            residual[key] += 1
+        audit_residuals(net, [batch])
 
 
 class TestBatchMetrics:
