@@ -57,25 +57,28 @@ def instance_from_dict(data):
 
 
 def _parse_instance(data):
-    nodes = [n["id"] for n in data["nodes"]]
-    cpu = {n["id"]: as_quantity(n["cpu"]) for n in data["nodes"]}
-    edges = [(e["u"], e["v"]) for e in data["edges"]]
-    bw = {edge_key(e["u"], e["v"]): as_quantity(e["bw"]) for e in data["edges"]}
+    node_list, edge_list = _list(data, "nodes", "instance"), _list(data, "edges", "instance")
+    nodes = [n["id"] for n in node_list]
+    cpu = {n["id"]: as_quantity(n["cpu"]) for n in node_list}
+    edges = [(e["u"], e["v"]) for e in edge_list]
+    bw = {edge_key(e["u"], e["v"]): as_quantity(e["bw"]) for e in edge_list}
     net = SubstrateNetwork(nodes, edges, cpu, bw)
     requests = []
     seen = set()
-    for i, r in enumerate(data.get("requests", [])):
-        req_id = _id(r, "id", f"requests[{i}]", i)
+    for i, r in enumerate(_list(data, "requests", "instance", [])):
+        where = f"requests[{i}]"
+        req_id = _id(r, "id", where, i)
         if req_id in seen:
-            raise InstanceFormatError(f"requests[{i}].id: duplicate id {req_id!r}")
+            raise InstanceFormatError(f"{where}.id: duplicate id {req_id!r}")
         seen.add(req_id)
+        vns, vls = _list(r, "vns", where), _list(r, "vls", where)
         requests.append(VirtualRequest(
             req_id=req_id,
             shape=Shape(r["shape"]),
-            vns=[v["id"] for v in r["vns"]],
-            vls=[(l["u"], l["v"]) for l in r["vls"]],
-            cpu_demand={v["id"]: as_quantity(v["cpu"]) for v in r["vns"]},
-            bw_demand={edge_key(l["u"], l["v"]): as_quantity(l["bw"]) for l in r["vls"]},
+            vns=[v["id"] for v in vns],
+            vls=[(l["u"], l["v"]) for l in vls],
+            cpu_demand={v["id"]: as_quantity(v["cpu"]) for v in vns},
+            bw_demand={edge_key(l["u"], l["v"]): as_quantity(l["bw"]) for l in vls},
             revenue=as_quantity(r.get("revenue", 1)),
         ))
     return net, requests

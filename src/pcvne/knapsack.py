@@ -10,7 +10,7 @@ MDKP item sizes are dense length-d sequences or sparse {dimension: size}
 mappings; the MDKP solvers touch only each item's nonzero dimensions.
 Orders stay exact without a Fraction per comparison: MKP items sort on integer
 ranks taken over the distinct profit/size efficiencies (equal ones share a
-rank), and MDKP surrogate weights are summed as integers, one Fraction each.
+rank); MDKP surrogate weights are ints on one common scale, ranked by one int.
 Greedy MKP is one `first_fit` over items already in that order, so a caller
 keeping them sorted sorts once; it stops when no item can fit any more.
 """
@@ -272,26 +272,38 @@ def solve_mdkp(inst, mode="greedy"):
 
 def _mdkp_normalized(inst):
     """Items as (id, profit, nonzero (index, size) pairs, surrogate weight,
-    packable). The weight is the capacity-normalized size sum. Dimensions
-    with zero capacity only contribute feasibility: any item with a positive
-    size there can never be packed."""
+    packable), and the weights' scale: each weight is the capacity-normalized
+    size sum times lcm(capacity numerators the items use) × lcm(size
+    denominators), an exact int. Dimensions with zero capacity only contribute
+    feasibility: any item with a positive size there can never be packed."""
     caps = inst.capacities
-    out = []
+    items = []
     for item_id, profit, sizes in inst.items:
         pairs = sizes.items() if isinstance(sizes, dict) else enumerate(sizes)
-        pairs = tuple((i, s) for i, s in pairs if s)
-        packable = all(caps[i] > 0 for i, _s in pairs)
-        num, den = 0, 1  # the sum of s/caps[i] over positive capacities
-        for i, s in pairs:
-            if caps[i] > 0:
-                d = s.denominator * caps[i].numerator
-                num, den = num * d + s.numerator * caps[i].denominator * den, den * d
-        out.append((item_id, profit, pairs, Fraction(num, den), packable))
-    return out
+        items.append((item_id, profit, tuple((i, s) for i, s in pairs if s)))
+    values = {caps[i] for _id, _p, pairs in items for i, _s in pairs if caps[i] > 0}
+    cap_lcm = math.lcm(*(c.numerator for c in values))
+    size_lcm = math.lcm(*{s.denominator for _id, _p, pairs in items for _i, s in pairs})
+    unit_of = {c: c.denominator * (cap_lcm // c.numerator) * size_lcm for c in values}
+    unit = [unit_of.get(c, 0) for c in caps]  # scale / capacity, 0 where the capacity is 0
+    out = []
+    for item_id, profit, pairs in items:
+        parts = [s * unit[i] for i, s in pairs]  # a part is 0 only on a zero capacity
+        out.append((item_id, profit, pairs, int(sum(parts)), all(parts)))
+    return out, cap_lcm * size_lcm
 
 
 def _mdkp_order(norm):
-    return sorted(norm, key=lambda t: (-_efficiency(t[1], t[3]), t[3], _id_key(t[0])))
+    """Profit/weight descending (positive profit at zero weight first), then
+    smaller weight, then lower id. The ratio is one int, ⌊P·S/W⌋ with profits
+    on a common scale and S = 2^k > W_max², so distinct ratios stay apart."""
+    p_scale = math.lcm(*(t[1].denominator for t in norm))
+    shift = 2 * max((t[3] for t in norm), default=0).bit_length()
+
+    def key(t):
+        p, w = int(t[1] * p_scale), t[3]
+        return (-((p << shift) // w) if w else -math.inf if p else 0), w, _id_key(t[0])
+    return sorted(norm, key=key)
 
 
 def _fits(pairs, residual):
@@ -302,7 +314,7 @@ def _mdkp_greedy(inst):
     residual = list(inst.capacities)
     selected = []
     profit = 0
-    for item_id, p, pairs, _w, packable in _mdkp_order(_mdkp_normalized(inst)):
+    for item_id, p, pairs, _w, packable in _mdkp_order(_mdkp_normalized(inst)[0]):
         if packable and _fits(pairs, residual):
             for i, s in pairs:
                 residual[i] -= s
@@ -312,10 +324,11 @@ def _mdkp_greedy(inst):
 
 
 def _mdkp_exact(inst):
-    norm = [t for t in _mdkp_order(_mdkp_normalized(inst)) if t[4]]
-    # surrogate: one knapsack of capacity = number of positive dimensions,
-    # item size = its normalized weight; fractional optimum bounds the 0-1 one
-    surrogate_cap = sum(1 for b in inst.capacities if b > 0)
+    norm, scale = _mdkp_normalized(inst)
+    norm = [t for t in _mdkp_order(norm) if t[4]]
+    # surrogate: one knapsack of capacity = number of positive dimensions, item
+    # size = its normalized weight, both scaled; fractional optimum bounds the 0-1 one
+    surrogate_cap = scale * sum(1 for b in inst.capacities if b > 0)
     weights = [(p, w) for _id, p, _s, w, _ok in norm]
     best_profit = 0
     best_set = []

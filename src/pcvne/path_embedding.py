@@ -72,22 +72,25 @@ def _usable_subgraph(net):
 
 
 def _dfs_tree(root, adj):
-    """Iterative depth-first tree (children tried in sorted order, parents
-    assigned at visit time as in the recursive traversal, deep on dense
-    graphs) and its deepest node (ties: lowest id), the diameter's first sweep."""
-    parent = {}
-    stack = [(root, None, 0)]
-    best = (0, root)  # (-depth, id)
+    """Iterative depth-first tree (children in sorted order; one iterator per
+    level, so each child is pushed once, with the recursive traversal's parent)
+    and its deepest node (ties: lowest id), the diameter's first sweep."""
+    parent = {root: None}
+    stack = [(root, iter(adj[root]))]
+    far, far_depth = root, 0
     while stack:
-        v, p, d = stack.pop()
-        if v in parent:
-            continue
-        parent[v] = p
-        best = min(best, (-d, v))
-        for w in reversed(adj[v]):
+        v, children = stack[-1]
+        for w in children:
             if w not in parent:
-                stack.append((w, v, d + 1))
-    return parent, best[1]
+                parent[w] = v
+                depth = len(stack)
+                if depth > far_depth or (depth == far_depth and w < far):
+                    far, far_depth = w, depth
+                stack.append((w, iter(adj[w])))
+                break
+        else:
+            stack.pop()
+    return parent, far
 
 
 def _tree_farthest(start, tree_adj):

@@ -114,6 +114,61 @@ def mdkp_weight_reference(capacities, sizes):
     return sum(Fraction(s, capacities[i]) for i, s in pairs if capacities[i] > 0)
 
 
+def mdkp_order_reference(capacities, items):
+    """MDKP (id, profit, sizes) items in funding order, by one plain Fraction
+    key: (-profit/weight, weight, id type name and repr), weight =
+    mdkp_weight_reference; at weight 0 a positive profit ranks first and a
+    zero profit at efficiency 0."""
+    def key(item):
+        item_id, p, sizes = item
+        w = mdkp_weight_reference(capacities, sizes)
+        eff = (math.inf if p > 0 else 0) if w == 0 else Fraction(p) / w
+        return (-eff, w, _id_key(item_id))
+    return sorted(items, key=key)
+
+
+def _mdkp_take(capacities, residual, sizes):
+    """Take the sizes off the residual if they fit, and say whether they did; a
+    positive size on a zero-capacity dimension never fits."""
+    pairs = list(sizes.items() if isinstance(sizes, dict) else enumerate(sizes))
+    if not all(s == 0 or (capacities[i] > 0 and s <= residual[i]) for i, s in pairs):
+        return False
+    for i, s in pairs:
+        residual[i] -= s
+    return True
+
+
+def mdkp_greedy_reference(capacities, items):
+    """Greedy MDKP: first fit in mdkp_order_reference order. Returns
+    (selected ids in that order, profit)."""
+    residual = list(capacities)
+    selected, profit = [], 0
+    for item_id, p, sizes in mdkp_order_reference(capacities, items):
+        if _mdkp_take(capacities, residual, sizes):
+            selected.append(item_id)
+            profit += p
+    return selected, profit
+
+
+def mdkp_exact_reference(capacities, items):
+    """Exact MDKP by enumeration: of the feasible subsets with the largest
+    profit, the first when each is read as its positions in
+    mdkp_order_reference order and compared as tuples (the first optimum an
+    include-first depth-first search meets). Returns (selected ids in that
+    order, profit)."""
+    order = mdkp_order_reference(capacities, items)
+    best = ((), 0)
+    for k in range(1, len(order) + 1):
+        for combo in combinations(range(len(order)), k):
+            residual = list(capacities)
+            if not all(_mdkp_take(capacities, residual, order[j][2]) for j in combo):
+                continue
+            profit = sum(order[j][1] for j in combo)
+            if profit > best[1] or (profit == best[1] and combo < best[0]):
+                best = (combo, profit)
+    return [order[j][0] for j in best[0]], best[1]
+
+
 def cardinality_ddkp_optimum(capacities, size_vectors):
     """Max number of items packable under component-wise capacities."""
     n = len(size_vectors)

@@ -115,7 +115,14 @@ def _duplicate_id(data):
     return data, "requests[1].id: duplicate id 'r'"
 
 
-@pytest.mark.parametrize("corrupt", [_missing_cpu, _bad_revenue, _top_level_list, _duplicate_id])
+def _requests_object(data):
+    # used to load as no requests: every embed-* command exited 0 with total_requests 0
+    data["requests"] = {}
+    return data, "instance.requests: expected a list, got dict"
+
+
+@pytest.mark.parametrize("corrupt", [_missing_cpu, _bad_revenue, _top_level_list, _duplicate_id,
+                                     _requests_object])
 def test_malformed_instance_is_a_clean_error(tmp_path, capsys, corrupt):
     data, message = corrupt(_ring_instance())
     inst = tmp_path / "inst.json"

@@ -91,6 +91,11 @@ def _two_nodes(**request):
     ({**_two_nodes(), "edges": {"u": 0, "v": 1}}, "instance.edges"),
     (_two_nodes(shape="ring"), "requests[0].shape"),
     (_two_nodes(revenue="1/0"), "requests[0].revenue"),
+    # an empty object or string iterates like an empty list; none may load as one
+    *(({**_two_nodes(), key: empty}, f"instance.{key}: expected a list, got {type(empty).__name__}")
+      for key in ("nodes", "edges", "requests") for empty in ({}, "")),
+    # a one-VN path request without VLs is valid, so vls {} would load as []
+    (_two_nodes(vns=[{"id": 0, "cpu": 1}], vls={}), "requests[0].vls: expected a list, got dict"),
 ])
 def test_malformed_fields_are_named(data, field):
     with pytest.raises(InstanceFormatError, match=re.escape(field)):

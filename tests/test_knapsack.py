@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -9,6 +10,8 @@ from oracles import (
     item_order_key,
     kp_best_profit,
     mdkp_best_profit,
+    mdkp_exact_reference,
+    mdkp_greedy_reference,
     mdkp_weight_reference,
     mkp_best_profit,
     sorted_first_fit,
@@ -326,5 +329,52 @@ def test_property_mdkp_weights_match_fraction_sum(data):
         if data.draw(st.booleans()):  # mapping form, some explicit zeros kept
             sizes = {k: s for k, s in enumerate(sizes) if s or data.draw(st.booleans())}
         items.append((i, data.draw(_QUANTITIES), sizes))
-    norm = _mdkp_normalized(MdkpInstance(caps, items))
-    assert [t[3] for t in norm] == [mdkp_weight_reference(caps, sizes) for _i, _p, sizes in items]
+    norm, scale = _mdkp_normalized(MdkpInstance(caps, items))
+    assert all(type(t[3]) is int for t in norm)
+    assert [Fraction(t[3], scale) for t in norm] == [mdkp_weight_reference(caps, sizes) for _i, _p, sizes in items]
+
+
+def _assert_mdkp_matches_references(caps, items):
+    inst = MdkpInstance(caps, items)
+    assert solve_mdkp(inst, mode="greedy") == mdkp_greedy_reference(inst.capacities, inst.items)
+    if len(items) <= 8:
+        assert solve_mdkp(inst, mode="exact") == mdkp_exact_reference(inst.capacities, inst.items)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_property_mdkp_greedy_and_exact_match_fraction_key_references(data):
+    # _QUANTITIES and _PROFITS give equal efficiencies from different
+    # (profit, weight) pairs, zero capacities, zero sizes and zero profits;
+    # the ids mix types, so ties fall through to the id key
+    d = data.draw(st.integers(1, 5))
+    caps = data.draw(st.lists(_QUANTITIES, min_size=d, max_size=d))
+    ids = data.draw(st.lists(_IDS, max_size=8, unique=True))
+    items = []
+    for item_id in ids:
+        sizes = data.draw(st.lists(_QUANTITIES, min_size=d, max_size=d))
+        if data.draw(st.booleans()):
+            sizes = {k: s for k, s in enumerate(sizes) if s}
+        items.append((item_id, data.draw(_PROFITS), sizes))
+    _assert_mdkp_matches_references(caps, items)
+
+
+def _primes(lo, count):
+    found, n = [], lo
+    while len(found) < count:
+        if all(n % p for p in range(2, math.isqrt(n) + 1)):
+            found.append(n)
+        n += 1
+    return found
+
+
+def test_mdkp_over_300_prime_capacities_matches_references():
+    # the common scale is the product of 300 six-digit primes, about 6000 bits
+    rng = random.Random(15)
+    caps = _primes(100_003, 300)
+    rng.shuffle(caps)
+    for n in (8, 40):
+        items = [(i, rng.choice([1, 2, 3, Fraction(7, 2)]),
+                  {k: rng.choice([1, 50, 999, Fraction(1, 3)]) for k in rng.sample(range(300), rng.randint(0, 12))})
+                 for i in range(n)]
+        _assert_mdkp_matches_references(caps, items)

@@ -19,6 +19,7 @@ from conftest import (
     uniform_path_request,
 )
 from oracles import (
+    _dfs_tree_reference,
     decompose_paths_reference,
     first_fit_paths,
     mkp_best_profit,
@@ -31,6 +32,7 @@ from pcvne.model import ModelError, commit, edge_key, validate_embedding
 from pcvne.path_embedding import (
     PathPlacement,
     SubstratePath,
+    _dfs_tree,
     assign_mdkp,
     decompose_paths,
     pack_mkp,
@@ -106,6 +108,44 @@ class TestDecompose:
             if rng.random() < 0.25:
                 net.residual_bw[k] = 0
         assert decompose_paths(net) == decompose_paths_reference(net)
+
+
+def _check_dfs_tree(root, adj):
+    parent, far = _dfs_tree(root, adj)
+    assert parent == _dfs_tree_reference(root, adj)
+    depth = {root: 0}
+    for v in parent:  # parents enter the dict before their children
+        if parent[v] is not None:
+            depth[v] = depth[parent[v]] + 1
+    deepest = max(depth.values())
+    assert far == min(v for v, d in depth.items() if d == deepest)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 10 ** 6))
+def test_property_dfs_tree_matches_reference(seed):
+    # one iterator per level must give the parents of the push-every-neighbour
+    # traversal, and the deepest node with ties to the lowest id, from any root
+    rng = random.Random(seed)
+    g = random_connected_graph(rng, rng.randint(1, 14))
+    adj = {v: [] for v in g.nodes}
+    for u, v in sorted(g.edges):
+        adj[u].append(v)
+        adj[v].append(u)
+    for nbrs in adj.values():
+        nbrs.sort()
+    for root in rng.sample(sorted(adj), min(3, len(adj))):
+        _check_dfs_tree(root, adj)
+
+
+def test_dfs_tree_on_a_long_path_needs_no_recursion():
+    n = 5001
+    adj = {v: [w for w in (v - 1, v + 1) if 0 <= w < n] for v in range(n)}
+    _check_dfs_tree(0, adj)
+    assert _dfs_tree(0, adj)[1] == n - 1
+    # from the middle both ends are 2500 deep: the lower id wins
+    _check_dfs_tree(2500, adj)
+    assert _dfs_tree(2500, adj)[1] == 0
 
 
 class TestPackMkp:
