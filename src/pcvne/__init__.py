@@ -25,7 +25,6 @@ from .knapsack import (
     KpItem,
     MdkpInstance,
     MkpInstance,
-    solve_kp_dp,
     solve_mdkp,
     solve_mkp,
 )

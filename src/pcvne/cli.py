@@ -129,6 +129,10 @@ def _trail_equivalence(g):
 
 
 def cmd_verify_theory(args):
+    for flag, value, least in (("--max-nodes", args.max_nodes, 1), ("--samples", args.samples, 0),
+                               ("--sample-nodes", args.sample_nodes, 1)):
+        if value < least:
+            raise ModelError(f"{flag} must be at least {least}, got {value}")
     rng = random.Random(args.seed)
 
     def exhaustive(smallest):
@@ -150,11 +154,9 @@ def cmd_verify_theory(args):
         rows.append((name, len(results), all(results)))
 
     width = max(len(r[0]) for r in rows)
-    ok_all = True
     for name, n_cases, ok in rows:
-        ok_all &= ok
         print(f"{name:<{width}}  {n_cases:>6} cases  {'PASS' if ok else 'FAIL'}")
-    if not ok_all:
+    if not all(ok for _, _, ok in rows):
         sys.exit(1)
 
 

@@ -275,19 +275,3 @@ def gen_ddkp_reduction(inst):
             revenue=1,
         ))
     return DdkpReduction(net=net, requests=requests, dim_position=dim_position)
-
-
-def cpu_link_feasible_hosts(net, req, vn):
-    """Nodes that could host `vn`: enough CPU, and at least one incident link
-    able to carry the largest demand among the VLs touching `vn`."""
-    need_cpu = req.cpu_demand[vn]
-    vl_demands = [req.bw_demand[k] for k in req.vls if vn in k]
-    need_bw = max(vl_demands, default=0)
-    hosts = set()
-    for v in net.nodes:
-        if net.cpu_capacity[v] < need_cpu:
-            continue
-        if need_bw and not any(net.bw_capacity[k] >= need_bw for k in net.incident_edges(v)):
-            continue
-        hosts.add(v)
-    return hosts

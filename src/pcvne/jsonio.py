@@ -16,6 +16,7 @@ InstanceFormatError, whose message names the offending field.
 from __future__ import annotations
 
 import json
+from itertools import chain
 
 from .model import ModelError, Shape, SubstrateNetwork, VirtualRequest, as_quantity, edge_key
 
@@ -85,6 +86,7 @@ def _parse_instance(data):
 
 
 _REQUIRED = object()
+_SCALARS = (str, int, float, bool, type(None))  # the ids JSON holds as they are
 
 
 def _field(obj, key, where, default=_REQUIRED):
@@ -106,7 +108,7 @@ def _list(obj, key, where, default=_REQUIRED):
 
 def _id(obj, key, where, default=_REQUIRED):
     x = _field(obj, key, where, default)
-    if isinstance(x, (list, dict)):
+    if not isinstance(x, _SCALARS):
         raise InstanceFormatError(f"{where}.{key}: expected a scalar id, got {type(x).__name__}")
     return x
 
@@ -145,8 +147,12 @@ def _check_entries(obj, key, where, fields):
 
 
 def dump_instance(net, requests, fp):
-    """Write the instance as JSON with one node, edge or request per line,
-    each encoded by json.dumps (the C encoder; indent= would not use it)."""
+    """Write the instance as JSON, one node, edge or request per line, each by
+    json.dumps (the C encoder; indent= would not use it); ids must be scalars."""
+    ids = chain(net.nodes, *net.edges, chain.from_iterable(  # lazy, so it adds no GC passes
+        chain((r.req_id,), r.vns, *r.vls) for r in requests))
+    if not set(map(type, ids)).issubset(_SCALARS):  # exact types; `_id` lets subclasses pass
+        _name_defect(instance_to_dict(net, requests))  # a tuple would load as a list: raise
     sep = "{"
     for key, entries in instance_to_dict(net, requests).items():
         fp.write(f'{sep}"{key}": [\n' + ",\n".join(map(json.dumps, entries)) + "\n]")

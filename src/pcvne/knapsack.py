@@ -1,4 +1,4 @@
-"""0-1 knapsack, multiple-knapsack and multi-dimensional knapsack solvers.
+"""Multiple-knapsack and multi-dimensional knapsack solvers.
 
 Each problem gets a fast greedy heuristic and an exact solver, selected by
 `mode`. The exact solvers are branch-and-bound searches intended for
@@ -121,35 +121,6 @@ def order_items(items):
 
 def _id_key(item_id):
     return (type(item_id).__name__, repr(item_id))
-
-
-def solve_kp_dp(capacity, items):
-    """Exact 0-1 knapsack by dynamic programming over the capacity axis.
-
-    Sizes must be ints. Returns (selected item ids, optimal profit).
-    O(n * capacity) time and space.
-    """
-    if not isinstance(capacity, int) or capacity < 0:
-        raise ModelError(f"capacity must be a non-negative int, got {capacity!r}")
-    n = len(items)
-    best = [0] * (capacity + 1)
-    keep = [[False] * (capacity + 1) for _ in range(n)]
-    for i, it in enumerate(items):
-        if it.size > capacity:
-            continue
-        for c in range(capacity, it.size - 1, -1):
-            cand = best[c - it.size] + it.profit
-            if cand > best[c]:
-                best[c] = cand
-                keep[i][c] = True
-    selected = []
-    c = capacity
-    for i in range(n - 1, -1, -1):
-        if keep[i][c]:
-            selected.append(items[i].item_id)
-            c -= items[i].size
-    selected.reverse()
-    return selected, best[capacity]
 
 
 def _fractional_bound(pairs, capacity):

@@ -144,9 +144,6 @@ class SubstrateNetwork:
         The list is shared, do not mutate it."""
         return self._inc[v]
 
-    def incident_edges(self, v):
-        return [k for _, k in self._inc[v]]
-
     def degree(self, v):
         return len(self._adj[v])
 

@@ -61,20 +61,10 @@ class PathPlacement:
         return Embedding(req_id=self.req.req_id, node_map=node_map, link_map=link_map)
 
 
-def _usable_subgraph(net):
-    """Nodes with positive residual CPU; links with positive residual BW whose
-    endpoints are both usable. Exhausted elements cannot host anything and
-    would only inflate knapsack capacities."""
-    nodes = {v for v in net.nodes if net.residual_cpu[v] > 0}
-    edges = {k for k in net.edges
-             if net.residual_bw[k] > 0 and k[0] in nodes and k[1] in nodes}
-    return nodes, edges
-
-
 def _dfs_tree(root, adj):
-    """Iterative depth-first tree (children in sorted order; one iterator per
-    level, so each child is pushed once, with the recursive traversal's parent)
-    and its deepest node (ties: lowest id), the diameter's first sweep."""
+    """Iterative depth-first tree (children in list order, each pushed once,
+    with the recursive traversal's parent) and its deepest node (ties: lowest
+    id). On a tree, neither depends on the order: paths there are unique."""
     parent = {root: None}
     stack = [(root, iter(adj[root]))]
     far, far_depth = root, 0
@@ -93,38 +83,19 @@ def _dfs_tree(root, adj):
     return parent, far
 
 
-def _tree_farthest(start, tree_adj):
-    """Farthest node from `start` inside the tree (ties: lowest id; in a tree
-    any visiting order gives it), with the traversal's parent pointers."""
-    parent = {start: None}
-    depth = {start: 0}
-    stack = [start]
-    best = start
-    while stack:
-        v = stack.pop()
-        if depth[v] > depth[best] or (depth[v] == depth[best] and v < best):
-            best = v
-        for w in tree_adj[v]:
-            if w not in parent:
-                parent[w] = v
-                depth[w] = depth[v] + 1
-                stack.append(w)
-    return best, parent
-
-
 def decompose_paths(net):
-    """Split the usable part of the substrate into link-disjoint simple paths.
+    """Split the usable substrate (SNs with positive residual CPU, SLs with
+    positive residual BW between two of them) into link-disjoint simple paths.
 
     Repeatedly: root a DFS tree at the usable node of maximum degree (ties by
-    lowest id, off a lazy heap), emit the tree's longest path (a second sweep
-    from the DFS's deepest node) and remove its links; every usable SL ends up
-    in exactly one path. `procedure_pe` reuses the result until a residual hits 0.
+    lowest id, off a lazy heap), emit its longest path (`_dfs_tree` again, from
+    its deepest node) and drop its links. `procedure_pe` reuses the paths until
+    a residual hits 0.
     """
-    nodes, edges = _usable_subgraph(net)
-    adj = {v: [] for v in nodes}
-    for u, v in sorted(edges):  # canonical keys in order: each list comes out sorted
-        adj[u].append(v)
-        adj[v].append(u)
+    bw = net.residual_bw
+    usable = {v for v in net.nodes if net.residual_cpu[v] > 0}
+    # `incident` is sorted by neighbor, so each list comes out sorted
+    adj = {v: [w for w, k in net.incident(v) if w in usable and bw[k] > 0] for v in usable}
     heap = [(-len(nbrs), v) for v, nbrs in adj.items() if nbrs]
     heapq.heapify(heap)
 
@@ -139,7 +110,7 @@ def decompose_paths(net):
             if p is not None:
                 tree_adj[v].append(p)
                 tree_adj[p].append(v)
-        b, par = _tree_farthest(a, tree_adj)
+        par, b = _dfs_tree(a, tree_adj)
         seq = [b]
         while par[seq[-1]] is not None:
             seq.append(par[seq[-1]])

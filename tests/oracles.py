@@ -10,7 +10,7 @@ from collections import deque
 from fractions import Fraction
 from itertools import combinations
 
-from pcvne.model import Embedding, EmbeddingBatch, as_quantity, commit, edge_key
+from pcvne.model import Embedding, EmbeddingBatch, ModelError, as_quantity, commit, edge_key
 
 
 def kp_best_profit(capacity, items):
@@ -26,6 +26,35 @@ def kp_best_profit(capacity, items):
         if size <= capacity and profit > best:
             best = profit
     return best
+
+
+def solve_kp_dp(capacity, items):
+    """Exact 0-1 knapsack by dynamic programming over the capacity axis.
+
+    Sizes must be ints. Returns (selected item ids, optimal profit).
+    O(n * capacity) time and space.
+    """
+    if not isinstance(capacity, int) or capacity < 0:
+        raise ModelError(f"capacity must be a non-negative int, got {capacity!r}")
+    n = len(items)
+    best = [0] * (capacity + 1)
+    keep = [[False] * (capacity + 1) for _ in range(n)]
+    for i, it in enumerate(items):
+        if it.size > capacity:
+            continue
+        for c in range(capacity, it.size - 1, -1):
+            cand = best[c - it.size] + it.profit
+            if cand > best[c]:
+                best[c] = cand
+                keep[i][c] = True
+    selected = []
+    c = capacity
+    for i in range(n - 1, -1, -1):
+        if keep[i][c]:
+            selected.append(items[i].item_id)
+            c -= items[i].size
+    selected.reverse()
+    return selected, best[capacity]
 
 
 def mkp_best_profit(capacities, items):
@@ -191,6 +220,22 @@ def cardinality_ddkp_optimum(capacities, size_vectors):
                 best = r
                 break
     return best
+
+
+def cpu_link_feasible_hosts(net, req, vn):
+    """Nodes that could host `vn`: enough CPU, and at least one incident link
+    able to carry the largest demand among the VLs touching `vn`."""
+    need_cpu = req.cpu_demand[vn]
+    vl_demands = [req.bw_demand[k] for k in req.vls if vn in k]
+    need_bw = max(vl_demands, default=0)
+    hosts = set()
+    for v in net.nodes:
+        if net.cpu_capacity[v] < need_cpu:
+            continue
+        if need_bw and not any(net.bw_capacity[k] >= need_bw for _, k in net.incident(v)):
+            continue
+        hosts.add(v)
+    return hosts
 
 
 def ring_order(net):
@@ -378,7 +423,7 @@ def node_scores_reference(net, smooth=False):
     averaged once with the neighbors' scores (one power-iteration step)."""
     scores = {}
     for v in net.nodes:
-        bw = sum(net.residual_bw[k] for k in net.incident_edges(v))
+        bw = sum(net.residual_bw[k] for _, k in net.incident(v))
         scores[v] = net.residual_cpu[v] * bw
     if not smooth:
         return scores

@@ -22,9 +22,11 @@ from conftest import (
 )
 from oracles import (
     cardinality_ddkp_optimum,
+    cpu_link_feasible_hosts,
     kp_best_profit,
     mdkp_best_profit,
     mkp_best_profit,
+    solve_kp_dp,
     wdag_all_cycles,
 )
 from pcvne.baseline import generic_batch, generic_embed
@@ -43,13 +45,12 @@ from pcvne.experiment import ExperimentConfig, run_experiment
 from pcvne.generators import (
     RequestSpec,
     SubstrateSpec,
-    cpu_link_feasible_hosts,
     gen_ddkp_reduction,
     gen_edp_reduction,
     gen_requests,
     gen_substrate,
 )
-from pcvne.knapsack import KpItem, MdkpInstance, MkpInstance, solve_kp_dp, solve_mdkp, solve_mkp
+from pcvne.knapsack import KpItem, MdkpInstance, MkpInstance, solve_mdkp, solve_mkp
 from pcvne.model import audit_residuals, validate_embedding
 from pcvne.path_embedding import procedure_pe
 from pcvne.theory import (

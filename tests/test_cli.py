@@ -207,6 +207,19 @@ def test_verify_theory_runs(capsys):
     assert "PASS" in out and "FAIL" not in out
 
 
+@pytest.mark.parametrize("flag, value, least", [
+    ("--max-nodes", "0", 1), ("--max-nodes", "-1", 1),
+    ("--sample-nodes", "0", 1), ("--sample-nodes", "-2", 1),
+    ("--samples", "-3", 0),
+])
+def test_verify_theory_refuses_empty_sweeps(capsys, flag, value, least):
+    # 0-node samples used to FAIL (the empty graph), negative counts to PASS 0 cases
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-theory", flag, value])
+    assert exc.value.code == 2
+    assert capsys.readouterr() == ("", f"error: {flag} must be at least {least}, got {value}\n")
+
+
 def test_console_entry_point():
     proc = subprocess.run([sys.executable, "-m", "pcvne.cli", "--help"],
                           capture_output=True, text=True)

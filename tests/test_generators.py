@@ -3,12 +3,11 @@ import random
 import pytest
 
 from conftest import mask_hosts
-from oracles import cardinality_ddkp_optimum
+from oracles import cardinality_ddkp_optimum, cpu_link_feasible_hosts
 from pcvne.generators import (
     RequestSpec,
     SpecError,
     SubstrateSpec,
-    cpu_link_feasible_hosts,
     gen_ddkp_reduction,
     gen_edp_reduction,
     gen_requests,

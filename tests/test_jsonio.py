@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_cycle_request, make_net, make_path_request
+from pcvne.generators import gen_edp_reduction
 from pcvne.jsonio import (
     InstanceFormatError,
     dump_instance,
@@ -109,6 +110,31 @@ def test_mixed_id_types_and_bad_json_are_model_errors():
         instance_from_dict(data)
     with pytest.raises(InstanceFormatError):
         load_instance(io.StringIO('{"nodes": ['))
+
+
+def _tuple_vn_request():
+    a, b = ("v", 0), ("v", 1)
+    return VirtualRequest(req_id=0, shape=Shape.PATH, vns=[a, b], vls=[(a, b)],
+                          cpu_demand={a: 1, b: 1}, bw_demand={(a, b): 1})
+
+
+def _edp_instance():
+    red = gen_edp_reduction([0, 1, 2], [(0, 1), (1, 2)], [(0, 2)])  # SNs ("n", v), ("c", v)
+    return red.net, red.requests
+
+
+@pytest.mark.parametrize("instance, field", [
+    # JSON would write each tuple as a list, which loading refuses
+    (_edp_instance, "instance.nodes[0].id"),
+    (lambda: (make_net([0, 1], [(0, 1)], 5, 5), [make_path_request(("r", 1), [1, 1], [1])]), "requests[0].id"),
+    (lambda: (make_net([0, 1], [(0, 1)], 5, 5), [_tuple_vn_request()]), "requests[0].vns[0].id"),
+])
+def test_dump_refuses_ids_json_cannot_hold(instance, field):
+    net, requests = instance()
+    fp = io.StringIO()
+    with pytest.raises(InstanceFormatError, match=re.escape(f"{field}: expected a scalar id, got tuple")):
+        dump_instance(net, requests, fp)
+    assert fp.getvalue() == ""
 
 
 def test_request_ids_default_to_index():

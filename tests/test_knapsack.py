@@ -14,6 +14,7 @@ from oracles import (
     mdkp_greedy_reference,
     mdkp_weight_reference,
     mkp_best_profit,
+    solve_kp_dp,
     sorted_first_fit,
 )
 from pcvne.knapsack import (
@@ -26,7 +27,6 @@ from pcvne.knapsack import (
     _mdkp_normalized,
     first_fit,
     order_items,
-    solve_kp_dp,
     solve_mdkp,
     solve_mkp,
 )

@@ -25,9 +25,10 @@ from oracles import (
     mkp_best_profit,
     pack_mkp_reference,
     procedure_pe_reference,
+    solve_kp_dp,
 )
-from pcvne.generators import RequestSpec, SubstrateSpec, gen_requests, gen_substrate
-from pcvne.knapsack import EXACT_ITEM_LIMIT, KpItem, MdkpInstance, solve_kp_dp, solve_mdkp
+from pcvne.generators import RequestSpec, SubstrateSpec, gen_edp_reduction, gen_requests, gen_substrate
+from pcvne.knapsack import EXACT_ITEM_LIMIT, KpItem, MdkpInstance, solve_mdkp
 from pcvne.model import ModelError, commit, edge_key, validate_embedding
 from pcvne.path_embedding import (
     PathPlacement,
@@ -99,15 +100,30 @@ class TestDecompose:
         # tree lists must give the paths of the plain scan-and-two-sweeps form,
         # also once exhausted SNs and SLs leave holes in the usable subgraph
         rng = random.Random(seed)
-        g = random_connected_graph(rng, rng.randint(1, 12))
-        net = graph_net(g)
-        for v in net.nodes:
-            if rng.random() < 0.15:
-                net.residual_cpu[v] = 0
-        for k in net.edges:
-            if rng.random() < 0.25:
-                net.residual_bw[k] = 0
+        net = _exhaust_some(rng, graph_net(random_connected_graph(rng, rng.randint(1, 12))))
         assert decompose_paths(net) == decompose_paths_reference(net)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 10 ** 6))
+    def test_property_matches_reference_on_tuple_ids(self, seed):
+        # the EDP reduction names its SNs ("n", v) and ("c", v): adjacency
+        # lists read off `incident` must keep the order of the reference's sort
+        rng = random.Random(seed)
+        g = random_connected_graph(rng, rng.randint(2, 8))
+        pairs = [tuple(rng.sample(list(g.nodes), 2)) for _ in range(rng.randint(0, 3))]
+        net = _exhaust_some(rng, gen_edp_reduction(list(g.nodes), list(g.edges), pairs).net)
+        assert decompose_paths(net) == decompose_paths_reference(net)
+
+
+def _exhaust_some(rng, net):
+    """`net` with the residuals of about 15% of its SNs and 25% of its SLs at 0."""
+    for v in net.nodes:
+        if rng.random() < 0.15:
+            net.residual_cpu[v] = 0
+    for k in net.edges:
+        if rng.random() < 0.25:
+            net.residual_bw[k] = 0
+    return net
 
 
 def _check_dfs_tree(root, adj):
