@@ -62,25 +62,21 @@ def _emit_batch(out, algorithm, batch, total):
         "revenue": float(revenue),
         "embeddings": [jsonio.embedding_to_dict(req, emb) for req, emb in batch.items],
     }
-    json.dump(payload, out, indent=2)
-    out.write("\n")
+    jsonio.dump_json(payload, out)
+
+
+def _specs(args):
+    """The substrate and request specs that the generate and experiment flags name."""
+    return (SubstrateSpec(n_nodes=args.nodes, topology=args.topology, n_edges=args.edges,
+                          cpu_capacity=args.cpu_capacity, bw_capacity=args.bw_capacity),
+            RequestSpec(shape=args.shape, count=args.count,
+                        length_range=(args.length_min, args.length_max),
+                        demand_range=(args.demand_min, args.demand_max),
+                        revenue_rule=args.revenue))
 
 
 def cmd_generate(args):
-    sub = SubstrateSpec(
-        n_nodes=args.nodes,
-        topology=args.topology,
-        n_edges=args.edges,
-        cpu_capacity=args.cpu_capacity,
-        bw_capacity=args.bw_capacity,
-    )
-    req = RequestSpec(
-        shape=args.shape,
-        count=args.count,
-        length_range=(args.length_min, args.length_max),
-        demand_range=(args.demand_min, args.demand_max),
-        revenue_rule=args.revenue,
-    )
+    sub, req = _specs(args)
     rng = random.Random(args.seed)
     with _open_out(args.out) as out:
         net = gen_substrate(sub, rng.randrange(2 ** 31))
@@ -112,8 +108,7 @@ def cmd_embed_cycles(args):
         fallback = None if args.no_fallback else generic_embed
         batch = greedy_revenue(net, requests, fallback=fallback, trace=trace)
         if dump_fp:
-            json.dump(trace, dump_fp, indent=2)
-            dump_fp.write("\n")
+            jsonio.dump_json(trace, dump_fp)
         _emit_batch(out, "gr", batch, len(requests))
 
 
@@ -161,17 +156,9 @@ def cmd_verify_theory(args):
 
 
 def cmd_experiment(args):
+    sub, req = _specs(args)
     cfg = ExperimentConfig(
-        substrate=SubstrateSpec(
-            n_nodes=args.nodes, topology=args.topology, n_edges=args.edges,
-            cpu_capacity=args.cpu_capacity, bw_capacity=args.bw_capacity,
-        ),
-        requests=RequestSpec(
-            shape=args.shape, count=args.count,
-            length_range=(args.length_min, args.length_max),
-            demand_range=(args.demand_min, args.demand_max),
-            revenue_rule=args.revenue,
-        ),
+        substrate=sub, requests=req,
         algorithms=args.algorithms.split(","),
         trials=args.trials,
         seed=args.seed,

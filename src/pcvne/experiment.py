@@ -4,7 +4,6 @@ network copies, per-trial metrics and aggregate 95% confidence intervals."""
 from __future__ import annotations
 
 import csv
-import json
 import random
 import statistics
 import time
@@ -14,6 +13,7 @@ from fractions import Fraction
 from .baseline import generic_batch, generic_embed
 from .cycle_embedding import greedy_revenue
 from .generators import RequestSpec, SpecError, SubstrateSpec, gen_requests, gen_substrate
+from .jsonio import dump_json
 from .model import Shape, audit_residuals, batch_metrics
 from .path_embedding import procedure_pe
 
@@ -181,5 +181,4 @@ def write_json(result, fp):
             for alg, a in agg.items()
         },
     }
-    json.dump(payload, fp, indent=2)
-    fp.write("\n")
+    dump_json(payload, fp)

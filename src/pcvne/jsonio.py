@@ -1,4 +1,4 @@
-"""Canonical JSON instance format.
+"""Canonical instance JSON and the one JSON writer.
 
     {"nodes":    [{"id": ..., "cpu": ...}, ...],
      "edges":    [{"u": ..., "v": ..., "bw": ...}, ...],
@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 from itertools import chain
 
-from .model import ModelError, Shape, SubstrateNetwork, VirtualRequest, as_quantity, edge_key
+from .model import ModelError, Shape, SubstrateNetwork, VirtualRequest, as_quantity
 
 
 class InstanceFormatError(ModelError):
@@ -60,9 +60,9 @@ def instance_from_dict(data):
 def _parse_instance(data):
     node_list, edge_list = _list(data, "nodes", "instance"), _list(data, "edges", "instance")
     nodes = [n["id"] for n in node_list]
-    cpu = {n["id"]: as_quantity(n["cpu"]) for n in node_list}
+    cpu = {n["id"]: n["cpu"] for n in node_list}
     edges = [(e["u"], e["v"]) for e in edge_list]
-    bw = {edge_key(e["u"], e["v"]): as_quantity(e["bw"]) for e in edge_list}
+    bw = {(e["u"], e["v"]): e["bw"] for e in edge_list}
     net = SubstrateNetwork(nodes, edges, cpu, bw)
     requests = []
     seen = set()
@@ -78,9 +78,9 @@ def _parse_instance(data):
             shape=Shape(r["shape"]),
             vns=[v["id"] for v in vns],
             vls=[(l["u"], l["v"]) for l in vls],
-            cpu_demand={v["id"]: as_quantity(v["cpu"]) for v in vns},
-            bw_demand={edge_key(l["u"], l["v"]): as_quantity(l["bw"]) for l in vls},
-            revenue=as_quantity(r.get("revenue", 1)),
+            cpu_demand={v["id"]: v["cpu"] for v in vns},
+            bw_demand={(l["u"], l["v"]): l["bw"] for l in vls},
+            revenue=r.get("revenue", 1),
         ))
     return net, requests
 
@@ -147,17 +147,29 @@ def _check_entries(obj, key, where, fields):
 
 
 def dump_instance(net, requests, fp):
-    """Write the instance as JSON, one node, edge or request per line, each by
-    json.dumps (the C encoder; indent= would not use it); ids must be scalars."""
+    """Write the instance by `dump_json`, one node, edge or request per line;
+    ids must be scalars."""
     ids = chain(net.nodes, *net.edges, chain.from_iterable(  # lazy, so it adds no GC passes
         chain((r.req_id,), r.vns, *r.vls) for r in requests))
+    data = instance_to_dict(net, requests)
     if not set(map(type, ids)).issubset(_SCALARS):  # exact types; `_id` lets subclasses pass
-        _name_defect(instance_to_dict(net, requests))  # a tuple would load as a list: raise
-    sep = "{"
-    for key, entries in instance_to_dict(net, requests).items():
-        fp.write(f'{sep}"{key}": [\n' + ",\n".join(map(json.dumps, entries)) + "\n]")
-        sep = ",\n"
-    fp.write("}\n")
+        _name_defect(data)  # a tuple would load as a list: raise
+    dump_json(data, fp)
+
+
+def dump_json(obj, fp):
+    """Write `obj` as JSON by json.dumps alone, which keeps to the C encoder
+    (an indented dump would not). A list takes one entry per line; a dict one key per line,
+    where a list value takes one entry per line and any other value stays on
+    its key's line. Any JSON layout loads back the same."""
+    def block(x):
+        if isinstance(x, list):
+            return "[\n" + ",\n".join(map(json.dumps, x)) + "\n]"
+        return json.dumps(x)
+    if isinstance(obj, dict):
+        fp.write("{" + ",\n".join(f"{json.dumps(k)}: {block(v)}" for k, v in obj.items()) + "}\n")
+    else:
+        fp.write(block(obj) + "\n")
 
 
 def load_instance(fp):

@@ -290,10 +290,6 @@ def find_uniform_path_embedding(inst):
     if n > PATH_EMBED_NODE_CAP:
         raise SizeCapExceeded(f"{n} nodes, cap {PATH_EMBED_NODE_CAP}")
     req = inst.request
-    if n == 0:
-        return None
-    if n == 1:
-        return Embedding(req_id=req.req_id, node_map={req.vns[0]: net.nodes[0]}, link_map={})
 
     def simple_paths(src, dst, used_edges):
         # all simple paths src -> dst avoiding used links, as SL-key lists

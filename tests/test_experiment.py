@@ -1,4 +1,8 @@
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -116,3 +120,17 @@ class TestRunExperiment:
         assert len(payload["rows"]) == 4
         assert "pe" in payload["aggregates"]
         assert "mean" in payload["aggregates"]["pe"]["revenue"]
+
+
+def test_experiment_json_golden_output_is_unchanged():
+    # the CLI's JSON aggregates for pe and generic over three seeded trials
+    # pin the per-trial rows, the CI aggregation and the written layout
+    root = Path(__file__).resolve().parent.parent
+    path = os.pathsep.join(filter(None, (str(root / "src"), os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-m", "pcvne.cli", "experiment", "--nodes", "12", "--edges", "24",
+         "--cpu-capacity", "20", "--bw-capacity", "20", "--shape", "path", "--count", "20",
+         "--length-min", "2", "--length-max", "5", "--algorithms", "pe,generic", "--trials", "3",
+         "--seed", "3", "--format", "json", "--no-timing"],
+        capture_output=True, check=True, env=dict(os.environ, PYTHONPATH=path))
+    assert proc.stdout == (root / "tests" / "data" / "experiment.json").read_bytes()

@@ -13,6 +13,7 @@ from pcvne.generators import gen_edp_reduction
 from pcvne.jsonio import (
     InstanceFormatError,
     dump_instance,
+    dump_json,
     embedding_to_dict,
     instance_from_dict,
     instance_to_dict,
@@ -214,6 +215,28 @@ def test_indented_files_still_load():
     text = json.dumps(instance_to_dict(net, reqs), indent=2) + "\n"
     net2, reqs2 = load_instance(io.StringIO(text))
     assert instance_to_dict(net2, reqs2) == instance_to_dict(net, reqs)
+
+
+json_values = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.floats(allow_nan=False), st.text()),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=10)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(st.lists(json_values), st.dictionaries(st.text(), json_values)))
+def test_property_dump_json_loads_back_one_entry_per_line(obj):
+    # st.text() holds newlines and non-ASCII; json.dumps escapes both, so
+    # every entry and every key keeps to one line
+    buf = io.StringIO()
+    dump_json(obj, buf)
+    text = buf.getvalue()
+    assert json.loads(text) == obj
+    if isinstance(obj, list):
+        assert text.count("\n") == max(len(obj), 1) + 2
+    else:
+        lines = [max(len(v), 1) + 2 if isinstance(v, list) else 1 for v in obj.values()]
+        assert text.count("\n") == max(sum(lines), 1)
 
 
 positive = st.one_of(

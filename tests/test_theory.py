@@ -143,6 +143,14 @@ class TestUniformBruteForce:
                 inst = UniformInstance(uniform_net_of(g))
                 assert brute_force_path_embed(inst) == has_spanning_trail(g)
 
+    def test_agrees_with_spanning_trail_on_0_and_1_nodes(self):
+        for n in (0, 1):
+            g = random_connected_graph(random.Random(n), n)
+            inst = UniformInstance(uniform_net_of(g))
+            assert (brute_force_path_embed(inst), has_spanning_trail(g)) == (True, True)
+            ok, violations = validate_embedding(inst.net, inst.request, find_uniform_path_embedding(inst))
+            assert ok, violations
+
     def test_size_cap(self):
         g = G(range(9), [(i, i + 1) for i in range(8)])
         with pytest.raises(SizeCapExceeded):
