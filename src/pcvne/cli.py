@@ -12,11 +12,12 @@ from contextlib import nullcontext
 from . import jsonio
 from .baseline import generic_batch, generic_embed
 from .cycle_embedding import greedy_revenue
-from .experiment import ExperimentConfig, run_experiment, write_csv, write_json
+from .experiment import EMBEDDERS, ExperimentConfig, run_experiment, write_csv, write_json
 from .generators import RequestSpec, SubstrateSpec, gen_requests, gen_substrate
 from .model import ModelError, Shape, batch_metrics
 from .path_embedding import procedure_pe
 from .theory import (
+    GRAPH_SWEEP_NODE_CAP,
     UniformInstance,
     brute_force_path_embed,
     connected_graphs,
@@ -128,6 +129,8 @@ def cmd_verify_theory(args):
                                ("--sample-nodes", args.sample_nodes, 1)):
         if value < least:
             raise ModelError(f"{flag} must be at least {least}, got {value}")
+    if args.max_nodes > GRAPH_SWEEP_NODE_CAP:
+        raise ModelError(f"--max-nodes must be at most {GRAPH_SWEEP_NODE_CAP}, got {args.max_nodes}")
     rng = random.Random(args.seed)
 
     def exhaustive(smallest):
@@ -231,7 +234,7 @@ def build_parser():
     p = sub.add_parser("experiment", help="seeded repeated trials with CI aggregation")
     _add_substrate_args(p)
     _add_request_args(p)
-    p.add_argument("--algorithms", default="pe,generic", help="comma list from pe,gr,generic")
+    p.add_argument("--algorithms", default="pe,generic", help=f"comma list from {','.join(EMBEDDERS)}")
     p.add_argument("--trials", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="-")

@@ -17,7 +17,12 @@ from .jsonio import dump_json
 from .model import Shape, audit_residuals, batch_metrics
 from .path_embedding import procedure_pe
 
-ALGORITHMS = ("pe", "gr", "generic")
+# label -> (request shape it embeds, substrate topology it needs, call); None is "any"
+EMBEDDERS = {
+    "pe": (Shape.PATH, None, procedure_pe),
+    "gr": (Shape.CYCLE, "cycle", lambda net, requests: greedy_revenue(net, requests, fallback=generic_embed)),
+    "generic": (None, None, generic_batch),
+}
 
 
 class ConfigError(SpecError):
@@ -38,18 +43,18 @@ class ExperimentConfig:
         if not self.algorithms:
             raise ConfigError("select at least one algorithm")
         for a in self.algorithms:
-            if a not in ALGORITHMS:
-                raise ConfigError(f"unknown algorithm {a!r} (have {ALGORITHMS})")
+            if a not in EMBEDDERS:
+                raise ConfigError(f"unknown algorithm {a!r} (have {tuple(EMBEDDERS)})")
         try:
             shape = Shape(self.requests.shape)
         except ValueError:
             raise ConfigError(f"unknown request shape {self.requests.shape!r}") from None
-        if "pe" in self.algorithms and shape is not Shape.PATH:
-            raise ConfigError("pe embeds path requests only")
-        if "gr" in self.algorithms and shape is not Shape.CYCLE:
-            raise ConfigError("gr embeds cycle requests only")
-        if "gr" in self.algorithms and self.substrate.topology != "cycle":
-            raise ConfigError("gr needs a cycle substrate")
+        for a in self.algorithms:
+            embeds, needs, _call = EMBEDDERS[a]
+            if embeds not in (None, shape):
+                raise ConfigError(f"{a} embeds {embeds.value} requests only")
+            if needs not in (None, self.substrate.topology):
+                raise ConfigError(f"{a} needs a {needs} substrate")
 
 
 @dataclass
@@ -103,16 +108,6 @@ def mean_ci(values):
     return (mean, crit * s / n ** 0.5)
 
 
-def _run_algorithm(alg, net, requests):
-    if alg == "pe":
-        return procedure_pe(net, requests)
-    if alg == "gr":
-        return greedy_revenue(net, requests, fallback=generic_embed)
-    if alg == "generic":
-        return generic_batch(net, requests)
-    raise ConfigError(f"unknown algorithm {alg!r}")
-
-
 def run_experiment(cfg, measure_time=True):
     """Run cfg.trials independent trials. Each trial generates a fresh
     substrate and workload from a sub-seed of the master seed, runs every
@@ -129,7 +124,7 @@ def run_experiment(cfg, measure_time=True):
         for alg in cfg.algorithms:
             net = base_net.copy()
             t0 = time.perf_counter()
-            batch = _run_algorithm(alg, net, requests)
+            batch = EMBEDDERS[alg][2](net, requests)
             wall_ms = (time.perf_counter() - t0) * 1000.0 if measure_time else 0.0
             ok, violations = batch.validate_against(net)
             if not ok:

@@ -213,23 +213,25 @@ def gen_ddkp_reduction(inst):
     Ring node i carries the i-th capacity scaled by a factor large enough
     that the i-th VN of every request is CPU-infeasible on all earlier ring
     nodes; link bandwidth equals the item count so the unit per-link demands
-    never bind.
+    never bind. Item sizes come in either `MdkpInstance` form, all at least 1.
     """
     d = inst.dimensions
     if d < 2:
         raise SpecError("need at least 2 dimensions")
     items = inst.items
     n_items = len(items)
+    rows = []  # per item, its size in each dimension
     for item_id, _p, sizes in items:
-        for s in sizes:
-            if s < 1:
-                raise SpecError(f"item {item_id!r} has a size component below 1; "
-                                "the construction cannot force its placement")
+        row = [sizes.get(k, 0) for k in range(d)] if isinstance(sizes, dict) else list(sizes)
+        if min(row) < 1:
+            raise SpecError(f"item {item_id!r} has a size component below 1; "
+                            "the construction cannot force its placement")
+        rows.append(row)
     for b in inst.capacities:
         if b < 1:
             raise SpecError("capacities must be at least 1")
 
-    columns = [[sizes[k] for (_i, _p, sizes) in items] for k in range(d)]
+    columns = [[row[k] for row in rows] for k in range(d)]
     caps = list(inst.capacities)
     dim_position = {k: k for k in range(d)}
     if d == 2:
@@ -262,15 +264,12 @@ def gen_ddkp_reduction(inst):
     )
 
     requests = []
-    for j, (item_id, _profit, sizes) in enumerate(items):
-        padded = list(sizes)
-        if d == 2:
-            padded = [sizes[0], 1, sizes[1]]
+    for j, (item_id, _profit, _sizes) in enumerate(items):
         vns = list(range(m))
         vls = [(i, (i + 1) % m) for i in range(m)]
         requests.append(VirtualRequest(
             req_id=item_id, shape=Shape.CYCLE, vns=vns, vls=vls,
-            cpu_demand={i: scale[i] * padded[i] for i in range(m)},
+            cpu_demand={i: scale[i] * columns[i][j] for i in range(m)},
             bw_demand={edge_key(u, v): 1 for u, v in vls},
             revenue=1,
         ))

@@ -175,7 +175,7 @@ def dump_json(obj, fp):
 def load_instance(fp):
     try:
         data = json.load(fp)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # too deep a nesting raises the latter
         raise InstanceFormatError(f"not JSON: {exc}") from None
     return instance_from_dict(data)
 

@@ -31,6 +31,7 @@ from .model import (
 
 
 # size caps of the exhaustive searches
+GRAPH_SWEEP_NODE_CAP = 7  # connected_graphs: 2^C(n, 2) edge masks
 TRAIL_NODE_CAP = 12      # has_spanning_trail, is_supereulerian
 PATH_EMBED_NODE_CAP = 8  # find_uniform_path_embedding, brute_force_path_embed
 SIMPLEX_RING_CAP = 8     # brute_force_simplex_cycle: substrate nodes
@@ -70,12 +71,13 @@ class Graph:
 
 
 def connected_graphs(n):
-    """Every connected graph on nodes 0..n-1, by edge-subset mask."""
+    """Every connected graph on nodes 0..n-1, lazily, by edge-subset mask."""
+    if n > GRAPH_SWEEP_NODE_CAP:
+        raise SizeCapExceeded(f"{n} nodes, cap {GRAPH_SWEEP_NODE_CAP}")
     all_edges = list(combinations(range(n), 2))
-    for mask in range(1 << len(all_edges)):
-        g = Graph.build(range(n), (e for i, e in enumerate(all_edges) if mask >> i & 1))
-        if g.is_connected():
-            yield g
+    graphs = (Graph.build(range(n), (e for i, e in enumerate(all_edges) if mask >> i & 1))
+              for mask in range(1 << len(all_edges)))
+    return (g for g in graphs if g.is_connected())
 
 
 def random_connected_graph(rng, n, extra_edges=None):
@@ -153,9 +155,10 @@ def is_supereulerian(g):
     """Does the graph contain a spanning connected subgraph with all degrees
     even (equivalently, a closed trail visiting every node)?
 
-    Even subgraphs form the cycle space, so the search enumerates all XOR
-    combinations of fundamental cycles of a spanning forest and checks each
-    for covering every node and being connected.
+    Even subgraphs form the cycle space, so the search walks all XOR
+    combinations of fundamental cycles of a spanning tree in Gray-code order
+    (one XOR per step) and checks each for covering every node and being
+    connected.
     """
     n = len(g.nodes)
     if n > TRAIL_NODE_CAP:
@@ -173,7 +176,6 @@ def is_supereulerian(g):
 
     # spanning tree via DFS; non-tree edges generate the fundamental cycles
     parent = {g.nodes[0]: None}
-    order = [g.nodes[0]]
     stack = [g.nodes[0]]
     tree_edges = set()
     while stack:
@@ -182,7 +184,6 @@ def is_supereulerian(g):
             if w not in parent:
                 parent[w] = v
                 tree_edges.add(edge_key(v, w))
-                order.append(w)
                 stack.append(w)
 
     def tree_path_mask(u, v):
@@ -216,15 +217,9 @@ def is_supereulerian(g):
             sub.setdefault(v, []).append(u)
         return is_connected(list(sub), sub)
 
-    for combo in range(1, 1 << len(cycles)):
-        mask = 0
-        c = combo
-        i = 0
-        while c:
-            if c & 1:
-                mask ^= cycles[i]
-            c >>= 1
-            i += 1
+    mask = 0
+    for k in range(1, 1 << len(cycles)):
+        mask ^= cycles[(k & -k).bit_length() - 1]  # step k flips the cycle of k's lowest set bit
         if mask and spanning_connected(mask):
             return True
     return False
@@ -383,6 +378,17 @@ def enumerate_simplex_embeddings(net, req, start, direction):
     return found
 
 
+def _tableaux(net, req):
+    """(start, direction, hosts, cost) of every feasible one-direction
+    embedding: starts that host the first VN in sorted order, each clockwise
+    then anticlockwise, positions as `enumerate_simplex_embeddings` lists them."""
+    for start in sorted(net.nodes):
+        if net.residual_cpu[start] >= req.cpu_demand[req.vns[0]]:
+            for direction in (CLOCKWISE, ANTICLOCKWISE):
+                for hosts, cost in enumerate_simplex_embeddings(net, req, start, direction):
+                    yield start, direction, hosts, cost
+
+
 def brute_force_simplex_cycle(net, req):
     """Exhaustive minimum-cost one-direction cycle embedding.
 
@@ -396,17 +402,12 @@ def brute_force_simplex_cycle(net, req):
         raise SizeCapExceeded(f"{cycle.m} substrate nodes, cap {SIMPLEX_RING_CAP}")
     if req.n_vns > SIMPLEX_VN_CAP:
         raise SizeCapExceeded(f"{req.n_vns} virtual nodes, cap {SIMPLEX_VN_CAP}")
-    examined = 0
     best = None
-    starts = [v for v in sorted(net.nodes)
-              if net.residual_cpu[v] >= req.cpu_demand[req.vns[0]]]
-    for start in starts:
-        for direction in (CLOCKWISE, ANTICLOCKWISE):
-            examined += comb(cycle.m - 1, req.n_vns - 1)
-            for hosts, cost in enumerate_simplex_embeddings(net, req, start, direction):
-                if best is None or cost < best[1]:
-                    best = (_simplex_from_hosts(cycle, req, start, direction, list(hosts)), cost)
-    return best, examined
+    for start, direction, hosts, cost in _tableaux(net, req):
+        if best is None or cost < best[1]:
+            best = (_simplex_from_hosts(cycle, req, start, direction, list(hosts)), cost)
+    starts = sum(net.residual_cpu[v] >= req.cpu_demand[req.vns[0]] for v in net.nodes)
+    return best, 2 * starts * comb(cycle.m - 1, req.n_vns - 1)
 
 
 def brute_force_max_accepted(net, requests):
@@ -415,17 +416,6 @@ def brute_force_max_accepted(net, requests):
     embedding choices with commit/rollback on a private copy."""
     work = net.copy()
     cycle = CycleView(work)
-
-    def all_embeddings(req):
-        out = []
-        for start in sorted(work.nodes):
-            if work.residual_cpu[start] < req.cpu_demand[req.vns[0]]:
-                continue
-            for direction in (CLOCKWISE, ANTICLOCKWISE):
-                for hosts, cost in enumerate_simplex_embeddings(work, req, start, direction):
-                    out.append(_simplex_from_hosts(cycle, req, start, direction, list(hosts)))
-        return out
-
     best = 0
 
     def dfs(i, accepted):
@@ -434,8 +424,8 @@ def brute_force_max_accepted(net, requests):
         if i == len(requests) or accepted + (len(requests) - i) <= best:
             return
         req = requests[i]
-        for sx in all_embeddings(req):
-            emb = sx.to_embedding(req)
+        for start, direction, hosts, _cost in list(_tableaux(work, req)):  # commits change the residuals
+            emb = _simplex_from_hosts(cycle, req, start, direction, list(hosts)).to_embedding(req)
             commit(work, req, emb)
             dfs(i + 1, accepted + 1)
             release(work, req, emb)

@@ -738,3 +738,30 @@ def procedure_pe_reference(net, requests):
         funded_ids = {placements[idx].req.req_id for idx, _ in funded}
         pending = [r for r in pending if r.req_id not in funded_ids]
     return batch
+
+
+def supereulerian_reference(g):
+    """Whether some edge subset of the graph touches every node, gives each
+    an even degree and is connected, by trying every subset (one-node and
+    empty graphs count as supereulerian)."""
+    if len(g.nodes) <= 1:
+        return True
+    for mask in range(1, 1 << len(g.edges)):
+        chosen = [e for i, e in enumerate(g.edges) if mask >> i & 1]
+        degree = {v: 0 for v in g.nodes}
+        for u, v in chosen:
+            degree[u] += 1
+            degree[v] += 1
+        if any(d == 0 or d % 2 for d in degree.values()):
+            continue
+        seen, stack = {chosen[0][0]}, [chosen[0][0]]
+        while stack:
+            x = stack.pop()
+            for u, v in chosen:
+                for a, b in ((u, v), (v, u)):
+                    if a == x and b not in seen:
+                        seen.add(b)
+                        stack.append(b)
+        if len(seen) == len(g.nodes):
+            return True
+    return False

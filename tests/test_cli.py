@@ -1,6 +1,8 @@
+import io
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -70,6 +72,29 @@ def test_embed_paths_refuses_cycles(tmp_path, capsys):
     assert "path" in capsys.readouterr().err
 
 
+def test_embed_cycles_refuses_paths(tmp_path, capsys):
+    inst = tmp_path / "inst.json"
+    main(["generate", "--nodes", "6", "--edges", "8", "--shape", "path", "--count", "2",
+          "--length-min", "2", "--length-max", "3", "--out", str(inst)])
+    with pytest.raises(SystemExit) as exc:
+        main(["embed-cycles", "--instance", str(inst)])
+    assert exc.value.code == 2
+    assert capsys.readouterr() == (
+        "", "error: request 0 is not a cycle; embed-cycles handles cycle requests only\n")
+
+
+def test_instance_from_stdin_matches_the_file(tmp_path, capsys, monkeypatch):
+    inst = tmp_path / "inst.json"
+    main(["generate", "--nodes", "10", "--edges", "15", "--shape", "path", "--count", "6",
+          "--length-min", "2", "--length-max", "4", "--seed", "4", "--out", str(inst)])
+    main(["embed-paths", "--instance", str(inst)])
+    from_file = capsys.readouterr()
+    monkeypatch.setattr(sys, "stdin", io.StringIO(inst.read_text()))
+    main(["embed-paths", "--instance", "-"])
+    assert capsys.readouterr() == from_file
+    assert json.loads(from_file.out)["total_requests"] == 6
+
+
 def test_embed_cycles_with_wdag_dump(tmp_path, capsys):
     inst = tmp_path / "inst.json"
     main(["generate", "--nodes", "6", "--topology", "cycle", "--shape", "cycle",
@@ -133,6 +158,18 @@ def test_malformed_instance_is_a_clean_error(tmp_path, capsys, corrupt):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
     assert "Traceback" not in err
+
+
+def test_deeply_nested_instance_is_a_clean_error(tmp_path, capsys):
+    # json.dumps cannot build this input: the decoder runs out of recursion depth
+    inst = tmp_path / "deep.json"
+    inst.write_text("[" * 100000 + "\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["embed-generic", "--instance", str(inst)])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: not JSON: maximum recursion depth exceeded")
+    assert err.count("\n") == 1
 
 
 def test_missing_instance_file_is_a_clean_error(tmp_path, capsys):
@@ -218,6 +255,21 @@ def test_verify_theory_refuses_empty_sweeps(capsys, flag, value, least):
         main(["verify-theory", flag, value])
     assert exc.value.code == 2
     assert capsys.readouterr() == ("", f"error: {flag} must be at least {least}, got {value}\n")
+
+
+def test_verify_theory_refuses_sweeps_past_the_cap(capsys, monkeypatch):
+    # 8 nodes would walk 2^28 edge masks; the refusal comes before any sweep
+    monkeypatch.setattr(cli, "connected_graphs", None)
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-theory", "--max-nodes", "8"])
+    assert exc.value.code == 2
+    assert capsys.readouterr() == ("", "error: --max-nodes must be at most 7, got 8\n")
+
+
+def test_verify_theory_default_table_is_golden(capsys):
+    main(["verify-theory"])
+    golden = Path(__file__).resolve().parent / "data" / "verify_theory.out"
+    assert capsys.readouterr() == (golden.read_text(), "")
 
 
 def test_console_entry_point():

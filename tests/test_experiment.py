@@ -30,6 +30,10 @@ def small_cfg(**overrides):
     return ExperimentConfig(**base)
 
 
+_CYCLES = RequestSpec(shape="cycle", count=3, length_range=(3, 4))
+_RING = SubstrateSpec(n_nodes=8, topology="cycle")
+
+
 class TestConfig:
     def test_pe_requires_paths(self):
         with pytest.raises(ConfigError):
@@ -51,6 +55,22 @@ class TestConfig:
     def test_zero_trials(self):
         with pytest.raises(ConfigError):
             small_cfg(trials=0)
+
+    @pytest.mark.parametrize("overrides, message", [
+        (dict(algorithms=["pe", "magic"]), "unknown algorithm 'magic' (have ('pe', 'gr', 'generic'))"),
+        (dict(requests=_CYCLES), "pe embeds path requests only"),
+        (dict(algorithms=["gr"], substrate=_RING), "gr embeds cycle requests only"),
+        (dict(algorithms=["gr"], requests=_CYCLES), "gr needs a cycle substrate"),
+        (dict(algorithms=[]), "select at least one algorithm"),
+        (dict(trials=0), "trial count must be at least 1"),
+        # one config, two broken rules: the labels are checked in the order given
+        (dict(algorithms=["gr", "pe"], requests=_CYCLES), "gr needs a cycle substrate"),
+        (dict(algorithms=["pe", "gr"], requests=_CYCLES), "pe embeds path requests only"),
+    ])
+    def test_messages(self, overrides, message):
+        with pytest.raises(ConfigError) as exc:
+            small_cfg(**overrides)
+        assert str(exc.value) == message
 
 
 class TestMeanCi:

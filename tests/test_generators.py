@@ -203,6 +203,30 @@ class TestDdkpReduction:
         with pytest.raises(SpecError):
             gen_ddkp_reduction(MdkpInstance([3, 4], [(0, 1, (0, 2))]))
 
+    def test_mapping_sizes_match_their_dense_form(self):
+        # a {dimension: size} item, keys in any order, builds the same ring and requests
+        rng = random.Random(17)
+        for d in (2, 2, 3, 4, 5) * 6:
+            caps = [rng.randint(1, 9) for _ in range(d)]
+            dense = [(j, 1, tuple(rng.randint(1, 6) for _ in range(d))) for j in range(rng.randint(0, 5))]
+            sparse = [(j, p, {k: sizes[k] for k in rng.sample(range(d), d)}) for j, p, sizes in dense]
+            a = gen_ddkp_reduction(MdkpInstance(caps, dense))
+            b = gen_ddkp_reduction(MdkpInstance(caps, sparse))
+            assert (b.net.nodes, b.net.edges) == (a.net.nodes, a.net.edges)
+            assert (b.net.cpu_capacity, b.net.bw_capacity) == (a.net.cpu_capacity, a.net.bw_capacity)
+            assert (b.requests, b.dim_position) == (a.requests, a.dim_position)
+
+    def test_mapping_sizes_worked_example(self):
+        items = [(0, 1, {0: 2, 1: 3}), (1, 1, {1: 1, 0: 1})]
+        red = gen_ddkp_reduction(MdkpInstance([4, 4], items))
+        assert [r.cpu_demand for r in red.requests] == [{0: 2, 1: 5, 2: 33}, {0: 1, 1: 5, 2: 11}]
+
+    @pytest.mark.parametrize("sizes", [{1: 3}, {0: 2}, {}, {0: 1, 2: 1}])
+    def test_mapping_without_a_dimension_is_a_zero_size(self, sizes):
+        caps = [4] * (3 if 2 in sizes else 2)
+        with pytest.raises(SpecError, match=r"^item 0 has a size component below 1;"):
+            gen_ddkp_reduction(MdkpInstance(caps, [(0, 1, sizes)]))
+
     def test_rejects_single_dimension(self):
         with pytest.raises(SpecError):
             gen_ddkp_reduction(MdkpInstance([3], [(0, 1, (1,))]))

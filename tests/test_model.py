@@ -322,3 +322,73 @@ class TestBatchMetrics:
         for r in revenues:
             total += r
         assert batch_metrics(batch, 20)[1] == total
+
+
+def _outcome(thunk):
+    """What `thunk()` returns, or (exception type, message) if it raises a ModelError."""
+    try:
+        return thunk()
+    except ModelError as exc:
+        return type(exc), str(exc)
+
+
+def _out_of_bounds(residual, key, value):
+    net = path_net(2, cpu=4, bw=4)
+    getattr(net, residual)[key] = value
+    return net.check_residual_bounds()
+
+
+def _request(shape=Shape.PATH, vns=(0, 1), vls=((0, 1),), bw=1, revenue=1):
+    return VirtualRequest(req_id="r", shape=shape, vns=list(vns), vls=list(vls),
+                          cpu_demand=dict.fromkeys(vns, 1), bw_demand=dict.fromkeys(vls, bw),
+                          revenue=revenue)
+
+
+def _validate(node_map, link_map, net=None):
+    return validate_embedding(net or path_net(4), make_path_request("r", [1, 1], [1]),
+                              Embedding("r", node_map, link_map))
+
+
+def _shared_sn_batch():
+    batch = EmbeddingBatch()
+    batch.add(make_path_request("a", [1, 1], [1]), Embedding("a", {0: 0, 1: 0}, {(0, 1): [(0, 1)]}))
+    return batch.validate_against(path_net(2, cpu=4, bw=4))
+
+
+@pytest.mark.parametrize("thunk, expected", [
+    # SubstrateNetwork
+    (lambda: make_net([0, 0, 1], [(0, 1)], 1, 1), (ModelError, "duplicate node ids")),
+    (lambda: make_net([0, 1], [(0, 1)], {0: 1}, 1), (ModelError, "missing cpu capacity for 1")),
+    (lambda: make_net([0, 1], [(0, 1)], 1, {}), (ModelError, "missing bw capacity for (0, 1)")),
+    (lambda: make_net([0, 1], [(0, 1)], 1, -1), (ModelError, "negative bw capacity at (0, 1)")),
+    (lambda: _out_of_bounds("residual_cpu", 0, -1), (ModelError, "residual cpu out of bounds at 0")),
+    (lambda: _out_of_bounds("residual_bw", (0, 1), 5), (ModelError, "residual bw out of bounds at (0, 1)")),
+    # VirtualRequest
+    (lambda: _request(vns=(0, 0, 1)), (ModelError, "duplicate virtual node ids")),
+    (lambda: _request(shape=Shape.CYCLE), (ModelError, "cycle request needs at least 3 VNs")),
+    (lambda: _request(shape=Shape.CYCLE, vns=(0, 1, 2), vls=((0, 1), (1, 2))),
+     (ModelError, "cycle request links must chain VNs and close")),
+    (lambda: _request(bw=0), (ModelError, "bw demand must be positive at (0, 1)")),
+    (lambda: _request(revenue=-1), (ModelError, "negative revenue")),
+    # validate_embedding: structural defects raise, the rest are violations
+    (lambda: _validate({0: 0}, {(0, 1): [(0, 1)]}),
+     (MalformedEmbeddingError, "node map does not cover exactly the request VNs")),
+    (lambda: _validate({0: 0, 1: 1}, {}),
+     (MalformedEmbeddingError, "link map does not cover exactly the request VLs")),
+    (lambda: _validate({0: 0, 1: 9}, {(0, 1): [(0, 1)]}),
+     (MalformedEmbeddingError, "VN 1 mapped to unknown SN 9")),
+    (lambda: _validate({0: 0, 1: 1}, {(0, 1): []}),
+     (MalformedEmbeddingError, "empty link path for VL (0, 1)")),
+    (lambda: _validate({0: 0, 1: 1}, {(0, 1): [(0, 2)]}),
+     (MalformedEmbeddingError, "VL (0, 1) routed over unknown SL (0, 2)")),
+    (lambda: _validate({0: 0, 1: 3}, {(0, 1): [(0, 1), (2, 3)]}),
+     (MalformedEmbeddingError, "link path for VL (0, 1) is not a simple chain")),
+    # the path chains from the far end only, and lands on SN 1 instead of SN 0
+    (lambda: _validate({0: 0, 1: 3}, {(0, 1): [(2, 3), (1, 2)]}),
+     (False, [Violation("endpoint", "VL (0, 1) path does not join 0 and 3")])),
+    # EmbeddingBatch.validate_against keeps the non-capacity violations
+    (_shared_sn_batch, (False, [Violation("injectivity", "VNs 0 and 1 share SN 0"),
+                                Violation("endpoint", "VL (0, 1) path ends at 1, expected 0")])),
+])
+def test_refusal_messages(thunk, expected):
+    assert _outcome(thunk) == expected

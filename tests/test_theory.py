@@ -9,6 +9,7 @@ from conftest import (
     ring_net,
     uniform_net_of,
 )
+from oracles import supereulerian_reference
 from pcvne.model import validate_embedding
 from pcvne.theory import (
     Graph,
@@ -17,6 +18,7 @@ from pcvne.theory import (
     brute_force_max_accepted,
     brute_force_path_embed,
     brute_force_simplex_cycle,
+    connected_graphs,
     enumerate_simplex_embeddings,
     find_uniform_path_embedding,
     has_spanning_trail,
@@ -49,7 +51,24 @@ class TestSpanningTrail:
             has_spanning_trail(g)
 
 
+class TestConnectedGraphs:
+    def test_counts_labelled_connected_graphs(self):
+        # OEIS A001187: connected labelled graphs on n nodes
+        assert [sum(1 for _ in connected_graphs(n)) for n in range(1, 6)] == [1, 1, 4, 38, 728]
+
+    def test_size_cap_refused_at_the_call(self):
+        with pytest.raises(SizeCapExceeded, match=r"^8 nodes, cap 7$"):
+            connected_graphs(8)
+        connected_graphs(7)  # lazy: 2^21 masks, none walked here
+
+
 class TestSupereulerian:
+    def test_matches_the_definition_on_small_graphs(self):
+        # the Gray-code walk over the cycle space against every edge subset
+        for n in range(1, 6):
+            for g in connected_graphs(n):
+                assert is_supereulerian(g) == supereulerian_reference(g), g
+
     def test_cycle_is_supereulerian(self):
         assert is_supereulerian(G(range(4), [(0, 1), (1, 2), (2, 3), (3, 0)]))
 
