@@ -8,6 +8,7 @@ import json
 import random
 import sys
 from contextlib import nullcontext
+from math import inf
 
 from . import jsonio
 from .baseline import generic_batch, generic_embed
@@ -18,6 +19,7 @@ from .model import ModelError, Shape, batch_metrics
 from .path_embedding import procedure_pe
 from .theory import (
     GRAPH_SWEEP_NODE_CAP,
+    PATH_EMBED_NODE_CAP,
     UniformInstance,
     brute_force_path_embed,
     connected_graphs,
@@ -26,7 +28,6 @@ from .theory import (
     random_connected_graph,
     sg_to_sset_instance,
     sset_to_sg_instances,
-    uniform_net,
 )
 
 
@@ -121,16 +122,17 @@ def cmd_embed_generic(args):
 
 
 def _trail_equivalence(g):
-    return brute_force_path_embed(UniformInstance(uniform_net(g))) == has_spanning_trail(g)
+    return brute_force_path_embed(UniformInstance(g)) == has_spanning_trail(g)
 
 
 def cmd_verify_theory(args):
-    for flag, value, least in (("--max-nodes", args.max_nodes, 1), ("--samples", args.samples, 0),
-                               ("--sample-nodes", args.sample_nodes, 1)):
+    for flag, value, least, most in (("--max-nodes", args.max_nodes, 1, GRAPH_SWEEP_NODE_CAP),
+                                     ("--samples", args.samples, 0, inf),
+                                     ("--sample-nodes", args.sample_nodes, 1, PATH_EMBED_NODE_CAP)):
         if value < least:
             raise ModelError(f"{flag} must be at least {least}, got {value}")
-    if args.max_nodes > GRAPH_SWEEP_NODE_CAP:
-        raise ModelError(f"--max-nodes must be at most {GRAPH_SWEEP_NODE_CAP}, got {args.max_nodes}")
+        if value > most:
+            raise ModelError(f"{flag} must be at most {most}, got {value}")
     rng = random.Random(args.seed)
 
     def exhaustive(smallest):

@@ -45,6 +45,8 @@ class ExperimentConfig:
         for a in self.algorithms:
             if a not in EMBEDDERS:
                 raise ConfigError(f"unknown algorithm {a!r} (have {tuple(EMBEDDERS)})")
+            if self.algorithms.count(a) > 1:
+                raise ConfigError(f"algorithm {a!r} given twice")
         try:
             shape = Shape(self.requests.shape)
         except ValueError:

@@ -39,7 +39,7 @@ class KpItem:
     profit: object
 
     def __post_init__(self):
-        if not isinstance(self.size, int) or self.size < 0:
+        if type(self.size) is not int or self.size < 0:
             raise ModelError(f"item size must be a non-negative int, got {self.size!r}")
         object.__setattr__(self, "profit", as_quantity(self.profit))
         if self.profit < 0:
@@ -53,7 +53,7 @@ class MkpInstance:
 
     def __post_init__(self):
         for b in self.capacities:
-            if not isinstance(b, int) or b < 0:
+            if type(b) is not int or b < 0:
                 raise ModelError(f"knapsack capacity must be a non-negative int, got {b!r}")
 
 
@@ -86,7 +86,10 @@ class MdkpInstance:
                 sizes = values = tuple(as_quantity(s) for s in sizes)
             if any(s < 0 for s in values):
                 raise ModelError(f"negative size component on item {item_id!r}")
-            norm.append((item_id, as_quantity(profit), sizes))
+            profit = as_quantity(profit)
+            if profit < 0:
+                raise ModelError(f"negative profit on item {item_id!r}")
+            norm.append((item_id, profit, sizes))
         self.items = norm
 
     @classmethod

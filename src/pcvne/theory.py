@@ -92,12 +92,6 @@ def random_connected_graph(rng, n, extra_edges=None):
     return Graph.build(range(n), edges)
 
 
-def uniform_net(g):
-    """The graph as a substrate with CPU 2 on every node and BW 1 on every link."""
-    return SubstrateNetwork(nodes=list(g.nodes), edges=list(g.edges),
-                            cpu_capacity=dict.fromkeys(g.nodes, 2), bw_capacity=dict.fromkeys(g.edges, 1))
-
-
 def has_spanning_trail(g):
     """Does the graph contain a trail (edge-simple walk) visiting every node?
 
@@ -248,19 +242,16 @@ def sg_to_sset_instance(g, v):
 
 @dataclass
 class UniformInstance:
-    """A substrate with CPU 2 on every node and BW 1 on every link, paired
-    with the unit-demand path request spanning as many VNs as there are SNs."""
+    """The graph as a substrate with CPU 2 on every node and BW 1 on every
+    link, paired with the unit-demand path request with one VN per node."""
 
-    net: object
+    graph: Graph
 
     def __post_init__(self):
-        for v in self.net.nodes:
-            if self.net.cpu_capacity[v] != 2:
-                raise ModelError("uniform instance requires CPU capacity 2 everywhere")
-        for k in self.net.edges:
-            if self.net.bw_capacity[k] != 1:
-                raise ModelError("uniform instance requires BW capacity 1 everywhere")
-        n = len(self.net.nodes)
+        g = self.graph
+        self.net = SubstrateNetwork(nodes=list(g.nodes), edges=list(g.edges),
+                                    cpu_capacity=dict.fromkeys(g.nodes, 2), bw_capacity=dict.fromkeys(g.edges, 1))
+        n = len(g.nodes)
         vns = [("u", i) for i in range(n)]
         self.request = VirtualRequest(
             req_id="uniform",

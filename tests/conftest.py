@@ -6,7 +6,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from pcvne.model import Shape, SubstrateNetwork, VirtualRequest, edge_key
-from pcvne.theory import random_connected_graph, uniform_net as uniform_net_of  # noqa: F401  re-exported
+from pcvne.theory import random_connected_graph  # noqa: F401  re-exported
 
 
 def make_net(nodes, edges, cpu, bw):

@@ -17,7 +17,6 @@ from conftest import (
     path_net,
     random_connected_graph,
     random_ring_instance,
-    uniform_net_of,
     uniform_path_request,
 )
 from oracles import (
@@ -246,7 +245,7 @@ def test_criterion_07_spanning_trail_equivalence():
     graphs = atlas_connected(6)
     assert len(graphs) == 143  # non-isomorphic connected graphs on <= 6 nodes
     for g in graphs:
-        inst = UniformInstance(uniform_net_of(g))
+        inst = UniformInstance(g)
         assert brute_force_path_embed(inst) == has_spanning_trail(g), g
     report(7, f"{len(graphs)} non-isomorphic connected graphs agree")
 

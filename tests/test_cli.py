@@ -1,5 +1,6 @@
 import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -264,6 +265,38 @@ def test_verify_theory_refuses_sweeps_past_the_cap(capsys, monkeypatch):
         main(["verify-theory", "--max-nodes", "8"])
     assert exc.value.code == 2
     assert capsys.readouterr() == ("", "error: --max-nodes must be at most 7, got 8\n")
+
+
+def test_verify_theory_refuses_samples_past_the_cap(capsys, monkeypatch):
+    # 9-node samples used to fail with "9 nodes, cap 8" after the first exhaustive sweep
+    monkeypatch.setattr(cli, "connected_graphs", None)
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-theory", "--sample-nodes", "9", "--samples", "1"])
+    assert exc.value.code == 2
+    assert capsys.readouterr() == ("", "error: --sample-nodes must be at most 8, got 9\n")
+
+
+def test_experiment_refuses_a_repeated_label(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["experiment", "--nodes", "10", "--edges", "12", "--cpu-capacity", "10", "--bw-capacity", "10",
+              "--count", "12", "--length-min", "2", "--length-max", "5", "--trials", "3", "--no-timing",
+              "--algorithms", "generic,generic"])
+    assert exc.value.code == 2
+    assert capsys.readouterr() == ("", "error: algorithm 'generic' given twice\n")
+
+
+def test_import_pcvne_loads_only_what_the_benchmark_reads():
+    # the package re-exports only what perfbench/run.py reads off it, so a
+    # plain import compiles neither the oracles nor the experiment runner
+    probe = ("import sys, pcvne\n"
+             "print(sorted(m for m in ('pcvne.theory', 'pcvne.experiment') if m in sys.modules))\n"
+             "print(sorted(n for n in ('SubstrateSpec', 'RequestSpec', 'gen_substrate', 'gen_requests',\n"
+             "    'ModelError', 'path_embedding', 'cycle_embedding', 'baseline', 'model') if not hasattr(pcvne, n)))")
+    root = Path(__file__).resolve().parent.parent
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+                          env=dict(os.environ, PYTHONPATH=os.pathsep.join(
+                              filter(None, (str(root / "src"), os.environ.get("PYTHONPATH"))))))
+    assert proc.stdout == "[]\n[]\n"
 
 
 def test_verify_theory_default_table_is_golden(capsys):

@@ -66,6 +66,8 @@ class TestConfig:
         # one config, two broken rules: the labels are checked in the order given
         (dict(algorithms=["gr", "pe"], requests=_CYCLES), "gr needs a cycle substrate"),
         (dict(algorithms=["pe", "gr"], requests=_CYCLES), "pe embeds path requests only"),
+        # a repeated label used to write its rows twice and pool both copies into one ci95
+        (dict(algorithms=["generic", "pe", "generic"]), "algorithm 'generic' given twice"),
     ])
     def test_messages(self, overrides, message):
         with pytest.raises(ConfigError) as exc:

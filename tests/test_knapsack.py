@@ -203,6 +203,24 @@ def test_unknown_mode_rejected(solve, inst):
         solve(inst, mode="optimal")
 
 
+@pytest.mark.parametrize("cls, args, message", [
+    # bools are ints to isinstance; the model and MdkpInstance refuse them already
+    (KpItem, (0, True, 1), "item size must be a non-negative int, got True"),
+    (KpItem, (0, False, 1), "item size must be a non-negative int, got False"),
+    (MkpInstance, ([True, 2], []), "knapsack capacity must be a non-negative int, got True"),
+    (MkpInstance, ([2, False], []), "knapsack capacity must be a non-negative int, got False"),
+    (MdkpInstance, ([5], [(0, -3, (1,))]), "negative profit on item 0"),
+    (MdkpInstance, ([5], [(0, 1, {0: 1}), ("b", Fraction(-1, 2), {})]), "negative profit on item 'b'"),
+    # the bound assumes non-negative profits: exact mode used to prune the root
+    # and return ([], 0) here, though item 1 alone gives 2
+    (MdkpInstance, ([5], [(0, -3, (1,)), (1, 2, (1,))]), "negative profit on item 0"),
+])
+def test_bad_input_refused(cls, args, message):
+    with pytest.raises(ModelError) as exc:
+        cls(*args)
+    assert str(exc.value) == message
+
+
 def _check_mdkp_selection(inst, selected, profit):
     by_id = {item_id: (p, sizes) for item_id, p, sizes in inst.items}
     totals = [0] * inst.dimensions

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_cycle_request, make_net, make_path_request, path_net, uniform_net_of
+from conftest import make_cycle_request, make_net, make_path_request, path_net
 from pcvne.baseline import generic_embed
 from pcvne.model import (
     CommitError,
@@ -110,7 +110,7 @@ class TestValidateEmbedding:
         checked = 0
         while checked < 10:
             g = random_connected_graph(rng, 5)
-            inst = UniformInstance(uniform_net_of(g))
+            inst = UniformInstance(g)
             emb = find_uniform_path_embedding(inst)
             if emb is None:
                 continue

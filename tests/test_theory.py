@@ -7,7 +7,6 @@ from conftest import (
     random_connected_graph,
     random_ring_instance,
     ring_net,
-    uniform_net_of,
 )
 from oracles import supereulerian_reference
 from pcvne.model import validate_embedding
@@ -135,18 +134,18 @@ class TestReductions:
 class TestUniformBruteForce:
     def test_triangle_embeds(self):
         g = G(range(3), [(0, 1), (1, 2), (0, 2)])
-        assert brute_force_path_embed(UniformInstance(uniform_net_of(g)))
+        assert brute_force_path_embed(UniformInstance(g))
 
     def test_small_star_does_not(self):
         g = G(range(4), [(0, i) for i in range(1, 4)])
-        assert not brute_force_path_embed(UniformInstance(uniform_net_of(g)))
+        assert not brute_force_path_embed(UniformInstance(g))
 
     def test_witness_validates(self):
         rng = random.Random(7)
         hits = 0
         while hits < 8:
             g = random_connected_graph(rng, 5)
-            inst = UniformInstance(uniform_net_of(g))
+            inst = UniformInstance(g)
             emb = find_uniform_path_embedding(inst)
             if emb is None:
                 continue
@@ -159,13 +158,13 @@ class TestUniformBruteForce:
         for n in range(2, 6):
             for _ in range(20):
                 g = random_connected_graph(rng, n)
-                inst = UniformInstance(uniform_net_of(g))
+                inst = UniformInstance(g)
                 assert brute_force_path_embed(inst) == has_spanning_trail(g)
 
     def test_agrees_with_spanning_trail_on_0_and_1_nodes(self):
         for n in (0, 1):
             g = random_connected_graph(random.Random(n), n)
-            inst = UniformInstance(uniform_net_of(g))
+            inst = UniformInstance(g)
             assert (brute_force_path_embed(inst), has_spanning_trail(g)) == (True, True)
             ok, violations = validate_embedding(inst.net, inst.request, find_uniform_path_embedding(inst))
             assert ok, violations
@@ -173,7 +172,7 @@ class TestUniformBruteForce:
     def test_size_cap(self):
         g = G(range(9), [(i, i + 1) for i in range(8)])
         with pytest.raises(SizeCapExceeded):
-            brute_force_path_embed(UniformInstance(uniform_net_of(g)))
+            brute_force_path_embed(UniformInstance(g))
 
 
 class TestSimplexBruteForce:
