@@ -4,10 +4,12 @@ theory verification sweep, and the experiment runner."""
 from __future__ import annotations
 
 import argparse
+import io
 import json
+import os
 import random
 import sys
-from contextlib import nullcontext
+from contextlib import contextmanager
 from math import inf
 
 from . import jsonio
@@ -31,16 +33,26 @@ from .theory import (
 )
 
 
+@contextmanager
 def _open_out(path):
-    """A context manager over the output stream for `path`: stdout for "-",
-    nothing for None, else the file, opened now so an unwritable path fails
-    before any work runs."""
+    """The output stream for `path`: stdout for "-", nothing for None, else a
+    buffer that goes to the file only once the run succeeds, so a refused run
+    leaves the file as it was. Whether the file can be written is tried on
+    entry, changing nothing, so an unwritable path fails before any work."""
     if path in (None, "-"):
-        return nullcontext(sys.stdout if path == "-" else None)
+        yield sys.stdout if path == "-" else None
+        return
     try:
-        return open(path, "w")
+        existed = os.path.exists(path)
+        open(path, "a").close()
+        if not existed:
+            os.remove(path)
     except OSError as exc:
         raise ModelError(f"cannot write {path!r}: {exc.strerror}") from None
+    buf = io.StringIO()
+    yield buf
+    with open(path, "w") as fp:
+        fp.write(buf.getvalue())
 
 
 def _load(path):

@@ -4,9 +4,9 @@ Per feasible anchor node and direction, the embeddings are the cycles through
 the anchor of a layered digraph: one layer of feasible hosts per virtual
 node, arcs along bandwidth-feasible ring segments, weight = bandwidth. The
 digraph stays implicit: `feasible_sets` reads the residuals once per request
-into host and bad-SL masks in ring order, and one sweep per layer with parent
-pointers finds the minimum weight cycle in O(n·m) for n virtual nodes on an
-m-node ring. `wdags` is the one enumeration of the digraphs, built lazily,
+into host and bad-SL masks in ring order, and a backward sweep per layer then
+a forward read find the minimum weight cycle in O(n·m) for n virtual nodes on
+an m-node ring. `wdags` is the one enumeration of the digraphs, built lazily,
 and `Wdag.to_json` the one explicit view, for `--dump-wdag` and inspection.
 Ties go to the lexicographically smallest host sequence, then to the first
 strictly cheapest over anchors in sorted order and directions, "+" before
@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
+from math import inf
 
 from .model import (
     Embedding,
@@ -190,50 +191,45 @@ def wdags(cycle, req):
 
 
 def min_weight_cycle(w):
-    """Minimum weight directed cycle through the anchor vertex, as (host
-    list, weight), or None.
+    """Minimum weight cycle through the anchor, as (host list, weight), or
+    None; ties go to the lexicographically smallest host list.
 
-    Arc weight is hops times demand d, so a head at position p is reached
-    cheapest at p·d + min(cost[t] − t·d) over reached tails t < p with no
-    bad SL in between: one sweep per layer keeps that running minimum,
-    resetting it at each bad SL, and parent pointers give back the cycle.
-    For the tie rule each layer is ranked by (parent's rank, host id), and
-    the running minimum prefers the smaller rank.
+    rest[t] is the cheapest way back to the anchor from a tail at position t:
+    the least rest[p] + (p − t)·d of the next layer over heads p > t with no
+    bad SL in between, for demand d. One backward sweep per layer, last
+    layer first and right to left, keeps it as a running minimum that takes
+    in each head, grows by d per step and resets at each bad SL. The forward
+    read spends d per step from the anchor and takes at each layer the
+    smallest host id whose arc keeps the optimum.
     """
     m, order = w.m, w.order
-    cost = [0] + [None] * m
-    rank = [0] * (m + 1)
-    parents = []
-    for j in range(w.n):
-        demand = w.demands[j]
-        nxt = [None] * (m + 1)
-        parent = [None] * (m + 1)
-        reached = []
-        rk = None  # best open tail: cost - position * demand (rk), rank (rr), position (rp)
-        for p, bad, head, c in zip(range(m + 1), w.bad[j], w.hosts[j + 1], cost):
-            if bad:
-                rk = None
-            if head and rk is not None:
-                nxt[p] = rk + p * demand
-                parent[p] = rp
-                reached.append((rr, order[p], p))
-            if c is not None:
-                k = c - p * demand
-                if rk is None or k < rk or (k == rk and rank[p] < rr):
-                    rk, rr, rp = k, rank[p], p
-        if not reached:
+    rests = [[inf] * m + [0]]  # layer n: the anchor at position m
+    for j in reversed(range(w.n)):
+        demand, ahead, tails, bad = w.demands[j], rests[-1], w.hosts[j], w.bad[j]
+        rest = [inf] * (m + 1)
+        best = inf
+        for t in range(m, -1, -1):
+            if tails[t]:
+                rest[t] = best
+            if ahead[t] < best:
+                best = ahead[t]
+            best = inf if bad[t] else best + demand
+        if min(rest) == inf:
             return None
-        reached.sort()
-        for r, (_pr, _v, p) in enumerate(reached):
-            rank[p] = r
-        cost = nxt
-        parents.append(parent)
-    p = m
-    hosts = []
-    for parent in reversed(parents):
-        p = parent[p]
-        hosts.append(order[p])
-    return hosts[::-1], cost[m]
+        rests.append(rest)
+    rests.reverse()
+    t, hosts = 0, [order[0]]
+    for j in range(w.n - 1):
+        need, ahead, pick = rests[j][t], rests[j + 1], None
+        for p in range(t + 1, m + 1):
+            if w.bad[j][p]:
+                break
+            need -= w.demands[j]
+            if ahead[p] == need and (pick is None or order[p] < order[pick]):
+                pick = p
+        t = pick
+        hosts.append(order[t])
+    return hosts, rests[0][0]
 
 
 @dataclass

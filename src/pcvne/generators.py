@@ -83,8 +83,12 @@ def gen_requests(spec, seed):
     rng = random.Random(seed)
     lo, hi = spec.length_range
     dlo, dhi = spec.demand_range
-    if lo > hi or dlo > dhi or dlo < 1:
-        raise SpecError("bad ranges")
+    if lo > hi:
+        raise SpecError(f"length_range ({lo}, {hi}) is empty")
+    if dlo > dhi:
+        raise SpecError(f"demand_range ({dlo}, {dhi}) is empty")
+    if dlo < 1:
+        raise SpecError(f"demand_range ({dlo}, {dhi}) starts below 1")
     if spec.count < 0:
         raise SpecError(f"negative request count {spec.count}")
     try:

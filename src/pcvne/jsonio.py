@@ -73,15 +73,18 @@ def _parse_instance(data):
             raise InstanceFormatError(f"{where}.id: duplicate id {req_id!r}")
         seen.add(req_id)
         vns, vls = _list(r, "vns", where), _list(r, "vls", where)
-        requests.append(VirtualRequest(
-            req_id=req_id,
-            shape=Shape(r["shape"]),
-            vns=[v["id"] for v in vns],
-            vls=[(l["u"], l["v"]) for l in vls],
-            cpu_demand={v["id"]: v["cpu"] for v in vns},
-            bw_demand={(l["u"], l["v"]): l["bw"] for l in vls},
-            revenue=r.get("revenue", 1),
-        ))
+        try:
+            requests.append(VirtualRequest(
+                req_id=req_id,
+                shape=Shape(r["shape"]),
+                vns=[v["id"] for v in vns],
+                vls=[(l["u"], l["v"]) for l in vls],
+                cpu_demand={v["id"]: v["cpu"] for v in vns},
+                bw_demand={(l["u"], l["v"]): l["bw"] for l in vls},
+                revenue=r.get("revenue", 1),
+            ))
+        except ModelError as exc:  # a field defect still takes precedence, by `_name_defect`
+            raise ModelError(f"{where}: {exc}") from None
     return net, requests
 
 

@@ -208,6 +208,78 @@ def test_unwritable_output_is_a_clean_error_before_the_run(tmp_path, capsys, mon
     assert capsys.readouterr().err == f"error: cannot write '{target}': No such file or directory\n"
 
 
+def _two_vn_cycle(data):
+    data["requests"][3]["vns"] = data["requests"][3]["vns"][:2]
+    data["requests"][3]["vls"] = data["requests"][3]["vls"][:1]
+    return data, "requests[3]: cycle request needs at least 3 VNs"
+
+
+def _zero_cpu_demand(data):
+    data["requests"][2]["vns"][1]["cpu"] = 0
+    return data, "requests[2]: cpu demand must be positive at 1"
+
+
+def _refusal_before_field_defect(data):
+    # the later field defect is named first, as for a single request
+    data, _ = _two_vn_cycle(data)
+    del data["requests"][4]["vns"][0]["cpu"]
+    return data, "requests[4].vns[0]: missing field 'cpu'"
+
+
+@pytest.mark.parametrize("corrupt", [_two_vn_cycle, _zero_cpu_demand, _refusal_before_field_defect])
+def test_request_refusals_name_the_request(tmp_path, capsys, corrupt):
+    data = _ring_instance()
+    data["requests"] = [dict(json.loads(json.dumps(data["requests"][0])), id=k) for k in range(5)]
+    data, message = corrupt(data)
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps(data))
+    with pytest.raises(SystemExit) as exc:
+        main(["embed-cycles", "--instance", str(inst)])
+    assert exc.value.code == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+_REFUSED_RUNS = [  # (generate flags of the instance or None, the refused command, its message)
+    (None, ["generate", "--nodes", "0"], "need at least one node"),
+    (["--nodes", "8", "--edges", "12", "--count", "16", "--length-min", "1", "--length-max", "2", "--seed", "1"],
+     ["embed-paths", "--mkp-mode", "exact"], "exact MKP limited to 15 items, got 16"),
+    (["--nodes", "6", "--edges", "8", "--shape", "cycle", "--count", "2", "--length-min", "3", "--length-max", "3"],
+     ["embed-cycles"], "substrate is not a cycle"),
+    (None, ["experiment", "--nodes", "6", "--edges", "8", "--length-min", "5", "--length-max", "3"],
+     "length_range (5, 3) is empty"),
+    (None, ["generate", "--nodes", "6", "--edges", "8", "--demand-min", "0"], "demand_range (0, 5) starts below 1"),
+]
+
+
+@pytest.mark.parametrize("existed", [True, False])
+@pytest.mark.parametrize("instance, command, message", _REFUSED_RUNS, ids=[c[2] for c in _REFUSED_RUNS])
+def test_refused_run_leaves_its_output_as_it_was(tmp_path, capsys, instance, command, message, existed):
+    if instance is not None:
+        inst = tmp_path / "inst.json"
+        main(["generate", *instance, "--out", str(inst)])
+        command = [*command, "--instance", str(inst)]
+    out = tmp_path / "out"
+    if existed:
+        out.write_bytes(b"earlier output\n")
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--out", str(out)])
+    assert exc.value.code == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    if existed:
+        assert out.read_bytes() == b"earlier output\n"
+    else:
+        assert not out.exists()
+
+
+def test_output_file_is_replaced_by_what_stdout_gets(tmp_path, capsys):
+    out = tmp_path / "out.json"
+    out.write_text("x" * 100000)
+    flags = ["generate", "--nodes", "6", "--edges", "8", "--count", "3", "--seed", "5"]
+    main(flags)
+    main([*flags, "--out", str(out)])
+    assert out.read_text() == capsys.readouterr().out
+
+
 @pytest.mark.parametrize("command", ["generate", "experiment"])
 def test_negative_request_count_is_a_clean_error(tmp_path, capsys, command):
     with pytest.raises(SystemExit) as exc:

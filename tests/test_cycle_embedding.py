@@ -162,9 +162,20 @@ class TestMinWeightCycle:
 
     def test_matches_exhaustive_cycle_enumeration(self):
         rng = random.Random(11)
-        checked = 0
-        for _ in range(60):
-            net, req = random_ring_instance(rng)
+        instances = [random_ring_instance(rng) for _ in range(60)]
+        # uniform demands on ids out of ring order, as in the uniform-demand
+        # c2ce test: every cycle costs the same, so most graphs have tied
+        # optima, and the smallest host tuple is seldom the first in ring order
+        rng = random.Random(31)
+        for k in range(60):
+            m = rng.randint(4, 8)
+            labels = rng.sample(range(100), m)
+            edges = [(labels[i], labels[(i + 1) % m]) for i in range(m)]
+            net = make_net(labels, edges, rng.randint(2, 4), rng.randint(2, 4))
+            n, d = rng.randint(3, min(5, m)), rng.randint(1, 2)
+            instances.append((net, make_cycle_request(k, [d] * n, [d] * n)))
+        checked = tied = 0
+        for net, req in instances:
             cycle = CycleView(net)
             masks = feasible_sets(cycle, req)
             for start in mask_hosts(cycle, masks[0][0]):
@@ -180,10 +191,11 @@ class TestMinWeightCycle:
                         checked += 1
                         assert found is not None
                         assert found[1] == min(c for _, c in all_cycles)
+                        tied += sum(c == found[1] for _, c in all_cycles) > 1
                         # ties go to the lexicographically smallest host tuple
                         hosts, cost = min(all_cycles, key=lambda hc: (hc[1], hc[0]))
                         assert found == (list(hosts), cost)
-        assert checked > 20
+        assert checked > 20 and tied > 400
 
 
 class TestC2ce:

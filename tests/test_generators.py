@@ -87,6 +87,16 @@ class TestGenRequests:
         with pytest.raises(SpecError, match="negative request count -1"):
             gen_requests(RequestSpec(count=-1), 0)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("length_range", (5, 3), "length_range (5, 3) is empty"),
+        ("demand_range", (4, 2), "demand_range (4, 2) is empty"),
+        ("demand_range", (0, 5), "demand_range (0, 5) starts below 1"),
+    ])
+    def test_bad_range_is_named(self, field, value, message):
+        with pytest.raises(SpecError) as exc:
+            gen_requests(RequestSpec(**{field: value}), 0)
+        assert str(exc.value) == message
+
 
 class TestEdpReduction:
     def _line(self):
