@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import combinations
 from math import comb
 
 from .model import ModelError, Shape, SubstrateNetwork, VirtualRequest, edge_key
@@ -54,18 +55,7 @@ def gen_substrate(spec, seed):
             raise SpecError("random topology needs n_edges")
         if m < n - 1 or m > comb(n, 2):
             raise SpecError(f"cannot build a connected simple graph with {n} nodes and {m} edges")
-        attach = list(range(n))
-        rng.shuffle(attach)
-        edges = []
-        present = set()
-        for i in range(1, n):
-            u, v = attach[i], attach[rng.randrange(i)]
-            edges.append((u, v))
-            present.add(edge_key(u, v))
-        candidates = [(u, v) for u in range(n) for v in range(u + 1, n)
-                      if (u, v) not in present]
-        extra = rng.sample(candidates, m - (n - 1))
-        edges.extend(extra)
+        edges = random_connected_edges(rng, n, m - (n - 1))
     else:
         raise SpecError(f"unknown topology {spec.topology!r}")
     return SubstrateNetwork(
@@ -74,6 +64,20 @@ def gen_substrate(spec, seed):
         cpu_capacity={v: spec.cpu_capacity for v in nodes},
         bw_capacity={edge_key(u, v): spec.bw_capacity for u, v in edges},
     )
+
+
+def random_connected_edges(rng, n, extra=None):
+    """Canonical links of a random connected graph on 0..n-1, tree first: in a
+    shuffled node order each node joins a uniformly chosen earlier one; then
+    `extra` (default: uniform) links drawn uniformly from the remaining pairs."""
+    order = list(range(n))
+    rng.shuffle(order)
+    tree = [edge_key(order[i], order[rng.randrange(i)]) for i in range(1, n)]
+    present = set(tree)
+    candidates = [e for e in combinations(range(n), 2) if e not in present]
+    if extra is None:
+        extra = rng.randint(0, len(candidates))
+    return tree + rng.sample(candidates, min(extra, len(candidates)))
 
 
 def gen_requests(spec, seed):

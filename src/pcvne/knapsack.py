@@ -8,9 +8,9 @@ rather than silently blowing up.
 All arithmetic is exact (ints / Fractions), feasibility has no tolerance.
 MDKP item sizes are dense length-d sequences or sparse {dimension: size}
 mappings; the MDKP solvers touch only each item's nonzero dimensions.
-Orders stay exact without a Fraction per comparison: MKP items sort on integer
-ranks taken over the distinct profit/size efficiencies (equal ones share a
-rank); MDKP surrogate weights are ints on one common scale, ranked by one int.
+Both greedy orders (profit per unit size descending) sort on one exact int per
+item from `_ratio_key`, never a Fraction per comparison; MDKP surrogate weights
+are ints on one common scale.
 Greedy MKP is one `first_fit` over items already in that order, so a caller
 keeping them sorted sorts once; it stops when no item can fit any more.
 """
@@ -105,21 +105,25 @@ class MdkpInstance:
         return len(self.capacities)
 
 
-def _efficiency(profit, size):
-    # profit per unit size; zero-size items sort ahead of everything
-    if size == 0:
-        return math.inf if profit > 0 else 0
-    return Fraction(profit, size) if isinstance(profit, int) and isinstance(size, int) else profit / size
-
-
 def order_items(items):
-    """KpItems in MKP order: profit/size descending, ties by smaller size then
-    lower id. Each distinct (profit, size) pair's exact efficiency is computed
-    once and ranked among the distinct values, equal values sharing a rank."""
-    eff = {pair: _efficiency(*pair) for pair in {(it.profit, it.size) for it in items}}
-    rank_of = {e: r for r, e in enumerate(sorted(set(eff.values()), reverse=True))}
-    rank = {pair: rank_of[e] for pair, e in eff.items()}
-    return sorted(items, key=lambda it: (rank[it.profit, it.size], it.size, _id_key(it.item_id)))
+    """KpItems in MKP order: profit/size descending, then smaller size, then lower id."""
+    key = _ratio_key((it.profit for it in items), (it.size for it in items))
+    return sorted(items, key=lambda it: key(it.profit, it.size, it.item_id))
+
+
+def _ratio_key(profits, sizes):
+    """The key of both greedy orders, built once per sort: key(profit, size,
+    id) is (ratio, size, id key), the ratio ranking profit/size descending as
+    -⌊P·profit·S/size⌋ (P = lcm of the profit denominators, S = 2^k > size²
+    for every size, so distinct ratios, at least 1/(size₁·size₂) apart, stay
+    apart). At size 0 a positive profit ranks first, a zero one as ratio 0."""
+    scale = math.lcm(*(p.denominator for p in profits))
+    shift = 2 * max(sizes, default=0).bit_length()
+
+    def key(profit, size, item_id):
+        p = int(profit * scale)
+        return (-((p << shift) // size) if size else -math.inf if p else 0), size, _id_key(item_id)
+    return key
 
 
 def _id_key(item_id):
@@ -244,40 +248,29 @@ def solve_mdkp(inst, mode="greedy"):
     return _solve("MDKP", inst, mode, _mdkp_greedy, _mdkp_exact)
 
 
-def _mdkp_normalized(inst):
-    """Items as (id, profit, nonzero (index, size) pairs, surrogate weight,
-    packable), and the weights' scale: each weight is the capacity-normalized
-    size sum times lcm(capacity numerators the items use) × lcm(size
-    denominators), an exact int. Dimensions with zero capacity only contribute
-    feasibility: any item with a positive size there can never be packed."""
+def _mdkp_items(inst):
+    """The packable items as (id, profit, nonzero (index, size) pairs,
+    surrogate weight) in funding order (`_ratio_key` on profit and weight),
+    and the weights' scale: each weight is the capacity-normalized size sum
+    times lcm(capacity numerators the items use) × lcm(size denominators), an
+    exact int. An item with a positive size on a zero capacity can never be
+    packed, so it is dropped."""
     caps = inst.capacities
     items = []
     for item_id, profit, sizes in inst.items:
         pairs = sizes.items() if isinstance(sizes, dict) else enumerate(sizes)
-        items.append((item_id, profit, tuple((i, s) for i, s in pairs if s)))
-    values = {caps[i] for _id, _p, pairs in items for i, _s in pairs if caps[i] > 0}
+        pairs = tuple((i, s) for i, s in pairs if s)
+        if all(caps[i] for i, _s in pairs):
+            items.append((item_id, profit, pairs))
+    values = {caps[i] for _id, _p, pairs in items for i, _s in pairs}
     cap_lcm = math.lcm(*(c.numerator for c in values))
     size_lcm = math.lcm(*{s.denominator for _id, _p, pairs in items for _i, s in pairs})
-    unit_of = {c: c.denominator * (cap_lcm // c.numerator) * size_lcm for c in values}
-    unit = [unit_of.get(c, 0) for c in caps]  # scale / capacity, 0 where the capacity is 0
-    out = []
-    for item_id, profit, pairs in items:
-        parts = [s * unit[i] for i, s in pairs]  # a part is 0 only on a zero capacity
-        out.append((item_id, profit, pairs, int(sum(parts)), all(parts)))
-    return out, cap_lcm * size_lcm
-
-
-def _mdkp_order(norm):
-    """Profit/weight descending (positive profit at zero weight first), then
-    smaller weight, then lower id. The ratio is one int, ⌊P·S/W⌋ with profits
-    on a common scale and S = 2^k > W_max², so distinct ratios stay apart."""
-    p_scale = math.lcm(*(t[1].denominator for t in norm))
-    shift = 2 * max((t[3] for t in norm), default=0).bit_length()
-
-    def key(t):
-        p, w = int(t[1] * p_scale), t[3]
-        return (-((p << shift) // w) if w else -math.inf if p else 0), w, _id_key(t[0])
-    return sorted(norm, key=key)
+    unit = {c: c.denominator * (cap_lcm // c.numerator) * size_lcm for c in values}  # scale / capacity
+    items = [(item_id, p, pairs, int(sum(s * unit[caps[i]] for i, s in pairs)))
+             for item_id, p, pairs in items]
+    key = _ratio_key((t[1] for t in items), (t[3] for t in items))
+    items.sort(key=lambda t: key(t[1], t[3], t[0]))
+    return items, cap_lcm * size_lcm
 
 
 def _fits(pairs, residual):
@@ -288,8 +281,8 @@ def _mdkp_greedy(inst):
     residual = list(inst.capacities)
     selected = []
     profit = 0
-    for item_id, p, pairs, _w, packable in _mdkp_order(_mdkp_normalized(inst)[0]):
-        if packable and _fits(pairs, residual):
+    for item_id, p, pairs, _w in _mdkp_items(inst)[0]:
+        if _fits(pairs, residual):
             for i, s in pairs:
                 residual[i] -= s
             selected.append(item_id)
@@ -298,12 +291,11 @@ def _mdkp_greedy(inst):
 
 
 def _mdkp_exact(inst):
-    norm, scale = _mdkp_normalized(inst)
-    norm = [t for t in _mdkp_order(norm) if t[4]]
+    norm, scale = _mdkp_items(inst)
     # surrogate: one knapsack of capacity = number of positive dimensions, item
     # size = its normalized weight, both scaled; fractional optimum bounds the 0-1 one
     surrogate_cap = scale * sum(1 for b in inst.capacities if b > 0)
-    weights = [(p, w) for _id, p, _s, w, _ok in norm]
+    weights = [(p, w) for _id, p, _s, w in norm]
     best_profit = 0
     best_set = []
     chosen = []
@@ -318,7 +310,7 @@ def _mdkp_exact(inst):
             return
         if profit + _fractional_bound(weights[i:], surrogate_cap - used_weight) <= best_profit:
             return
-        item_id, p, pairs, w, _ok = norm[i]
+        item_id, p, pairs, w = norm[i]
         if _fits(pairs, residual):
             for k, s in pairs:
                 residual[k] -= s

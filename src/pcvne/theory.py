@@ -17,6 +17,7 @@ from .cycle_embedding import (
     CycleView,
     _simplex_from_hosts,
 )
+from .generators import random_connected_edges
 from .model import (
     Embedding,
     ModelError,
@@ -82,14 +83,7 @@ def connected_graphs(n):
 
 def random_connected_graph(rng, n, extra_edges=None):
     """Random spanning tree on 0..n-1 plus `extra_edges` (default random) more edges."""
-    perm = list(range(n))
-    rng.shuffle(perm)
-    edges = {edge_key(perm[i], perm[rng.randrange(i)]) for i in range(1, n)}
-    candidates = [e for e in combinations(range(n), 2) if e not in edges]
-    if extra_edges is None:
-        extra_edges = rng.randint(0, len(candidates))
-    edges.update(rng.sample(candidates, min(extra_edges, len(candidates))))
-    return Graph.build(range(n), edges)
+    return Graph.build(range(n), random_connected_edges(rng, n, extra_edges))
 
 
 def has_spanning_trail(g):

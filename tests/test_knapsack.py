@@ -12,6 +12,7 @@ from oracles import (
     mdkp_best_profit,
     mdkp_exact_reference,
     mdkp_greedy_reference,
+    mdkp_order_reference,
     mdkp_weight_reference,
     mkp_best_profit,
     solve_kp_dp,
@@ -24,7 +25,7 @@ from pcvne.knapsack import (
     MdkpInstance,
     MkpInstance,
     _fractional_bound,
-    _mdkp_normalized,
+    _mdkp_items,
     first_fit,
     order_items,
     solve_mdkp,
@@ -313,6 +314,16 @@ def test_property_first_fit_matches_sorted_first_fit(caps, items, mkp_order):
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.builds(KpItem, item_id=_IDS, size=_SIZES, profit=_PROFITS), max_size=25))
+# near the separation limit: Farey neighbours at 10^6 differ by 1/(s1*s2) only,
+# and for the second pair a scale of S/2 < s1*s2 would tie the two ratios
+@example([KpItem("a", 10 ** 6, 999999), KpItem("b", 999999, 999998)])
+@example([KpItem("a", 999999, 999998), KpItem("b", 999998, 999997)])
+# a Fraction profit whose ratio falls between those two
+@example([KpItem("a", 10 ** 6, 999999), KpItem("b", 999999, 999998),
+          KpItem("c", 10 ** 6, Fraction(1999997999999, 2000000))])
+# a scaled copy: the same ratio at a larger size ties and falls back to size
+@example([KpItem("a", 10 ** 6, 999999), KpItem("b", 999999, 999998),
+          KpItem("c", 10 ** 6, Fraction(1999997999999, 2000000)), KpItem("d", 1999998, 1999996)])
 def test_property_order_items_equals_fraction_key_sort(items):
     assert order_items(items) == sorted(items, key=item_order_key)
 
@@ -347,9 +358,14 @@ def test_property_mdkp_weights_match_fraction_sum(data):
         if data.draw(st.booleans()):  # mapping form, some explicit zeros kept
             sizes = {k: s for k, s in enumerate(sizes) if s or data.draw(st.booleans())}
         items.append((i, data.draw(_QUANTITIES), sizes))
-    norm, scale = _mdkp_normalized(MdkpInstance(caps, items))
-    assert all(type(t[3]) is int for t in norm)
-    assert [Fraction(t[3], scale) for t in norm] == [mdkp_weight_reference(caps, sizes) for _i, _p, sizes in items]
+    got, scale = _mdkp_items(MdkpInstance(caps, items))
+    assert all(type(t[3]) is int for t in got)
+    sizes_of = {i: sizes for i, _p, sizes in items}
+    assert all(Fraction(w, scale) == mdkp_weight_reference(caps, sizes_of[i]) for i, _p, _s, w in got)
+    # packable: no positive size on a zero capacity; those alone come back, in funding order
+    packable = [t for t in mdkp_order_reference(caps, items)
+                if all(caps[k] for k, s in (t[2].items() if isinstance(t[2], dict) else enumerate(t[2])) if s)]
+    assert [t[0] for t in got] == [t[0] for t in packable]
 
 
 def _assert_mdkp_matches_references(caps, items):

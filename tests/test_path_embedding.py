@@ -394,29 +394,33 @@ def test_property_procedure_pe_matches_fraction_key_reference(seed):
     assert net.residual_bw == ref_net.residual_bw
 
 
-def test_pack_mkp_ranks_each_distinct_pair_once(monkeypatch):
-    # 1000 unit-revenue requests of 6 lengths are 6 distinct (profit, size)
-    # pairs: the efficiency is computed per pair and sort, never per item
-    calls = {"efficiency": 0, "order_items": 0}
-    efficiency, order_items = knapsack._efficiency, knapsack.order_items
-
-    def counting_efficiency(profit, size):
-        calls["efficiency"] += 1
-        return efficiency(profit, size)
+def test_pack_mkp_builds_the_ratio_key_once(monkeypatch):
+    # 1000 unit-revenue requests: the items are sorted once, on a ratio key
+    # built once for the whole sort and then called once per item
+    calls = {"order_items": 0, "ratio_key": 0, "key": 0}
+    order_items, ratio_key = knapsack.order_items, knapsack._ratio_key
 
     def counting_order_items(items):
         calls["order_items"] += 1
         return order_items(items)
 
-    monkeypatch.setattr(knapsack, "_efficiency", counting_efficiency)
+    def counting_ratio_key(profits, sizes):
+        calls["ratio_key"] += 1
+        key = ratio_key(profits, sizes)
+
+        def counting_key(*args):
+            calls["key"] += 1
+            return key(*args)
+        return counting_key
+
+    monkeypatch.setattr(knapsack, "_ratio_key", counting_ratio_key)
     monkeypatch.setattr(knapsack, "order_items", counting_order_items)
     monkeypatch.setattr(path_embedding, "order_items", counting_order_items)
     reqs = [uniform_path_request(i, 5 + i % 6) for i in range(1000)]
     paths = [SubstratePath(tuple(range(100 * k, 100 * k + 61))) for k in range(40)]
     placements = pack_mkp(paths, path_items(reqs))
     assert 0 < len(placements) < len(reqs)
-    assert calls["order_items"] == 1
-    assert calls["efficiency"] <= 6 * calls["order_items"]
+    assert calls == {"order_items": 1, "ratio_key": 1, "key": len(reqs)}
 
 
 @settings(max_examples=150, deadline=None)
