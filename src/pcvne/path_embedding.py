@@ -18,7 +18,7 @@ from .knapsack import (
     solve_mdkp,
     solve_mkp,
 )
-from .model import Embedding, EmbeddingBatch, ModelError, Shape, commit, edge_key, footprint
+from .model import Embedding, EmbeddingBatch, ModelError, Shape, commit, edge_key
 
 
 @dataclass(frozen=True)
@@ -30,13 +30,14 @@ class SubstratePath:
     def __post_init__(self):
         if len(self.nodes) < 2:
             raise ModelError("substrate path needs at least one link")
+        object.__setattr__(self, "_edges", tuple(map(edge_key, self.nodes, self.nodes[1:])))
 
     @property
     def length(self):
         return len(self.nodes) - 1
 
-    def edges(self):
-        return [edge_key(self.nodes[i], self.nodes[i + 1]) for i in range(self.length)]
+    def edges(self):  # canonical SL keys in path order, built with the path
+        return self._edges
 
 
 @dataclass
@@ -51,20 +52,16 @@ class PathPlacement:
     offset: int
 
     def to_embedding(self):
-        nodes = self.path.nodes
-        node_map = {vn: nodes[self.offset + i] for i, vn in enumerate(self.req.vns)}
-        link_map = {}
-        for i, vl in enumerate(self.req.vls):
-            a = nodes[self.offset + i]
-            b = nodes[self.offset + i + 1]
-            link_map[vl] = [edge_key(a, b)]
+        nodes, links = self.path.nodes[self.offset:], self.path.edges()[self.offset:]
+        node_map = dict(zip(self.req.vns, nodes))
+        link_map = {vl: [k] for vl, k in zip(self.req.vls, links)}
         return Embedding(req_id=self.req.req_id, node_map=node_map, link_map=link_map)
 
 
 def _dfs_tree(root, adj):
     """Iterative depth-first tree (children in list order, each pushed once,
     with the recursive traversal's parent) and its deepest node (ties: lowest
-    id). On a tree, neither depends on the order: paths there are unique."""
+    id). `parent` is filled in preorder: each node comes after its parent."""
     parent = {root: None}
     stack = [(root, iter(adj[root]))]
     far, far_depth = root, 0
@@ -88,9 +85,9 @@ def decompose_paths(net):
     positive residual BW between two of them) into link-disjoint simple paths.
 
     Repeatedly: root a DFS tree at the usable node of maximum degree (ties by
-    lowest id, off a lazy heap), emit its longest path (`_dfs_tree` again, from
-    its deepest node) and drop its links. `procedure_pe` reuses the paths until
-    a residual hits 0.
+    lowest id, off a lazy heap), emit its longest path (from its deepest node a
+    to the node farthest from a, read off the same tree's parents) and drop its
+    links. `procedure_pe` reuses the paths until a residual hits 0.
     """
     bw = net.residual_bw
     usable = {v for v in net.nodes if net.residual_cpu[v] > 0}
@@ -102,27 +99,30 @@ def decompose_paths(net):
     paths = []
     while heap:
         neg_degree, root = heapq.heappop(heap)
-        if len(adj[root]) != -neg_degree:  # stale: the degree fell since the push
+        if len(adj[root]) != -neg_degree:  # stale: the degree fell since the push, so re-key it
+            if adj[root]:
+                heapq.heappush(heap, (-len(adj[root]), root))
             continue
         parent, a = _dfs_tree(root, adj)
-        tree_adj = {v: [] for v in parent}
+        rank, v = {a: 0}, a  # a and its ancestors up to the root, by distance to a
+        while (v := parent[v]) is not None:
+            rank[v] = len(rank)
+        dist = {}  # tree distance to a; `parent` lists each parent before its children
         for v, p in parent.items():
-            if p is not None:
-                tree_adj[v].append(p)
-                tree_adj[p].append(v)
-        par, b = _dfs_tree(a, tree_adj)
-        seq = [b]
-        while par[seq[-1]] is not None:
-            seq.append(par[seq[-1]])
+            dist[v] = rank[v] if v in rank else dist[p] + 1
+        far = max(dist.values())
+        b = min(v for v, d in dist.items() if d == far)
+        seq = [b]  # up from b to a's first ancestor, then down to a
+        while seq[-1] not in rank:
+            seq.append(parent[seq[-1]])
+        seq += reversed(list(rank)[:rank[seq[-1]]])
         if seq[0] > seq[-1]:
             seq.reverse()
         paths.append(SubstratePath(tuple(seq)))
         for i in range(len(seq) - 1):
             adj[seq[i]].remove(seq[i + 1])
             adj[seq[i + 1]].remove(seq[i])
-        for v in {root, *seq}:
-            if adj[v]:
-                heapq.heappush(heap, (-len(adj[v]), v))
+        heapq.heappush(heap, (neg_degree, root))  # stale if the path took root's links
     return paths
 
 
@@ -166,28 +166,28 @@ def pack_mkp(paths, items, mode="greedy"):
 def assign_mdkp(net, placements, mode="greedy"):
     """Fund packed placements with CPU and BW out of the current residuals.
 
-    Each placement becomes an item whose sparse sizes are its `footprint`, one
-    component per SN it uses and per SL it routes over; the capacity vector is
-    the residual vector over all SNs then all SLs. Selected placements are
-    committed and returned.
+    Each placement is an item whose sparse sizes, read off its path slice (VN
+    i's CPU on SN i, VL i's BW on SL i: a simple path's SNs are distinct), are
+    its `footprint`; the capacities are the residuals over all SNs then all
+    SLs. Only the selected placements become Embeddings, committed and returned.
     """
     dim_index = {d: i for i, d in enumerate([*net.nodes, *net.edges])}
     capacities = [net.residual_cpu[v] for v in net.nodes] + [net.residual_bw[k] for k in net.edges]
 
-    embeddings = [pl.to_embedding() for pl in placements]
     items = []
-    for idx, (pl, emb) in enumerate(zip(placements, embeddings)):
-        sizes = {dim_index[d]: q for use in footprint([(pl.req, emb)]) for d, q in use.items()}
-        items.append((idx, pl.req.revenue, sizes))
+    for idx, pl in enumerate(placements):
+        req, o = pl.req, pl.offset
+        sizes = {dim_index[sn]: req.cpu_demand[vn] for vn, sn in zip(req.vns, pl.path.nodes[o:])}
+        for vl, k in zip(req.vls, pl.path.edges()[o:]):
+            sizes[dim_index[k]] = req.bw_demand[vl]
+        items.append((idx, req.revenue, sizes))
 
     inst = MdkpInstance.trusted(capacities, items)  # residuals and demands are validated
     selected, _profit = solve_mdkp(inst, mode=mode)
 
-    accepted = []
-    for idx in sorted(selected):
-        pl = placements[idx]
-        commit(net, pl.req, embeddings[idx])
-        accepted.append((pl, embeddings[idx]))
+    accepted = [(placements[idx], placements[idx].to_embedding()) for idx in sorted(selected)]
+    for pl, emb in accepted:
+        commit(net, pl.req, emb)
     return accepted
 
 

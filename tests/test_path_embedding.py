@@ -29,7 +29,7 @@ from oracles import (
 )
 from pcvne.generators import RequestSpec, SubstrateSpec, gen_edp_reduction, gen_requests, gen_substrate
 from pcvne.knapsack import EXACT_ITEM_LIMIT, KpItem, MdkpInstance, solve_mdkp
-from pcvne.model import ModelError, commit, edge_key, validate_embedding
+from pcvne.model import ModelError, commit, edge_key, footprint, validate_embedding
 from pcvne.path_embedding import (
     PathPlacement,
     SubstratePath,
@@ -113,6 +113,44 @@ class TestDecompose:
         pairs = [tuple(rng.sample(list(g.nodes), 2)) for _ in range(rng.randint(0, 3))]
         net = _exhaust_some(rng, gen_edp_reduction(list(g.nodes), list(g.edges), pairs).net)
         assert decompose_paths(net) == decompose_paths_reference(net)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10 ** 6))
+    def test_property_matches_reference_on_sparse_nets(self, seed):
+        # 30-100 SNs and 60-500 SLs: deep DFS trees, so the deepest node's
+        # ancestor chain is long and the farthest node often hangs off it
+        rng = random.Random(seed)
+        n = rng.randint(30, 100)
+        m = rng.randint(max(60, n - 1), min(500, n * (n - 1) // 2))
+        net = _exhaust_some(rng, graph_net(random_connected_graph(rng, n, m - (n - 1))))
+        assert decompose_paths(net) == decompose_paths_reference(net)
+
+    def test_two_node_tree(self):
+        net = path_net(2)
+        assert decompose_paths(net) == decompose_paths_reference(net) == [SubstratePath((0, 1))]
+
+    def test_star_paths(self):
+        # root 0, deepest leaf 1, farthest from it 2: up to the root and down
+        net = make_net([0, 1, 2, 3], [(0, 1), (0, 2), (0, 3)], 10, 10)
+        want = [SubstratePath((1, 0, 2)), SubstratePath((0, 3))]
+        assert decompose_paths(net) == decompose_paths_reference(net) == want
+
+    def test_long_path_rooted_inside(self):
+        # the root, id 0, splits the path into arms of 60 and 40 SNs: a ends
+        # the longer arm, b the other one, below the root but off a's chain
+        seq = list(range(60, 0, -1)) + [0] + list(range(61, 101))
+        net = make_net(seq, list(zip(seq, seq[1:])), 10, 10)
+        assert decompose_paths(net) == decompose_paths_reference(net) == [SubstratePath(tuple(seq))]
+
+    def test_farthest_node_hangs_off_an_ancestor_below_the_root(self):
+        # root 0 (degree 3, lowest id) down the chain 1..30 to a = 30; the
+        # branch 100..114 hangs off 10, so the path turns at 10, not at the root
+        chain, branch = list(range(31)), [10, *range(100, 115)]
+        edges = [*zip(chain, chain[1:]), *zip(branch, branch[1:]), (0, 200), (0, 201)]
+        net = make_net([*chain, *branch[1:], 200, 201], edges, 10, 10)
+        paths = decompose_paths(net)
+        assert paths == decompose_paths_reference(net)
+        assert paths[0] == SubstratePath((*range(30, 9, -1), *range(100, 115)))
 
 
 def _exhaust_some(rng, net):
@@ -280,7 +318,9 @@ class TestAssignMdkp:
             assert sum(pl.req.revenue for pl, _ in accepted) == expected
 
 
-    def test_embeds_each_placement_once(self, monkeypatch):
+    def test_embeds_each_funded_placement_once_and_no_other(self, monkeypatch):
+        # the funding sizes come off the path slice: only a funded placement
+        # is turned into an Embedding, once, for its commit
         calls = []
         to_embedding = PathPlacement.to_embedding
 
@@ -294,7 +334,7 @@ class TestAssignMdkp:
         placements = pack_mkp([SubstratePath(tuple(range(12)))], path_items(reqs))
         accepted = assign_mdkp(net, placements)
         assert 0 < len(accepted) < len(placements)
-        assert sorted(calls) == sorted(pl.req.req_id for pl in placements)
+        assert sorted(calls) == sorted(pl.req.req_id for pl, _emb in accepted)
 
 
 class TestProcedurePe:
@@ -392,6 +432,51 @@ def test_property_procedure_pe_matches_fraction_key_reference(seed):
         assert emb.node_map == ref_emb.node_map and emb.link_map == ref_emb.link_map
     assert net.residual_cpu == ref_net.residual_cpu
     assert net.residual_bw == ref_net.residual_bw
+
+
+def _assert_funding_sizes_are_footprints(net, reqs):
+    # every funding instance procedure_pe builds: item idx's sparse sizes,
+    # read off placement idx's path slice, are the `footprint` of that
+    # placement's embedding mapped through the dimension index
+    calls = []
+    assign, solve = path_embedding.assign_mdkp, path_embedding.solve_mdkp
+
+    def recording_assign(net, placements, mode="greedy"):
+        calls.append([placements, {d: i for i, d in enumerate([*net.nodes, *net.edges])}])
+        return assign(net, placements, mode=mode)
+
+    def recording_solve(inst, mode="greedy"):
+        calls[-1].append(inst)
+        return solve(inst, mode=mode)
+
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(path_embedding, "assign_mdkp", recording_assign)
+        monkeypatch.setattr(path_embedding, "solve_mdkp", recording_solve)
+        procedure_pe(net, reqs)
+    assert calls
+    for placements, dim_index, inst in calls:
+        assert [item[0] for item in inst.items] == list(range(len(placements)))
+        for (_idx, profit, sizes), pl in zip(inst.items, placements):
+            use = footprint([(pl.req, pl.to_embedding())])
+            assert profit == pl.req.revenue
+            assert sizes == {dim_index[d]: q for part in use for d, q in part.items()}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10 ** 6))
+def test_property_funding_sizes_are_footprints(seed):
+    _assert_funding_sizes_are_footprints(*_random_pipeline_instance(random.Random(seed)))
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 10 ** 6))
+def test_property_funding_sizes_are_footprints_on_tuple_ids(seed):
+    # the EDP reduction names its SNs ("n", v) and ("c", v)
+    rng = random.Random(seed)
+    g = random_connected_graph(rng, rng.randint(2, 8))
+    pairs = [tuple(rng.sample(list(g.nodes), 2)) for _ in range(rng.randint(1, 6))]
+    red = gen_edp_reduction(list(g.nodes), list(g.edges), pairs)
+    _assert_funding_sizes_are_footprints(red.net, red.requests)
 
 
 def test_pack_mkp_builds_the_ratio_key_once(monkeypatch):
