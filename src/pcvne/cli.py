@@ -15,7 +15,7 @@ from math import inf
 from . import jsonio
 from .baseline import generic_batch, generic_embed
 from .cycle_embedding import greedy_revenue
-from .experiment import EMBEDDERS, ExperimentConfig, run_experiment, write_csv, write_json
+from .experiment import EMBEDDERS, ExperimentConfig, run_experiment, trial_seeds, write_csv, write_json
 from .generators import RequestSpec, SubstrateSpec, gen_requests, gen_substrate
 from .model import ModelError, Shape, batch_metrics
 from .path_embedding import procedure_pe
@@ -55,6 +55,12 @@ def _open_out(path):
         fp.write(buf.getvalue())
 
 
+def _refuse_shared_output(out, flag, path):
+    """Refuse --out and `flag` naming one file, which would keep only the report."""
+    if path not in (None, "-") and out != "-" and os.path.realpath(out) == os.path.realpath(path):
+        raise ModelError(f"--out and {flag} name the same file {path!r}")
+
+
 def _load(path):
     if path == "-":
         return jsonio.load_instance(sys.stdin)
@@ -91,14 +97,13 @@ def _specs(args):
 
 def cmd_generate(args):
     sub, req = _specs(args)
-    rng = random.Random(args.seed)
+    [(s_sub, s_req)] = trial_seeds(args.seed, 1)
     with _open_out(args.out) as out:
-        net = gen_substrate(sub, rng.randrange(2 ** 31))
-        requests = gen_requests(req, rng.randrange(2 ** 31))
-        jsonio.dump_instance(net, requests, out)
+        jsonio.dump_instance(gen_substrate(sub, s_sub), gen_requests(req, s_req), out)
 
 
 def cmd_embed_paths(args):
+    _refuse_shared_output(args.out, "--trace", args.trace)
     net, requests = _load(args.instance)
     for r in requests:
         if r.shape is not Shape.PATH:
@@ -113,6 +118,7 @@ def cmd_embed_paths(args):
 
 
 def cmd_embed_cycles(args):
+    _refuse_shared_output(args.out, "--dump-wdag", args.dump_wdag)
     net, requests = _load(args.instance)
     for r in requests:
         if r.shape is not Shape.CYCLE:
@@ -264,9 +270,14 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         args.func(args)
+        sys.stdout.flush()
     except ModelError as exc:
         print(f"error: {exc}", file=sys.stderr)
         sys.exit(2)
+    except BrokenPipeError:
+        # reader gone (`| head`): stdout to devnull, so the exit flush cannot fail (signal docs)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
 
 
 if __name__ == "__main__":

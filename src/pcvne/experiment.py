@@ -110,17 +110,20 @@ def mean_ci(values):
     return (mean, crit * s / n ** 0.5)
 
 
+def trial_seeds(seed, trials):
+    """Each trial's (substrate seed, request seed), drawn from the master seed."""
+    rng = random.Random(seed)
+    return [(rng.randrange(2 ** 31), rng.randrange(2 ** 31)) for _ in range(trials)]
+
+
 def run_experiment(cfg, measure_time=True):
     """Run cfg.trials independent trials. Each trial generates a fresh
-    substrate and workload from a sub-seed of the master seed, runs every
-    selected algorithm on its own residual copy, validates the batch, and
-    audits residual conservation. Deterministic given the master seed
-    (wall_ms excepted, and zeroed when measure_time is off)."""
-    rng_master = random.Random(cfg.seed)
-    trial_seeds = [(rng_master.randrange(2 ** 31), rng_master.randrange(2 ** 31))
-                   for _ in range(cfg.trials)]
+    substrate and workload from its `trial_seeds`, runs every selected
+    algorithm on its own residual copy, validates the batch, and audits
+    residual conservation. Deterministic given the master seed (wall_ms
+    excepted, and zeroed when measure_time is off)."""
     result = ExperimentResult(config=cfg)
-    for t, (s_sub, s_req) in enumerate(trial_seeds):
+    for t, (s_sub, s_req) in enumerate(trial_seeds(cfg.seed, cfg.trials)):
         base_net = gen_substrate(cfg.substrate, s_sub)
         requests = gen_requests(cfg.requests, s_req)
         for alg in cfg.algorithms:
@@ -133,10 +136,8 @@ def run_experiment(cfg, measure_time=True):
                 raise AssertionError(f"batch failed validation: {violations}")
             audit_residuals(net, [batch])
             ratio, revenue = batch_metrics(batch, len(requests))
-            result.rows.append(TrialRow(
-                trial=t, algorithm=alg, acceptance_ratio=ratio,
-                revenue=revenue, wall_ms=wall_ms,
-            ))
+            result.rows.append(TrialRow(trial=t, algorithm=alg, acceptance_ratio=ratio,
+                                        revenue=revenue, wall_ms=wall_ms))
     return result
 
 

@@ -19,7 +19,7 @@ class SpecError(ModelError):
 class SubstrateSpec:
     n_nodes: int
     topology: str = "random"  # random | complete | cycle | path
-    n_edges: int | None = None
+    n_edges: int | None = None  # random topology only
     cpu_capacity: object = 100
     bw_capacity: object = 100
 
@@ -40,6 +40,8 @@ def gen_substrate(spec, seed):
     n = spec.n_nodes
     if n < 1:
         raise SpecError("need at least one node")
+    if spec.topology in ("complete", "cycle", "path") and spec.n_edges is not None:
+        raise SpecError(f"n_edges is only for the random topology, not {spec.topology!r}")
     nodes = list(range(n))
     if spec.topology == "complete":
         edges = [(u, v) for u in range(n) for v in range(u + 1, n)]
@@ -99,6 +101,8 @@ def gen_requests(spec, seed):
         shape = Shape(spec.shape)
     except ValueError:
         raise SpecError(f"unknown request shape {spec.shape!r}") from None
+    if shape is Shape.GENERAL:
+        raise SpecError("gen_requests makes 'path' and 'cycle' requests, not 'general'")
     if spec.revenue_rule not in ("unit", "proportional"):
         raise SpecError(f"unknown revenue rule {spec.revenue_rule!r}")
     if shape is Shape.CYCLE and lo < 3:

@@ -183,6 +183,12 @@ def test_missing_instance_file_is_a_clean_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def _generate_for(command, inst):
+    main(["generate", "--nodes", "6", "--topology", "cycle", "--count", "2",
+          "--shape", "cycle" if command == "embed-cycles" else "path",
+          "--length-min", "3", "--length-max", "4", "--out", str(inst)])
+
+
 @pytest.mark.parametrize("command, flag", [
     ("generate", "--out"),
     ("embed-paths", "--out"),
@@ -191,9 +197,7 @@ def test_missing_instance_file_is_a_clean_error(tmp_path, capsys):
 ])
 def test_unwritable_output_is_a_clean_error_before_the_run(tmp_path, capsys, monkeypatch, command, flag):
     inst = tmp_path / "inst.json"
-    main(["generate", "--nodes", "6", "--topology", "cycle", "--count", "2",
-          "--shape", "cycle" if command == "embed-cycles" else "path",
-          "--length-min", "3", "--length-max", "4", "--out", str(inst)])
+    _generate_for(command, inst)
 
     def never(*args, **kwargs):
         raise AssertionError("ran before the output was opened")
@@ -206,6 +210,82 @@ def test_unwritable_output_is_a_clean_error_before_the_run(tmp_path, capsys, mon
         main([command, *args, flag, str(target)])
     assert exc.value.code == 2
     assert capsys.readouterr().err == f"error: cannot write '{target}': No such file or directory\n"
+
+
+@pytest.mark.parametrize("spelling", ["same", "dotted"])
+@pytest.mark.parametrize("command, flag", [("embed-paths", "--trace"), ("embed-cycles", "--dump-wdag")])
+def test_one_file_for_two_outputs_is_refused_before_the_run(tmp_path, capsys, monkeypatch,
+                                                            command, flag, spelling):
+    # used to exit 0 with only the report in the file: the trace or dump was lost
+    inst = tmp_path / "inst.json"
+    _generate_for(command, inst)
+
+    def never(*args, **kwargs):
+        raise AssertionError("ran before the outputs were checked")
+
+    monkeypatch.setattr(cli, "_load", never)
+    target = tmp_path / "x"
+    target.write_bytes(b"earlier output\n")
+    other = target if spelling == "same" else tmp_path / "." / "x"
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--instance", str(inst), "--out", str(target), flag, str(other)])
+    assert exc.value.code == 2
+    assert capsys.readouterr() == ("", f"error: --out and {flag} name the same file '{other}'\n")
+    assert target.read_bytes() == b"earlier output\n"
+
+
+@pytest.mark.parametrize("command, flag", [("embed-paths", "--trace"), ("embed-cycles", "--dump-wdag")])
+def test_stdout_for_two_outputs_is_allowed(tmp_path, capsys, command, flag):
+    inst = tmp_path / "inst.json"
+    _generate_for(command, inst)
+    main([command, "--instance", str(inst), "--out", "-", flag, "-"])
+    assert '"algorithm"' in capsys.readouterr().out
+
+
+def test_edge_count_on_a_fixed_topology_is_a_clean_error(tmp_path, capsys):
+    # used to exit 0 with the 6 links of the complete graph on 4 nodes
+    out = tmp_path / "out.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["generate", "--nodes", "4", "--topology", "complete", "--edges", "99", "--out", str(out)])
+    assert exc.value.code == 2
+    assert capsys.readouterr() == ("", "error: n_edges is only for the random topology, not 'complete'\n")
+    assert not out.exists()
+
+
+def _src_env():
+    root = Path(__file__).resolve().parent.parent
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(root / "src"), os.environ.get("PYTHONPATH")))))
+
+
+def test_reader_that_leaves_early_ends_the_run_without_a_traceback():
+    # about 127 kB of CSV, more than a pipe holds, so the writer meets the closed
+    # pipe; it used to end in a BrokenPipeError traceback
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "pcvne.cli", "experiment", "--nodes", "4", "--edges", "3",
+         "--count", "1", "--length-min", "1", "--length-max", "1", "--trials", "3000", "--no-timing"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_src_env())
+    assert proc.stdout.readline() == b"trial,algorithm,acceptance_ratio,revenue,wall_ms\r\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 1
+    assert err == b""
+
+
+@pytest.mark.parametrize("seed", [1, 99, 2024])
+def test_generate_writes_the_instance_of_trial_zero(tmp_path, capsys, seed):
+    flags = ["--nodes", "30", "--edges", "150", "--count", "300", "--revenue", "proportional",
+             "--seed", str(seed)]
+    main(["experiment", *flags, "--trials", "1", "--no-timing", "--format", "json"])
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    inst = tmp_path / "inst.json"
+    main(["generate", *flags, "--out", str(inst)])
+    for row, command in zip(rows, ["embed-paths", "embed-generic"]):
+        main([command, "--instance", str(inst)])
+        report = json.loads(capsys.readouterr().out)
+        assert (report["algorithm"], report["acceptance_ratio"], report["revenue"]) == (
+            row["algorithm"], row["acceptance_ratio"], row["revenue"])
 
 
 def _two_vn_cycle(data):
@@ -364,10 +444,8 @@ def test_import_pcvne_loads_only_what_the_benchmark_reads():
              "print(sorted(m for m in ('pcvne.theory', 'pcvne.experiment') if m in sys.modules))\n"
              "print(sorted(n for n in ('SubstrateSpec', 'RequestSpec', 'gen_substrate', 'gen_requests',\n"
              "    'ModelError', 'path_embedding', 'cycle_embedding', 'baseline', 'model') if not hasattr(pcvne, n)))")
-    root = Path(__file__).resolve().parent.parent
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True,
-                          env=dict(os.environ, PYTHONPATH=os.pathsep.join(
-                              filter(None, (str(root / "src"), os.environ.get("PYTHONPATH"))))))
+                          env=_src_env())
     assert proc.stdout == "[]\n[]\n"
 
 

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from pcvne.experiment import (
+    EMBEDDERS,
     ConfigError,
     ExperimentConfig,
     _T95,
@@ -15,7 +16,7 @@ from pcvne.experiment import (
     write_csv,
     write_json,
 )
-from pcvne.generators import RequestSpec, SubstrateSpec
+from pcvne.generators import RequestSpec, SpecError, SubstrateSpec
 
 
 def small_cfg(**overrides):
@@ -131,6 +132,15 @@ class TestRunExperiment:
         )
         result = run_experiment(cfg, measure_time=False)
         assert len(result.rows) == 4
+
+    def test_general_shape_stops_at_trial_zero(self, monkeypatch):
+        # the config accepts it (generic embeds any shape); gen_requests refuses
+        # it before any embedder runs, so no row is written
+        cfg = small_cfg(algorithms=["generic"], requests=RequestSpec(shape="general"))
+        monkeypatch.setitem(EMBEDDERS, "generic", (None, None, None))
+        with pytest.raises(SpecError) as exc:
+            run_experiment(cfg, measure_time=False)
+        assert str(exc.value) == "gen_requests makes 'path' and 'cycle' requests, not 'general'"
 
     def test_json_output_shape(self):
         result = run_experiment(small_cfg(trials=2), measure_time=False)

@@ -39,6 +39,18 @@ class TestGenSubstrate:
         with pytest.raises(SpecError):
             gen_substrate(SubstrateSpec(n_nodes=3, topology="random", n_edges=4), 0)
 
+    @pytest.mark.parametrize("topology", ["complete", "cycle", "path"])
+    def test_edge_count_refused_off_the_random_topology(self, topology):
+        # used to be ignored: a 4-node complete graph with n_edges=99 had 6 links
+        with pytest.raises(SpecError) as exc:
+            gen_substrate(SubstrateSpec(n_nodes=4, topology=topology, n_edges=99), 0)
+        assert str(exc.value) == f"n_edges is only for the random topology, not '{topology}'"
+
+    def test_unknown_topology_keeps_its_message(self):
+        with pytest.raises(SpecError) as exc:
+            gen_substrate(SubstrateSpec(n_nodes=4, topology="star", n_edges=3), 0)
+        assert str(exc.value) == "unknown topology 'star'"
+
     def test_deterministic(self):
         spec = SubstrateSpec(n_nodes=10, topology="random", n_edges=14)
         a = gen_substrate(spec, 99)
@@ -81,6 +93,14 @@ class TestGenRequests:
         spec = RequestSpec(count=count, **{field: value})
         with pytest.raises(SpecError, match=f"unknown .*'{value}'"):
             gen_requests(spec, 0)
+
+    @pytest.mark.parametrize("length_range", [(1, 1), (2, 2), (5, 10)])
+    def test_general_shape_refused(self, length_range):
+        # used to emit rings labelled general, and at lengths 1 and 2 to fail
+        # on a self-loop or duplicate links without naming the spec
+        with pytest.raises(SpecError) as exc:
+            gen_requests(RequestSpec(shape="general", count=3, length_range=length_range), 0)
+        assert str(exc.value) == "gen_requests makes 'path' and 'cycle' requests, not 'general'"
 
     def test_negative_count_refused(self):
         assert gen_requests(RequestSpec(count=0), 0) == []
