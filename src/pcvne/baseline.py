@@ -35,16 +35,45 @@ def node_scores(net):
     return _raw_scores(net, net.nodes)
 
 
+def _walk(net, src, dst, dist, demand, pending):
+    """First path src -> dst, depth first in `incident` order (so the
+    lexicographically smallest), whose every hop lowers `dist` by one over a
+    link with residual BW less its `pending` claim at least `demand`. A node
+    found to lead nowhere is not entered again. Returns the SL key list or None."""
+    bw = net.residual_bw
+    path, dead, todo = [], set(), []
+    v, links, want = src, iter(net.incident(src)), dist[src] - 1
+    while True:
+        for w, k in links:
+            if dist.get(w) == want and w not in dead and bw[k] - pending.get(k, 0) >= demand:
+                path.append(k)
+                if w == dst:
+                    return path
+                todo.append((v, links, want))
+                v, links, want = w, iter(net.incident(w)), want - 1
+                break
+        else:
+            if not todo:
+                return None
+            dead.add(v)
+            del path[-1]
+            v, links, want = todo.pop()
+
+
 def _shortest_feasible_path(net, src, dst, demand, pending):
     """Hop-minimal path src -> dst over links whose residual BW less their
     `pending` claim ({SL: BW}) is at least `demand`; among the shortest ones,
     the lexicographically smallest node sequence. Returns the SL key list or None.
 
-    The BFS runs from dst and stops once src is labelled: every node closer
-    to dst than src then has its final distance, and those are the only
-    distances the walk back from src reads."""
+    No usable path is shorter than the hop distance, so the walk over
+    `net.hops(dst)` answers whenever a usable one of that length exists. Only a
+    detour runs the BFS over usable links from dst until src is labelled, which
+    fixes every distance the second walk reads, so it never backtracks."""
     if src == dst:
         return None
+    path = _walk(net, src, dst, net.hops(dst), demand, pending)
+    if path is not None:
+        return path
     bw = net.residual_bw
     dist = {dst: 0}
     queue = deque([dst])
@@ -55,18 +84,7 @@ def _shortest_feasible_path(net, src, dst, demand, pending):
             if w not in dist and bw[k] - pending.get(k, 0) >= demand:
                 dist[w] = d
                 queue.append(w)
-    if src not in dist:
-        return None
-    path = []
-    cur = src
-    while cur != dst:
-        want = dist[cur] - 1
-        for w, k in net.incident(cur):  # sorted by neighbor, first hit wins
-            if dist.get(w) == want and bw[k] - pending.get(k, 0) >= demand:
-                path.append(k)
-                cur = w
-                break
-    return path
+    return _walk(net, src, dst, dist, demand, pending) if src in dist else None
 
 
 def generic_embed(net, req, ranked=None):

@@ -162,11 +162,11 @@ def dump_instance(net, requests, fp):
 
 def dump_json(obj, fp):
     """Write `obj` as JSON by json.dumps alone, which keeps to the C encoder
-    (an indented dump would not). A list takes one entry per line; a dict one key per line,
-    where a list value takes one entry per line and any other value stays on
-    its key's line. Any JSON layout loads back the same."""
+    (an indented dump would not). A non-empty list takes one entry per line;
+    a dict one key per line, where a list value does too and any other value
+    stays on its key's line. Any JSON layout loads back the same."""
     def block(x):
-        if isinstance(x, list):
+        if isinstance(x, list) and x:
             return "[\n" + ",\n".join(map(json.dumps, x)) + "\n]"
         return json.dumps(x)
     if isinstance(obj, dict):

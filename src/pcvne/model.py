@@ -135,6 +135,7 @@ class SubstrateNetwork:
             raise ModelError("substrate graph is not connected")
         self.residual_cpu = dict(self.cpu_capacity)
         self.residual_bw = dict(self.bw_capacity)
+        self._hops = {}
 
     def neighbors(self, v):
         return self._adj[v]
@@ -146,6 +147,22 @@ class SubstrateNetwork:
 
     def degree(self, v):
         return len(self._adj[v])
+
+    def hops(self, dst):
+        """Hop distance of every SN to `dst` over all links, residuals ignored.
+        Built by one BFS on first use and kept, as the topology never changes
+        (a copy() starts with none). The dict is shared, do not mutate it."""
+        row = self._hops.get(dst)
+        if row is None:
+            row = self._hops[dst] = {dst: 0}
+            order = [dst]
+            for v in order:  # grows as it is read: a BFS queue
+                d = row[v] + 1
+                for w in self._adj[v]:
+                    if w not in row:
+                        row[w] = d
+                        order.append(w)
+        return row
 
     def copy(self):
         net = SubstrateNetwork(self.nodes, self.edges, self.cpu_capacity, self.bw_capacity)

@@ -2,10 +2,12 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 from unittest.mock import patch
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,10 +18,12 @@ from conftest import (
     make_path_request,
     path_net,
     random_connected_graph,
+    ring_net,
     uniform_path_request,
 )
 from oracles import generic_batch_reference, node_scores_reference, shortest_feasible_path_reference
 from pcvne.baseline import generic_batch, generic_embed, node_scores
+from pcvne.generators import RequestSpec, SubstrateSpec, gen_requests, gen_substrate
 from pcvne.model import Shape, VirtualRequest, audit_residuals, validate_embedding
 
 
@@ -182,6 +186,49 @@ def batch_view(batch):
     return [(req.req_id, emb.node_map, emb.link_map) for req, emb in batch.items]
 
 
+def check_route(seed):
+    """Both router calls of one seeded instance against the reference: a
+    residual filter alone, then with pending claims of earlier VLs."""
+    rng = random.Random(seed)
+    g = random_connected_graph(rng, rng.randint(2, 10))
+    net = graph_net(g)
+    allowed = {e for e in g.edges if rng.random() < rng.choice((0.4, 0.7, 1.0))}
+    for k in net.edges:
+        if k not in allowed:
+            net.residual_bw[k] = 0
+
+    def usable(k):
+        return k in allowed
+
+    src, dst = rng.choice(g.nodes), rng.choice(g.nodes)
+    got = baseline._shortest_feasible_path(net, src, dst, 1, {})
+    assert got == shortest_feasible_path_reference(net, src, dst, usable)
+
+    # claims of earlier VLs of the same request come off the residuals
+    pending = {k: rng.randint(1, 100) for k in net.edges if rng.random() < 0.5}
+    demand = rng.randint(1, 60)
+
+    def claimed(k):
+        return net.residual_bw[k] - pending.get(k, 0) >= demand
+
+    got = baseline._shortest_feasible_path(net, src, dst, demand, pending)
+    assert got == shortest_feasible_path_reference(net, src, dst, claimed)
+
+
+def record_walks(monkeypatch):
+    """Count the router's walks by (over the hop distances, found a path)."""
+    walks = Counter()
+    walk = baseline._walk
+
+    def counting(net, src, dst, dist, demand, pending):
+        path = walk(net, src, dst, dist, demand, pending)
+        walks[dist is net.hops(dst), path is not None] += 1
+        return path
+
+    monkeypatch.setattr(baseline, "_walk", counting)
+    return walks
+
+
 class TestMatchesReference:
     @settings(max_examples=150, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1), st.booleans())
@@ -190,6 +237,24 @@ class TestMatchesReference:
         ref_net = net.copy()
         got = generic_batch(net, reqs, smooth=smooth)
         want = generic_batch_reference(ref_net, reqs, smooth=smooth)
+        assert batch_view(got) == batch_view(want)
+        assert net.residual_cpu == ref_net.residual_cpu
+        assert net.residual_bw == ref_net.residual_bw
+
+    @pytest.mark.parametrize("substrate, requests, detours", [
+        (SubstrateSpec(n_nodes=100, n_edges=500), RequestSpec(count=1000), 5),
+        (SubstrateSpec(n_nodes=30, topology="cycle"),
+         RequestSpec(shape="cycle", count=100, revenue_rule="proportional"), 60),
+    ], ids=["path-100-nodes-500-links", "ring-30-nodes"])
+    def test_batch_matches_reference_at_benchmark_scale(self, monkeypatch, substrate, requests, detours):
+        # hop distances of 3 and more, which the tight instances above rarely
+        # have; `detours` is a floor on the routes the hop walk leaves to the BFS
+        walks = record_walks(monkeypatch)
+        net, reqs = gen_substrate(substrate, 1), gen_requests(requests, 2)
+        ref_net = net.copy()
+        got = generic_batch(net, reqs)
+        assert walks[True, False] >= detours
+        want = generic_batch_reference(ref_net, reqs)
         assert batch_view(got) == batch_view(want)
         assert net.residual_cpu == ref_net.residual_cpu
         assert net.residual_bw == ref_net.residual_bw
@@ -208,30 +273,30 @@ class TestMatchesReference:
     @settings(max_examples=200, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1))
     def test_property_route_matches_reference(self, seed):
-        rng = random.Random(seed)
-        g = random_connected_graph(rng, rng.randint(2, 10))
-        net = graph_net(g)
-        allowed = {e for e in g.edges if rng.random() < rng.choice((0.4, 0.7, 1.0))}
-        for k in net.edges:
-            if k not in allowed:
-                net.residual_bw[k] = 0
+        check_route(seed)
 
-        def usable(k):
-            return k in allowed
+    def test_route_property_reaches_both_branches(self, monkeypatch):
+        # the property above pins the hop walk and the BFS fallback only if
+        # its instances reach both: hop answers, BFS runs, detours the BFS finds
+        walks = record_walks(monkeypatch)
+        for seed in range(200):
+            check_route(seed)
+        assert walks[True, True] >= 150
+        assert walks[True, False] >= 100
+        assert walks[False, True] >= 40
 
-        src, dst = rng.choice(g.nodes), rng.choice(g.nodes)
-        got = baseline._shortest_feasible_path(net, src, dst, 1, {})
-        assert got == shortest_feasible_path_reference(net, src, dst, usable)
+    def test_hop_walk_backtracks_without_the_bfs(self, monkeypatch):
+        walks = record_walks(monkeypatch)
+        net = make_net([0, 1, 2, 3], [(0, 1), (0, 2), (1, 3), (2, 3)], 100, 100)
+        net.residual_bw[1, 3] = 0
+        assert baseline._shortest_feasible_path(net, 0, 3, 1, {}) == [(0, 2), (2, 3)]
+        assert walks == {(True, True): 1}
 
-        # claims of earlier VLs of the same request come off the residuals
-        pending = {k: rng.randint(1, 100) for k in net.edges if rng.random() < 0.5}
-        demand = rng.randint(1, 60)
-
-        def claimed(k):
-            return net.residual_bw[k] - pending.get(k, 0) >= demand
-
-        got = baseline._shortest_feasible_path(net, src, dst, demand, pending)
-        assert got == shortest_feasible_path_reference(net, src, dst, claimed)
+    def test_pending_claim_forces_the_detour(self, monkeypatch):
+        walks = record_walks(monkeypatch)
+        net = ring_net(5)
+        assert baseline._shortest_feasible_path(net, 0, 2, 1, {(1, 2): 100}) == [(0, 4), (3, 4), (2, 3)]
+        assert walks == {(True, False): 1, (False, True): 1}
 
     def test_unreachable_source_has_no_route(self):
         net = path_net(4)

@@ -233,10 +233,32 @@ def test_property_dump_json_loads_back_one_entry_per_line(obj):
     text = buf.getvalue()
     assert json.loads(text) == obj
     if isinstance(obj, list):
-        assert text.count("\n") == max(len(obj), 1) + 2
+        assert text.count("\n") == (len(obj) + 2 if obj else 1)
     else:
-        lines = [max(len(v), 1) + 2 if isinstance(v, list) else 1 for v in obj.values()]
+        lines = [len(v) + 2 if isinstance(v, list) and v else 1 for v in obj.values()]
         assert text.count("\n") == max(sum(lines), 1)
+
+
+@pytest.mark.parametrize("obj, text", [
+    ([], "[]\n"),
+    ({"requests": []}, '{"requests": []}\n'),
+    ({"a": [1, 2], "b": []}, '{"a": [\n1,\n2\n],\n"b": []}\n'),
+])
+def test_empty_list_is_written_without_a_blank_line(obj, text):
+    buf = io.StringIO()
+    dump_json(obj, buf)
+    assert buf.getvalue() == text
+    assert json.loads(text) == obj
+
+
+def test_instance_without_requests_ends_in_an_empty_list():
+    net = make_net([0, 1], [(0, 1)], 3, 7)
+    buf = io.StringIO()
+    dump_instance(net, [], buf)
+    assert buf.getvalue().endswith('"requests": []}\n')
+    buf.seek(0)
+    net2, reqs2 = load_instance(buf)
+    assert instance_to_dict(net2, reqs2) == instance_to_dict(net, [])
 
 
 positive = st.one_of(

@@ -1,3 +1,4 @@
+import io
 import random
 from fractions import Fraction
 
@@ -5,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_cycle_request, make_net, make_path_request, path_net
+from conftest import make_cycle_request, make_net, make_path_request, path_net, random_connected_graph
 from pcvne.baseline import generic_embed
+from pcvne.jsonio import dump_instance, load_instance
 from pcvne.model import (
     CommitError,
     Embedding,
@@ -53,6 +55,49 @@ class TestSubstrateNetwork:
         dup = net.copy()
         dup.residual_cpu[0] -= 3
         assert net.residual_cpu[0] == 10
+
+
+class TestHops:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1))
+    def test_property_hops_match_networkx(self, seed):
+        import networkx as nx
+
+        rng = random.Random(seed)
+        n = rng.randint(1, 30)
+        g = random_connected_graph(rng, n, extra_edges=rng.randint(0, n))
+        net = make_net(list(g.nodes), list(g.edges), 1, 1)
+        G = nx.Graph(list(g.edges))
+        G.add_nodes_from(g.nodes)
+        for dst in g.nodes:
+            assert net.hops(dst) == nx.single_source_shortest_path_length(G, dst)
+
+    def test_commit_to_zero_residuals_leaves_hops_unchanged(self):
+        net = path_net(4, cpu=2, bw=3)
+        before = dict(net.hops(3))
+        req = make_path_request("r", [2, 2, 2, 2], [3, 3, 3])
+        commit(net, req, Embedding("r", {i: i for i in range(4)},
+                                   {(i, i + 1): [(i, i + 1)] for i in range(3)}))
+        assert set(net.residual_bw.values()) == {0}
+        assert net.hops(3) == before == {3: 0, 2: 1, 1: 2, 0: 3}
+        assert net.hops(0) == {0: 0, 1: 1, 2: 2, 3: 3}
+
+    def test_copy_starts_with_no_rows(self):
+        net = triangle()
+        net.hops(0)
+        dup = net.copy()
+        assert dup._hops == {}
+        assert dup.hops(0) == net.hops(0) and dup.hops(0) is not net.hops(0)
+
+    def test_set_up_builds_no_row(self):
+        # the benchmark times construction and loading as set-up
+        net = triangle()
+        assert net._hops == {}
+        buf = io.StringIO()
+        dump_instance(net, [make_path_request("a", [1, 1], [1])], buf)
+        buf.seek(0)
+        loaded, _ = load_instance(buf)
+        assert loaded._hops == {}
 
 
 class TestVirtualRequest:
