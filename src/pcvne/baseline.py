@@ -9,7 +9,6 @@ reimplementation of any published algorithm.
 from __future__ import annotations
 
 from collections import deque
-from fractions import Fraction
 
 from .model import Embedding, EmbeddingBatch, commit
 
@@ -18,16 +17,6 @@ def _raw_scores(net, nodes):
     """Residual CPU times summed incident residual BW, for each of `nodes`."""
     cpu, bw = net.residual_cpu, net.residual_bw
     return {v: cpu[v] * sum(bw[k] for _, k in net.incident(v)) for v in nodes}
-
-
-def _smoothed_scores(net, raw, nodes):
-    """Each of `nodes` averaged with the mean raw score of its neighbors."""
-    smoothed = {}
-    for v in nodes:
-        nbrs = net.neighbors(v)
-        avg = Fraction(sum(raw[w] for w in nbrs), len(nbrs)) if nbrs else 0
-        smoothed[v] = Fraction(raw[v] + avg, 2)
-    return smoothed
 
 
 def node_scores(net):
@@ -131,16 +120,14 @@ def generic_embed(net, req, ranked=None):
     return Embedding(req_id=req.req_id, node_map=node_map, link_map=link_map)
 
 
-def generic_batch(net, requests, smooth=False):
+def generic_batch(net, requests):
     """Apply generic_embed in input order, committing each success.
 
     Nodes are scored and ranked once. Only a commit changes residuals, and
-    only the raw scores of its hosts and of both endpoints of each SL it
-    uses (under `smooth`, also their neighbors' smoothed scores): the batch
-    re-scores those and re-sorts the kept ranking in place."""
+    only the scores of its hosts and of both endpoints of each SL it uses:
+    the batch re-scores those and re-sorts the kept ranking in place."""
     batch = EmbeddingBatch()
-    raw = node_scores(net)
-    scores = _smoothed_scores(net, raw, net.nodes) if smooth else raw
+    scores = node_scores(net)
 
     def key(v):
         return (-scores[v], v)
@@ -152,9 +139,6 @@ def generic_batch(net, requests, smooth=False):
             continue
         hosts, links = commit(net, req, emb)
         batch.add(req, emb)
-        touched = set(hosts).union(*links)
-        raw.update(_raw_scores(net, touched))
-        if smooth:
-            scores.update(_smoothed_scores(net, raw, touched.union(*map(net.neighbors, touched))))
+        scores.update(_raw_scores(net, set(hosts).union(*links)))
         ranked.sort(key=key)
     return batch

@@ -51,8 +51,11 @@ def _open_out(path):
         raise ModelError(f"cannot write {path!r}: {exc.strerror}") from None
     buf = io.StringIO()
     yield buf
-    with open(path, "w") as fp:
-        fp.write(buf.getvalue())
+    try:
+        with open(path, "w") as fp:
+            fp.write(buf.getvalue())
+    except OSError as exc:
+        raise ModelError(f"cannot write {path!r}: {exc.strerror}") from None
 
 
 def _refuse_shared_output(out, flag, path):
@@ -135,7 +138,7 @@ def cmd_embed_cycles(args):
 def cmd_embed_generic(args):
     net, requests = _load(args.instance)
     with _open_out(args.out) as out:
-        batch = generic_batch(net, requests, smooth=args.smooth)
+        batch = generic_batch(net, requests)
         _emit_batch(out, "generic", batch, len(requests))
 
 
@@ -240,7 +243,6 @@ def build_parser():
 
     p = sub.add_parser("embed-generic", help="run the generic baseline on an instance")
     p.add_argument("--instance", required=True)
-    p.add_argument("--smooth", action="store_true", help="one neighbor-averaging round on node scores")
     p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_embed_generic)
 
@@ -278,6 +280,11 @@ def main(argv=None):
         # reader gone (`| head`): stdout to devnull, so the exit flush cannot fail (signal docs)
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         sys.exit(1)
+    except OSError as exc:
+        # stdout write failed (`> /dev/full`): the same devnull swap, then a clean error
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: cannot write output: {exc.strerror}", file=sys.stderr)
+        sys.exit(2)
 
 
 if __name__ == "__main__":

@@ -178,7 +178,7 @@ def dump_json(obj, fp):
 def load_instance(fp):
     try:
         data = json.load(fp)
-    except (json.JSONDecodeError, RecursionError) as exc:  # too deep a nesting raises the latter
+    except (ValueError, RecursionError) as exc:  # ValueError covers bad JSON, bad UTF-8 and huge ints
         raise InstanceFormatError(f"not JSON: {exc}") from None
     return instance_from_dict(data)
 

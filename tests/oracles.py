@@ -418,24 +418,13 @@ def simplex_min_cost(net, req):
 # the faster baseline must match embedding for embedding.
 
 
-def node_scores_reference(net, smooth=False):
-    """Residual CPU times summed incident residual BW per node, optionally
-    averaged once with the neighbors' scores (one power-iteration step)."""
+def node_scores_reference(net):
+    """Residual CPU times summed incident residual BW per node."""
     scores = {}
     for v in net.nodes:
         bw = sum(net.residual_bw[k] for _, k in net.incident(v))
         scores[v] = net.residual_cpu[v] * bw
-    if not smooth:
-        return scores
-    smoothed = {}
-    for v in net.nodes:
-        nbrs = net.neighbors(v)
-        if nbrs:
-            avg = Fraction(sum(scores[w] for w in nbrs), len(nbrs))
-        else:
-            avg = 0
-        smoothed[v] = Fraction(scores[v] + avg, 2)
-    return smoothed
+    return scores
 
 
 def shortest_feasible_path_reference(net, src, dst, usable):
@@ -466,7 +455,7 @@ def shortest_feasible_path_reference(net, src, dst, usable):
     return path
 
 
-def generic_embed_reference(net, req, smooth=False):
+def generic_embed_reference(net, req):
     """Try to embed one request of any shape against the current residuals.
 
     Node stage: VNs in descending CPU demand (ties by request order) onto the
@@ -474,7 +463,7 @@ def generic_embed_reference(net, req, smooth=False):
     substrate path per VL, accounting for bandwidth already claimed by earlier
     VLs of this request. Returns an Embedding or None.
     """
-    scores = node_scores_reference(net, smooth=smooth)
+    scores = node_scores_reference(net)
     ranked = sorted(net.nodes, key=lambda v: (-scores[v], v))
     order = sorted(range(req.n_vns), key=lambda i: (-req.cpu_demand[req.vns[i]], i))
 
@@ -508,11 +497,11 @@ def generic_embed_reference(net, req, smooth=False):
     return Embedding(req_id=req.req_id, node_map=node_map, link_map=link_map)
 
 
-def generic_batch_reference(net, requests, smooth=False):
+def generic_batch_reference(net, requests):
     """Apply generic_embed_reference in input order, committing each success."""
     batch = EmbeddingBatch()
     for req in requests:
-        emb = generic_embed_reference(net, req, smooth=smooth)
+        emb = generic_embed_reference(net, req)
         if emb is None:
             continue
         commit(net, req, emb)

@@ -38,13 +38,6 @@ class TestNodeScores:
         assert scores[0] == 2 * 5
         assert scores[1] == 2 * 10
 
-    def test_smoothing_keeps_order_of_magnitude(self):
-        net = path_net(4, cpu=3, bw=2)
-        raw = node_scores(net)
-        smooth = baseline._smoothed_scores(net, raw, net.nodes)
-        assert set(smooth) == set(raw)
-        assert all(s >= 0 for s in smooth.values())
-
 
 class TestGenericEmbed:
     def test_single_vn_lands_on_only_feasible_host(self):
@@ -231,12 +224,12 @@ def record_walks(monkeypatch):
 
 class TestMatchesReference:
     @settings(max_examples=150, deadline=None)
-    @given(st.integers(0, 2 ** 32 - 1), st.booleans())
-    def test_property_batch_matches_reference(self, seed, smooth):
+    @given(st.integers(0, 2 ** 32 - 1))
+    def test_property_batch_matches_reference(self, seed):
         net, reqs = tight_instance(random.Random(seed))
         ref_net = net.copy()
-        got = generic_batch(net, reqs, smooth=smooth)
-        want = generic_batch_reference(ref_net, reqs, smooth=smooth)
+        got = generic_batch(net, reqs)
+        want = generic_batch_reference(ref_net, reqs)
         assert batch_view(got) == batch_view(want)
         assert net.residual_cpu == ref_net.residual_cpu
         assert net.residual_bw == ref_net.residual_bw
@@ -316,34 +309,32 @@ class TestMatchesReference:
             return node_scores(net)
 
         monkeypatch.setattr(baseline, "node_scores", counting)
-        for smooth in (False, True):
-            calls.clear()
-            net = path_net(6, cpu=3, bw=3)
-            reqs = [uniform_path_request(i, 2) for i in range(8)]
-            batch = generic_batch(net, reqs, smooth=smooth)
-            assert 0 < len(batch) < len(reqs)
-            assert len(calls) == 1
+        net = path_net(6, cpu=3, bw=3)
+        reqs = [uniform_path_request(i, 2) for i in range(8)]
+        batch = generic_batch(net, reqs)
+        assert 0 < len(batch) < len(reqs)
+        assert len(calls) == 1
 
 
-def reference_ranking(net, smooth):
-    scores = node_scores_reference(net, smooth=smooth)
+def reference_ranking(net):
+    scores = node_scores_reference(net)
     return sorted(net.nodes, key=lambda v: (-scores[v], v))
 
 
 class TestIncrementalRanking:
     @settings(max_examples=120, deadline=None)
-    @given(st.integers(0, 2 ** 32 - 1), st.booleans(), st.booleans())
-    def test_property_every_call_sees_the_fresh_ranking(self, seed, smooth, fractions):
+    @given(st.integers(0, 2 ** 32 - 1), st.booleans())
+    def test_property_every_call_sees_the_fresh_ranking(self, seed, fractions):
         net, reqs = sparse_instance(random.Random(seed), fractions)
         seen = []
 
         def checking(net, req, ranked=None):
-            assert ranked == reference_ranking(net, smooth)
+            assert ranked == reference_ranking(net)
             seen.append(req.req_id)
             return generic_embed(net, req, ranked=ranked)
 
         with patch.object(baseline, "generic_embed", checking):
-            generic_batch(net, reqs, smooth=smooth)
+            generic_batch(net, reqs)
         assert seen == [r.req_id for r in reqs]
 
     def test_commits_leave_nodes_untouched(self):
@@ -363,9 +354,8 @@ class TestIncrementalRanking:
 
 
 def test_embed_generic_golden_output_is_unchanged(tmp_path):
-    # on a 12-node, 24-link substrate with 20 path requests the plain run
-    # accepts 15 and the smoothed run 16, with different ids, so the two
-    # reports pin rejections, smoothing and every host and route chosen
+    # on a 12-node, 24-link substrate with 20 path requests the run accepts
+    # 15, so the report pins rejections and every host and route chosen
     root = Path(__file__).resolve().parent.parent
     path = os.pathsep.join(filter(None, (str(root / "src"), os.environ.get("PYTHONPATH"))))
     env = dict(os.environ, PYTHONPATH=path)
@@ -374,8 +364,6 @@ def test_embed_generic_golden_output_is_unchanged(tmp_path):
     subprocess.run([*cli, "generate", "--nodes", "12", "--edges", "24", "--cpu-capacity", "20",
                     "--bw-capacity", "20", "--shape", "path", "--count", "20", "--length-min", "2",
                     "--length-max", "5", "--seed", "3", "--out", str(inst)], check=True, env=env)
-    data = root / "tests" / "data"
-    for flags, golden in (([], "embed_generic.out"), (["--smooth"], "embed_generic_smooth.out")):
-        proc = subprocess.run([*cli, "embed-generic", "--instance", str(inst), *flags],
-                              capture_output=True, check=True, env=env)
-        assert proc.stdout == (data / golden).read_bytes()
+    proc = subprocess.run([*cli, "embed-generic", "--instance", str(inst)],
+                          capture_output=True, check=True, env=env)
+    assert proc.stdout == (root / "tests" / "data" / "embed_generic.out").read_bytes()

@@ -161,15 +161,22 @@ def test_malformed_instance_is_a_clean_error(tmp_path, capsys, corrupt):
     assert "Traceback" not in err
 
 
-def test_deeply_nested_instance_is_a_clean_error(tmp_path, capsys):
-    # json.dumps cannot build this input: the decoder runs out of recursion depth
-    inst = tmp_path / "deep.json"
-    inst.write_text("[" * 100000 + "\n")
+@pytest.mark.parametrize("raw, reason", [
+    # json.dumps cannot build these inputs: the decoder runs out of recursion
+    # depth, meets bytes that are not UTF-8, or an integer past Python's
+    # 4300-digit conversion limit
+    (b"[" * 100000 + b"\n", "maximum recursion depth exceeded"),
+    (b"\xff\xfe{}", "'utf-8' codec can't decode byte 0xff in position 0"),
+    (b'{"nodes": ' + b"1" * 5000 + b"}", "Exceeds the limit (4300"),
+], ids=["deep-nesting", "not-utf-8", "5000-digit-integer"])
+def test_deeply_nested_instance_is_a_clean_error(tmp_path, capsys, raw, reason):
+    inst = tmp_path / "bad.json"
+    inst.write_bytes(raw)
     with pytest.raises(SystemExit) as exc:
         main(["embed-generic", "--instance", str(inst)])
     assert exc.value.code == 2
     out, err = capsys.readouterr()
-    assert out == "" and err.startswith("error: not JSON: maximum recursion depth exceeded")
+    assert out == "" and err.startswith(f"error: not JSON: {reason}")
     assert err.count("\n") == 1
 
 
@@ -256,6 +263,20 @@ def _src_env():
     root = Path(__file__).resolve().parent.parent
     return dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (str(root / "src"), os.environ.get("PYTHONPATH")))))
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_full_device_is_a_clean_error_after_the_run():
+    # /dev/full takes the probe on entry but fails every write with ENOSPC,
+    # so the run succeeds and only the final write fails
+    generate = [sys.executable, "-m", "pcvne.cli", "generate", "--nodes", "6", "--topology", "cycle"]
+    proc = subprocess.run([*generate, "--out", "/dev/full"], capture_output=True, env=_src_env())
+    assert (proc.returncode, proc.stdout) == (2, b"")
+    assert proc.stderr == b"error: cannot write '/dev/full': No space left on device\n"
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(generate, stdout=full, stderr=subprocess.PIPE, env=_src_env())
+    assert proc.returncode == 2
+    assert proc.stderr == b"error: cannot write output: No space left on device\n"
 
 
 def test_reader_that_leaves_early_ends_the_run_without_a_traceback():
