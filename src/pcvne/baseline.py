@@ -1,9 +1,11 @@
 """Generic topology-agnostic embedding heuristic.
 
-Stand-in comparison arm and fallback: rank substrate nodes by local residual
-resources, map virtual nodes greedily in descending demand order, route each
-virtual link over the shortest bandwidth-feasible substrate path. Not a
-reimplementation of any published algorithm.
+Stand-in comparison arm and fallback after Yu et al., "Rethinking virtual
+network embedding" (SIGCOMM CCR 2008), not a copy: rank SNs by H = residual
+CPU times summed incident residual BW, map VNs greedily in descending demand,
+route each VL on a shortest BW-feasible path (their link stage, k = 1). A
+request whose largest VN fits no SN is refused before any ranking, and a
+batch keeps each SN's incident BW sum across commits.
 """
 
 from __future__ import annotations
@@ -13,15 +15,10 @@ from collections import deque
 from .model import Embedding, EmbeddingBatch, commit
 
 
-def _raw_scores(net, nodes):
-    """Residual CPU times summed incident residual BW, for each of `nodes`."""
-    cpu, bw = net.residual_cpu, net.residual_bw
-    return {v: cpu[v] * sum(bw[k] for _, k in net.incident(v)) for v in nodes}
-
-
 def node_scores(net):
     """Residual CPU times summed incident residual BW, per node."""
-    return _raw_scores(net, net.nodes)
+    cpu, bw = net.residual_cpu, net.residual_bw
+    return {v: cpu[v] * sum(bw[k] for _, k in net.incident(v)) for v in net.nodes}
 
 
 def _walk(net, src, dst, dist, demand, pending):
@@ -82,13 +79,14 @@ def generic_embed(net, req, ranked=None):
     Node stage: VNs in descending CPU demand (ties by request order) onto the
     highest-scored feasible unused SNs. Link stage: shortest residual-feasible
     substrate path per VL, accounting for bandwidth already claimed by earlier
-    VLs of this request. Returns an Embedding or None; the residuals are left
-    untouched either way.
+    VLs of this request. Returns an Embedding or None, leaving the residuals
+    untouched; None before any ranking if the largest VN (placed first) fits no SN.
 
-    `ranked` is the caller's node ranking for the current residuals (SNs by
-    descending score, ties by id); when None, the SNs are ranked here by
-    their raw `node_scores`.
+    `ranked` is the caller's ranking of the SNs for the current residuals (by
+    descending score, ties by id); when None, they are ranked by `node_scores`.
     """
+    if max(req.cpu_demand.values(), default=0) > max(net.residual_cpu.values(), default=0):
+        return None
     if ranked is None:
         scores = node_scores(net)
         ranked = sorted(net.nodes, key=lambda v: (-scores[v], v))
@@ -123,22 +121,24 @@ def generic_embed(net, req, ranked=None):
 def generic_batch(net, requests):
     """Apply generic_embed in input order, committing each success.
 
-    Nodes are scored and ranked once. Only a commit changes residuals, and
-    only the scores of its hosts and of both endpoints of each SL it uses:
-    the batch re-scores those and re-sorts the kept ranking in place."""
+    Nodes are ranked, and their incident BW summed, once. Only a commit
+    changes residuals: it lowers the sums at both ends of each SL by the SL's
+    drop, re-keys those SNs and its hosts, and re-sorts the nearly sorted list."""
     batch = EmbeddingBatch()
-    scores = node_scores(net)
-
-    def key(v):
-        return (-scores[v], v)
-
-    ranked = sorted(net.nodes, key=key)
+    cpu, bw = net.residual_cpu, net.residual_bw
+    inc = {v: sum(bw[k] for _, k in net.incident(v)) for v in net.nodes}
+    rank = {v: (-s, v) for v, s in node_scores(net).items()}
+    ranked = sorted(net.nodes, key=rank.__getitem__)
     for req in requests:
         emb = generic_embed(net, req, ranked=ranked)
         if emb is None:
             continue
         hosts, links = commit(net, req, emb)
         batch.add(req, emb)
-        scores.update(_raw_scores(net, set(hosts).union(*links)))
-        ranked.sort(key=key)
+        for (u, w), d in links.items():
+            inc[u] -= d
+            inc[w] -= d
+        for v in set(hosts).union(*links):
+            rank[v] = (-cpu[v] * inc[v], v)
+        ranked.sort(key=rank.__getitem__)
     return batch

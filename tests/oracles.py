@@ -413,9 +413,11 @@ def simplex_min_cost(net, req):
 
 
 # The generic baseline as it was before it reused one node ranking between
-# commits and cached incident links: a full re-ranking per request and a BFS
-# that labels the whole reachable graph. Kept verbatim as the reference that
-# the faster baseline must match embedding for embedding.
+# commits, kept incident BW sums, refused a request whose largest VN fits no
+# SN before ranking, and cached incident links: every request re-sums every
+# node's incident BW and re-ranks all nodes, and its BFS labels the whole
+# reachable graph. Kept verbatim as the reference that the faster baseline
+# must match embedding for embedding.
 
 
 def node_scores_reference(net):

@@ -24,7 +24,7 @@ from conftest import (
 from oracles import generic_batch_reference, node_scores_reference, shortest_feasible_path_reference
 from pcvne.baseline import generic_batch, generic_embed, node_scores
 from pcvne.generators import RequestSpec, SubstrateSpec, gen_requests, gen_substrate
-from pcvne.model import Shape, VirtualRequest, audit_residuals, validate_embedding
+from pcvne.model import Embedding, Shape, VirtualRequest, audit_residuals, validate_embedding
 
 
 def graph_net(g, cpu=100, bw=100):
@@ -92,6 +92,51 @@ class TestGenericEmbed:
         a = generic_embed(net, req)
         b = generic_embed(net, req)
         assert a == b
+
+
+class TestCpuCeiling:
+    """A request whose largest CPU demand exceeds every residual CPU is
+    refused before the ranking; equality still fits, and an empty request or
+    an empty substrate must not reach an empty max()."""
+
+    def test_empty_request_is_an_empty_embedding(self):
+        for net in (path_net(3), make_net([], [], 1, 1)):
+            req = make_path_request("e", [], [])
+            assert generic_embed(net, req) == Embedding("e", {}, {})
+            assert batch_view(generic_batch(net, [req])) == [("e", {}, {})]
+
+    def test_zero_node_substrate_refuses_without_raising(self):
+        net = make_net([], [], 1, 1)
+        req = make_path_request("r", [1], [])
+        assert generic_embed(net, req) is None
+        assert len(generic_batch(net, [req])) == 0
+
+    @pytest.mark.parametrize("top", [7, Fraction(7, 2)])
+    def test_demand_equal_to_the_largest_residual_is_hosted(self, top):
+        # capacities all exceed the residuals, so the bound is on residual CPU
+        net = make_net([0, 1, 2], [(0, 1), (1, 2)], 9, 5)
+        net.residual_cpu.update({0: 1, 1: top, 2: Fraction(1, 2)})
+        assert generic_embed(net, make_path_request("r", [top, 1], [1])).node_map == {0: 1, 1: 0}
+        assert generic_embed(net, make_path_request("r", [top + Fraction(1, 4), 1], [1])) is None
+        assert generic_embed(net, make_path_request("r", [top + 1], [])) is None
+        batch = generic_batch(net, [make_path_request(i, [top], []) for i in range(2)])
+        assert batch.accepted_ids() == [0]
+
+    def test_hopeless_request_is_not_ranked(self, monkeypatch):
+        calls = []
+
+        def counting(net):
+            calls.append(1)
+            return node_scores(net)
+
+        monkeypatch.setattr(baseline, "node_scores", counting)
+        net = path_net(3, cpu=9)
+        net.residual_cpu[1] = 4
+        net.residual_cpu[0] = net.residual_cpu[2] = 3
+        assert generic_embed(net, make_path_request("r", [5], [])) is None
+        assert calls == []
+        assert generic_embed(net, make_path_request("r", [4], [])).node_map == {0: 1}
+        assert calls == [1]
 
 
 class TestGenericBatch:
@@ -208,6 +253,29 @@ def check_route(seed):
     assert got == shortest_feasible_path_reference(net, src, dst, claimed)
 
 
+def record_refusals(monkeypatch):
+    """Count the requests a batch's generic_embed refuses without reading its
+    ranking, which only the CPU ceiling does."""
+    refused = Counter()
+    embed = baseline.generic_embed
+
+    class Probe(list):
+        read = False
+
+        def __iter__(self):
+            self.read = True
+            return super().__iter__()
+
+    def counting(net, req, ranked=None):
+        probe = Probe(ranked)
+        emb = embed(net, req, ranked=probe)
+        refused[emb is None and not probe.read] += 1
+        return emb
+
+    monkeypatch.setattr(baseline, "generic_embed", counting)
+    return refused
+
+
 def record_walks(monkeypatch):
     """Count the router's walks by (over the hop distances, found a path)."""
     walks = Counter()
@@ -234,19 +302,24 @@ class TestMatchesReference:
         assert net.residual_cpu == ref_net.residual_cpu
         assert net.residual_bw == ref_net.residual_bw
 
-    @pytest.mark.parametrize("substrate, requests, detours", [
-        (SubstrateSpec(n_nodes=100, n_edges=500), RequestSpec(count=1000), 5),
+    @pytest.mark.parametrize("substrate, requests, detours, refusals", [
+        (SubstrateSpec(n_nodes=100, n_edges=500), RequestSpec(count=1000), 5, 300),
         (SubstrateSpec(n_nodes=30, topology="cycle"),
-         RequestSpec(shape="cycle", count=100, revenue_rule="proportional"), 60),
+         RequestSpec(shape="cycle", count=100, revenue_rule="proportional"), 60, 0),
     ], ids=["path-100-nodes-500-links", "ring-30-nodes"])
-    def test_batch_matches_reference_at_benchmark_scale(self, monkeypatch, substrate, requests, detours):
+    def test_batch_matches_reference_at_benchmark_scale(self, monkeypatch, substrate, requests, detours,
+                                                        refusals):
         # hop distances of 3 and more, which the tight instances above rarely
-        # have; `detours` is a floor on the routes the hop walk leaves to the BFS
+        # have; `detours` is a floor on the routes the hop walk leaves to the
+        # BFS, and `refusals` one on the requests the CPU ceiling refuses (606
+        # of the path requests; every ring request fits some SN's residual CPU)
         walks = record_walks(monkeypatch)
+        refused = record_refusals(monkeypatch)
         net, reqs = gen_substrate(substrate, 1), gen_requests(requests, 2)
         ref_net = net.copy()
         got = generic_batch(net, reqs)
         assert walks[True, False] >= detours
+        assert refused[True] >= refusals
         want = generic_batch_reference(ref_net, reqs)
         assert batch_view(got) == batch_view(want)
         assert net.residual_cpu == ref_net.residual_cpu

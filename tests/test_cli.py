@@ -400,6 +400,69 @@ def test_embed_generic(tmp_path, capsys):
     assert payload["total_requests"] == 5
 
 
+def _cycle_request(req_id, big, revenue):
+    return {"id": req_id, "shape": "cycle", "revenue": revenue,
+            "vns": [{"id": k, "cpu": big if k == 0 else 1} for k in range(3)],
+            "vls": [{"u": k, "v": (k + 1) % 3, "bw": 1} for k in range(3)]}
+
+
+# Inputs at the edges of the generic baseline's CPU ceiling: an empty path
+# request, a substrate without nodes, and a 4-ring of CPU 5 where the ring
+# solver leaves a request with a VN of CPU 6 to the fallback. The outputs are
+# those of the baseline before the ceiling, byte for byte.
+_EMPTY_PATH = {"nodes": [{"id": i, "cpu": 5} for i in range(3)],
+               "edges": [{"u": i, "v": (i + 1) % 3, "bw": 5} for i in range(3)],
+               "requests": [{"id": "e", "shape": "path", "vns": [], "vls": [], "revenue": 1}]}
+_NO_NODES = {"nodes": [], "edges": [],
+             "requests": [{"id": "p", "shape": "path", "vns": [{"id": 0, "cpu": 1}], "vls": [], "revenue": 1}]}
+_NO_NODES_CYCLE = {"nodes": [], "edges": [], "requests": [_cycle_request("c", 1, 1)]}
+_RING_FALLBACK = {"nodes": [{"id": i, "cpu": 5} for i in range(4)],
+                  "edges": [{"u": i, "v": (i + 1) % 4, "bw": 5} for i in range(4)],
+                  "requests": [_cycle_request("big", 6, 2), _cycle_request("fit", 5, 1)]}
+
+
+_FIT = ('{"request": "fit", "nodes": [{"vn": 0, "sn": 0}, {"vn": 1, "sn": 1}, {"vn": 2, "sn": 2}], '
+        '"links": [{"u": 0, "v": 1, "path": [[0, 1]]}, {"u": 1, "v": 2, "path": [[1, 2]]}, ')
+_NONE_ACCEPTED = ('{"algorithm": "generic",\n"accepted": [],\n"total_requests": 1,\n'
+                  '"acceptance_ratio": 0.0,\n"revenue": 0.0,\n"embeddings": []}\n')
+
+
+@pytest.mark.parametrize("command, instance, out", [
+    ("embed-generic", _EMPTY_PATH,
+     '{"algorithm": "generic",\n"accepted": [\n"e"\n],\n"total_requests": 1,\n"acceptance_ratio": 1.0,\n'
+     '"revenue": 1.0,\n"embeddings": [\n{"request": "e", "nodes": [], "links": [], "revenue": 1}\n]}\n'),
+    ("embed-generic", _NO_NODES, _NONE_ACCEPTED),
+    ("embed-generic", _NO_NODES_CYCLE, _NONE_ACCEPTED),
+    ("embed-generic", _RING_FALLBACK,
+     '{"algorithm": "generic",\n"accepted": [\n"fit"\n],\n"total_requests": 2,\n"acceptance_ratio": 0.5,\n'
+     '"revenue": 1.0,\n"embeddings": [\n' + _FIT + '{"u": 0, "v": 2, "path": [[0, 1], [1, 2]]}], "revenue": 1}\n]}\n'),
+    ("embed-cycles", _RING_FALLBACK,
+     '{"algorithm": "gr",\n"accepted": [\n"fit"\n],\n"total_requests": 2,\n"acceptance_ratio": 0.5,\n'
+     '"revenue": 1.0,\n"embeddings": [\n' + _FIT + '{"u": 0, "v": 2, "path": [[2, 3], [0, 3]]}], "revenue": 1}\n]}\n'),
+], ids=["generic-empty-path", "generic-no-nodes", "generic-no-nodes-cycle", "generic-ring", "cycles-ring"])
+def test_embed_at_the_cpu_ceiling_edges(tmp_path, capsys, command, instance, out):
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps(instance))
+    main([command, "--instance", str(inst)])
+    assert capsys.readouterr() == (out, "")
+
+
+@pytest.mark.parametrize("instance, message", [
+    (_EMPTY_PATH, "request 'e' is not a cycle; embed-cycles handles cycle requests only"),
+    (_NO_NODES, "request 'p' is not a cycle; embed-cycles handles cycle requests only"),
+    (_NO_NODES_CYCLE, "substrate is not a cycle"),
+], ids=["empty-path", "no-nodes", "no-nodes-cycle"])
+def test_embed_cycles_refuses_what_the_fallback_cannot_reach(tmp_path, capsys, instance, message):
+    # the ring solver refuses path requests and non-ring substrates before the
+    # fallback runs, so these end in a clean error, not an embedding
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps(instance))
+    with pytest.raises(SystemExit) as exc:
+        main(["embed-cycles", "--instance", str(inst)])
+    assert exc.value.code == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_experiment_csv_determinism(tmp_path):
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"
