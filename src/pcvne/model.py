@@ -84,7 +84,7 @@ class SubstrateNetwork:
     """Undirected simple connected graph with CPU on nodes and BW on links.
 
     Capacities are immutable after construction; residuals mutate through
-    commit/release only. A network with live residual state belongs to a
+    commit only. A network with live residual state belongs to a
     single worker, copy() before sharing.
     """
 
@@ -293,7 +293,7 @@ def _walk_chain(path, start):
 
 def footprint(pairs):
     """CPU per SN and BW per canonical SL that the (request, embedding) pairs
-    take together, as two dicts. Commit, release and both batch checks read it."""
+    take together, as two dicts. Commit and both batch checks read it."""
     cpu, bw = {}, {}
     for req, emb in pairs:
         for vn, sn in emb.node_map.items():
@@ -382,22 +382,6 @@ def commit(net, req, emb):
     for k, d in bw.items():
         net.residual_bw[k] -= d
     return cpu, bw
-
-
-def release(net, req, emb):
-    """Inverse of commit. Raises, changing nothing, if releasing would push a
-    residual above its capacity (i.e. the embedding was never committed here)."""
-    cpu, bw = footprint([(req, emb)])
-    for sn, d in cpu.items():
-        if net.residual_cpu[sn] + d > net.cpu_capacity[sn]:
-            raise ModelError(f"release overflows cpu capacity at {sn!r}")
-    for k, d in bw.items():
-        if net.residual_bw[k] + d > net.bw_capacity[k]:
-            raise ModelError(f"release overflows bw capacity at {k}")
-    for sn, d in cpu.items():
-        net.residual_cpu[sn] += d
-    for k, d in bw.items():
-        net.residual_bw[k] += d
 
 
 class EmbeddingBatch:

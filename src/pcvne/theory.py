@@ -1,22 +1,17 @@
-"""Desk-scale graph-theory checks and brute-force oracles.
+"""Desk-scale graph-theory checks: what `pcvne verify-theory` runs.
 
-Everything here is exhaustive search with hard size caps (a cap violation is
-a refusal, never a silent truncation). These functions serve as independent
-ground truth for the solver modules' tests and for the verify-theory sweep.
+The connected-graph sweep, the spanning-trail and supereulerian searches, the
+two reductions between them, and the brute-force embedding of the spanning
+unit path request (`UniformInstance`, `brute_force_path_embed`). Everything
+here is exhaustive search with hard size caps (a cap violation is a refusal,
+never a silent truncation).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb
 
-from .cycle_embedding import (
-    ANTICLOCKWISE,
-    CLOCKWISE,
-    CycleView,
-    _simplex_from_hosts,
-)
 from .generators import random_connected_edges
 from .model import (
     Embedding,
@@ -24,10 +19,8 @@ from .model import (
     Shape,
     SubstrateNetwork,
     VirtualRequest,
-    commit,
     edge_key,
     is_connected,
-    release,
 )
 
 
@@ -35,8 +28,6 @@ from .model import (
 GRAPH_SWEEP_NODE_CAP = 7  # connected_graphs: 2^C(n, 2) edge masks
 TRAIL_NODE_CAP = 12      # has_spanning_trail, is_supereulerian
 PATH_EMBED_NODE_CAP = 8  # find_uniform_path_embedding, brute_force_path_embed
-SIMPLEX_RING_CAP = 8     # brute_force_simplex_cycle: substrate nodes
-SIMPLEX_VN_CAP = 5       # brute_force_simplex_cycle: virtual nodes
 
 
 class SizeCapExceeded(ModelError):
@@ -325,96 +316,3 @@ def brute_force_path_embed(inst):
     """Decide whether the spanning unit path request embeds at all."""
     return find_uniform_path_embedding(inst) is not None
 
-
-def enumerate_simplex_embeddings(net, req, start, direction):
-    """All feasible one-direction embeddings anchored at (start, direction),
-    found by direct position enumeration against the residuals. Returns a
-    list of (host tuple, cost). Independent of the layered-digraph solver."""
-    cycle = CycleView(net)
-    m = cycle.m
-    n = req.n_vns
-    sign = 1 if direction == CLOCKWISE else -1
-    start_idx = cycle.index[start]
-    if net.residual_cpu[start] < req.cpu_demand[req.vns[0]]:
-        return []
-    found = []
-    for positions in combinations(range(1, m), n - 1):
-        offsets = (0,) + positions
-        hosts = tuple(cycle.order[(start_idx + sign * p) % m] for p in offsets)
-        if any(net.residual_cpu[h] < req.cpu_demand[vn] for h, vn in zip(hosts, req.vns)):
-            continue
-        cost = 0
-        ok = True
-        for j in range(n):
-            a = offsets[j]
-            b = offsets[j + 1] if j + 1 < n else m
-            demand = req.bw_demand[req.vls[j]]
-            for t in range(a, b):
-                u = cycle.order[(start_idx + sign * t) % m]
-                v = cycle.order[(start_idx + sign * (t + 1)) % m]
-                if net.residual_bw[edge_key(u, v)] < demand:
-                    ok = False
-                    break
-            if not ok:
-                break
-            cost += (b - a) * demand
-        if ok:
-            found.append((hosts, cost))
-    return found
-
-
-def _tableaux(net, req):
-    """(start, direction, hosts, cost) of every feasible one-direction
-    embedding: starts that host the first VN in sorted order, each clockwise
-    then anticlockwise, positions as `enumerate_simplex_embeddings` lists them."""
-    for start in sorted(net.nodes):
-        if net.residual_cpu[start] >= req.cpu_demand[req.vns[0]]:
-            for direction in (CLOCKWISE, ANTICLOCKWISE):
-                for hosts, cost in enumerate_simplex_embeddings(net, req, start, direction):
-                    yield start, direction, hosts, cost
-
-
-def brute_force_simplex_cycle(net, req):
-    """Exhaustive minimum-cost one-direction cycle embedding.
-
-    Enumerates every (feasible start, direction, position choice) tableau.
-    Returns ((SimplexEmbedding, cost) or None, examined tableau count). The
-    count covers every tableau whose start hosts the first VN, before any
-    other feasibility filtering.
-    """
-    cycle = CycleView(net)
-    if cycle.m > SIMPLEX_RING_CAP:
-        raise SizeCapExceeded(f"{cycle.m} substrate nodes, cap {SIMPLEX_RING_CAP}")
-    if req.n_vns > SIMPLEX_VN_CAP:
-        raise SizeCapExceeded(f"{req.n_vns} virtual nodes, cap {SIMPLEX_VN_CAP}")
-    best = None
-    for start, direction, hosts, cost in _tableaux(net, req):
-        if best is None or cost < best[1]:
-            best = (_simplex_from_hosts(cycle, req, start, direction, list(hosts)), cost)
-    starts = sum(net.residual_cpu[v] >= req.cpu_demand[req.vns[0]] for v in net.nodes)
-    return best, 2 * starts * comb(cycle.m - 1, req.n_vns - 1)
-
-
-def brute_force_max_accepted(net, requests):
-    """Maximum number of cycle requests simultaneously embeddable by
-    one-direction embeddings, by depth-first search over per-request
-    embedding choices with commit/rollback on a private copy."""
-    work = net.copy()
-    cycle = CycleView(work)
-    best = 0
-
-    def dfs(i, accepted):
-        nonlocal best
-        best = max(best, accepted)
-        if i == len(requests) or accepted + (len(requests) - i) <= best:
-            return
-        req = requests[i]
-        for start, direction, hosts, _cost in list(_tableaux(work, req)):  # commits change the residuals
-            emb = _simplex_from_hosts(cycle, req, start, direction, list(hosts)).to_embedding(req)
-            commit(work, req, emb)
-            dfs(i + 1, accepted + 1)
-            release(work, req, emb)
-        dfs(i + 1, accepted)
-
-    dfs(0, 0)
-    return best

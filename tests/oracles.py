@@ -10,7 +10,8 @@ from collections import deque
 from fractions import Fraction
 from itertools import combinations
 
-from pcvne.model import Embedding, EmbeddingBatch, ModelError, as_quantity, commit, edge_key
+from pcvne.model import Embedding, EmbeddingBatch, ModelError, Shape, as_quantity, commit, edge_key, footprint
+from pcvne.theory import SizeCapExceeded
 
 
 def kp_best_profit(capacity, items):
@@ -240,7 +241,10 @@ def cpu_link_feasible_hosts(net, req, vn):
 
 def ring_order(net):
     """Cyclic node order of a ring substrate, re-derived by walking from the
-    minimum node toward its smaller neighbor."""
+    minimum node toward its smaller neighbor. Raises ModelError when some
+    node's degree is not 2 (a connected substrate is then one ring)."""
+    if len(net.nodes) < 3 or any(len(net.neighbors(v)) != 2 for v in net.nodes):
+        raise ModelError("substrate is not a ring")
     start = min(net.nodes)
     order = [start, min(net.neighbors(start))]
     while len(order) < len(net.nodes):
@@ -329,21 +333,15 @@ def wdag_all_cycles(w):
 
 def tie_rule_oracle(net, req):
     """The ring solver's answer by exhaustive enumeration, as (start,
-    direction, hosts, cost): per anchor and direction the lexicographically
-    smallest minimum-cost host tuple; over anchors in sorted order, "+"
-    before "-", the first strictly cheapest. None when nothing embeds."""
-    from pcvne.theory import enumerate_simplex_embeddings
-
-    best = None
-    for start in sorted(net.nodes):
-        for direction in ("+", "-"):
-            found = enumerate_simplex_embeddings(net, req, start, direction)
-            if not found:
-                continue
-            hosts, cost = min(found, key=lambda hc: (hc[1], hc[0]))
-            if best is None or cost < best[3]:
-                best = (start, direction, list(hosts), cost)
-    return best
+    direction, hosts, cost): the cheapest tableau of `ring_tableaux`, ties
+    to the smaller start, then "+" before "-" (so in ASCII order), then the
+    lexicographically smallest host tuple. None when nothing embeds."""
+    found = [(cost, start, direction, hosts)
+             for start, direction, hosts, cost in ring_tableaux(net, req)]
+    if not found:
+        return None
+    cost, start, direction, hosts = min(found)
+    return start, direction, list(hosts), cost
 
 
 def first_fit_paths(net, substrate_paths, requests):
@@ -374,41 +372,169 @@ def first_fit_paths(net, substrate_paths, requests):
     return revenue
 
 
-def simplex_min_cost(net, req):
-    """Exhaustive minimum cost over every anchored position tableau, with
-    direct index arithmetic (no shared helpers)."""
+# Exhaustive embedding oracles: the ring minimum and the maximum number of
+# simultaneously embeddable path or cycle requests. Embeddings are built here
+# from ring_order and plain path walks, never by the solvers' own code.
+
+SIMPLEX_RING_CAP = 8   # cycle requests: substrate nodes
+SIMPLEX_VN_CAP = 5     # cycle requests: virtual nodes per request
+PATH_SN_CAP = 7        # path requests: substrate nodes
+PATH_LINK_CAP = 3      # path requests: links per request
+PATH_REQUEST_CAP = 4   # path requests per max_accepted call
+
+
+def ring_tableaux(net, req):
+    """(start, direction, hosts, cost) of every feasible one-direction cycle
+    embedding, by direct position enumeration against the residuals: starts
+    that host the first VN in sorted order, each "+" (along ring_order) then
+    "-", and per anchor every choice of ring offsets for the other VNs."""
+    if req.shape is not Shape.CYCLE:
+        raise ModelError(f"request {req.req_id!r} is not a cycle request")
     order = ring_order(net)
     m = len(order)
     idx = {v: i for i, v in enumerate(order)}
     n = req.n_vns
-    best = None
-    for start in net.nodes:
+    for start in sorted(net.nodes):
         if net.residual_cpu[start] < req.cpu_demand[req.vns[0]]:
             continue
-        for sign in (1, -1):
-            for pos in combinations(range(1, m), n - 1):
-                offsets = (0,) + pos
-                hosts = [order[(idx[start] + sign * p) % m] for p in offsets]
-                if any(net.residual_cpu[h] < req.cpu_demand[vn]
-                       for h, vn in zip(hosts, req.vns)):
+        for direction, sign in (("+", 1), ("-", -1)):
+            ring = [order[(idx[start] + sign * t) % m] for t in range(m + 1)]  # ends back at start
+            for positions in combinations(range(1, m), n - 1):
+                offsets = (0,) + positions + (m,)
+                hosts = tuple(ring[p] for p in offsets[:-1])
+                if any(net.residual_cpu[h] < req.cpu_demand[vn] for h, vn in zip(hosts, req.vns)):
                     continue
                 cost = 0
-                ok = True
                 for j in range(n):
-                    a = offsets[j]
-                    b = offsets[j + 1] if j + 1 < n else m
+                    a, b = offsets[j], offsets[j + 1]
                     demand = req.bw_demand[req.vls[j]]
-                    for t in range(a, b):
-                        u = order[(idx[start] + sign * t) % m]
-                        v = order[(idx[start] + sign * (t + 1)) % m]
-                        if net.residual_bw[edge_key(u, v)] < demand:
-                            ok = False
-                            break
-                    if not ok:
+                    if any(net.residual_bw[edge_key(ring[t], ring[t + 1])] < demand for t in range(a, b)):
                         break
                     cost += (b - a) * demand
-                if ok and (best is None or cost < best):
-                    best = cost
+                else:
+                    yield start, direction, hosts, cost
+
+
+def _refuse_past_caps(net, requests):
+    """Raise SizeCapExceeded, naming the cap, past any cap, and ModelError
+    for a general request."""
+    m = len(net.nodes)
+    for req in requests:
+        if req.shape is Shape.CYCLE:
+            if m > SIMPLEX_RING_CAP:
+                raise SizeCapExceeded(f"{m} substrate nodes, cap {SIMPLEX_RING_CAP} for cycle requests")
+            if req.n_vns > SIMPLEX_VN_CAP:
+                raise SizeCapExceeded(f"{req.n_vns} virtual nodes in request {req.req_id!r}, "
+                                      f"cap {SIMPLEX_VN_CAP}")
+        elif req.shape is Shape.PATH:
+            if m > PATH_SN_CAP:
+                raise SizeCapExceeded(f"{m} substrate nodes, cap {PATH_SN_CAP} for path requests")
+            if req.length > PATH_LINK_CAP:
+                raise SizeCapExceeded(f"{req.length} links in request {req.req_id!r}, cap {PATH_LINK_CAP}")
+        else:
+            raise ModelError(f"request {req.req_id!r} has shape {req.shape.value!r}; "
+                             "the exhaustive oracles take path and cycle requests")
+    paths = sum(req.shape is Shape.PATH for req in requests)
+    if paths > PATH_REQUEST_CAP:
+        raise SizeCapExceeded(f"{paths} path requests, cap {PATH_REQUEST_CAP}")
+
+
+def brute_force_simplex_cycle(net, req):
+    """Minimum-cost one-direction cycle embedding over every tableau, as
+    (hosts, cost), or None when nothing embeds."""
+    _refuse_past_caps(net, [req])
+    return min(((hosts, cost) for _s, _d, hosts, cost in ring_tableaux(net, req)),
+               key=lambda hc: hc[1], default=None)
+
+
+def _path_host_sequences(net, req):
+    """Node sequences of every simple substrate path with the request's link
+    count that fits the residuals, VN i on the i-th SN and VL i on the i-th
+    SL (the path pipeline's own model), by depth-first walks from each SN."""
+    if not req.vns:
+        yield ()
+        return
+
+    def walk(seq):
+        i = len(seq)
+        if i == req.n_vns:
+            yield tuple(seq)
+            return
+        demand = req.bw_demand[req.vls[i - 1]]
+        for w in net.neighbors(seq[-1]):
+            if (w not in seq and net.residual_cpu[w] >= req.cpu_demand[req.vns[i]]
+                    and net.residual_bw[edge_key(seq[-1], w)] >= demand):
+                yield from walk(seq + [w])
+
+    for v in net.nodes:
+        if net.residual_cpu[v] >= req.cpu_demand[req.vns[0]]:
+            yield from walk([v])
+
+
+def candidate_embeddings(net, req):
+    """Every embedding max_accepted tries for one request against the
+    current residuals: a cycle request's ring tableaux, each VL on the arc
+    from its host to the next host, or a path request's host sequences."""
+    if req.shape is Shape.PATH:
+        return [Embedding(req.req_id, dict(zip(req.vns, seq)),
+                          {vl: [edge_key(a, b)] for vl, a, b in zip(req.vls, seq, seq[1:])})
+                for seq in _path_host_sequences(net, req)]
+    order = ring_order(net)
+    ahead = order[1:] + order[:1]
+    steps = {"+": dict(zip(order, ahead)), "-": dict(zip(ahead, order))}
+    out = []
+    for _start, direction, hosts, _cost in ring_tableaux(net, req):
+        step = steps[direction]
+        link_map = {}
+        for j, vl in enumerate(req.vls):
+            u, stop, sls = hosts[j], hosts[(j + 1) % len(hosts)], []
+            while u != stop:
+                sls.append(edge_key(u, step[u]))
+                u = step[u]
+            link_map[vl] = sls
+        out.append(Embedding(req.req_id, dict(zip(req.vns, hosts)), link_map))
+    return out
+
+
+def release(net, req, emb):
+    """Inverse of commit. Raises, changing nothing, if releasing would push a
+    residual above its capacity (i.e. the embedding was never committed here)."""
+    cpu, bw = footprint([(req, emb)])
+    for sn, d in cpu.items():
+        if net.residual_cpu[sn] + d > net.cpu_capacity[sn]:
+            raise ModelError(f"release overflows cpu capacity at {sn!r}")
+    for k, d in bw.items():
+        if net.residual_bw[k] + d > net.bw_capacity[k]:
+            raise ModelError(f"release overflows bw capacity at {k}")
+    for sn, d in cpu.items():
+        net.residual_cpu[sn] += d
+    for k, d in bw.items():
+        net.residual_bw[k] += d
+
+
+def max_accepted(net, requests):
+    """Maximum number of the path and cycle requests simultaneously
+    embeddable, by depth-first search over each request's candidate
+    embeddings with commit/release on a private copy, cut off once the
+    requests left cannot beat the best count. A general request raises
+    ModelError, anything past the caps SizeCapExceeded."""
+    _refuse_past_caps(net, requests)
+    work = net.copy()
+    best = 0
+
+    def dfs(i, accepted):
+        nonlocal best
+        best = max(best, accepted)
+        if i == len(requests) or accepted + (len(requests) - i) <= best:
+            return
+        req = requests[i]
+        for emb in candidate_embeddings(work, req):  # a list: commits change the residuals
+            commit(work, req, emb)
+            dfs(i + 1, accepted + 1)
+            release(work, req, emb)
+        dfs(i + 1, accepted)
+
+    dfs(0, 0)
     return best
 
 

@@ -20,11 +20,14 @@ from conftest import (
     uniform_path_request,
 )
 from oracles import (
+    brute_force_simplex_cycle,
     cardinality_ddkp_optimum,
     cpu_link_feasible_hosts,
     kp_best_profit,
     mdkp_best_profit,
+    max_accepted,
     mkp_best_profit,
+    ring_tableaux,
     solve_kp_dp,
     wdag_all_cycles,
 )
@@ -54,10 +57,7 @@ from pcvne.model import audit_residuals, validate_embedding
 from pcvne.path_embedding import procedure_pe
 from pcvne.theory import (
     UniformInstance,
-    brute_force_max_accepted,
     brute_force_path_embed,
-    brute_force_simplex_cycle,
-    enumerate_simplex_embeddings,
     has_spanning_trail,
     is_supereulerian,
     sg_to_sset_instance,
@@ -114,7 +114,7 @@ def test_criterion_02_ring_solver_optimality():
             cpu_range=(2, 7), bw_range=(2, 7))
         instances += 1
         sx = c2ce(net, req)
-        best, _examined = brute_force_simplex_cycle(net, req)
+        best = brute_force_simplex_cycle(net, req)
         if best is None:
             assert sx is None
             infeasible += 1
@@ -153,7 +153,8 @@ def test_criterion_03_cycle_embedding_bijection():
                     mapped.add(hosts)
                     cycles_checked += 1
                 # every feasible embedding for this anchor appears as a cycle
-                oracle = {hosts for hosts, _c in enumerate_simplex_embeddings(net, req, start, direction)}
+                oracle = {hosts for s, d, hosts, _c in ring_tableaux(net, req)
+                          if (s, d) == (start, direction)}
                 assert mapped == oracle
     elapsed = time.perf_counter() - t0
     assert elapsed < 60.0
@@ -393,7 +394,7 @@ def test_criterion_11_reduction_generators():
                 if orig_dim >= 1:  # the second original dimension and beyond
                     assert mask_hosts(cycle, hosts[ring_pos]) == [red.net.nodes[ring_pos]]
         expected = cardinality_ddkp_optimum(caps, [s for _j, _p, s in items])
-        assert brute_force_max_accepted(red.net, red.requests) == expected
+        assert max_accepted(red.net, red.requests) == expected
         checked_equal += 1
     report(11, f"edge counts and end forcing on 25 instances; {checked_equal} exact "
                "acceptance-versus-knapsack equalities")

@@ -192,7 +192,7 @@ class TestDdkpReduction:
     def test_identity_assignment_forced_jointly(self):
         # with three or more dimensions the later ring nodes stay CPU-feasible
         # for earlier VNs, but any complete embedding is still the identity
-        from pcvne.theory import enumerate_simplex_embeddings
+        from oracles import ring_tableaux
 
         rng = random.Random(11)
         for _ in range(10):
@@ -202,18 +202,12 @@ class TestDdkpReduction:
                      for j in range(rng.randint(1, 4))]
             red = gen_ddkp_reduction(MdkpInstance(caps, items))
             for req in red.requests:
-                found = []
-                for start in red.net.nodes:
-                    if red.net.residual_cpu[start] < req.cpu_demand[req.vns[0]]:
-                        continue
-                    for direction in ("+", "-"):
-                        found.extend(h for h, _c in enumerate_simplex_embeddings(
-                            red.net, req, start, direction))
+                found = [h for _s, _d, h, _c in ring_tableaux(red.net, req)]
                 assert found, "every item must be embeddable alone"
                 assert {tuple(h) for h in found} == {tuple(red.net.nodes)}
 
     def test_acceptance_equals_cardinality_optimum(self):
-        from pcvne.theory import brute_force_max_accepted
+        from oracles import max_accepted
 
         rng = random.Random(13)
         for _ in range(8):
@@ -222,7 +216,7 @@ class TestDdkpReduction:
             items = [(j, 1, (rng.randint(1, 4), rng.randint(1, 4))) for j in range(n)]
             red = gen_ddkp_reduction(MdkpInstance(caps, items))
             expected = cardinality_ddkp_optimum(caps, [sizes for _j, _p, sizes in items])
-            assert brute_force_max_accepted(red.net, red.requests) == expected
+            assert max_accepted(red.net, red.requests) == expected
 
     def test_zero_items(self):
         red = gen_ddkp_reduction(MdkpInstance([3, 4], []))

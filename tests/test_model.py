@@ -23,9 +23,9 @@ from pcvne.model import (
     commit,
     edge_key,
     footprint,
-    release,
     validate_embedding,
 )
+from oracles import release
 from test_baseline import sparse_instance
 
 

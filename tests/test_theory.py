@@ -1,24 +1,35 @@
 import random
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     make_cycle_request,
+    make_net,
+    make_path_request,
+    path_net,
     random_connected_graph,
     random_ring_instance,
     ring_net,
 )
-from oracles import supereulerian_reference
-from pcvne.model import validate_embedding
+from oracles import (
+    brute_force_simplex_cycle,
+    candidate_embeddings,
+    max_accepted,
+    ring_tableaux,
+    supereulerian_reference,
+)
+from pcvne.cycle_embedding import greedy_revenue
+from pcvne.model import ModelError, Shape, VirtualRequest, validate_embedding
+from pcvne.path_embedding import procedure_pe
 from pcvne.theory import (
     Graph,
     SizeCapExceeded,
     UniformInstance,
-    brute_force_max_accepted,
     brute_force_path_embed,
-    brute_force_simplex_cycle,
     connected_graphs,
-    enumerate_simplex_embeddings,
     find_uniform_path_embedding,
     has_spanning_trail,
     is_supereulerian,
@@ -178,27 +189,14 @@ class TestUniformBruteForce:
 class TestSimplexBruteForce:
     def test_ring_fixture(self, fig_ring):
         net, req = fig_ring
-        (best, count) = brute_force_simplex_cycle(net, req)
+        best = brute_force_simplex_cycle(net, req)
         assert best is not None and best[1] == 8
 
     def test_infeasible_cpu(self):
         net = ring_net(5, cpu=2)
         req = make_cycle_request("r", [3, 1, 1], [1, 1, 1])
-        best, _ = brute_force_simplex_cycle(net, req)
+        best = brute_force_simplex_cycle(net, req)
         assert best is None
-
-    def test_examined_count_matches_closed_form(self):
-        from math import comb
-
-        rng = random.Random(13)
-        for _ in range(25):
-            net, req = random_ring_instance(rng)
-            m = len(net.nodes)
-            n = req.n_vns
-            f1 = sum(1 for v in net.nodes
-                     if net.residual_cpu[v] >= req.cpu_demand[req.vns[0]])
-            _, examined = brute_force_simplex_cycle(net, req)
-            assert examined == 2 * f1 * comb(m - 1, n - 1)
 
     def test_size_cap(self):
         net = ring_net(9)
@@ -210,13 +208,9 @@ class TestSimplexBruteForce:
         rng = random.Random(17)
         for _ in range(20):
             net, req = random_ring_instance(rng)
-            for start in sorted(net.nodes):
-                if net.residual_cpu[start] < req.cpu_demand[req.vns[0]]:
-                    continue
-                for direction in ("+", "-"):
-                    for hosts, cost in enumerate_simplex_embeddings(net, req, start, direction):
-                        assert len(set(hosts)) == len(hosts)
-                        assert hosts[0] == start
+            for start, _direction, hosts, _cost in ring_tableaux(net, req):
+                assert len(set(hosts)) == len(hosts)
+                assert hosts[0] == start
 
 
 class TestBruteForceBatch:
@@ -225,4 +219,114 @@ class TestBruteForceBatch:
         reqs = [make_cycle_request(i, [1, 1, 1], [1, 1, 1]) for i in range(3)]
         # every node has CPU 2; each embedding uses three nodes once each, so
         # at most two requests fit simultaneously on four nodes
-        assert brute_force_max_accepted(net, reqs) == 2
+        assert max_accepted(net, reqs) == 2
+
+
+def small_path_instance(rng, capacity=10):
+    """A random connected substrate of 3-7 SNs at uniform CPU and BW
+    `capacity`, with 1-4 unit-revenue path requests of 1-3 links and demands
+    1-5: the path oracle's caps."""
+    g = random_connected_graph(rng, rng.randint(3, 7))
+    net = make_net(list(g.nodes), list(g.edges), capacity, capacity)
+    reqs = []
+    for i in range(rng.randint(1, 4)):
+        links = rng.randint(1, 3)
+        reqs.append(make_path_request(i, [rng.randint(1, 5) for _ in range(links + 1)],
+                                      [rng.randint(1, 5) for _ in range(links)]))
+    return net, reqs
+
+
+class TestMaxAcceptedBoundary:
+    def test_path_request_on_a_ring_is_answered(self):
+        net = ring_net(5, cpu=2, bw=2)
+        reqs = [make_path_request(i, [2, 2, 2], [1, 1]) for i in range(3)]
+        # each request takes three of the five SNs whole
+        assert max_accepted(net, reqs) == 1
+
+    def test_path_and_cycle_requests_share_one_ring(self):
+        net = ring_net(4, cpu=1, bw=5)
+        cyc = make_cycle_request("c", [1, 1, 1], [1, 1, 1])
+        assert max_accepted(net, [cyc, make_path_request("p", [1], [])]) == 2
+        assert max_accepted(net, [cyc, make_path_request("p", [1], []), make_path_request("e", [], [])]) == 3
+        assert max_accepted(net, [cyc, make_path_request("p", [1, 1], [1])]) == 1
+
+    def test_general_request_refused_by_name(self):
+        req = VirtualRequest(req_id="star", shape=Shape.GENERAL, vns=[0, 1, 2],
+                             vls=[(0, 1), (0, 2)], cpu_demand={0: 1, 1: 1, 2: 1},
+                             bw_demand={(0, 1): 1, (0, 2): 1})
+        with pytest.raises(ModelError, match="'star'.*'general'") as info:
+            max_accepted(ring_net(5), [req])
+        assert not isinstance(info.value, SizeCapExceeded)
+
+    def test_cycle_request_off_a_ring_refused(self):
+        with pytest.raises(ModelError, match="not a ring"):
+            max_accepted(path_net(5), [make_cycle_request("c", [1, 1, 1], [1, 1, 1])])
+
+    @pytest.mark.parametrize("net, reqs, message", [
+        pytest.param(ring_net(9), [make_cycle_request("c", [1] * 3, [1] * 3)],
+                     r"^9 substrate nodes, cap 8 for cycle requests$", id="ring-nodes"),
+        pytest.param(ring_net(8), [make_cycle_request("c", [1] * 6, [1] * 6)],
+                     r"^6 virtual nodes in request 'c', cap 5$", id="cycle-vns"),
+        pytest.param(path_net(8), [make_path_request("p", [1, 1], [1])],
+                     r"^8 substrate nodes, cap 7 for path requests$", id="path-nodes"),
+        pytest.param(path_net(7), [make_path_request("p", [1] * 5, [1] * 4)],
+                     r"^4 links in request 'p', cap 3$", id="path-links"),
+        pytest.param(path_net(7), [make_path_request(i, [1, 1], [1]) for i in range(5)],
+                     r"^5 path requests, cap 4$", id="path-requests"),
+    ])
+    def test_caps_refused_by_name(self, net, reqs, message):
+        with pytest.raises(SizeCapExceeded, match=message):
+            max_accepted(net, reqs)
+
+
+class TestMaxAcceptedPaths:
+    def test_unit_candidates_are_the_simple_paths(self):
+        rng = random.Random(29)
+        for _ in range(200):
+            g = random_connected_graph(rng, rng.randint(3, 7))
+            net = make_net(list(g.nodes), list(g.edges), 1, 1)
+            graph = nx.Graph(list(g.edges))
+            for links in (1, 2, 3):
+                req = make_path_request("u", [1] * (links + 1), [1] * links)
+                found = []
+                for emb in candidate_embeddings(net, req):
+                    ok, violations = validate_embedding(net, req, emb, against_residuals=True)
+                    assert ok, violations
+                    found.append(tuple(emb.node_map[vn] for vn in req.vns))
+                expected = [tuple(p) for s in g.nodes for t in g.nodes if s != t
+                            for p in nx.all_simple_paths(graph, s, t, cutoff=links) if len(p) == links + 1]
+                assert sorted(found) == sorted(expected)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1))
+    def test_property_pipeline_never_beats_the_optimum(self, seed):
+        net, reqs = small_path_instance(random.Random(seed))
+        best = max_accepted(net, reqs)
+        for mkp_mode in ("greedy", "exact"):
+            for mdkp_mode in ("greedy", "exact"):
+                assert len(procedure_pe(net.copy(), reqs, mkp_mode, mdkp_mode)) <= best
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1))
+    def test_property_ring_greedy_never_beats_the_optimum(self, seed):
+        rng = random.Random(seed)
+        net, req = random_ring_instance(rng, m_range=(3, 6))
+        reqs = [req] + [random_ring_instance(rng, m_range=(len(net.nodes),) * 2)[1]
+                        for _ in range(rng.randint(0, 3))]
+        assert len(greedy_revenue(net.copy(), reqs, fallback=None)) <= max_accepted(net, reqs)
+
+    def test_pipeline_gap_on_the_seeded_set(self):
+        # procedure_pe (greedy modes) against the optimum on 400 fixed
+        # instances; 338 at the optimum with 63 requests missed in all at the
+        # time of writing, and a better pipeline may only raise the one and
+        # lower the other
+        rng = random.Random(2)
+        at_optimum = gap = 0
+        for _ in range(400):
+            net, reqs = small_path_instance(rng)
+            best = max_accepted(net, reqs)
+            got = len(procedure_pe(net.copy(), reqs))
+            assert got <= best
+            at_optimum += got == best
+            gap += best - got
+        assert at_optimum >= 338 and gap <= 63
