@@ -7,12 +7,13 @@ oracle-scale inputs: both prune with one fractional-knapsack bound
 rather than silently blowing up.
 All arithmetic is exact (ints / Fractions), feasibility has no tolerance.
 MDKP item sizes are dense length-d sequences or sparse {dimension: size}
-mappings; the MDKP solvers touch only each item's nonzero dimensions.
+mappings; the MDKP solvers read each item's nonzero dimensions in one pass,
+which also sums its surrogate weight from one int unit per dimension.
 Both greedy orders (profit per unit size descending) sort on one exact int per
-item from `_ratio_key`, never a Fraction per comparison; MDKP surrogate weights
-are ints on one common scale.
-Greedy MKP is one `first_fit` over items already in that order, so a caller
-keeping them sorted sorts once; it stops when no item can fit any more.
+item from `_ratio_key`, never a Fraction per comparison.
+Both MKP searches take the items in that order and give (position, knapsack)
+per packed item; `solve_mkp` maps them to ids. Greedy is one `first_fit`, so a
+caller keeping the items sorted sorts once; it stops once no item can fit.
 """
 
 from __future__ import annotations
@@ -151,14 +152,13 @@ def _fractional_bound(pairs, capacity):
     return bound
 
 
-def _solve(problem, inst, mode, greedy, exact):
+def _solve(problem, mode, n_items, greedy, exact, *args):
     if mode == "greedy":
-        return greedy(inst)
+        return greedy(*args)
     if mode == "exact":
-        if len(inst.items) > EXACT_ITEM_LIMIT:
-            raise ExactSizeError(
-                f"exact {problem} limited to {EXACT_ITEM_LIMIT} items, got {len(inst.items)}")
-        return exact(inst)
+        if n_items > EXACT_ITEM_LIMIT:
+            raise ExactSizeError(f"exact {problem} limited to {EXACT_ITEM_LIMIT} items, got {n_items}")
+        return exact(*args)
     raise ModelError(f"unknown mode {mode!r}")
 
 
@@ -166,74 +166,67 @@ def solve_mkp(inst, mode="greedy"):
     """Multiple knapsack: pack items into knapsacks maximizing packed profit.
 
     Returns (assignment, profit) where assignment maps item_id to a knapsack
-    index or None. Greedy sorts items by efficiency and first-fits them into
-    knapsacks ordered by descending residual capacity. Exact mode is
-    depth-first branch and bound with `_fractional_bound` over the summed
-    residual capacity; it refuses more than `EXACT_ITEM_LIMIT` items.
+    index or None. Both modes take the items in MKP order (`order_items`).
+    Greedy is `first_fit`. Exact mode is depth-first branch and bound with
+    `_fractional_bound` over the summed residual capacity; it refuses more
+    than `EXACT_ITEM_LIMIT` items.
     """
-    return _solve("MKP", inst, mode, _mkp_greedy, _mkp_exact)
-
-
-def _mkp_greedy(inst):
-    return first_fit(inst.capacities, order_items(inst.items))
+    items = order_items(inst.items)
+    packed = _solve("MKP", mode, len(items), first_fit, _mkp_exact, inst.capacities, items)
+    assignment = dict.fromkeys(it.item_id for it in inst.items)
+    assignment.update((items[i].item_id, k) for i, k in packed)
+    return assignment, sum(items[i].profit for i, _k in packed)
 
 
 def first_fit(capacities, items):
-    """Greedy MKP over KpItems in MKP order (`order_items`), returning what
-    `solve_mkp` does: each item goes into the roomiest knapsack (ties: lower
-    index), the top of a heap, if it fits there. Stops once that residual is
-    below the smallest item size, since no later item can fit."""
+    """Greedy MKP over KpItems in MKP order (`order_items`): each item goes
+    into the roomiest knapsack (ties: lower index), the top of a heap, if it
+    fits there. Returns (position in `items`, knapsack) per packed item, in
+    item order. Stops once the top residual is below the smallest item size,
+    since no later item can fit, so no item past that point is read."""
     heap = [(-b, k) for k, b in enumerate(capacities)]
     heapq.heapify(heap)
-    assignment = dict.fromkeys(it.item_id for it in items)
-    profit = 0
+    packed = []
     smallest = min((it.size for it in items), default=0)
-    for it in items:
-        if not heap or -heap[0][0] < smallest:
+    top = -heap[0][0] if heap else -1
+    for i, it in enumerate(items):
+        if top < smallest:
             break
-        if it.size <= -heap[0][0]:
-            neg_residual, k = heap[0]
-            heapq.heapreplace(heap, (neg_residual + it.size, k))
-            assignment[it.item_id] = k
-            profit += it.profit
-    return assignment, profit
+        if it.size <= top:
+            packed.append((i, heap[0][1]))
+            heapq.heapreplace(heap, (it.size - top, heap[0][1]))
+            top = -heap[0][0]
+    return packed
 
 
-def _mkp_exact(inst):
-    items = order_items(inst.items)
+def _mkp_exact(capacities, items):
+    """The first optimum, in include-first depth-first order, as `first_fit`
+    returns its packing: (position in `items`, knapsack) per packed item."""
     pairs = [(it.profit, it.size) for it in items]
-    m = len(inst.capacities)
-    best_profit = 0
-    best_assignment = {it.item_id: None for it in inst.items}
-    residual = list(inst.capacities)
-    current = {}
+    residual = list(capacities)
+    current, best, best_profit = [], [], 0
 
     def dfs(i, profit):
-        nonlocal best_profit, best_assignment
+        nonlocal best, best_profit
         if profit > best_profit:
-            best_profit = profit
-            snap = {it.item_id: None for it in inst.items}
-            snap.update(current)
-            best_assignment = snap
-        if i == len(items):
+            best, best_profit = list(current), profit
+        if i == len(items) or profit + _fractional_bound(pairs[i:], sum(residual)) <= best_profit:
             return
-        if profit + _fractional_bound(pairs[i:], sum(residual)) <= best_profit:
-            return
-        it = items[i]
+        size = items[i].size
         tried = set()
-        for k in range(m):
-            if residual[k] in tried or it.size > residual[k]:
+        for k, r in enumerate(residual):
+            if r in tried or size > r:
                 continue
-            tried.add(residual[k])  # knapsacks with equal residuals are symmetric
-            residual[k] -= it.size
-            current[it.item_id] = k
-            dfs(i + 1, profit + it.profit)
-            del current[it.item_id]
-            residual[k] += it.size
+            tried.add(r)  # knapsacks with equal residuals are symmetric
+            residual[k] -= size
+            current.append((i, k))
+            dfs(i + 1, profit + items[i].profit)
+            current.pop()
+            residual[k] += size
         dfs(i + 1, profit)
 
     dfs(0, 0)
-    return best_assignment, best_profit
+    return best
 
 
 def solve_mdkp(inst, mode="greedy"):
@@ -245,29 +238,34 @@ def solve_mdkp(inst, mode="greedy"):
     and bound with `_fractional_bound` over that surrogate relaxation; it
     refuses more than `EXACT_ITEM_LIMIT` items.
     """
-    return _solve("MDKP", inst, mode, _mdkp_greedy, _mdkp_exact)
+    return _solve("MDKP", mode, len(inst.items), _mdkp_greedy, _mdkp_exact, inst)
 
 
 def _mdkp_items(inst):
     """The packable items as (id, profit, nonzero (index, size) pairs,
     surrogate weight) in funding order (`_ratio_key` on profit and weight),
-    and the weights' scale: each weight is the capacity-normalized size sum
-    times lcm(capacity numerators the items use) × lcm(size denominators), an
-    exact int. An item with a positive size on a zero capacity can never be
-    packed, so it is dropped."""
+    and the weights' scale. A dimension's unit is L / its capacity (L = lcm of
+    the positive capacity numerators; 0 at a zero capacity). One pass per item
+    reads its nonzero pairs, drops it at a zero capacity (it never fits) and
+    sums size × unit; times the lcm of the sums' denominators, that is the
+    capacity-normalized size sum times the scale, an exact int."""
     caps = inst.capacities
+    cap_lcm = math.lcm(*{c.numerator for c in caps if c})
+    unit_of = {c: c.denominator * (cap_lcm // c.numerator) for c in set(caps) if c}
+    unit = [unit_of.get(c, 0) for c in caps]
     items = []
     for item_id, profit, sizes in inst.items:
-        pairs = sizes.items() if isinstance(sizes, dict) else enumerate(sizes)
-        pairs = tuple((i, s) for i, s in pairs if s)
-        if all(caps[i] for i, _s in pairs):
-            items.append((item_id, profit, pairs))
-    values = {caps[i] for _id, _p, pairs in items for i, _s in pairs}
-    cap_lcm = math.lcm(*(c.numerator for c in values))
-    size_lcm = math.lcm(*{s.denominator for _id, _p, pairs in items for _i, s in pairs})
-    unit = {c: c.denominator * (cap_lcm // c.numerator) * size_lcm for c in values}  # scale / capacity
-    items = [(item_id, p, pairs, int(sum(s * unit[caps[i]] for i, s in pairs)))
-             for item_id, p, pairs in items]
+        pairs, weight = [], 0
+        for i, s in (sizes.items() if isinstance(sizes, dict) else enumerate(sizes)):
+            if s:
+                if not unit[i]:
+                    break
+                pairs.append((i, s))
+                weight += s * unit[i]
+        else:
+            items.append((item_id, profit, pairs, weight))
+    size_lcm = math.lcm(*{t[3].denominator for t in items})
+    items = [(item_id, p, pairs, int(w * size_lcm)) for item_id, p, pairs, w in items]
     key = _ratio_key((t[1] for t in items), (t[3] for t in items))
     items.sort(key=lambda t: key(t[1], t[3], t[0]))
     return items, cap_lcm * size_lcm
@@ -292,9 +290,9 @@ def _mdkp_greedy(inst):
 
 def _mdkp_exact(inst):
     norm, scale = _mdkp_items(inst)
-    # surrogate: one knapsack of capacity = number of positive dimensions, item
-    # size = its normalized weight, both scaled; fractional optimum bounds the 0-1 one
-    surrogate_cap = scale * sum(1 for b in inst.capacities if b > 0)
+    # surrogate: one knapsack of capacity = number of (positive) dimensions the items touch,
+    # item size = its normalized weight, both scaled; fractional optimum bounds the 0-1 one
+    surrogate_cap = scale * len({i for _id, _p, pairs, _w in norm for i, _s in pairs})
     weights = [(p, w) for _id, p, _s, w in norm]
     best_profit = 0
     best_set = []

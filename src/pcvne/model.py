@@ -275,17 +275,10 @@ class Violation:
 def _walk_chain(path, start):
     """Follow a list of SLs from `start`; return the final node or None if the
     chain breaks or revisits a node."""
-    cur = start
-    visited = {start}
-    for e in path:
-        u, v = e
-        if cur == u:
-            cur = v
-        elif cur == v:
-            cur = u
-        else:
-            return None
-        if cur in visited:
+    cur, visited = start, {start}
+    for a, b in path:
+        cur = b if cur == a else a if cur == b else None
+        if cur is None or cur in visited:
             return None
         visited.add(cur)
     return cur
@@ -320,45 +313,62 @@ def validate_embedding(net, req, emb, against_residuals=False):
 
 
 def _check(net, req, emb, against_residuals):
-    """`validate_embedding`'s violations, and the embedding's footprint."""
-    if set(emb.node_map) != set(req.vns):
+    """`validate_embedding`'s violations, and the embedding's footprint. Each
+    map is walked once; a broken chain is raised once every SL is known."""
+    node_map, link_map = emb.node_map, emb.link_map
+    if node_map.keys() != req.cpu_demand.keys():  # the demand maps are keyed by the VNs and VLs
         raise MalformedEmbeddingError("node map does not cover exactly the request VNs")
-    if set(emb.link_map) != set(req.vls):
+    if link_map.keys() != req.bw_demand.keys():
         raise MalformedEmbeddingError("link map does not cover exactly the request VLs")
-    for vn, sn in emb.node_map.items():
-        if sn not in net.cpu_capacity:
-            raise MalformedEmbeddingError(f"VN {vn!r} mapped to unknown SN {sn!r}")
-    for vl, path in emb.link_map.items():
+    cpu_cap, bw_cap = net.cpu_capacity, net.bw_capacity
+    hosts = set(node_map.values())
+    if not cpu_cap.keys() >= hosts:
+        for vn, sn in node_map.items():
+            if sn not in cpu_cap:
+                raise MalformedEmbeddingError(f"VN {vn!r} mapped to unknown SN {sn!r}")
+
+    violations = []
+    if len(hosts) != len(node_map):
+        mapped = {}
+        for vn, sn in node_map.items():
+            if sn in mapped:
+                violations.append(Violation("injectivity", f"VNs {mapped[sn]!r} and {vn!r} share SN {sn!r}"))
+            else:
+                mapped[sn] = vn
+
+    broken = None  # the first VL whose path chains from neither end, raised after the SL checks
+    for vl, path in link_map.items():
         if not path:
             raise MalformedEmbeddingError(f"empty link path for VL {vl}")
         for e in path:
-            if edge_key(*e) not in net.bw_capacity:
+            try:
+                known = type(e) is tuple and e in bw_cap
+            except TypeError:  # an unhashable id: edge_key below names the fault
+                known = False
+            if not known and edge_key(*e) not in bw_cap:
                 raise MalformedEmbeddingError(f"VL {vl} routed over unknown SL {e}")
-
-    violations = []
-
-    mapped = {}
-    for vn, sn in emb.node_map.items():
-        if sn in mapped:
-            violations.append(Violation("injectivity", f"VNs {mapped[sn]!r} and {vn!r} share SN {sn!r}"))
+        if broken is not None:
+            continue
+        su, sv = node_map[vl[0]], node_map[vl[1]]
+        if len(path) == 1:  # one SL, not a self-loop: its end from su, else from sv
+            a, b = path[0]
+            end = b if su == a else a if su == b else None
+            end_rev = b if sv == a else a if sv == b else None
         else:
-            mapped[sn] = vn
-
-    for vl, path in emb.link_map.items():
-        u, v = vl
-        su, sv = emb.node_map[u], emb.node_map[v]
-        end = _walk_chain(path, su)
+            end = _walk_chain(path, su)
+            end_rev = None if end is not None else _walk_chain(path, sv)
         if end is None:
-            end_rev = _walk_chain(path, sv)
             if end_rev is None:
-                raise MalformedEmbeddingError(f"link path for VL {vl} is not a simple chain")
-            if end_rev != su:
+                broken = vl
+            elif end_rev != su:
                 violations.append(Violation("endpoint", f"VL {vl} path does not join {su!r} and {sv!r}"))
         elif end != sv:
             violations.append(Violation("endpoint", f"VL {vl} path ends at {end!r}, expected {sv!r}"))
+    if broken is not None:
+        raise MalformedEmbeddingError(f"link path for VL {broken} is not a simple chain")
 
-    cpu_avail = net.residual_cpu if against_residuals else net.cpu_capacity
-    bw_avail = net.residual_bw if against_residuals else net.bw_capacity
+    cpu_avail = net.residual_cpu if against_residuals else cpu_cap
+    bw_avail = net.residual_bw if against_residuals else bw_cap
     cpu_use, bw_use = use = footprint([(req, emb)])
     for sn, used in cpu_use.items():
         if used > cpu_avail[sn]:

@@ -6,6 +6,7 @@ on the updated residuals until an iteration places nothing."""
 from __future__ import annotations
 
 import heapq
+import itertools
 from collections import defaultdict
 from dataclasses import dataclass
 
@@ -145,20 +146,23 @@ def pack_mkp(paths, items, mode="greedy"):
 
     Each substrate path is a knapsack of capacity = its link count. Packed
     items receive concrete offsets left to right in efficiency order, sharing
-    boundary SNs between consecutive placements.
+    boundary SNs between consecutive placements; greedy reads only what it packed.
     """
     capacities = [p.length for p in paths]
     kp_items = [it for it, _req in items]
-    assignment, _profit = (first_fit(capacities, kp_items) if mode == "greedy"
-                           else solve_mkp(MkpInstance(capacities, kp_items), mode=mode))
+    if mode == "greedy":
+        packed = first_fit(capacities, kp_items)
+    else:
+        assignment, _profit = solve_mkp(MkpInstance(capacities, kp_items), mode=mode)
+        packed = [(i, assignment[it.item_id]) for i, it in enumerate(kp_items)
+                  if assignment[it.item_id] is not None]
 
     placements = []
-    used = defaultdict(int)  # links already taken on each path
-    for item, req in items:
-        k = assignment[item.item_id]
-        if k is not None:
-            placements.append(PathPlacement(req=req, path_index=k, path=paths[k], offset=used[k]))
-            used[k] += req.length
+    used = [0] * len(paths)  # links already taken on each path
+    for i, k in packed:
+        req = items[i][1]
+        placements.append(PathPlacement(req=req, path_index=k, path=paths[k], offset=used[k]))
+        used[k] += req.length
     placements.sort(key=lambda pl: pl.path_index)  # stable: path by path, MKP order within
     return placements
 
@@ -168,19 +172,24 @@ def assign_mdkp(net, placements, mode="greedy"):
 
     Each placement is an item whose sparse sizes, read off its path slice (VN
     i's CPU on SN i, VL i's BW on SL i: a simple path's SNs are distinct), are
-    its `footprint`; the capacities are the residuals over all SNs then all
-    SLs. Only the selected placements become Embeddings, committed and returned.
+    its `footprint`; the dimensions are the SNs and SLs they touch, numbered at
+    first touch (SN and SL keys apart, so a tuple SN id never meets an SL key),
+    with their residuals as capacities. Only the selected placements become
+    Embeddings, committed and returned.
     """
-    dim_index = {d: i for i, d in enumerate([*net.nodes, *net.edges])}
-    capacities = [net.residual_cpu[v] for v in net.nodes] + [net.residual_bw[k] for k in net.edges]
-
+    touched = itertools.count().__next__  # the next dimension index
+    sn_dim, sl_dim = defaultdict(touched), defaultdict(touched)
     items = []
     for idx, pl in enumerate(placements):
         req, o = pl.req, pl.offset
-        sizes = {dim_index[sn]: req.cpu_demand[vn] for vn, sn in zip(req.vns, pl.path.nodes[o:])}
+        sizes = {sn_dim[sn]: req.cpu_demand[vn] for vn, sn in zip(req.vns, pl.path.nodes[o:])}
         for vl, k in zip(req.vls, pl.path.edges()[o:]):
-            sizes[dim_index[k]] = req.bw_demand[vl]
+            sizes[sl_dim[k]] = req.bw_demand[vl]
         items.append((idx, req.revenue, sizes))
+    capacities = [None] * (len(sn_dim) + len(sl_dim))
+    for dims, residual in ((sn_dim, net.residual_cpu), (sl_dim, net.residual_bw)):
+        for key, i in dims.items():
+            capacities[i] = residual[key]
 
     inst = MdkpInstance.trusted(capacities, items)  # residuals and demands are validated
     selected, _profit = solve_mdkp(inst, mode=mode)

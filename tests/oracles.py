@@ -10,7 +10,18 @@ from collections import deque
 from fractions import Fraction
 from itertools import combinations
 
-from pcvne.model import Embedding, EmbeddingBatch, ModelError, Shape, as_quantity, commit, edge_key, footprint
+from pcvne.model import (
+    Embedding,
+    EmbeddingBatch,
+    MalformedEmbeddingError,
+    ModelError,
+    Shape,
+    Violation,
+    as_quantity,
+    commit,
+    edge_key,
+    footprint,
+)
 from pcvne.theory import SizeCapExceeded
 
 
@@ -510,6 +521,76 @@ def release(net, req, emb):
         net.residual_cpu[sn] += d
     for k, d in bw.items():
         net.residual_bw[k] += d
+
+
+def _walk_chain_reference(path, start):
+    """The end of the chain of SLs from `start`, or None if it breaks or revisits a node."""
+    cur = start
+    visited = {start}
+    for e in path:
+        u, v = e
+        if cur == u:
+            cur = v
+        elif cur == v:
+            cur = u
+        else:
+            return None
+        if cur in visited:
+            return None
+        visited.add(cur)
+    return cur
+
+
+def check_reference(net, req, emb, against_residuals):
+    """A frozen copy of the embedding check `validate_embedding` and `commit`
+    ran before their one-pass rewrite: (violations, footprint), or the same
+    MalformedEmbeddingError/ModelError. Every map is walked check by check,
+    every SL canonicalised with edge_key, every link path walked as a chain."""
+    if set(emb.node_map) != set(req.vns):
+        raise MalformedEmbeddingError("node map does not cover exactly the request VNs")
+    if set(emb.link_map) != set(req.vls):
+        raise MalformedEmbeddingError("link map does not cover exactly the request VLs")
+    for vn, sn in emb.node_map.items():
+        if sn not in net.cpu_capacity:
+            raise MalformedEmbeddingError(f"VN {vn!r} mapped to unknown SN {sn!r}")
+    for vl, path in emb.link_map.items():
+        if not path:
+            raise MalformedEmbeddingError(f"empty link path for VL {vl}")
+        for e in path:
+            if edge_key(*e) not in net.bw_capacity:
+                raise MalformedEmbeddingError(f"VL {vl} routed over unknown SL {e}")
+
+    violations = []
+    mapped = {}
+    for vn, sn in emb.node_map.items():
+        if sn in mapped:
+            violations.append(Violation("injectivity", f"VNs {mapped[sn]!r} and {vn!r} share SN {sn!r}"))
+        else:
+            mapped[sn] = vn
+
+    for vl, path in emb.link_map.items():
+        u, v = vl
+        su, sv = emb.node_map[u], emb.node_map[v]
+        end = _walk_chain_reference(path, su)
+        if end is None:
+            end_rev = _walk_chain_reference(path, sv)
+            if end_rev is None:
+                raise MalformedEmbeddingError(f"link path for VL {vl} is not a simple chain")
+            if end_rev != su:
+                violations.append(Violation("endpoint", f"VL {vl} path does not join {su!r} and {sv!r}"))
+        elif end != sv:
+            violations.append(Violation("endpoint", f"VL {vl} path ends at {end!r}, expected {sv!r}"))
+
+    cpu_avail = net.residual_cpu if against_residuals else net.cpu_capacity
+    bw_avail = net.residual_bw if against_residuals else net.bw_capacity
+    cpu_use, bw_use = use = footprint([(req, emb)])
+    for sn, used in cpu_use.items():
+        if used > cpu_avail[sn]:
+            violations.append(Violation("cpu", f"SN {sn!r} needs {used}, has {cpu_avail[sn]}"))
+    for k, used in bw_use.items():
+        if used > bw_avail[k]:
+            violations.append(Violation("bw", f"SL {k} needs {used}, has {bw_avail[k]}"))
+    return violations, use
 
 
 def max_accepted(net, requests):

@@ -304,12 +304,16 @@ _IDS = st.one_of(st.integers(-3, 12), st.text("ab1", max_size=2), st.tuples(st.i
 @example([0, 0], [KpItem(0, 0, 0), KpItem(1, 0, 3), KpItem(2, 1, 5)], True)  # all-zero capacities
 @example([3, 2], [KpItem(0, 2, 4), KpItem(1, 3, 3), KpItem(2, 0, 0), KpItem(3, 1, 1)], False)
 def test_property_first_fit_matches_sorted_first_fit(caps, items, mkp_order):
-    # the early stop must not drop an item that still fits, in MKP order or any other
+    # the early stop must not drop an item that still fits, in MKP order or
+    # any other; the packed items come back by position, in item order
     if mkp_order:
         items = order_items(items)
-    assignment, profit = first_fit(caps, items)
+    packed = first_fit(caps, items)
+    positions = [i for i, _k in packed]
+    assert positions == sorted(set(positions))
+    assignment = dict.fromkeys(it.item_id for it in items)
+    assignment.update((items[i].item_id, k) for i, k in packed)
     assert assignment == sorted_first_fit(caps, items)
-    assert profit == sum(it.profit for it in items if assignment[it.item_id] is not None)
 
 
 @settings(max_examples=200, deadline=None)

@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_cycle_request, make_net, make_path_request, path_net, random_connected_graph
@@ -25,7 +25,7 @@ from pcvne.model import (
     footprint,
     validate_embedding,
 )
-from oracles import release
+from oracles import check_reference, release
 from test_baseline import sparse_instance
 
 
@@ -437,3 +437,114 @@ def _shared_sn_batch():
 ])
 def test_refusal_messages(thunk, expected):
     assert _outcome(thunk) == expected
+
+
+def _walk(net, src, dst):
+    """The SL tuples, in walk order, of a BFS path from src to dst."""
+    parent, queue = {src: None}, [src]
+    for v in queue:
+        for w in net.neighbors(v):
+            if w not in parent:
+                parent[w] = v
+                queue.append(w)
+    path, v = [], dst
+    while parent[v] is not None:
+        path.append((parent[v], v))
+        v = parent[v]
+    return path[::-1]
+
+
+def _mutated_embedding(rng):
+    """A small substrate with tight residuals, a path or cycle request and an
+    embedding of it: hosts drawn with replacement (shared SNs), and each link
+    path a BFS walk between its hosts that may be mutated into list-typed or
+    reversed SLs, a reversed or cut chain, one SL that ends at the wrong SN or
+    misses both hosts, a revisit, an unknown SL, a self-loop, an SL naming an
+    unhashable id or an empty path.
+    Now and then a map key or an SN is made unknown."""
+    g = random_connected_graph(rng, rng.randint(3, 6))
+    net = make_net(list(g.nodes), list(g.edges), {v: rng.randint(1, 4) for v in g.nodes},
+                   {e: rng.randint(1, 4) for e in g.edges})
+    if rng.random() < 0.5:
+        for v in net.nodes:
+            net.residual_cpu[v] = rng.randint(0, net.cpu_capacity[v])
+        for k in net.edges:
+            net.residual_bw[k] = rng.randint(0, net.bw_capacity[k])
+    if rng.random() < 0.3:
+        n = rng.randint(3, 4)
+        req = make_cycle_request("r", [rng.randint(1, 3) for _ in range(n)], [rng.randint(1, 3) for _ in range(n)])
+    else:
+        n = rng.randint(1, 4)
+        req = make_path_request("r", [rng.randint(1, 3) for _ in range(n)], [rng.randint(1, 3) for _ in range(n - 1)])
+    node_map = {vn: rng.choice(net.nodes) for vn in req.vns}
+    link_map = {}
+    for vl in req.vls:
+        su, sv = node_map[vl[0]], node_map[vl[1]]
+        path = _walk(net, su, sv) or [edge_key(su, net.neighbors(su)[0])]
+        kind = rng.choice(["keep", "keep", "list", "reverse-sl", "reverse-chain", "cut", "one-sl",
+                           "one-sl-off", "revisit", "unknown-sl", "self-loop", "unhashable", "empty"])
+        i = rng.randrange(len(path))
+        if kind == "list":
+            path[i] = list(path[i])
+        elif kind == "reverse-sl":
+            path[i] = path[i][::-1]
+        elif kind == "reverse-chain":
+            path.reverse()
+        elif kind == "cut" and len(path) > 1:
+            del path[i]
+        elif kind == "one-sl":
+            path = [(su, rng.choice(net.neighbors(su)))]
+        elif kind == "one-sl-off":
+            path = [rng.choice(net.edges)]
+        elif kind == "revisit":
+            a, b = path[-1]
+            path += [(b, a), (a, b)]
+        elif kind == "unknown-sl":
+            path[i] = (path[i][0], 99)
+        elif kind == "self-loop":
+            path[i] = (path[i][0], path[i][0])
+        elif kind == "unhashable":
+            path[i] = ([path[i][0]], path[i][1])
+        elif kind == "empty":
+            path = []
+        link_map[vl] = path
+    if rng.random() < 0.08:
+        node_map[rng.choice(req.vns)] = 99
+    if rng.random() < 0.08:
+        del node_map[rng.choice(req.vns)]
+    if rng.random() < 0.08:
+        link_map[(97, 98)] = [net.edges[0]]
+    return net, req, Embedding("r", node_map, link_map)
+
+
+def _reference_outcome(net, req, emb, against_residuals):
+    try:
+        violations, _use = check_reference(net, req, emb, against_residuals)
+    except ModelError as exc:
+        return type(exc), str(exc)
+    return not violations, violations
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(0, 10 ** 6))
+@example(240)  # a VN missing from the node map and an extra VL: the node map is named first
+def test_property_check_matches_its_frozen_reference(seed):
+    # the one-pass check gives the frozen copy's violations in the same order
+    # and text, and raises what it raises with the same message; commit
+    # refuses exactly when it finds violations against the residuals
+    net, req, emb = _mutated_embedding(random.Random(seed))
+    for against_residuals in (False, True):
+        expected = _reference_outcome(net, req, emb, against_residuals)
+        assert _outcome(lambda: validate_embedding(net, req, emb, against_residuals)) == expected
+    dup = net.copy()  # `expected` is now the outcome against the residuals, as commit checks
+    got = _outcome(lambda: commit(dup, req, emb))
+    if expected[0] is True:
+        cpu, bw = footprint([(req, emb)])
+        assert got == (cpu, bw)
+        assert all(dup.residual_cpu[sn] == net.residual_cpu[sn] - d for sn, d in cpu.items())
+        assert all(dup.residual_bw[k] == net.residual_bw[k] - d for k, d in bw.items())
+    else:
+        refusal = expected if expected[0] is not False else (
+            CommitError, "infeasible commit: " + "; ".join(map(str, expected[1])))
+        assert got == refusal
+        assert dup.residual_cpu == net.residual_cpu and dup.residual_bw == net.residual_bw

@@ -22,6 +22,8 @@ from oracles import (
     _dfs_tree_reference,
     decompose_paths_reference,
     first_fit_paths,
+    mdkp_exact_reference,
+    mdkp_greedy_reference,
     mkp_best_profit,
     pack_mkp_reference,
     procedure_pe_reference,
@@ -434,15 +436,14 @@ def test_property_procedure_pe_matches_fraction_key_reference(seed):
     assert net.residual_bw == ref_net.residual_bw
 
 
-def _assert_funding_sizes_are_footprints(net, reqs):
-    # every funding instance procedure_pe builds: item idx's sparse sizes,
-    # read off placement idx's path slice, are the `footprint` of that
-    # placement's embedding mapped through the dimension index
+def _funding_calls(net, reqs):
+    """Run procedure_pe and return, per funding call, the placements, the
+    residual CPU and BW maps before it, and the MDKP instance it solved."""
     calls = []
     assign, solve = path_embedding.assign_mdkp, path_embedding.solve_mdkp
 
     def recording_assign(net, placements, mode="greedy"):
-        calls.append([placements, {d: i for i, d in enumerate([*net.nodes, *net.edges])}])
+        calls.append([placements, dict(net.residual_cpu), dict(net.residual_bw)])
         return assign(net, placements, mode=mode)
 
     def recording_solve(inst, mode="greedy"):
@@ -454,12 +455,29 @@ def _assert_funding_sizes_are_footprints(net, reqs):
         monkeypatch.setattr(path_embedding, "solve_mdkp", recording_solve)
         procedure_pe(net, reqs)
     assert calls
-    for placements, dim_index, inst in calls:
+    return calls
+
+
+def _assert_funding_sizes_are_footprints(net, reqs):
+    # every funding instance procedure_pe builds: its dimensions are the SNs
+    # and SLs the placements touch, numbered at first touch (placement by
+    # placement, its SNs then its SLs, SN and SL keys apart); item idx's
+    # sparse sizes, read off placement idx's path slice, are the `footprint`
+    # of that placement's embedding mapped through that numbering, and the
+    # capacities are the residuals of those SNs and SLs and of nothing else
+    for placements, residual_cpu, residual_bw, inst in _funding_calls(net, reqs):
         assert [item[0] for item in inst.items] == list(range(len(placements)))
+        dims = {}
         for (_idx, profit, sizes), pl in zip(inst.items, placements):
-            use = footprint([(pl.req, pl.to_embedding())])
+            cpu, bw = footprint([(pl.req, pl.to_embedding())])
+            use = {**{("SN", sn): q for sn, q in cpu.items()}, **{("SL", k): q for k, q in bw.items()}}
+            for d in use:
+                dims.setdefault(d, len(dims))
             assert profit == pl.req.revenue
-            assert sizes == {dim_index[d]: q for part in use for d, q in part.items()}
+            assert sizes == {dims[d]: q for d, q in use.items()}
+        residual = {("SN", sn): q for sn, q in residual_cpu.items()}
+        residual.update({("SL", k): q for k, q in residual_bw.items()})
+        assert inst.capacities == [residual[d] for d in dims]
 
 
 @settings(max_examples=100, deadline=None)
@@ -471,12 +489,50 @@ def test_property_funding_sizes_are_footprints(seed):
 @settings(max_examples=50, deadline=None)
 @given(st.integers(0, 10 ** 6))
 def test_property_funding_sizes_are_footprints_on_tuple_ids(seed):
-    # the EDP reduction names its SNs ("n", v) and ("c", v)
-    rng = random.Random(seed)
+    _assert_funding_sizes_are_footprints(*_edp_instance(random.Random(seed)))
+
+
+def _edp_instance(rng):
+    """The EDP reduction of a random graph and pairs: its SNs are named ("n", v) and ("c", v)."""
     g = random_connected_graph(rng, rng.randint(2, 8))
     pairs = [tuple(rng.sample(list(g.nodes), 2)) for _ in range(rng.randint(1, 6))]
     red = gen_edp_reduction(list(g.nodes), list(g.edges), pairs)
-    _assert_funding_sizes_are_footprints(red.net, red.requests)
+    return red.net, red.requests
+
+
+def _assert_sparse_funding_selects_as_dense(net, reqs):
+    # every funding instance procedure_pe builds, over the touched SNs and SLs
+    # alone, selects what the dense instance of the same placements over every
+    # SN then every SL selects under the Fraction-key references: greedy, and
+    # exhaustive up to EXACT_ITEM_LIMIT items (the exact search bounds with a
+    # surrogate capacity that counts the touched dimensions only)
+    index = {d: i for i, d in enumerate([*(("SN", v) for v in net.nodes), *(("SL", k) for k in net.edges)])}
+    for placements, residual_cpu, residual_bw, inst in _funding_calls(net, reqs):
+        caps = [residual_cpu[v] for v in net.nodes] + [residual_bw[k] for k in net.edges]
+        dense = []
+        for idx, pl in enumerate(placements):
+            cpu, bw = footprint([(pl.req, pl.to_embedding())])
+            sizes = [0] * len(index)
+            for sn, q in cpu.items():
+                sizes[index["SN", sn]] = q
+            for k, q in bw.items():
+                sizes[index["SL", k]] = q
+            dense.append((idx, pl.req.revenue, tuple(sizes)))
+        assert solve_mdkp(inst) == mdkp_greedy_reference(caps, dense)
+        if len(dense) <= EXACT_ITEM_LIMIT:
+            assert solve_mdkp(inst, mode="exact") == mdkp_exact_reference(caps, dense)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10 ** 6))
+def test_property_sparse_funding_selects_as_the_dense_instance(seed):
+    _assert_sparse_funding_selects_as_dense(*_random_pipeline_instance(random.Random(seed)))
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 10 ** 6))
+def test_property_sparse_funding_selects_as_the_dense_instance_on_tuple_ids(seed):
+    _assert_sparse_funding_selects_as_dense(*_edp_instance(random.Random(seed)))
 
 
 def test_pack_mkp_builds_the_ratio_key_once(monkeypatch):

@@ -18,6 +18,7 @@ from oracles import (
     brute_force_simplex_cycle,
     candidate_embeddings,
     max_accepted,
+    ring_order,
     ring_tableaux,
     supereulerian_reference,
 )
@@ -205,12 +206,31 @@ class TestSimplexBruteForce:
             brute_force_simplex_cycle(net, req)
 
     def test_enumeration_costs_are_exact(self):
+        # each tableau's cost is Σ hops_j·d_j, the hops from host j to host
+        # j + 1 (the last back to the start) counted by stepping along
+        # ring_order in the tableau's direction, one SN at a time
         rng = random.Random(17)
+        checked = 0
         for _ in range(20):
             net, req = random_ring_instance(rng)
-            for start, _direction, hosts, _cost in ring_tableaux(net, req):
+            order = ring_order(net)
+            m, n = len(order), req.n_vns
+            for start, direction, hosts, cost in ring_tableaux(net, req):
                 assert len(set(hosts)) == len(hosts)
                 assert hosts[0] == start
+                step = 1 if direction == "+" else -1
+                hops = []
+                for j in range(n):
+                    cur, target, count = order.index(hosts[j]), hosts[(j + 1) % n], 0
+                    while True:
+                        cur, count = (cur + step) % m, count + 1
+                        if order[cur] == target:
+                            break
+                    hops.append(count)
+                assert sum(hops) == m  # one wrap around the ring
+                assert cost == sum(h * req.bw_demand[vl] for h, vl in zip(hops, req.vls))
+                checked += 1
+        assert checked > 0
 
 
 class TestBruteForceBatch:
