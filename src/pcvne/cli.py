@@ -77,12 +77,16 @@ def _load(path):
 
 def _emit_batch(out, algorithm, batch, total):
     ratio, revenue = batch_metrics(batch, total)
+    try:
+        revenue = float(revenue)
+    except OverflowError:  # exact revenues are unbounded; the report's float is not
+        raise ModelError("revenue: the accepted requests' total is too large for a float") from None
     payload = {
         "algorithm": algorithm,
         "accepted": batch.accepted_ids(),
         "total_requests": total,
         "acceptance_ratio": float(ratio),
-        "revenue": float(revenue),
+        "revenue": revenue,
         "embeddings": [jsonio.embedding_to_dict(req, emb) for req, emb in batch.items],
     }
     jsonio.dump_json(payload, out)

@@ -109,21 +109,21 @@ def gen_requests(spec, seed):
         raise SpecError("cycle requests need at least 3 VNs")
     if shape is Shape.PATH and lo < 1:
         raise SpecError("path requests need at least one link")
+    draw = rng.randrange  # randrange(a, b + 1) is what randint(a, b) calls: the same stream
     requests = []
     for k in range(spec.count):
-        length = rng.randint(lo, hi)
+        length = draw(lo, hi + 1)
         n_vns = length + 1 if shape is Shape.PATH else length
         vns = list(range(n_vns))
-        if shape is Shape.PATH:
-            vls = [(i, i + 1) for i in range(n_vns - 1)]
-        else:
-            vls = [(i, (i + 1) % n_vns) for i in range(n_vns)]
-        cpu = {v: rng.randint(dlo, dhi) for v in vns}
-        bw = {edge_key(u, v): rng.randint(dlo, dhi) for u, v in vls}
+        vls = list(zip(vns, vns[1:]))  # canonical links, the closing one of a cycle last
+        if shape is Shape.CYCLE:
+            vls.append((0, n_vns - 1))
+        demands = [draw(dlo, dhi + 1) for _ in range(n_vns + len(vls))]  # CPU per VN, then BW per link
         revenue = 1 if spec.revenue_rule == "unit" else n_vns
         requests.append(VirtualRequest(
             req_id=k, shape=shape, vns=vns, vls=vls,
-            cpu_demand=cpu, bw_demand=bw, revenue=revenue,
+            cpu_demand=dict(zip(vns, demands)), bw_demand=dict(zip(vls, demands[n_vns:])),
+            revenue=revenue,
         ))
     return requests
 

@@ -31,20 +31,22 @@ def _q_out(x):
 
 
 def instance_to_dict(net, requests):
+    cpu, bw = net.cpu_capacity, net.bw_capacity
     return {
-        "nodes": [{"id": v, "cpu": _q_out(net.cpu_capacity[v])} for v in net.nodes],
-        "edges": [{"u": u, "v": v, "bw": _q_out(net.bw_capacity[(u, v)])}
+        "nodes": [{"id": v, "cpu": q if type(q := cpu[v]) is int else _q_out(q)} for v in net.nodes],
+        "edges": [{"u": u, "v": v, "bw": q if type(q := bw[(u, v)]) is int else _q_out(q)}
                   for u, v in net.edges],
         "requests": [request_to_dict(r) for r in requests],
     }
 
 
 def request_to_dict(req):
+    cpu, bw = req.cpu_demand, req.bw_demand
     return {
         "id": req.req_id,
         "shape": req.shape.value,
-        "vns": [{"id": v, "cpu": _q_out(req.cpu_demand[v])} for v in req.vns],
-        "vls": [{"u": u, "v": v, "bw": _q_out(req.bw_demand[(u, v)])} for u, v in req.vls],
+        "vns": [{"id": v, "cpu": q if type(q := cpu[v]) is int else _q_out(q)} for v in req.vns],
+        "vls": [{"u": u, "v": v, "bw": q if type(q := bw[(u, v)]) is int else _q_out(q)} for u, v in req.vls],
         "revenue": _q_out(req.revenue),
     }
 
@@ -58,6 +60,9 @@ def instance_from_dict(data):
 
 
 def _parse_instance(data):
+    """The instance in `data`, read in one pass that builds each link tuple
+    once. A field defect raises a lookup or type error here, which
+    `_name_defect` then names."""
     node_list, edge_list = _list(data, "nodes", "instance"), _list(data, "edges", "instance")
     nodes = [n["id"] for n in node_list]
     cpu = {n["id"]: n["cpu"] for n in node_list}
@@ -67,24 +72,22 @@ def _parse_instance(data):
     requests = []
     seen = set()
     for i, r in enumerate(_list(data, "requests", "instance", [])):
-        where = f"requests[{i}]"
-        req_id = _id(r, "id", where, i)
+        if not isinstance(r, dict):  # this test and the next are those of `_id` and `_list`
+            raise TypeError
+        req_id, vns, vls = r.get("id", i), r["vns"], r["vls"]
+        if not (isinstance(req_id, _SCALARS) and isinstance(vns, list) and isinstance(vls, list)):
+            raise TypeError
         if req_id in seen:
-            raise InstanceFormatError(f"{where}.id: duplicate id {req_id!r}")
+            raise InstanceFormatError(f"requests[{i}].id: duplicate id {req_id!r}")
         seen.add(req_id)
-        vns, vls = _list(r, "vns", where), _list(r, "vls", where)
+        links = [(l["u"], l["v"]) for l in vls]
         try:
             requests.append(VirtualRequest(
-                req_id=req_id,
-                shape=Shape(r["shape"]),
-                vns=[v["id"] for v in vns],
-                vls=[(l["u"], l["v"]) for l in vls],
-                cpu_demand={v["id"]: v["cpu"] for v in vns},
-                bw_demand={(l["u"], l["v"]): l["bw"] for l in vls},
-                revenue=r.get("revenue", 1),
-            ))
+                req_id, Shape(r["shape"]), [v["id"] for v in vns], links,
+                {v["id"]: v["cpu"] for v in vns}, dict(zip(links, [l["bw"] for l in vls])),
+                r.get("revenue", 1)))
         except ModelError as exc:  # a field defect still takes precedence, by `_name_defect`
-            raise ModelError(f"{where}: {exc}") from None
+            raise ModelError(f"requests[{i}]: {exc}") from None
     return net, requests
 
 
@@ -150,14 +153,25 @@ def _check_entries(obj, key, where, fields):
 
 
 def dump_instance(net, requests, fp):
-    """Write the instance by `dump_json`, one node, edge or request per line;
-    ids must be scalars."""
-    ids = chain(net.nodes, *net.edges, chain.from_iterable(  # lazy, so it adds no GC passes
-        chain((r.req_id,), r.vns, *r.vls) for r in requests))
-    data = instance_to_dict(net, requests)
-    if not set(map(type, ids)).issubset(_SCALARS):  # exact types; `_id` lets subclasses pass
+    """Write `instance_to_dict(net, requests)` by `dump_json`, one node, edge
+    or request per line; ids must be scalars. One walk over the requests
+    gathers their id types and encodes each request's dict as soon as it is
+    built, so no request dict outlives its line."""
+    head = instance_to_dict(net, [])
+    types = set(map(type, chain(net.nodes, *net.edges)))
+    lines = []
+    try:
+        for r in requests:
+            types.update(map(type, chain((r.req_id,), r.vns, *r.vls)))
+            lines.append(json.dumps(request_to_dict(r)))
+    except TypeError:  # an id JSON cannot encode: named below
+        lines = None
+    if lines is not None and types.issubset(_SCALARS):  # exact types; `_id` lets subclasses pass
+        _write_json(head, {"requests": lines}, fp)
+    else:
+        data = instance_to_dict(net, requests)
         _name_defect(data)  # a tuple would load as a list: raise
-    dump_json(data, fp)
+        dump_json(data, fp)
 
 
 def dump_json(obj, fp):
@@ -165,12 +179,18 @@ def dump_json(obj, fp):
     (an indented dump would not). A non-empty list takes one entry per line;
     a dict one key per line, where a list value does too and any other value
     stays on its key's line. Any JSON layout loads back the same."""
-    def block(x):
-        if isinstance(x, list) and x:
-            return "[\n" + ",\n".join(map(json.dumps, x)) + "\n]"
-        return json.dumps(x)
+    _write_json(obj, {}, fp)
+
+
+def _write_json(obj, encoded, fp):
+    """`dump_json`, where `encoded` maps a key of the dict `obj` to the JSON
+    texts of its list's entries, which then replace the list."""
+    def block(x, lines=None):
+        if lines is None and isinstance(x, list):
+            lines = list(map(json.dumps, x))
+        return "[\n" + ",\n".join(lines) + "\n]" if lines else json.dumps(x)
     if isinstance(obj, dict):
-        fp.write("{" + ",\n".join(f"{json.dumps(k)}: {block(v)}" for k, v in obj.items()) + "}\n")
+        fp.write("{" + ",\n".join(f"{json.dumps(k)}: {block(v, encoded.get(k))}" for k, v in obj.items()) + "}\n")
     else:
         fp.write(block(obj) + "\n")
 

@@ -13,7 +13,8 @@ Both greedy orders (profit per unit size descending) sort on one exact int per
 item from `_ratio_key`, never a Fraction per comparison.
 Both MKP searches take the items in that order and give (position, knapsack)
 per packed item; `solve_mkp` maps them to ids. Greedy is one `first_fit`, so a
-caller keeping the items sorted sorts once; it stops once no item can fit.
+caller keeping the items sorted sorts once; it stops once no remaining item
+can fit.
 """
 
 from __future__ import annotations
@@ -182,20 +183,28 @@ def first_fit(capacities, items):
     """Greedy MKP over KpItems in MKP order (`order_items`): each item goes
     into the roomiest knapsack (ties: lower index), the top of a heap, if it
     fits there. Returns (position in `items`, knapsack) per packed item, in
-    item order. Stops once the top residual is below the smallest item size,
-    since no later item can fit, so no item past that point is read."""
+    item order. Stops at the first position where the top residual is below
+    every remaining size, since the top never grows and no later item can
+    fit. That smallest remaining size is looked up at an item that does not
+    fit, and again only once the walk has passed the item that holds it."""
     heap = [(-b, k) for k, b in enumerate(capacities)]
     heapq.heapify(heap)
     packed = []
-    smallest = min((it.size for it in items), default=0)
+    sizes = [it.size for it in items]
+    low, at = 0, -1  # low == min(sizes[j:]) for each j from the last lookup up to `at`
     top = -heap[0][0] if heap else -1
     for i, it in enumerate(items):
-        if top < smallest:
-            break
-        if it.size <= top:
+        size = it.size
+        if size <= top:
             packed.append((i, heap[0][1]))
-            heapq.heapreplace(heap, (it.size - top, heap[0][1]))
+            heapq.heapreplace(heap, (size - top, heap[0][1]))
             top = -heap[0][0]
+            continue
+        if i > at:
+            low = min(sizes[i:])
+            at = sizes.index(low, i)
+        if top < low:
+            break
     return packed
 
 

@@ -8,8 +8,10 @@ in the feasibility logic.
 from __future__ import annotations
 
 import enum
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import lt
 
 
 class ModelError(ValueError):
@@ -30,9 +32,17 @@ class CommitError(ModelError):
         self.violations = violations
 
 
+_int_digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)  # before Python 3.10.7: no limit, 0
+
+
 def as_quantity(x):
     """Coerce to an exact quantity. Floats go through their decimal repr so
-    that e.g. 2.5 becomes Fraction(5, 2) instead of a binary approximation."""
+    that e.g. 2.5 becomes Fraction(5, 2) instead of a binary approximation.
+    A string with an exponent is refused before it is expanded if its
+    mantissa's length plus the exponent's size passes Python's int/str digit
+    limit (`sys.get_int_max_str_digits()`, 0 for none), as a JSON int would."""
+    if type(x) is int:
+        return x
     if isinstance(x, bool):
         raise ModelError(f"bool is not a quantity: {x!r}")
     if isinstance(x, int):
@@ -43,6 +53,9 @@ def as_quantity(x):
         return as_quantity(str(x))
     if isinstance(x, str):
         try:
+            mantissa, e, exp = x.lower().rpartition("e")
+            if e and 0 < _int_digit_limit() < len(mantissa) + abs(int(exp)):
+                raise ValueError
             return as_quantity(Fraction(x))
         except (ValueError, ZeroDivisionError):
             raise ModelError(f"not a quantity: {x!r}") from None
@@ -193,7 +206,11 @@ class VirtualRequest:
     revenue: object = 1
 
     def __post_init__(self):
-        self.shape = Shape(self.shape)
+        if type(self.shape) is not Shape:
+            self.shape = Shape(self.shape)
+        if self._take_chain():
+            return
+        # otherwise the checks one by one, raising the first defect
         if len(set(self.vns)) != len(self.vns):
             raise ModelError("duplicate virtual node ids")
         vn_set = set(self.vns)
@@ -235,6 +252,36 @@ class VirtualRequest:
         self.revenue = as_quantity(self.revenue)
         if self.revenue < 0:
             raise ModelError("negative revenue")
+
+    def _take_chain(self):
+        """One pass for a valid path or cycle request on strictly ascending VN
+        ids, given as a list of canonical links, two dicts of positive int
+        demands and an int revenue: the links must be exactly the chain
+        through the VNs (a cycle closed by (first, last)) and each demand be
+        found under its VN or link. Sets the fields as the step-by-step checks
+        would and returns True; else changes nothing and returns False."""
+        vns, vls, cpu, bw, shape = self.vns, self.vls, self.cpu_demand, self.bw_demand, self.shape
+        if (type(vns) is not list or type(vls) is not list or type(cpu) is not dict
+                or type(bw) is not dict or type(self.revenue) is not int or self.revenue < 0):
+            return False
+        after = vns[1:]
+        chain = list(zip(vns, after))
+        if shape is Shape.CYCLE and len(vns) >= 3:
+            chain.append((vns[0], vns[-1]))
+        elif shape is not Shape.PATH:
+            return False
+        try:
+            if vls != chain or not all(map(lt, vns, after)):  # ascending: distinct, and each link canonical
+                return False
+            keys = list(map(tuple, vls))
+            cpu = {v: d for v in vns if type(d := cpu[v]) is int and d > 0}
+            bw = {k: d for k in keys if type(d := bw[k]) is int and d > 0}
+        except (KeyError, TypeError):
+            return False
+        if len(cpu) != len(vns) or len(bw) != len(keys):
+            return False
+        self.vls, self.cpu_demand, self.bw_demand = keys, cpu, bw
+        return True
 
     @property
     def n_vns(self):

@@ -5,6 +5,7 @@ enumeration, own modular arithmetic) so they share no solver logic with the
 code under test.
 """
 
+import heapq
 import math
 from collections import deque
 from fractions import Fraction
@@ -130,6 +131,25 @@ def sorted_first_fit(capacities, ordered_items):
                 assignment[it.item_id] = k
                 break
     return assignment
+
+
+def first_fit_stop_on_smallest_reference(capacities, items):
+    """A frozen copy of `knapsack.first_fit` before its stop test read the
+    remaining items: it stops once the top residual is below the smallest
+    size of all the items. (position, knapsack) per packed item."""
+    heap = [(-b, k) for k, b in enumerate(capacities)]
+    heapq.heapify(heap)
+    packed = []
+    smallest = min((it.size for it in items), default=0)
+    top = -heap[0][0] if heap else -1
+    for i, it in enumerate(items):
+        if top < smallest:
+            break
+        if it.size <= top:
+            packed.append((i, heap[0][1]))
+            heapq.heapreplace(heap, (it.size - top, heap[0][1]))
+            top = -heap[0][0]
+    return packed
 
 
 def _id_key(item_id):
@@ -591,6 +611,53 @@ def check_reference(net, req, emb, against_residuals):
         if used > bw_avail[k]:
             violations.append(Violation("bw", f"SL {k} needs {used}, has {bw_avail[k]}"))
     return violations, use
+
+
+def virtual_request_reference(req_id, shape, vns, vls, cpu_demand, bw_demand, revenue=1):
+    """A frozen copy of `VirtualRequest`'s checks before its one-pass rewrite:
+    the canonical (shape, vls, cpu_demand, bw_demand, revenue) of the request,
+    or the same exception with the same message. Every check runs in turn."""
+    shape = Shape(shape)
+    if len(set(vns)) != len(vns):
+        raise ModelError("duplicate virtual node ids")
+    vn_set = set(vns)
+    keys = []
+    for u, v in vls:
+        k = edge_key(u, v)
+        if u not in vn_set or v not in vn_set:
+            raise ModelError(f"virtual link {k} references unknown VN")
+        keys.append(k)
+    if len(set(keys)) != len(keys):
+        raise ModelError("duplicate virtual links")
+    n = len(vns)
+    if shape is Shape.PATH:
+        expected = [edge_key(vns[i], vns[i + 1]) for i in range(n - 1)]
+        if keys != expected:
+            raise ModelError("path request links must chain consecutive VNs")
+    elif shape is Shape.CYCLE:
+        if n < 3:
+            raise ModelError("cycle request needs at least 3 VNs")
+        expected = [edge_key(vns[i], vns[(i + 1) % n]) for i in range(n)]
+        if keys != expected:
+            raise ModelError("cycle request links must chain VNs and close")
+    for v in vns:
+        if v not in cpu_demand:
+            raise ModelError(f"missing cpu demand for {v!r}")
+    for k in keys:
+        if k not in bw_demand and (k[1], k[0]) not in bw_demand:
+            raise ModelError(f"missing bw demand for {k}")
+    cpu = {v: as_quantity(cpu_demand[v]) for v in vns}
+    bw = {k: as_quantity(bw_demand[k] if k in bw_demand else bw_demand[k[1], k[0]]) for k in keys}
+    for v, d in cpu.items():
+        if d <= 0:
+            raise ModelError(f"cpu demand must be positive at {v!r}")
+    for k, d in bw.items():
+        if d <= 0:
+            raise ModelError(f"bw demand must be positive at {k}")
+    revenue = as_quantity(revenue)
+    if revenue < 0:
+        raise ModelError("negative revenue")
+    return shape, keys, cpu, bw, revenue
 
 
 def max_accepted(net, requests):

@@ -1,8 +1,10 @@
+import hashlib
 import io
 import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -178,6 +180,51 @@ def test_deeply_nested_instance_is_a_clean_error(tmp_path, capsys, raw, reason):
     out, err = capsys.readouterr()
     assert out == "" and err.startswith(f"error: not JSON: {reason}")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("quantity", ["1e10000000", "1e-20000"])
+def test_quantity_with_a_huge_exponent_is_refused_before_it_is_expanded(tmp_path, capsys, quantity):
+    # Fraction("1e10000000") writes out ten million digits: the run took 10.7 s
+    # and exited 0; an exponent either way past the int digit limit is now a
+    # clean error
+    inst = tmp_path / "inst.json"
+    inst.write_text('{"nodes": [{"id": 0, "cpu": "%s"}], "edges": [], "requests": []}' % quantity)
+    with pytest.raises(SystemExit) as exc:
+        main(["embed-generic", "--instance", str(inst)])
+    assert exc.value.code == 2
+    assert capsys.readouterr() == ("", f"error: instance.nodes[0].cpu: not a quantity: '{quantity}'\n")
+
+
+def test_quantity_with_a_small_exponent_loads(tmp_path, capsys):
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps({"nodes": [{"id": 0, "cpu": "2.5e1"}], "edges": [], "requests": [
+        {"id": "r", "shape": "path", "vns": [{"id": 0, "cpu": "1E1"}], "vls": [], "revenue": "15e-1"}]}))
+    with inst.open() as fp:
+        net, [req] = load_instance(fp)
+    assert (net.cpu_capacity[0], req.cpu_demand[0], req.revenue) == (25, 10, Fraction(3, 2))
+    assert type(net.cpu_capacity[0]) is int
+    main(["embed-generic", "--instance", str(inst)])
+    assert json.loads(capsys.readouterr().out)["embeddings"][0]["revenue"] == "3/2"
+
+
+_HUGE_REVENUE = 10 ** 400  # a valid JSON integer, past the largest float
+
+
+@pytest.mark.parametrize("command, shape", [("embed-paths", "path"), ("embed-generic", "path"),
+                                            ("embed-cycles", "cycle")])
+def test_revenue_past_the_largest_float_is_a_clean_error(tmp_path, capsys, command, shape):
+    # the report's float(revenue) raised a raw OverflowError after the run
+    data = _ring_instance()
+    if shape == "path":
+        data["requests"][0].update(shape="path", vns=data["requests"][0]["vns"][:2],
+                                   vls=data["requests"][0]["vls"][:1])
+    data["requests"][0]["revenue"] = _HUGE_REVENUE
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps(data))
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--instance", str(inst)])
+    assert exc.value.code == 2
+    assert capsys.readouterr() == ("", "error: revenue: the accepted requests' total is too large for a float\n")
 
 
 def test_missing_instance_file_is_a_clean_error(tmp_path, capsys):
@@ -537,6 +584,18 @@ def test_verify_theory_default_table_is_golden(capsys):
     main(["verify-theory"])
     golden = Path(__file__).resolve().parent / "data" / "verify_theory.out"
     assert capsys.readouterr() == (golden.read_text(), "")
+
+
+_GENERATE_DIGESTS = json.loads((Path(__file__).resolve().parent / "data" / "generate_digests.json").read_text())
+
+
+@pytest.mark.parametrize("name", sorted(_GENERATE_DIGESTS))
+def test_generate_bytes_at_the_north_star_scales(capsys, name):
+    # the sha256 of `generate`'s stdout pins the random stream and the dump layout
+    main(_GENERATE_DIGESTS[name]["argv"])
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == _GENERATE_DIGESTS[name]["sha256"]
 
 
 def test_console_entry_point():

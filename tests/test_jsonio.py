@@ -119,6 +119,11 @@ def _tuple_vn_request():
                           cpu_demand={a: 1, b: 1}, bw_demand={(a, b): 1})
 
 
+def _fraction_end_request():
+    return VirtualRequest(req_id=0, shape=Shape.PATH, vns=[0, 1], vls=[(Fraction(0), 1)],
+                          cpu_demand={0: 1, 1: 1}, bw_demand={(0, 1): 1})
+
+
 def _edp_instance():
     red = gen_edp_reduction([0, 1, 2], [(0, 1), (1, 2)], [(0, 2)])  # SNs ("n", v), ("c", v)
     return red.net, red.requests
@@ -135,6 +140,15 @@ def test_dump_refuses_ids_json_cannot_hold(instance, field):
     fp = io.StringIO()
     with pytest.raises(InstanceFormatError, match=re.escape(f"{field}: expected a scalar id, got tuple")):
         dump_instance(net, requests, fp)
+    assert fp.getvalue() == ""
+
+
+def test_dump_refuses_a_link_end_json_cannot_encode():
+    # a link end equal to its VN id is kept as given; JSON cannot encode this
+    # one, which the walk that encodes each request meets first
+    fp = io.StringIO()
+    with pytest.raises(InstanceFormatError, match=re.escape("requests[0].vls[0].u: expected a scalar id, got Fraction")):
+        dump_instance(make_net([0, 1], [(0, 1)], 5, 5), [_fraction_end_request()], fp)
     assert fp.getvalue() == ""
 
 

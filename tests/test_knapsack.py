@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    first_fit_stop_on_smallest_reference,
     item_order_key,
     kp_best_profit,
     mdkp_best_profit,
@@ -314,6 +315,56 @@ def test_property_first_fit_matches_sorted_first_fit(caps, items, mkp_order):
     assignment = dict.fromkeys(it.item_id for it in items)
     assignment.update((items[i].item_id, k) for i, k in packed)
     assert assignment == sorted_first_fit(caps, items)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 12), max_size=4),
+       st.lists(st.builds(KpItem, item_id=st.integers(0, 40), size=st.integers(0, 9), profit=_PROFITS),
+                max_size=20, unique_by=lambda it: it.item_id),
+       st.booleans())
+# sizes that fall and rise again, so the smallest remaining size moves often
+@example([9, 4], [KpItem(i, s, 1) for i, s in enumerate([6, 1, 7, 2, 8, 1, 9, 3, 5, 4, 9])], False)
+def test_property_first_fit_packs_as_its_frozen_predecessor(caps, items, mkp_order):
+    # the stop on the smallest remaining size changes only how far the walk reads
+    if mkp_order:
+        items = order_items(items)
+    assert first_fit(caps, items) == first_fit_stop_on_smallest_reference(caps, items)
+
+
+class _ReadCounted:
+    """An item that counts the reads of its size."""
+
+    def __init__(self, size, reads):
+        self._size, self._reads = size, reads
+
+    @property
+    def size(self):
+        self._reads.append(self._size)
+        return self._size
+
+
+def test_first_fit_stops_after_the_last_item_that_can_fit():
+    # unit revenue puts the items in length order, as on the path-oversub
+    # workload: once the 4s are packed only 2 units are left, and no 7 fits.
+    # Stopping on the smallest size of all (2) read every 7 to the end
+    sizes = [2] * 3 + [4] * 3 + [7] * 54
+    items = order_items([KpItem(i, s, 1) for i, s in enumerate(sizes)])
+    assert [it.size for it in items] == sizes
+    reads = []
+    packed = first_fit([10, 10], [_ReadCounted(it.size, reads) for it in items])
+    assert packed == first_fit_stop_on_smallest_reference([10, 10], items)
+    assert [i for i, _k in packed] == list(range(6))
+    assert len(reads) == len(items) + 7  # one pass for the sizes, then the walk reads 7 items
+
+
+def test_first_fit_looks_up_the_smallest_remaining_size_again_once_past_it():
+    # the 7 of ratio 2 does not fit, but the 1 after it does; once the 1 is
+    # packed the smallest remaining size is 7 again, above the 5 units left
+    items = order_items([KpItem(0, 7, 14), KpItem(1, 1, 1)] + [KpItem(i, 7, 1) for i in range(2, 52)])
+    reads = []
+    packed = first_fit([6], [_ReadCounted(it.size, reads) for it in items])
+    assert packed == [(1, 0)] == first_fit_stop_on_smallest_reference([6], items)
+    assert len(reads) == len(items) + 3
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,6 +1,9 @@
+import copy
 import io
 import random
+from collections import namedtuple
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import example, given, settings
@@ -8,6 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import make_cycle_request, make_net, make_path_request, path_net, random_connected_graph
 from pcvne.baseline import generic_embed
+from pcvne.generators import RequestSpec, SubstrateSpec, gen_requests, gen_substrate
 from pcvne.jsonio import dump_instance, load_instance
 from pcvne.model import (
     CommitError,
@@ -25,7 +29,7 @@ from pcvne.model import (
     footprint,
     validate_embedding,
 )
-from oracles import check_reference, release
+from oracles import check_reference, release, virtual_request_reference
 from test_baseline import sparse_instance
 
 
@@ -127,6 +131,147 @@ class TestVirtualRequest:
         req = VirtualRequest(req_id=0, shape=Shape.PATH, vns=[], vls=[],
                              cpu_demand={}, bw_demand={})
         assert req.n_vns == 0 and req.length == 0
+
+
+def _quantity(rng, mixed):
+    x = rng.randint(1, 6)
+    kind = rng.choice(["int", "int", "fraction", "whole-fraction", "p/q"] if mixed else ["int"])
+    if kind == "fraction":
+        return Fraction(x, rng.randint(2, 4))
+    if kind == "whole-fraction":  # coerced to an int
+        return Fraction(x)
+    if kind == "p/q":
+        return f"{x}/{rng.randint(1, 3)}"
+    return x
+
+
+def _request_args(rng):
+    """The arguments of a random valid path, cycle or general request: int or
+    string VN ids, ascending or not; links in chain order, some reversed, a
+    cycle closed in either orientation; int quantities, or int, Fraction and
+    "p/q" ones mixed; each BW keyed by its link or the reversed link."""
+    shape = rng.choice([Shape.PATH, Shape.PATH, Shape.CYCLE, Shape.CYCLE, Shape.GENERAL])
+    n = rng.randint(3 if shape is Shape.CYCLE else 0, 6)
+    vns = rng.choice([list(range(n)), sorted(rng.sample(range(-5, 20), n)), [f"v{i}" for i in range(n)]])
+    if rng.random() < 0.3:
+        rng.shuffle(vns)
+    if shape is Shape.GENERAL:
+        pairs = list(combinations(vns, 2))
+        links = rng.sample(pairs, rng.randint(0, len(pairs)))
+    else:
+        links = list(zip(vns, vns[1:]))
+        if shape is Shape.CYCLE:
+            links.append(rng.choice([(vns[0], vns[-1]), (vns[-1], vns[0])]))
+    if rng.random() < 0.3:
+        links = [l[::-1] if rng.random() < 0.3 else l for l in links]
+    mixed = rng.random() < 0.5
+    return dict(req_id="r", shape=shape, vns=vns, vls=links,
+                cpu_demand={v: _quantity(rng, mixed) for v in vns},
+                bw_demand={l if rng.random() < 0.9 else l[::-1]: _quantity(rng, mixed) for l in links},
+                revenue=rng.choice([0, 1, 7, _quantity(rng, mixed)]))
+
+
+_Link = namedtuple("_Link", "u v")
+
+
+def _corrupt(rng, args):
+    """One field of `args` broken or altered, or none."""
+    vns, links, cpu, bw = args["vns"], args["vls"], args["cpu_demand"], args["bw_demand"]
+    kind = rng.choice(["none", "none", "duplicate-vn", "unhashable-vn", "incomparable-vn", "drop-cpu",
+                       "extra-cpu", "drop-bw", "zero", "negative", "bool", "float", "bad-string",
+                       "self-loop", "unknown-vn", "list-link", "drop-link", "duplicate-link",
+                       "swap-links", "reverse-links", "tuple-links", "named-links", "revenue", "shape",
+                       "two-vn-cycle"])
+    i = rng.randrange(len(links)) if links else None
+    if kind == "duplicate-vn" and vns:
+        vns.append(vns[0])
+    elif kind == "unhashable-vn" and vns:
+        vns[0] = [vns[0]]
+    elif kind == "incomparable-vn" and vns:
+        vns[-1] = None
+    elif kind == "drop-cpu" and cpu:
+        del cpu[rng.choice(list(cpu))]
+    elif kind == "extra-cpu":
+        cpu["extra"] = 1
+    elif kind == "drop-bw" and bw:
+        del bw[rng.choice(list(bw))]
+    elif kind in ("zero", "negative", "bool", "float", "bad-string") and (cpu or bw):
+        target = rng.choice([d for d in (cpu, bw) if d])
+        value = {"zero": 0, "negative": -2, "bool": True, "float": 2.5, "bad-string": "abc"}[kind]
+        target[rng.choice(list(target))] = value
+    elif kind == "self-loop" and links:
+        links[i] = (links[i][0], links[i][0])
+    elif kind == "unknown-vn" and links:
+        links[i] = (links[i][0], 99)
+    elif kind == "list-link" and links:
+        links[i] = list(links[i])
+    elif kind == "drop-link" and links:
+        del links[i]
+    elif kind == "duplicate-link" and links:
+        links.append(links[i][::-1])
+    elif kind == "swap-links" and len(links) > 1:
+        links[0], links[-1] = links[-1], links[0]
+    elif kind == "reverse-links":
+        links[:] = [l[::-1] for l in links]
+    elif kind == "tuple-links":
+        args["vls"] = tuple(links)
+    elif kind == "named-links":  # equal to plain tuples, which the request keeps instead
+        args["vls"] = [_Link(*l) for l in links]
+    elif kind == "revenue":
+        args["revenue"] = rng.choice([-1, True, "x", Fraction(-1, 2), 2.5])
+    elif kind == "shape":
+        args["shape"] = rng.choice([s for s in Shape if s is not args["shape"]])
+    elif kind == "two-vn-cycle":
+        args.update(shape=Shape.CYCLE, vns=vns[:2], vls=links[:1])
+    return kind
+
+
+def _typed(pairs):
+    return [(type(k), k, type(v), v) for k, v in pairs]
+
+
+def _construction(build, args):
+    """What `build(**args)` gives, as (shape, links, CPU, BW, revenue) with
+    every type, or (exception type, message)."""
+    try:
+        shape, links, cpu, bw, revenue = build(**copy.deepcopy(args))
+    except Exception as exc:  # the reference raises what the parent raised, ModelError or not
+        return type(exc), str(exc)
+    return (shape, [(type(l), _typed([l])) for l in links], _typed(cpu.items()), _typed(bw.items()),
+            (type(revenue), revenue))
+
+
+def _fields(**args):
+    req = VirtualRequest(**args)
+    return req.shape, req.vls, req.cpu_demand, req.bw_demand, req.revenue
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.integers(0, 10 ** 6), st.booleans())
+@example(337, True)  # named-tuple links on the one pass: the request keeps plain tuples
+def test_property_request_checks_match_their_frozen_reference(seed, corrupt):
+    # the one pass and the step-by-step checks give the frozen copy's fields,
+    # with their types, and raise what it raises with the same message
+    rng = random.Random(seed)
+    args = _request_args(rng)
+    if corrupt:
+        _corrupt(rng, args)
+    assert _construction(_fields, args) == _construction(virtual_request_reference, args)
+
+
+def test_generated_and_loaded_requests_take_the_one_pass(monkeypatch):
+    # generator output and dumped files (a cycle closed by (0, n - 1)) never
+    # need the step-by-step checks
+    taken, one_pass = [], VirtualRequest._take_chain
+    monkeypatch.setattr(VirtualRequest, "_take_chain", lambda self: taken.append(one_pass(self)) or taken[-1])
+    net = gen_substrate(SubstrateSpec(n_nodes=12, n_edges=20), 1)
+    for shape in ("path", "cycle"):
+        reqs = gen_requests(RequestSpec(shape=shape, count=30, length_range=(3, 6)), 2)
+        buf = io.StringIO()
+        dump_instance(net, reqs, buf)
+        buf.seek(0)
+        assert load_instance(buf)[1] == reqs
+    assert taken == [True] * 120
 
 
 class TestValidateEmbedding:
