@@ -6,15 +6,14 @@ oracle-scale inputs: both prune with one fractional-knapsack bound
 (`_fractional_bound`) and refuse instances above `EXACT_ITEM_LIMIT` items
 rather than silently blowing up.
 All arithmetic is exact (ints / Fractions), feasibility has no tolerance.
-MDKP item sizes are dense length-d sequences or sparse {dimension: size}
-mappings; the MDKP solvers read each item's nonzero dimensions in one pass,
-which also sums its surrogate weight from one int unit per dimension.
 Both greedy orders (profit per unit size descending) sort on one exact int per
-item from `_ratio_key`, never a Fraction per comparison.
-Both MKP searches take the items in that order and give (position, knapsack)
-per packed item; `solve_mkp` maps them to ids. Greedy is one `first_fit`, so a
-caller keeping the items sorted sorts once; it stops once no remaining item
-can fit.
+item from `_ratio_key`, never a Fraction per comparison; `mkp_order` sorts any
+items given as plain profits, sizes and ids. Both MKP searches give (position,
+knapsack) per packed item; greedy is one `first_fit` over plain sizes, which
+stops once no remaining item can fit. MDKP sizes are dense length-d sequences
+or sparse {dimension: size} mappings, read once per item for its nonzero pairs
+and its surrogate weight (one int unit per dimension); a `weighed` instance
+brings those along, so the solvers do not walk its sizes again.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from __future__ import annotations
 import heapq
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .model import ModelError, as_quantity
@@ -63,10 +62,12 @@ class MkpInstance:
 class MdkpInstance:
     """d capacities and (item_id, profit, sizes) items, where `sizes` is a
     length-d sequence or a {dimension index in 0..d-1: size} mapping (absent
-    dimensions are 0). Items keep their form (tuple or dict), quantities normalised."""
+    dimensions are 0). Items keep their form (tuple or dict), quantities
+    normalised. `scale` is None but on a `weighed` instance."""
 
     capacities: list  # d non-negative quantities
     items: list       # (item_id, profit, sizes)
+    scale: int | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.capacities = [as_quantity(b) for b in self.capacities]
@@ -95,11 +96,14 @@ class MdkpInstance:
         self.items = norm
 
     @classmethod
-    def trusted(cls, capacities, items):
-        """An instance taken as given, unchecked: only for exact, non-negative
-        quantities and in-range sparse indices, e.g. validated residuals and demands."""
+    def weighed(cls, capacities, items, scale):
+        """An instance whose items come as `_mdkp_items` reads them: (item_id,
+        profit, nonzero (dimension, size) pairs, surrogate weight), each weight
+        the capacity-normalized size sum times `scale` (a pair on a zero
+        capacity weighs 0; its item never fits). Taken as given, unchecked:
+        only for exact, validated quantities, e.g. residuals and demands."""
         inst = object.__new__(cls)
-        inst.capacities, inst.items = capacities, items
+        inst.capacities, inst.items, inst.scale = capacities, items, scale
         return inst
 
     @property
@@ -108,9 +112,17 @@ class MdkpInstance:
 
 
 def order_items(items):
-    """KpItems in MKP order: profit/size descending, then smaller size, then lower id."""
-    key = _ratio_key((it.profit for it in items), (it.size for it in items))
-    return sorted(items, key=lambda it: key(it.profit, it.size, it.item_id))
+    """KpItems in MKP order (`mkp_order`)."""
+    profits, sizes, ids = [it.profit for it in items], [it.size for it in items], [it.item_id for it in items]
+    return [items[i] for i in mkp_order(profits, sizes, ids)]
+
+
+def mkp_order(profits, sizes, ids):
+    """The positions of the items given as parallel lists in MKP order:
+    profit/size descending, then smaller size, then lower id. One
+    `_ratio_key` for the sort, called once per item."""
+    keys = list(map(_ratio_key(profits, sizes), profits, sizes, ids))
+    return sorted(range(len(keys)), key=keys.__getitem__)
 
 
 def _ratio_key(profits, sizes):
@@ -153,13 +165,14 @@ def _fractional_bound(pairs, capacity):
     return bound
 
 
-def _solve(problem, mode, n_items, greedy, exact, *args):
+def _exact(problem, mode, n_items):
+    """Whether `mode` asks for the exact solver, refused above EXACT_ITEM_LIMIT items."""
     if mode == "greedy":
-        return greedy(*args)
+        return False
     if mode == "exact":
         if n_items > EXACT_ITEM_LIMIT:
             raise ExactSizeError(f"exact {problem} limited to {EXACT_ITEM_LIMIT} items, got {n_items}")
-        return exact(*args)
+        return True
     raise ModelError(f"unknown mode {mode!r}")
 
 
@@ -173,28 +186,29 @@ def solve_mkp(inst, mode="greedy"):
     than `EXACT_ITEM_LIMIT` items.
     """
     items = order_items(inst.items)
-    packed = _solve("MKP", mode, len(items), first_fit, _mkp_exact, inst.capacities, items)
+    if _exact("MKP", mode, len(items)):
+        packed = _mkp_exact(inst.capacities, items)
+    else:
+        packed = first_fit(inst.capacities, [it.size for it in items])
     assignment = dict.fromkeys(it.item_id for it in inst.items)
     assignment.update((items[i].item_id, k) for i, k in packed)
     return assignment, sum(items[i].profit for i, _k in packed)
 
 
-def first_fit(capacities, items):
-    """Greedy MKP over KpItems in MKP order (`order_items`): each item goes
-    into the roomiest knapsack (ties: lower index), the top of a heap, if it
-    fits there. Returns (position in `items`, knapsack) per packed item, in
-    item order. Stops at the first position where the top residual is below
-    every remaining size, since the top never grows and no later item can
-    fit. That smallest remaining size is looked up at an item that does not
-    fit, and again only once the walk has passed the item that holds it."""
+def first_fit(capacities, sizes):
+    """Greedy MKP over a list of item sizes in MKP order (`mkp_order`): each
+    item goes into the roomiest knapsack (ties: lower index), the top of a
+    heap, if it fits there. Returns (position in `sizes`, knapsack) per packed
+    item, in item order. Stops at the first position where the top residual is
+    below every remaining size, since the top never grows and no later item
+    can fit. That smallest remaining size is looked up at an item that does
+    not fit, and again only once the walk has passed the item that holds it."""
     heap = [(-b, k) for k, b in enumerate(capacities)]
     heapq.heapify(heap)
     packed = []
-    sizes = [it.size for it in items]
     low, at = 0, -1  # low == min(sizes[j:]) for each j from the last lookup up to `at`
     top = -heap[0][0] if heap else -1
-    for i, it in enumerate(items):
-        size = it.size
+    for i, size in enumerate(sizes):
         if size <= top:
             packed.append((i, heap[0][1]))
             heapq.heapreplace(heap, (size - top, heap[0][1]))
@@ -247,37 +261,41 @@ def solve_mdkp(inst, mode="greedy"):
     and bound with `_fractional_bound` over that surrogate relaxation; it
     refuses more than `EXACT_ITEM_LIMIT` items.
     """
-    return _solve("MDKP", mode, len(inst.items), _mdkp_greedy, _mdkp_exact, inst)
+    return (_mdkp_exact if _exact("MDKP", mode, len(inst.items)) else _mdkp_greedy)(inst)
 
 
 def _mdkp_items(inst):
     """The packable items as (id, profit, nonzero (index, size) pairs,
     surrogate weight) in funding order (`_ratio_key` on profit and weight),
     and the weights' scale. A dimension's unit is L / its capacity (L = lcm of
-    the positive capacity numerators; 0 at a zero capacity). One pass per item
-    reads its nonzero pairs, drops it at a zero capacity (it never fits) and
-    sums size × unit; times the lcm of the sums' denominators, that is the
+    the positive capacity numerators; 0 at a zero capacity) and an item's
+    weight is the sum of size × unit. A `weighed` instance brings its items so,
+    with its own L as `scale`. Otherwise one pass per item reads its nonzero
+    pairs, drops it at a zero capacity (it never fits) and sums the weight.
+    Times the lcm of the weights' denominators, a weight is the
     capacity-normalized size sum times the scale, an exact int."""
-    caps = inst.capacities
-    cap_lcm = math.lcm(*{c.numerator for c in caps if c})
-    unit_of = {c: c.denominator * (cap_lcm // c.numerator) for c in set(caps) if c}
-    unit = [unit_of.get(c, 0) for c in caps]
-    items = []
-    for item_id, profit, sizes in inst.items:
-        pairs, weight = [], 0
-        for i, s in (sizes.items() if isinstance(sizes, dict) else enumerate(sizes)):
-            if s:
-                if not unit[i]:
-                    break
-                pairs.append((i, s))
-                weight += s * unit[i]
-        else:
-            items.append((item_id, profit, pairs, weight))
+    items, scale = inst.items, inst.scale
+    if scale is None:
+        caps = inst.capacities
+        scale = math.lcm(*{c.numerator for c in caps if c})
+        unit_of = {c: c.denominator * (scale // c.numerator) for c in set(caps) if c}
+        unit = [unit_of.get(c, 0) for c in caps]
+        items = []
+        for item_id, profit, sizes in inst.items:
+            pairs, weight = [], 0
+            for i, s in (sizes.items() if isinstance(sizes, dict) else enumerate(sizes)):
+                if s:
+                    if not unit[i]:
+                        break
+                    pairs.append((i, s))
+                    weight += s * unit[i]
+            else:
+                items.append((item_id, profit, pairs, weight))
     size_lcm = math.lcm(*{t[3].denominator for t in items})
     items = [(item_id, p, pairs, int(w * size_lcm)) for item_id, p, pairs, w in items]
     key = _ratio_key((t[1] for t in items), (t[3] for t in items))
     items.sort(key=lambda t: key(t[1], t[3], t[0]))
-    return items, cap_lcm * size_lcm
+    return items, scale * size_lcm
 
 
 def _fits(pairs, residual):

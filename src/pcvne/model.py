@@ -333,7 +333,8 @@ def _walk_chain(path, start):
 
 def footprint(pairs):
     """CPU per SN and BW per canonical SL that the (request, embedding) pairs
-    take together, as two dicts. Commit and both batch checks read it."""
+    take together, as two dicts. Both batch checks read it; `commit` returns
+    the same quantity for its one pair, summed in its check's walk."""
     cpu, bw = {}, {}
     for req, emb in pairs:
         for vn, sn in emb.node_map.items():
@@ -361,7 +362,8 @@ def validate_embedding(net, req, emb, against_residuals=False):
 
 def _check(net, req, emb, against_residuals):
     """`validate_embedding`'s violations, and the embedding's footprint. Each
-    map is walked once; a broken chain is raised once every SL is known."""
+    map is walked once, and the walk that checks an SN or SL adds its demand
+    to the footprint; a broken chain is raised once every SL is known."""
     node_map, link_map = emb.node_map, emb.link_map
     if node_map.keys() != req.cpu_demand.keys():  # the demand maps are keyed by the VNs and VLs
         raise MalformedEmbeddingError("node map does not cover exactly the request VNs")
@@ -375,25 +377,33 @@ def _check(net, req, emb, against_residuals):
                 raise MalformedEmbeddingError(f"VN {vn!r} mapped to unknown SN {sn!r}")
 
     violations = []
-    if len(hosts) != len(node_map):
-        mapped = {}
+    cpu_demand = req.cpu_demand
+    if len(hosts) == len(node_map):
+        cpu_use = {sn: cpu_demand[vn] for vn, sn in node_map.items()}
+    else:
+        cpu_use, mapped = {}, {}
         for vn, sn in node_map.items():
+            cpu_use[sn] = cpu_use.get(sn, 0) + cpu_demand[vn]
             if sn in mapped:
                 violations.append(Violation("injectivity", f"VNs {mapped[sn]!r} and {vn!r} share SN {sn!r}"))
             else:
                 mapped[sn] = vn
 
+    bw_use = {}
     broken = None  # the first VL whose path chains from neither end, raised after the SL checks
     for vl, path in link_map.items():
         if not path:
             raise MalformedEmbeddingError(f"empty link path for VL {vl}")
+        d = req.bw_demand[vl]
         for e in path:
             try:
-                known = type(e) is tuple and e in bw_cap
+                known = type(e) is tuple and e in bw_cap  # then e is a canonical key
             except TypeError:  # an unhashable id: edge_key below names the fault
                 known = False
-            if not known and edge_key(*e) not in bw_cap:
+            k = e if known else edge_key(*e)
+            if not known and k not in bw_cap:
                 raise MalformedEmbeddingError(f"VL {vl} routed over unknown SL {e}")
+            bw_use[k] = bw_use.get(k, 0) + d
         if broken is not None:
             continue
         su, sv = node_map[vl[0]], node_map[vl[1]]
@@ -416,7 +426,6 @@ def _check(net, req, emb, against_residuals):
 
     cpu_avail = net.residual_cpu if against_residuals else cpu_cap
     bw_avail = net.residual_bw if against_residuals else bw_cap
-    cpu_use, bw_use = use = footprint([(req, emb)])
     for sn, used in cpu_use.items():
         if used > cpu_avail[sn]:
             violations.append(Violation("cpu", f"SN {sn!r} needs {used}, has {cpu_avail[sn]}"))
@@ -424,7 +433,7 @@ def _check(net, req, emb, against_residuals):
         if used > bw_avail[k]:
             violations.append(Violation("bw", f"SL {k} needs {used}, has {bw_avail[k]}"))
 
-    return violations, use
+    return violations, (cpu_use, bw_use)
 
 
 def commit(net, req, emb):

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from collections import defaultdict
 from dataclasses import dataclass
 
@@ -15,11 +16,11 @@ from .knapsack import (
     MdkpInstance,
     MkpInstance,
     first_fit,
-    order_items,
+    mkp_order,
     solve_mdkp,
     solve_mkp,
 )
-from .model import Embedding, EmbeddingBatch, ModelError, Shape, commit, edge_key
+from .model import Embedding, EmbeddingBatch, ModelError, Shape, as_quantity, commit, edge_key
 
 
 @dataclass(frozen=True)
@@ -128,31 +129,37 @@ def decompose_paths(net):
 
 
 def path_items(requests):
-    """One KpItem per path request (size = its link count, profit = its
-    revenue) paired with the request, in MKP order (`order_items`). Any
-    sublist stays in that order, so the pipeline builds and sorts them once."""
+    """The path requests in MKP order (`mkp_order`) as items of size = link
+    count and profit = revenue. Any sublist stays in that order, so the
+    pipeline sorts them once. Refuses a request that is not a path, duplicate
+    ids, and a revenue that is not a non-negative quantity."""
     for req in requests:
         if req.shape is not Shape.PATH:
             raise ModelError(f"request {req.req_id!r} is not a path")
-    req_of = {req.req_id: req for req in requests}
-    if len(req_of) != len(requests):
+    ids = [req.req_id for req in requests]
+    if len(set(ids)) != len(ids):
         raise ModelError("duplicate request ids")
-    items = [KpItem(item_id=req.req_id, size=req.length, profit=req.revenue) for req in requests]
-    return [(it, req_of[it.item_id]) for it in order_items(items)]
+    profits = []
+    for p in map(as_quantity, (req.revenue for req in requests)):
+        if p < 0:
+            raise ModelError("negative profit")
+        profits.append(p)
+    return [requests[i] for i in mkp_order(profits, [req.length for req in requests], ids)]
 
 
 def pack_mkp(paths, items, mode="greedy"):
-    """Pack path requests (`path_items` pairs) onto the decomposed substrate paths.
+    """Pack path requests (`path_items` order) onto the decomposed substrate paths.
 
     Each substrate path is a knapsack of capacity = its link count. Packed
     items receive concrete offsets left to right in efficiency order, sharing
-    boundary SNs between consecutive placements; greedy reads only what it packed.
+    boundary SNs between consecutive placements. Greedy hands `first_fit` the
+    lengths and reads only what it packed; exact builds its few KpItems.
     """
     capacities = [p.length for p in paths]
-    kp_items = [it for it, _req in items]
     if mode == "greedy":
-        packed = first_fit(capacities, kp_items)
+        packed = first_fit(capacities, [len(req.vls) for req in items])
     else:
+        kp_items = [KpItem(req.req_id, req.length, req.revenue) for req in items]
         assignment, _profit = solve_mkp(MkpInstance(capacities, kp_items), mode=mode)
         packed = [(i, assignment[it.item_id]) for i, it in enumerate(kp_items)
                   if assignment[it.item_id] is not None]
@@ -160,7 +167,7 @@ def pack_mkp(paths, items, mode="greedy"):
     placements = []
     used = [0] * len(paths)  # links already taken on each path
     for i, k in packed:
-        req = items[i][1]
+        req = items[i]
         placements.append(PathPlacement(req=req, path_index=k, path=paths[k], offset=used[k]))
         used[k] += req.length
     placements.sort(key=lambda pl: pl.path_index)  # stable: path by path, MKP order within
@@ -170,33 +177,47 @@ def pack_mkp(paths, items, mode="greedy"):
 def assign_mdkp(net, placements, mode="greedy"):
     """Fund packed placements with CPU and BW out of the current residuals.
 
-    Each placement is an item whose sparse sizes, read off its path slice (VN
-    i's CPU on SN i, VL i's BW on SL i: a simple path's SNs are distinct), are
-    its `footprint`; the dimensions are the SNs and SLs they touch, numbered at
+    Each placement is an item whose sizes, read off its path slice (VN i's
+    CPU on SN i, VL i's BW on SL i: a simple path's SNs are distinct), are its
+    `footprint`; the dimensions are the SNs and SLs they touch, numbered at
     first touch (SN and SL keys apart, so a tuple SN id never meets an SL key),
-    with their residuals as capacities. Only the selected placements become
-    Embeddings, committed and returned.
+    with their residuals as capacities. The walk that numbers them also sums
+    the `weighed` surrogate weight, in units of L / residual (L = lcm of every
+    positive residual numerator). Only the selected placements become
+    Embeddings, each returned with the footprint its `commit` returned.
     """
+    res_cpu, res_bw = net.residual_cpu, net.residual_bw
+    positive = {*res_cpu.values(), *res_bw.values()} - {0}
+    scale = math.lcm(*(c.numerator for c in positive))
+    unit = {c: c.denominator * (scale // c.numerator) for c in positive}
+    unit[0] = 0  # a placement on an exhausted SN or SL never fits
     touched = itertools.count().__next__  # the next dimension index
     sn_dim, sl_dim = defaultdict(touched), defaultdict(touched)
     items = []
     for idx, pl in enumerate(placements):
         req, o = pl.req, pl.offset
-        sizes = {sn_dim[sn]: req.cpu_demand[vn] for vn, sn in zip(req.vns, pl.path.nodes[o:])}
-        for vl, k in zip(req.vls, pl.path.edges()[o:]):
-            sizes[sl_dim[k]] = req.bw_demand[vl]
-        items.append((idx, req.revenue, sizes))
+        cpu, bw = req.cpu_demand, req.bw_demand
+        pairs, weight = [], 0
+        for vn, sn in zip(req.vns, pl.path.nodes[o:o + len(cpu)]):
+            s = cpu[vn]
+            pairs.append((sn_dim[sn], s))
+            weight += s * unit[res_cpu[sn]]
+        for vl, k in zip(req.vls, pl.path.edges()[o:o + len(bw)]):
+            s = bw[vl]
+            pairs.append((sl_dim[k], s))
+            weight += s * unit[res_bw[k]]
+        items.append((idx, req.revenue, pairs, weight))
     capacities = [None] * (len(sn_dim) + len(sl_dim))
-    for dims, residual in ((sn_dim, net.residual_cpu), (sl_dim, net.residual_bw)):
+    for dims, residual in ((sn_dim, res_cpu), (sl_dim, res_bw)):
         for key, i in dims.items():
             capacities[i] = residual[key]
 
-    inst = MdkpInstance.trusted(capacities, items)  # residuals and demands are validated
-    selected, _profit = solve_mdkp(inst, mode=mode)
+    selected, _profit = solve_mdkp(MdkpInstance.weighed(capacities, items, scale), mode=mode)
 
-    accepted = [(placements[idx], placements[idx].to_embedding()) for idx in sorted(selected)]
-    for pl, emb in accepted:
-        commit(net, pl.req, emb)
+    accepted = []
+    for pl in map(placements.__getitem__, sorted(selected)):
+        emb = pl.to_embedding()
+        accepted.append((pl, emb, commit(net, pl.req, emb)))
     return accepted
 
 
@@ -210,30 +231,27 @@ def procedure_pe(net, requests, mkp_mode="greedy", mdkp_mode="greedy", trace=Non
     stops as soon as an iteration embeds nothing, so it runs at most
     len(requests) iterations. `trace`, if given, gets one record per iteration.
     """
-    items = path_items(requests)
+    pending = {req.req_id: req for req in path_items(requests)}  # in MKP order; funded ones leave
     batch = EmbeddingBatch()
     paths = None
-    while items:
+    while pending:
         if paths is None:
             paths = decompose_paths(net)
         if not paths:
             break
-        placements = pack_mkp(paths, items, mode=mkp_mode)
+        placements = pack_mkp(paths, list(pending.values()), mode=mkp_mode)
         accepted = assign_mdkp(net, placements, mode=mdkp_mode)
         if trace is not None:
             trace.append({
                 "paths": [list(p.nodes) for p in paths],
                 "packed": [pl.req.req_id for pl in placements],
-                "funded": [pl.req.req_id for pl, _ in accepted],
+                "funded": [pl.req.req_id for pl, _emb, _use in accepted],
             })
         if not accepted:
             break
-        funded_ids = set()
-        for pl, emb in accepted:
+        for pl, emb, (cpu, bw) in accepted:
             batch.add(pl.req, emb)
-            funded_ids.add(pl.req.req_id)
-            if (any(net.residual_cpu[sn] == 0 for sn in emb.node_map.values())
-                    or any(net.residual_bw[e] == 0 for sls in emb.link_map.values() for e in sls)):
+            del pending[pl.req.req_id]
+            if 0 in map(net.residual_cpu.__getitem__, cpu) or 0 in map(net.residual_bw.__getitem__, bw):
                 paths = None
-        items = [pair for pair in items if pair[0].item_id not in funded_ids]
     return batch

@@ -934,6 +934,21 @@ def decompose_paths_reference(net):
 # (and solve_mkp, in pack_mkp_reference's exact mode).
 
 
+def path_items_reference(requests):
+    """A frozen copy of `path_items` when it built one KpItem per request:
+    (item, request) pairs in `order_items` order, or the same ModelError."""
+    from pcvne.knapsack import KpItem, order_items
+
+    for req in requests:
+        if req.shape is not Shape.PATH:
+            raise ModelError(f"request {req.req_id!r} is not a path")
+    req_of = {req.req_id: req for req in requests}
+    if len(req_of) != len(requests):
+        raise ModelError("duplicate request ids")
+    items = [KpItem(item_id=req.req_id, size=req.length, profit=req.revenue) for req in requests]
+    return [(it, req_of[it.item_id]) for it in order_items(items)]
+
+
 def pack_mkp_reference(paths, requests, mode="greedy"):
     """Placements by the rule pack_mkp followed while it built its own items:
     the MKP over one KpItem per request in request order (greedy:

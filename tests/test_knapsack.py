@@ -309,7 +309,7 @@ def test_property_first_fit_matches_sorted_first_fit(caps, items, mkp_order):
     # any other; the packed items come back by position, in item order
     if mkp_order:
         items = order_items(items)
-    packed = first_fit(caps, items)
+    packed = first_fit(caps, [it.size for it in items])
     positions = [i for i, _k in packed]
     assert positions == sorted(set(positions))
     assignment = dict.fromkeys(it.item_id for it in items)
@@ -328,19 +328,26 @@ def test_property_first_fit_packs_as_its_frozen_predecessor(caps, items, mkp_ord
     # the stop on the smallest remaining size changes only how far the walk reads
     if mkp_order:
         items = order_items(items)
-    assert first_fit(caps, items) == first_fit_stop_on_smallest_reference(caps, items)
+    assert first_fit(caps, [it.size for it in items]) == first_fit_stop_on_smallest_reference(caps, items)
 
 
-class _ReadCounted:
-    """An item that counts the reads of its size."""
+class _ReadCounted(list):
+    """Item sizes that log each size the walk visits, and the start of each
+    slice read to look up the smallest remaining size."""
 
-    def __init__(self, size, reads):
-        self._size, self._reads = size, reads
+    def __init__(self, sizes):
+        super().__init__(sizes)
+        self.visited, self.lookups = [], []
 
-    @property
-    def size(self):
-        self._reads.append(self._size)
-        return self._size
+    def __iter__(self):
+        for size in list.__iter__(self):
+            self.visited.append(size)
+            yield size
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            self.lookups.append(i.start)
+        return list.__getitem__(self, i)
 
 
 def test_first_fit_stops_after_the_last_item_that_can_fit():
@@ -350,21 +357,23 @@ def test_first_fit_stops_after_the_last_item_that_can_fit():
     sizes = [2] * 3 + [4] * 3 + [7] * 54
     items = order_items([KpItem(i, s, 1) for i, s in enumerate(sizes)])
     assert [it.size for it in items] == sizes
-    reads = []
-    packed = first_fit([10, 10], [_ReadCounted(it.size, reads) for it in items])
+    counted = _ReadCounted(sizes)
+    packed = first_fit([10, 10], counted)
     assert packed == first_fit_stop_on_smallest_reference([10, 10], items)
     assert [i for i, _k in packed] == list(range(6))
-    assert len(reads) == len(items) + 7  # one pass for the sizes, then the walk reads 7 items
+    assert len(counted.visited) == 7  # the walk reads 7 items
+    assert counted.lookups == [6]  # and the smallest remaining size once, at the first 7
 
 
 def test_first_fit_looks_up_the_smallest_remaining_size_again_once_past_it():
     # the 7 of ratio 2 does not fit, but the 1 after it does; once the 1 is
     # packed the smallest remaining size is 7 again, above the 5 units left
     items = order_items([KpItem(0, 7, 14), KpItem(1, 1, 1)] + [KpItem(i, 7, 1) for i in range(2, 52)])
-    reads = []
-    packed = first_fit([6], [_ReadCounted(it.size, reads) for it in items])
+    counted = _ReadCounted([it.size for it in items])
+    packed = first_fit([6], counted)
     assert packed == [(1, 0)] == first_fit_stop_on_smallest_reference([6], items)
-    assert len(reads) == len(items) + 3
+    assert len(counted.visited) == 3
+    assert counted.lookups == [0, 2]
 
 
 @settings(max_examples=200, deadline=None)
@@ -421,6 +430,22 @@ def test_property_mdkp_weights_match_fraction_sum(data):
     packable = [t for t in mdkp_order_reference(caps, items)
                 if all(caps[k] for k, s in (t[2].items() if isinstance(t[2], dict) else enumerate(t[2])) if s)]
     assert [t[0] for t in got] == [t[0] for t in packable]
+
+
+def test_mdkp_drops_an_item_that_touches_a_zero_capacity():
+    # "z" has the best ratio but needs dimension 1, whose capacity is 0: the
+    # intake drops it (dense or sparse) before ordering, while an explicit
+    # zero size there ("b") is no touch. A weighed instance keeps such an item
+    # at weight 0 on that dimension, and neither mode selects it
+    caps = [4, 0, 3]
+    for z_sizes in ((1, 1, 0), {0: 1, 1: 1}):
+        inst = MdkpInstance(caps, [("z", 9, z_sizes), ("a", 2, (2, 0, 1)), ("b", 1, {2: 3, 1: 0})])
+        items, scale = _mdkp_items(inst)
+        assert scale == 12 and items == [("a", 2, [(0, 2), (2, 1)], 10), ("b", 1, [(2, 3)], 12)]
+        weighed = MdkpInstance.weighed(caps, [("z", 9, [(0, 1), (1, 1)], 3), *items], scale)
+        assert [t[0] for t in _mdkp_items(weighed)[0]] == ["z", "a", "b"]
+        for mode in ("greedy", "exact"):
+            assert solve_mdkp(inst, mode=mode) == solve_mdkp(weighed, mode=mode) == (["a"], 2)
 
 
 def _assert_mdkp_matches_references(caps, items):

@@ -9,8 +9,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import pcvne.baseline as baseline
+import pcvne.cycle_embedding as cycle_embedding
+import pcvne.path_embedding as path_embedding
 from conftest import make_cycle_request, make_net, make_path_request, path_net, random_connected_graph
-from pcvne.baseline import generic_embed
+from pcvne.baseline import generic_batch, generic_embed
+from pcvne.cycle_embedding import greedy_revenue
 from pcvne.generators import RequestSpec, SubstrateSpec, gen_requests, gen_substrate
 from pcvne.jsonio import dump_instance, load_instance
 from pcvne.model import (
@@ -26,10 +30,12 @@ from pcvne.model import (
     batch_metrics,
     commit,
     edge_key,
+    _check,
     footprint,
     validate_embedding,
 )
 from oracles import check_reference, release, virtual_request_reference
+from pcvne.path_embedding import procedure_pe
 from test_baseline import sparse_instance
 
 
@@ -693,3 +699,112 @@ def test_property_check_matches_its_frozen_reference(seed):
             CommitError, "infeasible commit: " + "; ".join(map(str, expected[1])))
         assert got == refusal
         assert dup.residual_cpu == net.residual_cpu and dup.residual_bw == net.residual_bw
+
+
+def _in_order(use):
+    """A (cpu, bw) footprint as its two dicts' item lists, so that order counts."""
+    return [list(d.items()) for d in use]
+
+
+def _commits_of_every_embedder(seed, fractions):
+    """Run the path pipeline, the baseline and the ring solver on seeded
+    instances with `commit` checked in each module: every commit must return
+    `footprint` of its one pair, entry for entry and in the same order.
+    Returns the shapes of the committed requests."""
+    rng = random.Random(seed)
+    shapes = []
+
+    def checking(net, req, emb):
+        want = footprint([(req, emb)])
+        got = commit(net, req, emb)
+        assert _in_order(got) == _in_order(want)
+        shapes.append(req.shape)
+        return got
+
+    net, reqs = sparse_instance(rng, fractions)
+    ring = gen_substrate(SubstrateSpec(n_nodes=rng.randint(8, 16), topology="cycle"), rng.randrange(2 ** 31))
+    rings = gen_requests(RequestSpec(shape="cycle", count=12, length_range=(3, 6)), rng.randrange(2 ** 31))
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        for module in (path_embedding, cycle_embedding, baseline):
+            monkeypatch.setattr(module, "commit", checking)
+        procedure_pe(net.copy(), [req for req in reqs if req.shape is Shape.PATH])
+        generic_batch(net.copy(), reqs)
+        greedy_revenue(ring, rings, fallback=generic_embed)
+    return shapes
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.booleans())
+def test_property_commit_returns_exactly_the_footprint(seed, fractions):
+    # commit sums the footprint inside its check's walks; on the valid
+    # embeddings of all three embedders (one SL per VL on paths, arcs of
+    # several SLs on rings, BFS routes and shared SLs on general requests)
+    # it returns what model.footprint sums for the pair, in the same order
+    assert _commits_of_every_embedder(seed, fractions)
+
+
+def test_commit_returns_the_footprint_for_path_ring_and_general_embeddings():
+    shapes = set()
+    for seed in range(6):
+        shapes.update(_commits_of_every_embedder(seed, seed % 2 == 1))
+    assert shapes == {Shape.PATH, Shape.CYCLE, Shape.GENERAL}
+
+
+def _well_formed_embedding(rng):
+    """A substrate with tight residuals and a path or cycle request embedded
+    over BFS walks between its hosts, so link paths hold one or several SLs.
+    Hosts are distinct or drawn with replacement (shared SNs: injectivity
+    violations and one SN's CPU summed over VNs), an SL may be given as a
+    list or reversed, and a multi-SL path may be given from its far end."""
+    g = random_connected_graph(rng, rng.randint(3, 8))
+    net = make_net(list(g.nodes), list(g.edges), {v: rng.randint(1, 8) for v in g.nodes},
+                   {e: rng.randint(1, 12) for e in g.edges})
+    if rng.random() < 0.5:
+        for v in net.nodes:
+            net.residual_cpu[v] = rng.randint(0, net.cpu_capacity[v])
+        for k in net.edges:
+            net.residual_bw[k] = rng.randint(0, net.bw_capacity[k])
+    if rng.random() < 0.4:
+        n = rng.randint(3, 5)
+        req = make_cycle_request("r", [rng.randint(1, 3) for _ in range(n)], [rng.randint(1, 3) for _ in range(n)])
+    else:
+        n = rng.randint(2, 5)
+        req = make_path_request("r", [rng.randint(1, 3) for _ in range(n)], [rng.randint(1, 3) for _ in range(n - 1)])
+    if n <= len(net.nodes) and rng.random() < 0.5:
+        node_map = dict(zip(req.vns, rng.sample(net.nodes, n)))
+    else:
+        node_map = {vn: rng.choice(net.nodes) for vn in req.vns}
+    link_map = {}
+    for vl in req.vls:
+        su, sv = node_map[vl[0]], node_map[vl[1]]
+        path = _walk(net, su, sv) or [edge_key(su, net.neighbors(su)[0])]
+        for i in range(len(path)):
+            kind = rng.choice(["keep", "keep", "list", "reverse-sl"])
+            if kind == "list":
+                path[i] = list(path[i])
+            elif kind == "reverse-sl":
+                path[i] = path[i][::-1]
+        if len(path) > 1 and rng.random() < 0.2:
+            path.reverse()
+        link_map[vl] = path
+    return net, req, Embedding("r", node_map, link_map)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 10 ** 6))
+def test_property_check_and_its_footprint_match_the_frozen_reference(seed):
+    # shared hosts, list-typed and reversed SLs, multi-SL paths: the one-pass
+    # check gives the frozen copy's violations in the same order and text and
+    # its footprint entry for entry, in the same order, and commit returns
+    # that footprint whenever it accepts
+    net, req, emb = _well_formed_embedding(random.Random(seed))
+    for against_residuals in (False, True):  # the last pass checks as commit does
+        want_violations, want_use = check_reference(net, req, emb, against_residuals)
+        violations, use = _check(net, req, emb, against_residuals)
+        assert violations == want_violations and _in_order(use) == _in_order(want_use)
+    dup = net.copy()
+    if not violations:
+        assert _in_order(commit(dup, req, emb)) == _in_order(use)
+    else:
+        with pytest.raises(CommitError):
+            commit(dup, req, emb)

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import pcvne.knapsack as knapsack
 import pcvne.path_embedding as path_embedding
 from conftest import (
+    make_cycle_request,
     make_net,
     make_path_request,
     path_net,
@@ -25,12 +26,14 @@ from oracles import (
     mdkp_exact_reference,
     mdkp_greedy_reference,
     mkp_best_profit,
+    item_order_key,
     pack_mkp_reference,
+    path_items_reference,
     procedure_pe_reference,
     solve_kp_dp,
 )
 from pcvne.generators import RequestSpec, SubstrateSpec, gen_edp_reduction, gen_requests, gen_substrate
-from pcvne.knapsack import EXACT_ITEM_LIMIT, KpItem, MdkpInstance, solve_mdkp
+from pcvne.knapsack import EXACT_ITEM_LIMIT, KpItem, MdkpInstance, _mdkp_items, order_items, solve_mdkp
 from pcvne.model import ModelError, commit, edge_key, footprint, validate_embedding
 from pcvne.path_embedding import (
     PathPlacement,
@@ -265,11 +268,77 @@ class TestPackMkp:
             assert not any(v.kind in ("endpoint", "injectivity") for v in violations)
 
     def test_rejects_non_path_requests(self):
-        from conftest import make_cycle_request
-
         cycle = make_cycle_request(0, [1, 1, 1], [1, 1, 1])
         with pytest.raises(ModelError):
             pack_mkp([SubstratePath((0, 1))], path_items([cycle]))
+
+
+def _path_items_outcome(requests):
+    try:
+        return [req.req_id for req in path_items(requests)]
+    except ModelError as exc:
+        return type(exc), str(exc)
+
+
+def _path_items_reference_outcome(requests):
+    try:
+        return [req.req_id for _it, req in path_items_reference(requests)]
+    except ModelError as exc:
+        return type(exc), str(exc)
+
+
+_REVENUES = st.sampled_from([0, 1, 2, 3, Fraction(1, 2), Fraction(3, 2), Fraction(5, 2), 6])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 6), _REVENUES), max_size=20), st.randoms(use_true_random=False))
+def test_property_path_items_orders_as_order_items_over_kp_items(specs, rnd):
+    # tied lengths and revenues, zero lengths and revenues, int and str ids in
+    # shuffled order: the requests come back in the order that order_items
+    # gives one KpItem per request, which the Fraction key reference also gives
+    reqs = [uniform_path_request(i if i % 3 else f"r{i}", length, revenue=rev)
+            for i, (length, rev) in enumerate(specs)]
+    rnd.shuffle(reqs)
+    items = [KpItem(r.req_id, r.length, r.revenue) for r in reqs]
+    got = [r.req_id for r in path_items(reqs)]
+    assert got == [it.item_id for it in order_items(items)]
+    assert got == [it.item_id for it in sorted(items, key=item_order_key)]
+
+
+def test_path_items_orders_a_revenue_mutated_after_construction_as_a_kp_item_would():
+    # a revenue set to a float or a numeric string after construction is
+    # ordered as its exact quantity, as the KpItem's profit would be
+    reqs = [uniform_path_request("a", 2, revenue=1), uniform_path_request("b", 4, revenue=1),
+            uniform_path_request("c", 2, revenue=1)]
+    reqs[1].revenue, reqs[2].revenue = 2.5, "1/2"
+    assert _path_items_outcome(reqs) == _path_items_reference_outcome(reqs) == ["b", "a", "c"]
+
+
+def _with_revenue(req, revenue):
+    req.revenue = revenue
+    return req
+
+
+@pytest.mark.parametrize("requests, refusal", [
+    (lambda: [uniform_path_request(0, 2), make_cycle_request(1, [1, 1, 1], [1, 1, 1])],
+     "request 1 is not a path"),
+    (lambda: [uniform_path_request("a", 2), uniform_path_request("a", 3)], "duplicate request ids"),
+    (lambda: [uniform_path_request(0, 2), _with_revenue(uniform_path_request(1, 2), -1)], "negative profit"),
+    (lambda: [_with_revenue(uniform_path_request(0, 2), "x")], "not a quantity: 'x'"),
+    (lambda: [_with_revenue(uniform_path_request(0, 2), None)], "not a quantity: None"),
+    (lambda: [_with_revenue(uniform_path_request(0, 2), True)], "bool is not a quantity: True"),
+    # the first defect in the old order: shapes, then ids, then each revenue in request order
+    (lambda: [_with_revenue(uniform_path_request(0, 2), -1), make_cycle_request(1, [1, 1, 1], [1, 1, 1])],
+     "request 1 is not a path"),
+    (lambda: [_with_revenue(uniform_path_request("a", 2), "x"), uniform_path_request("a", 3)],
+     "duplicate request ids"),
+    (lambda: [_with_revenue(uniform_path_request(0, 2), -1), _with_revenue(uniform_path_request(1, 2), "x")],
+     "negative profit"),
+    (lambda: [_with_revenue(uniform_path_request(0, 2), "x"), _with_revenue(uniform_path_request(1, 2), -1)],
+     "not a quantity: 'x'"),
+])
+def test_path_items_refuses_as_when_it_built_kp_items(requests, refusal):
+    assert _path_items_outcome(requests()) == _path_items_reference_outcome(requests()) == (ModelError, refusal)
 
 
 class TestAssignMdkp:
@@ -278,8 +347,11 @@ class TestAssignMdkp:
         paths = [SubstratePath(tuple(range(6)))]
         placements = pack_mkp(paths, path_items([uniform_path_request("r", 3)]))
         accepted = assign_mdkp(net, placements)
-        assert [pl.req.req_id for pl, _ in accepted] == ["r"]
+        assert [pl.req.req_id for pl, _emb, _use in accepted] == ["r"]
         assert net.residual_bw[edge_key(0, 1)] == 0
+        # each funded placement comes with the footprint its commit returned
+        (pl, emb, use), = accepted
+        assert use == footprint([(pl.req, emb)]) == ({0: 1, 1: 1, 2: 1, 3: 1}, {(0, 1): 1, (1, 2): 1, (2, 3): 1})
 
     def test_boundary_cpu_conflict_drops_one(self):
         # two placements share node 3; its capacity only fits one end VN
@@ -317,8 +389,22 @@ class TestAssignMdkp:
                 items.append((i, pl.req.revenue, tuple(sizes)))
             expected = mdkp_best_profit(caps, items)
             accepted = assign_mdkp(net, placements, mode="exact")
-            assert sum(pl.req.revenue for pl, _ in accepted) == expected
+            assert sum(pl.req.revenue for pl, _emb, _use in accepted) == expected
 
+
+    @pytest.mark.parametrize("mode", ["greedy", "exact"])
+    def test_placement_on_an_exhausted_sn_is_never_funded(self, mode):
+        # the pipeline never packs onto a zero residual, but assign_mdkp alone
+        # may be handed such a placement: it weighs 0 there, never fits, and
+        # the others are funded as if it were not there
+        net = path_net(7, cpu=2, bw=2)
+        net.residual_cpu[1] = 0
+        path = SubstratePath(tuple(range(7)))
+        a, b = uniform_path_request("a", 2, revenue=9), uniform_path_request("b", 3)
+        placements = [PathPlacement(a, 0, path, 0), PathPlacement(b, 0, path, 3)]
+        accepted = assign_mdkp(net, placements, mode=mode)
+        assert [pl.req.req_id for pl, _emb, _use in accepted] == ["b"]
+        assert net.residual_cpu == {0: 2, 1: 0, 2: 2, 3: 1, 4: 1, 5: 1, 6: 1}
 
     def test_embeds_each_funded_placement_once_and_no_other(self, monkeypatch):
         # the funding sizes come off the path slice: only a funded placement
@@ -336,7 +422,7 @@ class TestAssignMdkp:
         placements = pack_mkp([SubstratePath(tuple(range(12)))], path_items(reqs))
         accepted = assign_mdkp(net, placements)
         assert 0 < len(accepted) < len(placements)
-        assert sorted(calls) == sorted(pl.req.req_id for pl, _emb in accepted)
+        assert sorted(calls) == sorted(pl.req.req_id for pl, _emb, _use in accepted)
 
 
 class TestProcedurePe:
@@ -462,21 +548,26 @@ def _assert_funding_sizes_are_footprints(net, reqs):
     # every funding instance procedure_pe builds: its dimensions are the SNs
     # and SLs the placements touch, numbered at first touch (placement by
     # placement, its SNs then its SLs, SN and SL keys apart); item idx's
-    # sparse sizes, read off placement idx's path slice, are the `footprint`
-    # of that placement's embedding mapped through that numbering, and the
-    # capacities are the residuals of those SNs and SLs and of nothing else
+    # (dimension, size) pairs, read off placement idx's path slice, are the
+    # `footprint` of that placement's embedding mapped through that
+    # numbering, in footprint order; its weight is the Fraction sum of size /
+    # residual over those pairs times the instance's scale, a multiple of
+    # every positive residual numerator; and the capacities are the residuals
+    # of those SNs and SLs and of nothing else
     for placements, residual_cpu, residual_bw, inst in _funding_calls(net, reqs):
         assert [item[0] for item in inst.items] == list(range(len(placements)))
+        assert all(inst.scale % q.numerator == 0 for q in [*residual_cpu.values(), *residual_bw.values()] if q)
+        residual = {("SN", sn): q for sn, q in residual_cpu.items()}
+        residual.update({("SL", k): q for k, q in residual_bw.items()})
         dims = {}
-        for (_idx, profit, sizes), pl in zip(inst.items, placements):
+        for (_idx, profit, pairs, weight), pl in zip(inst.items, placements):
             cpu, bw = footprint([(pl.req, pl.to_embedding())])
             use = {**{("SN", sn): q for sn, q in cpu.items()}, **{("SL", k): q for k, q in bw.items()}}
             for d in use:
                 dims.setdefault(d, len(dims))
             assert profit == pl.req.revenue
-            assert sizes == {dims[d]: q for d, q in use.items()}
-        residual = {("SN", sn): q for sn, q in residual_cpu.items()}
-        residual.update({("SL", k): q for k, q in residual_bw.items()})
+            assert pairs == [(dims[d], q) for d, q in use.items()]
+            assert weight == inst.scale * sum(Fraction(q) / residual[d] for d, q in use.items())
         assert inst.capacities == [residual[d] for d in dims]
 
 
@@ -508,6 +599,7 @@ def _assert_sparse_funding_selects_as_dense(net, reqs):
     # surrogate capacity that counts the touched dimensions only)
     index = {d: i for i, d in enumerate([*(("SN", v) for v in net.nodes), *(("SL", k) for k in net.edges)])}
     for placements, residual_cpu, residual_bw, inst in _funding_calls(net, reqs):
+        assert inst.scale is not None  # weighed in the walk: the solver reads the pairs as given
         caps = [residual_cpu[v] for v in net.nodes] + [residual_bw[k] for k in net.edges]
         dense = []
         for idx, pl in enumerate(placements):
@@ -536,14 +628,14 @@ def test_property_sparse_funding_selects_as_the_dense_instance_on_tuple_ids(seed
 
 
 def test_pack_mkp_builds_the_ratio_key_once(monkeypatch):
-    # 1000 unit-revenue requests: the items are sorted once, on a ratio key
-    # built once for the whole sort and then called once per item
-    calls = {"order_items": 0, "ratio_key": 0, "key": 0}
-    order_items, ratio_key = knapsack.order_items, knapsack._ratio_key
+    # 1000 unit-revenue requests: the requests are sorted once, on a ratio key
+    # built once for the whole sort and then called once per request
+    calls = {"mkp_order": 0, "ratio_key": 0, "key": 0}
+    mkp_order, ratio_key = knapsack.mkp_order, knapsack._ratio_key
 
-    def counting_order_items(items):
-        calls["order_items"] += 1
-        return order_items(items)
+    def counting_mkp_order(*args):
+        calls["mkp_order"] += 1
+        return mkp_order(*args)
 
     def counting_ratio_key(profits, sizes):
         calls["ratio_key"] += 1
@@ -555,13 +647,13 @@ def test_pack_mkp_builds_the_ratio_key_once(monkeypatch):
         return counting_key
 
     monkeypatch.setattr(knapsack, "_ratio_key", counting_ratio_key)
-    monkeypatch.setattr(knapsack, "order_items", counting_order_items)
-    monkeypatch.setattr(path_embedding, "order_items", counting_order_items)
+    monkeypatch.setattr(knapsack, "mkp_order", counting_mkp_order)
+    monkeypatch.setattr(path_embedding, "mkp_order", counting_mkp_order)
     reqs = [uniform_path_request(i, 5 + i % 6) for i in range(1000)]
     paths = [SubstratePath(tuple(range(100 * k, 100 * k + 61))) for k in range(40)]
     placements = pack_mkp(paths, path_items(reqs))
     assert 0 < len(placements) < len(reqs)
-    assert calls == {"order_items": 1, "ratio_key": 1, "key": len(reqs)}
+    assert calls == {"mkp_order": 1, "ratio_key": 1, "key": len(reqs)}
 
 
 @settings(max_examples=150, deadline=None)
@@ -584,28 +676,29 @@ def test_property_pack_mkp_places_as_the_per_call_items_did(seed, mode):
 
 
 def test_procedure_pe_builds_and_sorts_items_once(monkeypatch):
-    # a 30-node, 150-link substrate with 100 path requests runs 15 iterations
+    # a 30-node, 150-link substrate with 100 path requests runs 15 iterations:
+    # the requests are sorted once, and greedy mode builds no KpItem at all
     rng = random.Random(7)
     net = gen_substrate(SubstrateSpec(n_nodes=30, n_edges=150), rng.randrange(2 ** 31))
     reqs = gen_requests(RequestSpec(shape="path", count=100), rng.randrange(2 ** 31))
-    calls = {"order_items": 0, "KpItem": 0}
-    order_items, post_init = knapsack.order_items, KpItem.__post_init__
+    calls = {"mkp_order": 0, "KpItem": 0}
+    mkp_order, post_init = knapsack.mkp_order, KpItem.__post_init__
 
-    def counting_order_items(items):
-        calls["order_items"] += 1
-        return order_items(items)
+    def counting_mkp_order(*args):
+        calls["mkp_order"] += 1
+        return mkp_order(*args)
 
     def counting_post_init(self):
         calls["KpItem"] += 1
         post_init(self)
 
-    monkeypatch.setattr(knapsack, "order_items", counting_order_items)
-    monkeypatch.setattr(path_embedding, "order_items", counting_order_items)
+    monkeypatch.setattr(knapsack, "mkp_order", counting_mkp_order)
+    monkeypatch.setattr(path_embedding, "mkp_order", counting_mkp_order)
     monkeypatch.setattr(KpItem, "__post_init__", counting_post_init)
     trace = []
     batch = procedure_pe(net, reqs, trace=trace)
     assert len(trace) >= 10 and 0 < len(batch) < len(reqs)
-    assert calls == {"order_items": 1, "KpItem": len(reqs)}
+    assert calls == {"mkp_order": 1, "KpItem": 0}
 
 
 def test_embed_paths_golden_output_is_unchanged(tmp_path):
@@ -644,10 +737,11 @@ def _pipeline_events(monkeypatch, net, reqs):
         return pack(*args, **kwargs)
 
     def logging_commit(net, req, emb):
-        commit(net, req, emb)
+        use = commit(net, req, emb)
         exhausted = (any(net.residual_cpu[sn] == 0 for sn in emb.node_map.values())
                      or any(net.residual_bw[edge_key(*e)] == 0 for sls in emb.link_map.values() for e in sls))
         log.append("X" if exhausted else "C")
+        return use
 
     monkeypatch.setattr(path_embedding, "decompose_paths", logging_decompose)
     monkeypatch.setattr(path_embedding, "pack_mkp", logging_pack)
@@ -713,9 +807,11 @@ def test_exhausted_link_forces_a_new_decomposition(monkeypatch):
 
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 10 ** 6))
-def test_property_trusted_funding_instance_equals_the_checked_one(seed):
-    # assign_mdkp skips the constructor's checks; the instance it builds must
-    # be the one the checked constructor makes of the same input, and solve alike
+def test_property_weighed_funding_instance_solves_as_the_checked_one(seed):
+    # assign_mdkp skips the constructor's checks and weighs its items itself;
+    # the checked constructor, given the same capacities and each item's
+    # pairs as sparse sizes, must give the same funding order and pairs,
+    # weights in the same proportion, and the same selections
     net, reqs = _random_pipeline_instance(random.Random(seed))
     seen, checked = [], []
     post_init = MdkpInstance.__post_init__
@@ -734,8 +830,11 @@ def test_property_trusted_funding_instance_equals_the_checked_one(seed):
         procedure_pe(net, reqs)
     assert seen and not checked
     for inst in seen:
-        public = MdkpInstance(inst.capacities, inst.items)
-        assert type(inst) is MdkpInstance and inst == public
+        public = MdkpInstance(inst.capacities, [(idx, p, dict(pairs)) for idx, p, pairs, _w in inst.items])
+        assert type(inst) is MdkpInstance and public.scale is None
+        (got, scale), (want, public_scale) = _mdkp_items(inst), _mdkp_items(public)
+        assert [t[:3] for t in got] == [t[:3] for t in want]
+        assert [Fraction(t[3], scale) for t in got] == [Fraction(t[3], public_scale) for t in want]
         modes = ["greedy", "exact"] if len(inst.items) <= EXACT_ITEM_LIMIT else ["greedy"]
         for mode in modes:
             assert solve_mdkp(inst, mode=mode) == solve_mdkp(public, mode=mode)
