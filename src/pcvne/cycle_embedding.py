@@ -60,15 +60,16 @@ class CycleView:
         self.order = order
         self.index = {v: i for i, v in enumerate(order)}
         self.m = len(order)
+        self.links = list(map(edge_key, order, order[1:] + order[:1]))  # link i joins indices i, i+1
 
 
 def feasible_sets(cycle, req):
     """Per-VN host masks over clockwise node indices and per-VL bad-SL masks
     over clockwise edge indices (edge i joins indices i and i+1), read from
     the residuals once, in ring order."""
-    net, order, m = cycle.net, cycle.order, cycle.m
-    cpu = [net.residual_cpu[v] for v in order]
-    bw = [net.residual_bw[edge_key(order[i], order[(i + 1) % m])] for i in range(m)]
+    net = cycle.net
+    cpu = [net.residual_cpu[v] for v in cycle.order]
+    bw = [net.residual_bw[k] for k in cycle.links]
     hosts = [[c >= req.cpu_demand[vn] for c in cpu] for vn in req.vns]
     bad = [[b < req.bw_demand[vl] for b in bw] for vl in req.vls]
     return hosts, bad
@@ -253,11 +254,11 @@ class SimplexEmbedding:
 def _simplex_from_hosts(cycle, req, start, direction, hosts):
     """The SimplexEmbedding of `hosts`, a cycle found anchored at `start` going
     `direction`. Needs hosts[0] == start and ring positions strictly rising
-    from there: the ring is walked once from `start` and each segment is the
-    slice of that walk between two consecutive hosts, the last back to m."""
+    from there: each segment is the slice of the ring's links, read from
+    `start`, between two consecutive hosts, the last back to m."""
     s, m = cycle.index[start], cycle.m
-    walk = _anchored(cycle.order, s, direction) + [start]
-    links = [edge_key(a, b) for a, b in zip(walk, walk[1:])]
+    # links[j] joins positions j and j+1: clockwise link s+j going "+", s-1-j going "-"
+    links = _anchored(cycle.links, s if direction == CLOCKWISE else (s - 1) % m, direction)
     sign = 1 if direction == CLOCKWISE else -1
     pos = [sign * (cycle.index[v] - s) % m for v in hosts] + [m]
     hops = [b - a for a, b in zip(pos, pos[1:])]

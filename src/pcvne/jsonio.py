@@ -26,6 +26,8 @@ class InstanceFormatError(ModelError):
 
 
 def _q_out(x):
+    if type(x) is int:
+        return x
     q = as_quantity(x)
     return q if isinstance(q, int) else str(q)
 
@@ -33,9 +35,8 @@ def _q_out(x):
 def instance_to_dict(net, requests):
     cpu, bw = net.cpu_capacity, net.bw_capacity
     return {
-        "nodes": [{"id": v, "cpu": q if type(q := cpu[v]) is int else _q_out(q)} for v in net.nodes],
-        "edges": [{"u": u, "v": v, "bw": q if type(q := bw[(u, v)]) is int else _q_out(q)}
-                  for u, v in net.edges],
+        "nodes": [{"id": v, "cpu": _q_out(cpu[v])} for v in net.nodes],
+        "edges": [{"u": u, "v": v, "bw": _q_out(bw[(u, v)])} for u, v in net.edges],
         "requests": [request_to_dict(r) for r in requests],
     }
 
@@ -45,8 +46,8 @@ def request_to_dict(req):
     return {
         "id": req.req_id,
         "shape": req.shape.value,
-        "vns": [{"id": v, "cpu": q if type(q := cpu[v]) is int else _q_out(q)} for v in req.vns],
-        "vls": [{"u": u, "v": v, "bw": q if type(q := bw[(u, v)]) is int else _q_out(q)} for u, v in req.vls],
+        "vns": [{"id": v, "cpu": _q_out(cpu[v])} for v in req.vns],
+        "vls": [{"u": u, "v": v, "bw": _q_out(bw[(u, v)])} for u, v in req.vls],
         "revenue": _q_out(req.revenue),
     }
 

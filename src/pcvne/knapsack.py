@@ -11,9 +11,10 @@ item from `_ratio_key`, never a Fraction per comparison; `mkp_order` sorts any
 items given as plain profits, sizes and ids. Both MKP searches give (position,
 knapsack) per packed item; greedy is one `first_fit` over plain sizes, which
 stops once no remaining item can fit. MDKP sizes are dense length-d sequences
-or sparse {dimension: size} mappings, read once per item for its nonzero pairs
-and its surrogate weight (one int unit per dimension); a `weighed` instance
-brings those along, so the solvers do not walk its sizes again.
+or sparse {dimension: size} mappings, or (dimension, size) pairs on the
+unchecked `from_pairs` intake; `_mdkp_items` reads each item once for its
+nonzero pairs and its surrogate weight (one int unit per dimension, from the
+instance's capacities).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 import heapq
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .model import ModelError, as_quantity
@@ -63,11 +64,10 @@ class MdkpInstance:
     """d capacities and (item_id, profit, sizes) items, where `sizes` is a
     length-d sequence or a {dimension index in 0..d-1: size} mapping (absent
     dimensions are 0). Items keep their form (tuple or dict), quantities
-    normalised. `scale` is None but on a `weighed` instance."""
+    normalised."""
 
     capacities: list  # d non-negative quantities
     items: list       # (item_id, profit, sizes)
-    scale: int | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.capacities = [as_quantity(b) for b in self.capacities]
@@ -96,14 +96,13 @@ class MdkpInstance:
         self.items = norm
 
     @classmethod
-    def weighed(cls, capacities, items, scale):
-        """An instance whose items come as `_mdkp_items` reads them: (item_id,
-        profit, nonzero (dimension, size) pairs, surrogate weight), each weight
-        the capacity-normalized size sum times `scale` (a pair on a zero
-        capacity weighs 0; its item never fits). Taken as given, unchecked:
-        only for exact, validated quantities, e.g. residuals and demands."""
+    def from_pairs(cls, capacities, items):
+        """An instance whose items come as (item_id, profit, list of (dimension,
+        size) pairs), taken as given, unchecked: only for exact quantities,
+        non-negative capacities, positive sizes and distinct in-range
+        dimensions, e.g. validated residuals and demands."""
         inst = object.__new__(cls)
-        inst.capacities, inst.items, inst.scale = capacities, items, scale
+        inst.capacities, inst.items = capacities, items
         return inst
 
     @property
@@ -268,29 +267,27 @@ def _mdkp_items(inst):
     """The packable items as (id, profit, nonzero (index, size) pairs,
     surrogate weight) in funding order (`_ratio_key` on profit and weight),
     and the weights' scale. A dimension's unit is L / its capacity (L = lcm of
-    the positive capacity numerators; 0 at a zero capacity) and an item's
-    weight is the sum of size × unit. A `weighed` instance brings its items so,
-    with its own L as `scale`. Otherwise one pass per item reads its nonzero
-    pairs, drops it at a zero capacity (it never fits) and sums the weight.
-    Times the lcm of the weights' denominators, a weight is the
+    the positive capacity numerators; 0 at a zero capacity). One pass per item
+    over its nonzero pairs drops it at a zero capacity (it never fits) and
+    sums size × unit; times the lcm of the sums' denominators, that is the
     capacity-normalized size sum times the scale, an exact int."""
-    items, scale = inst.items, inst.scale
-    if scale is None:
-        caps = inst.capacities
-        scale = math.lcm(*{c.numerator for c in caps if c})
-        unit_of = {c: c.denominator * (scale // c.numerator) for c in set(caps) if c}
-        unit = [unit_of.get(c, 0) for c in caps]
-        items = []
-        for item_id, profit, sizes in inst.items:
-            pairs, weight = [], 0
-            for i, s in (sizes.items() if isinstance(sizes, dict) else enumerate(sizes)):
-                if s:
-                    if not unit[i]:
-                        break
-                    pairs.append((i, s))
-                    weight += s * unit[i]
-            else:
-                items.append((item_id, profit, pairs, weight))
+    positive = set(inst.capacities) - {0}
+    scale = math.lcm(*{c.numerator for c in positive})
+    unit_of = {c: c.denominator * (scale // c.numerator) for c in positive}
+    unit_of[0] = 0
+    unit = list(map(unit_of.__getitem__, inst.capacities))
+    items = []
+    for item_id, profit, sizes in inst.items:
+        if type(sizes) is not list:  # checked sizes; `from_pairs` brings its nonzero pairs
+            sizes = [(i, s) for i, s in (sizes.items() if isinstance(sizes, dict) else enumerate(sizes)) if s]
+        weight = 0
+        for i, s in sizes:
+            u = unit[i]
+            if not u:
+                break
+            weight += s * u
+        else:
+            items.append((item_id, profit, sizes, weight))
     size_lcm = math.lcm(*{t[3].denominator for t in items})
     items = [(item_id, p, pairs, int(w * size_lcm)) for item_id, p, pairs, w in items]
     key = _ratio_key((t[1] for t in items), (t[3] for t in items))

@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import math
 from collections import defaultdict
 from dataclasses import dataclass
 
@@ -177,42 +176,29 @@ def pack_mkp(paths, items, mode="greedy"):
 def assign_mdkp(net, placements, mode="greedy"):
     """Fund packed placements with CPU and BW out of the current residuals.
 
-    Each placement is an item whose sizes, read off its path slice (VN i's
-    CPU on SN i, VL i's BW on SL i: a simple path's SNs are distinct), are its
-    `footprint`; the dimensions are the SNs and SLs they touch, numbered at
-    first touch (SN and SL keys apart, so a tuple SN id never meets an SL key),
-    with their residuals as capacities. The walk that numbers them also sums
-    the `weighed` surrogate weight, in units of L / residual (L = lcm of every
-    positive residual numerator). Only the selected placements become
-    Embeddings, each returned with the footprint its `commit` returned.
+    Each placement is an item whose (dimension, size) pairs, read off its path
+    slice (VN i's CPU on SN i, VL i's BW on SL i: a simple path's SNs are
+    distinct), are its `footprint`; the dimensions are the SNs and SLs they
+    touch, numbered at first touch (SN and SL keys apart, so a tuple SN id
+    never meets an SL key), with their residuals as capacities. `solve_mdkp`
+    weighs and orders them. Only the selected placements become Embeddings,
+    each returned with the footprint its `commit` returned.
     """
-    res_cpu, res_bw = net.residual_cpu, net.residual_bw
-    positive = {*res_cpu.values(), *res_bw.values()} - {0}
-    scale = math.lcm(*(c.numerator for c in positive))
-    unit = {c: c.denominator * (scale // c.numerator) for c in positive}
-    unit[0] = 0  # a placement on an exhausted SN or SL never fits
     touched = itertools.count().__next__  # the next dimension index
     sn_dim, sl_dim = defaultdict(touched), defaultdict(touched)
     items = []
     for idx, pl in enumerate(placements):
         req, o = pl.req, pl.offset
         cpu, bw = req.cpu_demand, req.bw_demand
-        pairs, weight = [], 0
-        for vn, sn in zip(req.vns, pl.path.nodes[o:o + len(cpu)]):
-            s = cpu[vn]
-            pairs.append((sn_dim[sn], s))
-            weight += s * unit[res_cpu[sn]]
-        for vl, k in zip(req.vls, pl.path.edges()[o:o + len(bw)]):
-            s = bw[vl]
-            pairs.append((sl_dim[k], s))
-            weight += s * unit[res_bw[k]]
-        items.append((idx, req.revenue, pairs, weight))
+        pairs = [(sn_dim[sn], cpu[vn]) for vn, sn in zip(req.vns, pl.path.nodes[o:o + len(cpu)])]
+        pairs += [(sl_dim[k], bw[vl]) for vl, k in zip(req.vls, pl.path.edges()[o:o + len(bw)])]
+        items.append((idx, req.revenue, pairs))
     capacities = [None] * (len(sn_dim) + len(sl_dim))
-    for dims, residual in ((sn_dim, res_cpu), (sl_dim, res_bw)):
+    for dims, residual in ((sn_dim, net.residual_cpu), (sl_dim, net.residual_bw)):
         for key, i in dims.items():
             capacities[i] = residual[key]
 
-    selected, _profit = solve_mdkp(MdkpInstance.weighed(capacities, items, scale), mode=mode)
+    selected, _profit = solve_mdkp(MdkpInstance.from_pairs(capacities, items), mode=mode)
 
     accepted = []
     for pl in map(placements.__getitem__, sorted(selected)):

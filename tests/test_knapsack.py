@@ -434,18 +434,18 @@ def test_property_mdkp_weights_match_fraction_sum(data):
 
 def test_mdkp_drops_an_item_that_touches_a_zero_capacity():
     # "z" has the best ratio but needs dimension 1, whose capacity is 0: the
-    # intake drops it (dense or sparse) before ordering, while an explicit
-    # zero size there ("b") is no touch. A weighed instance keeps such an item
-    # at weight 0 on that dimension, and neither mode selects it
+    # intake drops it (dense, sparse or as pairs) before ordering, while an
+    # explicit zero size there ("b") is no touch, and neither mode selects it
     caps = [4, 0, 3]
+    paired = MdkpInstance.from_pairs(caps, [("z", 9, [(0, 1), (1, 1)]), ("a", 2, [(0, 2), (2, 1)]),
+                                            ("b", 1, [(2, 3)])])
     for z_sizes in ((1, 1, 0), {0: 1, 1: 1}):
         inst = MdkpInstance(caps, [("z", 9, z_sizes), ("a", 2, (2, 0, 1)), ("b", 1, {2: 3, 1: 0})])
         items, scale = _mdkp_items(inst)
         assert scale == 12 and items == [("a", 2, [(0, 2), (2, 1)], 10), ("b", 1, [(2, 3)], 12)]
-        weighed = MdkpInstance.weighed(caps, [("z", 9, [(0, 1), (1, 1)], 3), *items], scale)
-        assert [t[0] for t in _mdkp_items(weighed)[0]] == ["z", "a", "b"]
+        assert _mdkp_items(paired) == (items, scale)
         for mode in ("greedy", "exact"):
-            assert solve_mdkp(inst, mode=mode) == solve_mdkp(weighed, mode=mode) == (["a"], 2)
+            assert solve_mdkp(inst, mode=mode) == solve_mdkp(paired, mode=mode) == (["a"], 2)
 
 
 def _assert_mdkp_matches_references(caps, items):

@@ -550,25 +550,28 @@ def _assert_funding_sizes_are_footprints(net, reqs):
     # placement, its SNs then its SLs, SN and SL keys apart); item idx's
     # (dimension, size) pairs, read off placement idx's path slice, are the
     # `footprint` of that placement's embedding mapped through that
-    # numbering, in footprint order; its weight is the Fraction sum of size /
-    # residual over those pairs times the instance's scale, a multiple of
-    # every positive residual numerator; and the capacities are the residuals
-    # of those SNs and SLs and of nothing else
+    # numbering, in footprint order; the capacities are the residuals of
+    # those SNs and SLs and of nothing else; and the solver weighs each item
+    # as the Fraction sum of size / residual over its pairs, times a scale
+    # that every touched residual's numerator divides
     for placements, residual_cpu, residual_bw, inst in _funding_calls(net, reqs):
         assert [item[0] for item in inst.items] == list(range(len(placements)))
-        assert all(inst.scale % q.numerator == 0 for q in [*residual_cpu.values(), *residual_bw.values()] if q)
         residual = {("SN", sn): q for sn, q in residual_cpu.items()}
         residual.update({("SL", k): q for k, q in residual_bw.items()})
         dims = {}
-        for (_idx, profit, pairs, weight), pl in zip(inst.items, placements):
+        for (_idx, profit, pairs), pl in zip(inst.items, placements):
             cpu, bw = footprint([(pl.req, pl.to_embedding())])
             use = {**{("SN", sn): q for sn, q in cpu.items()}, **{("SL", k): q for k, q in bw.items()}}
             for d in use:
                 dims.setdefault(d, len(dims))
             assert profit == pl.req.revenue
             assert pairs == [(dims[d], q) for d, q in use.items()]
-            assert weight == inst.scale * sum(Fraction(q) / residual[d] for d, q in use.items())
         assert inst.capacities == [residual[d] for d in dims]
+        weighed, scale = _mdkp_items(inst)
+        assert all(scale % q.numerator == 0 for q in inst.capacities)
+        for idx, _p, pairs, weight in weighed:
+            assert weight == scale * sum(Fraction(q) / inst.capacities[d] for d, q in pairs)
+            assert pairs == inst.items[idx][2]
 
 
 @settings(max_examples=100, deadline=None)
@@ -599,7 +602,7 @@ def _assert_sparse_funding_selects_as_dense(net, reqs):
     # surrogate capacity that counts the touched dimensions only)
     index = {d: i for i, d in enumerate([*(("SN", v) for v in net.nodes), *(("SL", k) for k in net.edges)])}
     for placements, residual_cpu, residual_bw, inst in _funding_calls(net, reqs):
-        assert inst.scale is not None  # weighed in the walk: the solver reads the pairs as given
+        assert all(type(pairs) is list for _idx, _p, pairs in inst.items)  # the unchecked pairs intake
         caps = [residual_cpu[v] for v in net.nodes] + [residual_bw[k] for k in net.edges]
         dense = []
         for idx, pl in enumerate(placements):
@@ -807,11 +810,11 @@ def test_exhausted_link_forces_a_new_decomposition(monkeypatch):
 
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 10 ** 6))
-def test_property_weighed_funding_instance_solves_as_the_checked_one(seed):
-    # assign_mdkp skips the constructor's checks and weighs its items itself;
-    # the checked constructor, given the same capacities and each item's
-    # pairs as sparse sizes, must give the same funding order and pairs,
-    # weights in the same proportion, and the same selections
+def test_property_pairs_funding_instance_solves_as_the_checked_one(seed):
+    # assign_mdkp skips the constructor's checks and hands the solver each
+    # placement's pairs as given; the checked constructor, given the same
+    # capacities and each item's pairs as sparse sizes, must give the same
+    # funding items, weights and scale, and the same selections
     net, reqs = _random_pipeline_instance(random.Random(seed))
     seen, checked = [], []
     post_init = MdkpInstance.__post_init__
@@ -830,11 +833,43 @@ def test_property_weighed_funding_instance_solves_as_the_checked_one(seed):
         procedure_pe(net, reqs)
     assert seen and not checked
     for inst in seen:
-        public = MdkpInstance(inst.capacities, [(idx, p, dict(pairs)) for idx, p, pairs, _w in inst.items])
-        assert type(inst) is MdkpInstance and public.scale is None
-        (got, scale), (want, public_scale) = _mdkp_items(inst), _mdkp_items(public)
-        assert [t[:3] for t in got] == [t[:3] for t in want]
-        assert [Fraction(t[3], scale) for t in got] == [Fraction(t[3], public_scale) for t in want]
+        public = MdkpInstance(inst.capacities, [(idx, p, dict(pairs)) for idx, p, pairs in inst.items])
+        assert type(inst) is MdkpInstance
+        assert _mdkp_items(inst) == _mdkp_items(public)
         modes = ["greedy", "exact"] if len(inst.items) <= EXACT_ITEM_LIMIT else ["greedy"]
         for mode in modes:
             assert solve_mdkp(inst, mode=mode) == solve_mdkp(public, mode=mode)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 10 ** 6))
+def test_property_funding_ignores_untouched_residuals(seed):
+    # the funding units come from the touched residuals only: when an SN or
+    # SL that no placement touches takes a new residual, a large prime that
+    # no touched residual shares a factor with, each funding call builds the
+    # same instance, weighs it alike and funds the same placements
+    prime = 2 ** 61 - 1
+    net, reqs = _random_pipeline_instance(random.Random(seed))
+    for placements, residual_cpu, residual_bw, _inst in _funding_calls(net.copy(), reqs):
+        sns = {sn for pl in placements for sn in pl.path.nodes[pl.offset:pl.offset + pl.req.length + 1]}
+        sls = {k for pl in placements for k in pl.path.edges()[pl.offset:pl.offset + pl.req.length]}
+        changes = [None, *[("cpu", v) for v in net.nodes if v not in sns][:1],
+                   *[("bw", k) for k in net.edges if k not in sls][:1]]
+        runs = []
+        for change in changes:
+            run = net.copy()
+            run.residual_cpu, run.residual_bw = dict(residual_cpu), dict(residual_bw)
+            if change is not None:
+                getattr(run, f"residual_{change[0]}")[change[1]] = prime
+            insts = []
+
+            def capturing(inst, mode="greedy"):
+                insts.append(inst)
+                return solve_mdkp(inst, mode=mode)
+
+            with pytest.MonkeyPatch.context() as monkeypatch:
+                monkeypatch.setattr(path_embedding, "solve_mdkp", capturing)
+                funded = [pl.req.req_id for pl, _emb, _use in assign_mdkp(run, placements)]
+            (inst,) = insts
+            runs.append((inst.capacities, inst.items, _mdkp_items(inst), funded))
+        assert all(r == runs[0] for r in runs)
