@@ -11,6 +11,8 @@ Quantities may be ints, decimal floats, or "p/q" strings; non-integer values
 round-trip exactly as fractions (written back as "p/q"). A request without
 an "id" gets its index; request ids must be distinct. Malformed data raises
 InstanceFormatError, whose message names the offending field.
+`dump_instance` writes the dict that `instance_to_dict` builds, in one
+`dump_json` call.
 """
 
 from __future__ import annotations
@@ -155,24 +157,16 @@ def _check_entries(obj, key, where, fields):
 
 def dump_instance(net, requests, fp):
     """Write `instance_to_dict(net, requests)` by `dump_json`, one node, edge
-    or request per line; ids must be scalars. One walk over the requests
-    gathers their id types and encodes each request's dict as soon as it is
-    built, so no request dict outlives its line."""
-    head = instance_to_dict(net, [])
+    or request per line; ids must be scalars. `_name_defect` checks the dict
+    first only when an id's type is not exactly a JSON scalar, so a tuple id,
+    which would load back as a list, raises before anything is written."""
+    data = instance_to_dict(net, requests)
     types = set(map(type, chain(net.nodes, *net.edges)))
-    lines = []
-    try:
-        for r in requests:
-            types.update(map(type, chain((r.req_id,), r.vns, *r.vls)))
-            lines.append(json.dumps(request_to_dict(r)))
-    except TypeError:  # an id JSON cannot encode: named below
-        lines = None
-    if lines is not None and types.issubset(_SCALARS):  # exact types; `_id` lets subclasses pass
-        _write_json(head, {"requests": lines}, fp)
-    else:
-        data = instance_to_dict(net, requests)
-        _name_defect(data)  # a tuple would load as a list: raise
-        dump_json(data, fp)
+    for r in requests:
+        types.update(map(type, chain((r.req_id,), r.vns, *r.vls)))
+    if not types.issubset(_SCALARS):  # exact types; `_id` lets subclasses pass
+        _name_defect(data)
+    dump_json(data, fp)
 
 
 def dump_json(obj, fp):
@@ -180,18 +174,10 @@ def dump_json(obj, fp):
     (an indented dump would not). A non-empty list takes one entry per line;
     a dict one key per line, where a list value does too and any other value
     stays on its key's line. Any JSON layout loads back the same."""
-    _write_json(obj, {}, fp)
-
-
-def _write_json(obj, encoded, fp):
-    """`dump_json`, where `encoded` maps a key of the dict `obj` to the JSON
-    texts of its list's entries, which then replace the list."""
-    def block(x, lines=None):
-        if lines is None and isinstance(x, list):
-            lines = list(map(json.dumps, x))
-        return "[\n" + ",\n".join(lines) + "\n]" if lines else json.dumps(x)
+    def block(x):
+        return "[\n" + ",\n".join(map(json.dumps, x)) + "\n]" if isinstance(x, list) and x else json.dumps(x)
     if isinstance(obj, dict):
-        fp.write("{" + ",\n".join(f"{json.dumps(k)}: {block(v, encoded.get(k))}" for k, v in obj.items()) + "}\n")
+        fp.write("{" + ",\n".join(f"{json.dumps(k)}: {block(v)}" for k, v in obj.items()) + "}\n")
     else:
         fp.write(block(obj) + "\n")
 

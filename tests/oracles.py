@@ -411,7 +411,7 @@ SIMPLEX_RING_CAP = 8   # cycle requests: substrate nodes
 SIMPLEX_VN_CAP = 5     # cycle requests: virtual nodes per request
 PATH_SN_CAP = 7        # path requests: substrate nodes
 PATH_LINK_CAP = 3      # path requests: links per request
-PATH_REQUEST_CAP = 4   # path requests per max_accepted call
+PATH_REQUEST_CAP = 6   # path requests per max_accepted call
 
 
 def ring_tableaux(net, req):
@@ -660,20 +660,39 @@ def virtual_request_reference(req_id, shape, vns, vls, cpu_demand, bw_demand, re
     return shape, keys, cpu, bw, revenue
 
 
+def _fit_count(needs, room):
+    """How many of the demands `needs` fit together into `room`, smallest first."""
+    count = 0
+    for need in sorted(needs):
+        room -= need
+        if room < 0:
+            break
+        count += 1
+    return count
+
+
 def max_accepted(net, requests):
     """Maximum number of the path and cycle requests simultaneously
     embeddable, by depth-first search over each request's candidate
-    embeddings with commit/release on a private copy, cut off once the
-    requests left cannot beat the best count. A general request raises
-    ModelError, anything past the caps SizeCapExceeded."""
+    embeddings with commit/release on a private copy. A branch is cut off
+    once the requests left that fit the summed residual CPU, and those that
+    fit the summed residual BW, cannot beat the best count: every candidate
+    takes its request's total CPU and at least its total BW. A general
+    request raises ModelError, anything past the caps SizeCapExceeded."""
     _refuse_past_caps(net, requests)
     work = net.copy()
+    cpu_need = [req.total_cpu_demand for req in requests]
+    bw_need = [req.total_bw_demand for req in requests]
     best = 0
 
     def dfs(i, accepted):
         nonlocal best
         best = max(best, accepted)
-        if i == len(requests) or accepted + (len(requests) - i) <= best:
+        if i == len(requests):
+            return
+        left = min(_fit_count(cpu_need[i:], sum(work.residual_cpu.values())),
+                   _fit_count(bw_need[i:], sum(work.residual_bw.values())))
+        if accepted + left <= best:
             return
         req = requests[i]
         for emb in candidate_embeddings(work, req):  # a list: commits change the residuals

@@ -387,6 +387,23 @@ def test_request_refusals_name_the_request(tmp_path, capsys, corrupt):
     assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
+def test_nan_ids_are_a_clean_error(tmp_path, capsys):
+    # JSON's NaN orders neither way against an id; this instance used to load
+    # its (NaN, NaN) link as a self-loop, and embed-generic then stopped on an
+    # infeasible commit of its own embedding
+    inst = tmp_path / "inst.json"
+    inst.write_text('{"nodes": [{"id": NaN, "cpu": 5}, {"id": 1, "cpu": 5}],\n'
+                    ' "edges": [{"u": NaN, "v": 1, "bw": 5}, {"u": NaN, "v": NaN, "bw": 5}],\n'
+                    ' "requests": [{"id": "r", "shape": "path", "vns": [{"id": 0, "cpu": 1}, {"id": 1, "cpu": 1}],\n'
+                    '               "vls": [{"u": 0, "v": 1, "bw": 1}]}]}\n')
+    out = tmp_path / "out.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["embed-generic", "--instance", str(inst), "--out", str(out)])
+    assert exc.value.code == 2
+    assert capsys.readouterr() == ("", "error: ids nan and 1 are not comparable\n")
+    assert not out.exists()
+
+
 _REFUSED_RUNS = [  # (generate flags of the instance or None, the refused command, its message)
     (None, ["generate", "--nodes", "0"], "need at least one node"),
     (["--nodes", "8", "--edges", "12", "--count", "16", "--length-min", "1", "--length-max", "2", "--seed", "1"],

@@ -1,4 +1,5 @@
 import copy
+import enum
 import io
 import json
 import re
@@ -145,11 +146,37 @@ def test_dump_refuses_ids_json_cannot_hold(instance, field):
 
 def test_dump_refuses_a_link_end_json_cannot_encode():
     # a link end equal to its VN id is kept as given; JSON cannot encode this
-    # one, which the walk that encodes each request meets first
+    # one, and the check of the dict names it before anything is written
     fp = io.StringIO()
     with pytest.raises(InstanceFormatError, match=re.escape("requests[0].vls[0].u: expected a scalar id, got Fraction")):
         dump_instance(make_net([0, 1], [(0, 1)], 5, 5), [_fraction_end_request()], fp)
     assert fp.getvalue() == ""
+
+
+class _Sn(enum.IntEnum):
+    A = 0
+    B = 1
+
+
+class _Name(str):
+    pass
+
+
+def test_dump_of_scalar_subclass_ids_writes_the_dict_and_loads_back_equal():
+    # ids that are scalars but not of an exact JSON type: the dict is checked
+    # for a defect, finds none, and is written as any other
+    net = make_net([_Sn.A, _Sn.B, 2], [(_Sn.A, _Sn.B), (_Sn.B, 2)], {_Sn.A: 3, _Sn.B: Fraction(5, 2), 2: 4}, 6)
+    reqs = [make_path_request(_Name("r"), [1, 2], [3]), make_cycle_request(_Name("c"), [1, 1, 1], [2, 2, 2])]
+    buf, want = io.StringIO(), io.StringIO()
+    dump_instance(net, reqs, buf)
+    dump_json(instance_to_dict(net, reqs), want)
+    assert buf.getvalue() == want.getvalue()
+    net2, reqs2 = load_instance(io.StringIO(buf.getvalue()))
+    assert (net2.nodes, net2.edges) == (net.nodes, net.edges)
+    assert (net2.cpu_capacity, net2.bw_capacity) == (net.cpu_capacity, net.bw_capacity)
+    for a, b in zip(reqs, reqs2, strict=True):
+        assert (a.req_id, a.shape, a.vns, a.vls, a.revenue) == (b.req_id, b.shape, b.vns, b.vls, b.revenue)
+        assert (a.cpu_demand, a.bw_demand) == (b.cpu_demand, b.bw_demand)
 
 
 def test_request_ids_default_to_index():

@@ -1,5 +1,6 @@
 import copy
 import io
+import math
 import random
 from collections import namedtuple
 from fractions import Fraction
@@ -585,6 +586,14 @@ def _shared_sn_batch():
     # EmbeddingBatch.validate_against keeps the non-capacity violations
     (_shared_sn_batch, (False, [Violation("injectivity", "VNs 0 and 1 share SN 0"),
                                 Violation("endpoint", "VL (0, 1) path ends at 1, expected 0")])),
+    # NaN orders neither way: edge_key(0, nan) and edge_key(nan, 0) used to
+    # differ, for a substrate link and for a virtual link alike
+    (lambda: make_net([0, math.nan], [(0, math.nan)], 1, {}), (ModelError, "ids 0 and nan are not comparable")),
+    (lambda: _request(vns=(0, math.nan), vls=((0, math.nan),)), (ModelError, "ids 0 and nan are not comparable")),
+    # an unknown SN raises, though a shared SN came before it in node-map order
+    (lambda: validate_embedding(path_net(4), make_path_request("r", [1, 1, 1], [1, 1]),
+                                Embedding("r", {0: 0, 1: 0, 2: 9}, {(0, 1): [(0, 1)], (1, 2): [(1, 2)]})),
+     (MalformedEmbeddingError, "VN 2 mapped to unknown SN 9")),
 ])
 def test_refusal_messages(thunk, expected):
     assert _outcome(thunk) == expected
