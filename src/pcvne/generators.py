@@ -225,16 +225,18 @@ def gen_ddkp_reduction(inst):
     Ring node i carries the i-th capacity scaled by a factor large enough
     that the i-th VN of every request is CPU-infeasible on all earlier ring
     nodes; link bandwidth equals the item count so the unit per-link demands
-    never bind. Item sizes come in either `MdkpInstance` form, all at least 1.
+    never bind. Every item's size in every dimension must be at least 1.
     """
-    d = inst.dimensions
+    d = len(inst.capacities)
     if d < 2:
         raise SpecError("need at least 2 dimensions")
     items = inst.items
     n_items = len(items)
     rows = []  # per item, its size in each dimension
-    for item_id, _p, sizes in items:
-        row = [sizes.get(k, 0) for k in range(d)] if isinstance(sizes, dict) else list(sizes)
+    for item_id, _p, pairs in items:
+        row = [0] * d  # an absent dimension is size 0
+        for k, s in pairs:
+            row[k] = s
         if min(row) < 1:
             raise SpecError(f"item {item_id!r} has a size component below 1; "
                             "the construction cannot force its placement")

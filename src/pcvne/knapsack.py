@@ -10,18 +10,16 @@ Both greedy orders (profit per unit size descending) sort on one exact int per
 item from `_ratio_key`, never a Fraction per comparison; `mkp_order` sorts any
 items given as plain profits, sizes and ids. Both MKP searches give (position,
 knapsack) per packed item; greedy is one `first_fit` over plain sizes, which
-stops once no remaining item can fit. MDKP sizes are dense length-d sequences
-or sparse {dimension: size} mappings, or (dimension, size) pairs on the
-unchecked `from_pairs` intake; `_mdkp_items` reads each item once for its
-nonzero pairs and its surrogate weight (one int unit per dimension, from the
-instance's capacities).
+stops once no remaining item can fit. An MDKP item's sizes are a list of
+sparse (dimension, size) pairs, checked or (`from_pairs`) taken as given;
+`_mdkp_items` reads each item once for its surrogate weight (one int unit per
+dimension, from the instance's capacities).
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -61,13 +59,12 @@ class MkpInstance:
 
 @dataclass
 class MdkpInstance:
-    """d capacities and (item_id, profit, sizes) items, where `sizes` is a
-    length-d sequence or a {dimension index in 0..d-1: size} mapping (absent
-    dimensions are 0). Items keep their form (tuple or dict), quantities
-    normalised."""
+    """d capacities and (item_id, profit, pairs) items, `pairs` a list of
+    (dimension in 0..d-1, size), each dimension at most once; an absent one
+    is size 0. Quantities are normalised and zero sizes dropped."""
 
     capacities: list  # d non-negative quantities
-    items: list       # (item_id, profit, sizes)
+    items: list       # (item_id, profit, list of (dimension, size))
 
     def __post_init__(self):
         self.capacities = [as_quantity(b) for b in self.capacities]
@@ -76,38 +73,31 @@ class MdkpInstance:
                 raise ModelError("negative capacity component")
         d = len(self.capacities)
         norm = []
-        for item_id, profit, sizes in self.items:
-            if isinstance(sizes, Mapping):
-                for i in sizes:
-                    if type(i) is not int or not 0 <= i < d:
-                        raise ModelError(f"item {item_id!r} has size index {i!r} outside 0..{d - 1}")
-                sizes = {i: as_quantity(s) for i, s in sizes.items()}
-                values = sizes.values()
-            else:
-                if len(sizes) != d:
-                    raise ModelError(f"item {item_id!r} has {len(sizes)} size components, expected {d}")
-                sizes = values = tuple(as_quantity(s) for s in sizes)
-            if any(s < 0 for s in values):
+        for item_id, profit, pairs in self.items:
+            if type(pairs) is not list or not all(isinstance(p, tuple) and len(p) == 2 for p in pairs):
+                raise ModelError(f"item {item_id!r} sizes are not a list of (dimension, size) pairs")
+            for i, _s in pairs:
+                if type(i) is not int or not 0 <= i < d:
+                    raise ModelError(f"item {item_id!r} has size index {i!r} outside 0..{d - 1}")
+            if len({i for i, _s in pairs}) < len(pairs):
+                raise ModelError(f"item {item_id!r} repeats a dimension")
+            pairs = [(i, as_quantity(s)) for i, s in pairs]
+            if any(s < 0 for _i, s in pairs):
                 raise ModelError(f"negative size component on item {item_id!r}")
             profit = as_quantity(profit)
             if profit < 0:
                 raise ModelError(f"negative profit on item {item_id!r}")
-            norm.append((item_id, profit, sizes))
+            norm.append((item_id, profit, [(i, s) for i, s in pairs if s]))
         self.items = norm
 
     @classmethod
     def from_pairs(cls, capacities, items):
-        """An instance whose items come as (item_id, profit, list of (dimension,
-        size) pairs), taken as given, unchecked: only for exact quantities,
-        non-negative capacities, positive sizes and distinct in-range
-        dimensions, e.g. validated residuals and demands."""
+        """An instance of the checked form taken as given, unchecked: only for
+        exact quantities, non-negative capacities, positive sizes and distinct
+        in-range dimensions, e.g. validated residuals and demands."""
         inst = object.__new__(cls)
         inst.capacities, inst.items = capacities, items
         return inst
-
-    @property
-    def dimensions(self):
-        return len(self.capacities)
 
 
 def order_items(items):
@@ -277,17 +267,15 @@ def _mdkp_items(inst):
     unit_of[0] = 0
     unit = list(map(unit_of.__getitem__, inst.capacities))
     items = []
-    for item_id, profit, sizes in inst.items:
-        if type(sizes) is not list:  # checked sizes; `from_pairs` brings its nonzero pairs
-            sizes = [(i, s) for i, s in (sizes.items() if isinstance(sizes, dict) else enumerate(sizes)) if s]
+    for item_id, profit, pairs in inst.items:
         weight = 0
-        for i, s in sizes:
+        for i, s in pairs:
             u = unit[i]
             if not u:
                 break
             weight += s * u
         else:
-            items.append((item_id, profit, sizes, weight))
+            items.append((item_id, profit, pairs, weight))
     size_lcm = math.lcm(*{t[3].denominator for t in items})
     items = [(item_id, p, pairs, int(w * size_lcm)) for item_id, p, pairs, w in items]
     key = _ratio_key((t[1] for t in items), (t[3] for t in items))

@@ -212,6 +212,8 @@ class VirtualRequest:
     def __post_init__(self):
         if type(self.shape) is not Shape:
             self.shape = Shape(self.shape)
+        if self.req_id != self.req_id:  # NaN: a dump of it cannot load back
+            raise ModelError(f"request id {self.req_id!r} is not equal to itself")
         if self._take_chain():  # kept: without it path-oversub setup_s is 11% higher
             return
         # otherwise the checks one by one, raising the first defect
@@ -227,6 +229,9 @@ class VirtualRequest:
         if len(set(keys)) != len(keys):
             raise ModelError("duplicate virtual links")
         self.vls = keys
+        for v in self.vns:
+            if v != v:  # NaN, on no link
+                raise ModelError(f"virtual node id {v!r} is not equal to itself")
         n = len(self.vns)
         if self.shape is Shape.PATH:
             expected = [edge_key(self.vns[i], self.vns[i + 1]) for i in range(n - 1)]
@@ -275,7 +280,8 @@ class VirtualRequest:
         elif shape is not Shape.PATH:
             return False
         try:
-            if vls != chain or not all(map(lt, vns, after)):  # ascending: distinct, and each link canonical
+            # ascending: distinct, each link canonical and no NaN (`lt` sees no lone VN)
+            if vls != chain or not all(map(lt, vns, after)) or vns and vns[0] != vns[0]:
                 return False
             keys = list(map(tuple, vls))
             cpu = {v: d for v in vns if type(d := cpu[v]) is int and d > 0}

@@ -93,6 +93,12 @@ def mkp_best_profit(capacities, items):
     return best
 
 
+def mdkp_pairs(items):
+    """MDKP (id, profit, dense size row) items as `MdkpInstance` takes them:
+    each row as its (dimension, size) pairs, zero sizes included."""
+    return [(item_id, profit, list(enumerate(row))) for item_id, profit, row in items]
+
+
 def mdkp_best_profit(capacities, items):
     """Exhaustive d-dimensional knapsack optimum over all subsets."""
     n = len(items)

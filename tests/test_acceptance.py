@@ -25,6 +25,7 @@ from oracles import (
     cpu_link_feasible_hosts,
     kp_best_profit,
     mdkp_best_profit,
+    mdkp_pairs,
     max_accepted,
     mkp_best_profit,
     ring_tableaux,
@@ -212,7 +213,7 @@ def test_criterion_05_knapsack_oracles():
         items = [(i, rng.randint(0, 15), tuple(rng.randint(0, 5) for _ in range(d)))
                  for i in range(12)]
         caps = [rng.randint(0, 12) for _ in range(d)]
-        inst = MdkpInstance(caps, items)
+        inst = MdkpInstance(caps, mdkp_pairs(items))
         selected, exact = solve_mdkp(inst, mode="exact")
         assert exact == mdkp_best_profit(caps, items)
         g_sel, greedy = solve_mdkp(inst, mode="greedy")
@@ -386,7 +387,7 @@ def test_criterion_11_reduction_generators():
         # pack on either side and would make the feasibility scan vacuous
         items = [(j, 1, (rng.randint(1, caps[0]), rng.randint(1, caps[1])))
                  for j in range(n)]
-        red = gen_ddkp_reduction(MdkpInstance(caps, items))
+        red = gen_ddkp_reduction(MdkpInstance(caps, mdkp_pairs(items)))
         cycle = CycleView(red.net)
         for req in red.requests:
             hosts, _bad = feasible_sets(cycle, req)

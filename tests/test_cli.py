@@ -404,6 +404,21 @@ def test_nan_ids_are_a_clean_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_nan_request_id_is_a_clean_error(tmp_path, capsys):
+    # a NaN request id used to be embedded and written to the report as NaN,
+    # which is not JSON
+    inst = tmp_path / "inst.json"
+    inst.write_text('{"nodes": [{"id": 0, "cpu": 5}, {"id": 1, "cpu": 5}], "edges": [{"u": 0, "v": 1, "bw": 5}],\n'
+                    ' "requests": [{"id": NaN, "shape": "path", "vns": [{"id": 0, "cpu": 1}, {"id": 1, "cpu": 1}],\n'
+                    '               "vls": [{"u": 0, "v": 1, "bw": 1}]}]}\n')
+    out = tmp_path / "out.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["embed-paths", "--instance", str(inst), "--out", str(out)])
+    assert exc.value.code == 2
+    assert capsys.readouterr() == ("", "error: requests[0]: request id nan is not equal to itself\n")
+    assert not out.exists()
+
+
 _REFUSED_RUNS = [  # (generate flags of the instance or None, the refused command, its message)
     (None, ["generate", "--nodes", "0"], "need at least one node"),
     (["--nodes", "8", "--edges", "12", "--count", "16", "--length-min", "1", "--length-max", "2", "--seed", "1"],

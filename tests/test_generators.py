@@ -3,7 +3,7 @@ import random
 import pytest
 
 from conftest import mask_hosts
-from oracles import cardinality_ddkp_optimum, cpu_link_feasible_hosts
+from oracles import cardinality_ddkp_optimum, cpu_link_feasible_hosts, mdkp_pairs
 from pcvne.generators import (
     RequestSpec,
     SpecError,
@@ -179,7 +179,7 @@ class TestDdkpReduction:
             caps = [rng.randint(2, 8), rng.randint(2, 8)]
             items = [(j, 1, (rng.randint(1, caps[0]), rng.randint(1, caps[1])))
                      for j in range(n)]
-            red = gen_ddkp_reduction(MdkpInstance(caps, items))
+            red = gen_ddkp_reduction(MdkpInstance(caps, mdkp_pairs(items)))
             from pcvne.cycle_embedding import CycleView, feasible_sets
 
             cycle = CycleView(red.net)
@@ -200,7 +200,7 @@ class TestDdkpReduction:
             caps = [rng.randint(2, 6) for _ in range(d)]
             items = [(j, 1, tuple(rng.randint(1, caps[i]) for i in range(d)))
                      for j in range(rng.randint(1, 4))]
-            red = gen_ddkp_reduction(MdkpInstance(caps, items))
+            red = gen_ddkp_reduction(MdkpInstance(caps, mdkp_pairs(items)))
             for req in red.requests:
                 found = [h for _s, _d, h, _c in ring_tableaux(red.net, req)]
                 assert found, "every item must be embeddable alone"
@@ -214,7 +214,7 @@ class TestDdkpReduction:
             n = rng.randint(1, 6)
             caps = [rng.randint(2, 6), rng.randint(2, 6)]
             items = [(j, 1, (rng.randint(1, 4), rng.randint(1, 4))) for j in range(n)]
-            red = gen_ddkp_reduction(MdkpInstance(caps, items))
+            red = gen_ddkp_reduction(MdkpInstance(caps, mdkp_pairs(items)))
             expected = cardinality_ddkp_optimum(caps, [sizes for _j, _p, sizes in items])
             assert max_accepted(red.net, red.requests) == expected
 
@@ -225,32 +225,33 @@ class TestDdkpReduction:
 
     def test_rejects_zero_sizes(self):
         with pytest.raises(SpecError):
-            gen_ddkp_reduction(MdkpInstance([3, 4], [(0, 1, (0, 2))]))
+            gen_ddkp_reduction(MdkpInstance([3, 4], [(0, 1, [(0, 0), (1, 2)])]))
 
     def test_mapping_sizes_match_their_dense_form(self):
-        # a {dimension: size} item, keys in any order, builds the same ring and requests
+        # an item's (dimension, size) pairs in any order build the same ring and
+        # requests as in dimension order
         rng = random.Random(17)
         for d in (2, 2, 3, 4, 5) * 6:
             caps = [rng.randint(1, 9) for _ in range(d)]
-            dense = [(j, 1, tuple(rng.randint(1, 6) for _ in range(d))) for j in range(rng.randint(0, 5))]
-            sparse = [(j, p, {k: sizes[k] for k in rng.sample(range(d), d)}) for j, p, sizes in dense]
+            dense = mdkp_pairs([(j, 1, [rng.randint(1, 6) for _ in range(d)]) for j in range(rng.randint(0, 5))])
+            shuffled = [(j, p, rng.sample(pairs, d)) for j, p, pairs in dense]
             a = gen_ddkp_reduction(MdkpInstance(caps, dense))
-            b = gen_ddkp_reduction(MdkpInstance(caps, sparse))
+            b = gen_ddkp_reduction(MdkpInstance(caps, shuffled))
             assert (b.net.nodes, b.net.edges) == (a.net.nodes, a.net.edges)
             assert (b.net.cpu_capacity, b.net.bw_capacity) == (a.net.cpu_capacity, a.net.bw_capacity)
             assert (b.requests, b.dim_position) == (a.requests, a.dim_position)
 
     def test_mapping_sizes_worked_example(self):
-        items = [(0, 1, {0: 2, 1: 3}), (1, 1, {1: 1, 0: 1})]
+        items = [(0, 1, [(0, 2), (1, 3)]), (1, 1, [(1, 1), (0, 1)])]
         red = gen_ddkp_reduction(MdkpInstance([4, 4], items))
         assert [r.cpu_demand for r in red.requests] == [{0: 2, 1: 5, 2: 33}, {0: 1, 1: 5, 2: 11}]
 
-    @pytest.mark.parametrize("sizes", [{1: 3}, {0: 2}, {}, {0: 1, 2: 1}])
+    @pytest.mark.parametrize("sizes", [[(1, 3)], [(0, 2), (1, 0)], [], [(0, 1), (2, 1)]])
     def test_mapping_without_a_dimension_is_a_zero_size(self, sizes):
-        caps = [4] * (3 if 2 in sizes else 2)
+        caps = [4] * (3 if (2, 1) in sizes else 2)
         with pytest.raises(SpecError, match=r"^item 0 has a size component below 1;"):
             gen_ddkp_reduction(MdkpInstance(caps, [(0, 1, sizes)]))
 
     def test_rejects_single_dimension(self):
         with pytest.raises(SpecError):
-            gen_ddkp_reduction(MdkpInstance([3], [(0, 1, (1,))]))
+            gen_ddkp_reduction(MdkpInstance([3], [(0, 1, [(0, 1)])]))

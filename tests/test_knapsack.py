@@ -14,6 +14,7 @@ from oracles import (
     mdkp_exact_reference,
     mdkp_greedy_reference,
     mdkp_order_reference,
+    mdkp_pairs,
     mdkp_weight_reference,
     mkp_best_profit,
     solve_kp_dp,
@@ -131,10 +132,9 @@ def _check_mkp_assignment(inst, assignment, profit):
 
 
 def rand_mdkp(rng, n, d, max_size=5, max_cap=12):
-    items = [(i, rng.randint(0, 15), tuple(rng.randint(0, max_size) for _ in range(d)))
-             for i in range(n)]
-    caps = [rng.randint(0, max_cap) for _ in range(d)]
-    return MdkpInstance(caps, items)
+    """An instance and its items with dense size rows, as the oracles take them."""
+    items = [(i, rng.randint(0, 15), [rng.randint(0, max_size) for _ in range(d)]) for i in range(n)]
+    return MdkpInstance([rng.randint(0, max_cap) for _ in range(d)], mdkp_pairs(items)), items
 
 
 class TestMdkp:
@@ -143,44 +143,51 @@ class TestMdkp:
         for _ in range(20):
             items = rand_items(rng, 9)
             cap = rng.randint(0, 20)
-            inst = MdkpInstance([cap], [(it.item_id, it.profit, (it.size,)) for it in items])
+            inst = MdkpInstance([cap], [(it.item_id, it.profit, [(0, it.size)]) for it in items])
             _, profit = solve_mdkp(inst, mode="exact")
             _, kp_profit = solve_kp_dp(cap, items)
             assert profit == kp_profit
 
     def test_zero_capacity_vector(self):
-        inst = MdkpInstance([0, 0], [(0, 5, (1, 0)), (1, 3, (0, 2))])
+        inst = MdkpInstance([0, 0], [(0, 5, [(0, 1)]), (1, 3, [(1, 2)])])
         for mode in ("greedy", "exact"):
             selected, profit = solve_mdkp(inst, mode=mode)
             assert selected == [] and profit == 0
 
-    def test_dimension_mismatch_rejected(self):
-        with pytest.raises(ModelError):
-            MdkpInstance([3, 3], [(0, 1, (1, 2, 3))])
-
     @pytest.mark.parametrize("key", [-1, 2, "0", 1.0, True])
     def test_mapping_index_outside_dimensions_rejected(self, key):
-        with pytest.raises(ModelError):
+        # the pairs map dimensions to sizes; a dict is not a size form
+        with pytest.raises(ModelError, match=rf"^item 0 has size index {key!r} outside 0\.\.1$"):
+            MdkpInstance([3, 3], [(0, 1, [(0, 1), (key, 1)])])
+        with pytest.raises(ModelError, match=r"^item 0 sizes are not a list of \(dimension, size\) pairs$"):
             MdkpInstance([3, 3], [(0, 1, {0: 1, key: 1})])
 
-    def test_mapping_sizes_keep_their_form(self):
-        inst = MdkpInstance([3, 3], [(0, 1, {1: 2.5}), (1, 1, [1, "1/2"])])
-        assert inst.items == [(0, 1, {1: Fraction(5, 2)}), (1, 1, (1, Fraction(1, 2)))]
-        with pytest.raises(ModelError):
-            MdkpInstance([3, 3], [(0, 1, {1: -1})])
+    def test_sizes_normalised_and_zero_sizes_dropped(self):
+        inst = MdkpInstance(["3", 3.0], [(0, 1, [(1, 2.5), (0, 0)]), ("b", "1/2", [(0, Fraction(2)), (1, "1/2")])])
+        assert inst.capacities == [3, 3] and all(type(c) is int for c in inst.capacities)
+        assert inst.items == [(0, 1, [(1, Fraction(5, 2))]), ("b", Fraction(1, 2), [(0, 2), (1, Fraction(1, 2))])]
+        assert type(inst.items[1][2][0][1]) is int
+        assert inst == MdkpInstance.from_pairs(inst.capacities, inst.items)
+
+    @pytest.mark.parametrize("sizes", [(1, 2), [1, 2], {0: 1, 1: 2}, ((0, 1), (1, 2)), [[0, 1]],
+                                       [(0, 1, 2)], [(0,)], "01", None])
+    def test_removed_size_forms_refused(self, sizes):
+        # a dense row (tuple or list), a mapping, or anything else but a list of pairs
+        with pytest.raises(ModelError, match=r"^item 'x' sizes are not a list of \(dimension, size\) pairs$"):
+            MdkpInstance([3, 3], [(0, 1, [(0, 1)]), ("x", 1, sizes)])
 
     def test_exact_matches_exhaustive(self):
         rng = random.Random(13)
         for _ in range(25):
-            inst = rand_mdkp(rng, 10, rng.randint(1, 4))
+            inst, items = rand_mdkp(rng, 10, rng.randint(1, 4))
             selected, profit = solve_mdkp(inst, mode="exact")
-            assert profit == mdkp_best_profit(inst.capacities, inst.items)
+            assert profit == mdkp_best_profit(inst.capacities, items)
             _check_mdkp_selection(inst, selected, profit)
 
     def test_greedy_feasible_and_dominated(self):
         rng = random.Random(17)
         for _ in range(25):
-            inst = rand_mdkp(rng, 10, rng.randint(1, 4))
+            inst, _items = rand_mdkp(rng, 10, rng.randint(1, 4))
             selected, profit = solve_mdkp(inst, mode="greedy")
             _, e_profit = solve_mdkp(inst, mode="exact")
             _check_mdkp_selection(inst, selected, profit)
@@ -188,17 +195,17 @@ class TestMdkp:
 
     def test_exact_refuses_oversized_input(self):
         rng = random.Random(0)
-        inst = rand_mdkp(rng, EXACT_ITEM_LIMIT + 1, 2)
+        inst, items = rand_mdkp(rng, EXACT_ITEM_LIMIT + 1, 2)
         at_limit = MdkpInstance(inst.capacities, inst.items[:-1])
         _, profit = solve_mdkp(at_limit, mode="exact")
-        assert profit == mdkp_best_profit(at_limit.capacities, at_limit.items)
+        assert profit == mdkp_best_profit(at_limit.capacities, items[:-1])
         with pytest.raises(ExactSizeError, match="^exact MDKP limited to 15 items, got 16$"):
             solve_mdkp(inst, mode="exact")
 
 
 @pytest.mark.parametrize("solve, inst", [
     (solve_mkp, MkpInstance([3], [KpItem(0, 1, 1)])),
-    (solve_mdkp, MdkpInstance([3], [(0, 1, (1,))])),
+    (solve_mdkp, MdkpInstance([3], [(0, 1, [(0, 1)])])),
 ])
 def test_unknown_mode_rejected(solve, inst):
     with pytest.raises(ModelError, match="^unknown mode 'optimal'$"):
@@ -211,11 +218,18 @@ def test_unknown_mode_rejected(solve, inst):
     (KpItem, (0, False, 1), "item size must be a non-negative int, got False"),
     (MkpInstance, ([True, 2], []), "knapsack capacity must be a non-negative int, got True"),
     (MkpInstance, ([2, False], []), "knapsack capacity must be a non-negative int, got False"),
-    (MdkpInstance, ([5], [(0, -3, (1,))]), "negative profit on item 0"),
-    (MdkpInstance, ([5], [(0, 1, {0: 1}), ("b", Fraction(-1, 2), {})]), "negative profit on item 'b'"),
+    (MdkpInstance, ([5], [(0, -3, [(0, 1)])]), "negative profit on item 0"),
+    (MdkpInstance, ([5], [(0, 1, [(0, 1)]), ("b", Fraction(-1, 2), [])]), "negative profit on item 'b'"),
     # the bound assumes non-negative profits: exact mode used to prune the root
     # and return ([], 0) here, though item 1 alone gives 2
-    (MdkpInstance, ([5], [(0, -3, (1,)), (1, 2, (1,))]), "negative profit on item 0"),
+    (MdkpInstance, ([5], [(0, -3, [(0, 1)]), (1, 2, [(0, 1)])]), "negative profit on item 0"),
+    (MdkpInstance, ([5, -1], []), "negative capacity component"),
+    (MdkpInstance, ([5, 5], [(0, 1, [(1, Fraction(-1, 2))])]), "negative size component on item 0"),
+    (MdkpInstance, ([5, 5], [(0, 1, [(1, "abc")])]), "not a quantity: 'abc'"),
+    # `_fits` checks each pair alone, so a repeated dimension could overrun its
+    # capacity; one is refused even where a zero size repeats it
+    (MdkpInstance, ([5, 5], [(0, 1, [(1, 3), (0, 1), (1, 3)])]), "item 0 repeats a dimension"),
+    (MdkpInstance, ([5, 5], [(0, 1, [(1, 0), (1, 2)])]), "item 0 repeats a dimension"),
 ])
 def test_bad_input_refused(cls, args, message):
     with pytest.raises(ModelError) as exc:
@@ -224,13 +238,14 @@ def test_bad_input_refused(cls, args, message):
 
 
 def _check_mdkp_selection(inst, selected, profit):
-    by_id = {item_id: (p, sizes) for item_id, p, sizes in inst.items}
-    totals = [0] * inst.dimensions
+    by_id = {item_id: (p, pairs) for item_id, p, pairs in inst.items}
+    totals = [0] * len(inst.capacities)
     total_profit = 0
     for item_id in selected:
-        p, sizes = by_id[item_id]
+        p, pairs = by_id[item_id]
         total_profit += p
-        totals = [t + s for t, s in zip(totals, sizes)]
+        for i, s in pairs:
+            totals[i] += s
     assert total_profit == profit
     assert all(t <= c for t, c in zip(totals, inst.capacities))
 
@@ -260,6 +275,8 @@ def test_property_kp_dp_optimal(seed):
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 10 ** 6))
 def test_property_mdkp_sparse_sizes_match_dense(seed):
+    # an item's pairs in any order, some explicit zeros kept and the rest left
+    # out, solve as its full row of pairs in dimension order, in both modes
     rng = random.Random(seed)
     d = rng.randint(1, 5)
     caps = [rng.choice([0, 0, 1, 3, 6, Fraction(9, 2)]) for _ in range(d)]
@@ -269,11 +286,13 @@ def test_property_mdkp_sparse_sizes_match_dense(seed):
         sizes = [rng.choice([0, 0, 0, 1, 2, 3, Fraction(3, 2)]) for _ in range(d)]
         p = rng.randint(0, 9)
         dense.append((i, p, sizes))
-        # explicit zeros stay in some mappings, the rest are left out
-        sparse.append((i, p, {k: s for k, s in enumerate(sizes) if s or rng.random() < 0.3}))
+        pairs = [(k, s) for k, s in enumerate(sizes) if s or rng.random() < 0.3]
+        rng.shuffle(pairs)
+        sparse.append((i, p, pairs))
+    full = MdkpInstance(caps, mdkp_pairs(dense))
     for mode in ("greedy", "exact"):
-        assert (solve_mdkp(MdkpInstance(caps, sparse), mode=mode)
-                == solve_mdkp(MdkpInstance(caps, dense), mode=mode))
+        assert solve_mdkp(MdkpInstance(caps, sparse), mode=mode) == solve_mdkp(full, mode=mode)
+    assert solve_mdkp(full) == mdkp_greedy_reference(caps, dense)
 
 
 @settings(max_examples=100, deadline=None)
@@ -416,31 +435,31 @@ _QUANTITIES = st.sampled_from([0, 0, 1, 2, 3, 6, Fraction(6), Fraction(3, 2), Fr
 def test_property_mdkp_weights_match_fraction_sum(data):
     d = data.draw(st.integers(1, 6))
     caps = data.draw(st.lists(_QUANTITIES, min_size=d, max_size=d))
-    items = []
-    for i in range(data.draw(st.integers(0, 6))):
-        sizes = data.draw(st.lists(_QUANTITIES, min_size=d, max_size=d))
-        if data.draw(st.booleans()):  # mapping form, some explicit zeros kept
-            sizes = {k: s for k, s in enumerate(sizes) if s or data.draw(st.booleans())}
-        items.append((i, data.draw(_QUANTITIES), sizes))
-    got, scale = _mdkp_items(MdkpInstance(caps, items))
+    items = [(i, data.draw(_QUANTITIES), data.draw(st.lists(_QUANTITIES, min_size=d, max_size=d)))
+             for i in range(data.draw(st.integers(0, 6)))]
+    pairs = mdkp_pairs(items)
+    for _i, _p, item_pairs in pairs:  # some explicit zeros kept, in any order
+        item_pairs[:] = [(k, s) for k, s in item_pairs if s or data.draw(st.booleans())]
+        item_pairs[:] = data.draw(st.permutations(item_pairs))
+    got, scale = _mdkp_items(MdkpInstance(caps, pairs))
     assert all(type(t[3]) is int for t in got)
     sizes_of = {i: sizes for i, _p, sizes in items}
     assert all(Fraction(w, scale) == mdkp_weight_reference(caps, sizes_of[i]) for i, _p, _s, w in got)
     # packable: no positive size on a zero capacity; those alone come back, in funding order
-    packable = [t for t in mdkp_order_reference(caps, items)
-                if all(caps[k] for k, s in (t[2].items() if isinstance(t[2], dict) else enumerate(t[2])) if s)]
+    packable = [t for t in mdkp_order_reference(caps, items) if all(caps[k] for k, s in enumerate(t[2]) if s)]
     assert [t[0] for t in got] == [t[0] for t in packable]
 
 
 def test_mdkp_drops_an_item_that_touches_a_zero_capacity():
     # "z" has the best ratio but needs dimension 1, whose capacity is 0: the
-    # intake drops it (dense, sparse or as pairs) before ordering, while an
+    # intake drops it (checked or taken as given) before ordering, while an
     # explicit zero size there ("b") is no touch, and neither mode selects it
     caps = [4, 0, 3]
     paired = MdkpInstance.from_pairs(caps, [("z", 9, [(0, 1), (1, 1)]), ("a", 2, [(0, 2), (2, 1)]),
                                             ("b", 1, [(2, 3)])])
-    for z_sizes in ((1, 1, 0), {0: 1, 1: 1}):
-        inst = MdkpInstance(caps, [("z", 9, z_sizes), ("a", 2, (2, 0, 1)), ("b", 1, {2: 3, 1: 0})])
+    for z_pairs in ([(0, 1), (1, 1), (2, 0)], [(1, 1), (0, 1)]):
+        inst = MdkpInstance(caps, [("z", 9, z_pairs), ("a", 2, [(0, 2), (1, 0), (2, 1)]),
+                                   ("b", 1, [(2, 3), (1, 0)])])
         items, scale = _mdkp_items(inst)
         assert scale == 12 and items == [("a", 2, [(0, 2), (2, 1)], 10), ("b", 1, [(2, 3)], 12)]
         assert _mdkp_items(paired) == (items, scale)
@@ -448,11 +467,12 @@ def test_mdkp_drops_an_item_that_touches_a_zero_capacity():
             assert solve_mdkp(inst, mode=mode) == solve_mdkp(paired, mode=mode) == (["a"], 2)
 
 
-def _assert_mdkp_matches_references(caps, items):
-    inst = MdkpInstance(caps, items)
-    assert solve_mdkp(inst, mode="greedy") == mdkp_greedy_reference(inst.capacities, inst.items)
+def _assert_mdkp_matches_references(caps, items, pairs):
+    """`pairs` are the dense `items`' sizes as `MdkpInstance` takes them."""
+    inst = MdkpInstance(caps, pairs)
+    assert solve_mdkp(inst, mode="greedy") == mdkp_greedy_reference(caps, items)
     if len(items) <= 8:
-        assert solve_mdkp(inst, mode="exact") == mdkp_exact_reference(inst.capacities, inst.items)
+        assert solve_mdkp(inst, mode="exact") == mdkp_exact_reference(caps, items)
 
 
 @settings(max_examples=300, deadline=None)
@@ -464,13 +484,12 @@ def test_property_mdkp_greedy_and_exact_match_fraction_key_references(data):
     d = data.draw(st.integers(1, 5))
     caps = data.draw(st.lists(_QUANTITIES, min_size=d, max_size=d))
     ids = data.draw(st.lists(_IDS, max_size=8, unique=True))
-    items = []
-    for item_id in ids:
-        sizes = data.draw(st.lists(_QUANTITIES, min_size=d, max_size=d))
-        if data.draw(st.booleans()):
-            sizes = {k: s for k, s in enumerate(sizes) if s}
-        items.append((item_id, data.draw(_PROFITS), sizes))
-    _assert_mdkp_matches_references(caps, items)
+    items = [(item_id, data.draw(_PROFITS), data.draw(st.lists(_QUANTITIES, min_size=d, max_size=d)))
+             for item_id in ids]
+    pairs = mdkp_pairs(items)
+    if data.draw(st.booleans()):
+        pairs = [(item_id, p, [(k, s) for k, s in item_pairs if s]) for item_id, p, item_pairs in pairs]
+    _assert_mdkp_matches_references(caps, items, pairs)
 
 
 def _primes(lo, count):
@@ -488,7 +507,13 @@ def test_mdkp_over_300_prime_capacities_matches_references():
     caps = _primes(100_003, 300)
     rng.shuffle(caps)
     for n in (8, 40):
-        items = [(i, rng.choice([1, 2, 3, Fraction(7, 2)]),
-                  {k: rng.choice([1, 50, 999, Fraction(1, 3)]) for k in rng.sample(range(300), rng.randint(0, 12))})
+        pairs = [(i, rng.choice([1, 2, 3, Fraction(7, 2)]),
+                  [(k, rng.choice([1, 50, 999, Fraction(1, 3)])) for k in rng.sample(range(300), rng.randint(0, 12))])
                  for i in range(n)]
-        _assert_mdkp_matches_references(caps, items)
+        items = []
+        for i, p, item_pairs in pairs:
+            row = [0] * 300
+            for k, s in item_pairs:
+                row[k] = s
+            items.append((i, p, row))
+        _assert_mdkp_matches_references(caps, items, pairs)

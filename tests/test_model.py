@@ -594,6 +594,17 @@ def _shared_sn_batch():
     (lambda: validate_embedding(path_net(4), make_path_request("r", [1, 1, 1], [1, 1]),
                                 Embedding("r", {0: 0, 1: 0, 2: 9}, {(0, 1): [(0, 1)], (1, 2): [(1, 2)]})),
      (MalformedEmbeddingError, "VN 2 mapped to unknown SN 9")),
+    # NaN equals nothing, itself included: two requests or two VNs of NaN id
+    # were distinct, and their dump did not load back. The one pass, the one
+    # pass at a lone VN (no `lt` test) and the step-by-step checks all refuse
+    (lambda: VirtualRequest(float("nan"), "path", [0, 1], [(0, 1)], {0: 1, 1: 1}, {(0, 1): 1}),
+     (ModelError, "request id nan is not equal to itself")),
+    (lambda: VirtualRequest(float("nan"), "general", [1, 0], [], {0: 1, 1: 1}, {}),
+     (ModelError, "request id nan is not equal to itself")),
+    (lambda: VirtualRequest("r", "path", [math.nan], [], {math.nan: 1}, {}),
+     (ModelError, "virtual node id nan is not equal to itself")),
+    (lambda a=float("nan"), b=float("nan"): VirtualRequest("r", "general", [a, b], [], {a: 1, b: 1}, {}),
+     (ModelError, "virtual node id nan is not equal to itself")),
 ])
 def test_refusal_messages(thunk, expected):
     assert _outcome(thunk) == expected

@@ -813,7 +813,7 @@ def test_exhausted_link_forces_a_new_decomposition(monkeypatch):
 def test_property_pairs_funding_instance_solves_as_the_checked_one(seed):
     # assign_mdkp skips the constructor's checks and hands the solver each
     # placement's pairs as given; the checked constructor, given the same
-    # capacities and each item's pairs as sparse sizes, must give the same
+    # capacities and items, must build an equal instance and give the same
     # funding items, weights and scale, and the same selections
     net, reqs = _random_pipeline_instance(random.Random(seed))
     seen, checked = [], []
@@ -833,8 +833,8 @@ def test_property_pairs_funding_instance_solves_as_the_checked_one(seed):
         procedure_pe(net, reqs)
     assert seen and not checked
     for inst in seen:
-        public = MdkpInstance(inst.capacities, [(idx, p, dict(pairs)) for idx, p, pairs in inst.items])
-        assert type(inst) is MdkpInstance
+        public = MdkpInstance(inst.capacities, inst.items)
+        assert type(inst) is MdkpInstance and inst == public
         assert _mdkp_items(inst) == _mdkp_items(public)
         modes = ["greedy", "exact"] if len(inst.items) <= EXACT_ITEM_LIMIT else ["greedy"]
         for mode in modes:
