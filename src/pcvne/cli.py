@@ -13,7 +13,7 @@ from contextlib import contextmanager
 from math import inf
 
 from . import jsonio
-from .baseline import generic_batch, generic_embed
+from .baseline import generic_batch
 from .cycle_embedding import greedy_revenue
 from .experiment import EMBEDDERS, ExperimentConfig, run_experiment, trial_seeds, write_csv, write_json
 from .generators import RequestSpec, SubstrateSpec, gen_requests, gen_substrate
@@ -132,8 +132,7 @@ def cmd_embed_cycles(args):
             raise ModelError(f"request {r.req_id!r} is not a cycle; embed-cycles handles cycle requests only")
     with _open_out(args.out) as out, _open_out(args.dump_wdag) as dump_fp:
         trace = [] if dump_fp else None
-        fallback = None if args.no_fallback else generic_embed
-        batch = greedy_revenue(net, requests, fallback=fallback, trace=trace)
+        batch = greedy_revenue(net, requests, fallback=not args.no_fallback, trace=trace)
         if dump_fp:
             jsonio.dump_json(trace, dump_fp)
         _emit_batch(out, "gr", batch, len(requests))
@@ -240,7 +239,7 @@ def build_parser():
 
     p = sub.add_parser("embed-cycles", help="run the ring embedder on an instance")
     p.add_argument("--instance", required=True)
-    p.add_argument("--no-fallback", action="store_true", help="skip the generic fallback pass")
+    p.add_argument("--no-fallback", action="store_true", help="skip the generic pass over the ring solver's leftovers")
     p.add_argument("--dump-wdag", default=None, help="write every constructed auxiliary graph here")
     p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_embed_cycles)

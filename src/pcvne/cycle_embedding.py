@@ -21,6 +21,7 @@ from fractions import Fraction
 from itertools import accumulate
 from math import inf
 
+from .baseline import generic_batch
 from .model import (
     Embedding,
     EmbeddingBatch,
@@ -300,13 +301,13 @@ def c2ce(net, req, cycle=None):
     return best
 
 
-def greedy_revenue(net, requests, fallback=None, trace=None):
+def greedy_revenue(net, requests, fallback=False, trace=None):
     """Embed cycle requests in descending revenue-to-demand ratio.
 
     Each request is tried once with the ring solver and committed on success.
-    Requests the ring solver cannot place are afterwards offered, once each
-    and in the same order, to the `fallback` generic embedder (a callable
-    (net, req) -> Embedding or None). Returns the accepted batch. The ring's
+    With `fallback` on, the requests the ring solver cannot place then go, in
+    the same order, through one `generic_batch` pass, which ranks the SNs once
+    and commits each success. Returns the accepted batch. The ring's
     `CycleView` is built once, before the first request. `trace`, if given,
     gets, before each ring-solver request's solve, the `to_json` of every
     digraph of its full `wdags` scan, so the solve itself runs the same
@@ -333,11 +334,6 @@ def greedy_revenue(net, requests, fallback=None, trace=None):
         emb = simplex.to_embedding(req)
         commit(net, req, emb)
         batch.add(req, emb)
-    if fallback is not None:
-        for req in leftovers:
-            emb = fallback(net, req)
-            if emb is None:
-                continue
-            commit(net, req, emb)
-            batch.add(req, emb)
+    if fallback:
+        batch.items += generic_batch(net, leftovers).items
     return batch

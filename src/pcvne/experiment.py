@@ -10,7 +10,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .baseline import generic_batch, generic_embed
+from .baseline import generic_batch
 from .cycle_embedding import greedy_revenue
 from .generators import RequestSpec, SpecError, SubstrateSpec, gen_requests, gen_substrate
 from .jsonio import dump_json
@@ -20,7 +20,7 @@ from .path_embedding import procedure_pe
 # label -> (request shape it embeds, substrate topology it needs, call); None is "any"
 EMBEDDERS = {
     "pe": (Shape.PATH, None, procedure_pe),
-    "gr": (Shape.CYCLE, "cycle", lambda net, requests: greedy_revenue(net, requests, fallback=generic_embed)),
+    "gr": (Shape.CYCLE, "cycle", lambda net, requests: greedy_revenue(net, requests, fallback=True)),
     "generic": (None, None, generic_batch),
 }
 

@@ -122,6 +122,8 @@ class SubstrateNetwork:
             self.edges.append(k)
         self.cpu_capacity = {}
         for v in self.nodes:
+            if v != v:  # NaN, on no link: written out as NaN, which is not JSON
+                raise ModelError(f"node id {v!r} is not equal to itself")
             if v not in cpu_capacity:
                 raise ModelError(f"missing cpu capacity for {v!r}")
             q = as_quantity(cpu_capacity[v])

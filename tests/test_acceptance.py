@@ -32,7 +32,7 @@ from oracles import (
     solve_kp_dp,
     wdag_all_cycles,
 )
-from pcvne.baseline import generic_batch, generic_embed
+from pcvne.baseline import generic_batch
 from pcvne.cycle_embedding import (
     ANTICLOCKWISE,
     CLOCKWISE,
@@ -297,7 +297,7 @@ def test_criterion_09_universal_feasibility():
             shape="cycle", count=8, length_range=(3, 5),
             demand_range=(1, 3)), rng.randrange(2 ** 30))
         work = net.copy()
-        batch = greedy_revenue(work, reqs, fallback=generic_embed)
+        batch = greedy_revenue(work, reqs, fallback=True)
         ok, violations = batch.validate_against(work)
         assert ok, violations
         audit_residuals(work, [batch])

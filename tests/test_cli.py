@@ -419,6 +419,21 @@ def test_nan_request_id_is_a_clean_error(tmp_path, capsys):
     assert not out.exists()
 
 
+
+def test_nan_node_id_is_a_clean_error(tmp_path, capsys):
+    # a NaN SN on no link used to be embedded and written to the report as
+    # NaN, which is not JSON
+    inst = tmp_path / "inst.json"
+    inst.write_text('{"nodes": [{"id": NaN, "cpu": 5}], "edges": [],\n'
+                    ' "requests": [{"id": 0, "shape": "general", "vns": [{"id": 0, "cpu": 1}], "vls": []}]}\n')
+    out = tmp_path / "out.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["embed-generic", "--instance", str(inst), "--out", str(out)])
+    assert exc.value.code == 2
+    assert capsys.readouterr() == ("", "error: node id nan is not equal to itself\n")
+    assert not out.exists()
+
+
 _REFUSED_RUNS = [  # (generate flags of the instance or None, the refused command, its message)
     (None, ["generate", "--nodes", "0"], "need at least one node"),
     (["--nodes", "8", "--edges", "12", "--count", "16", "--length-min", "1", "--length-max", "2", "--seed", "1"],

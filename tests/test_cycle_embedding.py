@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pcvne.baseline as baseline
 import pcvne.cycle_embedding as cycle_embedding
 from conftest import (
     make_cycle_request,
@@ -27,6 +28,8 @@ from oracles import (
     tie_rule_oracle,
     wdag_all_cycles,
 )
+from pcvne import RequestSpec, SubstrateSpec, gen_requests, gen_substrate
+from pcvne.baseline import generic_embed
 from pcvne.cycle_embedding import (
     ANTICLOCKWISE,
     CLOCKWISE,
@@ -429,23 +432,40 @@ class TestPrunedScanMatchesFullScan:
     @settings(max_examples=150, deadline=None)
     @given(ring_workloads())
     def test_greedy_revenue_with_fallback_accepts_the_same_ids(self, workload):
-        from pcvne.baseline import generic_embed
-
         net, reqs = workload
         ref_net = net.copy()
-        batch = greedy_revenue(net, reqs, fallback=generic_embed)
+        batch = greedy_revenue(net, reqs, fallback=True)
         ref = greedy_revenue_reference(ref_net, reqs, fallback=generic_embed)
         assert batch.accepted_ids() == ref.accepted_ids()
         assert net.residual_bw == ref_net.residual_bw
         assert net.residual_cpu == ref_net.residual_cpu
+
+    @pytest.mark.parametrize("seed", [1, 7, 11, 31])
+    def test_leftover_pass_matches_the_reference_at_the_benchmark_scale(self, seed):
+        # the first instance of the benchmark's `ring` workload at this seed:
+        # a 30-node ring and 100 proportional-revenue cycle requests. The one
+        # generic pass must place the leftovers as the reference does, with
+        # a freshly ranked generic_embed call per leftover and a commit after
+        # each success, and must place at least one
+        rng = random.Random(seed)
+        s_sub, s_req = rng.randrange(2 ** 31), rng.randrange(2 ** 31)
+        net = gen_substrate(SubstrateSpec(n_nodes=30, topology="cycle"), s_sub)
+        reqs = gen_requests(RequestSpec(shape="cycle", count=100, revenue_rule="proportional"), s_req)
+        ref_net = net.copy()
+        ring_only = greedy_revenue(net.copy(), reqs, fallback=False)
+        batch = greedy_revenue(net, reqs, fallback=True)
+        ref = greedy_revenue_reference(ref_net, reqs, fallback=generic_embed)
+        assert batch.accepted_ids() == ref.accepted_ids()
+        assert net.residual_bw == ref_net.residual_bw
+        assert net.residual_cpu == ref_net.residual_cpu
+        assert batch.accepted_ids()[:len(ring_only)] == ring_only.accepted_ids()
+        assert len(batch) > len(ring_only)
 
 
 class TestTracingChangesNothing:
     def test_same_embeddings_and_sweeps_with_and_without_trace(self, monkeypatch):
         # the trace takes its own full scan before each solve, on the same
         # residuals, so the solve sweeps and commits exactly as untraced
-        from pcvne.baseline import generic_embed
-
         swept = spy(monkeypatch, "min_weight_cycle")
         rng = random.Random(37)
         graphs = 0
@@ -458,7 +478,7 @@ class TestTracingChangesNothing:
             runs = []
             for trace in (None, []):
                 before = len(swept)
-                batch = greedy_revenue(net.copy(), reqs, fallback=generic_embed, trace=trace)
+                batch = greedy_revenue(net.copy(), reqs, fallback=True, trace=trace)
                 runs.append(([(req.req_id, emb) for req, emb in batch.items], len(swept) - before))
             assert runs[0] == runs[1]
             graphs += len(trace)
@@ -471,42 +491,63 @@ class TestGreedyRevenue:
         net = ring_net(4, cpu=1, bw=1)
         cheap = make_cycle_request("cheap", [1, 1, 1], [1, 1, 1], revenue=1)
         rich = make_cycle_request("rich", [1, 1, 1], [1, 1, 1], revenue=10)
-        batch = greedy_revenue(net, [cheap, rich], fallback=None)
+        batch = greedy_revenue(net, [cheap, rich], fallback=False)
         assert batch.accepted_ids() == ["rich"]
 
     def test_empty_requests(self):
         # no request, no ring walk: a non-ring substrate is not an error here
         for net in (ring_net(4), path_net(4)):
-            assert len(greedy_revenue(net, [], fallback=None)) == 0
+            assert len(greedy_revenue(net, [], fallback=False)) == 0
 
     def test_builds_the_cycle_view_once(self, monkeypatch):
         views = spy(monkeypatch, "CycleView")
         solves = spy(monkeypatch, "c2ce")
         reqs = [make_cycle_request(i, [1, 1, 1], [1, 1, 1]) for i in range(5)]
-        batch = greedy_revenue(ring_net(6, cpu=2, bw=2), reqs, fallback=None)
+        batch = greedy_revenue(ring_net(6, cpu=2, bw=2), reqs, fallback=False)
         assert 0 < len(batch) < len(reqs)
         assert len(views) == 1 and len(solves) == len(reqs)
 
     def test_non_ring_substrate_fails(self):
         req = make_cycle_request("c", [1, 1, 1], [1, 1, 1])
         with pytest.raises(ModelError, match="substrate is not a cycle"):
-            greedy_revenue(path_net(4), [req], fallback=None)
+            greedy_revenue(path_net(4), [req], fallback=False)
 
-    def test_fallback_gets_leftovers(self):
-        from pcvne.baseline import generic_embed
-
+    @staticmethod
+    def dead_link_ring(cap):
         # a dead link kills every wrap-once embedding (each must cross all
         # links), but the generic embedder routes around it
         m = 6
-        bw = {edge_key(i, (i + 1) % m): 10 for i in range(m)}
+        bw = {edge_key(i, (i + 1) % m): cap for i in range(m)}
         bw[edge_key(4, 5)] = 0
-        net = make_net(list(range(m)), [(i, (i + 1) % m) for i in range(m)], 10, bw)
+        return make_net(list(range(m)), [(i, (i + 1) % m) for i in range(m)], cap, bw)
+
+    def test_fallback_gets_leftovers(self):
+        net = self.dead_link_ring(10)
         req = make_cycle_request("tri", [1, 1, 1], [1, 1, 1])
         assert c2ce(net, req) is None
-        batch = greedy_revenue(net, [req], fallback=generic_embed)
+        batch = greedy_revenue(net, [req], fallback=True)
         assert batch.accepted_ids() == ["tri"]
         ok, violations = batch.validate_against(net)
         assert ok, violations
+
+    def test_ranks_the_sns_once_for_all_leftovers(self, monkeypatch):
+        # every request is a leftover; the one generic pass scores the SNs
+        # once and re-keys after each commit, where a call per leftover would
+        # score them again for each
+        calls = []
+        original = baseline.node_scores
+
+        def scoring(net):
+            calls.append(net)
+            return original(net)
+
+        monkeypatch.setattr(baseline, "node_scores", scoring)
+        net = self.dead_link_ring(4)
+        reqs = [make_cycle_request(i, [1, 1, 1], [1, 1, 1]) for i in range(4)]
+        assert len(greedy_revenue(net.copy(), reqs, fallback=False)) == 0 and not calls
+        batch = greedy_revenue(net, reqs, fallback=True)
+        assert 1 < len(batch) < len(reqs)
+        assert len(calls) == 1
 
     def test_sorted_order_usually_beats_unsorted(self):
         rng = random.Random(23)
@@ -522,7 +563,7 @@ class TestGreedyRevenue:
                     i, [sub_rng.randint(1, 5) for _ in range(n)],
                     [sub_rng.randint(1, 5) for _ in range(n)],
                     revenue=n))
-            sorted_batch = greedy_revenue(net.copy(), reqs, fallback=None)
+            sorted_batch = greedy_revenue(net.copy(), reqs, fallback=False)
             unsorted_net = net.copy()
             unsorted_revenue = 0
             for req in reqs:
@@ -543,9 +584,7 @@ class TestGreedyRevenue:
             reqs.append(make_cycle_request(
                 i, [rng.randint(1, 3) for _ in range(n)],
                 [rng.randint(1, 3) for _ in range(n)], revenue=n))
-        from pcvne.baseline import generic_embed
-
-        batch = greedy_revenue(net, reqs, fallback=generic_embed)
+        batch = greedy_revenue(net, reqs, fallback=True)
         ok, violations = batch.validate_against(net)
         assert ok, violations
 

@@ -605,6 +605,9 @@ def _shared_sn_batch():
      (ModelError, "virtual node id nan is not equal to itself")),
     (lambda a=float("nan"), b=float("nan"): VirtualRequest("r", "general", [a, b], [], {a: 1, b: 1}, {}),
      (ModelError, "virtual node id nan is not equal to itself")),
+    # a NaN SN on no link escapes edge_key's check, alone or beside others
+    (lambda: make_net([math.nan], [], 5, {}), (ModelError, "node id nan is not equal to itself")),
+    (lambda: make_net([0, 1, math.nan], [(0, 1)], 5, 5), (ModelError, "node id nan is not equal to itself")),
 ])
 def test_refusal_messages(thunk, expected):
     assert _outcome(thunk) == expected
@@ -749,7 +752,7 @@ def _commits_of_every_embedder(seed, fractions):
             monkeypatch.setattr(module, "commit", checking)
         procedure_pe(net.copy(), [req for req in reqs if req.shape is Shape.PATH])
         generic_batch(net.copy(), reqs)
-        greedy_revenue(ring, rings, fallback=generic_embed)
+        greedy_revenue(ring, rings, fallback=True)
     return shapes
 
 

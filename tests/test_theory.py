@@ -348,7 +348,7 @@ class TestMaxAcceptedPaths:
         net, req = random_ring_instance(rng, m_range=(3, 6))
         reqs = [req] + [random_ring_instance(rng, m_range=(len(net.nodes),) * 2)[1]
                         for _ in range(rng.randint(0, 3))]
-        assert len(greedy_revenue(net.copy(), reqs, fallback=None)) <= max_accepted(net, reqs)
+        assert len(greedy_revenue(net.copy(), reqs, fallback=False)) <= max_accepted(net, reqs)
 
     def test_pipeline_gap_on_the_seeded_set(self):
         # procedure_pe (greedy modes) against the optimum on 400 fixed
