@@ -76,10 +76,10 @@ def _shortest_feasible_path(net, src, dst, demand, pending):
 def generic_embed(net, req, ranked=None):
     """Try to embed one request of any shape against the current residuals.
 
-    Node stage: VNs in descending CPU demand (ties by request order) onto the
-    highest-scored feasible unused SNs. Link stage: shortest residual-feasible
-    substrate path per VL, accounting for bandwidth already claimed by earlier
-    VLs of this request. Returns an Embedding or None, leaving the residuals
+    Node stage: VNs by descending CPU demand, ties in request order (a stable
+    reverse sort), onto the highest-scored feasible unused SNs. Link stage: a
+    shortest residual-feasible substrate path per VL, net of the BW claimed by
+    the request's earlier VLs. Returns an Embedding or None, leaving residuals
     untouched; None before any ranking if the largest VN (placed first) fits no SN.
 
     `ranked` is the caller's ranking of the SNs for the current residuals (by
@@ -90,18 +90,18 @@ def generic_embed(net, req, ranked=None):
     if ranked is None:
         scores = node_scores(net)
         ranked = sorted(net.nodes, key=lambda v: (-scores[v], v))
-    order = sorted(range(req.n_vns), key=lambda i: (-req.cpu_demand[req.vns[i]], i))
-
-    node_map = {}
-    used = set()
-    for i in order:
-        vn = req.vns[i]
-        demand = req.cpu_demand[vn]
-        host = next((v for v in ranked if v not in used and net.residual_cpu[v] >= demand), None)
-        if host is None:
+    cpu, demand = net.residual_cpu, req.cpu_demand
+    node_map, used = {}, set()
+    # a reverse sort is stable, so VNs of equal demand keep request order
+    for vn in sorted(req.vns, key=demand.__getitem__, reverse=True):
+        need = demand[vn]
+        for v in ranked:
+            if v not in used and cpu[v] >= need:
+                break
+        else:
             return None
-        node_map[vn] = host
-        used.add(host)
+        node_map[vn] = v
+        used.add(v)
 
     pending = {}
     link_map = {}

@@ -66,14 +66,14 @@ class CycleView:
 
 def feasible_sets(cycle, req):
     """Per-VN host masks over clockwise node indices and per-VL bad-SL masks
-    over clockwise edge indices (edge i joins indices i and i+1), read from
-    the residuals once, in ring order."""
+    over clockwise edge indices (edge i joins indices i and i+1), read from the
+    residuals once in ring order: one per distinct demand, shared, read only."""
     net = cycle.net
-    cpu = [net.residual_cpu[v] for v in cycle.order]
-    bw = [net.residual_bw[k] for k in cycle.links]
-    hosts = [[c >= req.cpu_demand[vn] for c in cpu] for vn in req.vns]
-    bad = [[b < req.bw_demand[vl] for b in bw] for vl in req.vls]
-    return hosts, bad
+    cpu = list(map(net.residual_cpu.__getitem__, cycle.order))
+    bw = list(map(net.residual_bw.__getitem__, cycle.links))
+    hosts = {d: [c >= d for c in cpu] for d in set(req.cpu_demand.values())}
+    bad = {d: [b < d for b in bw] for d in set(req.bw_demand.values())}
+    return [hosts[req.cpu_demand[vn]] for vn in req.vns], [bad[req.bw_demand[vl]] for vl in req.vls]
 
 
 @dataclass
@@ -285,7 +285,7 @@ def c2ce(net, req, cycle=None):
     if req.shape is not Shape.CYCLE:
         raise ModelError("request is not a cycle")
     least = min(req.bw_demand.values())
-    if any(net.residual_bw[k] < least for k in net.edges):
+    if min(map(net.residual_bw.__getitem__, net.edges)) < least:
         return None
     floor = sum(req.bw_demand.values()) + (cycle.m - req.n_vns) * least
     best = None

@@ -810,6 +810,22 @@ def generic_batch_reference(net, requests):
     return batch
 
 
+# feasible_sets as first written: one comprehension per VN and per VL, so
+# no two layers share a mask. Kept as the reference that the masks built
+# once per distinct demand must equal, layer for layer.
+
+
+def feasible_sets_reference(cycle, req):
+    """Per-VN host masks over clockwise node indices and per-VL bad-SL masks
+    over clockwise edge indices, each built on its own."""
+    net = cycle.net
+    cpu = [net.residual_cpu[v] for v in cycle.order]
+    bw = [net.residual_bw[k] for k in cycle.links]
+    hosts = [[c >= req.cpu_demand[vn] for c in cpu] for vn in req.vns]
+    bad = [[b < req.bw_demand[vl] for b in bw] for vl in req.vls]
+    return hosts, bad
+
+
 # The ring solver as it was before it stopped at the cost floor and rejected
 # requests that some SL cannot carry: every feasible anchor crossed with both
 # directions, the strictly cheapest kept. Kept, on the current mask API, as

@@ -426,6 +426,93 @@ class TestIncrementalRanking:
         assert partial >= 300
 
 
+def check_batch_against_reference(net, reqs):
+    """generic_batch against the reference on a copy: accepted ids, node and
+    link maps, the order each request's VNs were placed in, and both
+    residual maps. Returns the batch."""
+    ref_net = net.copy()
+    got = generic_batch(net, reqs)
+    want = generic_batch_reference(ref_net, reqs)
+    assert batch_view(got) == batch_view(want)
+    assert [list(emb.node_map) for _, emb in got.items] == [list(emb.node_map) for _, emb in want.items]
+    assert net.residual_cpu == ref_net.residual_cpu
+    assert net.residual_bw == ref_net.residual_bw
+    return got
+
+
+def record_skips(monkeypatch):
+    """Count the VNs a batch's generic_embed places past an SN that is ranked
+    higher, could host the VN, and already hosts an earlier VN of the request."""
+    skips = Counter()
+    embed = baseline.generic_embed
+
+    def counting(net, req, ranked=None):
+        emb = embed(net, req, ranked=ranked)
+        if emb is not None:
+            pos = {v: i for i, v in enumerate(ranked)}
+            placed = []
+            for vn, host in emb.node_map.items():
+                need = req.cpu_demand[vn]
+                skips["skipped"] += any(pos[u] < pos[host] and net.residual_cpu[u] >= need for u in placed)
+                placed.append(host)
+        return emb
+
+    monkeypatch.setattr(baseline, "generic_embed", counting)
+    return skips
+
+
+def fraction_tie_requests(rng, n, count):
+    """`count` path and cycle requests of 3-6 VNs (at most n): Fraction(7, 2)
+    as the CPU demand of two VNs, ints from 1-4 on the others."""
+    reqs = []
+    for i in range(count):
+        k = rng.randint(3, min(6, n))
+        cpu = [rng.randint(1, 4) for _ in range(k)]
+        for j in rng.sample(range(k), 2):
+            cpu[j] = Fraction(7, 2)
+        if rng.random() < 0.5:
+            reqs.append(make_cycle_request(i, cpu, [rng.randint(1, 3) for _ in range(k)]))
+        else:
+            reqs.append(make_path_request(i, cpu, [rng.randint(1, 3) for _ in range(k - 1)]))
+    return reqs
+
+
+class TestNodeStageTies:
+    """The node stage takes VNs of equal CPU demand in request order, as the
+    reference's (-demand, index) sort does; in these instances nearly every
+    request has such ties."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("shape, topology, edges", [("path", "random", 40), ("cycle", "cycle", None)])
+    def test_equal_demands_match_the_reference(self, shape, topology, edges, seed):
+        net = gen_substrate(SubstrateSpec(n_nodes=20, topology=topology, n_edges=edges,
+                                          cpu_capacity=8, bw_capacity=10), seed)
+        reqs = gen_requests(RequestSpec(shape=shape, count=40, demand_range=(2, 2)), seed + 100)
+        batch = check_batch_against_reference(net, reqs)
+        assert 0 < len(batch) < len(reqs)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_fraction_ties_among_ints_match_the_reference(self, seed):
+        rng = random.Random(seed)
+        n = rng.randint(6, 12)
+        g = random_connected_graph(rng, n, extra_edges=rng.randint(0, n))
+        net = make_net(list(g.nodes), list(g.edges),
+                       {v: rng.choice((Fraction(7, 2), 8, 16, Fraction(31, 2))) for v in g.nodes},
+                       {e: rng.choice((6, 9, 12)) for e in g.edges})
+        reqs = fraction_tie_requests(rng, n, rng.randint(10, 30))
+        batch = check_batch_against_reference(net, reqs)
+        assert 0 < len(batch) < len(reqs)
+
+    @pytest.mark.parametrize("seed", [3, 17])
+    def test_later_vns_skip_used_top_ranked_sns_on_a_ring(self, monkeypatch, seed):
+        skips = record_skips(monkeypatch)
+        net = gen_substrate(SubstrateSpec(n_nodes=30, topology="cycle"), seed)
+        reqs = gen_requests(RequestSpec(shape="cycle", count=100, demand_range=(1, 3)), seed + 1)
+        batch = check_batch_against_reference(net, reqs)
+        assert 0 < len(batch) < len(reqs)
+        assert skips["skipped"] >= 100
+
+
 def test_embed_generic_golden_output_is_unchanged(tmp_path):
     # on a 12-node, 24-link substrate with 20 path requests the run accepts
     # 15, so the report pins rejections and every host and route chosen

@@ -1,8 +1,10 @@
+import copy
 import os
 import random
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -23,6 +25,7 @@ from conftest import (
 from oracles import (
     brute_force_simplex_cycle,
     c2ce_reference,
+    feasible_sets_reference,
     greedy_revenue_reference,
     independent_arcs,
     tie_rule_oracle,
@@ -460,6 +463,93 @@ class TestPrunedScanMatchesFullScan:
         assert net.residual_cpu == ref_net.residual_cpu
         assert batch.accepted_ids()[:len(ring_only)] == ring_only.accepted_ids()
         assert len(batch) > len(ring_only)
+
+
+def shared_pairs(masks, keys, demand):
+    """Pairs of layers whose masks are one list; checks that they are
+    exactly the pairs with equal demands."""
+    shared = 0
+    for a, b in combinations(range(len(keys)), 2):
+        same = masks[a] is masks[b]
+        assert same == (demand[keys[a]] == demand[keys[b]])
+        shared += same
+    return shared
+
+
+def check_masks(cycle, req):
+    """feasible_sets against the reference, and its sharing; returns the
+    number of shared layer pairs."""
+    hosts, bad = feasible_sets(cycle, req)
+    assert (hosts, bad) == feasible_sets_reference(cycle, req)
+    return shared_pairs(hosts, req.vns, req.cpu_demand) + shared_pairs(bad, req.vls, req.bw_demand)
+
+
+def record_masks(monkeypatch):
+    """Every `feasible_sets` result through its module binding, with a copy
+    taken when it was returned."""
+    seen = []
+    original = cycle_embedding.feasible_sets
+
+    def recording(cycle, req):
+        masks = original(cycle, req)
+        seen.append((masks, copy.deepcopy(masks)))
+        return masks
+
+    monkeypatch.setattr(cycle_embedding, "feasible_sets", recording)
+    return seen
+
+
+class TestSharedMasks:
+    """feasible_sets builds one mask per distinct demand and hands it to
+    every layer with that demand; the masks must equal the per-layer
+    reference, and no reader may write to them."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(ring_workloads(kinds=("tight", "uniform", "fraction")))
+    def test_property_masks_match_the_reference_with_commits_between(self, workload):
+        net, reqs = workload
+        cycle = CycleView(net)
+        for req in reqs:
+            check_masks(cycle, req)
+            sx = c2ce(net, req, cycle=cycle)
+            if sx is not None:
+                commit(net, req, sx.to_embedding(req))
+
+    def test_repeated_and_fraction_demands_share_masks(self):
+        # demands from 1-2 repeat in nearly every request; then Fraction and
+        # int demands, repeated too, on Fraction and int residuals
+        rng = random.Random(53)
+        shared = fractions = 0
+        for _ in range(60):
+            net, req = random_ring_instance(rng, m_range=(4, 9), n_range=(3, 6), demand_range=(1, 2))
+            shared += check_masks(CycleView(net), req)
+            values = (Fraction(3, 2), 2, Fraction(7, 2), 3)
+            net.residual_cpu.update({v: rng.choice(values) for v in net.nodes})
+            net.residual_bw.update({k: rng.choice(values) for k in net.edges})
+            req = make_cycle_request("f", [rng.choice(values) for _ in req.vns],
+                                     [rng.choice(values) for _ in req.vls])
+            fractions += check_masks(CycleView(net), req)
+        assert shared >= 200 and fractions >= 100
+
+    def test_masks_are_unchanged_by_every_reader(self, monkeypatch):
+        seen = record_masks(monkeypatch)
+        net = gen_substrate(SubstrateSpec(n_nodes=12, topology="cycle", cpu_capacity=30, bw_capacity=30), 5)
+        reqs = gen_requests(RequestSpec(shape="cycle", count=30, length_range=(3, 8),
+                                        revenue_rule="proportional"), 6)
+        cycle = CycleView(net)
+        for req in reqs:
+            for w in wdags(cycle, req):
+                min_weight_cycle(w)
+                w.to_json()
+        assert all(masks == before for masks, before in seen)
+        for req in reqs:
+            c2ce(net, req, cycle=cycle)
+        assert all(masks == before for masks, before in seen)
+        batch = greedy_revenue(net, reqs, fallback=True, trace=[])
+        assert 0 < len(batch) < len(reqs)
+        assert all(masks == before for masks, before in seen)
+        shared = sum(len(set(map(id, hosts))) < len(hosts) for (hosts, _bad), _ in seen)
+        assert shared >= len(seen) // 2
 
 
 class TestTracingChangesNothing:
