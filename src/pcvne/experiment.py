@@ -86,13 +86,13 @@ class ExperimentResult:
         return out
 
 
-# Two-sided 95% Student-t critical values t(0.975, df), df = 1..29.
+# Two-sided 95% Student-t critical values t(0.975, df), df = 1..28 (n < 30 samples).
 _T95 = (
     12.70620474, 4.30265273, 3.182446305, 2.776445105, 2.570581836, 2.446911851,
     2.364624252, 2.306004135, 2.262157163, 2.228138852, 2.20098516, 2.17881283,
     2.160368656, 2.144786688, 2.131449546, 2.119905299, 2.109815578, 2.10092204,
     2.093024054, 2.085963447, 2.079613845, 2.073873068, 2.06865761, 2.063898562,
-    2.059538553, 2.055529439, 2.051830516, 2.048407142, 2.045229642,
+    2.059538553, 2.055529439, 2.051830516, 2.048407142,
 )
 
 

@@ -48,8 +48,6 @@ from pcvne.experiment import ExperimentConfig, run_experiment
 from pcvne.generators import (
     RequestSpec,
     SubstrateSpec,
-    gen_ddkp_reduction,
-    gen_edp_reduction,
     gen_requests,
     gen_substrate,
 )
@@ -64,6 +62,7 @@ from pcvne.theory import (
     sg_to_sset_instance,
     sset_to_sg_instances,
 )
+from reductions import gen_ddkp_reduction, gen_edp_reduction
 
 
 def report(criterion, detail):

@@ -1,5 +1,6 @@
 import io
 import os
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -85,18 +86,23 @@ class TestMeanCi:
         small = mean_ci([1.0, 2.0, 3.0, 4.0, 5.0])
         big = mean_ci([1.0, 2.0, 3.0, 4.0, 5.0] * 8)
         assert small[1] > 0
-        s5 = 0  # spot value: t(0.975, 4) is about 2.776
-        import statistics
-
         sd = statistics.stdev([1.0, 2.0, 3.0, 4.0, 5.0])
         assert small[1] == pytest.approx(2.7764451052 * sd / 5 ** 0.5, rel=1e-6)
         assert big[1] < small[1]
 
     def test_t_table_matches_scipy(self):
         stats = pytest.importorskip("scipy.stats")
-        assert len(_T95) == 29
+        assert len(_T95) == 28
         for df, crit in enumerate(_T95, start=1):
             assert crit == pytest.approx(stats.t.ppf(0.975, df), rel=1e-9)
+
+    @pytest.mark.parametrize("n, crit", [
+        (29, 2.048407142),  # t(0.975, 28), the table's last entry
+        (30, statistics.NormalDist().inv_cdf(0.975)),
+    ])
+    def test_t_table_ends_below_30_samples(self, n, crit):
+        values = [float(i % 5) for i in range(n)]
+        assert mean_ci(values)[1] == crit * statistics.stdev(values) / n ** 0.5
 
 
 class TestRunExperiment:

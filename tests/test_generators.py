@@ -8,13 +8,12 @@ from pcvne.generators import (
     RequestSpec,
     SpecError,
     SubstrateSpec,
-    gen_ddkp_reduction,
-    gen_edp_reduction,
     gen_requests,
     gen_substrate,
 )
 from pcvne.knapsack import MdkpInstance
 from pcvne.model import Shape
+from reductions import gen_ddkp_reduction, gen_edp_reduction
 
 
 class TestGenSubstrate:

@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_cycle_request, make_net, make_path_request
-from pcvne.generators import gen_edp_reduction
 from pcvne.jsonio import (
     InstanceFormatError,
     dump_instance,
@@ -21,6 +20,7 @@ from pcvne.jsonio import (
     load_instance,
 )
 from pcvne.model import ModelError, Shape, VirtualRequest
+from reductions import gen_edp_reduction
 
 
 def test_round_trip_integers():

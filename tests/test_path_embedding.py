@@ -32,7 +32,7 @@ from oracles import (
     procedure_pe_reference,
     solve_kp_dp,
 )
-from pcvne.generators import RequestSpec, SubstrateSpec, gen_edp_reduction, gen_requests, gen_substrate
+from pcvne.generators import RequestSpec, SubstrateSpec, gen_requests, gen_substrate
 from pcvne.knapsack import EXACT_ITEM_LIMIT, KpItem, MdkpInstance, _mdkp_items, order_items, solve_mdkp
 from pcvne.model import ModelError, commit, edge_key, footprint, validate_embedding
 from pcvne.path_embedding import (
@@ -45,6 +45,7 @@ from pcvne.path_embedding import (
     path_items,
     procedure_pe,
 )
+from reductions import gen_edp_reduction
 
 
 def graph_net(g, cpu=100, bw=100):
