@@ -23,8 +23,8 @@ from .theory import (
     GRAPH_SWEEP_NODE_CAP,
     PATH_EMBED_NODE_CAP,
     UniformInstance,
-    brute_force_path_embed,
     connected_graphs,
+    find_uniform_path_embedding,
     has_spanning_trail,
     is_supereulerian,
     random_connected_graph,
@@ -146,7 +146,7 @@ def cmd_embed_generic(args):
 
 
 def _trail_equivalence(g):
-    return brute_force_path_embed(UniformInstance(g)) == has_spanning_trail(g)
+    return (find_uniform_path_embedding(UniformInstance(g)) is not None) == has_spanning_trail(g)
 
 
 def cmd_verify_theory(args):

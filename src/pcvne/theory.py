@@ -1,10 +1,11 @@
 """Desk-scale graph-theory checks: what `pcvne verify-theory` runs.
 
-The connected-graph sweep, the spanning-trail and supereulerian searches, the
-two reductions between them, and the brute-force embedding of the spanning
-unit path request (`UniformInstance`, `brute_force_path_embed`). Everything
-here is exhaustive search with hard size caps (a cap violation is a refusal,
-never a silent truncation).
+The connected-graph sweep, the spanning-trail and supereulerian deciders (one
+trail search, open or closed: a graph is supereulerian exactly when it has a
+closed spanning trail), the two reductions between them, and the brute-force
+embedding of the spanning unit path request (`UniformInstance`,
+`find_uniform_path_embedding`). Everything here is exhaustive search with hard
+size caps (a cap violation is a refusal, never a silent truncation).
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .model import (
 # size caps of the exhaustive searches
 GRAPH_SWEEP_NODE_CAP = 7  # connected_graphs: 2^C(n, 2) edge masks
 TRAIL_NODE_CAP = 12      # has_spanning_trail, is_supereulerian
-PATH_EMBED_NODE_CAP = 8  # find_uniform_path_embedding, brute_force_path_embed
+PATH_EMBED_NODE_CAP = 8  # find_uniform_path_embedding
 
 
 class SizeCapExceeded(ModelError):
@@ -78,130 +79,73 @@ def random_connected_graph(rng, n, extra_edges=None):
 
 
 def has_spanning_trail(g):
-    """Does the graph contain a trail (edge-simple walk) visiting every node?
-
-    Backtracking over walks from every possible start, with a reachability
-    prune (unvisited nodes must stay reachable through unused edges) and a
-    memo of failed (position, used-edge-set) states.
-    """
-    n = len(g.nodes)
-    if n > TRAIL_NODE_CAP:
-        raise SizeCapExceeded(f"{n} nodes, cap {TRAIL_NODE_CAP}")
-    if n <= 1:
-        return True
-    if not g.is_connected():
-        return False
-
-    adj = g.adjacency()
-    edge_bit = {e: 1 << i for i, e in enumerate(g.edges)}
-    all_nodes = frozenset(g.nodes)
-
-    def reachable_covers(cur, used, unvisited):
-        seen = {cur}
-        stack = [cur]
-        while stack:
-            v = stack.pop()
-            for w in adj[v]:
-                if w not in seen and not used & edge_bit[edge_key(v, w)]:
-                    seen.add(w)
-                    stack.append(w)
-        return unvisited <= seen
-
-    failed = set()
-
-    def extend(cur, used, visited):
-        if visited == all_nodes:
-            return True
-        key = (cur, used)
-        if key in failed:
-            return False
-        if not reachable_covers(cur, used, all_nodes - visited):
-            failed.add(key)
-            return False
-        for w in adj[cur]:
-            bit = edge_bit[edge_key(cur, w)]
-            if used & bit:
-                continue
-            if extend(w, used | bit, visited | {w}):
-                return True
-        failed.add(key)
-        return False
-
-    return any(extend(s, 0, frozenset([s])) for s in g.nodes)
+    """Does the graph contain a trail (edge-simple walk) visiting every node?"""
+    return _spanning_trail(g, closed=False)
 
 
 def is_supereulerian(g):
     """Does the graph contain a spanning connected subgraph with all degrees
-    even (equivalently, a closed trail visiting every node)?
+    even? Equivalently, a closed trail visiting every node, which is what the
+    search looks for."""
+    return _spanning_trail(g, closed=True)
 
-    Even subgraphs form the cycle space, so the search walks all XOR
-    combinations of fundamental cycles of a spanning tree in Gray-code order
-    (one XOR per step) and checks each for covering every node and being
-    connected.
+
+def _spanning_trail(g, closed):
+    """Is there a trail through every node, back at its start if `closed`?
+
+    Backtracking over trails (from every start, or from the first node only
+    when closed: a closed spanning trail passes every node), with a
+    reachability prune (the unvisited nodes, and the start when closed, must
+    stay reachable through unused edges) and a memo of failed (position,
+    used-edge-set) states. One memo serves every start: a non-empty used-edge
+    set visited exactly the nodes its edges touch. Nodes and edges are bits,
+    by index into `g.nodes` and `g.edges`.
     """
     n = len(g.nodes)
     if n > TRAIL_NODE_CAP:
         raise SizeCapExceeded(f"{n} nodes, cap {TRAIL_NODE_CAP}")
     if n <= 1:
         return True
-    if not g.is_connected():
+    idx = {v: i for i, v in enumerate(g.nodes)}
+    nbrs = [[] for _ in g.nodes]  # per node: (neighbour, edge bit)
+    for i, (u, v) in enumerate(g.edges):
+        nbrs[idx[u]].append((idx[v], 1 << i))
+        nbrs[idx[v]].append((idx[u], 1 << i))
+
+    def reached(cur, used):  # the nodes reachable from cur through unused edges
+        seen = 1 << cur
+        stack = [cur]
+        while stack:
+            for w, bit in nbrs[stack.pop()]:
+                if not (seen >> w & 1 or used & bit):
+                    seen |= 1 << w
+                    stack.append(w)
+        return seen
+
+    every = (1 << n) - 1
+    if reached(0, 0) != every:
+        return False
+    if closed and any(len(ws) < 2 for ws in nbrs):
+        return False  # a closed trail leaves every node it enters by another edge
+    home = 1 if closed else 0  # node 0, where a closed trail starts and ends
+    failed = set()
+
+    def extend(cur, used, visited):
+        if visited == every and (not closed or cur == 0):
+            return True
+        key = (cur, used)
+        if key in failed:
+            return False
+        if (every & ~visited | home) & ~reached(cur, used):
+            failed.add(key)
+            return False
+        for w, bit in nbrs[cur]:
+            if not used & bit and extend(w, used | bit, visited | 1 << w):
+                return True
+        failed.add(key)
         return False
 
-    adj = g.adjacency()
-    idx = {v: i for i, v in enumerate(g.nodes)}
-    edge_bit = {e: 1 << i for i, e in enumerate(g.edges)}
-    edge_vmask = [((1 << idx[u]) | (1 << idx[v])) for u, v in g.edges]
-    full_vmask = (1 << n) - 1
-
-    # spanning tree via DFS; non-tree edges generate the fundamental cycles
-    parent = {g.nodes[0]: None}
-    stack = [g.nodes[0]]
-    tree_edges = set()
-    while stack:
-        v = stack.pop()
-        for w in adj[v]:
-            if w not in parent:
-                parent[w] = v
-                tree_edges.add(edge_key(v, w))
-                stack.append(w)
-
-    def tree_path_mask(u, v):
-        # XOR of the two root paths cancels the shared prefix
-        mask = 0
-        for x in (u, v):
-            while parent[x] is not None:
-                mask ^= edge_bit[edge_key(x, parent[x])]
-                x = parent[x]
-        return mask
-
-    cycles = []
-    for e in g.edges:
-        if e not in tree_edges:
-            cycles.append(edge_bit[e] ^ tree_path_mask(*e))
-
-    bit_of_edge = list(edge_bit.values())
-
-    def spanning_connected(mask):
-        vmask = 0
-        members = []
-        for i, ebit in enumerate(bit_of_edge):
-            if mask & ebit:
-                vmask |= edge_vmask[i]
-                members.append(g.edges[i])
-        if vmask != full_vmask:
-            return False
-        sub = {}
-        for u, v in members:
-            sub.setdefault(u, []).append(v)
-            sub.setdefault(v, []).append(u)
-        return is_connected(list(sub), sub)
-
-    mask = 0
-    for k in range(1, 1 << len(cycles)):
-        mask ^= cycles[(k & -k).bit_length() - 1]  # step k flips the cycle of k's lowest set bit
-        if mask and spanning_connected(mask):
-            return True
-    return False
+    return any(extend(s, 0, 1 << s) for s in range(1 if closed else n))
 
 
 def sset_to_sg_instances(g):
@@ -310,9 +254,3 @@ def find_uniform_path_embedding(inst):
     node_map = {vn: sn for vn, sn in zip(req.vns, hosts)}
     link_map = {vl: path for vl, path in zip(req.vls, links)}
     return Embedding(req_id=req.req_id, node_map=node_map, link_map=link_map)
-
-
-def brute_force_path_embed(inst):
-    """Decide whether the spanning unit path request embeds at all."""
-    return find_uniform_path_embedding(inst) is not None
-

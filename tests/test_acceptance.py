@@ -56,7 +56,7 @@ from pcvne.model import audit_residuals, validate_embedding
 from pcvne.path_embedding import procedure_pe
 from pcvne.theory import (
     UniformInstance,
-    brute_force_path_embed,
+    find_uniform_path_embedding,
     has_spanning_trail,
     is_supereulerian,
     sg_to_sset_instance,
@@ -247,7 +247,7 @@ def test_criterion_07_spanning_trail_equivalence():
     assert len(graphs) == 143  # non-isomorphic connected graphs on <= 6 nodes
     for g in graphs:
         inst = UniformInstance(g)
-        assert brute_force_path_embed(inst) == has_spanning_trail(g), g
+        assert (find_uniform_path_embedding(inst) is not None) == has_spanning_trail(g), g
     report(7, f"{len(graphs)} non-isomorphic connected graphs agree")
 
 

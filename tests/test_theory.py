@@ -24,13 +24,12 @@ from oracles import (
     supereulerian_reference,
 )
 from pcvne.cycle_embedding import greedy_revenue
-from pcvne.model import ModelError, Shape, VirtualRequest, validate_embedding
+from pcvne.model import ModelError, Shape, VirtualRequest, edge_key, validate_embedding
 from pcvne.path_embedding import procedure_pe
 from pcvne.theory import (
     Graph,
     SizeCapExceeded,
     UniformInstance,
-    brute_force_path_embed,
     connected_graphs,
     find_uniform_path_embedding,
     has_spanning_trail,
@@ -42,6 +41,11 @@ from pcvne.theory import (
 
 def G(nodes, edges):
     return Graph.build(nodes, edges)
+
+
+def from_nx(h):
+    h = nx.convert_node_labels_to_integers(h)
+    return G(h.nodes, h.edges)
 
 
 class TestSpanningTrail:
@@ -59,8 +63,19 @@ class TestSpanningTrail:
 
     def test_size_cap_refusal(self):
         g = G(range(13), [(i, i + 1) for i in range(12)])
-        with pytest.raises(SizeCapExceeded):
+        with pytest.raises(SizeCapExceeded, match=r"^13 nodes, cap 12$"):
             has_spanning_trail(g)
+
+
+@pytest.mark.parametrize("g, trail, supereulerian", [
+    pytest.param(G((), ()), True, True, id="0-nodes"),
+    pytest.param(G([0], ()), True, True, id="1-node"),
+    # the single edge is a trail, but no closed trail covers both ends
+    pytest.param(G(range(2), [(0, 1)]), True, False, id="2-nodes"),
+])
+def test_smallest_graphs(g, trail, supereulerian):
+    assert (has_spanning_trail(g), is_supereulerian(g)) == (trail, supereulerian)
+    assert supereulerian_reference(g) == supereulerian
 
 
 class TestConnectedGraphs:
@@ -76,10 +91,53 @@ class TestConnectedGraphs:
 
 class TestSupereulerian:
     def test_matches_the_definition_on_small_graphs(self):
-        # the Gray-code walk over the cycle space against every edge subset
+        # the closed trail search against every edge subset
         for n in range(1, 6):
             for g in connected_graphs(n):
                 assert is_supereulerian(g) == supereulerian_reference(g), g
+
+    def test_matches_the_definition_on_sparse_larger_graphs(self):
+        # 6-9 nodes, past the exhaustive sweep: a random spanning tree with
+        # an edge added at each node still of degree 1, so that the search,
+        # not the degree check, answers; at most 14 edges keep the
+        # reference's 2^|E| subsets cheap
+        rng = random.Random(37)
+        answers = []
+        for _ in range(40):
+            tree = random_connected_graph(rng, rng.randint(6, 9), 0)
+            edges = set(tree.edges)
+            for v in tree.nodes:
+                if sum(v in e for e in edges) == 1:
+                    edges.add(edge_key(v, rng.choice([w for w in tree.nodes
+                                                      if w != v and edge_key(v, w) not in edges])))
+            g = G(tree.nodes, edges)
+            assert len(g.edges) <= 14
+            answers.append(is_supereulerian(g))
+            assert answers[-1] == supereulerian_reference(g), g
+        assert answers.count(False) >= 5 and answers.count(True) >= 20
+
+    @pytest.mark.parametrize("g, expected", [
+        # 2-edge-connected, but 3-regular: a spanning even subgraph would be
+        # a Hamiltonian cycle, and it has none
+        pytest.param(from_nx(nx.petersen_graph()), False, id="petersen"),
+        # every degree-2 node needs both its edges, so the hubs get odd degree 9
+        pytest.param(from_nx(nx.complete_bipartite_graph(2, 9)), False, id="K2,9"),
+        # as K2,9, but the hubs get the even degree 10: the graph is Eulerian
+        pytest.param(from_nx(nx.complete_bipartite_graph(2, 10)), True, id="K2,10"),
+        # each large-side node on two edges, joining the small side's a-b,
+        # b-c, c-d, d-a twice over: connected, every small-side degree 4
+        pytest.param(from_nx(nx.complete_bipartite_graph(4, 8)), True, id="K4,8"),
+        # Hamiltonian (a Gray code of 3 bits)
+        pytest.param(from_nx(nx.hypercube_graph(3)), True, id="3-cube"),
+    ])
+    def test_known_answers(self, g, expected):
+        assert is_supereulerian(g) == expected
+
+    def test_size_cap_refused_before_the_degree_check(self):
+        # the path's ends have degree 1, so a degree check first would say False
+        g = G(range(13), [(i, i + 1) for i in range(12)])
+        with pytest.raises(SizeCapExceeded, match=r"^13 nodes, cap 12$"):
+            is_supereulerian(g)
 
     def test_cycle_is_supereulerian(self):
         assert is_supereulerian(G(range(4), [(0, 1), (1, 2), (2, 3), (3, 0)]))
@@ -146,12 +204,10 @@ class TestReductions:
 
 class TestUniformBruteForce:
     def test_triangle_embeds(self):
-        g = G(range(3), [(0, 1), (1, 2), (0, 2)])
-        assert brute_force_path_embed(UniformInstance(g))
+        assert find_uniform_path_embedding(UniformInstance(G(range(3), [(0, 1), (1, 2), (0, 2)]))) is not None
 
     def test_small_star_does_not(self):
-        g = G(range(4), [(0, i) for i in range(1, 4)])
-        assert not brute_force_path_embed(UniformInstance(g))
+        assert find_uniform_path_embedding(UniformInstance(G(range(4), [(0, i) for i in range(1, 4)]))) is None
 
     def test_witness_validates(self):
         rng = random.Random(7)
@@ -167,25 +223,25 @@ class TestUniformBruteForce:
             assert ok, violations
 
     def test_agrees_with_spanning_trail(self):
+        # 6 and 7 nodes: 36 of the 40 graphs have a spanning trail, 4 do not
         rng = random.Random(11)
-        for n in range(2, 6):
+        for n in range(2, 8):
             for _ in range(20):
                 g = random_connected_graph(rng, n)
-                inst = UniformInstance(g)
-                assert brute_force_path_embed(inst) == has_spanning_trail(g)
+                assert (find_uniform_path_embedding(UniformInstance(g)) is not None) == has_spanning_trail(g)
 
     def test_agrees_with_spanning_trail_on_0_and_1_nodes(self):
         for n in (0, 1):
             g = random_connected_graph(random.Random(n), n)
             inst = UniformInstance(g)
-            assert (brute_force_path_embed(inst), has_spanning_trail(g)) == (True, True)
+            assert (find_uniform_path_embedding(inst) is not None, has_spanning_trail(g)) == (True, True)
             ok, violations = validate_embedding(inst.net, inst.request, find_uniform_path_embedding(inst))
             assert ok, violations
 
     def test_size_cap(self):
         g = G(range(9), [(i, i + 1) for i in range(8)])
-        with pytest.raises(SizeCapExceeded):
-            brute_force_path_embed(UniformInstance(g))
+        with pytest.raises(SizeCapExceeded, match=r"^9 nodes, cap 8$"):
+            find_uniform_path_embedding(UniformInstance(g))
 
 
 class TestSimplexBruteForce:
