@@ -1,109 +1,30 @@
-"""Multiple-knapsack and multi-dimensional knapsack solvers.
+"""Multiple-knapsack and multi-dimensional knapsack solvers on plain lists.
 
 Each problem gets a fast greedy heuristic and an exact solver, selected by
-`mode`. The exact solvers are branch-and-bound searches intended for
-oracle-scale inputs: both prune with one fractional-knapsack bound
-(`_fractional_bound`) and refuse instances above `EXACT_ITEM_LIMIT` items
-rather than silently blowing up.
-All arithmetic is exact (ints / Fractions), feasibility has no tolerance.
-Both greedy orders (profit per unit size descending) sort on one exact int per
-item from `_ratio_key`, never a Fraction per comparison; `mkp_order` sorts any
-items given as plain profits, sizes and ids. Both MKP searches give (position,
-knapsack) per packed item; greedy is one `first_fit` over plain sizes, which
-stops once no remaining item can fit. An MDKP item's sizes are a list of
-sparse (dimension, size) pairs, checked or (`from_pairs`) taken as given;
-`_mdkp_items` reads each item once for its surrogate weight (one int unit per
-dimension, from the instance's capacities).
+`mode`. The exact solvers are branch-and-bound searches for oracle-scale
+inputs: both prune with one fractional-knapsack bound (`_fractional_bound`)
+and refuse instances above `EXACT_ITEM_LIMIT` items. All arithmetic is exact
+(ints / Fractions), feasibility has no tolerance. Both greedy orders (profit
+per unit size descending) sort on one exact int per item from `_ratio_key`.
+The solvers check nothing: the path pipeline, their one caller, hands them
+quantities that the model and `path_items` have checked. Both MKP modes give
+(position, knapsack) per packed item, greedy by `first_fit`. `_mdkp_items`
+reads each MDKP item once for its surrogate weight.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .model import ModelError, as_quantity
+from .model import ModelError
 
 EXACT_ITEM_LIMIT = 15
 
 
 class ExactSizeError(ModelError):
     """Exact mode invoked above EXACT_ITEM_LIMIT items."""
-
-
-@dataclass(frozen=True)
-class KpItem:
-    item_id: object
-    size: int
-    profit: object
-
-    def __post_init__(self):
-        if type(self.size) is not int or self.size < 0:
-            raise ModelError(f"item size must be a non-negative int, got {self.size!r}")
-        object.__setattr__(self, "profit", as_quantity(self.profit))
-        if self.profit < 0:
-            raise ModelError("negative profit")
-
-
-@dataclass
-class MkpInstance:
-    capacities: list  # one non-negative int per knapsack
-    items: list       # KpItem
-
-    def __post_init__(self):
-        for b in self.capacities:
-            if type(b) is not int or b < 0:
-                raise ModelError(f"knapsack capacity must be a non-negative int, got {b!r}")
-
-
-@dataclass
-class MdkpInstance:
-    """d capacities and (item_id, profit, pairs) items, `pairs` a list of
-    (dimension in 0..d-1, size), each dimension at most once; an absent one
-    is size 0. Quantities are normalised and zero sizes dropped."""
-
-    capacities: list  # d non-negative quantities
-    items: list       # (item_id, profit, list of (dimension, size))
-
-    def __post_init__(self):
-        self.capacities = [as_quantity(b) for b in self.capacities]
-        for b in self.capacities:
-            if b < 0:
-                raise ModelError("negative capacity component")
-        d = len(self.capacities)
-        norm = []
-        for item_id, profit, pairs in self.items:
-            if type(pairs) is not list or not all(isinstance(p, tuple) and len(p) == 2 for p in pairs):
-                raise ModelError(f"item {item_id!r} sizes are not a list of (dimension, size) pairs")
-            for i, _s in pairs:
-                if type(i) is not int or not 0 <= i < d:
-                    raise ModelError(f"item {item_id!r} has size index {i!r} outside 0..{d - 1}")
-            if len({i for i, _s in pairs}) < len(pairs):
-                raise ModelError(f"item {item_id!r} repeats a dimension")
-            pairs = [(i, as_quantity(s)) for i, s in pairs]
-            if any(s < 0 for _i, s in pairs):
-                raise ModelError(f"negative size component on item {item_id!r}")
-            profit = as_quantity(profit)
-            if profit < 0:
-                raise ModelError(f"negative profit on item {item_id!r}")
-            norm.append((item_id, profit, [(i, s) for i, s in pairs if s]))
-        self.items = norm
-
-    @classmethod
-    def from_pairs(cls, capacities, items):
-        """An instance of the checked form taken as given, unchecked: only for
-        exact quantities, non-negative capacities, positive sizes and distinct
-        in-range dimensions, e.g. validated residuals and demands."""
-        inst = object.__new__(cls)
-        inst.capacities, inst.items = capacities, items
-        return inst
-
-
-def order_items(items):
-    """KpItems in MKP order (`mkp_order`)."""
-    profits, sizes, ids = [it.profit for it in items], [it.size for it in items], [it.item_id for it in items]
-    return [items[i] for i in mkp_order(profits, sizes, ids)]
 
 
 def mkp_order(profits, sizes, ids):
@@ -165,23 +86,18 @@ def _exact(problem, mode, n_items):
     raise ModelError(f"unknown mode {mode!r}")
 
 
-def solve_mkp(inst, mode="greedy"):
+def solve_mkp(capacities, profits, sizes, mode="greedy"):
     """Multiple knapsack: pack items into knapsacks maximizing packed profit.
 
-    Returns (assignment, profit) where assignment maps item_id to a knapsack
-    index or None. Both modes take the items in MKP order (`order_items`).
-    Greedy is `first_fit`. Exact mode is depth-first branch and bound with
-    `_fractional_bound` over the summed residual capacity; it refuses more
-    than `EXACT_ITEM_LIMIT` items.
+    The items are parallel profit and size lists in MKP order (`mkp_order`),
+    the capacities non-negative ints. Returns (position, knapsack) per packed
+    item, in item order. Greedy is `first_fit`. Exact mode is depth-first
+    branch and bound with `_fractional_bound` over the summed residual
+    capacity; it refuses more than `EXACT_ITEM_LIMIT` items.
     """
-    items = order_items(inst.items)
-    if _exact("MKP", mode, len(items)):
-        packed = _mkp_exact(inst.capacities, items)
-    else:
-        packed = first_fit(inst.capacities, [it.size for it in items])
-    assignment = dict.fromkeys(it.item_id for it in inst.items)
-    assignment.update((items[i].item_id, k) for i, k in packed)
-    return assignment, sum(items[i].profit for i, _k in packed)
+    if _exact("MKP", mode, len(sizes)):
+        return _mkp_exact(capacities, profits, sizes)
+    return first_fit(capacities, sizes)
 
 
 def first_fit(capacities, sizes):
@@ -211,10 +127,10 @@ def first_fit(capacities, sizes):
     return packed
 
 
-def _mkp_exact(capacities, items):
+def _mkp_exact(capacities, profits, sizes):
     """The first optimum, in include-first depth-first order, as `first_fit`
-    returns its packing: (position in `items`, knapsack) per packed item."""
-    pairs = [(it.profit, it.size) for it in items]
+    returns its packing: (position, knapsack) per packed item."""
+    pairs = list(zip(profits, sizes))
     residual = list(capacities)
     current, best, best_profit = [], [], 0
 
@@ -222,9 +138,9 @@ def _mkp_exact(capacities, items):
         nonlocal best, best_profit
         if profit > best_profit:
             best, best_profit = list(current), profit
-        if i == len(items) or profit + _fractional_bound(pairs[i:], sum(residual)) <= best_profit:
+        if i == len(pairs) or profit + _fractional_bound(pairs[i:], sum(residual)) <= best_profit:
             return
-        size = items[i].size
+        size = sizes[i]
         tried = set()
         for k, r in enumerate(residual):
             if r in tried or size > r:
@@ -232,7 +148,7 @@ def _mkp_exact(capacities, items):
             tried.add(r)  # knapsacks with equal residuals are symmetric
             residual[k] -= size
             current.append((i, k))
-            dfs(i + 1, profit + items[i].profit)
+            dfs(i + 1, profit + profits[i])
             current.pop()
             residual[k] += size
         dfs(i + 1, profit)
@@ -241,19 +157,22 @@ def _mkp_exact(capacities, items):
     return best
 
 
-def solve_mdkp(inst, mode="greedy"):
+def solve_mdkp(capacities, items, mode="greedy"):
     """d-dimensional knapsack: select items whose summed size vector fits the
     capacity vector component-wise, maximizing profit.
 
+    `capacities` are d non-negative exact quantities; `items` are (item_id,
+    profit, pairs), `pairs` a list of (dimension in 0..d-1, positive size),
+    each dimension at most once (an absent one is size 0), all exact.
     Returns (selected item ids, profit). Greedy sorts by profit over the
     capacity-normalized size sum and takes whatever fits. Exact mode is branch
     and bound with `_fractional_bound` over that surrogate relaxation; it
     refuses more than `EXACT_ITEM_LIMIT` items.
     """
-    return (_mdkp_exact if _exact("MDKP", mode, len(inst.items)) else _mdkp_greedy)(inst)
+    return (_mdkp_exact if _exact("MDKP", mode, len(items)) else _mdkp_greedy)(capacities, items)
 
 
-def _mdkp_items(inst):
+def _mdkp_items(capacities, items):
     """The packable items as (id, profit, nonzero (index, size) pairs,
     surrogate weight) in funding order (`_ratio_key` on profit and weight),
     and the weights' scale. A dimension's unit is L / its capacity (L = lcm of
@@ -261,13 +180,13 @@ def _mdkp_items(inst):
     over its nonzero pairs drops it at a zero capacity (it never fits) and
     sums size × unit; times the lcm of the sums' denominators, that is the
     capacity-normalized size sum times the scale, an exact int."""
-    positive = set(inst.capacities) - {0}
+    positive = set(capacities) - {0}
     scale = math.lcm(*{c.numerator for c in positive})
     unit_of = {c: c.denominator * (scale // c.numerator) for c in positive}
     unit_of[0] = 0
-    unit = list(map(unit_of.__getitem__, inst.capacities))
-    items = []
-    for item_id, profit, pairs in inst.items:
+    unit = list(map(unit_of.__getitem__, capacities))
+    packable = []
+    for item_id, profit, pairs in items:
         weight = 0
         for i, s in pairs:
             u = unit[i]
@@ -275,23 +194,23 @@ def _mdkp_items(inst):
                 break
             weight += s * u
         else:
-            items.append((item_id, profit, pairs, weight))
-    size_lcm = math.lcm(*{t[3].denominator for t in items})
-    items = [(item_id, p, pairs, int(w * size_lcm)) for item_id, p, pairs, w in items]
-    key = _ratio_key((t[1] for t in items), (t[3] for t in items))
-    items.sort(key=lambda t: key(t[1], t[3], t[0]))
-    return items, scale * size_lcm
+            packable.append((item_id, profit, pairs, weight))
+    size_lcm = math.lcm(*{t[3].denominator for t in packable})
+    packable = [(item_id, p, pairs, int(w * size_lcm)) for item_id, p, pairs, w in packable]
+    key = _ratio_key((t[1] for t in packable), (t[3] for t in packable))
+    packable.sort(key=lambda t: key(t[1], t[3], t[0]))
+    return packable, scale * size_lcm
 
 
 def _fits(pairs, residual):
     return all(s <= residual[i] for i, s in pairs)
 
 
-def _mdkp_greedy(inst):
-    residual = list(inst.capacities)
+def _mdkp_greedy(capacities, items):
+    residual = list(capacities)
     selected = []
     profit = 0
-    for item_id, p, pairs, _w in _mdkp_items(inst)[0]:
+    for item_id, p, pairs, _w in _mdkp_items(capacities, items)[0]:
         if _fits(pairs, residual):
             for i, s in pairs:
                 residual[i] -= s
@@ -300,8 +219,8 @@ def _mdkp_greedy(inst):
     return selected, profit
 
 
-def _mdkp_exact(inst):
-    norm, scale = _mdkp_items(inst)
+def _mdkp_exact(capacities, items):
+    norm, scale = _mdkp_items(capacities, items)
     # surrogate: one knapsack of capacity = number of (positive) dimensions the items touch,
     # item size = its normalized weight, both scaled; fractional optimum bounds the 0-1 one
     surrogate_cap = scale * len({i for _id, _p, pairs, _w in norm for i, _s in pairs})
@@ -309,7 +228,7 @@ def _mdkp_exact(inst):
     best_profit = 0
     best_set = []
     chosen = []
-    residual = list(inst.capacities)
+    residual = list(capacities)
 
     def dfs(i, profit, used_weight):
         nonlocal best_profit, best_set

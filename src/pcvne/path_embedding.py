@@ -10,15 +10,7 @@ import itertools
 from collections import defaultdict
 from dataclasses import dataclass
 
-from .knapsack import (
-    KpItem,
-    MdkpInstance,
-    MkpInstance,
-    first_fit,
-    mkp_order,
-    solve_mdkp,
-    solve_mkp,
-)
+from .knapsack import mkp_order, solve_mdkp, solve_mkp
 from .model import Embedding, EmbeddingBatch, ModelError, Shape, as_quantity, commit, edge_key
 
 
@@ -149,19 +141,14 @@ def path_items(requests):
 def pack_mkp(paths, items, mode="greedy"):
     """Pack path requests (`path_items` order) onto the decomposed substrate paths.
 
-    Each substrate path is a knapsack of capacity = its link count. Packed
-    items receive concrete offsets left to right in efficiency order, sharing
-    boundary SNs between consecutive placements. Greedy hands `first_fit` the
-    lengths and reads only what it packed; exact builds its few KpItems.
+    Each substrate path is a knapsack of capacity = its link count, each
+    request an item of profit = its revenue and size = its link count, handed
+    to `solve_mkp` as plain lists in that order. Packed items receive concrete
+    offsets left to right in efficiency order, sharing boundary SNs between
+    consecutive placements.
     """
-    capacities = [p.length for p in paths]
-    if mode == "greedy":
-        packed = first_fit(capacities, [len(req.vls) for req in items])
-    else:
-        kp_items = [KpItem(req.req_id, req.length, req.revenue) for req in items]
-        assignment, _profit = solve_mkp(MkpInstance(capacities, kp_items), mode=mode)
-        packed = [(i, assignment[it.item_id]) for i, it in enumerate(kp_items)
-                  if assignment[it.item_id] is not None]
+    packed = solve_mkp([p.length for p in paths], [req.revenue for req in items],
+                       [len(req.vls) for req in items], mode=mode)
 
     placements = []
     used = [0] * len(paths)  # links already taken on each path
@@ -180,9 +167,10 @@ def assign_mdkp(net, placements, mode="greedy"):
     slice (VN i's CPU on SN i, VL i's BW on SL i: a simple path's SNs are
     distinct), are its `footprint`; the dimensions are the SNs and SLs they
     touch, numbered at first touch (SN and SL keys apart, so a tuple SN id
-    never meets an SL key), with their residuals as capacities. `solve_mdkp`
-    weighs and orders them. Only the selected placements become Embeddings,
-    each returned with the footprint its `commit` returned.
+    never meets an SL key), with their residuals as capacities. The model has
+    checked every one of these quantities, so `solve_mdkp` takes them as
+    given; it weighs and orders the items. Only the selected placements
+    become Embeddings, each returned with the footprint its `commit` returned.
     """
     touched = itertools.count().__next__  # the next dimension index
     sn_dim, sl_dim = defaultdict(touched), defaultdict(touched)
@@ -198,7 +186,7 @@ def assign_mdkp(net, placements, mode="greedy"):
         for key, i in dims.items():
             capacities[i] = residual[key]
 
-    selected, _profit = solve_mdkp(MdkpInstance.from_pairs(capacities, items), mode=mode)
+    selected, _profit = solve_mdkp(capacities, items, mode=mode)
 
     accepted = []
     for pl in map(placements.__getitem__, sorted(selected)):

@@ -5,8 +5,26 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from pcvne.knapsack import mkp_order, solve_mkp
 from pcvne.model import Shape, SubstrateNetwork, VirtualRequest, edge_key
 from pcvne.theory import random_connected_graph  # noqa: F401  re-exported
+
+
+def order_items(items):
+    """Knapsack items (`oracles.Item`) in MKP order by `knapsack.mkp_order`,
+    as `solve_mkp` takes their profits and sizes."""
+    return [items[i] for i in mkp_order([it.profit for it in items], [it.size for it in items],
+                                        [it.item_id for it in items])]
+
+
+def solve_mkp_by_id(capacities, items, mode):
+    """`solve_mkp` on the items in MKP order, read back by id:
+    ({item_id: knapsack index or None}, packed profit)."""
+    items = order_items(items)
+    packed = solve_mkp(capacities, [it.profit for it in items], [it.size for it in items], mode=mode)
+    assignment = dict.fromkeys(it.item_id for it in items)
+    assignment.update((items[i].item_id, k) for i, k in packed)
+    return assignment, sum(items[i].profit for i, _k in packed)
 
 
 def make_net(nodes, edges, cpu, bw):

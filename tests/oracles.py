@@ -7,7 +7,7 @@ code under test.
 
 import heapq
 import math
-from collections import deque
+from collections import deque, namedtuple
 from fractions import Fraction
 from itertools import combinations
 
@@ -24,6 +24,9 @@ from pcvne.model import (
     footprint,
 )
 from pcvne.theory import SizeCapExceeded
+
+# A knapsack item as the KP and MKP oracles read it: a plain record, unchecked.
+Item = namedtuple("Item", "item_id size profit")
 
 
 def kp_best_profit(capacity, items):
@@ -94,9 +97,9 @@ def mkp_best_profit(capacities, items):
 
 
 def mdkp_pairs(items):
-    """MDKP (id, profit, dense size row) items as `MdkpInstance` takes them:
-    each row as its (dimension, size) pairs, zero sizes included."""
-    return [(item_id, profit, list(enumerate(row))) for item_id, profit, row in items]
+    """MDKP (id, profit, dense size row) items as `solve_mdkp` takes them:
+    each row as the (dimension, size) pairs of its nonzero sizes."""
+    return [(item_id, profit, [(k, s) for k, s in enumerate(row) if s]) for item_id, profit, row in items]
 
 
 def mdkp_best_profit(capacities, items):
@@ -158,12 +161,59 @@ def first_fit_stop_on_smallest_reference(capacities, items):
     return packed
 
 
+def mkp_exact_reference(capacities, items):
+    """A frozen copy of `knapsack.solve_mkp`'s exact mode when it took its own
+    items: the items in item_order_key order, then the first optimum an
+    include-first depth-first search meets, pruned by the fractional-knapsack
+    bound over the summed residual capacity, each knapsack residual tried
+    once. Returns {item_id: knapsack index or None}."""
+    items = sorted(items, key=item_order_key)
+    residual = list(capacities)
+    current, best, best_profit = [], [], 0
+
+    def bound(i, room):
+        total = 0
+        for it in items[i:]:
+            if it.size == 0:
+                total += it.profit
+            elif room <= 0:
+                break
+            elif it.size <= room:
+                total += it.profit
+                room -= it.size
+            else:
+                total += it.profit * Fraction(room, it.size)
+                room = 0
+        return total
+
+    def dfs(i, profit):
+        nonlocal best, best_profit
+        if profit > best_profit:
+            best, best_profit = list(current), profit
+        if i == len(items) or profit + bound(i, sum(residual)) <= best_profit:
+            return
+        tried = set()
+        for k, r in enumerate(residual):
+            if r in tried or items[i].size > r:
+                continue
+            tried.add(r)
+            residual[k] -= items[i].size
+            current.append((items[i].item_id, k))
+            dfs(i + 1, profit + items[i].profit)
+            current.pop()
+            residual[k] += items[i].size
+        dfs(i + 1, profit)
+
+    dfs(0, 0)
+    return {**dict.fromkeys(it.item_id for it in items), **dict(best)}
+
+
 def _id_key(item_id):
     return (type(item_id).__name__, repr(item_id))
 
 
 def item_order_key(item):
-    """The MKP item order as one exact key per KpItem: profit/size descending
+    """The MKP item order as one exact key per Item: profit/size descending
     as a Fraction (a zero-size item ranks first if its profit is positive,
     else at efficiency 0), ties by smaller size, then by the id's type name
     and repr."""
@@ -971,39 +1021,41 @@ def decompose_paths_reference(net):
 # for every sort, a re-sort per path, a Fraction sum per funding weight and a
 # fresh decomposition every iteration, where procedure_pe sorts on integer
 # ranks, sums weights as integers and decomposes again only once a residual
-# reached 0. Only PathPlacement and commit are shared with the code under test
-# (and solve_mkp, in pack_mkp_reference's exact mode).
+# reached 0. Only PathPlacement and commit are shared with the code under test.
 
 
 def path_items_reference(requests):
-    """A frozen copy of `path_items` when it built one KpItem per request:
-    (item, request) pairs in `order_items` order, or the same ModelError."""
-    from pcvne.knapsack import KpItem, order_items
-
+    """A frozen copy of `path_items` when it built one checked item per
+    request: (Item, request) pairs in item_order_key order, or the same
+    ModelError (shapes, then ids, then each revenue in request order)."""
     for req in requests:
         if req.shape is not Shape.PATH:
             raise ModelError(f"request {req.req_id!r} is not a path")
     req_of = {req.req_id: req for req in requests}
     if len(req_of) != len(requests):
         raise ModelError("duplicate request ids")
-    items = [KpItem(item_id=req.req_id, size=req.length, profit=req.revenue) for req in requests]
-    return [(it, req_of[it.item_id]) for it in order_items(items)]
+    items = []
+    for req in requests:
+        profit = as_quantity(req.revenue)
+        if profit < 0:
+            raise ModelError("negative profit")
+        items.append(Item(req.req_id, req.length, profit))
+    return [(it, req_of[it.item_id]) for it in sorted(items, key=item_order_key)]
 
 
 def pack_mkp_reference(paths, requests, mode="greedy"):
     """Placements by the rule pack_mkp followed while it built its own items:
-    the MKP over one KpItem per request in request order (greedy:
-    sorted_first_fit in item_order_key order; exact: solve_mkp), then path by
-    path the packed items left to right in item_order_key order."""
-    from pcvne.knapsack import KpItem, MkpInstance, solve_mkp
+    the MKP over one Item per request in request order (greedy:
+    sorted_first_fit in item_order_key order; exact: mkp_exact_reference),
+    then path by path the packed items left to right in item_order_key order."""
     from pcvne.path_embedding import PathPlacement
 
-    items = [KpItem(r.req_id, r.length, r.revenue) for r in requests]
+    items = [Item(r.req_id, r.length, r.revenue) for r in requests]
     caps = [p.length for p in paths]
     if mode == "greedy":
         assignment = sorted_first_fit(caps, sorted(items, key=item_order_key))
     else:
-        assignment, _profit = solve_mkp(MkpInstance(caps, items), mode=mode)
+        assignment = mkp_exact_reference(caps, items)
     req_of = {r.req_id: r for r in requests}
     placements = []
     for k, path in enumerate(paths):

@@ -103,19 +103,19 @@ class DdkpReduction:
     dim_position: dict    # original dimension index -> ring node index
 
 
-def gen_ddkp_reduction(inst):
+def gen_ddkp_reduction(capacities, items):
     """Ring substrate and cycle requests whose max acceptance count equals the
-    source instance's cardinality optimum.
+    cardinality optimum of the MDKP given as `solve_mdkp` takes it: d
+    capacities and (item_id, profit, pairs) items.
 
     Ring node i carries the i-th capacity scaled by a factor large enough
     that the i-th VN of every request is CPU-infeasible on all earlier ring
     nodes; link bandwidth equals the item count so the unit per-link demands
     never bind. Every item's size in every dimension must be at least 1.
     """
-    d = len(inst.capacities)
+    d = len(capacities)
     if d < 2:
         raise SpecError("need at least 2 dimensions")
-    items = inst.items
     n_items = len(items)
     rows = []  # per item, its size in each dimension
     for item_id, _p, pairs in items:
@@ -126,12 +126,12 @@ def gen_ddkp_reduction(inst):
             raise SpecError(f"item {item_id!r} has a size component below 1; "
                             "the construction cannot force its placement")
         rows.append(row)
-    for b in inst.capacities:
+    for b in capacities:
         if b < 1:
             raise SpecError("capacities must be at least 1")
 
     columns = [[row[k] for row in rows] for k in range(d)]
-    caps = list(inst.capacities)
+    caps = list(capacities)
     dim_position = {k: k for k in range(d)}
     if d == 2:
         # 2-node rings do not exist in a simple graph; insert a slack

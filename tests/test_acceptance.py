@@ -17,9 +17,11 @@ from conftest import (
     path_net,
     random_connected_graph,
     random_ring_instance,
+    solve_mkp_by_id,
     uniform_path_request,
 )
 from oracles import (
+    Item,
     brute_force_simplex_cycle,
     cardinality_ddkp_optimum,
     cpu_link_feasible_hosts,
@@ -51,7 +53,7 @@ from pcvne.generators import (
     gen_requests,
     gen_substrate,
 )
-from pcvne.knapsack import KpItem, MdkpInstance, MkpInstance, solve_mdkp, solve_mkp
+from pcvne.knapsack import solve_mdkp
 from pcvne.model import audit_residuals, validate_embedding
 from pcvne.path_embedding import procedure_pe
 from pcvne.theory import (
@@ -187,18 +189,17 @@ def test_criterion_05_knapsack_oracles():
     t0 = time.perf_counter()
 
     for _ in range(100):
-        items = [KpItem(i, rng.randint(0, 8), rng.randint(0, 20)) for i in range(12)]
+        items = [Item(i, rng.randint(0, 8), rng.randint(0, 20)) for i in range(12)]
         capacity = rng.randint(0, 30)
         _, profit = solve_kp_dp(capacity, items)
         assert profit == kp_best_profit(capacity, items)
 
     for _ in range(100):
-        items = [KpItem(i, rng.randint(0, 6), rng.randint(0, 15)) for i in range(8)]
+        items = [Item(i, rng.randint(0, 6), rng.randint(0, 15)) for i in range(8)]
         caps = [rng.randint(0, 9) for _ in range(rng.randint(1, 3))]
-        inst = MkpInstance(caps, items)
-        _, exact = solve_mkp(inst, mode="exact")
+        _, exact = solve_mkp_by_id(caps, items, "exact")
         assert exact == mkp_best_profit(caps, items)
-        g_assign, greedy = solve_mkp(inst, mode="greedy")
+        g_assign, greedy = solve_mkp_by_id(caps, items, "greedy")
         assert greedy <= exact
         loads = [0] * len(caps)
         by_id = {it.item_id: it for it in items}
@@ -212,10 +213,10 @@ def test_criterion_05_knapsack_oracles():
         items = [(i, rng.randint(0, 15), tuple(rng.randint(0, 5) for _ in range(d)))
                  for i in range(12)]
         caps = [rng.randint(0, 12) for _ in range(d)]
-        inst = MdkpInstance(caps, mdkp_pairs(items))
-        selected, exact = solve_mdkp(inst, mode="exact")
+        pairs = mdkp_pairs(items)
+        selected, exact = solve_mdkp(caps, pairs, mode="exact")
         assert exact == mdkp_best_profit(caps, items)
-        g_sel, greedy = solve_mdkp(inst, mode="greedy")
+        g_sel, greedy = solve_mdkp(caps, pairs, mode="greedy")
         assert greedy <= exact
         totals = [0] * d
         by_id = {i: s for i, _p, s in items}
@@ -236,7 +237,7 @@ def test_criterion_06_uniform_path_substrate_optimum():
         reqs = [uniform_path_request(i, rng.randint(1, size), revenue=rng.randint(1, 9))
                 for i in range(rng.randint(4, 12))]
         batch = procedure_pe(net, reqs, mkp_mode="exact", mdkp_mode="exact")
-        items = [KpItem(r.req_id, r.length, r.revenue) for r in reqs]
+        items = [Item(r.req_id, r.length, r.revenue) for r in reqs]
         _, optimum = solve_kp_dp(size, items)
         assert batch.revenue == optimum, f"trial {trial}: {batch.revenue} != {optimum}"
     report(6, "50 uniform path-substrate instances hit the knapsack optimum exactly")
@@ -386,7 +387,7 @@ def test_criterion_11_reduction_generators():
         # pack on either side and would make the feasibility scan vacuous
         items = [(j, 1, (rng.randint(1, caps[0]), rng.randint(1, caps[1])))
                  for j in range(n)]
-        red = gen_ddkp_reduction(MdkpInstance(caps, mdkp_pairs(items)))
+        red = gen_ddkp_reduction(caps, mdkp_pairs(items))
         cycle = CycleView(red.net)
         for req in red.requests:
             hosts, _bad = feasible_sets(cycle, req)

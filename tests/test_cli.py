@@ -56,6 +56,16 @@ def test_embed_paths_exact_modes_match_library(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["accepted"] == batch.accepted_ids()
 
 
+def test_embed_paths_exact_modes_output_is_golden(tmp_path, capsys):
+    # exact MKP and MDKP on the tight instance, byte for byte, so a change to
+    # either exact search shows here even when the CLI and library move together
+    inst = _tight_paths_instance(tmp_path, EXACT_ITEM_LIMIT)
+    capsys.readouterr()
+    main(["embed-paths", "--instance", str(inst), *_EXACT_MODES])
+    golden = Path(__file__).resolve().parent / "data" / "embed_paths_exact.out"
+    assert capsys.readouterr() == (golden.read_text(), "")
+
+
 def test_embed_paths_exact_modes_refuse_too_many_requests(tmp_path, capsys):
     inst = _tight_paths_instance(tmp_path, EXACT_ITEM_LIMIT + 1)
     with pytest.raises(SystemExit) as exc:

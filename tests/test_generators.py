@@ -11,7 +11,6 @@ from pcvne.generators import (
     gen_requests,
     gen_substrate,
 )
-from pcvne.knapsack import MdkpInstance
 from pcvne.model import Shape
 from reductions import gen_ddkp_reduction, gen_edp_reduction
 
@@ -178,7 +177,7 @@ class TestDdkpReduction:
             caps = [rng.randint(2, 8), rng.randint(2, 8)]
             items = [(j, 1, (rng.randint(1, caps[0]), rng.randint(1, caps[1])))
                      for j in range(n)]
-            red = gen_ddkp_reduction(MdkpInstance(caps, mdkp_pairs(items)))
+            red = gen_ddkp_reduction(caps, mdkp_pairs(items))
             from pcvne.cycle_embedding import CycleView, feasible_sets
 
             cycle = CycleView(red.net)
@@ -199,7 +198,7 @@ class TestDdkpReduction:
             caps = [rng.randint(2, 6) for _ in range(d)]
             items = [(j, 1, tuple(rng.randint(1, caps[i]) for i in range(d)))
                      for j in range(rng.randint(1, 4))]
-            red = gen_ddkp_reduction(MdkpInstance(caps, mdkp_pairs(items)))
+            red = gen_ddkp_reduction(caps, mdkp_pairs(items))
             for req in red.requests:
                 found = [h for _s, _d, h, _c in ring_tableaux(red.net, req)]
                 assert found, "every item must be embeddable alone"
@@ -213,18 +212,18 @@ class TestDdkpReduction:
             n = rng.randint(1, 6)
             caps = [rng.randint(2, 6), rng.randint(2, 6)]
             items = [(j, 1, (rng.randint(1, 4), rng.randint(1, 4))) for j in range(n)]
-            red = gen_ddkp_reduction(MdkpInstance(caps, mdkp_pairs(items)))
+            red = gen_ddkp_reduction(caps, mdkp_pairs(items))
             expected = cardinality_ddkp_optimum(caps, [sizes for _j, _p, sizes in items])
             assert max_accepted(red.net, red.requests) == expected
 
     def test_zero_items(self):
-        red = gen_ddkp_reduction(MdkpInstance([3, 4], []))
+        red = gen_ddkp_reduction([3, 4], [])
         assert red.requests == []
         assert len(red.net.nodes) == 3
 
     def test_rejects_zero_sizes(self):
         with pytest.raises(SpecError):
-            gen_ddkp_reduction(MdkpInstance([3, 4], [(0, 1, [(0, 0), (1, 2)])]))
+            gen_ddkp_reduction([3, 4], [(0, 1, [(0, 0), (1, 2)])])
 
     def test_mapping_sizes_match_their_dense_form(self):
         # an item's (dimension, size) pairs in any order build the same ring and
@@ -234,23 +233,23 @@ class TestDdkpReduction:
             caps = [rng.randint(1, 9) for _ in range(d)]
             dense = mdkp_pairs([(j, 1, [rng.randint(1, 6) for _ in range(d)]) for j in range(rng.randint(0, 5))])
             shuffled = [(j, p, rng.sample(pairs, d)) for j, p, pairs in dense]
-            a = gen_ddkp_reduction(MdkpInstance(caps, dense))
-            b = gen_ddkp_reduction(MdkpInstance(caps, shuffled))
+            a = gen_ddkp_reduction(caps, dense)
+            b = gen_ddkp_reduction(caps, shuffled)
             assert (b.net.nodes, b.net.edges) == (a.net.nodes, a.net.edges)
             assert (b.net.cpu_capacity, b.net.bw_capacity) == (a.net.cpu_capacity, a.net.bw_capacity)
             assert (b.requests, b.dim_position) == (a.requests, a.dim_position)
 
     def test_mapping_sizes_worked_example(self):
         items = [(0, 1, [(0, 2), (1, 3)]), (1, 1, [(1, 1), (0, 1)])]
-        red = gen_ddkp_reduction(MdkpInstance([4, 4], items))
+        red = gen_ddkp_reduction([4, 4], items)
         assert [r.cpu_demand for r in red.requests] == [{0: 2, 1: 5, 2: 33}, {0: 1, 1: 5, 2: 11}]
 
     @pytest.mark.parametrize("sizes", [[(1, 3)], [(0, 2), (1, 0)], [], [(0, 1), (2, 1)]])
     def test_mapping_without_a_dimension_is_a_zero_size(self, sizes):
         caps = [4] * (3 if (2, 1) in sizes else 2)
         with pytest.raises(SpecError, match=r"^item 0 has a size component below 1;"):
-            gen_ddkp_reduction(MdkpInstance(caps, [(0, 1, sizes)]))
+            gen_ddkp_reduction(caps, [(0, 1, sizes)])
 
     def test_rejects_single_dimension(self):
         with pytest.raises(SpecError):
-            gen_ddkp_reduction(MdkpInstance([3], [(0, 1, [(0, 1)])]))
+            gen_ddkp_reduction([3], [(0, 1, [(0, 1)])])

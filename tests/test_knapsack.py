@@ -6,7 +6,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import order_items, solve_mkp_by_id
 from oracles import (
+    Item,
     first_fit_stop_on_smallest_reference,
     item_order_key,
     kp_best_profit,
@@ -17,19 +19,16 @@ from oracles import (
     mdkp_pairs,
     mdkp_weight_reference,
     mkp_best_profit,
+    mkp_exact_reference,
     solve_kp_dp,
     sorted_first_fit,
 )
 from pcvne.knapsack import (
     EXACT_ITEM_LIMIT,
     ExactSizeError,
-    KpItem,
-    MdkpInstance,
-    MkpInstance,
     _fractional_bound,
     _mdkp_items,
     first_fit,
-    order_items,
     solve_mdkp,
     solve_mkp,
 )
@@ -37,18 +36,18 @@ from pcvne.model import ModelError
 
 
 def rand_items(rng, n, max_size=8, max_profit=20):
-    return [KpItem(item_id=i, size=rng.randint(0, max_size), profit=rng.randint(0, max_profit))
+    return [Item(item_id=i, size=rng.randint(0, max_size), profit=rng.randint(0, max_profit))
             for i in range(n)]
 
 
 class TestKpDp:
     def test_zero_capacity(self):
-        items = [KpItem(0, 3, 5), KpItem(1, 1, 2)]
+        items = [Item(0, 3, 5), Item(1, 1, 2)]
         selected, profit = solve_kp_dp(0, items)
         assert selected == [] and profit == 0
 
     def test_single_fitting_item(self):
-        selected, profit = solve_kp_dp(5, [KpItem("a", 4, 7)])
+        selected, profit = solve_kp_dp(5, [Item("a", 4, 7)])
         assert selected == ["a"] and profit == 7
 
     def test_selection_is_consistent(self):
@@ -79,13 +78,12 @@ class TestMkp:
             items = rand_items(rng, 9)
             cap = rng.randint(0, 20)
             _, kp_profit = solve_kp_dp(cap, items)
-            _, mkp_profit = solve_mkp(MkpInstance([cap], items), mode="exact")
+            _, mkp_profit = solve_mkp_by_id([cap], items, "exact")
             assert mkp_profit == kp_profit
 
     def test_oversized_items_left_out(self):
-        inst = MkpInstance([2, 3], [KpItem(0, 5, 9), KpItem(1, 4, 9)])
         for mode in ("greedy", "exact"):
-            assignment, profit = solve_mkp(inst, mode=mode)
+            assignment, profit = solve_mkp_by_id([2, 3], [Item(0, 5, 9), Item(1, 4, 9)], mode)
             assert profit == 0
             assert all(k is None for k in assignment.values())
 
@@ -94,47 +92,46 @@ class TestMkp:
         for _ in range(25):
             items = rand_items(rng, 8, max_size=6)
             caps = [rng.randint(0, 10) for _ in range(rng.randint(1, 3))]
-            inst = MkpInstance(caps, items)
-            assignment, profit = solve_mkp(inst, mode="exact")
+            assignment, profit = solve_mkp_by_id(caps, items, "exact")
             assert profit == mkp_best_profit(caps, items)
-            _check_mkp_assignment(inst, assignment, profit)
+            _check_mkp_assignment(caps, items, assignment, profit)
 
     def test_greedy_feasible_and_dominated(self):
         rng = random.Random(9)
         for _ in range(25):
             items = rand_items(rng, 8, max_size=6)
             caps = [rng.randint(0, 10) for _ in range(rng.randint(1, 3))]
-            inst = MkpInstance(caps, items)
-            g_assignment, g_profit = solve_mkp(inst, mode="greedy")
-            _, e_profit = solve_mkp(inst, mode="exact")
-            _check_mkp_assignment(inst, g_assignment, g_profit)
+            g_assignment, g_profit = solve_mkp_by_id(caps, items, "greedy")
+            _, e_profit = solve_mkp_by_id(caps, items, "exact")
+            _check_mkp_assignment(caps, items, g_assignment, g_profit)
             assert g_profit <= e_profit
 
     def test_exact_refuses_oversized_input(self):
         items = rand_items(random.Random(0), EXACT_ITEM_LIMIT + 1)
-        _, profit = solve_mkp(MkpInstance([5], items[:-1]), mode="exact")
+        _, profit = solve_mkp_by_id([5], items[:-1], "exact")
         assert profit == kp_best_profit(5, items[:-1])
         with pytest.raises(ExactSizeError, match="^exact MKP limited to 15 items, got 16$"):
-            solve_mkp(MkpInstance([5], items), mode="exact")
+            solve_mkp_by_id([5], items, "exact")
 
 
-def _check_mkp_assignment(inst, assignment, profit):
-    loads = [0] * len(inst.capacities)
+def _check_mkp_assignment(caps, items, assignment, profit):
+    loads = [0] * len(caps)
     total = 0
-    by_id = {it.item_id: it for it in inst.items}
+    by_id = {it.item_id: it for it in items}
     for item_id, k in assignment.items():
         if k is None:
             continue
         loads[k] += by_id[item_id].size
         total += by_id[item_id].profit
     assert total == profit
-    assert all(l <= c for l, c in zip(loads, inst.capacities))
+    assert all(l <= c for l, c in zip(loads, caps))
 
 
 def rand_mdkp(rng, n, d, max_size=5, max_cap=12):
-    """An instance and its items with dense size rows, as the oracles take them."""
+    """Capacities, the items as `solve_mdkp` takes them, and the items with
+    dense size rows, as the oracles take them."""
     items = [(i, rng.randint(0, 15), [rng.randint(0, max_size) for _ in range(d)]) for i in range(n)]
-    return MdkpInstance([rng.randint(0, max_cap) for _ in range(d)], mdkp_pairs(items)), items
+    return [rng.randint(0, max_cap) for _ in range(d)], mdkp_pairs(items), items
 
 
 class TestMdkp:
@@ -143,103 +140,54 @@ class TestMdkp:
         for _ in range(20):
             items = rand_items(rng, 9)
             cap = rng.randint(0, 20)
-            inst = MdkpInstance([cap], [(it.item_id, it.profit, [(0, it.size)]) for it in items])
-            _, profit = solve_mdkp(inst, mode="exact")
+            pairs = [(it.item_id, it.profit, [(0, it.size)] if it.size else []) for it in items]
+            _, profit = solve_mdkp([cap], pairs, mode="exact")
             _, kp_profit = solve_kp_dp(cap, items)
             assert profit == kp_profit
 
     def test_zero_capacity_vector(self):
-        inst = MdkpInstance([0, 0], [(0, 5, [(0, 1)]), (1, 3, [(1, 2)])])
         for mode in ("greedy", "exact"):
-            selected, profit = solve_mdkp(inst, mode=mode)
+            selected, profit = solve_mdkp([0, 0], [(0, 5, [(0, 1)]), (1, 3, [(1, 2)])], mode=mode)
             assert selected == [] and profit == 0
-
-    @pytest.mark.parametrize("key", [-1, 2, "0", 1.0, True])
-    def test_mapping_index_outside_dimensions_rejected(self, key):
-        # the pairs map dimensions to sizes; a dict is not a size form
-        with pytest.raises(ModelError, match=rf"^item 0 has size index {key!r} outside 0\.\.1$"):
-            MdkpInstance([3, 3], [(0, 1, [(0, 1), (key, 1)])])
-        with pytest.raises(ModelError, match=r"^item 0 sizes are not a list of \(dimension, size\) pairs$"):
-            MdkpInstance([3, 3], [(0, 1, {0: 1, key: 1})])
-
-    def test_sizes_normalised_and_zero_sizes_dropped(self):
-        inst = MdkpInstance(["3", 3.0], [(0, 1, [(1, 2.5), (0, 0)]), ("b", "1/2", [(0, Fraction(2)), (1, "1/2")])])
-        assert inst.capacities == [3, 3] and all(type(c) is int for c in inst.capacities)
-        assert inst.items == [(0, 1, [(1, Fraction(5, 2))]), ("b", Fraction(1, 2), [(0, 2), (1, Fraction(1, 2))])]
-        assert type(inst.items[1][2][0][1]) is int
-        assert inst == MdkpInstance.from_pairs(inst.capacities, inst.items)
-
-    @pytest.mark.parametrize("sizes", [(1, 2), [1, 2], {0: 1, 1: 2}, ((0, 1), (1, 2)), [[0, 1]],
-                                       [(0, 1, 2)], [(0,)], "01", None])
-    def test_removed_size_forms_refused(self, sizes):
-        # a dense row (tuple or list), a mapping, or anything else but a list of pairs
-        with pytest.raises(ModelError, match=r"^item 'x' sizes are not a list of \(dimension, size\) pairs$"):
-            MdkpInstance([3, 3], [(0, 1, [(0, 1)]), ("x", 1, sizes)])
 
     def test_exact_matches_exhaustive(self):
         rng = random.Random(13)
         for _ in range(25):
-            inst, items = rand_mdkp(rng, 10, rng.randint(1, 4))
-            selected, profit = solve_mdkp(inst, mode="exact")
-            assert profit == mdkp_best_profit(inst.capacities, items)
-            _check_mdkp_selection(inst, selected, profit)
+            caps, pairs, items = rand_mdkp(rng, 10, rng.randint(1, 4))
+            selected, profit = solve_mdkp(caps, pairs, mode="exact")
+            assert profit == mdkp_best_profit(caps, items)
+            _check_mdkp_selection(caps, pairs, selected, profit)
 
     def test_greedy_feasible_and_dominated(self):
         rng = random.Random(17)
         for _ in range(25):
-            inst, _items = rand_mdkp(rng, 10, rng.randint(1, 4))
-            selected, profit = solve_mdkp(inst, mode="greedy")
-            _, e_profit = solve_mdkp(inst, mode="exact")
-            _check_mdkp_selection(inst, selected, profit)
+            caps, pairs, _items = rand_mdkp(rng, 10, rng.randint(1, 4))
+            selected, profit = solve_mdkp(caps, pairs, mode="greedy")
+            _, e_profit = solve_mdkp(caps, pairs, mode="exact")
+            _check_mdkp_selection(caps, pairs, selected, profit)
             assert profit <= e_profit
 
     def test_exact_refuses_oversized_input(self):
         rng = random.Random(0)
-        inst, items = rand_mdkp(rng, EXACT_ITEM_LIMIT + 1, 2)
-        at_limit = MdkpInstance(inst.capacities, inst.items[:-1])
-        _, profit = solve_mdkp(at_limit, mode="exact")
-        assert profit == mdkp_best_profit(at_limit.capacities, items[:-1])
+        caps, pairs, items = rand_mdkp(rng, EXACT_ITEM_LIMIT + 1, 2)
+        _, profit = solve_mdkp(caps, pairs[:-1], mode="exact")
+        assert profit == mdkp_best_profit(caps, items[:-1])
         with pytest.raises(ExactSizeError, match="^exact MDKP limited to 15 items, got 16$"):
-            solve_mdkp(inst, mode="exact")
+            solve_mdkp(caps, pairs, mode="exact")
 
 
 @pytest.mark.parametrize("solve, inst", [
-    (solve_mkp, MkpInstance([3], [KpItem(0, 1, 1)])),
-    (solve_mdkp, MdkpInstance([3], [(0, 1, [(0, 1)])])),
+    (solve_mkp, ([3], [1], [1])),
+    (solve_mdkp, ([3], [(0, 1, [(0, 1)])])),
 ])
 def test_unknown_mode_rejected(solve, inst):
     with pytest.raises(ModelError, match="^unknown mode 'optimal'$"):
-        solve(inst, mode="optimal")
+        solve(*inst, mode="optimal")
 
 
-@pytest.mark.parametrize("cls, args, message", [
-    # bools are ints to isinstance; the model and MdkpInstance refuse them already
-    (KpItem, (0, True, 1), "item size must be a non-negative int, got True"),
-    (KpItem, (0, False, 1), "item size must be a non-negative int, got False"),
-    (MkpInstance, ([True, 2], []), "knapsack capacity must be a non-negative int, got True"),
-    (MkpInstance, ([2, False], []), "knapsack capacity must be a non-negative int, got False"),
-    (MdkpInstance, ([5], [(0, -3, [(0, 1)])]), "negative profit on item 0"),
-    (MdkpInstance, ([5], [(0, 1, [(0, 1)]), ("b", Fraction(-1, 2), [])]), "negative profit on item 'b'"),
-    # the bound assumes non-negative profits: exact mode used to prune the root
-    # and return ([], 0) here, though item 1 alone gives 2
-    (MdkpInstance, ([5], [(0, -3, [(0, 1)]), (1, 2, [(0, 1)])]), "negative profit on item 0"),
-    (MdkpInstance, ([5, -1], []), "negative capacity component"),
-    (MdkpInstance, ([5, 5], [(0, 1, [(1, Fraction(-1, 2))])]), "negative size component on item 0"),
-    (MdkpInstance, ([5, 5], [(0, 1, [(1, "abc")])]), "not a quantity: 'abc'"),
-    # `_fits` checks each pair alone, so a repeated dimension could overrun its
-    # capacity; one is refused even where a zero size repeats it
-    (MdkpInstance, ([5, 5], [(0, 1, [(1, 3), (0, 1), (1, 3)])]), "item 0 repeats a dimension"),
-    (MdkpInstance, ([5, 5], [(0, 1, [(1, 0), (1, 2)])]), "item 0 repeats a dimension"),
-])
-def test_bad_input_refused(cls, args, message):
-    with pytest.raises(ModelError) as exc:
-        cls(*args)
-    assert str(exc.value) == message
-
-
-def _check_mdkp_selection(inst, selected, profit):
-    by_id = {item_id: (p, pairs) for item_id, p, pairs in inst.items}
-    totals = [0] * len(inst.capacities)
+def _check_mdkp_selection(caps, items, selected, profit):
+    by_id = {item_id: (p, pairs) for item_id, p, pairs in items}
+    totals = [0] * len(caps)
     total_profit = 0
     for item_id in selected:
         p, pairs = by_id[item_id]
@@ -247,7 +195,7 @@ def _check_mdkp_selection(inst, selected, profit):
         for i, s in pairs:
             totals[i] += s
     assert total_profit == profit
-    assert all(t <= c for t, c in zip(totals, inst.capacities))
+    assert all(t <= c for t, c in zip(totals, caps))
 
 
 @settings(max_examples=60, deadline=None)
@@ -256,9 +204,8 @@ def test_property_exact_dominates_greedy(seed):
     rng = random.Random(seed)
     items = rand_items(rng, rng.randint(0, 9), max_size=6)
     caps = [rng.randint(0, 9) for _ in range(rng.randint(1, 3))]
-    inst = MkpInstance(caps, items)
-    _, g = solve_mkp(inst, mode="greedy")
-    _, e = solve_mkp(inst, mode="exact")
+    _, g = solve_mkp_by_id(caps, items, "greedy")
+    _, e = solve_mkp_by_id(caps, items, "exact")
     assert g <= e
 
 
@@ -275,8 +222,8 @@ def test_property_kp_dp_optimal(seed):
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 10 ** 6))
 def test_property_mdkp_sparse_sizes_match_dense(seed):
-    # an item's pairs in any order, some explicit zeros kept and the rest left
-    # out, solve as its full row of pairs in dimension order, in both modes
+    # an item's pairs in any order solve as in dimension order, in both modes,
+    # and greedy as the dense reference
     rng = random.Random(seed)
     d = rng.randint(1, 5)
     caps = [rng.choice([0, 0, 1, 3, 6, Fraction(9, 2)]) for _ in range(d)]
@@ -286,13 +233,13 @@ def test_property_mdkp_sparse_sizes_match_dense(seed):
         sizes = [rng.choice([0, 0, 0, 1, 2, 3, Fraction(3, 2)]) for _ in range(d)]
         p = rng.randint(0, 9)
         dense.append((i, p, sizes))
-        pairs = [(k, s) for k, s in enumerate(sizes) if s or rng.random() < 0.3]
+        pairs = [(k, s) for k, s in enumerate(sizes) if s]
         rng.shuffle(pairs)
         sparse.append((i, p, pairs))
-    full = MdkpInstance(caps, mdkp_pairs(dense))
+    full = mdkp_pairs(dense)
     for mode in ("greedy", "exact"):
-        assert solve_mdkp(MdkpInstance(caps, sparse), mode=mode) == solve_mdkp(full, mode=mode)
-    assert solve_mdkp(full) == mdkp_greedy_reference(caps, dense)
+        assert solve_mdkp(caps, sparse, mode=mode) == solve_mdkp(caps, full, mode=mode)
+    assert solve_mdkp(caps, full) == mdkp_greedy_reference(caps, dense)
 
 
 @settings(max_examples=100, deadline=None)
@@ -301,7 +248,7 @@ def test_property_mkp_greedy_matches_sorted_first_fit(seed):
     rng = random.Random(seed)
     items = rand_items(rng, rng.randint(0, 12), max_size=4, max_profit=3)
     caps = [rng.choice([0, 2, 4, 4, 6]) for _ in range(rng.randint(0, 4))]
-    assignment, profit = solve_mkp(MkpInstance(caps, items), mode="greedy")
+    assignment, profit = solve_mkp_by_id(caps, items, "greedy")
     assert assignment == sorted_first_fit(caps, sorted(items, key=item_order_key))
     assert profit == sum(it.profit for it in items if assignment[it.item_id] is not None)
 
@@ -317,12 +264,12 @@ _IDS = st.one_of(st.integers(-3, 12), st.text("ab1", max_size=2), st.tuples(st.i
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.integers(0, 8), max_size=4),
-       st.lists(st.builds(KpItem, item_id=st.integers(0, 30), size=st.integers(0, 6), profit=_PROFITS),
+       st.lists(st.builds(Item, item_id=st.integers(0, 30), size=st.integers(0, 6), profit=_PROFITS),
                 max_size=12, unique_by=lambda it: it.item_id),
        st.booleans())
-@example([], [KpItem(0, 0, 1), KpItem(1, 2, 1)], True)  # no knapsacks
-@example([0, 0], [KpItem(0, 0, 0), KpItem(1, 0, 3), KpItem(2, 1, 5)], True)  # all-zero capacities
-@example([3, 2], [KpItem(0, 2, 4), KpItem(1, 3, 3), KpItem(2, 0, 0), KpItem(3, 1, 1)], False)
+@example([], [Item(0, 0, 1), Item(1, 2, 1)], True)  # no knapsacks
+@example([0, 0], [Item(0, 0, 0), Item(1, 0, 3), Item(2, 1, 5)], True)  # all-zero capacities
+@example([3, 2], [Item(0, 2, 4), Item(1, 3, 3), Item(2, 0, 0), Item(3, 1, 1)], False)
 def test_property_first_fit_matches_sorted_first_fit(caps, items, mkp_order):
     # the early stop must not drop an item that still fits, in MKP order or
     # any other; the packed items come back by position, in item order
@@ -338,16 +285,26 @@ def test_property_first_fit_matches_sorted_first_fit(caps, items, mkp_order):
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.integers(0, 12), max_size=4),
-       st.lists(st.builds(KpItem, item_id=st.integers(0, 40), size=st.integers(0, 9), profit=_PROFITS),
+       st.lists(st.builds(Item, item_id=st.integers(0, 40), size=st.integers(0, 9), profit=_PROFITS),
                 max_size=20, unique_by=lambda it: it.item_id),
        st.booleans())
 # sizes that fall and rise again, so the smallest remaining size moves often
-@example([9, 4], [KpItem(i, s, 1) for i, s in enumerate([6, 1, 7, 2, 8, 1, 9, 3, 5, 4, 9])], False)
+@example([9, 4], [Item(i, s, 1) for i, s in enumerate([6, 1, 7, 2, 8, 1, 9, 3, 5, 4, 9])], False)
 def test_property_first_fit_packs_as_its_frozen_predecessor(caps, items, mkp_order):
     # the stop on the smallest remaining size changes only how far the walk reads
     if mkp_order:
         items = order_items(items)
     assert first_fit(caps, [it.size for it in items]) == first_fit_stop_on_smallest_reference(caps, items)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 12), max_size=4),
+       st.lists(st.builds(Item, item_id=st.integers(0, 40), size=st.integers(0, 9), profit=_PROFITS),
+                max_size=10, unique_by=lambda it: it.item_id))
+def test_property_mkp_exact_packs_as_its_frozen_predecessor(caps, items):
+    # exact mode on the lists in MKP order packs each item where the search
+    # over its own sorted items did, the same first optimum
+    assert solve_mkp_by_id(caps, items, "exact")[0] == mkp_exact_reference(caps, items)
 
 
 class _ReadCounted(list):
@@ -374,7 +331,7 @@ def test_first_fit_stops_after_the_last_item_that_can_fit():
     # workload: once the 4s are packed only 2 units are left, and no 7 fits.
     # Stopping on the smallest size of all (2) read every 7 to the end
     sizes = [2] * 3 + [4] * 3 + [7] * 54
-    items = order_items([KpItem(i, s, 1) for i, s in enumerate(sizes)])
+    items = order_items([Item(i, s, 1) for i, s in enumerate(sizes)])
     assert [it.size for it in items] == sizes
     counted = _ReadCounted(sizes)
     packed = first_fit([10, 10], counted)
@@ -387,7 +344,7 @@ def test_first_fit_stops_after_the_last_item_that_can_fit():
 def test_first_fit_looks_up_the_smallest_remaining_size_again_once_past_it():
     # the 7 of ratio 2 does not fit, but the 1 after it does; once the 1 is
     # packed the smallest remaining size is 7 again, above the 5 units left
-    items = order_items([KpItem(0, 7, 14), KpItem(1, 1, 1)] + [KpItem(i, 7, 1) for i in range(2, 52)])
+    items = order_items([Item(0, 7, 14), Item(1, 1, 1)] + [Item(i, 7, 1) for i in range(2, 52)])
     counted = _ReadCounted([it.size for it in items])
     packed = first_fit([6], counted)
     assert packed == [(1, 0)] == first_fit_stop_on_smallest_reference([6], items)
@@ -396,23 +353,23 @@ def test_first_fit_looks_up_the_smallest_remaining_size_again_once_past_it():
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.builds(KpItem, item_id=_IDS, size=_SIZES, profit=_PROFITS), max_size=25))
+@given(st.lists(st.builds(Item, item_id=_IDS, size=_SIZES, profit=_PROFITS), max_size=25))
 # near the separation limit: Farey neighbours at 10^6 differ by 1/(s1*s2) only,
 # and for the second pair a scale of S/2 < s1*s2 would tie the two ratios
-@example([KpItem("a", 10 ** 6, 999999), KpItem("b", 999999, 999998)])
-@example([KpItem("a", 999999, 999998), KpItem("b", 999998, 999997)])
+@example([Item("a", 10 ** 6, 999999), Item("b", 999999, 999998)])
+@example([Item("a", 999999, 999998), Item("b", 999998, 999997)])
 # a Fraction profit whose ratio falls between those two
-@example([KpItem("a", 10 ** 6, 999999), KpItem("b", 999999, 999998),
-          KpItem("c", 10 ** 6, Fraction(1999997999999, 2000000))])
+@example([Item("a", 10 ** 6, 999999), Item("b", 999999, 999998),
+          Item("c", 10 ** 6, Fraction(1999997999999, 2000000))])
 # a scaled copy: the same ratio at a larger size ties and falls back to size
-@example([KpItem("a", 10 ** 6, 999999), KpItem("b", 999999, 999998),
-          KpItem("c", 10 ** 6, Fraction(1999997999999, 2000000)), KpItem("d", 1999998, 1999996)])
+@example([Item("a", 10 ** 6, 999999), Item("b", 999999, 999998),
+          Item("c", 10 ** 6, Fraction(1999997999999, 2000000)), Item("d", 1999998, 1999996)])
 def test_property_order_items_equals_fraction_key_sort(items):
     assert order_items(items) == sorted(items, key=item_order_key)
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.builds(KpItem, item_id=st.integers(0, 30), size=st.integers(0, 6), profit=_PROFITS),
+@given(st.lists(st.builds(Item, item_id=st.integers(0, 30), size=st.integers(0, 6), profit=_PROFITS),
                 max_size=10, unique_by=lambda it: it.item_id),
        st.integers(0, 15))
 def test_property_fractional_bound_dominates_kp_optimum(items, capacity):
@@ -421,8 +378,8 @@ def test_property_fractional_bound_dominates_kp_optimum(items, capacity):
 
 
 def test_order_items_ties_equal_efficiencies_from_different_pairs():
-    items = [KpItem("x", 10, 2), KpItem("y", 5, 1), KpItem("z", 0, 0), KpItem("w", 0, 3),
-             KpItem("v", 4, Fraction(4, 5)), KpItem("u", 5, 2)]
+    items = [Item("x", 10, 2), Item("y", 5, 1), Item("z", 0, 0), Item("w", 0, 3),
+             Item("v", 4, Fraction(4, 5)), Item("u", 5, 2)]
     # 2/10 = 1/5 = (4/5)/4 tie and fall back to size; zero size, zero profit is last
     assert [it.item_id for it in order_items(items)] == ["w", "u", "v", "y", "x", "z"]
 
@@ -438,10 +395,9 @@ def test_property_mdkp_weights_match_fraction_sum(data):
     items = [(i, data.draw(_QUANTITIES), data.draw(st.lists(_QUANTITIES, min_size=d, max_size=d)))
              for i in range(data.draw(st.integers(0, 6)))]
     pairs = mdkp_pairs(items)
-    for _i, _p, item_pairs in pairs:  # some explicit zeros kept, in any order
-        item_pairs[:] = [(k, s) for k, s in item_pairs if s or data.draw(st.booleans())]
+    for _i, _p, item_pairs in pairs:  # in any order
         item_pairs[:] = data.draw(st.permutations(item_pairs))
-    got, scale = _mdkp_items(MdkpInstance(caps, pairs))
+    got, scale = _mdkp_items(caps, pairs)
     assert all(type(t[3]) is int for t in got)
     sizes_of = {i: sizes for i, _p, sizes in items}
     assert all(Fraction(w, scale) == mdkp_weight_reference(caps, sizes_of[i]) for i, _p, _s, w in got)
@@ -452,27 +408,22 @@ def test_property_mdkp_weights_match_fraction_sum(data):
 
 def test_mdkp_drops_an_item_that_touches_a_zero_capacity():
     # "z" has the best ratio but needs dimension 1, whose capacity is 0: the
-    # intake drops it (checked or taken as given) before ordering, while an
-    # explicit zero size there ("b") is no touch, and neither mode selects it
+    # intake drops it before ordering, wherever that pair comes in its list,
+    # and neither mode selects it
     caps = [4, 0, 3]
-    paired = MdkpInstance.from_pairs(caps, [("z", 9, [(0, 1), (1, 1)]), ("a", 2, [(0, 2), (2, 1)]),
-                                            ("b", 1, [(2, 3)])])
-    for z_pairs in ([(0, 1), (1, 1), (2, 0)], [(1, 1), (0, 1)]):
-        inst = MdkpInstance(caps, [("z", 9, z_pairs), ("a", 2, [(0, 2), (1, 0), (2, 1)]),
-                                   ("b", 1, [(2, 3), (1, 0)])])
-        items, scale = _mdkp_items(inst)
+    for z_pairs in ([(0, 1), (1, 1)], [(1, 1), (0, 1)]):
+        pairs = [("z", 9, z_pairs), ("a", 2, [(0, 2), (2, 1)]), ("b", 1, [(2, 3)])]
+        items, scale = _mdkp_items(caps, pairs)
         assert scale == 12 and items == [("a", 2, [(0, 2), (2, 1)], 10), ("b", 1, [(2, 3)], 12)]
-        assert _mdkp_items(paired) == (items, scale)
         for mode in ("greedy", "exact"):
-            assert solve_mdkp(inst, mode=mode) == solve_mdkp(paired, mode=mode) == (["a"], 2)
+            assert solve_mdkp(caps, pairs, mode=mode) == (["a"], 2)
 
 
 def _assert_mdkp_matches_references(caps, items, pairs):
-    """`pairs` are the dense `items`' sizes as `MdkpInstance` takes them."""
-    inst = MdkpInstance(caps, pairs)
-    assert solve_mdkp(inst, mode="greedy") == mdkp_greedy_reference(caps, items)
+    """`pairs` are the dense `items`' sizes as `solve_mdkp` takes them."""
+    assert solve_mdkp(caps, pairs, mode="greedy") == mdkp_greedy_reference(caps, items)
     if len(items) <= 8:
-        assert solve_mdkp(inst, mode="exact") == mdkp_exact_reference(caps, items)
+        assert solve_mdkp(caps, pairs, mode="exact") == mdkp_exact_reference(caps, items)
 
 
 @settings(max_examples=300, deadline=None)
@@ -486,10 +437,7 @@ def test_property_mdkp_greedy_and_exact_match_fraction_key_references(data):
     ids = data.draw(st.lists(_IDS, max_size=8, unique=True))
     items = [(item_id, data.draw(_PROFITS), data.draw(st.lists(_QUANTITIES, min_size=d, max_size=d)))
              for item_id in ids]
-    pairs = mdkp_pairs(items)
-    if data.draw(st.booleans()):
-        pairs = [(item_id, p, [(k, s) for k, s in item_pairs if s]) for item_id, p, item_pairs in pairs]
-    _assert_mdkp_matches_references(caps, items, pairs)
+    _assert_mdkp_matches_references(caps, items, mdkp_pairs(items))
 
 
 def _primes(lo, count):

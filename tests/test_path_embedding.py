@@ -15,11 +15,13 @@ from conftest import (
     make_cycle_request,
     make_net,
     make_path_request,
+    order_items,
     path_net,
     random_connected_graph,
     uniform_path_request,
 )
 from oracles import (
+    Item,
     _dfs_tree_reference,
     decompose_paths_reference,
     first_fit_paths,
@@ -33,7 +35,7 @@ from oracles import (
     solve_kp_dp,
 )
 from pcvne.generators import RequestSpec, SubstrateSpec, gen_requests, gen_substrate
-from pcvne.knapsack import EXACT_ITEM_LIMIT, KpItem, MdkpInstance, _mdkp_items, order_items, solve_mdkp
+from pcvne.knapsack import EXACT_ITEM_LIMIT, _mdkp_items, solve_mdkp
 from pcvne.model import ModelError, commit, edge_key, footprint, validate_embedding
 from pcvne.path_embedding import (
     PathPlacement,
@@ -233,7 +235,7 @@ class TestPackMkp:
                     for i in range(8)]
             placements = pack_mkp(paths, path_items(reqs), mode="exact")
             placed_profit = sum(pl.req.revenue for pl in placements)
-            items = [KpItem(item_id=r.req_id, size=r.length, profit=r.revenue) for r in reqs]
+            items = [Item(item_id=r.req_id, size=r.length, profit=r.revenue) for r in reqs]
             assert placed_profit == mkp_best_profit([p.length for p in paths], items)
 
     def test_placements_fit_and_share_boundaries(self):
@@ -296,11 +298,11 @@ _REVENUES = st.sampled_from([0, 1, 2, 3, Fraction(1, 2), Fraction(3, 2), Fractio
 def test_property_path_items_orders_as_order_items_over_kp_items(specs, rnd):
     # tied lengths and revenues, zero lengths and revenues, int and str ids in
     # shuffled order: the requests come back in the order that order_items
-    # gives one KpItem per request, which the Fraction key reference also gives
+    # gives one item per request, which the Fraction key reference also gives
     reqs = [uniform_path_request(i if i % 3 else f"r{i}", length, revenue=rev)
             for i, (length, rev) in enumerate(specs)]
     rnd.shuffle(reqs)
-    items = [KpItem(r.req_id, r.length, r.revenue) for r in reqs]
+    items = [Item(r.req_id, r.length, r.revenue) for r in reqs]
     got = [r.req_id for r in path_items(reqs)]
     assert got == [it.item_id for it in order_items(items)]
     assert got == [it.item_id for it in sorted(items, key=item_order_key)]
@@ -308,7 +310,7 @@ def test_property_path_items_orders_as_order_items_over_kp_items(specs, rnd):
 
 def test_path_items_orders_a_revenue_mutated_after_construction_as_a_kp_item_would():
     # a revenue set to a float or a numeric string after construction is
-    # ordered as its exact quantity, as the KpItem's profit would be
+    # ordered as its exact quantity, as the checked item's profit was
     reqs = [uniform_path_request("a", 2, revenue=1), uniform_path_request("b", 4, revenue=1),
             uniform_path_request("c", 2, revenue=1)]
     reqs[1].revenue, reqs[2].revenue = 2.5, "1/2"
@@ -435,7 +437,7 @@ class TestProcedurePe:
             reqs = [uniform_path_request(i, rng.randint(1, size), revenue=rng.randint(1, 9))
                     for i in range(rng.randint(4, 10))]
             batch = procedure_pe(net, reqs, mkp_mode="exact", mdkp_mode="exact")
-            items = [KpItem(item_id=r.req_id, size=r.length, profit=r.revenue) for r in reqs]
+            items = [Item(item_id=r.req_id, size=r.length, profit=r.revenue) for r in reqs]
             _, optimum = solve_kp_dp(size, items)
             assert batch.revenue == optimum
 
@@ -525,7 +527,8 @@ def test_property_procedure_pe_matches_fraction_key_reference(seed):
 
 def _funding_calls(net, reqs):
     """Run procedure_pe and return, per funding call, the placements, the
-    residual CPU and BW maps before it, and the MDKP instance it solved."""
+    residual CPU and BW maps before it, and the MDKP capacities and items it
+    solved."""
     calls = []
     assign, solve = path_embedding.assign_mdkp, path_embedding.solve_mdkp
 
@@ -533,9 +536,9 @@ def _funding_calls(net, reqs):
         calls.append([placements, dict(net.residual_cpu), dict(net.residual_bw)])
         return assign(net, placements, mode=mode)
 
-    def recording_solve(inst, mode="greedy"):
-        calls[-1].append(inst)
-        return solve(inst, mode=mode)
+    def recording_solve(capacities, items, mode="greedy"):
+        calls[-1].append((capacities, items))
+        return solve(capacities, items, mode=mode)
 
     with pytest.MonkeyPatch.context() as monkeypatch:
         monkeypatch.setattr(path_embedding, "assign_mdkp", recording_assign)
@@ -555,24 +558,24 @@ def _assert_funding_sizes_are_footprints(net, reqs):
     # those SNs and SLs and of nothing else; and the solver weighs each item
     # as the Fraction sum of size / residual over its pairs, times a scale
     # that every touched residual's numerator divides
-    for placements, residual_cpu, residual_bw, inst in _funding_calls(net, reqs):
-        assert [item[0] for item in inst.items] == list(range(len(placements)))
+    for placements, residual_cpu, residual_bw, (caps, items) in _funding_calls(net, reqs):
+        assert [item[0] for item in items] == list(range(len(placements)))
         residual = {("SN", sn): q for sn, q in residual_cpu.items()}
         residual.update({("SL", k): q for k, q in residual_bw.items()})
         dims = {}
-        for (_idx, profit, pairs), pl in zip(inst.items, placements):
+        for (_idx, profit, pairs), pl in zip(items, placements):
             cpu, bw = footprint([(pl.req, pl.to_embedding())])
             use = {**{("SN", sn): q for sn, q in cpu.items()}, **{("SL", k): q for k, q in bw.items()}}
             for d in use:
                 dims.setdefault(d, len(dims))
             assert profit == pl.req.revenue
             assert pairs == [(dims[d], q) for d, q in use.items()]
-        assert inst.capacities == [residual[d] for d in dims]
-        weighed, scale = _mdkp_items(inst)
-        assert all(scale % q.numerator == 0 for q in inst.capacities)
+        assert caps == [residual[d] for d in dims]
+        weighed, scale = _mdkp_items(caps, items)
+        assert all(scale % q.numerator == 0 for q in caps)
         for idx, _p, pairs, weight in weighed:
-            assert weight == scale * sum(Fraction(q) / inst.capacities[d] for d, q in pairs)
-            assert pairs == inst.items[idx][2]
+            assert weight == scale * sum(Fraction(q) / caps[d] for d, q in pairs)
+            assert pairs == items[idx][2]
 
 
 @settings(max_examples=100, deadline=None)
@@ -602,8 +605,7 @@ def _assert_sparse_funding_selects_as_dense(net, reqs):
     # exhaustive up to EXACT_ITEM_LIMIT items (the exact search bounds with a
     # surrogate capacity that counts the touched dimensions only)
     index = {d: i for i, d in enumerate([*(("SN", v) for v in net.nodes), *(("SL", k) for k in net.edges)])}
-    for placements, residual_cpu, residual_bw, inst in _funding_calls(net, reqs):
-        assert all(type(pairs) is list for _idx, _p, pairs in inst.items)  # the unchecked pairs intake
+    for placements, residual_cpu, residual_bw, (touched, items) in _funding_calls(net, reqs):
         caps = [residual_cpu[v] for v in net.nodes] + [residual_bw[k] for k in net.edges]
         dense = []
         for idx, pl in enumerate(placements):
@@ -614,9 +616,9 @@ def _assert_sparse_funding_selects_as_dense(net, reqs):
             for k, q in bw.items():
                 sizes[index["SL", k]] = q
             dense.append((idx, pl.req.revenue, tuple(sizes)))
-        assert solve_mdkp(inst) == mdkp_greedy_reference(caps, dense)
+        assert solve_mdkp(touched, items) == mdkp_greedy_reference(caps, dense)
         if len(dense) <= EXACT_ITEM_LIMIT:
-            assert solve_mdkp(inst, mode="exact") == mdkp_exact_reference(caps, dense)
+            assert solve_mdkp(touched, items, mode="exact") == mdkp_exact_reference(caps, dense)
 
 
 @settings(max_examples=150, deadline=None)
@@ -660,6 +662,25 @@ def test_pack_mkp_builds_the_ratio_key_once(monkeypatch):
     assert calls == {"mkp_order": 1, "ratio_key": 1, "key": len(reqs)}
 
 
+@pytest.mark.parametrize("mode", ["greedy", "exact"])
+def test_pack_mkp_calls_solve_mkp_once(monkeypatch, mode):
+    # both modes reach the solver by one route: one solve_mkp call per
+    # pack_mkp call, on the capacities and the items' profits and sizes
+    calls = []
+    solve_mkp = path_embedding.solve_mkp
+
+    def spying(*args, **kwargs):
+        calls.append((args, kwargs))
+        return solve_mkp(*args, **kwargs)
+
+    monkeypatch.setattr(path_embedding, "solve_mkp", spying)
+    paths = [SubstratePath(tuple(range(7))), SubstratePath(tuple(range(10, 14)))]
+    reqs = path_items([uniform_path_request(i, 1 + i % 4, revenue=1 + i % 3) for i in range(9)])
+    placements = pack_mkp(paths, reqs, mode=mode)
+    assert 0 < len(placements) < len(reqs)
+    assert calls == [(([6, 3], [req.revenue for req in reqs], [req.length for req in reqs]), {"mode": mode})]
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 10 ** 6), st.sampled_from(["greedy", "exact"]))
 def test_property_pack_mkp_places_as_the_per_call_items_did(seed, mode):
@@ -681,28 +702,30 @@ def test_property_pack_mkp_places_as_the_per_call_items_did(seed, mode):
 
 def test_procedure_pe_builds_and_sorts_items_once(monkeypatch):
     # a 30-node, 150-link substrate with 100 path requests runs 15 iterations:
-    # the requests are sorted once, and greedy mode builds no KpItem at all
+    # the requests are sorted once, and each iteration packs them with one
+    # `solve_mkp` call on plain lists
     rng = random.Random(7)
     net = gen_substrate(SubstrateSpec(n_nodes=30, n_edges=150), rng.randrange(2 ** 31))
     reqs = gen_requests(RequestSpec(shape="path", count=100), rng.randrange(2 ** 31))
-    calls = {"mkp_order": 0, "KpItem": 0}
-    mkp_order, post_init = knapsack.mkp_order, KpItem.__post_init__
+    calls = {"mkp_order": 0, "solve_mkp": 0}
+    mkp_order, solve_mkp = knapsack.mkp_order, path_embedding.solve_mkp
 
     def counting_mkp_order(*args):
         calls["mkp_order"] += 1
         return mkp_order(*args)
 
-    def counting_post_init(self):
-        calls["KpItem"] += 1
-        post_init(self)
+    def counting_solve_mkp(capacities, profits, sizes, mode="greedy"):
+        calls["solve_mkp"] += 1
+        assert all(type(x) is list for x in (capacities, profits, sizes))
+        return solve_mkp(capacities, profits, sizes, mode=mode)
 
     monkeypatch.setattr(knapsack, "mkp_order", counting_mkp_order)
     monkeypatch.setattr(path_embedding, "mkp_order", counting_mkp_order)
-    monkeypatch.setattr(KpItem, "__post_init__", counting_post_init)
+    monkeypatch.setattr(path_embedding, "solve_mkp", counting_solve_mkp)
     trace = []
     batch = procedure_pe(net, reqs, trace=trace)
     assert len(trace) >= 10 and 0 < len(batch) < len(reqs)
-    assert calls == {"mkp_order": 1, "KpItem": 0}
+    assert calls == {"mkp_order": 1, "solve_mkp": len(trace)}
 
 
 def test_embed_paths_golden_output_is_unchanged(tmp_path):
@@ -811,35 +834,20 @@ def test_exhausted_link_forces_a_new_decomposition(monkeypatch):
 
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 10 ** 6))
-def test_property_pairs_funding_instance_solves_as_the_checked_one(seed):
-    # assign_mdkp skips the constructor's checks and hands the solver each
-    # placement's pairs as given; the checked constructor, given the same
-    # capacities and items, must build an equal instance and give the same
-    # funding items, weights and scale, and the same selections
+def test_property_funding_items_meet_the_solver_contract(seed):
+    # solve_mdkp checks nothing, so every call assign_mdkp makes must meet its
+    # contract: exact non-negative capacities, exact non-negative profits, and
+    # per item a list of (dimension, size) pairs, each dimension in range and
+    # at most once, each size exact and positive
     net, reqs = _random_pipeline_instance(random.Random(seed))
-    seen, checked = [], []
-    post_init = MdkpInstance.__post_init__
-
-    def capturing(inst, mode="greedy"):
-        seen.append(inst)
-        return solve_mdkp(inst, mode=mode)
-
-    def counting(self):
-        checked.append(self)
-        post_init(self)
-
-    with pytest.MonkeyPatch.context() as monkeypatch:
-        monkeypatch.setattr(path_embedding, "solve_mdkp", capturing)
-        monkeypatch.setattr(MdkpInstance, "__post_init__", counting)
-        procedure_pe(net, reqs)
-    assert seen and not checked
-    for inst in seen:
-        public = MdkpInstance(inst.capacities, inst.items)
-        assert type(inst) is MdkpInstance and inst == public
-        assert _mdkp_items(inst) == _mdkp_items(public)
-        modes = ["greedy", "exact"] if len(inst.items) <= EXACT_ITEM_LIMIT else ["greedy"]
-        for mode in modes:
-            assert solve_mdkp(inst, mode=mode) == solve_mdkp(public, mode=mode)
+    calls = _funding_calls(net, reqs)
+    for _placements, _cpu, _bw, (caps, items) in calls:
+        assert all(type(q) in (int, Fraction) and q >= 0 for q in caps)
+        for _idx, profit, pairs in items:
+            assert type(profit) in (int, Fraction) and profit >= 0
+            assert type(pairs) is list and len({d for d, _q in pairs}) == len(pairs)
+            assert all(type(d) is int and 0 <= d < len(caps) for d, _q in pairs)
+            assert all(type(q) in (int, Fraction) and q > 0 for _d, q in pairs)
 
 
 @settings(max_examples=50, deadline=None)
@@ -851,7 +859,7 @@ def test_property_funding_ignores_untouched_residuals(seed):
     # same instance, weighs it alike and funds the same placements
     prime = 2 ** 61 - 1
     net, reqs = _random_pipeline_instance(random.Random(seed))
-    for placements, residual_cpu, residual_bw, _inst in _funding_calls(net.copy(), reqs):
+    for placements, residual_cpu, residual_bw, _solved in _funding_calls(net.copy(), reqs):
         sns = {sn for pl in placements for sn in pl.path.nodes[pl.offset:pl.offset + pl.req.length + 1]}
         sls = {k for pl in placements for k in pl.path.edges()[pl.offset:pl.offset + pl.req.length]}
         changes = [None, *[("cpu", v) for v in net.nodes if v not in sns][:1],
@@ -864,13 +872,13 @@ def test_property_funding_ignores_untouched_residuals(seed):
                 getattr(run, f"residual_{change[0]}")[change[1]] = prime
             insts = []
 
-            def capturing(inst, mode="greedy"):
-                insts.append(inst)
-                return solve_mdkp(inst, mode=mode)
+            def capturing(capacities, items, mode="greedy"):
+                insts.append((capacities, items))
+                return solve_mdkp(capacities, items, mode=mode)
 
             with pytest.MonkeyPatch.context() as monkeypatch:
                 monkeypatch.setattr(path_embedding, "solve_mdkp", capturing)
                 funded = [pl.req.req_id for pl, _emb, _use in assign_mdkp(run, placements)]
-            (inst,) = insts
-            runs.append((inst.capacities, inst.items, _mdkp_items(inst), funded))
+            ((caps, items),) = insts
+            runs.append((caps, items, _mdkp_items(caps, items), funded))
         assert all(r == runs[0] for r in runs)
