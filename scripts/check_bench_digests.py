@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Compare the accepted-id digests of a benchmark run with the pinned ones.
+"""Check a benchmark run: every call correct, and the accepted-id digests pinned.
 
     python perfbench/run.py --workload ring --seed 1 --seconds 0 --trace 0 > bench-ring.out
     python scripts/check_bench_digests.py bench-ring.out
@@ -7,10 +7,12 @@
 The run record is the second-to-last stdout line of `perfbench/run.py`; its
 `digests` map each "workload/embedder" to a hash of the accepted request ids
 per instance. `tests/data/bench_digests.json` pins them for seed 1, so an
-embedder whose accepted ids change fails the check. Exits 1 on a mismatch,
-and 2 with `error: …` on a run file it cannot read or a record it cannot
-check: no record, another seed, or digest keys other than the pinned keys
-of the record's workload.
+embedder whose accepted ids change fails the check. The result is the last
+line; a run whose `correct` is not true or whose `failed` count is not 0
+fails the check too. Exits 1 on a mismatch or a failed run, and 2 with
+`error: …` on a run file it cannot read or lines it cannot check: no record
+or result, another seed, or digest keys other than the pinned keys of the
+record's workload.
 """
 
 import json
@@ -21,7 +23,8 @@ PINNED = Path(__file__).resolve().parent.parent / "tests" / "data" / "bench_dige
 
 
 def _record(path):
-    """The run record of a benchmark output file; ValueError says why there is none."""
+    """The run record and the result of a benchmark output file; ValueError
+    says why there are none."""
     try:
         lines = Path(path).read_text().splitlines()
     except OSError as exc:
@@ -34,14 +37,20 @@ def _record(path):
         raise ValueError(f"{path}: the second-to-last line is not a JSON run record") from None
     if not (isinstance(record, dict) and isinstance(record.get("digests"), dict) and record["digests"]):
         raise ValueError(f"{path}: the run record has no digests")
-    return record
+    try:
+        result = json.loads(lines[-1])
+    except ValueError:
+        result = None
+    if not (isinstance(result, dict) and "correct" in result and "failed" in result):
+        raise ValueError(f"{path}: the last line is not a JSON result with `correct` and `failed`")
+    return record, result
 
 
 def main(*args):
     try:
         if len(args) != 1:
             raise ValueError("usage: check_bench_digests.py BENCH_OUTPUT")
-        record = _record(args[0])
+        record, result = _record(args[0])
         if record.get("seed") != 1:
             raise ValueError(f"digests are pinned for seed 1, the run used seed {record.get('seed')}")
         pinned = json.loads(PINNED.read_text())
@@ -58,7 +67,10 @@ def main(*args):
         print(f"{key}: digest {digest} differs from the pinned {pinned[key]}")
     if not bad:
         print(f"{', '.join(keys)}: digests match")
-    return 1 if bad else 0
+    failed = result["correct"] is not True or result["failed"] != 0
+    if failed:
+        print(f"{workload}: the run is not correct (correct {result['correct']}, failed {result['failed']})")
+    return 1 if bad or failed else 0
 
 
 if __name__ == "__main__":

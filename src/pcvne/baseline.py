@@ -4,8 +4,8 @@ Stand-in comparison arm and fallback after Yu et al., "Rethinking virtual
 network embedding" (SIGCOMM CCR 2008), not a copy: rank SNs by H = residual
 CPU times summed incident residual BW, map VNs greedily in descending demand,
 route each VL on a shortest BW-feasible path (their link stage, k = 1). A
-request whose largest VN fits no SN is refused before any ranking, and a
-batch keeps each SN's incident BW sum across commits.
+request whose largest VN fits no SN is refused before any ranking. A batch
+keeps SN incident BW sums across commits, failed routes' cuts up to the next.
 """
 
 from __future__ import annotations
@@ -73,7 +73,21 @@ def _shortest_feasible_path(net, src, dst, demand, pending):
     return _walk(net, src, dst, dist, demand, pending) if src in dist else None
 
 
-def generic_embed(net, req, ranked=None):
+def _components(net, demand):
+    """Component label of every SN over the SLs with residual BW >= demand."""
+    bw, label = net.residual_bw, {}
+    for s in net.nodes:
+        if s not in label:
+            label[s], todo = s, [s]
+            while todo:
+                for w, k in net.incident(todo.pop()):
+                    if w not in label and bw[k] >= demand:
+                        label[w] = s
+                        todo.append(w)
+    return label
+
+
+def generic_embed(net, req, ranked=None, cuts=None):
     """Try to embed one request of any shape against the current residuals.
 
     Node stage: VNs by descending CPU demand, ties in request order (a stable
@@ -84,6 +98,10 @@ def generic_embed(net, req, ranked=None):
 
     `ranked` is the caller's ranking of the SNs for the current residuals (by
     descending score, ties by id); when None, they are ranked by `node_scores`.
+    `cuts` is the caller's memo {demand: `_components` at it} for the current
+    residuals: a failed route stores its demand's labels, and a request is
+    refused unrouted if a VL of demand d' has its two (distinct) hosts apart
+    at a stored demand <= d'. Exact: that VL's usable SLs all carry d' or more.
     """
     if max(req.cpu_demand.values(), default=0) > max(net.residual_cpu.values(), default=0):
         return None
@@ -103,6 +121,12 @@ def generic_embed(net, req, ranked=None):
         node_map[vn] = v
         used.add(v)
 
+    if cuts:
+        for u, v in req.vls:
+            d, u, v = req.bw_demand[u, v], node_map[u], node_map[v]
+            for level, label in cuts.items():
+                if level <= d and label[u] != label[v]:
+                    return None
     pending = {}
     link_map = {}
     for vl in req.vls:
@@ -110,6 +134,8 @@ def generic_embed(net, req, ranked=None):
         u, v = vl
         path = _shortest_feasible_path(net, node_map[u], node_map[v], demand, pending)
         if path is None:
+            if cuts is not None:
+                cuts[demand] = _components(net, demand)
             return None
         for k in path:
             pending[k] = pending.get(k, 0) + demand
@@ -123,18 +149,21 @@ def generic_batch(net, requests):
 
     Nodes are ranked, and their incident BW summed, once. Only a commit
     changes residuals: it lowers the sums at both ends of each SL by the SL's
-    drop, re-keys those SNs and its hosts, and re-sorts the nearly sorted list."""
+    drop, re-keys those SNs and its hosts, re-sorts the nearly sorted list,
+    and clears the `cuts` memo that generic_embed fills at failed routes."""
     batch = EmbeddingBatch()
     cpu, bw = net.residual_cpu, net.residual_bw
     inc = {v: sum(bw[k] for _, k in net.incident(v)) for v in net.nodes}
     rank = {v: (-s, v) for v, s in node_scores(net).items()}
     ranked = sorted(net.nodes, key=rank.__getitem__)
+    cuts = {}
     for req in requests:
-        emb = generic_embed(net, req, ranked=ranked)
+        emb = generic_embed(net, req, ranked=ranked, cuts=cuts)
         if emb is None:
             continue
         hosts, links = commit(net, req, emb)
         batch.add(req, emb)
+        cuts.clear()
         for (u, w), d in links.items():
             inc[u] -= d
             inc[w] -= d

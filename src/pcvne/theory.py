@@ -93,13 +93,13 @@ def is_supereulerian(g):
 def _spanning_trail(g, closed):
     """Is there a trail through every node, back at its start if `closed`?
 
-    Backtracking over trails (from every start, or from the first node only
-    when closed: a closed spanning trail passes every node), with a
-    reachability prune (the unvisited nodes, and the start when closed, must
-    stay reachable through unused edges) and a memo of failed (position,
-    used-edge-set) states. One memo serves every start: a non-empty used-edge
-    set visited exactly the nodes its edges touch. Nodes and edges are bits,
-    by index into `g.nodes` and `g.edges`.
+    Backtracking over trails (from the first node only when closed: a closed
+    spanning trail passes every node; when open, from the first leaf only if
+    any, as a leaf ends a trail, else from every start), with a reachability
+    prune (the unvisited nodes, and the start when closed, must stay reachable
+    through unused edges) and a memo of failed (position, used-edge-set)
+    states. One memo serves every start: a non-empty used-edge set visited
+    exactly the nodes its edges touch. Nodes and edges are bits, by index.
     """
     n = len(g.nodes)
     if n > TRAIL_NODE_CAP:
@@ -125,8 +125,9 @@ def _spanning_trail(g, closed):
     every = (1 << n) - 1
     if reached(0, 0) != every:
         return False
-    if closed and any(len(ws) < 2 for ws in nbrs):
-        return False  # a closed trail leaves every node it enters by another edge
+    leaves = [i for i, ws in enumerate(nbrs) if len(ws) < 2]  # each can only end a trail
+    if (leaves and closed) or len(leaves) > 2:
+        return False
     home = 1 if closed else 0  # node 0, where a closed trail starts and ends
     failed = set()
 
@@ -145,7 +146,7 @@ def _spanning_trail(g, closed):
         failed.add(key)
         return False
 
-    return any(extend(s, 0, 1 << s) for s in range(1 if closed else n))
+    return any(extend(s, 0, 1 << s) for s in ([0] if closed else leaves[:1] or range(n)))
 
 
 def sset_to_sg_instances(g):

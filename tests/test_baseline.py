@@ -24,7 +24,7 @@ from conftest import (
 from oracles import generic_batch_reference, node_scores_reference, shortest_feasible_path_reference
 from pcvne.baseline import generic_batch, generic_embed, node_scores
 from pcvne.generators import RequestSpec, SubstrateSpec, gen_requests, gen_substrate
-from pcvne.model import Embedding, Shape, VirtualRequest, audit_residuals, validate_embedding
+from pcvne.model import Embedding, Shape, VirtualRequest, audit_residuals, edge_key, validate_embedding
 
 
 def graph_net(g, cpu=100, bw=100):
@@ -220,6 +220,18 @@ def sparse_instance(rng, fractions):
     return net, random_requests(rng, n, TIGHT, rng.randint(10, 40))
 
 
+def tight_ring_instance(rng, fractions):
+    """A ring of 5-16 SNs with ample CPU and tight BW, ints or Fractions when
+    `fractions`, and a stream of requests that cuts the ring in places and
+    then asks across the cuts."""
+    n = rng.randint(5, 16)
+    caps = (Fraction(5, 2), 3, Fraction(7, 2), Fraction(9, 2)) if fractions else (2, 3, 4, 5)
+    net = make_net(list(range(n)), [(i, (i + 1) % n) for i in range(n)],
+                   {v: rng.randint(6, 12) for v in range(n)},
+                   {edge_key(i, (i + 1) % n): rng.choice(caps) for i in range(n)})
+    return net, random_requests(rng, n, TIGHT, rng.randint(10, 40))
+
+
 def batch_view(batch):
     return [(req.req_id, emb.node_map, emb.link_map) for req, emb in batch.items]
 
@@ -266,9 +278,9 @@ def record_refusals(monkeypatch):
             self.read = True
             return super().__iter__()
 
-    def counting(net, req, ranked=None):
+    def counting(net, req, ranked=None, cuts=None):
         probe = Probe(ranked)
-        emb = embed(net, req, ranked=probe)
+        emb = embed(net, req, ranked=probe, cuts=cuts)
         refused[emb is None and not probe.read] += 1
         return emb
 
@@ -290,6 +302,33 @@ def record_walks(monkeypatch):
     return walks
 
 
+def record_cut_refusals(monkeypatch):
+    """Count the requests a batch's generic_embed refuses by a stored cut:
+    it reads a component label (only that check does) and routes no VL."""
+    seen = Counter()
+    components, route, embed = baseline._components, baseline._shortest_feasible_path, baseline.generic_embed
+
+    class Labels(dict):
+        def __getitem__(self, v):
+            seen["label reads"] += 1
+            return super().__getitem__(v)
+
+    def routing(*args):
+        seen["routes"] += 1
+        return route(*args)
+
+    def counting(net, req, ranked=None, cuts=None):
+        reads, routes = seen["label reads"], seen["routes"]
+        emb = embed(net, req, ranked=ranked, cuts=cuts)
+        seen["cut"] += emb is None and seen["label reads"] > reads and seen["routes"] == routes
+        return emb
+
+    monkeypatch.setattr(baseline, "_components", lambda net, demand: Labels(components(net, demand)))
+    monkeypatch.setattr(baseline, "_shortest_feasible_path", routing)
+    monkeypatch.setattr(baseline, "generic_embed", counting)
+    return seen
+
+
 class TestMatchesReference:
     @settings(max_examples=150, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1))
@@ -302,23 +341,27 @@ class TestMatchesReference:
         assert net.residual_cpu == ref_net.residual_cpu
         assert net.residual_bw == ref_net.residual_bw
 
-    @pytest.mark.parametrize("substrate, requests, detours, refusals", [
-        (SubstrateSpec(n_nodes=100, n_edges=500), RequestSpec(count=1000), 5, 300),
+    @pytest.mark.parametrize("substrate, requests, detours, bfs, cut, refusals", [
+        (SubstrateSpec(n_nodes=100, n_edges=500), RequestSpec(count=1000), 5, 5, 0, 300),
         (SubstrateSpec(n_nodes=30, topology="cycle"),
-         RequestSpec(shape="cycle", count=100, revenue_rule="proportional"), 60, 0),
+         RequestSpec(shape="cycle", count=100, revenue_rule="proportional"), 60, 10, 40, 0),
     ], ids=["path-100-nodes-500-links", "ring-30-nodes"])
     def test_batch_matches_reference_at_benchmark_scale(self, monkeypatch, substrate, requests, detours,
-                                                        refusals):
+                                                        bfs, cut, refusals):
         # hop distances of 3 and more, which the tight instances above rarely
-        # have; `detours` is a floor on the routes the hop walk leaves to the
-        # BFS, and `refusals` one on the requests the CPU ceiling refuses (606
-        # of the path requests; every ring request fits some SN's residual CPU)
+        # have. `detours` is a floor on the VLs with no usable hop-short path:
+        # those refused by a stored cut before routing, with floor `cut`, plus
+        # the routes the hop walk leaves to the BFS, with floor `bfs`.
+        # `refusals` is one on the requests the CPU ceiling refuses (606 of
+        # the path requests; every ring request fits some SN's residual CPU)
         walks = record_walks(monkeypatch)
         refused = record_refusals(monkeypatch)
+        cuts = record_cut_refusals(monkeypatch)
         net, reqs = gen_substrate(substrate, 1), gen_requests(requests, 2)
         ref_net = net.copy()
         got = generic_batch(net, reqs)
-        assert walks[True, False] >= detours
+        assert walks[True, False] >= bfs and cuts["cut"] >= cut
+        assert walks[True, False] + cuts["cut"] >= detours
         assert refused[True] >= refusals
         want = generic_batch_reference(ref_net, reqs)
         assert batch_view(got) == batch_view(want)
@@ -389,6 +432,57 @@ class TestMatchesReference:
         assert len(calls) == 1
 
 
+class TestCutRefusal:
+    """A batch stores the SN components at the demand of each failed route
+    until the next commit, and refuses a request whose hosts they separate
+    at a stored level no higher than the VL's demand, without routing."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.booleans(), st.booleans())
+    def test_property_batch_matches_reference(self, seed, ring, fractions):
+        make = tight_ring_instance if ring else sparse_instance
+        check_batch_against_reference(*make(random.Random(seed), fractions))
+
+    @pytest.mark.parametrize("make, floor", [(tight_ring_instance, 150), (sparse_instance, 100)])
+    def test_instances_refuse_across_stored_cuts(self, monkeypatch, make, floor):
+        # the property above pins the refusal only if its instances reach it
+        cuts = record_cut_refusals(monkeypatch)
+        for seed in range(40):
+            generic_batch(*make(random.Random(seed), seed % 2 == 1))
+        assert cuts["cut"] >= floor
+
+    def test_refusal_without_routing_until_the_next_commit(self, monkeypatch):
+        # 0 - 1 - 2 - 3 with (1, 2) exhausted and (2, 3) left at exactly 1:
+        # SNs 0 and 1 rank first, and only 2 and 3 can host a VN of CPU 5
+        net = make_net([0, 1, 2, 3], [(0, 1), (1, 2), (2, 3)], {0: 2, 1: 2, 2: 9, 3: 9}, 10)
+        net.residual_bw[1, 2] = 0
+        net.residual_bw[2, 3] = 1
+        seen = []
+        route, embed = baseline._shortest_feasible_path, baseline.generic_embed
+
+        def routing(*args):
+            seen[-1][1] += 1
+            return route(*args)
+
+        def spying(net, req, ranked=None, cuts=None):
+            seen.append([sorted(cuts), 0])
+            return embed(net, req, ranked=ranked, cuts=cuts)
+
+        monkeypatch.setattr(baseline, "_shortest_feasible_path", routing)
+        monkeypatch.setattr(baseline, "generic_embed", spying)
+        reqs = [
+            make_path_request(0, [1, 1, 1], [1, 1]),  # on 0, 1, 2: (1, 2) fails, the cut at 1 is stored
+            make_path_request(1, [1, 1, 1], [1, 1]),  # across that cut: refused, not routed
+            make_path_request(2, [5, 5], [2]),        # on 2, 3, one side: routed, fails at 2
+            make_path_request(3, [5, 5], [1]),        # on 2, 3 at 1 <= the residual: the level 2 cut
+                                                      # does not apply, so it is routed and committed
+            make_path_request(4, [1, 1, 1], [1, 1]),  # the commit cleared the memo: routed again
+        ]
+        batch = check_batch_against_reference(net, reqs)
+        assert batch.accepted_ids() == [3]
+        assert seen == [[[], 2], [[1], 0], [[1], 1], [[1, 2], 1], [[], 2]]
+
+
 def reference_ranking(net):
     scores = node_scores_reference(net)
     return sorted(net.nodes, key=lambda v: (-scores[v], v))
@@ -401,10 +495,10 @@ class TestIncrementalRanking:
         net, reqs = sparse_instance(random.Random(seed), fractions)
         seen = []
 
-        def checking(net, req, ranked=None):
+        def checking(net, req, ranked=None, cuts=None):
             assert ranked == reference_ranking(net)
             seen.append(req.req_id)
-            return generic_embed(net, req, ranked=ranked)
+            return generic_embed(net, req, ranked=ranked, cuts=cuts)
 
         with patch.object(baseline, "generic_embed", checking):
             generic_batch(net, reqs)
@@ -446,8 +540,8 @@ def record_skips(monkeypatch):
     skips = Counter()
     embed = baseline.generic_embed
 
-    def counting(net, req, ranked=None):
-        emb = embed(net, req, ranked=ranked)
+    def counting(net, req, ranked=None, cuts=None):
+        emb = embed(net, req, ranked=ranked, cuts=cuts)
         if emb is not None:
             pos = {v: i for i, v in enumerate(ranked)}
             placed = []

@@ -12,11 +12,12 @@ spec.loader.exec_module(check)
 PINNED = json.loads((ROOT / "tests" / "data" / "bench_digests.json").read_text())
 
 
-def write_run(tmp_path, digests, seed=1):
+def write_run(tmp_path, digests, seed=1, correct=True, failed=0):
     # the benchmark's last two stdout lines: the run record, then the result
     path = tmp_path / "bench.out"
     record = {"run": {"workload": "ring", "seed": seed, "digests": digests}}
-    path.write_text(json.dumps(record) + "\n" + json.dumps({"correct": True}) + "\n")
+    result = {"correct": correct, "attempted": 12, "failed": failed}
+    path.write_text(json.dumps(record) + "\n" + json.dumps(result) + "\n")
     return path
 
 
@@ -31,6 +32,24 @@ def test_matching_digests_pass_and_a_changed_one_fails(tmp_path, capsys):
     changed = dict(ring, **{"ring/gr": "0" * 64})
     assert check.main(write_run(tmp_path, changed)) == 1
     assert "ring/gr: digest 000" in capsys.readouterr().out
+
+
+def test_an_incorrect_run_or_one_with_a_failure_fails(tmp_path, capsys):
+    ring = {k: v for k, v in PINNED.items() if k.startswith("ring/")}
+    for correct, failed in [(False, 0), (True, 1), (False, 2), ("true", 0)]:
+        assert check.main(write_run(tmp_path, ring, correct=correct, failed=failed)) == 1
+        out = capsys.readouterr().out
+        assert "digests match" in out and f"the run is not correct (correct {correct}, failed {failed})" in out
+    changed = dict(ring, **{"ring/gr": "0" * 64})
+    assert check.main(write_run(tmp_path, changed, correct=False, failed=1)) == 1
+
+
+def test_a_file_without_a_result_is_refused(tmp_path, capsys):
+    record = json.dumps({"run": {"workload": "ring", "seed": 1, "digests": PINNED}})
+    path = tmp_path / "bench.out"
+    for last in ["not json", "[1]", json.dumps({"correct": True}), json.dumps({"failed": 0})]:
+        path.write_text(record + "\n" + last + "\n")
+        assert_refused(capsys, path, says="the last line is not a JSON result")
 
 
 def test_other_seeds_are_refused(tmp_path):

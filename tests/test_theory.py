@@ -66,6 +66,13 @@ class TestSpanningTrail:
         with pytest.raises(SizeCapExceeded, match=r"^13 nodes, cap 12$"):
             has_spanning_trail(g)
 
+    def test_matches_the_brute_force_on_small_graphs(self):
+        # the search starts only at the first leaf when there is one, and
+        # answers False at once past two; labelled graphs put leaves at every index
+        for n in range(1, 6):
+            for g in connected_graphs(n):
+                assert has_spanning_trail(g) == (find_uniform_path_embedding(UniformInstance(g)) is not None), g
+
 
 @pytest.mark.parametrize("g, trail, supereulerian", [
     pytest.param(G((), ()), True, True, id="0-nodes"),
