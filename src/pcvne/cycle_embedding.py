@@ -17,11 +17,11 @@ min d; the dump takes its own full scan beside the solve.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import accumulate
 from math import inf
 
 from .baseline import generic_batch
+from .knapsack import _ratio_key
 from .model import (
     Embedding,
     EmbeddingBatch,
@@ -223,10 +223,11 @@ def min_weight_cycle(w):
     t, hosts = 0, [order[0]]
     for j in range(w.n - 1):
         need, ahead, pick = rests[j][t], rests[j + 1], None
+        bad, demand = w.bad[j], w.demands[j]
         for p in range(t + 1, m + 1):
-            if w.bad[j][p]:
+            if bad[p]:
                 break
-            need -= w.demands[j]
+            need -= demand
             if ahead[p] == need and (pick is None or order[p] < order[pick]):
                 pick = p
         t = pick
@@ -285,7 +286,7 @@ def c2ce(net, req, cycle=None):
     if req.shape is not Shape.CYCLE:
         raise ModelError("request is not a cycle")
     least = min(req.bw_demand.values())
-    if min(map(net.residual_bw.__getitem__, net.edges)) < least:
+    if min(net.residual_bw.values()) < least:
         return None
     floor = sum(req.bw_demand.values()) + (cycle.m - req.n_vns) * least
     best = None
@@ -302,7 +303,8 @@ def c2ce(net, req, cycle=None):
 
 
 def greedy_revenue(net, requests, fallback=False, trace=None):
-    """Embed cycle requests in descending revenue-to-demand ratio.
+    """Embed cycle requests in descending revenue-to-demand ratio, on the
+    knapsack orders' exact int (`_ratio_key`); equal ratios keep input order.
 
     Each request is tried once with the ring solver and committed on success.
     With `fallback` on, the requests the ring solver cannot place then go, in
@@ -316,11 +318,10 @@ def greedy_revenue(net, requests, fallback=False, trace=None):
     for req in requests:
         if req.shape is not Shape.CYCLE:
             raise ModelError(f"request {req.req_id!r} is not a cycle")
-    ranked = sorted(
-        requests,
-        key=lambda r: Fraction(r.revenue, r.total_cpu_demand + r.total_bw_demand),
-        reverse=True,
-    )
+    revenues = [r.revenue for r in requests]
+    sizes = [r.total_cpu_demand + r.total_bw_demand for r in requests]
+    keys = list(map(_ratio_key(revenues, sizes), revenues, sizes))
+    ranked = [requests[i] for i in sorted(range(len(keys)), key=keys.__getitem__)]
     batch = EmbeddingBatch()
     leftovers = []
     cycle = CycleView(net) if ranked else None

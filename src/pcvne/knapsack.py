@@ -4,8 +4,8 @@ Each problem gets a fast greedy heuristic and an exact solver, selected by
 `mode`. The exact solvers are branch-and-bound searches for oracle-scale
 inputs: both prune with one fractional-knapsack bound (`_fractional_bound`)
 and refuse instances above `EXACT_ITEM_LIMIT` items. All arithmetic is exact
-(ints / Fractions), feasibility has no tolerance. Both greedy orders (profit
-per unit size descending) sort on one exact int per item from `_ratio_key`.
+(ints / Fractions), feasibility has no tolerance. Both greedy orders here and
+the ring solver's `greedy_revenue` rank on `_ratio_key`'s exact int ratio.
 The solvers check nothing: the path pipeline, their one caller, hands them
 quantities that the model and `path_items` have checked. Both MKP modes give
 (position, knapsack) per packed item, greedy by `first_fit`. `_mdkp_items`
@@ -17,6 +17,7 @@ from __future__ import annotations
 import heapq
 import math
 from fractions import Fraction
+from operator import attrgetter
 
 from .model import ModelError
 
@@ -31,23 +32,25 @@ def mkp_order(profits, sizes, ids):
     """The positions of the items given as parallel lists in MKP order:
     profit/size descending, then smaller size, then lower id. One
     `_ratio_key` for the sort, called once per item."""
-    keys = list(map(_ratio_key(profits, sizes), profits, sizes, ids))
+    ratio = _ratio_key(profits, sizes)
+    keys = [(ratio(p, s), s, _id_key(i)) for p, s, i in zip(profits, sizes, ids)]
     return sorted(range(len(keys)), key=keys.__getitem__)
 
 
 def _ratio_key(profits, sizes):
-    """The key of both greedy orders, built once per sort: key(profit, size,
-    id) is (ratio, size, id key), the ratio ranking profit/size descending as
-    -⌊P·profit·S/size⌋ (P = lcm of the profit denominators, S = 2^k > size²
-    for every size, so distinct ratios, at least 1/(size₁·size₂) apart, stay
-    apart). At size 0 a positive profit ranks first, a zero one as ratio 0."""
-    scale = math.lcm(*(p.denominator for p in profits))
-    shift = 2 * max(sizes, default=0).bit_length()
+    """The profit/size rule of every greedy order, built once per sort:
+    ratio(profit, size) is the exact int -⌊P·profit·S/size⌋ (P = lcm of the
+    profit denominators, S = 2^k > n² for each size numerator n, so distinct
+    ratios, ≥ 1/(n₁·n₂) apart, stay apart). At size 0 a positive profit
+    ranks first, a zero one as ratio 0. Ties are the caller's: smaller size,
+    then lower id in the knapsack orders, input order in `greedy_revenue`."""
+    scale = math.lcm(*set(map(attrgetter("denominator"), profits)))
+    shift = 2 * max(map(attrgetter("numerator"), sizes), default=0).bit_length()
 
-    def key(profit, size, item_id):
+    def ratio(profit, size):
         p = int(profit * scale)
-        return (-((p << shift) // size) if size else -math.inf if p else 0), size, _id_key(item_id)
-    return key
+        return -((p << shift) // size) if size else -math.inf if p else 0
+    return ratio
 
 
 def _id_key(item_id):
@@ -174,11 +177,12 @@ def solve_mdkp(capacities, items, mode="greedy"):
 
 def _mdkp_items(capacities, items):
     """The packable items as (id, profit, nonzero (index, size) pairs,
-    surrogate weight) in funding order (`_ratio_key` on profit and weight),
-    and the weights' scale. A dimension's unit is L / its capacity (L = lcm of
-    the positive capacity numerators; 0 at a zero capacity). One pass per item
-    over its nonzero pairs drops it at a zero capacity (it never fits) and
-    sums size × unit; times the lcm of the sums' denominators, that is the
+    surrogate weight) in funding order (`_ratio_key` on profit and weight,
+    then smaller weight, then lower id), and the weights' scale. A
+    dimension's unit is L / its capacity (L = lcm of the positive capacity
+    numerators; 0 at a zero capacity). One pass per item over its nonzero
+    pairs drops it at a zero capacity (it never fits) and sums size × unit;
+    times the lcm of the sums' denominators, that is the
     capacity-normalized size sum times the scale, an exact int."""
     positive = set(capacities) - {0}
     scale = math.lcm(*{c.numerator for c in positive})
@@ -197,8 +201,8 @@ def _mdkp_items(capacities, items):
             packable.append((item_id, profit, pairs, weight))
     size_lcm = math.lcm(*{t[3].denominator for t in packable})
     packable = [(item_id, p, pairs, int(w * size_lcm)) for item_id, p, pairs, w in packable]
-    key = _ratio_key((t[1] for t in packable), (t[3] for t in packable))
-    packable.sort(key=lambda t: key(t[1], t[3], t[0]))
+    ratio = _ratio_key((t[1] for t in packable), (t[3] for t in packable))
+    packable.sort(key=lambda t: (ratio(t[1], t[3]), t[3], _id_key(t[0])))
     return packable, scale * size_lcm
 
 

@@ -66,6 +66,15 @@ def test_embed_paths_exact_modes_output_is_golden(tmp_path, capsys):
     assert capsys.readouterr() == (golden.read_text(), "")
 
 
+def test_embed_cycles_ties_output_is_golden(capsysbinary):
+    # a hand-written 6-node ring with "p/q" capacities, demands and revenues:
+    # "r3-15", "r2-10" and "half" tie at revenue/demand 1/5 and are tried in
+    # input order, so "r3-15" takes the BW that "r2-10" needs
+    data = Path(__file__).resolve().parent / "data"
+    main(["embed-cycles", "--instance", str(data / "ring_ties.json")])
+    assert capsysbinary.readouterr() == ((data / "embed_cycles_ties.out").read_bytes(), b"")
+
+
 def test_embed_paths_exact_modes_refuse_too_many_requests(tmp_path, capsys):
     inst = _tight_paths_instance(tmp_path, EXACT_ITEM_LIMIT + 1)
     with pytest.raises(SystemExit) as exc:

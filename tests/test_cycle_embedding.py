@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 import pcvne.baseline as baseline
 import pcvne.cycle_embedding as cycle_embedding
 from conftest import (
@@ -583,6 +584,38 @@ class TestGreedyRevenue:
         rich = make_cycle_request("rich", [1, 1, 1], [1, 1, 1], revenue=10)
         batch = greedy_revenue(net, [cheap, rich], fallback=False)
         assert batch.accepted_ids() == ["rich"]
+
+    @pytest.mark.parametrize("rows, expected", [
+        # ratio 1/5 at demands 15, 10 and 5, listed largest first and out of
+        # id order, after a request of ratio 3/2
+        ([("b", [2, 2, 2], [3, 3, 3], 3), ("a", [2, 2, 2], [1, 1, 2], 2),
+          ("c", [1, 1, 1], ["2/3", "2/3", "2/3"], 1), ("d", [1, 1, 1], [1, 1, 1], 9)],
+         ["d", "b", "a", "c"]),
+        # "p/q" revenues and demands: ratio 1/3 at demands 6 and 2, ratio 1/2,
+        # 7/12 and 1/9
+        ([("y", [1, 1, 1], [1, 1, 1], 2), ("x", ["1/2", "1/3", "1/6"], ["1/4", "1/4", "1/2"], "2/3"),
+          ("v", ["1/7", "2/7", "3/7"], ["1/7", "1/7", "2/7"], "5/7"),
+          ("u", ["1/3", "1/3", "1/3"], ["2/3", "2/3", "2/3"], "1/3"),
+          ("t", ["3/2", "3/2", "3/2"], ["1/2", "1/2", "1/2"], "7/2")],
+         ["t", "v", "y", "x", "u"]),
+    ])
+    def test_tries_requests_in_the_reference_ratio_order(self, monkeypatch, rows, expected):
+        # equal ratios keep input order, as the reference's Fraction sort
+        # does; breaking them by smaller demand or by id, as the knapsack
+        # orders do, would try them in another order
+        reqs = [make_cycle_request(*row) for row in rows]
+        tried = spy(monkeypatch, "c2ce")
+        referenced = []
+        c2ce_reference = oracles.c2ce_reference
+
+        def recording(net, req):
+            referenced.append(req.req_id)
+            return c2ce_reference(net, req)
+
+        monkeypatch.setattr(oracles, "c2ce_reference", recording)
+        greedy_revenue(ring_net(6, cpu=10, bw=10), reqs, fallback=False)
+        greedy_revenue_reference(ring_net(6, cpu=10, bw=10), reqs)
+        assert [req.req_id for _net, req in tried] == referenced == expected
 
     def test_empty_requests(self):
         # no request, no ring walk: a non-ring substrate is not an error here

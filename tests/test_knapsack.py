@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import example, given, settings
@@ -28,6 +29,7 @@ from pcvne.knapsack import (
     ExactSizeError,
     _fractional_bound,
     _mdkp_items,
+    _ratio_key,
     first_fit,
     solve_mdkp,
     solve_mkp,
@@ -259,6 +261,7 @@ def test_property_mkp_greedy_matches_sorted_first_fit(seed):
 # zero and positive profit.
 _PROFITS = st.sampled_from([0, 1, 2, Fraction(2), Fraction(4, 2), 3, 5, Fraction(1, 2), Fraction(5, 2)])
 _SIZES = st.sampled_from([0, 1, 2, 4, 5, 10])
+_EXACT_SIZES = st.one_of(_SIZES, st.fractions(min_value=0, max_value=12, max_denominator=7))
 _IDS = st.one_of(st.integers(-3, 12), st.text("ab1", max_size=2), st.tuples(st.integers(0, 2)))
 
 
@@ -353,7 +356,7 @@ def test_first_fit_looks_up_the_smallest_remaining_size_again_once_past_it():
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.builds(Item, item_id=_IDS, size=_SIZES, profit=_PROFITS), max_size=25))
+@given(st.lists(st.builds(Item, item_id=_IDS, size=_EXACT_SIZES, profit=_PROFITS), max_size=25))
 # near the separation limit: Farey neighbours at 10^6 differ by 1/(s1*s2) only,
 # and for the second pair a scale of S/2 < s1*s2 would tie the two ratios
 @example([Item("a", 10 ** 6, 999999), Item("b", 999999, 999998)])
@@ -364,8 +367,19 @@ def test_first_fit_looks_up_the_smallest_remaining_size_again_once_past_it():
 # a scaled copy: the same ratio at a larger size ties and falls back to size
 @example([Item("a", 10 ** 6, 999999), Item("b", 999999, 999998),
           Item("c", 10 ** 6, Fraction(1999997999999, 2000000)), Item("d", 1999998, 1999996)])
+# Fraction sizes: ratio 1/3 three ways, and Farey neighbours at numerators
+# 10^6 and 999999 over denominators 7 and 5, apart by 1/(n1*n2) only
+@example([Item("a", 3, 1), Item("b", Fraction(9, 4), Fraction(3, 4)), Item("c", Fraction(3, 2), Fraction(1, 2))])
+@example([Item("a", Fraction(10 ** 6, 7), Fraction(999999, 7)),
+          Item("b", Fraction(999999, 5), Fraction(999998, 5))])
 def test_property_order_items_equals_fraction_key_sort(items):
     assert order_items(items) == sorted(items, key=item_order_key)
+    # the ratio ints themselves rank as the Fraction ratios, ties included
+    profits, sizes = [it.profit for it in items], [it.size for it in items]
+    ratios = list(map(_ratio_key(profits, sizes), profits, sizes))
+    efficiencies = [item_order_key(it)[0] for it in items]
+    for (e1, r1), (e2, r2) in combinations(zip(efficiencies, ratios), 2):
+        assert (e1 < e2, e1 == e2) == (r1 < r2, r1 == r2)
 
 
 @settings(max_examples=200, deadline=None)
