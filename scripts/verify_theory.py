@@ -1,4 +1,5 @@
-"""Desk-scale graph-theory checks: what `pcvne verify-theory` runs.
+#!/usr/bin/env python3
+"""Desk-scale graph-theory checks of the paper's hardness argument.
 
 The connected-graph sweep, the spanning-trail and supereulerian deciders (one
 trail search, open or closed: a graph is supereulerian exactly when it has a
@@ -6,15 +7,27 @@ closed spanning trail), the two reductions between them, and the brute-force
 embedding of the spanning unit path request (`UniformInstance`,
 `find_uniform_path_embedding`). Everything here is exhaustive search with hard
 size caps (a cap violation is a refusal, never a silent truncation).
+
+Run with the package importable, e.g. from the repository root:
+
+    PYTHONPATH=src python scripts/verify_theory.py [--max-nodes 5] [--samples 100] [--sample-nodes 6] [--seed 0]
+
+It prints one PASS/FAIL row per check and exits 1 if any row reads FAIL; a
+flag out of range ends in `error: …` and exit 2.
 """
 
 from __future__ import annotations
 
+import argparse
+import random
+import sys
 from dataclasses import dataclass
 from itertools import combinations
+from math import inf
 
-from .generators import random_connected_edges
-from .model import (
+from pcvne import cli
+from pcvne.generators import random_connected_edges
+from pcvne.model import (
     Embedding,
     ModelError,
     Shape,
@@ -255,3 +268,61 @@ def find_uniform_path_embedding(inst):
     node_map = {vn: sn for vn, sn in zip(req.vns, hosts)}
     link_map = {vl: path for vl, path in zip(req.vls, links)}
     return Embedding(req_id=req.req_id, node_map=node_map, link_map=link_map)
+
+
+def _trail_equivalence(g):
+    return (find_uniform_path_embedding(UniformInstance(g)) is not None) == has_spanning_trail(g)
+
+
+def verify(args):
+    for flag, value, least, most in (("--max-nodes", args.max_nodes, 1, GRAPH_SWEEP_NODE_CAP),
+                                     ("--samples", args.samples, 0, inf),
+                                     ("--sample-nodes", args.sample_nodes, 1, PATH_EMBED_NODE_CAP)):
+        if value < least:
+            raise ModelError(f"{flag} must be at least {least}, got {value}")
+        if value > most:
+            raise ModelError(f"{flag} must be at most {most}, got {value}")
+    rng = random.Random(args.seed)
+
+    def exhaustive(smallest):
+        return (g for n in range(smallest, args.max_nodes + 1) for g in connected_graphs(n))
+
+    def circuit_cases():  # (is_supereulerian(g), g, v) per node v: each graph decided once
+        for g in exhaustive(1):
+            closed = is_supereulerian(g)
+            yield from ((closed, g, v) for v in g.nodes)
+
+    checks = (  # (name, cases, predicate that must hold on every case)
+        ("spanning-trail equivalence (exhaustive)", exhaustive(1), _trail_equivalence),
+        (f"spanning-trail equivalence ({args.sample_nodes}-node samples)",
+         (random_connected_graph(rng, args.sample_nodes) for _ in range(args.samples)),
+         _trail_equivalence),
+        ("trail-to-circuit reduction (exhaustive)", exhaustive(2),
+         lambda g: has_spanning_trail(g) == any(is_supereulerian(h) for h in sset_to_sg_instances(g))),
+        ("circuit-to-trail reduction (exhaustive)", circuit_cases(),
+         lambda case: case[0] == has_spanning_trail(sg_to_sset_instance(*case[1:]))),
+    )
+    rows = []
+    for name, cases, holds in checks:
+        results = [holds(case) for case in cases]
+        rows.append((name, len(results), all(results)))
+
+    width = max(len(r[0]) for r in rows)
+    for name, n_cases, ok in rows:
+        print(f"{name:<{width}}  {n_cases:>6} cases  {'PASS' if ok else 'FAIL'}")
+    if not all(ok for _, _, ok in rows):
+        sys.exit(1)
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description="Exhaustive small-graph sweeps of the hardness argument.")
+    parser.add_argument("--max-nodes", type=int, default=5)
+    parser.add_argument("--samples", type=int, default=100)
+    parser.add_argument("--sample-nodes", type=int, default=6)
+    parser.add_argument("--seed", type=int, default=0)
+    parser.set_defaults(func=verify)
+    cli.main(argv, parser)  # the CLI's `error: …`, exit 2, for a bad flag or a failed write
+
+
+if __name__ == "__main__":
+    main()

@@ -145,7 +145,8 @@ def generic_embed(net, req, ranked=None, cuts=None):
 
 
 def generic_batch(net, requests):
-    """Apply generic_embed in input order, committing each success.
+    """Apply generic_embed in input order, committing each success. `requests`
+    may be any iterable; it is read once.
 
     Nodes are ranked, and their incident BW summed, once. Only a commit
     changes residuals: it lowers the sums at both ends of each SL by the SL's

@@ -1,5 +1,5 @@
-"""Command line interface: instance generation, the three embedders, the
-theory verification sweep, and the experiment runner."""
+"""Command line interface: instance generation, the three embedders, and the
+experiment runner."""
 
 from __future__ import annotations
 
@@ -7,10 +7,8 @@ import argparse
 import io
 import json
 import os
-import random
 import sys
 from contextlib import contextmanager
-from math import inf
 
 from . import jsonio
 from .baseline import generic_batch
@@ -19,18 +17,6 @@ from .experiment import EMBEDDERS, ExperimentConfig, run_experiment, trial_seeds
 from .generators import RequestSpec, SubstrateSpec, gen_requests, gen_substrate
 from .model import ModelError, Shape, batch_metrics
 from .path_embedding import procedure_pe
-from .theory import (
-    GRAPH_SWEEP_NODE_CAP,
-    PATH_EMBED_NODE_CAP,
-    UniformInstance,
-    connected_graphs,
-    find_uniform_path_embedding,
-    has_spanning_trail,
-    is_supereulerian,
-    random_connected_graph,
-    sg_to_sset_instance,
-    sset_to_sg_instances,
-)
 
 
 @contextmanager
@@ -145,50 +131,6 @@ def cmd_embed_generic(args):
         _emit_batch(out, "generic", batch, len(requests))
 
 
-def _trail_equivalence(g):
-    return (find_uniform_path_embedding(UniformInstance(g)) is not None) == has_spanning_trail(g)
-
-
-def cmd_verify_theory(args):
-    for flag, value, least, most in (("--max-nodes", args.max_nodes, 1, GRAPH_SWEEP_NODE_CAP),
-                                     ("--samples", args.samples, 0, inf),
-                                     ("--sample-nodes", args.sample_nodes, 1, PATH_EMBED_NODE_CAP)):
-        if value < least:
-            raise ModelError(f"{flag} must be at least {least}, got {value}")
-        if value > most:
-            raise ModelError(f"{flag} must be at most {most}, got {value}")
-    rng = random.Random(args.seed)
-
-    def exhaustive(smallest):
-        return (g for n in range(smallest, args.max_nodes + 1) for g in connected_graphs(n))
-
-    def circuit_cases():  # (is_supereulerian(g), g, v) per node v: each graph decided once
-        for g in exhaustive(1):
-            closed = is_supereulerian(g)
-            yield from ((closed, g, v) for v in g.nodes)
-
-    checks = (  # (name, cases, predicate that must hold on every case)
-        ("spanning-trail equivalence (exhaustive)", exhaustive(1), _trail_equivalence),
-        (f"spanning-trail equivalence ({args.sample_nodes}-node samples)",
-         (random_connected_graph(rng, args.sample_nodes) for _ in range(args.samples)),
-         _trail_equivalence),
-        ("trail-to-circuit reduction (exhaustive)", exhaustive(2),
-         lambda g: has_spanning_trail(g) == any(is_supereulerian(h) for h in sset_to_sg_instances(g))),
-        ("circuit-to-trail reduction (exhaustive)", circuit_cases(),
-         lambda case: case[0] == has_spanning_trail(sg_to_sset_instance(*case[1:]))),
-    )
-    rows = []
-    for name, cases, holds in checks:
-        results = [holds(case) for case in cases]
-        rows.append((name, len(results), all(results)))
-
-    width = max(len(r[0]) for r in rows)
-    for name, n_cases, ok in rows:
-        print(f"{name:<{width}}  {n_cases:>6} cases  {'PASS' if ok else 'FAIL'}")
-    if not all(ok for _, _, ok in rows):
-        sys.exit(1)
-
-
 def cmd_experiment(args):
     sub, req = _specs(args)
     cfg = ExperimentConfig(
@@ -254,13 +196,6 @@ def build_parser():
     p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_embed_generic)
 
-    p = sub.add_parser("verify-theory", help="exhaustive small-graph sweeps")
-    p.add_argument("--max-nodes", type=int, default=5)
-    p.add_argument("--samples", type=int, default=100)
-    p.add_argument("--sample-nodes", type=int, default=6)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_verify_theory)
-
     p = sub.add_parser("experiment", help="seeded repeated trials with CI aggregation")
     _add_substrate_args(p)
     _add_request_args(p)
@@ -275,9 +210,9 @@ def build_parser():
     return parser
 
 
-def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def main(argv=None, parser=None):
+    """Run the command that `parser` (pcvne's by default) reads off `argv`."""
+    args = (parser or build_parser()).parse_args(argv)
     try:
         args.func(args)
         sys.stdout.flush()

@@ -313,8 +313,9 @@ def greedy_revenue(net, requests, fallback=False, trace=None):
     `CycleView` is built once, before the first request. `trace`, if given,
     gets, before each ring-solver request's solve, the `to_json` of every
     digraph of its full `wdags` scan, so the solve itself runs the same
-    whether traced or not.
+    whether traced or not. `requests` may be any iterable; it is read once.
     """
+    requests = list(requests)
     for req in requests:
         if req.shape is not Shape.CYCLE:
             raise ModelError(f"request {req.req_id!r} is not a cycle")

@@ -124,6 +124,7 @@ def path_items(requests):
     count and profit = revenue. Any sublist stays in that order, so the
     pipeline sorts them once. Refuses a request that is not a path, duplicate
     ids, and a revenue that is not a non-negative quantity."""
+    requests = list(requests)
     for req in requests:
         if req.shape is not Shape.PATH:
             raise ModelError(f"request {req.req_id!r} is not a path")
@@ -204,6 +205,7 @@ def procedure_pe(net, requests, mkp_mode="greedy", mdkp_mode="greedy", trace=Non
     residual of one of its SNs or SLs to 0 (residuals only fall). The loop
     stops as soon as an iteration embeds nothing, so it runs at most
     len(requests) iterations. `trace`, if given, gets one record per iteration.
+    `requests` may be any iterable; it is read once.
     """
     pending = {req.req_id: req for req in path_items(requests)}  # in MKP order; funded ones leave
     batch = EmbeddingBatch()

@@ -4,10 +4,11 @@ from pathlib import Path
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
+sys.path.insert(0, str(Path(__file__).parent.parent / "scripts"))  # verify_theory
 
 from pcvne.knapsack import mkp_order, solve_mkp
 from pcvne.model import Shape, SubstrateNetwork, VirtualRequest, edge_key
-from pcvne.theory import random_connected_graph  # noqa: F401  re-exported
+from verify_theory import random_connected_graph  # noqa: F401  re-exported
 
 
 def order_items(items):
@@ -119,7 +120,7 @@ def atlas_connected(max_nodes=6):
     import networkx as nx
     from networkx.generators.atlas import graph_atlas_g
 
-    from pcvne.theory import Graph
+    from verify_theory import Graph
 
     out = []
     for G in graph_atlas_g():

@@ -23,7 +23,7 @@ from pcvne.model import (
     edge_key,
     footprint,
 )
-from pcvne.theory import SizeCapExceeded
+from verify_theory import SizeCapExceeded
 
 # A knapsack item as the KP and MKP oracles read it: a plain record, unchecked.
 Item = namedtuple("Item", "item_id size profit")

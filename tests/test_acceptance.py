@@ -56,7 +56,8 @@ from pcvne.generators import (
 from pcvne.knapsack import solve_mdkp
 from pcvne.model import audit_residuals, validate_embedding
 from pcvne.path_embedding import procedure_pe
-from pcvne.theory import (
+from reductions import gen_ddkp_reduction, gen_edp_reduction
+from verify_theory import (
     UniformInstance,
     find_uniform_path_embedding,
     has_spanning_trail,
@@ -64,7 +65,6 @@ from pcvne.theory import (
     sg_to_sset_instance,
     sset_to_sg_instances,
 )
-from reductions import gen_ddkp_reduction, gen_edp_reduction
 
 
 def report(criterion, detail):

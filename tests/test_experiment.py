@@ -6,7 +6,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from pcvne.baseline import generic_batch
+from pcvne.cycle_embedding import greedy_revenue
 from pcvne.experiment import (
     EMBEDDERS,
     ConfigError,
@@ -17,7 +21,8 @@ from pcvne.experiment import (
     write_csv,
     write_json,
 )
-from pcvne.generators import RequestSpec, SpecError, SubstrateSpec
+from pcvne.generators import RequestSpec, SpecError, SubstrateSpec, gen_requests, gen_substrate
+from pcvne.path_embedding import procedure_pe
 
 
 def small_cfg(**overrides):
@@ -158,6 +163,25 @@ class TestRunExperiment:
         assert len(payload["rows"]) == 4
         assert "pe" in payload["aggregates"]
         assert "mean" in payload["aggregates"]["pe"]["revenue"]
+
+
+class TestRequestsReadOnce:
+    # every embedder reads `requests` once, so a one-shot iterator embeds
+    # what the same list does instead of an empty batch
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(6, 12), st.integers(1, 12))
+    def test_property_list_tuple_and_generator_give_one_batch(self, seed, m, count):
+        capacity = dict(cpu_capacity=12, bw_capacity=12)
+        paths = (gen_substrate(SubstrateSpec(n_nodes=m, n_edges=m + 3, **capacity), seed),
+                 gen_requests(RequestSpec(shape="path", count=count, length_range=(1, 4)), seed + 1))
+        ring = (gen_substrate(SubstrateSpec(n_nodes=m, topology="cycle", **capacity), seed),
+                gen_requests(RequestSpec(shape="cycle", count=count, length_range=(3, 5)), seed + 1))
+        embedders = [(procedure_pe, paths), (generic_batch, paths), (generic_batch, ring),
+                     (greedy_revenue, ring), (lambda net, reqs: greedy_revenue(net, reqs, fallback=True), ring)]
+        for embed, (net, reqs) in embedders:
+            views = [[(req.req_id, emb) for req, emb in embed(net.copy(), form).items]
+                     for form in (reqs, tuple(reqs), (req for req in reqs))]
+            assert views[1] == views[0] and views[2] == views[0]
 
 
 def test_experiment_json_golden_output_is_unchanged():

@@ -301,7 +301,7 @@ class TestValidateEmbedding:
     def test_exhaustive_witness_validates(self):
         # embeddings found by the independent exhaustive search pass the validator
         from conftest import random_connected_graph
-        from pcvne.theory import UniformInstance, find_uniform_path_embedding
+        from verify_theory import UniformInstance, find_uniform_path_embedding
 
         rng = random.Random(11)
         checked = 0

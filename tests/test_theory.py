@@ -26,7 +26,7 @@ from oracles import (
 from pcvne.cycle_embedding import greedy_revenue
 from pcvne.model import ModelError, Shape, VirtualRequest, edge_key, validate_embedding
 from pcvne.path_embedding import procedure_pe
-from pcvne.theory import (
+from verify_theory import (
     Graph,
     SizeCapExceeded,
     UniformInstance,
