@@ -32,11 +32,20 @@ class RequestSpec:
     revenue_rule: str = "unit"     # unit | proportional (to VN count)
 
 
+def _need_ints(**fields):
+    """Raise SpecError naming the first field that holds a non-int or a bool."""
+    for field, values in fields.items():
+        for x in values:
+            if not isinstance(x, int) or isinstance(x, bool):
+                raise SpecError(f"{field}: {x!r} is not an int")
+
+
 def gen_substrate(spec, seed):
     """Deterministic substrate for a spec: a random connected graph (spanning
     tree plus uniform extra links), or a complete graph, cycle, or path."""
     rng = random.Random(seed)
     n = spec.n_nodes
+    _need_ints(n_nodes=[n], n_edges=[] if spec.n_edges is None else [spec.n_edges])
     if n < 1:
         raise SpecError("need at least one node")
     if spec.topology in ("complete", "cycle", "path") and spec.n_edges is not None:
@@ -84,10 +93,12 @@ def random_connected_edges(rng, n, extra=None):
 def gen_requests(spec, seed):
     """Deterministic request workload. Path lengths are link counts, cycle
     lengths are VN counts; demands are uniform over the demand range; the
-    revenue is 1 under the "unit" rule and the VN count under "proportional"."""
+    revenue is 1 under the "unit" rule and the VN count under "proportional".
+    Each request owns its `vls` list; equal links share one immutable tuple."""
     rng = random.Random(seed)
     lo, hi = spec.length_range
     dlo, dhi = spec.demand_range
+    _need_ints(count=[spec.count], length_range=[lo, hi], demand_range=[dlo, dhi])
     if lo > hi:
         raise SpecError(f"length_range ({lo}, {hi}) is empty")
     if dlo > dhi:
@@ -109,14 +120,16 @@ def gen_requests(spec, seed):
     if shape is Shape.PATH and lo < 1:
         raise SpecError("path requests need at least one link")
     draw = rng.randrange  # randrange(a, b + 1) is what randint(a, b) calls: the same stream
+    chain, closing = [], {}  # chain[i] is the link (i, i + 1), closing[n] is (0, n - 1)
     requests = []
     for k in range(spec.count):
         length = draw(lo, hi + 1)
         n_vns = length + 1 if shape is Shape.PATH else length
         vns = list(range(n_vns))
-        vls = list(zip(vns, vns[1:]))  # canonical links, the closing one of a cycle last
+        chain.extend((i, i + 1) for i in range(len(chain), n_vns - 1))
+        vls = chain[:n_vns - 1]  # canonical links, the closing one of a cycle last
         if shape is Shape.CYCLE:
-            vls.append((0, n_vns - 1))
+            vls.append(closing.setdefault(n_vns, (0, n_vns - 1)))
         demands = [draw(dlo, dhi + 1) for _ in range(n_vns + len(vls))]  # CPU per VN, then BW per link
         revenue = 1 if spec.revenue_rule == "unit" else n_vns
         requests.append(VirtualRequest(

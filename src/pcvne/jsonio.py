@@ -10,7 +10,9 @@
 Quantities may be ints, decimal floats, or "p/q" strings; non-integer values
 round-trip exactly as fractions (written back as "p/q"). A request without
 an "id" gets its index; request ids must be distinct. Malformed data raises
-InstanceFormatError, whose message names the offending field.
+InstanceFormatError, whose message names the offending field. A loaded
+request owns its `vls` list, while its links are immutable tuples that
+requests share: one per distinct link with int ends.
 `dump_instance` writes the dict that `instance_to_dict` builds, in one
 `dump_json` call.
 """
@@ -63,17 +65,16 @@ def instance_from_dict(data):
 
 
 def _parse_instance(data):
-    """The instance in `data`, read in one pass that builds each link tuple
-    once. A field defect raises a lookup or type error here, which
-    `_name_defect` then names."""
+    """The instance in `data`, read in one pass. Equal links with exact int
+    ends share one tuple; others are a tuple each. A field defect raises a
+    lookup or type error here, which `_name_defect` then names."""
     node_list, edge_list = _list(data, "nodes", "instance"), _list(data, "edges", "instance")
     nodes = [n["id"] for n in node_list]
     cpu = {n["id"]: n["cpu"] for n in node_list}
     edges = [(e["u"], e["v"]) for e in edge_list]
     bw = {(e["u"], e["v"]): e["bw"] for e in edge_list}
     net = SubstrateNetwork(nodes, edges, cpu, bw)
-    requests = []
-    seen = set()
+    requests, seen, shared = [], set(), {}  # shared: each int link's first tuple
     for i, r in enumerate(_list(data, "requests", "instance", [])):
         if not isinstance(r, dict):  # this test and the next are those of `_id` and `_list`
             raise TypeError
@@ -83,7 +84,8 @@ def _parse_instance(data):
         if req_id in seen:
             raise InstanceFormatError(f"requests[{i}].id: duplicate id {req_id!r}")
         seen.add(req_id)
-        links = [(l["u"], l["v"]) for l in vls]
+        links = [shared.setdefault(k, k) if type(k[0]) is type(k[1]) is int else k
+                 for k in [(l["u"], l["v"]) for l in vls]]  # 1.0 == True == 1 as keys
         try:
             requests.append(VirtualRequest(
                 req_id, Shape(r["shape"]), [v["id"] for v in vns], links,

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -114,6 +115,55 @@ class TestGenRequests:
         with pytest.raises(SpecError) as exc:
             gen_requests(RequestSpec(**{field: value}), 0)
         assert str(exc.value) == message
+
+    @pytest.mark.parametrize("shape", ["path", "cycle"])
+    def test_equal_links_share_a_tuple_but_not_a_vls_list(self, shape):
+        reqs = gen_requests(RequestSpec(shape=shape, count=20, length_range=(4, 5)), 6)
+        a, b = [r for r in reqs if r.length == reqs[0].length][:2]
+        assert a.vls is not b.vls
+        assert all(x is y for x, y in zip(a.vls, b.vls, strict=True))
+        before = list(b.vls)
+        a.vls.append((98, 99))
+        assert b.vls == before
+
+    def test_link_table_grows_only_to_the_longest_request_drawn(self):
+        # a table built to length_range's upper end would hold 10**6 tuples
+        # here (tens of MB); no request is drawn, so none may be built
+        was_tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            assert gen_requests(RequestSpec(count=0, length_range=(3, 10 ** 6)), 0) == []
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
+        assert peak < 10 ** 6
+
+
+_VALID_SPECS = {RequestSpec: {}, SubstrateSpec: {"n_nodes": 5, "topology": "random", "n_edges": 6}}
+
+
+@pytest.mark.parametrize("spec, field, value, bad", [
+    (RequestSpec, "count", 2.5, 2.5),
+    (RequestSpec, "count", True, True),  # would generate one request
+    (RequestSpec, "count", "3", "3"),
+    (RequestSpec, "length_range", (5.5, 10), 5.5),
+    (RequestSpec, "length_range", (5, 10.0), 10.0),
+    (RequestSpec, "demand_range", (1, 5.0), 5.0),  # accepted by randrange before Python 3.12
+    (RequestSpec, "demand_range", (True, 5), True),
+    (SubstrateSpec, "n_nodes", 5.0, 5.0),
+    (SubstrateSpec, "n_nodes", True, True),
+    (SubstrateSpec, "n_edges", 6.0, 6.0),
+    (SubstrateSpec, "n_edges", False, False),
+])
+def test_non_int_spec_fields_are_named(spec, field, value, bad):
+    gen = gen_requests if spec is RequestSpec else gen_substrate
+    gen(spec(**_VALID_SPECS[spec]), 0)
+    with pytest.raises(SpecError) as exc:
+        gen(spec(**{**_VALID_SPECS[spec], field: value}), 0)
+    assert str(exc.value) == f"{field}: {bad!r} is not an int"
 
 
 class TestEdpReduction:

@@ -79,6 +79,27 @@ def test_round_trip_keeps_ids_and_quantities():
         assert (a.cpu_demand, a.bw_demand) == (b.cpu_demand, b.bw_demand)
 
 
+def test_loaded_links_keep_their_id_types_and_dump_back_byte_for_byte():
+    # (1.0, 2.0) == (1, 2) == (True, 2) and (-0.0, 1) == (0.0, 1) as dict
+    # keys: a link shared by equality alone would load, and dump, the id
+    # type of the first request that held it
+    def path(rid, u, v):
+        return {"id": rid, "shape": "path", "vns": [{"id": u, "cpu": 1}, {"id": v, "cpu": 1}],
+                "vls": [{"u": u, "v": v, "bw": 1}], "revenue": 1}
+    links = [(1.0, 2.0), (1, 2), (True, 2), (-0.0, 1), (0.0, 1), (1, 2)]
+    data = {"nodes": [{"id": 0, "cpu": 5}, {"id": 1, "cpu": 5}], "edges": [{"u": 0, "v": 1, "bw": 5}],
+            "requests": [path(f"r{i}", u, v) for i, (u, v) in enumerate(links)]}
+    text = io.StringIO()
+    dump_json(data, text)
+    net, reqs = load_instance(io.StringIO(text.getvalue()))
+    assert [repr(r.vls) for r in reqs] == [repr([k]) for k in links]
+    assert [repr(list(r.bw_demand)) for r in reqs] == [repr([k]) for k in links]
+    assert reqs[1].vls[0] is reqs[5].vls[0]  # the one link with int ends is shared
+    out = io.StringIO()
+    dump_instance(net, reqs, out)
+    assert out.getvalue() == text.getvalue()
+
+
 def _two_nodes(**request):
     return {
         "nodes": [{"id": 0, "cpu": 5}, {"id": 1, "cpu": 5}],
