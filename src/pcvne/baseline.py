@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import deque
 
-from .model import Embedding, EmbeddingBatch, commit
+from .model import Embedding, EmbeddingBatch, commit, distinct_ids
 
 
 def node_scores(net):
@@ -146,12 +146,14 @@ def generic_embed(net, req, ranked=None, cuts=None):
 
 def generic_batch(net, requests):
     """Apply generic_embed in input order, committing each success. `requests`
-    may be any iterable; it is read once.
+    may be any iterable; it is read once. Refuses duplicate request ids.
 
     Nodes are ranked, and their incident BW summed, once. Only a commit
     changes residuals: it lowers the sums at both ends of each SL by the SL's
     drop, re-keys those SNs and its hosts, re-sorts the nearly sorted list,
     and clears the `cuts` memo that generic_embed fills at failed routes."""
+    requests = list(requests)
+    distinct_ids(requests)
     batch = EmbeddingBatch()
     cpu, bw = net.residual_cpu, net.residual_bw
     inc = {v: sum(bw[k] for _, k in net.incident(v)) for v in net.nodes}

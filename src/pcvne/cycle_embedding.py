@@ -22,14 +22,7 @@ from math import inf
 
 from .baseline import generic_batch
 from .knapsack import _ratio_key
-from .model import (
-    Embedding,
-    EmbeddingBatch,
-    ModelError,
-    Shape,
-    commit,
-    edge_key,
-)
+from .model import Embedding, EmbeddingBatch, ModelError, Shape, commit, distinct_ids, edge_key
 
 CLOCKWISE = "+"
 ANTICLOCKWISE = "-"
@@ -314,11 +307,13 @@ def greedy_revenue(net, requests, fallback=False, trace=None):
     gets, before each ring-solver request's solve, the `to_json` of every
     digraph of its full `wdags` scan, so the solve itself runs the same
     whether traced or not. `requests` may be any iterable; it is read once.
+    Refuses a request that is not a cycle, and duplicate ids.
     """
     requests = list(requests)
     for req in requests:
         if req.shape is not Shape.CYCLE:
             raise ModelError(f"request {req.req_id!r} is not a cycle")
+    distinct_ids(requests)
     revenues = [r.revenue for r in requests]
     sizes = [r.total_cpu_demand + r.total_bw_demand for r in requests]
     keys = list(map(_ratio_key(revenues, sizes), revenues, sizes))

@@ -96,8 +96,11 @@ def gen_requests(spec, seed):
     revenue is 1 under the "unit" rule and the VN count under "proportional".
     Each request owns its `vls` list; equal links share one immutable tuple."""
     rng = random.Random(seed)
-    lo, hi = spec.length_range
-    dlo, dhi = spec.demand_range
+    ranges = {"length_range": spec.length_range, "demand_range": spec.demand_range}
+    for field, pair in ranges.items():
+        if not isinstance(pair, (tuple, list)) or len(pair) != 2:
+            raise SpecError(f"{field}: {pair!r} is not a pair")
+    (lo, hi), (dlo, dhi) = ranges.values()
     _need_ints(count=[spec.count], length_range=[lo, hi], demand_range=[dlo, dhi])
     if lo > hi:
         raise SpecError(f"length_range ({lo}, {hi}) is empty")

@@ -458,6 +458,15 @@ def commit(net, req, emb):
     return cpu, bw
 
 
+def distinct_ids(requests):
+    """The ids of a request list, in order; a ModelError if two requests
+    share one. Every embedder checks its requests with it."""
+    ids = [req.req_id for req in requests]
+    if len(set(ids)) != len(ids):
+        raise ModelError("duplicate request ids")
+    return ids
+
+
 class EmbeddingBatch:
     """Accepted (request, embedding) pairs."""
 

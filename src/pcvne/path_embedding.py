@@ -8,47 +8,10 @@ from __future__ import annotations
 import heapq
 import itertools
 from collections import defaultdict
-from dataclasses import dataclass
+from operator import itemgetter
 
 from .knapsack import mkp_order, solve_mdkp, solve_mkp
-from .model import Embedding, EmbeddingBatch, ModelError, Shape, as_quantity, commit, edge_key
-
-
-@dataclass(frozen=True)
-class SubstratePath:
-    """A simple path in the substrate, stored as its ordered node sequence."""
-
-    nodes: tuple
-
-    def __post_init__(self):
-        if len(self.nodes) < 2:
-            raise ModelError("substrate path needs at least one link")
-        object.__setattr__(self, "_edges", tuple(map(edge_key, self.nodes, self.nodes[1:])))
-
-    @property
-    def length(self):
-        return len(self.nodes) - 1
-
-    def edges(self):  # canonical SL keys in path order, built with the path
-        return self._edges
-
-
-@dataclass
-class PathPlacement:
-    """One packed request: which substrate path hosts it and at which offset.
-    A placed request of length L occupies L consecutive SLs; neighbouring
-    placements may share the boundary SN."""
-
-    req: object
-    path_index: int
-    path: SubstratePath
-    offset: int
-
-    def to_embedding(self):
-        nodes, links = self.path.nodes[self.offset:], self.path.edges()[self.offset:]
-        node_map = dict(zip(self.req.vns, nodes))
-        link_map = {vl: [k] for vl, k in zip(self.req.vls, links)}
-        return Embedding(req_id=self.req.req_id, node_map=node_map, link_map=link_map)
+from .model import Embedding, EmbeddingBatch, ModelError, Shape, as_quantity, commit, distinct_ids, edge_key
 
 
 def _dfs_tree(root, adj):
@@ -80,7 +43,8 @@ def decompose_paths(net):
     Repeatedly: root a DFS tree at the usable node of maximum degree (ties by
     lowest id, off a lazy heap), emit its longest path (from its deepest node a
     to the node farthest from a, read off the same tree's parents) and drop its
-    links. `procedure_pe` reuses the paths until a residual hits 0.
+    links. Each path is its tuple of SNs, at least two and all distinct.
+    `procedure_pe` reuses the paths until a residual hits 0.
     """
     bw = net.residual_bw
     usable = {v for v in net.nodes if net.residual_cpu[v] > 0}
@@ -111,7 +75,7 @@ def decompose_paths(net):
         seq += reversed(list(rank)[:rank[seq[-1]]])
         if seq[0] > seq[-1]:
             seq.reverse()
-        paths.append(SubstratePath(tuple(seq)))
+        paths.append(tuple(seq))
         for i in range(len(seq) - 1):
             adj[seq[i]].remove(seq[i + 1])
             adj[seq[i + 1]].remove(seq[i])
@@ -128,9 +92,7 @@ def path_items(requests):
     for req in requests:
         if req.shape is not Shape.PATH:
             raise ModelError(f"request {req.req_id!r} is not a path")
-    ids = [req.req_id for req in requests]
-    if len(set(ids)) != len(ids):
-        raise ModelError("duplicate request ids")
+    ids = distinct_ids(requests)
     profits = []
     for p in map(as_quantity, (req.revenue for req in requests)):
         if p < 0:
@@ -140,47 +102,49 @@ def path_items(requests):
 
 
 def pack_mkp(paths, items, mode="greedy"):
-    """Pack path requests (`path_items` order) onto the decomposed substrate paths.
+    """Pack path requests (`path_items` order) onto the decomposed substrate
+    paths, as (request, path index, offset) triples.
 
     Each substrate path is a knapsack of capacity = its link count, each
     request an item of profit = its revenue and size = its link count, handed
     to `solve_mkp` as plain lists in that order. Packed items receive concrete
     offsets left to right in efficiency order, sharing boundary SNs between
-    consecutive placements.
+    consecutive placements: the triples come path by path, in MKP order
+    within each path.
     """
-    packed = solve_mkp([p.length for p in paths], [req.revenue for req in items],
+    packed = solve_mkp([len(p) - 1 for p in paths], [req.revenue for req in items],
                        [len(req.vls) for req in items], mode=mode)
-
     placements = []
     used = [0] * len(paths)  # links already taken on each path
     for i, k in packed:
         req = items[i]
-        placements.append(PathPlacement(req=req, path_index=k, path=paths[k], offset=used[k]))
+        placements.append((req, k, used[k]))
         used[k] += req.length
-    placements.sort(key=lambda pl: pl.path_index)  # stable: path by path, MKP order within
+    placements.sort(key=itemgetter(1))  # stable: path by path, MKP order within
     return placements
 
 
-def assign_mdkp(net, placements, mode="greedy"):
+def assign_mdkp(net, paths, links, placements, mode="greedy"):
     """Fund packed placements with CPU and BW out of the current residuals.
 
-    Each placement is an item whose (dimension, size) pairs, read off its path
-    slice (VN i's CPU on SN i, VL i's BW on SL i: a simple path's SNs are
-    distinct), are its `footprint`; the dimensions are the SNs and SLs they
-    touch, numbered at first touch (SN and SL keys apart, so a tuple SN id
-    never meets an SL key), with their residuals as capacities. The model has
-    checked every one of these quantities, so `solve_mdkp` takes them as
-    given; it weighs and orders the items. Only the selected placements
-    become Embeddings, each returned with the footprint its `commit` returned.
+    A placement (req, k, o) puts VN i on SN `paths[k][o + i]` and VL i on SL
+    `links[k][o + i]` (`links[k]` holds path k's SL keys). Each placement is
+    an item whose (dimension, size) pairs, read off that slice (a simple
+    path's SNs are distinct), are its `footprint`; the dimensions are the SNs
+    and SLs they touch, numbered at first touch (SN and SL keys apart, so a
+    tuple SN id never meets an SL key), with their residuals as capacities.
+    The model has checked every one of these quantities, so `solve_mdkp`
+    takes them as given; it weighs and orders the items. Only the selected
+    placements become Embeddings, each returned as (request, embedding,
+    the footprint its `commit` returned).
     """
     touched = itertools.count().__next__  # the next dimension index
     sn_dim, sl_dim = defaultdict(touched), defaultdict(touched)
     items = []
-    for idx, pl in enumerate(placements):
-        req, o = pl.req, pl.offset
+    for idx, (req, k, o) in enumerate(placements):
         cpu, bw = req.cpu_demand, req.bw_demand
-        pairs = [(sn_dim[sn], cpu[vn]) for vn, sn in zip(req.vns, pl.path.nodes[o:o + len(cpu)])]
-        pairs += [(sl_dim[k], bw[vl]) for vl, k in zip(req.vls, pl.path.edges()[o:o + len(bw)])]
+        pairs = [(sn_dim[sn], cpu[vn]) for vn, sn in zip(req.vns, paths[k][o:o + len(cpu)])]
+        pairs += [(sl_dim[sl], bw[vl]) for vl, sl in zip(req.vls, links[k][o:o + len(bw)])]
         items.append((idx, req.revenue, pairs))
     capacities = [None] * (len(sn_dim) + len(sl_dim))
     for dims, residual in ((sn_dim, net.residual_cpu), (sl_dim, net.residual_bw)):
@@ -190,9 +154,10 @@ def assign_mdkp(net, placements, mode="greedy"):
     selected, _profit = solve_mdkp(capacities, items, mode=mode)
 
     accepted = []
-    for pl in map(placements.__getitem__, sorted(selected)):
-        emb = pl.to_embedding()
-        accepted.append((pl, emb, commit(net, pl.req, emb)))
+    for req, k, o in map(placements.__getitem__, sorted(selected)):
+        emb = Embedding(req_id=req.req_id, node_map=dict(zip(req.vns, paths[k][o:])),
+                        link_map={vl: [sl] for vl, sl in zip(req.vls, links[k][o:])})
+        accepted.append((req, emb, commit(net, req, emb)))
     return accepted
 
 
@@ -201,11 +166,12 @@ def procedure_pe(net, requests, mkp_mode="greedy", mdkp_mode="greedy", trace=Non
 
     Each iteration packs the pending requests onto the decomposed usable
     residual substrate, funds the packed placements and commits the funded
-    ones; the decomposition is recomputed only once a commit drove the
-    residual of one of its SNs or SLs to 0 (residuals only fall). The loop
-    stops as soon as an iteration embeds nothing, so it runs at most
-    len(requests) iterations. `trace`, if given, gets one record per iteration.
-    `requests` may be any iterable; it is read once.
+    ones; the decomposition (and each path's SL keys) is recomputed only
+    once a commit drove the residual of one of its SNs or SLs to 0
+    (residuals only fall). The loop stops as soon as an iteration embeds
+    nothing, so it runs at most len(requests) iterations. `trace`, if given,
+    gets one record per iteration. `requests` may be any iterable; it is
+    read once.
     """
     pending = {req.req_id: req for req in path_items(requests)}  # in MKP order; funded ones leave
     batch = EmbeddingBatch()
@@ -213,21 +179,22 @@ def procedure_pe(net, requests, mkp_mode="greedy", mdkp_mode="greedy", trace=Non
     while pending:
         if paths is None:
             paths = decompose_paths(net)
+            links = [tuple(map(edge_key, p, p[1:])) for p in paths]
         if not paths:
             break
         placements = pack_mkp(paths, list(pending.values()), mode=mkp_mode)
-        accepted = assign_mdkp(net, placements, mode=mdkp_mode)
+        accepted = assign_mdkp(net, paths, links, placements, mode=mdkp_mode)
         if trace is not None:
             trace.append({
-                "paths": [list(p.nodes) for p in paths],
-                "packed": [pl.req.req_id for pl in placements],
-                "funded": [pl.req.req_id for pl, _emb, _use in accepted],
+                "paths": [list(p) for p in paths],
+                "packed": [req.req_id for req, _k, _o in placements],
+                "funded": [req.req_id for req, _emb, _use in accepted],
             })
         if not accepted:
             break
-        for pl, emb, (cpu, bw) in accepted:
-            batch.add(pl.req, emb)
-            del pending[pl.req.req_id]
+        for req, emb, (cpu, bw) in accepted:
+            batch.add(req, emb)
+            del pending[req.req_id]
             if 0 in map(net.residual_cpu.__getitem__, cpu) or 0 in map(net.residual_bw.__getitem__, bw):
                 paths = None
     return batch

@@ -431,31 +431,34 @@ def tie_rule_oracle(net, req):
     return start, direction, list(hosts), cost
 
 
+def placement_embedding(path, req, offset):
+    """The embedding of a path request laid on a substrate path (its node
+    tuple) from link `offset` on, by a plain walk: VN i on SN path[offset + i]
+    and VL i on the SL from that SN to the next."""
+    hosts = path[offset:offset + len(req.vns)]
+    link_map = {vl: [edge_key(u, v)] for vl, u, v in zip(req.vls, hosts, hosts[1:])}
+    return Embedding(req_id=req.req_id, node_map=dict(zip(req.vns, hosts)), link_map=link_map)
+
+
 def first_fit_paths(net, substrate_paths, requests):
     """Naive control: take requests in input order, place each at the first
-    offset of the first decomposed path with room left, commit if it fits the
-    residuals. Returns total committed revenue."""
-    from pcvne.model import CommitError, commit
-    from pcvne.path_embedding import PathPlacement
+    offset of the first decomposed path (node tuple) with room left, commit if
+    it fits the residuals. Returns total committed revenue."""
+    from pcvne.model import CommitError
 
     free_from = [0] * len(substrate_paths)
     revenue = 0
     for req in requests:
-        placed = False
         for k, path in enumerate(substrate_paths):
-            if placed:
-                break
-            if free_from[k] + req.length > path.length:
+            if free_from[k] + req.length > len(path) - 1:
                 continue
-            placement = PathPlacement(req=req, path_index=k, path=path, offset=free_from[k])
-            emb = placement.to_embedding()
             try:
-                commit(net, req, emb)
+                commit(net, req, placement_embedding(path, req, free_from[k]))
             except CommitError:
                 continue
             free_from[k] += req.length
             revenue += req.revenue
-            placed = True
+            break
     return revenue
 
 
@@ -975,10 +978,9 @@ def decompose_paths_reference(net):
     Repeatedly: root a DFS tree at the usable node of maximum degree (ties by
     lowest id), take the longest path inside that tree (its diameter, exact by
     the classic two-pass sweep), emit it, remove its links, drop isolated
-    nodes. Every usable SL ends up in exactly one returned path.
+    nodes. Every usable SL ends up in exactly one returned path, a tuple of
+    SNs.
     """
-    from pcvne.path_embedding import SubstratePath
-
     nodes = {v for v in net.nodes if net.residual_cpu[v] > 0}
     edges = {k for k in net.edges
              if net.residual_bw[k] > 0 and k[0] in nodes and k[1] in nodes}
@@ -1010,7 +1012,7 @@ def decompose_paths_reference(net):
             seq.append(par[seq[-1]])
         if seq[0] > seq[-1]:
             seq.reverse()
-        paths.append(SubstratePath(tuple(seq)))
+        paths.append(tuple(seq))
         for i in range(len(seq) - 1):
             adj[seq[i]].remove(seq[i + 1])
             adj[seq[i + 1]].remove(seq[i])
@@ -1021,7 +1023,10 @@ def decompose_paths_reference(net):
 # for every sort, a re-sort per path, a Fraction sum per funding weight and a
 # fresh decomposition every iteration, where procedure_pe sorts on integer
 # ranks, sums weights as integers and decomposes again only once a residual
-# reached 0. Only PathPlacement and commit are shared with the code under test.
+# reached 0. Paths are node tuples and placements (request, path index,
+# offset) triples, as in the code under test; each placement's embedding is
+# built here by `placement_embedding`. Only commit is shared with the code
+# under test.
 
 
 def path_items_reference(requests):
@@ -1047,22 +1052,21 @@ def pack_mkp_reference(paths, requests, mode="greedy"):
     """Placements by the rule pack_mkp followed while it built its own items:
     the MKP over one Item per request in request order (greedy:
     sorted_first_fit in item_order_key order; exact: mkp_exact_reference),
-    then path by path the packed items left to right in item_order_key order."""
-    from pcvne.path_embedding import PathPlacement
-
+    then path by path the packed items left to right in item_order_key
+    order, as (request, path index, offset) triples."""
     items = [Item(r.req_id, r.length, r.revenue) for r in requests]
-    caps = [p.length for p in paths]
+    caps = [len(p) - 1 for p in paths]
     if mode == "greedy":
         assignment = sorted_first_fit(caps, sorted(items, key=item_order_key))
     else:
         assignment = mkp_exact_reference(caps, items)
     req_of = {r.req_id: r for r in requests}
     placements = []
-    for k, path in enumerate(paths):
+    for k in range(len(paths)):
         offset = 0
         for it in sorted((it for it in items if assignment[it.item_id] == k), key=item_order_key):
             req = req_of[it.item_id]
-            placements.append(PathPlacement(req=req, path_index=k, path=path, offset=offset))
+            placements.append((req, k, offset))
             offset += req.length
     return placements
 
@@ -1084,17 +1088,17 @@ def procedure_pe_reference(net, requests):
         caps = {("cpu", v): net.residual_cpu[v] for v in net.nodes}
         caps.update({("bw", e): net.residual_bw[e] for e in net.edges})
         funding = []
-        for idx, pl in enumerate(placements):
-            emb = pl.to_embedding()
+        for idx, (req, k, offset) in enumerate(placements):
+            emb = placement_embedding(paths[k], req, offset)
             sizes = {}
             for vn, sn in emb.node_map.items():
-                sizes[("cpu", sn)] = sizes.get(("cpu", sn), 0) + pl.req.cpu_demand[vn]
+                sizes[("cpu", sn)] = sizes.get(("cpu", sn), 0) + req.cpu_demand[vn]
             for vl, sls in emb.link_map.items():
                 for e in sls:
                     e = edge_key(*e)
-                    sizes[("bw", e)] = sizes.get(("bw", e), 0) + pl.req.bw_demand[vl]
+                    sizes[("bw", e)] = sizes.get(("bw", e), 0) + req.bw_demand[vl]
             w = mdkp_weight_reference(caps, sizes)
-            eff = (math.inf if pl.req.revenue > 0 else 0) if w == 0 else pl.req.revenue / w
+            eff = (math.inf if req.revenue > 0 else 0) if w == 0 else req.revenue / w
             funding.append(((-eff, w, _id_key(idx)), idx, emb, sizes))
         residual = dict(caps)
         funded = []
@@ -1106,9 +1110,9 @@ def procedure_pe_reference(net, requests):
         if not funded:
             break
         for idx, emb in sorted(funded, key=lambda f: f[0]):
-            commit(net, placements[idx].req, emb)
-            batch.add(placements[idx].req, emb)
-        funded_ids = {placements[idx].req.req_id for idx, _ in funded}
+            commit(net, placements[idx][0], emb)
+            batch.add(placements[idx][0], emb)
+        funded_ids = {placements[idx][0].req_id for idx, _ in funded}
         pending = [r for r in pending if r.req_id not in funded_ids]
     return batch
 

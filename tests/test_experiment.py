@@ -22,6 +22,7 @@ from pcvne.experiment import (
     write_json,
 )
 from pcvne.generators import RequestSpec, SpecError, SubstrateSpec, gen_requests, gen_substrate
+from pcvne.model import ModelError
 from pcvne.path_embedding import procedure_pe
 
 
@@ -182,6 +183,34 @@ class TestRequestsReadOnce:
             views = [[(req.req_id, emb) for req, emb in embed(net.copy(), form).items]
                      for form in (reqs, tuple(reqs), (req for req in reqs))]
             assert views[1] == views[0] and views[2] == views[0]
+
+
+_EMBEDDERS = {
+    "procedure_pe": (procedure_pe, "path"),
+    "generic_batch-path": (generic_batch, "path"),
+    "generic_batch-cycle": (generic_batch, "cycle"),
+    "greedy_revenue": (greedy_revenue, "cycle"),
+    "greedy_revenue-fallback": (lambda net, reqs: greedy_revenue(net, reqs, fallback=True), "cycle"),
+}
+
+
+@pytest.mark.parametrize("form", [list, tuple, iter])
+@pytest.mark.parametrize("embedder", list(_EMBEDDERS))
+def test_every_embedder_refuses_duplicate_request_ids(embedder, form):
+    # one rule for all three embedders (model.distinct_ids): two requests
+    # with one id are refused before anything is embedded, whatever iterable
+    # holds them
+    embed, shape = _EMBEDDERS[embedder]
+    topology = dict(n_edges=9) if shape == "path" else dict(topology="cycle")
+    net = gen_substrate(SubstrateSpec(n_nodes=6, **topology), 1)
+    reqs = [*gen_requests(RequestSpec(shape=shape, count=3, length_range=(3, 4)), 2),
+            *gen_requests(RequestSpec(shape=shape, count=1, length_range=(3, 4)), 3)]
+    assert [req.req_id for req in reqs] == [0, 1, 2, 0]
+    residuals = dict(net.residual_cpu), dict(net.residual_bw)
+    with pytest.raises(ModelError, match="^duplicate request ids$"):
+        embed(net, form(reqs))
+    assert (net.residual_cpu, net.residual_bw) == residuals
+    assert len(embed(net, form(reqs[:3]))) > 0
 
 
 def test_experiment_json_golden_output_is_unchanged():

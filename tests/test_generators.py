@@ -166,6 +166,19 @@ def test_non_int_spec_fields_are_named(spec, field, value, bad):
     assert str(exc.value) == f"{field}: {bad!r} is not an int"
 
 
+@pytest.mark.parametrize("field, value", [
+    ("length_range", (1, 2, 3)),
+    ("length_range", 5),
+    ("demand_range", None),
+    ("demand_range", [4]),
+])
+def test_a_range_that_is_not_a_pair_is_named(field, value):
+    # checked before it is unpacked, so no raw ValueError or TypeError escapes
+    with pytest.raises(SpecError) as exc:
+        gen_requests(RequestSpec(**{field: value}), 0)
+    assert str(exc.value) == f"{field}: {value!r} is not a pair"
+
+
 class TestEdpReduction:
     def _line(self):
         return [0, 1, 2], [(0, 1), (1, 2)]

@@ -31,15 +31,14 @@ from oracles import (
     item_order_key,
     pack_mkp_reference,
     path_items_reference,
+    placement_embedding,
     procedure_pe_reference,
     solve_kp_dp,
 )
 from pcvne.generators import RequestSpec, SubstrateSpec, gen_requests, gen_substrate
 from pcvne.knapsack import EXACT_ITEM_LIMIT, _mdkp_items, solve_mdkp
-from pcvne.model import ModelError, commit, edge_key, footprint, validate_embedding
+from pcvne.model import Embedding, ModelError, commit, edge_key, footprint, validate_embedding
 from pcvne.path_embedding import (
-    PathPlacement,
-    SubstratePath,
     _dfs_tree,
     assign_mdkp,
     decompose_paths,
@@ -54,21 +53,26 @@ def graph_net(g, cpu=100, bw=100):
     return make_net(list(g.nodes), list(g.edges), cpu, bw)
 
 
+def sl_keys(paths):
+    """Each path's SL keys in path order, as procedure_pe hands them to assign_mdkp."""
+    return [tuple(map(edge_key, p, p[1:])) for p in paths]
+
+
 class TestDecompose:
     def test_path_substrate_is_one_path(self):
         net = path_net(6)
         paths = decompose_paths(net)
         assert len(paths) == 1
-        assert paths[0].nodes == tuple(range(6))
+        assert paths[0] == tuple(range(6))
 
     def test_triangle(self):
         net = make_net([0, 1, 2], [(0, 1), (1, 2), (0, 2)], 10, 10)
-        lengths = sorted(p.length for p in decompose_paths(net))
+        lengths = sorted(len(p) - 1 for p in decompose_paths(net))
         assert lengths == [1, 2]
 
     def test_star(self):
         net = make_net([0, 1, 2, 3], [(0, 1), (0, 2), (0, 3)], 10, 10)
-        lengths = sorted(p.length for p in decompose_paths(net))
+        lengths = sorted(len(p) - 1 for p in decompose_paths(net))
         assert lengths == [1, 2]
 
     def test_empty_when_no_usable_links(self):
@@ -81,25 +85,32 @@ class TestDecompose:
         net = path_net(4)
         net.residual_cpu[1] = 0
         paths = decompose_paths(net)
-        used = {e for p in paths for e in p.edges()}
+        used = {e for links in sl_keys(paths) for e in links}
         assert edge_key(0, 1) not in used and edge_key(1, 2) not in used
         assert edge_key(2, 3) in used
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 10 ** 6), st.integers(2, 9))
     def test_link_disjoint_and_covering(self, seed, n):
-        g = random_connected_graph(random.Random(seed), n)
-        net = graph_net(g)
-        paths = decompose_paths(net)
-        seen = set()
-        for p in paths:
-            # consecutive nodes adjacent, no repeated link
-            for e in p.edges():
-                assert e in net.bw_capacity
-                assert e not in seen
-                seen.add(e)
-        assert seen == set(net.edges)
-        assert len(paths) <= len(net.edges)
+        # on the whole substrate and with some residuals at 0: every path is
+        # a tuple of at least 2 distinct usable SNs, consecutive ones joined
+        # by a usable SL; no SL is on two paths, and every usable SL is on one
+        rng = random.Random(seed)
+        net = graph_net(random_connected_graph(rng, n))
+        for net in (net, _exhaust_some(rng, net.copy())):
+            paths = decompose_paths(net)
+            seen = set()
+            for p in paths:
+                assert type(p) is tuple and len(p) >= 2 and len(set(p)) == len(p)
+                assert all(net.residual_cpu[v] > 0 for v in p)
+                for e in map(edge_key, p, p[1:]):
+                    assert net.residual_bw.get(e, 0) > 0
+                    assert e not in seen
+                    seen.add(e)
+            usable = {(u, v) for u, v in net.edges
+                      if net.residual_bw[u, v] > 0 and net.residual_cpu[u] > 0 and net.residual_cpu[v] > 0}
+            assert seen == usable
+            assert len(paths) <= len(net.edges)
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(0, 10 ** 6))
@@ -135,12 +146,12 @@ class TestDecompose:
 
     def test_two_node_tree(self):
         net = path_net(2)
-        assert decompose_paths(net) == decompose_paths_reference(net) == [SubstratePath((0, 1))]
+        assert decompose_paths(net) == decompose_paths_reference(net) == [(0, 1)]
 
     def test_star_paths(self):
         # root 0, deepest leaf 1, farthest from it 2: up to the root and down
         net = make_net([0, 1, 2, 3], [(0, 1), (0, 2), (0, 3)], 10, 10)
-        want = [SubstratePath((1, 0, 2)), SubstratePath((0, 3))]
+        want = [(1, 0, 2), (0, 3)]
         assert decompose_paths(net) == decompose_paths_reference(net) == want
 
     def test_long_path_rooted_inside(self):
@@ -148,7 +159,7 @@ class TestDecompose:
         # the longer arm, b the other one, below the root but off a's chain
         seq = list(range(60, 0, -1)) + [0] + list(range(61, 101))
         net = make_net(seq, list(zip(seq, seq[1:])), 10, 10)
-        assert decompose_paths(net) == decompose_paths_reference(net) == [SubstratePath(tuple(seq))]
+        assert decompose_paths(net) == decompose_paths_reference(net) == [tuple(seq)]
 
     def test_farthest_node_hangs_off_an_ancestor_below_the_root(self):
         # root 0 (degree 3, lowest id) down the chain 1..30 to a = 30; the
@@ -158,7 +169,7 @@ class TestDecompose:
         net = make_net([*chain, *branch[1:], 200, 201], edges, 10, 10)
         paths = decompose_paths(net)
         assert paths == decompose_paths_reference(net)
-        assert paths[0] == SubstratePath((*range(30, 9, -1), *range(100, 115)))
+        assert paths[0] == (*range(30, 9, -1), *range(100, 115))
 
 
 def _exhaust_some(rng, net):
@@ -212,50 +223,46 @@ def test_dfs_tree_on_a_long_path_needs_no_recursion():
 
 class TestPackMkp:
     def test_single_request_at_offset_zero(self):
-        paths = [SubstratePath(tuple(range(11)))]
+        paths = [tuple(range(11))]
         req = uniform_path_request("r", 5)
-        placements = pack_mkp(paths, path_items([req]))
-        assert len(placements) == 1
-        assert placements[0].offset == 0 and placements[0].path_index == 0
+        assert pack_mkp(paths, path_items([req])) == [(req, 0, 0)]
 
     def test_capacity_excludes_one_of_two(self):
-        paths = [SubstratePath(tuple(range(11)))]
+        paths = [tuple(range(11))]
         reqs = [uniform_path_request("a", 5, revenue=5),
                 uniform_path_request("b", 6, revenue=6)]
         placements = pack_mkp(paths, path_items(reqs), mode="exact")
         assert len(placements) == 1  # 5 + 6 > 10
-        assert placements[0].req.req_id == "b"  # higher profit wins in exact mode
+        assert placements[0][0].req_id == "b"  # higher profit wins in exact mode
 
     def test_exact_profit_matches_exhaustive(self):
         rng = random.Random(23)
         for _ in range(15):
-            paths = [SubstratePath(tuple(range(rng.randint(2, 8))))
-                     for _ in range(3)]
+            paths = [tuple(range(rng.randint(2, 8))) for _ in range(3)]
             reqs = [uniform_path_request(i, rng.randint(1, 6), revenue=rng.randint(1, 9))
                     for i in range(8)]
             placements = pack_mkp(paths, path_items(reqs), mode="exact")
-            placed_profit = sum(pl.req.revenue for pl in placements)
+            placed_profit = sum(req.revenue for req, _k, _o in placements)
             items = [Item(item_id=r.req_id, size=r.length, profit=r.revenue) for r in reqs]
-            assert placed_profit == mkp_best_profit([p.length for p in paths], items)
+            assert placed_profit == mkp_best_profit([len(p) - 1 for p in paths], items)
 
     def test_placements_fit_and_share_boundaries(self):
         rng = random.Random(31)
         for _ in range(20):
-            paths = [SubstratePath(tuple(range(rng.randint(2, 9)))),
-                     SubstratePath(tuple(range(100, 100 + rng.randint(2, 9))))]
+            paths = [tuple(range(rng.randint(2, 9))), tuple(range(100, 100 + rng.randint(2, 9)))]
             reqs = [uniform_path_request(i, rng.randint(1, 5)) for i in range(7)]
             placements = pack_mkp(paths, path_items(reqs))
+            assert [k for _req, k, _o in placements] == sorted(k for _req, k, _o in placements)
             by_path = {}
-            for pl in placements:
-                by_path.setdefault(pl.path_index, []).append(pl)
+            for req, k, offset in placements:
+                by_path.setdefault(k, []).append((offset, req))
             for k, pls in by_path.items():
-                pls.sort(key=lambda pl: pl.offset)
-                assert sum(pl.req.length for pl in pls) <= paths[k].length
+                assert sum(req.length for _o, req in pls) <= len(paths[k]) - 1
                 cursor = 0
-                for pl in pls:
-                    assert pl.offset == cursor  # left-packed, boundary shared
-                    cursor += pl.req.length
-                    assert pl.offset + pl.req.length <= paths[k].length
+                for offset, req in pls:
+                    assert offset == cursor  # left-packed in list order, boundary shared
+                    cursor += req.length
+                    assert offset + req.length <= len(paths[k]) - 1
 
     def test_placement_embeddings_structurally_sound(self):
         # geometric realizability: the induced embedding is well formed and
@@ -265,15 +272,15 @@ class TestPackMkp:
         net = graph_net(g)
         paths = decompose_paths(net)
         reqs = [uniform_path_request(i, rng.randint(1, 4)) for i in range(6)]
-        for pl in pack_mkp(paths, path_items(reqs)):
-            emb = pl.to_embedding()
-            ok, violations = validate_embedding(net, pl.req, emb)
+        for req, k, offset in pack_mkp(paths, path_items(reqs)):
+            emb = placement_embedding(paths[k], req, offset)
+            ok, violations = validate_embedding(net, req, emb)
             assert not any(v.kind in ("endpoint", "injectivity") for v in violations)
 
     def test_rejects_non_path_requests(self):
         cycle = make_cycle_request(0, [1, 1, 1], [1, 1, 1])
         with pytest.raises(ModelError):
-            pack_mkp([SubstratePath((0, 1))], path_items([cycle]))
+            pack_mkp([(0, 1)], path_items([cycle]))
 
 
 def _path_items_outcome(requests):
@@ -347,23 +354,24 @@ def test_path_items_refuses_as_when_it_built_kp_items(requests, refusal):
 class TestAssignMdkp:
     def test_single_fitting_placement_accepted(self):
         net = path_net(6, cpu=2, bw=1)
-        paths = [SubstratePath(tuple(range(6)))]
+        paths = [tuple(range(6))]
         placements = pack_mkp(paths, path_items([uniform_path_request("r", 3)]))
-        accepted = assign_mdkp(net, placements)
-        assert [pl.req.req_id for pl, _emb, _use in accepted] == ["r"]
+        accepted = assign_mdkp(net, paths, sl_keys(paths), placements)
+        assert [req.req_id for req, _emb, _use in accepted] == ["r"]
         assert net.residual_bw[edge_key(0, 1)] == 0
-        # each funded placement comes with the footprint its commit returned
-        (pl, emb, use), = accepted
-        assert use == footprint([(pl.req, emb)]) == ({0: 1, 1: 1, 2: 1, 3: 1}, {(0, 1): 1, (1, 2): 1, (2, 3): 1})
+        # each funded placement comes with its embedding and the footprint its commit returned
+        (req, emb, use), = accepted
+        assert emb == placement_embedding(paths[0], req, 0)
+        assert use == footprint([(req, emb)]) == ({0: 1, 1: 1, 2: 1, 3: 1}, {(0, 1): 1, (1, 2): 1, (2, 3): 1})
 
     def test_boundary_cpu_conflict_drops_one(self):
         # two placements share node 3; its capacity only fits one end VN
         net = path_net(7, cpu=1, bw=1)
-        paths = [SubstratePath(tuple(range(7)))]
+        paths = [tuple(range(7))]
         reqs = [uniform_path_request("a", 3), uniform_path_request("b", 3)]
         placements = pack_mkp(paths, path_items(reqs))
         assert len(placements) == 2
-        accepted = assign_mdkp(net, placements)
+        accepted = assign_mdkp(net, paths, sl_keys(paths), placements)
         assert len(accepted) == 1
 
     def test_exact_matches_exhaustive_subsets(self):
@@ -381,18 +389,18 @@ class TestAssignMdkp:
             dim_index = {d: i for i, d in enumerate(dims)}
             caps = [net.residual_cpu[v] for v in net.nodes] + [net.residual_bw[k] for k in net.edges]
             items = []
-            for i, pl in enumerate(placements):
-                emb = pl.to_embedding()
+            for i, (req, k, offset) in enumerate(placements):
+                emb = placement_embedding(paths[k], req, offset)
                 sizes = [0] * len(dims)
                 for vn, sn in emb.node_map.items():
-                    sizes[dim_index[sn]] += pl.req.cpu_demand[vn]
+                    sizes[dim_index[sn]] += req.cpu_demand[vn]
                 for vl, sls in emb.link_map.items():
                     for e in sls:
-                        sizes[dim_index[edge_key(*e)]] += pl.req.bw_demand[vl]
-                items.append((i, pl.req.revenue, tuple(sizes)))
+                        sizes[dim_index[edge_key(*e)]] += req.bw_demand[vl]
+                items.append((i, req.revenue, tuple(sizes)))
             expected = mdkp_best_profit(caps, items)
-            accepted = assign_mdkp(net, placements, mode="exact")
-            assert sum(pl.req.revenue for pl, _emb, _use in accepted) == expected
+            accepted = assign_mdkp(net, paths, sl_keys(paths), placements, mode="exact")
+            assert sum(req.revenue for req, _emb, _use in accepted) == expected
 
 
     @pytest.mark.parametrize("mode", ["greedy", "exact"])
@@ -402,30 +410,30 @@ class TestAssignMdkp:
         # the others are funded as if it were not there
         net = path_net(7, cpu=2, bw=2)
         net.residual_cpu[1] = 0
-        path = SubstratePath(tuple(range(7)))
+        paths = [tuple(range(7))]
         a, b = uniform_path_request("a", 2, revenue=9), uniform_path_request("b", 3)
-        placements = [PathPlacement(a, 0, path, 0), PathPlacement(b, 0, path, 3)]
-        accepted = assign_mdkp(net, placements, mode=mode)
-        assert [pl.req.req_id for pl, _emb, _use in accepted] == ["b"]
+        accepted = assign_mdkp(net, paths, sl_keys(paths), [(a, 0, 0), (b, 0, 3)], mode=mode)
+        assert [req.req_id for req, _emb, _use in accepted] == ["b"]
         assert net.residual_cpu == {0: 2, 1: 0, 2: 2, 3: 1, 4: 1, 5: 1, 6: 1}
 
     def test_embeds_each_funded_placement_once_and_no_other(self, monkeypatch):
         # the funding sizes come off the path slice: only a funded placement
         # is turned into an Embedding, once, for its commit
         calls = []
-        to_embedding = PathPlacement.to_embedding
 
-        def counting(self):
-            calls.append(self.req.req_id)
-            return to_embedding(self)
+        def counting(*args, **kwargs):
+            emb = Embedding(*args, **kwargs)
+            calls.append(emb.req_id)
+            return emb
 
-        monkeypatch.setattr(PathPlacement, "to_embedding", counting)
+        monkeypatch.setattr(path_embedding, "Embedding", counting)
         net = path_net(12, cpu=1, bw=1)
         reqs = [uniform_path_request(i, 3) for i in range(4)]
-        placements = pack_mkp([SubstratePath(tuple(range(12)))], path_items(reqs))
-        accepted = assign_mdkp(net, placements)
+        paths = [tuple(range(12))]
+        placements = pack_mkp(paths, path_items(reqs))
+        accepted = assign_mdkp(net, paths, sl_keys(paths), placements)
         assert 0 < len(accepted) < len(placements)
-        assert sorted(calls) == sorted(pl.req.req_id for pl, _emb, _use in accepted)
+        assert sorted(calls) == sorted(req.req_id for req, _emb, _use in accepted)
 
 
 class TestProcedurePe:
@@ -526,15 +534,15 @@ def test_property_procedure_pe_matches_fraction_key_reference(seed):
 
 
 def _funding_calls(net, reqs):
-    """Run procedure_pe and return, per funding call, the placements, the
-    residual CPU and BW maps before it, and the MDKP capacities and items it
-    solved."""
+    """Run procedure_pe and return, per funding call, its (paths, SL keys,
+    placements) arguments, the residual CPU and BW maps before it, and the
+    MDKP capacities and items it solved."""
     calls = []
     assign, solve = path_embedding.assign_mdkp, path_embedding.solve_mdkp
 
-    def recording_assign(net, placements, mode="greedy"):
-        calls.append([placements, dict(net.residual_cpu), dict(net.residual_bw)])
-        return assign(net, placements, mode=mode)
+    def recording_assign(net, paths, links, placements, mode="greedy"):
+        calls.append([(paths, links, placements), dict(net.residual_cpu), dict(net.residual_bw)])
+        return assign(net, paths, links, placements, mode=mode)
 
     def recording_solve(capacities, items, mode="greedy"):
         calls[-1].append((capacities, items))
@@ -558,17 +566,17 @@ def _assert_funding_sizes_are_footprints(net, reqs):
     # those SNs and SLs and of nothing else; and the solver weighs each item
     # as the Fraction sum of size / residual over its pairs, times a scale
     # that every touched residual's numerator divides
-    for placements, residual_cpu, residual_bw, (caps, items) in _funding_calls(net, reqs):
+    for (paths, _links, placements), residual_cpu, residual_bw, (caps, items) in _funding_calls(net, reqs):
         assert [item[0] for item in items] == list(range(len(placements)))
         residual = {("SN", sn): q for sn, q in residual_cpu.items()}
         residual.update({("SL", k): q for k, q in residual_bw.items()})
         dims = {}
-        for (_idx, profit, pairs), pl in zip(items, placements):
-            cpu, bw = footprint([(pl.req, pl.to_embedding())])
+        for (_idx, profit, pairs), (req, k, offset) in zip(items, placements):
+            cpu, bw = footprint([(req, placement_embedding(paths[k], req, offset))])
             use = {**{("SN", sn): q for sn, q in cpu.items()}, **{("SL", k): q for k, q in bw.items()}}
             for d in use:
                 dims.setdefault(d, len(dims))
-            assert profit == pl.req.revenue
+            assert profit == req.revenue
             assert pairs == [(dims[d], q) for d, q in use.items()]
         assert caps == [residual[d] for d in dims]
         weighed, scale = _mdkp_items(caps, items)
@@ -605,17 +613,17 @@ def _assert_sparse_funding_selects_as_dense(net, reqs):
     # exhaustive up to EXACT_ITEM_LIMIT items (the exact search bounds with a
     # surrogate capacity that counts the touched dimensions only)
     index = {d: i for i, d in enumerate([*(("SN", v) for v in net.nodes), *(("SL", k) for k in net.edges)])}
-    for placements, residual_cpu, residual_bw, (touched, items) in _funding_calls(net, reqs):
+    for (paths, _links, placements), residual_cpu, residual_bw, (touched, items) in _funding_calls(net, reqs):
         caps = [residual_cpu[v] for v in net.nodes] + [residual_bw[k] for k in net.edges]
         dense = []
-        for idx, pl in enumerate(placements):
-            cpu, bw = footprint([(pl.req, pl.to_embedding())])
+        for idx, (req, k, offset) in enumerate(placements):
+            cpu, bw = footprint([(req, placement_embedding(paths[k], req, offset))])
             sizes = [0] * len(index)
             for sn, q in cpu.items():
                 sizes[index["SN", sn]] = q
             for k, q in bw.items():
                 sizes[index["SL", k]] = q
-            dense.append((idx, pl.req.revenue, tuple(sizes)))
+            dense.append((idx, req.revenue, tuple(sizes)))
         assert solve_mdkp(touched, items) == mdkp_greedy_reference(caps, dense)
         if len(dense) <= EXACT_ITEM_LIMIT:
             assert solve_mdkp(touched, items, mode="exact") == mdkp_exact_reference(caps, dense)
@@ -656,7 +664,7 @@ def test_pack_mkp_builds_the_ratio_key_once(monkeypatch):
     monkeypatch.setattr(knapsack, "mkp_order", counting_mkp_order)
     monkeypatch.setattr(path_embedding, "mkp_order", counting_mkp_order)
     reqs = [uniform_path_request(i, 5 + i % 6) for i in range(1000)]
-    paths = [SubstratePath(tuple(range(100 * k, 100 * k + 61))) for k in range(40)]
+    paths = [tuple(range(100 * k, 100 * k + 61)) for k in range(40)]
     placements = pack_mkp(paths, path_items(reqs))
     assert 0 < len(placements) < len(reqs)
     assert calls == {"mkp_order": 1, "ratio_key": 1, "key": len(reqs)}
@@ -674,7 +682,7 @@ def test_pack_mkp_calls_solve_mkp_once(monkeypatch, mode):
         return solve_mkp(*args, **kwargs)
 
     monkeypatch.setattr(path_embedding, "solve_mkp", spying)
-    paths = [SubstratePath(tuple(range(7))), SubstratePath(tuple(range(10, 14)))]
+    paths = [tuple(range(7)), tuple(range(10, 14))]
     reqs = path_items([uniform_path_request(i, 1 + i % 4, revenue=1 + i % 3) for i in range(9)])
     placements = pack_mkp(paths, reqs, mode=mode)
     assert 0 < len(placements) < len(reqs)
@@ -688,16 +696,14 @@ def test_property_pack_mkp_places_as_the_per_call_items_did(seed, mode):
     # sorted once by path_items must give the placements that building and
     # solving the items in request order gave
     rng = random.Random(seed)
-    paths = [SubstratePath(tuple(range(100 * k, 100 * k + rng.randint(2, 9))))
-             for k in range(rng.randint(0, 4))]
+    paths = [tuple(range(100 * k, 100 * k + rng.randint(2, 9))) for k in range(rng.randint(0, 4))]
     reqs = [uniform_path_request(i, rng.randint(1, 6),
                                  revenue=rng.choice([1, 2, 3, Fraction(3, 2), Fraction(5, 2)]))
             for i in range(rng.randint(0, EXACT_ITEM_LIMIT - 3))]
     rng.shuffle(reqs)
     got = pack_mkp(paths, path_items(reqs), mode=mode)
     want = pack_mkp_reference(paths, reqs, mode=mode)
-    assert ([(pl.req.req_id, pl.path_index, pl.offset) for pl in got]
-            == [(pl.req.req_id, pl.path_index, pl.offset) for pl in want])
+    assert [(req.req_id, k, o) for req, k, o in got] == [(req.req_id, k, o) for req, k, o in want]
 
 
 def test_procedure_pe_builds_and_sorts_items_once(monkeypatch):
@@ -859,9 +865,9 @@ def test_property_funding_ignores_untouched_residuals(seed):
     # same instance, weighs it alike and funds the same placements
     prime = 2 ** 61 - 1
     net, reqs = _random_pipeline_instance(random.Random(seed))
-    for placements, residual_cpu, residual_bw, _solved in _funding_calls(net.copy(), reqs):
-        sns = {sn for pl in placements for sn in pl.path.nodes[pl.offset:pl.offset + pl.req.length + 1]}
-        sls = {k for pl in placements for k in pl.path.edges()[pl.offset:pl.offset + pl.req.length]}
+    for (paths, links, placements), residual_cpu, residual_bw, _solved in _funding_calls(net.copy(), reqs):
+        sns = {sn for req, k, o in placements for sn in paths[k][o:o + req.length + 1]}
+        sls = {sl for req, k, o in placements for sl in links[k][o:o + req.length]}
         changes = [None, *[("cpu", v) for v in net.nodes if v not in sns][:1],
                    *[("bw", k) for k in net.edges if k not in sls][:1]]
         runs = []
@@ -878,7 +884,7 @@ def test_property_funding_ignores_untouched_residuals(seed):
 
             with pytest.MonkeyPatch.context() as monkeypatch:
                 monkeypatch.setattr(path_embedding, "solve_mdkp", capturing)
-                funded = [pl.req.req_id for pl, _emb, _use in assign_mdkp(run, placements)]
+                funded = [req.req_id for req, _emb, _use in assign_mdkp(run, paths, links, placements)]
             ((caps, items),) = insts
             runs.append((caps, items, _mdkp_items(caps, items), funded))
         assert all(r == runs[0] for r in runs)
