@@ -13,8 +13,9 @@ an "id" gets its index; request ids must be distinct. Malformed data raises
 InstanceFormatError, whose message names the offending field. A loaded
 request owns its `vls` list, while its links are immutable tuples that
 requests share: one per distinct link with int ends.
-`dump_instance` writes the dict that `instance_to_dict` builds, in one
-`dump_json` call.
+`dump_instance` writes each row from the model objects through three row
+templates (node or VN, edge or VL, request); `instance_to_dict` builds the
+same data as a dict only where a defect in an id must be named.
 """
 
 from __future__ import annotations
@@ -37,22 +38,16 @@ def _q_out(x):
 
 
 def instance_to_dict(net, requests):
+    """The instance as the dict that `dump_instance` writes, row for row.
+    `dump_instance` builds it only for `_name_defect`, never to write it."""
     cpu, bw = net.cpu_capacity, net.bw_capacity
     return {
         "nodes": [{"id": v, "cpu": _q_out(cpu[v])} for v in net.nodes],
         "edges": [{"u": u, "v": v, "bw": _q_out(bw[(u, v)])} for u, v in net.edges],
-        "requests": [request_to_dict(r) for r in requests],
-    }
-
-
-def request_to_dict(req):
-    cpu, bw = req.cpu_demand, req.bw_demand
-    return {
-        "id": req.req_id,
-        "shape": req.shape.value,
-        "vns": [{"id": v, "cpu": _q_out(cpu[v])} for v in req.vns],
-        "vls": [{"u": u, "v": v, "bw": _q_out(bw[(u, v)])} for u, v in req.vls],
-        "revenue": _q_out(req.revenue),
+        "requests": [{"id": r.req_id, "shape": r.shape.value,
+                      "vns": [{"id": v, "cpu": _q_out(r.cpu_demand[v])} for v in r.vns],
+                      "vls": [{"u": u, "v": v, "bw": _q_out(r.bw_demand[(u, v)])} for u, v in r.vls],
+                      "revenue": _q_out(r.revenue)} for r in requests],
     }
 
 
@@ -158,17 +153,46 @@ def _check_entries(obj, key, where, fields):
 
 
 def dump_instance(net, requests, fp):
-    """Write `instance_to_dict(net, requests)` by `dump_json`, one node, edge
-    or request per line; ids must be scalars. `_name_defect` checks the dict
-    first only when an id's type is not exactly a JSON scalar, so a tuple id,
-    which would load back as a list, raises before anything is written."""
-    data = instance_to_dict(net, requests)
+    """Write the instance row by row from the model, one node, edge or
+    request per line, in one `fp.write`; the text equals
+    `dump_json(instance_to_dict(net, requests))` byte for byte. Ids must be
+    scalars. `_name_defect` checks `instance_to_dict` first only when an id's
+    type is not exactly a JSON scalar, so a tuple id, which would load back
+    as a list, raises before anything is written."""
     types = set(map(type, chain(net.nodes, *net.edges)))
     for r in requests:
         types.update(map(type, chain((r.req_id,), r.vns, *r.vls)))
     if not types.issubset(_SCALARS):  # exact types; `_id` lets subclasses pass
-        _name_defect(data)
-    dump_json(data, fp)
+        _name_defect(instance_to_dict(net, requests))
+    rows = [f'{{"id": {_text(r.req_id)}, "shape": "{r.shape.value}", '
+            f'"vns": [{", ".join(_vn_rows(r.vns, r.cpu_demand))}], '
+            f'"vls": [{", ".join(_vl_rows(r.vls, r.bw_demand))}], "revenue": {_q_text(r.revenue)}}}'
+            for r in requests]
+    fp.write(f'{{"nodes": {_block(_vn_rows(net.nodes, net.cpu_capacity))},\n'
+             f'"edges": {_block(_vl_rows(net.edges, net.bw_capacity))},\n"requests": {_block(rows)}}}\n')
+
+
+def _text(x):
+    """`json.dumps(x)` for a scalar; `str` only for an exact int, since that
+    of an IntEnum or a bool is not its JSON."""
+    return str(x) if type(x) is int else json.dumps(x)
+
+
+def _q_text(x):
+    return str(x) if type(x) is int else json.dumps(_q_out(x))
+
+
+def _vn_rows(ids, cpu):
+    return [f'{{"id": {_text(v)}, "cpu": {_q_text(cpu[v])}}}' for v in ids]
+
+
+def _vl_rows(links, bw):
+    return [f'{{"u": {_text(u)}, "v": {_text(v)}, "bw": {_q_text(bw[(u, v)])}}}' for u, v in links]
+
+
+def _block(rows):
+    """A list of JSON texts as one JSON list, one entry per line."""
+    return "[\n" + ",\n".join(rows) + "\n]" if rows else "[]"
 
 
 def dump_json(obj, fp):
@@ -177,7 +201,7 @@ def dump_json(obj, fp):
     a dict one key per line, where a list value does too and any other value
     stays on its key's line. Any JSON layout loads back the same."""
     def block(x):
-        return "[\n" + ",\n".join(map(json.dumps, x)) + "\n]" if isinstance(x, list) and x else json.dumps(x)
+        return _block(list(map(json.dumps, x))) if isinstance(x, list) else json.dumps(x)
     if isinstance(obj, dict):
         fp.write("{" + ",\n".join(f"{json.dumps(k)}: {block(v)}" for k, v in obj.items()) + "}\n")
     else:

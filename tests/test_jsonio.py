@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_cycle_request, make_net, make_path_request
+from pcvne import jsonio
 from pcvne.jsonio import (
     InstanceFormatError,
     dump_instance,
@@ -185,7 +186,7 @@ class _Name(str):
 
 def test_dump_of_scalar_subclass_ids_writes_the_dict_and_loads_back_equal():
     # ids that are scalars but not of an exact JSON type: the dict is checked
-    # for a defect, finds none, and is written as any other
+    # for a defect, finds none, and the rows are written as any others
     net = make_net([_Sn.A, _Sn.B, 2], [(_Sn.A, _Sn.B), (_Sn.B, 2)], {_Sn.A: 3, _Sn.B: Fraction(5, 2), 2: 4}, 6)
     reqs = [make_path_request(_Name("r"), [1, 2], [3]), make_cycle_request(_Name("c"), [1, 1, 1], [2, 2, 2])]
     buf, want = io.StringIO(), io.StringIO()
@@ -198,6 +199,72 @@ def test_dump_of_scalar_subclass_ids_writes_the_dict_and_loads_back_equal():
     for a, b in zip(reqs, reqs2, strict=True):
         assert (a.req_id, a.shape, a.vns, a.vls, a.revenue) == (b.req_id, b.shape, b.vns, b.vls, b.revenue)
         assert (a.cpu_demand, a.bw_demand) == (b.cpu_demand, b.bw_demand)
+
+
+def _both_dumps(net, reqs):
+    """The text of `dump_instance`, and that of `dump_json` on the dict."""
+    got, want = io.StringIO(), io.StringIO()
+    dump_instance(net, reqs, got)
+    dump_json(instance_to_dict(net, reqs), want)
+    return got.getvalue(), want.getvalue()
+
+
+_ESCAPED = sorted(['q"', "b\\", "n\n", "é€", "\ud800"])  # sorted, so each link's ends ascend
+
+
+def _string_instance():
+    net = make_net(_ESCAPED, list(zip(_ESCAPED, _ESCAPED[1:])), 5, 5)
+    req = VirtualRequest(req_id='"\\\né\ud800', shape=Shape.PATH, vns=_ESCAPED,
+                         vls=list(zip(_ESCAPED, _ESCAPED[1:])), cpu_demand=dict.fromkeys(_ESCAPED, 1),
+                         bw_demand=dict.fromkeys(zip(_ESCAPED, _ESCAPED[1:]), 1))
+    return net, [req]
+
+
+class _Units(int):
+    """An int whose str is not its JSON, as an IntEnum member's is on Python 3.10."""
+
+    def __str__(self):
+        return f"{int(self)} units"
+
+
+def _subclass_instance():
+    net = make_net([_Sn.A, _Sn.B, _Units(2)], [(_Sn.A, _Sn.B), (_Sn.B, _Units(2))],
+                   {_Sn.A: _Sn.B, _Sn.B: _Units(2), 2: 4}, 6)
+    req = VirtualRequest(req_id=_Name("r"), shape=Shape.PATH, vns=[_Sn.A, _Sn.B], vls=[(_Sn.A, _Sn.B)],
+                         cpu_demand={_Sn.A: 1, _Sn.B: _Sn.B}, bw_demand={(_Sn.A, _Sn.B): _Units(3)},
+                         revenue=_Units(4))
+    return net, [req, make_cycle_request(_Name("c"), [1, 1, 1], [2, 2, 2])]
+
+
+@pytest.mark.parametrize("instance", [
+    # request ids of the JSON scalar types other than int and str
+    lambda: (make_net([0, 1], [(0, 1)], 5, 5),
+             [make_path_request(rid, [1, 1], [1]) for rid in (2.5, -0.0, 1e300, True, None)]),
+    _string_instance,
+    # int-subclass ids and quantities, IntEnum ones included, and str-subclass ids
+    _subclass_instance,
+    lambda: (make_net([0, 1], [(0, 1)], {0: Fraction(5, 2), 1: "7/3"}, {(0, 1): Fraction(4, 2)}),
+             [make_path_request("r", [Fraction(1, 3), "9/4"], ["1/2"], revenue=Fraction(7, 2))]),
+    lambda: (make_net([0, 1], [(0, 1)], 5, 5), []),
+])
+def test_dump_writes_the_dicts_json_byte_for_byte(instance):
+    got, want = _both_dumps(*instance())
+    assert got == want
+
+
+def test_dump_builds_the_dict_only_to_name_a_defect(monkeypatch):
+    calls = []
+    monkeypatch.setattr(jsonio, "instance_to_dict", lambda *args: calls.append(args) or instance_to_dict(*args))
+    net = make_net([0, 1], [(0, 1)], 5, 5)
+    fp = io.StringIO()
+    dump_instance(net, [make_path_request(rid, [1, 1], [1]) for rid in ("r", 2.5, None)], fp)
+    assert calls == []
+    assert len(fp.getvalue().splitlines()) == 12
+    fp = io.StringIO()
+    with pytest.raises(InstanceFormatError, match=re.escape("requests[0].id: expected a scalar id, got tuple")):
+        dump_instance(net, [make_path_request(("r", 1), [1, 1], [1])], fp)
+    assert len(calls) == 1
+    assert fp.getvalue() == ""
 
 
 def test_request_ids_default_to_index():
@@ -368,11 +435,11 @@ def _exact(mapping):
 @given(instances())
 def test_property_dump_load_keeps_ids_and_quantities(instance):
     net, reqs = instance
-    buf = io.StringIO()
-    dump_instance(net, reqs, buf)
-    assert json.loads(buf.getvalue()) == instance_to_dict(net, reqs)
+    dumped, want = _both_dumps(net, reqs)
+    assert dumped == want  # byte for byte
+    assert json.loads(dumped) == instance_to_dict(net, reqs)
     indented = json.dumps(instance_to_dict(net, reqs), indent=2)
-    for text in (buf.getvalue(), indented):
+    for text in (dumped, indented):
         net2, reqs2 = load_instance(io.StringIO(text))
         assert (net2.nodes, net2.edges) == (net.nodes, net.edges)
         assert _exact(net2.cpu_capacity) == _exact(net.cpu_capacity)
