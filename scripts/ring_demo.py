@@ -34,10 +34,14 @@ def main():
         print(json.dumps(w.to_json(), indent=2))
         found = min_weight_cycle(w)
         print("minimum weight cycle:", found, "\n")
-    sx = c2ce(net, req)
-    print(f"best embedding: direction {sx.direction}, cost {sx.cost}")
-    print("hosts:", dict(zip(req.vns, sx.assignment)))
-    print("segments:", {str(vl): seg for vl, seg in zip(req.vls, sx.segments)})
+    emb = c2ce(net, req)
+    # "+" when the first VL leaves its host by the clockwise link out of it
+    start = emb.node_map[req.vns[0]]
+    direction = "+" if emb.link_map[req.vls[0]][0] == cycle.links[cycle.index[start]] else "-"
+    cost = sum(len(emb.link_map[vl]) * req.bw_demand[vl] for vl in req.vls)
+    print(f"best embedding: direction {direction}, cost {cost}")
+    print("hosts:", emb.node_map)
+    print("segments:", {str(vl): emb.link_map[vl] for vl in req.vls})
 
 
 if __name__ == "__main__":

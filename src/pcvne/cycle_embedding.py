@@ -228,38 +228,17 @@ def min_weight_cycle(w):
     return hosts, rests[0][0]
 
 
-@dataclass
-class SimplexEmbedding:
-    """A one-direction ring embedding: ordered host assignment, per-VL SL
-    segments that wrap the ring exactly once, and the total BW cost."""
-
-    start: object
-    direction: str
-    assignment: list   # host SN per VN, in request order
-    segments: list     # list of SL-key lists, one per VL in request order
-    hops: list
-    cost: object
-
-    def to_embedding(self, req):
-        node_map = {vn: sn for vn, sn in zip(req.vns, self.assignment)}
-        link_map = {vl: list(seg) for vl, seg in zip(req.vls, self.segments)}
-        return Embedding(req_id=req.req_id, node_map=node_map, link_map=link_map)
-
-
-def _simplex_from_hosts(cycle, req, start, direction, hosts):
-    """The SimplexEmbedding of `hosts`, a cycle found anchored at `start` going
-    `direction`. Needs hosts[0] == start and ring positions strictly rising
-    from there: each segment is the slice of the ring's links, read from
-    `start`, between two consecutive hosts, the last back to m."""
-    s, m = cycle.index[start], cycle.m
-    # links[j] joins positions j and j+1: clockwise link s+j going "+", s-1-j going "-"
-    links = _anchored(cycle.links, s if direction == CLOCKWISE else (s - 1) % m, direction)
-    sign = 1 if direction == CLOCKWISE else -1
+def _embedding(cycle, req, w, hosts):
+    """The Embedding of `hosts`, the cycle `min_weight_cycle` found in `w`:
+    VN j on hosts[j], VL j on the slice of the ring's links, read from the
+    anchor in `w`'s direction, between hosts j and j+1, the last back to m."""
+    s, m = cycle.index[w.start], cycle.m
+    # links[p] joins positions p and p+1: clockwise link s+p going "+", s-1-p going "-"
+    links = _anchored(cycle.links, s if w.direction == CLOCKWISE else (s - 1) % m, w.direction)
+    sign = 1 if w.direction == CLOCKWISE else -1
     pos = [sign * (cycle.index[v] - s) % m for v in hosts] + [m]
-    hops = [b - a for a, b in zip(pos, pos[1:])]
-    cost = sum(h * req.bw_demand[vl] for h, vl in zip(hops, req.vls))
-    return SimplexEmbedding(start=start, direction=direction, assignment=list(hosts),
-                            segments=[links[a:b] for a, b in zip(pos, pos[1:])], hops=hops, cost=cost)
+    return Embedding(req_id=req.req_id, node_map=dict(zip(req.vns, hosts)),
+                     link_map={vl: links[a:b] for vl, a, b in zip(req.vls, pos, pos[1:])})
 
 
 def c2ce(net, req, cycle=None):
@@ -267,8 +246,9 @@ def c2ce(net, req, cycle=None):
 
     Scans `wdags` (every feasible anchor for the first VN crossed with both
     directions), takes the minimum weight directed cycle of each layered
-    digraph, and keeps the strictly cheapest. Returns a SimplexEmbedding or
-    None when no feasible one-direction embedding exists. An embedding
+    digraph, and keeps the strictly cheapest as (cost, graph, hosts). Returns
+    its Embedding, built once at the end, or None when no feasible
+    one-direction embedding exists, as `generic_embed` does. An embedding
     crosses every SL once with h_j >= 1 hops summing to m: it needs min d
     residual BW on each SL (else None at once), and none costs less than
     floor = Σ d_j + (m − n)·min d, so the scan stops there. `cycle` is the
@@ -288,19 +268,19 @@ def c2ce(net, req, cycle=None):
         if found is None:
             continue
         hosts, cost = found
-        if best is None or cost < best.cost:
-            best = _simplex_from_hosts(cycle, req, w.start, w.direction, hosts)
+        if best is None or cost < best[0]:
+            best = cost, w, hosts
             if cost == floor:
-                return best
-    return best
+                break
+    return None if best is None else _embedding(cycle, req, *best[1:])
 
 
 def greedy_revenue(net, requests, fallback=False, trace=None):
     """Embed cycle requests in descending revenue-to-demand ratio, on the
     knapsack orders' exact int (`_ratio_key`); equal ratios keep input order.
 
-    Each request is tried once with the ring solver and committed on success.
-    With `fallback` on, the requests the ring solver cannot place then go, in
+    Each request is tried once with `c2ce`, and whatever Embedding it returns
+    is committed. With `fallback` on, the requests it cannot place then go, in
     the same order, through one `generic_batch` pass, which ranks the SNs once
     and commits each success. Returns the accepted batch. The ring's
     `CycleView` is built once, before the first request. `trace`, if given,
@@ -324,11 +304,10 @@ def greedy_revenue(net, requests, fallback=False, trace=None):
     for req in ranked:
         if trace is not None:
             trace.extend(w.to_json() for w in wdags(cycle, req))
-        simplex = c2ce(net, req, cycle=cycle)
-        if simplex is None:
+        emb = c2ce(net, req, cycle=cycle)
+        if emb is None:
             leftovers.append(req)
             continue
-        emb = simplex.to_embedding(req)
         commit(net, req, emb)
         batch.add(req, emb)
     if fallback:

@@ -431,6 +431,43 @@ def tie_rule_oracle(net, req):
     return start, direction, list(hosts), cost
 
 
+def ring_embedding(order, req, direction, hosts):
+    """The embedding of a cycle request with VN j on hosts[j], by a plain
+    walk along the ring `order` ("+" forward, "-" backward): VL j takes the
+    SLs stepped from hosts[j] to the next host, the last back to hosts[0]."""
+    ahead = order[1:] + order[:1]
+    step = dict(zip(order, ahead)) if direction == "+" else dict(zip(ahead, order))
+    link_map = {}
+    for vl, u, stop in zip(req.vls, hosts, hosts[1:] + hosts[:1]):
+        sls = []
+        while u != stop:
+            sls.append(edge_key(u, step[u]))
+            u = step[u]
+        link_map[vl] = sls
+    return Embedding(req.req_id, dict(zip(req.vns, hosts)), link_map)
+
+
+RingReading = namedtuple("RingReading", "start direction assignment segments hops cost")
+
+
+def read_ring(net, req, emb):
+    """What a one-direction ring embedding says, read off the Embedding
+    alone, or None for None: start, the first VN's host; direction, "+" when
+    the first VL's first SL is the link from start to the next SN of
+    `ring_order`, else "-"; the hosts and the link paths in request order;
+    hops, the path lengths; cost, Σ len(link_map[vl]) · d."""
+    if emb is None:
+        return None
+    order = ring_order(net)
+    start = emb.node_map[req.vns[0]]
+    segments = [emb.link_map[vl] for vl in req.vls]
+    clockwise = edge_key(start, order[(order.index(start) + 1) % len(order)])
+    hops = list(map(len, segments))
+    return RingReading(start, "+" if segments[0][0] == clockwise else "-",
+                       [emb.node_map[vn] for vn in req.vns], segments, hops,
+                       sum(h * req.bw_demand[vl] for h, vl in zip(hops, req.vls)))
+
+
 def placement_embedding(path, req, offset):
     """The embedding of a path request laid on a substrate path (its node
     tuple) from link `offset` on, by a plain walk: VN i on SN path[offset + i]
@@ -570,20 +607,8 @@ def candidate_embeddings(net, req):
                           {vl: [edge_key(a, b)] for vl, a, b in zip(req.vls, seq, seq[1:])})
                 for seq in _path_host_sequences(net, req)]
     order = ring_order(net)
-    ahead = order[1:] + order[:1]
-    steps = {"+": dict(zip(order, ahead)), "-": dict(zip(ahead, order))}
-    out = []
-    for _start, direction, hosts, _cost in ring_tableaux(net, req):
-        step = steps[direction]
-        link_map = {}
-        for j, vl in enumerate(req.vls):
-            u, stop, sls = hosts[j], hosts[(j + 1) % len(hosts)], []
-            while u != stop:
-                sls.append(edge_key(u, step[u]))
-                u = step[u]
-            link_map[vl] = sls
-        out.append(Embedding(req.req_id, dict(zip(req.vns, hosts)), link_map))
-    return out
+    return [ring_embedding(order, req, direction, hosts)
+            for _start, direction, hosts, _cost in ring_tableaux(net, req)]
 
 
 def release(net, req, emb):
@@ -887,8 +912,9 @@ def feasible_sets_reference(cycle, req):
 
 def c2ce_reference(net, req):
     """Least-BW-cost one-direction embedding by the full anchor x direction
-    scan, as a SimplexEmbedding or None."""
-    from pcvne.cycle_embedding import CycleView, _simplex_from_hosts, min_weight_cycle, wdags
+    scan, as an Embedding or None; each strictly cheaper candidate's
+    Embedding is built by `ring_embedding`'s walk along `CycleView.order`."""
+    from pcvne.cycle_embedding import CycleView, min_weight_cycle, wdags
 
     cycle = CycleView(net)
     best = None
@@ -897,14 +923,15 @@ def c2ce_reference(net, req):
         if found is None:
             continue
         hosts, cost = found
-        if best is None or cost < best.cost:
-            best = _simplex_from_hosts(cycle, req, w.start, w.direction, hosts)
-    return best
+        if best is None or cost < best[0]:
+            best = cost, ring_embedding(cycle.order, req, w.direction, hosts)
+    return None if best is None else best[1]
 
 
 def greedy_revenue_reference(net, requests, fallback=None):
     """greedy_revenue on top of c2ce_reference: descending revenue-to-demand
-    ratio, commit on success, leftovers offered once each to `fallback`."""
+    ratio, the Embedding it returns committed, leftovers offered once each to
+    `fallback`."""
     ranked = sorted(
         requests,
         key=lambda r: Fraction(r.revenue, r.total_cpu_demand + r.total_bw_demand),
@@ -913,11 +940,10 @@ def greedy_revenue_reference(net, requests, fallback=None):
     batch = EmbeddingBatch()
     leftovers = []
     for req in ranked:
-        simplex = c2ce_reference(net, req)
-        if simplex is None:
+        emb = c2ce_reference(net, req)
+        if emb is None:
             leftovers.append(req)
             continue
-        emb = simplex.to_embedding(req)
         commit(net, req, emb)
         batch.add(req, emb)
     if fallback is not None:

@@ -30,6 +30,8 @@ from oracles import (
     mdkp_pairs,
     max_accepted,
     mkp_best_profit,
+    read_ring,
+    ring_embedding,
     ring_tableaux,
     solve_kp_dp,
     wdag_all_cycles,
@@ -39,7 +41,7 @@ from pcvne.cycle_embedding import (
     ANTICLOCKWISE,
     CLOCKWISE,
     CycleView,
-    _simplex_from_hosts,
+    _embedding,
     build_wdag,
     c2ce,
     feasible_sets,
@@ -97,11 +99,11 @@ def test_criterion_01_ring_regression():
     net, req = fig_ring_instance()
     cw = per_direction_minimum(net, req, CLOCKWISE)
     acw = per_direction_minimum(net, req, ANTICLOCKWISE)
-    sx = c2ce(net, req)
+    emb = c2ce(net, req)
     elapsed = time.perf_counter() - t0
     assert cw == 8
     assert acw == 9
-    assert sx is not None and sx.cost == 8
+    assert emb is not None and read_ring(net, req, emb).cost == 8
     assert elapsed < 1.0
     report(1, f"clockwise 8, anticlockwise 9, solver picks 8 in {elapsed * 1000:.1f}ms")
 
@@ -115,13 +117,13 @@ def test_criterion_02_ring_solver_optimality():
             rng, m_range=(3, 8), n_range=(3, 5), demand_range=(1, 5),
             cpu_range=(2, 7), bw_range=(2, 7))
         instances += 1
-        sx = c2ce(net, req)
+        emb = c2ce(net, req)
         best = brute_force_simplex_cycle(net, req)
         if best is None:
-            assert sx is None
+            assert emb is None
             infeasible += 1
         else:
-            assert sx is not None and sx.cost == best[1]
+            assert emb is not None and read_ring(net, req, emb).cost == best[1]
             feasible += 1
     elapsed = time.perf_counter() - t0
     assert elapsed < 60.0
@@ -144,12 +146,13 @@ def test_criterion_03_cycle_embedding_bijection():
             for direction in (CLOCKWISE, ANTICLOCKWISE):
                 w = build_wdag(cycle, req, start, direction, masks=masks)
                 enumerated = wdag_all_cycles(w)
-                # every directed cycle maps to a feasible embedding of equal cost
+                # every directed cycle maps to a feasible embedding whose BW
+                # total is the cycle's weight
                 mapped = set()
                 for hosts, cost in enumerated:
-                    sx = _simplex_from_hosts(cycle, req, start, direction, list(hosts))
-                    assert sx.cost == cost
-                    emb = sx.to_embedding(req)
+                    emb = _embedding(cycle, req, w, hosts)
+                    assert read_ring(net, req, emb).cost == cost
+                    assert emb == ring_embedding(cycle.order, req, direction, hosts)
                     ok, violations = validate_embedding(net, req, emb, against_residuals=True)
                     assert ok, violations
                     mapped.add(hosts)

@@ -29,6 +29,8 @@ from oracles import (
     feasible_sets_reference,
     greedy_revenue_reference,
     independent_arcs,
+    read_ring,
+    ring_order,
     tie_rule_oracle,
     wdag_all_cycles,
 )
@@ -139,8 +141,7 @@ class TestBuildWdag:
         net, req = fig_ring
         fresh = build_wdag(CycleView(net.copy()), req, 0, CLOCKWISE).to_json()
         w = build_wdag(CycleView(net), req, 0, CLOCKWISE)
-        sx = c2ce(net, req)
-        commit(net, req, sx.to_embedding(req))
+        commit(net, req, c2ce(net, req))
         assert w.to_json() == fresh
         assert min_weight_cycle(w) == ([0, 1, 3], 8)
 
@@ -210,7 +211,7 @@ class TestC2ce:
         net, req = fig_ring
         assert per_direction_minimum(net, req, CLOCKWISE) == 8
         assert per_direction_minimum(net, req, ANTICLOCKWISE) == 9
-        sx = c2ce(net, req)
+        sx = read_ring(net, req, c2ce(net, req))
         assert sx.cost == 8 and sx.direction == CLOCKWISE
 
     def test_full_ring_forces_unit_hops(self):
@@ -218,8 +219,9 @@ class TestC2ce:
         net = ring_net(m, cpu=9, bw=9)
         demands = [1, 2, 3, 1, 2, 3]
         req = make_cycle_request("r", [1] * m, demands)
-        sx = c2ce(net, req)
-        assert sx is not None
+        emb = c2ce(net, req)
+        assert emb is not None
+        sx = read_ring(net, req, emb)
         assert sx.hops == [1] * m
         assert sx.cost == sum(demands)
 
@@ -229,14 +231,14 @@ class TestC2ce:
         agree_feasible = agree_infeasible = 0
         for _ in range(rings):
             net, req = random_ring_instance(rng)
-            sx = c2ce(net, req)
+            emb = c2ce(net, req)
             best = brute_force_simplex_cycle(net, req)
             if best is None:
-                assert sx is None
+                assert emb is None
                 agree_infeasible += 1
             else:
-                assert sx is not None
-                assert sx.cost == best[1]
+                assert emb is not None
+                assert read_ring(net, req, emb).cost == best[1]
                 agree_feasible += 1
         assert agree_feasible > 10 and agree_infeasible > 5
 
@@ -245,17 +247,18 @@ class TestC2ce:
         checked = 0
         while checked < 25:
             net, req = random_ring_instance(rng)
-            sx = c2ce(net, req)
-            if sx is None:
+            emb = c2ce(net, req)
+            if emb is None:
                 continue
             checked += 1
+            sx = read_ring(net, req, emb)
             assert sum(sx.hops) == CycleView(net).m
             used = [e for seg in sx.segments for e in seg]
             assert len(used) == len(set(used))  # link-disjoint segments
-            assert sx.cost == sum(h * req.bw_demand[vl] for h, vl in zip(sx.hops, req.vls))
-            emb = sx.to_embedding(req)
             ok, violations = validate_embedding(net, req, emb, against_residuals=True)
             assert ok, violations
+            # what commit charges is the cost read off the link paths
+            assert sum(commit(net.copy(), req, emb)[1].values()) == sx.cost
 
     def test_uniform_demand_ties_follow_the_rule(self):
         # every one-direction embedding of a uniform-demand request costs
@@ -271,12 +274,13 @@ class TestC2ce:
                 n = rng.randint(3, min(5, m))
                 d = rng.randint(1, 2)
                 req = make_cycle_request(k, [d] * n, [d] * n)
-                sx = c2ce(net, req)
+                emb = c2ce(net, req)
+                sx = read_ring(net, req, emb)
                 got = None if sx is None else (sx.start, sx.direction, sx.assignment, sx.cost)
                 assert got == tie_rule_oracle(net, req)
-                if sx is not None:
+                if emb is not None:
                     checked += 1
-                    commit(net, req, sx.to_embedding(req))
+                    commit(net, req, emb)
         assert checked > 50
 
     def test_infeasible_when_request_larger_than_ring(self):
@@ -315,7 +319,8 @@ def spy(monkeypatch, name):
     return calls
 
 
-def outcome(sx):
+def outcome(net, req, emb):
+    sx = read_ring(net, req, emb)
     return None if sx is None else (sx.start, sx.direction, sx.assignment, sx.hops, sx.cost)
 
 
@@ -341,11 +346,11 @@ class TestScanCounts:
         req = make_cycle_request("r", [1, 1, 1], [1, 2, 3])
         built = spy(monkeypatch, "build_wdag")
         swept = spy(monkeypatch, "min_weight_cycle")
-        sx = c2ce(net, req)
+        emb = c2ce(net, req)
         assert len(built) == len(swept) == 1
         # floor = (1 + 2 + 3) + (6 - 3) * 1: the demand-1 VL takes the slack
-        assert outcome(sx) == (0, CLOCKWISE, [0, 4, 5], [4, 1, 1], 9)
-        assert outcome(sx) == outcome(c2ce_reference(net, req))
+        assert outcome(net, req, emb) == (0, CLOCKWISE, [0, 4, 5], [4, 1, 1], 9)
+        assert outcome(net, req, emb) == outcome(net, req, c2ce_reference(net, req))
 
     def test_every_pair_when_the_floor_is_out_of_reach(self, monkeypatch):
         # only SNs 0 and 3 host the first and last VN, so the demand-3 VL
@@ -353,10 +358,10 @@ class TestScanCounts:
         net = ring_net(6, cpu={0: 5, 1: 1, 2: 1, 3: 5, 4: 1, 5: 1})
         req = make_cycle_request("r", [5, 1, 5], [1, 2, 3])
         swept = spy(monkeypatch, "min_weight_cycle")
-        sx = c2ce(net, req)
+        emb = c2ce(net, req)
         assert len(swept) == 4  # anchors 0 and 3, both directions
-        assert sx.cost == 13
-        assert outcome(sx) == outcome(c2ce_reference(net, req))
+        assert read_ring(net, req, emb).cost == 13
+        assert outcome(net, req, emb) == outcome(net, req, c2ce_reference(net, req))
 
     @pytest.mark.parametrize("dead_link", [False, True])
     def test_wdags_gives_one_graph_per_feasible_anchor_and_direction(self, monkeypatch, dead_link):
@@ -372,9 +377,9 @@ class TestScanCounts:
         assert [(w.start, w.direction) for w in graphs] == [
             (s, d) for s in (1, 2, 4, 5) for d in (CLOCKWISE, ANTICLOCKWISE)]
         assert len(built) == len(graphs)
-        sx = c2ce(net, req)
-        assert outcome(sx) == outcome(c2ce_reference(net, req))
-        assert (sx is None) == dead_link
+        emb = c2ce(net, req)
+        assert outcome(net, req, emb) == outcome(net, req, c2ce_reference(net, req))
+        assert (emb is None) == dead_link
 
 
 def fraction_quantities(low, high):
@@ -422,16 +427,46 @@ def ring_workloads(draw, kinds=RING_KINDS):
     return net, reqs
 
 
+class TestReturnedEmbedding:
+    @settings(max_examples=300, deadline=None)
+    @given(ring_workloads())
+    def test_property_embedding_wraps_the_ring_at_the_dp_cost(self, workload):
+        # int and Fraction demands; each request's Embedding is committed
+        # before the next, so later ones meet used residuals
+        net, reqs = workload
+        order = ring_order(net)
+        m = len(order)
+        for req in reqs:
+            before = (dict(net.residual_cpu), dict(net.residual_bw))
+            emb = c2ce(net, req)
+            assert (net.residual_cpu, net.residual_bw) == before
+            weights = [found[1] for found in map(min_weight_cycle, wdags(CycleView(net), req)) if found]
+            if emb is None:
+                assert not weights
+                continue
+            segments = [emb.link_map[vl] for vl in req.vls]
+            assert all(segments)
+            # joined in request order: every ring link once, all one way round
+            i = order.index(emb.node_map[req.vns[0]])
+            ways = [[edge_key(order[(i + s * k) % m], order[(i + s * (k + 1)) % m]) for k in range(m)]
+                    for s in (1, -1)]
+            assert [e for seg in segments for e in seg] in ways
+            ok, violations = validate_embedding(net, req, emb, against_residuals=True)
+            assert ok, violations
+            cost = sum(len(seg) * req.bw_demand[vl] for seg, vl in zip(segments, req.vls))
+            assert cost == min(weights) == sum(commit(net, req, emb)[1].values())
+
+
 class TestPrunedScanMatchesFullScan:
     @settings(max_examples=300, deadline=None)
     @given(ring_workloads())
     def test_c2ce_equals_full_scan_with_commits_between(self, workload):
         net, reqs = workload
         for req in reqs:
-            sx = c2ce(net, req)
-            assert outcome(sx) == outcome(c2ce_reference(net, req))
-            if sx is not None:
-                commit(net, req, sx.to_embedding(req))
+            emb = c2ce(net, req)
+            assert outcome(net, req, emb) == outcome(net, req, c2ce_reference(net, req))
+            if emb is not None:
+                commit(net, req, emb)
 
     @settings(max_examples=150, deadline=None)
     @given(ring_workloads())
@@ -512,9 +547,9 @@ class TestSharedMasks:
         cycle = CycleView(net)
         for req in reqs:
             check_masks(cycle, req)
-            sx = c2ce(net, req, cycle=cycle)
-            if sx is not None:
-                commit(net, req, sx.to_embedding(req))
+            emb = c2ce(net, req, cycle=cycle)
+            if emb is not None:
+                commit(net, req, emb)
 
     def test_repeated_and_fraction_demands_share_masks(self):
         # demands from 1-2 repeat in nearly every request; then Fraction and
@@ -690,9 +725,9 @@ class TestGreedyRevenue:
             unsorted_net = net.copy()
             unsorted_revenue = 0
             for req in reqs:
-                sx = c2ce(unsorted_net, req)
-                if sx is not None:
-                    commit(unsorted_net, req, sx.to_embedding(req))
+                emb = c2ce(unsorted_net, req)
+                if emb is not None:
+                    commit(unsorted_net, req, emb)
                     unsorted_revenue += req.revenue
             if sorted_batch.revenue >= unsorted_revenue:
                 wins += 1
