@@ -51,12 +51,15 @@ def _refuse_shared_output(out, flag, path):
 
 
 def _load(path):
+    """The instance in file `path`, or on stdin for "-", read as UTF-8 (RFC
+    8259's encoding of JSON text) whatever the locale's encoding."""
     if path == "-":
-        return jsonio.load_instance(sys.stdin)
-    try:
-        fp = open(path)
-    except OSError as exc:
-        raise ModelError(f"cannot open instance {path!r}: {exc.strerror}") from None
+        fp = io.TextIOWrapper(sys.stdin.buffer, encoding="utf-8")
+    else:
+        try:
+            fp = open(path, encoding="utf-8")
+        except OSError as exc:
+            raise ModelError(f"cannot open instance {path!r}: {exc.strerror}") from None
     with fp:
         return jsonio.load_instance(fp)
 
@@ -103,7 +106,7 @@ def cmd_embed_paths(args):
             raise ModelError(f"request {r.req_id!r} is not a path; embed-paths handles path requests only")
     with _open_out(args.out) as out, _open_out(args.trace) as trace_fp:
         trace = [] if trace_fp else None
-        batch = procedure_pe(net, requests, mkp_mode=args.mkp_mode, mdkp_mode=args.mdkp_mode, trace=trace)
+        batch = procedure_pe(net, requests, trace=trace)
         if trace_fp:
             for rec in trace:
                 trace_fp.write(json.dumps(rec) + "\n")
@@ -178,8 +181,6 @@ def build_parser():
 
     p = sub.add_parser("embed-paths", help="run the path pipeline on an instance")
     p.add_argument("--instance", required=True)
-    p.add_argument("--mkp-mode", choices=["greedy", "exact"], default="greedy")
-    p.add_argument("--mdkp-mode", choices=["greedy", "exact"], default="greedy")
     p.add_argument("--trace", default=None, help="write per-iteration JSON lines here")
     p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_embed_paths)

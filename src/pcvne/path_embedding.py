@@ -101,7 +101,7 @@ def path_items(requests):
     return [requests[i] for i in mkp_order(profits, [req.length for req in requests], ids)]
 
 
-def pack_mkp(paths, items, mode="greedy"):
+def pack_mkp(paths, items):
     """Pack path requests (`path_items` order) onto the decomposed substrate
     paths, as (request, path index, offset) triples.
 
@@ -113,7 +113,7 @@ def pack_mkp(paths, items, mode="greedy"):
     within each path.
     """
     packed = solve_mkp([len(p) - 1 for p in paths], [req.revenue for req in items],
-                       [len(req.vls) for req in items], mode=mode)
+                       [len(req.vls) for req in items])
     placements = []
     used = [0] * len(paths)  # links already taken on each path
     for i, k in packed:
@@ -124,7 +124,7 @@ def pack_mkp(paths, items, mode="greedy"):
     return placements
 
 
-def assign_mdkp(net, paths, links, placements, mode="greedy"):
+def assign_mdkp(net, paths, links, placements):
     """Fund packed placements with CPU and BW out of the current residuals.
 
     A placement (req, k, o) puts VN i on SN `paths[k][o + i]` and VL i on SL
@@ -151,7 +151,7 @@ def assign_mdkp(net, paths, links, placements, mode="greedy"):
         for key, i in dims.items():
             capacities[i] = residual[key]
 
-    selected, _profit = solve_mdkp(capacities, items, mode=mode)
+    selected, _profit = solve_mdkp(capacities, items)
 
     accepted = []
     for req, k, o in map(placements.__getitem__, sorted(selected)):
@@ -161,7 +161,7 @@ def assign_mdkp(net, paths, links, placements, mode="greedy"):
     return accepted
 
 
-def procedure_pe(net, requests, mkp_mode="greedy", mdkp_mode="greedy", trace=None):
+def procedure_pe(net, requests, trace=None):
     """Full pipeline loop. Mutates `net` residuals; returns the accepted batch.
 
     Each iteration packs the pending requests onto the decomposed usable
@@ -182,8 +182,8 @@ def procedure_pe(net, requests, mkp_mode="greedy", mdkp_mode="greedy", trace=Non
             links = [tuple(map(edge_key, p, p[1:])) for p in paths]
         if not paths:
             break
-        placements = pack_mkp(paths, list(pending.values()), mode=mkp_mode)
-        accepted = assign_mdkp(net, paths, links, placements, mode=mdkp_mode)
+        placements = pack_mkp(paths, list(pending.values()))
+        accepted = assign_mdkp(net, paths, links, placements)
         if trace is not None:
             trace.append({
                 "paths": [list(p) for p in paths],

@@ -1,4 +1,5 @@
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -6,6 +7,8 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 sys.path.insert(0, str(Path(__file__).parent.parent / "scripts"))  # verify_theory
 
+import pcvne.path_embedding as path_embedding
+from oracles import Item, mdkp_exact_reference, mkp_exact_reference
 from pcvne.knapsack import mkp_order, solve_mkp
 from pcvne.model import Shape, SubstrateNetwork, VirtualRequest, edge_key
 from verify_theory import random_connected_graph  # noqa: F401  re-exported
@@ -18,11 +21,51 @@ def order_items(items):
                                         [it.item_id for it in items])]
 
 
-def solve_mkp_by_id(capacities, items, mode):
-    """`solve_mkp` on the items in MKP order, read back by id:
-    ({item_id: knapsack index or None}, packed profit)."""
+def exact_solve_mkp(capacities, profits, sizes):
+    """The exact stage in `solve_mkp`'s form: `mkp_exact_reference` on the
+    items given as parallel lists in MKP order, (position, knapsack) per
+    packed item, in item order. Each item's id is its position, zero-padded
+    so that the reference's id tie-break (type name, then repr) keeps the
+    positions in order: int ids would sort 10 before 9."""
+    items = [Item(f"{i:06d}", size, profit) for i, (profit, size) in enumerate(zip(profits, sizes))]
+    assignment = mkp_exact_reference(capacities, items)
+    return [(i, assignment[it.item_id]) for i, it in enumerate(items) if assignment[it.item_id] is not None]
+
+
+def exact_solve_mdkp(capacities, items):
+    """The exact stage in `solve_mdkp`'s form: `mdkp_exact_reference` on
+    (item_id, profit, pairs) items, (selected ids in funding order,
+    profit)."""
+    return mdkp_exact_reference(capacities, [(item_id, p, dict(pairs)) for item_id, p, pairs in items])
+
+
+EXACT_STAGES = {"solve_mkp": exact_solve_mkp, "solve_mdkp": exact_solve_mdkp}
+
+
+@contextmanager
+def exact_stages(names=tuple(EXACT_STAGES)):
+    """Within the block, `path_embedding` packs (`solve_mkp`) and funds
+    (`solve_mdkp`), of the two as `names` says, with the exact stages above,
+    so `procedure_pe` runs its own decomposition, offsets, funding instance
+    and commits with exact knapsack solvers."""
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        for name in names:
+            monkeypatch.setattr(path_embedding, name, EXACT_STAGES[name])
+        yield
+
+
+@pytest.fixture
+def exact_pe():
+    """The path pipeline with both exact stages (`exact_stages`) for the test."""
+    with exact_stages():
+        yield
+
+
+def solve_mkp_by_id(capacities, items, solve=solve_mkp):
+    """`solve` (`solve_mkp` or `exact_solve_mkp`) on the items in MKP order,
+    read back by id: ({item_id: knapsack index or None}, packed profit)."""
     items = order_items(items)
-    packed = solve_mkp(capacities, [it.profit for it in items], [it.size for it in items], mode=mode)
+    packed = solve(capacities, [it.profit for it in items], [it.size for it in items])
     assignment = dict.fromkeys(it.item_id for it in items)
     assignment.update((items[i].item_id, k) for i, k in packed)
     return assignment, sum(items[i].profit for i, _k in packed)

@@ -161,36 +161,41 @@ def first_fit_stop_on_smallest_reference(capacities, items):
     return packed
 
 
+def fractional_bound(items, room):
+    """Optimal profit of the fractional knapsack of size `room` over Items
+    given in efficiency order; an upper bound for any 0-1 packing of those
+    items into knapsacks of that total size."""
+    total = 0
+    for it in items:
+        if it.size == 0:
+            total += it.profit
+        elif room <= 0:
+            break
+        elif it.size <= room:
+            total += it.profit
+            room -= it.size
+        else:
+            total += it.profit * Fraction(room, it.size)
+            room = 0
+    return total
+
+
 def mkp_exact_reference(capacities, items):
-    """A frozen copy of `knapsack.solve_mkp`'s exact mode when it took its own
-    items: the items in item_order_key order, then the first optimum an
-    include-first depth-first search meets, pruned by the fractional-knapsack
-    bound over the summed residual capacity, each knapsack residual tried
-    once. Returns {item_id: knapsack index or None}."""
+    """Exact MKP, the path pipeline's exact packing stage in the tests (a
+    frozen copy of the search `knapsack.solve_mkp` ran in its exact mode
+    while the package had one): the items in item_order_key order, then the
+    first optimum an include-first depth-first search meets, pruned by
+    `fractional_bound` over the summed residual capacity, each knapsack
+    residual tried once. Returns {item_id: knapsack index or None}."""
     items = sorted(items, key=item_order_key)
     residual = list(capacities)
     current, best, best_profit = [], [], 0
-
-    def bound(i, room):
-        total = 0
-        for it in items[i:]:
-            if it.size == 0:
-                total += it.profit
-            elif room <= 0:
-                break
-            elif it.size <= room:
-                total += it.profit
-                room -= it.size
-            else:
-                total += it.profit * Fraction(room, it.size)
-                room = 0
-        return total
 
     def dfs(i, profit):
         nonlocal best, best_profit
         if profit > best_profit:
             best, best_profit = list(current), profit
-        if i == len(items) or profit + bound(i, sum(residual)) <= best_profit:
+        if i == len(items) or profit + fractional_bound(items[i:], sum(residual)) <= best_profit:
             return
         tried = set()
         for k, r in enumerate(residual):
@@ -268,11 +273,13 @@ def mdkp_greedy_reference(capacities, items):
 
 
 def mdkp_exact_reference(capacities, items):
-    """Exact MDKP by enumeration: of the feasible subsets with the largest
-    profit, the first when each is read as its positions in
-    mdkp_order_reference order and compared as tuples (the first optimum an
-    include-first depth-first search meets). Returns (selected ids in that
-    order, profit)."""
+    """Exact MDKP by enumeration, the path pipeline's exact funding stage in
+    the tests: of the feasible subsets with the largest profit, the first
+    when each is read as its positions in mdkp_order_reference order and
+    compared as tuples (the first optimum an include-first depth-first
+    search meets, as the search `knapsack.solve_mdkp` ran in its exact mode
+    while the package had one). Returns (selected ids in that order,
+    profit)."""
     order = mdkp_order_reference(capacities, items)
     best = ((), 0)
     for k in range(1, len(order) + 1):

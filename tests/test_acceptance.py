@@ -16,6 +16,8 @@ from conftest import (
     mask_hosts,
     path_net,
     random_connected_graph,
+    exact_solve_mdkp,
+    exact_solve_mkp,
     random_ring_instance,
     solve_mkp_by_id,
     uniform_path_request,
@@ -200,9 +202,9 @@ def test_criterion_05_knapsack_oracles():
     for _ in range(100):
         items = [Item(i, rng.randint(0, 6), rng.randint(0, 15)) for i in range(8)]
         caps = [rng.randint(0, 9) for _ in range(rng.randint(1, 3))]
-        _, exact = solve_mkp_by_id(caps, items, "exact")
+        _, exact = solve_mkp_by_id(caps, items, exact_solve_mkp)
         assert exact == mkp_best_profit(caps, items)
-        g_assign, greedy = solve_mkp_by_id(caps, items, "greedy")
+        g_assign, greedy = solve_mkp_by_id(caps, items)
         assert greedy <= exact
         loads = [0] * len(caps)
         by_id = {it.item_id: it for it in items}
@@ -217,9 +219,9 @@ def test_criterion_05_knapsack_oracles():
                  for i in range(12)]
         caps = [rng.randint(0, 12) for _ in range(d)]
         pairs = mdkp_pairs(items)
-        selected, exact = solve_mdkp(caps, pairs, mode="exact")
+        selected, exact = exact_solve_mdkp(caps, pairs)
         assert exact == mdkp_best_profit(caps, items)
-        g_sel, greedy = solve_mdkp(caps, pairs, mode="greedy")
+        g_sel, greedy = solve_mdkp(caps, pairs)
         assert greedy <= exact
         totals = [0] * d
         by_id = {i: s for i, _p, s in items}
@@ -232,14 +234,15 @@ def test_criterion_05_knapsack_oracles():
     report(5, f"3x100 instances against exhaustive enumeration in {elapsed:.1f}s")
 
 
-def test_criterion_06_uniform_path_substrate_optimum():
+def test_criterion_06_uniform_path_substrate_optimum(exact_pe):
+    # the package's decomposition, offsets, funding and commits with the exact stages
     rng = random.Random(660066)
     for trial in range(50):
         size = rng.randint(6, 16)
         net = path_net(size + 1, cpu=2, bw=1)
         reqs = [uniform_path_request(i, rng.randint(1, size), revenue=rng.randint(1, 9))
                 for i in range(rng.randint(4, 12))]
-        batch = procedure_pe(net, reqs, mkp_mode="exact", mdkp_mode="exact")
+        batch = procedure_pe(net, reqs)
         items = [Item(r.req_id, r.length, r.revenue) for r in reqs]
         _, optimum = solve_kp_dp(size, items)
         assert batch.revenue == optimum, f"trial {trial}: {batch.revenue} != {optimum}"

@@ -152,9 +152,9 @@ class TestGenericBatch:
         assert batch.revenue == sum(r.revenue for r, _ in batch.items)
         audit_residuals(net, [batch])
 
-    def test_never_beats_pe_on_uniform_path_substrate(self):
-        # where the path pipeline provably hits the knapsack optimum, the
-        # baseline can at most match it
+    def test_never_beats_pe_on_uniform_path_substrate(self, exact_pe):
+        # where the path pipeline with its exact stages provably hits the
+        # knapsack optimum, the baseline can at most match it
         from pcvne.path_embedding import procedure_pe
 
         rng = random.Random(13)
@@ -164,7 +164,7 @@ class TestGenericBatch:
             reqs = [uniform_path_request(i, rng.randint(1, size), revenue=rng.randint(1, 9))
                     for i in range(rng.randint(4, 9))]
             generic_revenue = generic_batch(net.copy(), reqs).revenue
-            pe_revenue = procedure_pe(net.copy(), reqs, mkp_mode="exact", mdkp_mode="exact").revenue
+            pe_revenue = procedure_pe(net.copy(), reqs).revenue
             assert generic_revenue <= pe_revenue
 
 

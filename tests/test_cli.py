@@ -13,7 +13,6 @@ import pcvne.cli as cli
 import verify_theory
 from pcvne.cli import main
 from pcvne.jsonio import load_instance
-from pcvne.knapsack import EXACT_ITEM_LIMIT
 from pcvne.path_embedding import procedure_pe
 
 
@@ -36,33 +35,33 @@ def test_generate_then_embed_paths(tmp_path, capsys):
     assert set(lines[0]) == {"paths", "packed", "funded"}
 
 
-_EXACT_MODES = ["--mkp-mode", "exact", "--mdkp-mode", "exact"]
-
-
-def _tight_paths_instance(tmp_path, count):
-    # tight capacities: exact and greedy modes accept different ids here
+def _tight_paths_instance(tmp_path):
+    # tight capacities: the greedy and the exact stages accept different ids here
     inst = tmp_path / "inst.json"
     main(["generate", "--nodes", "10", "--edges", "14", "--cpu-capacity", "8",
-          "--bw-capacity", "8", "--shape", "path", "--count", str(count),
+          "--bw-capacity", "8", "--shape", "path", "--count", "15",
           "--length-min", "2", "--length-max", "4", "--seed", "2", "--out", str(inst)])
     return inst
 
 
-def test_embed_paths_exact_modes_match_library(tmp_path, capsys):
-    inst = _tight_paths_instance(tmp_path, EXACT_ITEM_LIMIT)
-    main(["embed-paths", "--instance", str(inst), *_EXACT_MODES])
+def test_embed_paths_exact_modes_match_library(tmp_path, capsys, exact_pe):
+    # with the tests' exact stages in the pipeline, the report accepts what
+    # procedure_pe does
+    inst = _tight_paths_instance(tmp_path)
+    main(["embed-paths", "--instance", str(inst)])
     with inst.open() as fp:
         net, requests = load_instance(fp)
-    batch = procedure_pe(net, requests, mkp_mode="exact", mdkp_mode="exact")
+    batch = procedure_pe(net, requests)
     assert json.loads(capsys.readouterr().out)["accepted"] == batch.accepted_ids()
 
 
-def test_embed_paths_exact_modes_output_is_golden(tmp_path, capsys):
-    # exact MKP and MDKP on the tight instance, byte for byte, so a change to
-    # either exact search shows here even when the CLI and library move together
-    inst = _tight_paths_instance(tmp_path, EXACT_ITEM_LIMIT)
+def test_embed_paths_exact_modes_output_is_golden(tmp_path, capsys, exact_pe):
+    # the pipeline with the tests' exact MKP and MDKP stages on the tight
+    # instance, through the report code, byte for byte, so a change to the
+    # decomposition, offsets, funding instance or either exact search shows here
+    inst = _tight_paths_instance(tmp_path)
     capsys.readouterr()
-    main(["embed-paths", "--instance", str(inst), *_EXACT_MODES])
+    main(["embed-paths", "--instance", str(inst)])
     golden = Path(__file__).resolve().parent / "data" / "embed_paths_exact.out"
     assert capsys.readouterr() == (golden.read_text(), "")
 
@@ -76,12 +75,14 @@ def test_embed_cycles_ties_output_is_golden(capsysbinary):
     assert capsysbinary.readouterr() == ((data / "embed_cycles_ties.out").read_bytes(), b"")
 
 
-def test_embed_paths_exact_modes_refuse_too_many_requests(tmp_path, capsys):
-    inst = _tight_paths_instance(tmp_path, EXACT_ITEM_LIMIT + 1)
+@pytest.mark.parametrize("flag", ["--mkp-mode", "--mdkp-mode"])
+def test_embed_paths_has_no_mode_flags(capsys, flag):
+    # the pipeline is greedy only; the exact stages are test code
     with pytest.raises(SystemExit) as exc:
-        main(["embed-paths", "--instance", str(inst), *_EXACT_MODES])
+        main(["embed-paths", "--instance", "inst.json", flag, "exact"])
     assert exc.value.code == 2
-    assert capsys.readouterr().err == "error: exact MKP limited to 15 items, got 16\n"
+    out, err = capsys.readouterr()
+    assert out == "" and f"unrecognized arguments: {flag} exact" in err
 
 
 def test_embed_paths_refuses_cycles(tmp_path, capsys):
@@ -112,10 +113,32 @@ def test_instance_from_stdin_matches_the_file(tmp_path, capsys, monkeypatch):
           "--length-min", "2", "--length-max", "4", "--seed", "4", "--out", str(inst)])
     main(["embed-paths", "--instance", str(inst)])
     from_file = capsys.readouterr()
-    monkeypatch.setattr(sys, "stdin", io.StringIO(inst.read_text()))
+    # a stdin with a byte buffer under it, as a real one has: "-" reads the bytes as UTF-8
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(inst.read_bytes())))
     main(["embed-paths", "--instance", "-"])
     assert capsys.readouterr() == from_file
     assert json.loads(from_file.out)["total_requests"] == 6
+
+
+@pytest.mark.parametrize("source", ["file", "stdin"])
+def test_instance_is_read_as_utf8_whatever_the_locale(tmp_path, source):
+    # JSON text is UTF-8 (RFC 8259): in the C locale, with UTF-8 mode off, a
+    # non-ASCII id used to end in "not JSON: 'ascii' codec can't decode"
+    inst = tmp_path / "inst.json"
+    inst.write_bytes(json.dumps({
+        "nodes": [{"id": "café", "cpu": 5}, {"id": "b", "cpu": 5}], "edges": [{"u": "café", "v": "b", "bw": 5}],
+        "requests": [{"id": 0, "shape": "path", "vns": [{"id": 0, "cpu": 1}, {"id": 1, "cpu": 1}],
+                      "vls": [{"u": 0, "v": 1, "bw": 1}]}]}, ensure_ascii=False).encode())
+    env = {k: v for k, v in _src_env().items() if k not in ("PYTHONIOENCODING", "LANG", "LC_CTYPE")}
+    env.update(LC_ALL="C", PYTHONUTF8="0")
+    argv = [sys.executable, "-m", "pcvne.cli", "embed-generic", "--instance"]
+    with inst.open("rb") as stdin:
+        proc = subprocess.run([*argv, str(inst) if source == "file" else "-"], stdin=stdin,
+                              capture_output=True, env=env)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    report = json.loads(proc.stdout)
+    assert report["accepted"] == [0]
+    assert "café" in {row["sn"] for row in report["embeddings"][0]["nodes"]}
 
 
 def test_embed_cycles_with_wdag_dump(tmp_path, capsys):
@@ -456,8 +479,9 @@ def test_nan_node_id_is_a_clean_error(tmp_path, capsys):
 
 _REFUSED_RUNS = [  # (generate flags of the instance or None, the refused command, its message)
     (None, ["generate", "--nodes", "0"], "need at least one node"),
-    (["--nodes", "8", "--edges", "12", "--count", "16", "--length-min", "1", "--length-max", "2", "--seed", "1"],
-     ["embed-paths", "--mkp-mode", "exact"], "exact MKP limited to 15 items, got 16"),
+    (["--nodes", "8", "--topology", "cycle", "--shape", "cycle", "--count", "2",
+      "--length-min", "3", "--length-max", "4"],
+     ["embed-paths"], "request 0 is not a path; embed-paths handles path requests only"),
     (["--nodes", "6", "--edges", "8", "--shape", "cycle", "--count", "2", "--length-min", "3", "--length-max", "3"],
      ["embed-cycles"], "substrate is not a cycle"),
     (None, ["experiment", "--nodes", "6", "--edges", "8", "--length-min", "5", "--length-max", "3"],

@@ -7,10 +7,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import order_items, solve_mkp_by_id
+from conftest import exact_solve_mdkp, exact_solve_mkp, order_items, solve_mkp_by_id
 from oracles import (
     Item,
     first_fit_stop_on_smallest_reference,
+    fractional_bound,
     item_order_key,
     kp_best_profit,
     mdkp_best_profit,
@@ -25,9 +26,6 @@ from oracles import (
     sorted_first_fit,
 )
 from pcvne.knapsack import (
-    EXACT_ITEM_LIMIT,
-    ExactSizeError,
-    _fractional_bound,
     _mdkp_items,
     _ratio_key,
     first_fit,
@@ -80,12 +78,12 @@ class TestMkp:
             items = rand_items(rng, 9)
             cap = rng.randint(0, 20)
             _, kp_profit = solve_kp_dp(cap, items)
-            _, mkp_profit = solve_mkp_by_id([cap], items, "exact")
+            _, mkp_profit = solve_mkp_by_id([cap], items, exact_solve_mkp)
             assert mkp_profit == kp_profit
 
     def test_oversized_items_left_out(self):
-        for mode in ("greedy", "exact"):
-            assignment, profit = solve_mkp_by_id([2, 3], [Item(0, 5, 9), Item(1, 4, 9)], mode)
+        for solve in (solve_mkp, exact_solve_mkp):
+            assignment, profit = solve_mkp_by_id([2, 3], [Item(0, 5, 9), Item(1, 4, 9)], solve)
             assert profit == 0
             assert all(k is None for k in assignment.values())
 
@@ -94,7 +92,7 @@ class TestMkp:
         for _ in range(25):
             items = rand_items(rng, 8, max_size=6)
             caps = [rng.randint(0, 10) for _ in range(rng.randint(1, 3))]
-            assignment, profit = solve_mkp_by_id(caps, items, "exact")
+            assignment, profit = solve_mkp_by_id(caps, items, exact_solve_mkp)
             assert profit == mkp_best_profit(caps, items)
             _check_mkp_assignment(caps, items, assignment, profit)
 
@@ -103,17 +101,10 @@ class TestMkp:
         for _ in range(25):
             items = rand_items(rng, 8, max_size=6)
             caps = [rng.randint(0, 10) for _ in range(rng.randint(1, 3))]
-            g_assignment, g_profit = solve_mkp_by_id(caps, items, "greedy")
-            _, e_profit = solve_mkp_by_id(caps, items, "exact")
+            g_assignment, g_profit = solve_mkp_by_id(caps, items)
+            _, e_profit = solve_mkp_by_id(caps, items, exact_solve_mkp)
             _check_mkp_assignment(caps, items, g_assignment, g_profit)
             assert g_profit <= e_profit
-
-    def test_exact_refuses_oversized_input(self):
-        items = rand_items(random.Random(0), EXACT_ITEM_LIMIT + 1)
-        _, profit = solve_mkp_by_id([5], items[:-1], "exact")
-        assert profit == kp_best_profit(5, items[:-1])
-        with pytest.raises(ExactSizeError, match="^exact MKP limited to 15 items, got 16$"):
-            solve_mkp_by_id([5], items, "exact")
 
 
 def _check_mkp_assignment(caps, items, assignment, profit):
@@ -143,20 +134,20 @@ class TestMdkp:
             items = rand_items(rng, 9)
             cap = rng.randint(0, 20)
             pairs = [(it.item_id, it.profit, [(0, it.size)] if it.size else []) for it in items]
-            _, profit = solve_mdkp([cap], pairs, mode="exact")
+            _, profit = exact_solve_mdkp([cap], pairs)
             _, kp_profit = solve_kp_dp(cap, items)
             assert profit == kp_profit
 
     def test_zero_capacity_vector(self):
-        for mode in ("greedy", "exact"):
-            selected, profit = solve_mdkp([0, 0], [(0, 5, [(0, 1)]), (1, 3, [(1, 2)])], mode=mode)
+        for solve in (solve_mdkp, exact_solve_mdkp):
+            selected, profit = solve([0, 0], [(0, 5, [(0, 1)]), (1, 3, [(1, 2)])])
             assert selected == [] and profit == 0
 
     def test_exact_matches_exhaustive(self):
         rng = random.Random(13)
         for _ in range(25):
             caps, pairs, items = rand_mdkp(rng, 10, rng.randint(1, 4))
-            selected, profit = solve_mdkp(caps, pairs, mode="exact")
+            selected, profit = exact_solve_mdkp(caps, pairs)
             assert profit == mdkp_best_profit(caps, items)
             _check_mdkp_selection(caps, pairs, selected, profit)
 
@@ -164,27 +155,10 @@ class TestMdkp:
         rng = random.Random(17)
         for _ in range(25):
             caps, pairs, _items = rand_mdkp(rng, 10, rng.randint(1, 4))
-            selected, profit = solve_mdkp(caps, pairs, mode="greedy")
-            _, e_profit = solve_mdkp(caps, pairs, mode="exact")
+            selected, profit = solve_mdkp(caps, pairs)
+            _, e_profit = exact_solve_mdkp(caps, pairs)
             _check_mdkp_selection(caps, pairs, selected, profit)
             assert profit <= e_profit
-
-    def test_exact_refuses_oversized_input(self):
-        rng = random.Random(0)
-        caps, pairs, items = rand_mdkp(rng, EXACT_ITEM_LIMIT + 1, 2)
-        _, profit = solve_mdkp(caps, pairs[:-1], mode="exact")
-        assert profit == mdkp_best_profit(caps, items[:-1])
-        with pytest.raises(ExactSizeError, match="^exact MDKP limited to 15 items, got 16$"):
-            solve_mdkp(caps, pairs, mode="exact")
-
-
-@pytest.mark.parametrize("solve, inst", [
-    (solve_mkp, ([3], [1], [1])),
-    (solve_mdkp, ([3], [(0, 1, [(0, 1)])])),
-])
-def test_unknown_mode_rejected(solve, inst):
-    with pytest.raises(ModelError, match="^unknown mode 'optimal'$"):
-        solve(*inst, mode="optimal")
 
 
 def _check_mdkp_selection(caps, items, selected, profit):
@@ -206,8 +180,8 @@ def test_property_exact_dominates_greedy(seed):
     rng = random.Random(seed)
     items = rand_items(rng, rng.randint(0, 9), max_size=6)
     caps = [rng.randint(0, 9) for _ in range(rng.randint(1, 3))]
-    _, g = solve_mkp_by_id(caps, items, "greedy")
-    _, e = solve_mkp_by_id(caps, items, "exact")
+    _, g = solve_mkp_by_id(caps, items)
+    _, e = solve_mkp_by_id(caps, items, exact_solve_mkp)
     assert g <= e
 
 
@@ -224,8 +198,8 @@ def test_property_kp_dp_optimal(seed):
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 10 ** 6))
 def test_property_mdkp_sparse_sizes_match_dense(seed):
-    # an item's pairs in any order solve as in dimension order, in both modes,
-    # and greedy as the dense reference
+    # an item's pairs in any order solve as in dimension order, greedy and
+    # exact, and greedy as the dense reference
     rng = random.Random(seed)
     d = rng.randint(1, 5)
     caps = [rng.choice([0, 0, 1, 3, 6, Fraction(9, 2)]) for _ in range(d)]
@@ -239,8 +213,8 @@ def test_property_mdkp_sparse_sizes_match_dense(seed):
         rng.shuffle(pairs)
         sparse.append((i, p, pairs))
     full = mdkp_pairs(dense)
-    for mode in ("greedy", "exact"):
-        assert solve_mdkp(caps, sparse, mode=mode) == solve_mdkp(caps, full, mode=mode)
+    for solve in (solve_mdkp, exact_solve_mdkp):
+        assert solve(caps, sparse) == solve(caps, full)
     assert solve_mdkp(caps, full) == mdkp_greedy_reference(caps, dense)
 
 
@@ -250,7 +224,7 @@ def test_property_mkp_greedy_matches_sorted_first_fit(seed):
     rng = random.Random(seed)
     items = rand_items(rng, rng.randint(0, 12), max_size=4, max_profit=3)
     caps = [rng.choice([0, 2, 4, 4, 6]) for _ in range(rng.randint(0, 4))]
-    assignment, profit = solve_mkp_by_id(caps, items, "greedy")
+    assignment, profit = solve_mkp_by_id(caps, items)
     assert assignment == sorted_first_fit(caps, sorted(items, key=item_order_key))
     assert profit == sum(it.profit for it in items if assignment[it.item_id] is not None)
 
@@ -303,11 +277,18 @@ def test_property_first_fit_packs_as_its_frozen_predecessor(caps, items, mkp_ord
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.integers(0, 12), max_size=4),
        st.lists(st.builds(Item, item_id=st.integers(0, 40), size=st.integers(0, 9), profit=_PROFITS),
-                max_size=10, unique_by=lambda it: it.item_id))
+                max_size=12, unique_by=lambda it: it.item_id))
 def test_property_mkp_exact_packs_as_its_frozen_predecessor(caps, items):
-    # exact mode on the lists in MKP order packs each item where the search
-    # over its own sorted items did, the same first optimum
-    assert solve_mkp_by_id(caps, items, "exact")[0] == mkp_exact_reference(caps, items)
+    # the exact stage on the lists in MKP order packs each item where the
+    # search over its own sorted items does, the same first optimum: its
+    # position ids keep the MKP order past ten items
+    assert solve_mkp_by_id(caps, items, exact_solve_mkp)[0] == mkp_exact_reference(caps, items)
+
+
+def test_exact_solve_mkp_keeps_tied_items_in_position_order():
+    # twelve equal items and room for ten: the include-first search takes the
+    # first ten positions, which int ids (10 sorting before 2) would not
+    assert exact_solve_mkp([10], [1] * 12, [1] * 12) == [(i, 0) for i in range(10)]
 
 
 class _ReadCounted(list):
@@ -387,8 +368,8 @@ def test_property_order_items_equals_fraction_key_sort(items):
                 max_size=10, unique_by=lambda it: it.item_id),
        st.integers(0, 15))
 def test_property_fractional_bound_dominates_kp_optimum(items, capacity):
-    pairs = [(it.profit, it.size) for it in order_items(items)]
-    assert _fractional_bound(pairs, capacity) >= kp_best_profit(capacity, items)
+    # the exact MKP stage prunes on this bound, so it must never fall below an optimum
+    assert fractional_bound(order_items(items), capacity) >= kp_best_profit(capacity, items)
 
 
 def test_order_items_ties_equal_efficiencies_from_different_pairs():
@@ -411,10 +392,13 @@ def test_property_mdkp_weights_match_fraction_sum(data):
     pairs = mdkp_pairs(items)
     for _i, _p, item_pairs in pairs:  # in any order
         item_pairs[:] = data.draw(st.permutations(item_pairs))
-    got, scale = _mdkp_items(caps, pairs)
+    got = _mdkp_items(caps, pairs)
     assert all(type(t[3]) is int for t in got)
+    # each int weight is the Fraction sum times one positive factor common to all items
     sizes_of = {i: sizes for i, _p, sizes in items}
-    assert all(Fraction(w, scale) == mdkp_weight_reference(caps, sizes_of[i]) for i, _p, _s, w in got)
+    sums = [mdkp_weight_reference(caps, sizes_of[i]) for i, _p, _s, _w in got]
+    assert all((w == 0) == (r == 0) for (_i, _p, _s, w), r in zip(got, sums))
+    assert len({Fraction(t[3]) / r for t, r in zip(got, sums) if r}) <= 1
     # packable: no positive size on a zero capacity; those alone come back, in funding order
     packable = [t for t in mdkp_order_reference(caps, items) if all(caps[k] for k, s in enumerate(t[2]) if s)]
     assert [t[0] for t in got] == [t[0] for t in packable]
@@ -423,21 +407,20 @@ def test_property_mdkp_weights_match_fraction_sum(data):
 def test_mdkp_drops_an_item_that_touches_a_zero_capacity():
     # "z" has the best ratio but needs dimension 1, whose capacity is 0: the
     # intake drops it before ordering, wherever that pair comes in its list,
-    # and neither mode selects it
+    # and neither the greedy nor the exact stage selects it
     caps = [4, 0, 3]
     for z_pairs in ([(0, 1), (1, 1)], [(1, 1), (0, 1)]):
         pairs = [("z", 9, z_pairs), ("a", 2, [(0, 2), (2, 1)]), ("b", 1, [(2, 3)])]
-        items, scale = _mdkp_items(caps, pairs)
-        assert scale == 12 and items == [("a", 2, [(0, 2), (2, 1)], 10), ("b", 1, [(2, 3)], 12)]
-        for mode in ("greedy", "exact"):
-            assert solve_mdkp(caps, pairs, mode=mode) == (["a"], 2)
+        assert _mdkp_items(caps, pairs) == [("a", 2, [(0, 2), (2, 1)], 10), ("b", 1, [(2, 3)], 12)]
+        for solve in (solve_mdkp, exact_solve_mdkp):
+            assert solve(caps, pairs) == (["a"], 2)
 
 
 def _assert_mdkp_matches_references(caps, items, pairs):
     """`pairs` are the dense `items`' sizes as `solve_mdkp` takes them."""
-    assert solve_mdkp(caps, pairs, mode="greedy") == mdkp_greedy_reference(caps, items)
+    assert solve_mdkp(caps, pairs) == mdkp_greedy_reference(caps, items)
     if len(items) <= 8:
-        assert solve_mdkp(caps, pairs, mode="exact") == mdkp_exact_reference(caps, items)
+        assert exact_solve_mdkp(caps, pairs) == mdkp_exact_reference(caps, items)
 
 
 @settings(max_examples=300, deadline=None)

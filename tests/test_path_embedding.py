@@ -12,6 +12,9 @@ from hypothesis import strategies as st
 import pcvne.knapsack as knapsack
 import pcvne.path_embedding as path_embedding
 from conftest import (
+    exact_solve_mdkp,
+    exact_solve_mkp,
+    exact_stages,
     make_cycle_request,
     make_net,
     make_path_request,
@@ -36,7 +39,7 @@ from oracles import (
     solve_kp_dp,
 )
 from pcvne.generators import RequestSpec, SubstrateSpec, gen_requests, gen_substrate
-from pcvne.knapsack import EXACT_ITEM_LIMIT, _mdkp_items, solve_mdkp
+from pcvne.knapsack import _mdkp_items, solve_mdkp
 from pcvne.model import Embedding, ModelError, commit, edge_key, footprint, validate_embedding
 from pcvne.path_embedding import (
     _dfs_tree,
@@ -227,21 +230,21 @@ class TestPackMkp:
         req = uniform_path_request("r", 5)
         assert pack_mkp(paths, path_items([req])) == [(req, 0, 0)]
 
-    def test_capacity_excludes_one_of_two(self):
+    def test_capacity_excludes_one_of_two(self, exact_pe):
         paths = [tuple(range(11))]
         reqs = [uniform_path_request("a", 5, revenue=5),
                 uniform_path_request("b", 6, revenue=6)]
-        placements = pack_mkp(paths, path_items(reqs), mode="exact")
+        placements = pack_mkp(paths, path_items(reqs))
         assert len(placements) == 1  # 5 + 6 > 10
-        assert placements[0][0].req_id == "b"  # higher profit wins in exact mode
+        assert placements[0][0].req_id == "b"  # higher profit wins with the exact stage
 
-    def test_exact_profit_matches_exhaustive(self):
+    def test_exact_profit_matches_exhaustive(self, exact_pe):
         rng = random.Random(23)
         for _ in range(15):
             paths = [tuple(range(rng.randint(2, 8))) for _ in range(3)]
             reqs = [uniform_path_request(i, rng.randint(1, 6), revenue=rng.randint(1, 9))
                     for i in range(8)]
-            placements = pack_mkp(paths, path_items(reqs), mode="exact")
+            placements = pack_mkp(paths, path_items(reqs))
             placed_profit = sum(req.revenue for req, _k, _o in placements)
             items = [Item(item_id=r.req_id, size=r.length, profit=r.revenue) for r in reqs]
             assert placed_profit == mkp_best_profit([len(p) - 1 for p in paths], items)
@@ -399,12 +402,13 @@ class TestAssignMdkp:
                         sizes[dim_index[edge_key(*e)]] += req.bw_demand[vl]
                 items.append((i, req.revenue, tuple(sizes)))
             expected = mdkp_best_profit(caps, items)
-            accepted = assign_mdkp(net, paths, sl_keys(paths), placements, mode="exact")
+            with exact_stages():
+                accepted = assign_mdkp(net, paths, sl_keys(paths), placements)
             assert sum(req.revenue for req, _emb, _use in accepted) == expected
 
 
-    @pytest.mark.parametrize("mode", ["greedy", "exact"])
-    def test_placement_on_an_exhausted_sn_is_never_funded(self, mode):
+    @pytest.mark.parametrize("stages", [(), ("solve_mdkp",)], ids=["greedy", "exact"])
+    def test_placement_on_an_exhausted_sn_is_never_funded(self, stages):
         # the pipeline never packs onto a zero residual, but assign_mdkp alone
         # may be handed such a placement: it weighs 0 there, never fits, and
         # the others are funded as if it were not there
@@ -412,7 +416,8 @@ class TestAssignMdkp:
         net.residual_cpu[1] = 0
         paths = [tuple(range(7))]
         a, b = uniform_path_request("a", 2, revenue=9), uniform_path_request("b", 3)
-        accepted = assign_mdkp(net, paths, sl_keys(paths), [(a, 0, 0), (b, 0, 3)], mode=mode)
+        with exact_stages(stages):
+            accepted = assign_mdkp(net, paths, sl_keys(paths), [(a, 0, 0), (b, 0, 3)])
         assert [req.req_id for req, _emb, _use in accepted] == ["b"]
         assert net.residual_cpu == {0: 2, 1: 0, 2: 2, 3: 1, 4: 1, 5: 1, 6: 1}
 
@@ -437,14 +442,14 @@ class TestAssignMdkp:
 
 
 class TestProcedurePe:
-    def test_uniform_path_substrate_reaches_kp_optimum(self):
+    def test_uniform_path_substrate_reaches_kp_optimum(self, exact_pe):
         rng = random.Random(53)
         for _ in range(12):
             size = rng.randint(6, 14)
             net = path_net(size + 1, cpu=2, bw=1)
             reqs = [uniform_path_request(i, rng.randint(1, size), revenue=rng.randint(1, 9))
                     for i in range(rng.randint(4, 10))]
-            batch = procedure_pe(net, reqs, mkp_mode="exact", mdkp_mode="exact")
+            batch = procedure_pe(net, reqs)
             items = [Item(item_id=r.req_id, size=r.length, profit=r.revenue) for r in reqs]
             _, optimum = solve_kp_dp(size, items)
             assert batch.revenue == optimum
@@ -540,13 +545,13 @@ def _funding_calls(net, reqs):
     calls = []
     assign, solve = path_embedding.assign_mdkp, path_embedding.solve_mdkp
 
-    def recording_assign(net, paths, links, placements, mode="greedy"):
+    def recording_assign(net, paths, links, placements):
         calls.append([(paths, links, placements), dict(net.residual_cpu), dict(net.residual_bw)])
-        return assign(net, paths, links, placements, mode=mode)
+        return assign(net, paths, links, placements)
 
-    def recording_solve(capacities, items, mode="greedy"):
+    def recording_solve(capacities, items):
         calls[-1].append((capacities, items))
-        return solve(capacities, items, mode=mode)
+        return solve(capacities, items)
 
     with pytest.MonkeyPatch.context() as monkeypatch:
         monkeypatch.setattr(path_embedding, "assign_mdkp", recording_assign)
@@ -579,10 +584,12 @@ def _assert_funding_sizes_are_footprints(net, reqs):
             assert profit == req.revenue
             assert pairs == [(dims[d], q) for d, q in use.items()]
         assert caps == [residual[d] for d in dims]
-        weighed, scale = _mdkp_items(caps, items)
-        assert all(scale % q.numerator == 0 for q in caps)
-        for idx, _p, pairs, weight in weighed:
-            assert weight == scale * sum(Fraction(q) / caps[d] for d, q in pairs)
+        weighed = _mdkp_items(caps, items)
+        sums = [sum(Fraction(q) / caps[d] for d, q in pairs) for _idx, _p, pairs, _w in weighed]
+        scale = next((Fraction(t[3]) / total for t, total in zip(weighed, sums) if total), 0)
+        assert scale.denominator == 1 and all(scale % q.numerator == 0 for q in caps)
+        for (idx, _p, pairs, weight), total in zip(weighed, sums):
+            assert weight == scale * total
             assert pairs == items[idx][2]
 
 
@@ -610,8 +617,7 @@ def _assert_sparse_funding_selects_as_dense(net, reqs):
     # every funding instance procedure_pe builds, over the touched SNs and SLs
     # alone, selects what the dense instance of the same placements over every
     # SN then every SL selects under the Fraction-key references: greedy, and
-    # exhaustive up to EXACT_ITEM_LIMIT items (the exact search bounds with a
-    # surrogate capacity that counts the touched dimensions only)
+    # the exact stage up to 15 items
     index = {d: i for i, d in enumerate([*(("SN", v) for v in net.nodes), *(("SL", k) for k in net.edges)])}
     for (paths, _links, placements), residual_cpu, residual_bw, (touched, items) in _funding_calls(net, reqs):
         caps = [residual_cpu[v] for v in net.nodes] + [residual_bw[k] for k in net.edges]
@@ -625,8 +631,8 @@ def _assert_sparse_funding_selects_as_dense(net, reqs):
                 sizes[index["SL", k]] = q
             dense.append((idx, req.revenue, tuple(sizes)))
         assert solve_mdkp(touched, items) == mdkp_greedy_reference(caps, dense)
-        if len(dense) <= EXACT_ITEM_LIMIT:
-            assert solve_mdkp(touched, items, mode="exact") == mdkp_exact_reference(caps, dense)
+        if len(dense) <= 15:
+            assert exact_solve_mdkp(touched, items) == mdkp_exact_reference(caps, dense)
 
 
 @settings(max_examples=150, deadline=None)
@@ -670,23 +676,23 @@ def test_pack_mkp_builds_the_ratio_key_once(monkeypatch):
     assert calls == {"mkp_order": 1, "ratio_key": 1, "key": len(reqs)}
 
 
-@pytest.mark.parametrize("mode", ["greedy", "exact"])
-def test_pack_mkp_calls_solve_mkp_once(monkeypatch, mode):
-    # both modes reach the solver by one route: one solve_mkp call per
-    # pack_mkp call, on the capacities and the items' profits and sizes
+@pytest.mark.parametrize("solve", [knapsack.solve_mkp, exact_solve_mkp], ids=["greedy", "exact"])
+def test_pack_mkp_calls_solve_mkp_once(monkeypatch, solve):
+    # the package's solver and the tests' exact stage are reached by one
+    # route: one solve_mkp call per pack_mkp call, on the capacities and the
+    # items' profits and sizes
     calls = []
-    solve_mkp = path_embedding.solve_mkp
 
     def spying(*args, **kwargs):
         calls.append((args, kwargs))
-        return solve_mkp(*args, **kwargs)
+        return solve(*args, **kwargs)
 
     monkeypatch.setattr(path_embedding, "solve_mkp", spying)
     paths = [tuple(range(7)), tuple(range(10, 14))]
     reqs = path_items([uniform_path_request(i, 1 + i % 4, revenue=1 + i % 3) for i in range(9)])
-    placements = pack_mkp(paths, reqs, mode=mode)
+    placements = pack_mkp(paths, reqs)
     assert 0 < len(placements) < len(reqs)
-    assert calls == [(([6, 3], [req.revenue for req in reqs], [req.length for req in reqs]), {"mode": mode})]
+    assert calls == [(([6, 3], [req.revenue for req in reqs], [req.length for req in reqs]), {})]
 
 
 @settings(max_examples=150, deadline=None)
@@ -699,9 +705,10 @@ def test_property_pack_mkp_places_as_the_per_call_items_did(seed, mode):
     paths = [tuple(range(100 * k, 100 * k + rng.randint(2, 9))) for k in range(rng.randint(0, 4))]
     reqs = [uniform_path_request(i, rng.randint(1, 6),
                                  revenue=rng.choice([1, 2, 3, Fraction(3, 2), Fraction(5, 2)]))
-            for i in range(rng.randint(0, EXACT_ITEM_LIMIT - 3))]
+            for i in range(rng.randint(0, 12))]
     rng.shuffle(reqs)
-    got = pack_mkp(paths, path_items(reqs), mode=mode)
+    with exact_stages(["solve_mkp"] if mode == "exact" else []):
+        got = pack_mkp(paths, path_items(reqs))
     want = pack_mkp_reference(paths, reqs, mode=mode)
     assert [(req.req_id, k, o) for req, k, o in got] == [(req.req_id, k, o) for req, k, o in want]
 
@@ -720,10 +727,10 @@ def test_procedure_pe_builds_and_sorts_items_once(monkeypatch):
         calls["mkp_order"] += 1
         return mkp_order(*args)
 
-    def counting_solve_mkp(capacities, profits, sizes, mode="greedy"):
+    def counting_solve_mkp(capacities, profits, sizes):
         calls["solve_mkp"] += 1
         assert all(type(x) is list for x in (capacities, profits, sizes))
-        return solve_mkp(capacities, profits, sizes, mode=mode)
+        return solve_mkp(capacities, profits, sizes)
 
     monkeypatch.setattr(knapsack, "mkp_order", counting_mkp_order)
     monkeypatch.setattr(path_embedding, "mkp_order", counting_mkp_order)
@@ -878,9 +885,9 @@ def test_property_funding_ignores_untouched_residuals(seed):
                 getattr(run, f"residual_{change[0]}")[change[1]] = prime
             insts = []
 
-            def capturing(capacities, items, mode="greedy"):
+            def capturing(capacities, items):
                 insts.append((capacities, items))
-                return solve_mdkp(capacities, items, mode=mode)
+                return solve_mdkp(capacities, items)
 
             with pytest.MonkeyPatch.context() as monkeypatch:
                 monkeypatch.setattr(path_embedding, "solve_mdkp", capturing)

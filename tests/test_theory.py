@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    exact_stages,
     make_cycle_request,
     make_net,
     make_path_request,
@@ -400,9 +401,10 @@ class TestMaxAcceptedPaths:
     def test_property_pipeline_never_beats_the_optimum(self, seed):
         net, reqs = small_path_instance(random.Random(seed))
         best = max_accepted(net, reqs)
-        for mkp_mode in ("greedy", "exact"):
-            for mdkp_mode in ("greedy", "exact"):
-                assert len(procedure_pe(net.copy(), reqs, mkp_mode, mdkp_mode)) <= best
+        # greedy and exact packing, each with greedy and exact funding
+        for stages in ((), ("solve_mkp",), ("solve_mdkp",), ("solve_mkp", "solve_mdkp")):
+            with exact_stages(stages):
+                assert len(procedure_pe(net.copy(), reqs)) <= best
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1))
