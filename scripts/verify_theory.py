@@ -267,7 +267,7 @@ def find_uniform_path_embedding(inst):
         return None
     node_map = {vn: sn for vn, sn in zip(req.vns, hosts)}
     link_map = {vl: path for vl, path in zip(req.vls, links)}
-    return Embedding(req_id=req.req_id, node_map=node_map, link_map=link_map)
+    return Embedding(node_map=node_map, link_map=link_map)
 
 
 def _trail_equivalence(g):

@@ -141,7 +141,7 @@ def generic_embed(net, req, ranked=None, cuts=None):
             pending[k] = pending.get(k, 0) + demand
         link_map[vl] = path
 
-    return Embedding(req_id=req.req_id, node_map=node_map, link_map=link_map)
+    return Embedding(node_map=node_map, link_map=link_map)
 
 
 def generic_batch(net, requests):

@@ -75,19 +75,19 @@ class Wdag:
     implicitly as a snapshot of the residual feasibility.
 
     Positions 0..m run along the ring from the anchor in the direction of
-    travel; `order[p]` is the SN there, position m being the anchor again.
-    Layer j has a vertex at each position p with `hosts[j][p]`; layers 0 and
-    n are the anchor at positions 0 and m. `bad[j][p]` marks the SL into
-    position p as unable to carry VL j. A reachable layer-j vertex at t has
-    an arc to each layer-(j+1) vertex at p > t with no bad SL in between,
-    weighing (p - t) * `demands[j]`. `to_json` is the one explicit view.
+    travel; `order[p]` is the SN there, position m being the anchor again,
+    and `links[p]` the SL from p to p+1. Layer j has a vertex at each
+    position p with `hosts[j][p]`; layers 0 and n = len(`demands`) are the
+    anchor at positions 0 and m. `bad[j][p]` marks the SL into position p as
+    unable to carry VL j. A reachable layer-j vertex at t has an arc to each
+    layer-(j+1) vertex at p > t with no bad SL in between, weighing
+    (p - t) * `demands[j]`. `to_json` is the one explicit view.
     """
 
     start: object
     direction: str
-    m: int
-    n: int
     order: list
+    links: list
     hosts: list
     bad: list
     demands: list
@@ -97,10 +97,10 @@ class Wdag:
         has one arc per reached tail behind it since the last bad SL."""
         tails = self.hosts[0]
         total = 0
-        for j in range(self.n):
-            reached = [False] * (self.m + 1)
+        for j in range(len(self.demands)):
+            reached = [False] * len(self.order)
             run = 0
-            for p, bad, head, tail in zip(range(self.m + 1), self.bad[j], self.hosts[j + 1], tails):
+            for p, (bad, head, tail) in enumerate(zip(self.bad[j], self.hosts[j + 1], tails)):
                 if bad:
                     run = 0
                 if head and run:
@@ -126,7 +126,7 @@ class Wdag:
             for t in sorted(frontier, key=lambda t: repr(order[t])):
                 for v, p in heads:
                     if p > t and blocked[p] == blocked[t]:
-                        last = j == self.n - 1
+                        last = j == len(self.demands) - 1
                         (closing if last else arcs).append(
                             {"tail": [j, order[t]], "head": [0 if last else j + 1, v],
                              "weight": str((p - t) * demand), "hops": p - t})
@@ -150,10 +150,10 @@ def _anchored(seq, s, direction):
 
 
 def build_wdag(cycle, req, start, direction, masks=None):
-    """The layered digraph for `req` anchored at `start`, as a Wdag snapshot
-    of the residual feasibility in ring order from the anchor. O(n·m): the
-    arcs stay implicit. `masks`, the `feasible_sets` of `req`, lets a caller
-    that builds many graphs for one request compute them once.
+    """The layered digraph for `req` anchored at `start`: a Wdag snapshot of
+    the residual feasibility and the ring's links in ring order from the
+    anchor, O(n·m) with the arcs implicit. `masks`, `req`'s `feasible_sets`,
+    lets a caller that builds many graphs for it compute them once.
     """
     if req.shape is not Shape.CYCLE:
         raise ModelError("request is not a cycle")
@@ -161,13 +161,13 @@ def build_wdag(cycle, req, start, direction, masks=None):
     s = cycle.index.get(start)
     if s is None or not hosts[0][s]:
         raise ModelError(f"start {start!r} is not feasible for the first VN")
-    m = cycle.m
-    # the SL into position p is clockwise edge s+p-1 going "+", s-p going "-"
-    e = s if direction == CLOCKWISE else (s - 1) % m
-    anchor = [True] + [False] * m
+    # the SL from position p to p+1 (`bad[j][p + 1]`) is clockwise edge s+p going "+", s-1-p going "-"
+    e = s if direction == CLOCKWISE else (s - 1) % cycle.m
+    anchor = [True] + [False] * cycle.m
     return Wdag(
-        start=start, direction=direction, m=m, n=req.n_vns,
+        start=start, direction=direction,
         order=_anchored(cycle.order, s, direction) + [start],
+        links=_anchored(cycle.links, e, direction),
         hosts=[anchor] + [_anchored(h, s, direction) + [False] for h in hosts[1:]] + [anchor[::-1]],
         bad=[[False] + _anchored(b, e, direction) for b in bad],
         demands=[req.bw_demand[vl] for vl in req.vls],
@@ -197,9 +197,9 @@ def min_weight_cycle(w):
     read spends d per step from the anchor and takes at each layer the
     smallest host id whose arc keeps the optimum.
     """
-    m, order = w.m, w.order
+    m, n, order = len(w.links), len(w.demands), w.order
     rests = [[inf] * m + [0]]  # layer n: the anchor at position m
-    for j in reversed(range(w.n)):
+    for j in reversed(range(n)):
         demand, ahead, tails, bad = w.demands[j], rests[-1], w.hosts[j], w.bad[j]
         rest = [inf] * (m + 1)
         best = inf
@@ -214,7 +214,7 @@ def min_weight_cycle(w):
         rests.append(rest)
     rests.reverse()
     t, hosts = 0, [order[0]]
-    for j in range(w.n - 1):
+    for j in range(n - 1):
         need, ahead, pick = rests[j][t], rests[j + 1], None
         bad, demand = w.bad[j], w.demands[j]
         for p in range(t + 1, m + 1):
@@ -228,17 +228,13 @@ def min_weight_cycle(w):
     return hosts, rests[0][0]
 
 
-def _embedding(cycle, req, w, hosts):
+def _embedding(req, w, hosts):
     """The Embedding of `hosts`, the cycle `min_weight_cycle` found in `w`:
-    VN j on hosts[j], VL j on the slice of the ring's links, read from the
-    anchor in `w`'s direction, between hosts j and j+1, the last back to m."""
-    s, m = cycle.index[w.start], cycle.m
-    # links[p] joins positions p and p+1: clockwise link s+p going "+", s-1-p going "-"
-    links = _anchored(cycle.links, s if w.direction == CLOCKWISE else (s - 1) % m, w.direction)
-    sign = 1 if w.direction == CLOCKWISE else -1
-    pos = [sign * (cycle.index[v] - s) % m for v in hosts] + [m]
-    return Embedding(req_id=req.req_id, node_map=dict(zip(req.vns, hosts)),
-                     link_map={vl: links[a:b] for vl, a, b in zip(req.vls, pos, pos[1:])})
+    VN j on hosts[j], VL j on `w.links` from host j's position to host j+1's,
+    the last back to the anchor at m."""
+    pos = [*map(w.order.index, hosts), len(w.links)]
+    return Embedding(node_map=dict(zip(req.vns, hosts)),
+                     link_map={vl: w.links[a:b] for vl, a, b in zip(req.vls, pos, pos[1:])})
 
 
 def c2ce(net, req, cycle=None):
@@ -272,17 +268,17 @@ def c2ce(net, req, cycle=None):
             best = cost, w, hosts
             if cost == floor:
                 break
-    return None if best is None else _embedding(cycle, req, *best[1:])
+    return None if best is None else _embedding(req, *best[1:])
 
 
-def greedy_revenue(net, requests, fallback=False, trace=None):
+def greedy_revenue(net, requests, fallback=True, trace=None):
     """Embed cycle requests in descending revenue-to-demand ratio, on the
     knapsack orders' exact int (`_ratio_key`); equal ratios keep input order.
 
     Each request is tried once with `c2ce`, and whatever Embedding it returns
-    is committed. With `fallback` on, the requests it cannot place then go, in
-    the same order, through one `generic_batch` pass, which ranks the SNs once
-    and commits each success. Returns the accepted batch. The ring's
+    is committed. Unless `fallback` is off, the requests it cannot place then
+    go, in the same order, through one `generic_batch` pass, which ranks the
+    SNs once and commits each success. Returns the accepted batch. The ring's
     `CycleView` is built once, before the first request. `trace`, if given,
     gets, before each ring-solver request's solve, the `to_json` of every
     digraph of its full `wdags` scan, so the solve itself runs the same

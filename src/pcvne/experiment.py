@@ -20,7 +20,7 @@ from .path_embedding import procedure_pe
 # label -> (request shape it embeds, substrate topology it needs, call); None is "any"
 EMBEDDERS = {
     "pe": (Shape.PATH, None, procedure_pe),
-    "gr": (Shape.CYCLE, "cycle", lambda net, requests: greedy_revenue(net, requests, fallback=True)),
+    "gr": (Shape.CYCLE, "cycle", greedy_revenue),
     "generic": (None, None, generic_batch),
 }
 

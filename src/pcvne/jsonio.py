@@ -218,7 +218,7 @@ def load_instance(fp):
 
 def embedding_to_dict(req, emb):
     return {
-        "request": emb.req_id,
+        "request": req.req_id,
         "nodes": [{"vn": vn, "sn": sn} for vn, sn in emb.node_map.items()],
         "links": [{"u": u, "v": v, "path": [list(e) for e in path]}
                   for (u, v), path in emb.link_map.items()],

@@ -315,9 +315,9 @@ class VirtualRequest:
 @dataclass
 class Embedding:
     """Node map (VN to SN) plus link map (VL to an ordered list of SLs forming
-    a simple substrate path between the mapped endpoints)."""
+    a simple substrate path between the mapped endpoints). It does not name
+    its request: every reader takes the request beside it."""
 
-    req_id: object
     node_map: dict
     link_map: dict
 
@@ -359,16 +359,15 @@ def footprint(pairs):
     return cpu, bw
 
 
-def validate_embedding(net, req, emb, against_residuals=False):
-    """Check an embedding of `req` into `net`.
+def validate_embedding(net, req, emb):
+    """Check an embedding of `req` into `net` against its full capacities.
 
     Returns (verdict, violations). Structural problems (dangling ids, a link
     path that does not chain or is not simple) raise MalformedEmbeddingError;
     capacity, injectivity and endpoint problems are reported as violations.
-    By default checks against full capacities; set against_residuals=True to
-    check against current residuals instead.
+    `commit` checks against the current residuals instead.
     """
-    violations, _use = _check(net, req, emb, against_residuals)
+    violations, _use = _check(net, req, emb, False)
     return (not violations, violations)
 
 

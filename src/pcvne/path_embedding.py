@@ -155,7 +155,7 @@ def assign_mdkp(net, paths, links, placements):
 
     accepted = []
     for req, k, o in map(placements.__getitem__, sorted(selected)):
-        emb = Embedding(req_id=req.req_id, node_map=dict(zip(req.vns, paths[k][o:])),
+        emb = Embedding(node_map=dict(zip(req.vns, paths[k][o:])),
                         link_map={vl: [sl] for vl, sl in zip(req.vls, links[k][o:])})
         accepted.append((req, emb, commit(net, req, emb)))
     return accepted

@@ -412,7 +412,7 @@ def wdag_all_cycles(w):
     out = []
 
     def walk(j, tail, path, cost):
-        if j == w.n - 1:
+        if j == len(w.demands) - 1:
             if tail in closing:
                 out.append((tuple(path), cost + closing[tail]))
             return
@@ -451,7 +451,7 @@ def ring_embedding(order, req, direction, hosts):
             sls.append(edge_key(u, step[u]))
             u = step[u]
         link_map[vl] = sls
-    return Embedding(req.req_id, dict(zip(req.vns, hosts)), link_map)
+    return Embedding(dict(zip(req.vns, hosts)), link_map)
 
 
 RingReading = namedtuple("RingReading", "start direction assignment segments hops cost")
@@ -481,7 +481,7 @@ def placement_embedding(path, req, offset):
     and VL i on the SL from that SN to the next."""
     hosts = path[offset:offset + len(req.vns)]
     link_map = {vl: [edge_key(u, v)] for vl, u, v in zip(req.vls, hosts, hosts[1:])}
-    return Embedding(req_id=req.req_id, node_map=dict(zip(req.vns, hosts)), link_map=link_map)
+    return Embedding(node_map=dict(zip(req.vns, hosts)), link_map=link_map)
 
 
 def first_fit_paths(net, substrate_paths, requests):
@@ -610,7 +610,7 @@ def candidate_embeddings(net, req):
     current residuals: a cycle request's ring tableaux, each VL on the arc
     from its host to the next host, or a path request's host sequences."""
     if req.shape is Shape.PATH:
-        return [Embedding(req.req_id, dict(zip(req.vns, seq)),
+        return [Embedding(dict(zip(req.vns, seq)),
                           {vl: [edge_key(a, b)] for vl, a, b in zip(req.vls, seq, seq[1:])})
                 for seq in _path_host_sequences(net, req)]
     order = ring_order(net)
@@ -880,7 +880,7 @@ def generic_embed_reference(net, req):
             pending[k] = pending.get(k, 0) + demand
         link_map[vl] = path
 
-    return Embedding(req_id=req.req_id, node_map=node_map, link_map=link_map)
+    return Embedding(node_map=node_map, link_map=link_map)
 
 
 def generic_batch_reference(net, requests):

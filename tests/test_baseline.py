@@ -24,7 +24,7 @@ from conftest import (
 from oracles import generic_batch_reference, node_scores_reference, shortest_feasible_path_reference
 from pcvne.baseline import generic_batch, generic_embed, node_scores
 from pcvne.generators import RequestSpec, SubstrateSpec, gen_requests, gen_substrate
-from pcvne.model import Embedding, Shape, VirtualRequest, audit_residuals, edge_key, validate_embedding
+from pcvne.model import Embedding, Shape, VirtualRequest, audit_residuals, commit, edge_key
 
 
 def graph_net(g, cpu=100, bw=100):
@@ -70,8 +70,7 @@ class TestGenericEmbed:
             if emb is None:
                 continue
             produced += 1
-            ok, violations = validate_embedding(net, req, emb, against_residuals=True)
-            assert ok, violations
+            commit(net.copy(), req, emb)  # raises unless it fits the residuals
         assert produced >= 30
 
     def test_handles_cycle_requests(self):
@@ -81,8 +80,7 @@ class TestGenericEmbed:
         req = make_cycle_request("c", [1, 1, 1], [1, 1, 1])
         emb = generic_embed(net, req)
         assert emb is not None
-        ok, violations = validate_embedding(net, req, emb, against_residuals=True)
-        assert ok, violations
+        commit(net.copy(), req, emb)
 
     def test_deterministic(self):
         rng = random.Random(9)
@@ -102,7 +100,7 @@ class TestCpuCeiling:
     def test_empty_request_is_an_empty_embedding(self):
         for net in (path_net(3), make_net([], [], 1, 1)):
             req = make_path_request("e", [], [])
-            assert generic_embed(net, req) == Embedding("e", {}, {})
+            assert generic_embed(net, req) == Embedding({}, {})
             assert batch_view(generic_batch(net, [req])) == [("e", {}, {})]
 
     def test_zero_node_substrate_refuses_without_raising(self):

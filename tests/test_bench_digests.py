@@ -1,13 +1,19 @@
+import importlib
 import importlib.util
 import json
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 spec = importlib.util.spec_from_file_location("check_bench_digests", ROOT / "scripts" / "check_bench_digests.py")
 check = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(check)
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+import run  # noqa: E402  perfbench/run.py
 
 PINNED = json.loads((ROOT / "tests" / "data" / "bench_digests.json").read_text())
 
@@ -94,3 +100,25 @@ def test_digest_keys_must_be_the_workloads_pinned_keys(tmp_path, capsys):
     for digests in [{"ring/gr": PINNED["ring/gr"]}, dict(ring, **{"ring/pe": "0" * 64}), light,
                     dict(ring, **light)]:
         assert_refused(capsys, write_run(tmp_path, digests), says="not the pinned keys")
+
+
+def loaded_program():
+    """The pcvne already imported in this process; the benchmark's own
+    loader re-imports it, which would hand other tests fresh classes."""
+    pkg = importlib.import_module("pcvne")
+    importlib.import_module("pcvne.jsonio")
+    return pkg
+
+
+@pytest.mark.parametrize("workload", sorted(run.WORKLOADS))
+def test_seed_1_benchmark_run_matches_the_pinned_digests(workload, tmp_path, monkeypatch, capsys):
+    # one untimed, untraced pass, its record and result written as the
+    # benchmark prints them and checked by the script itself
+    monkeypatch.setattr(run, "MIN_VISIT_S", 0.0)
+    monkeypatch.setattr(run, "MIN_SETUP_S", 0.0)
+    monkeypatch.setattr(run, "MIN_SETUP_REPEATS", 1)
+    result, record, _ = run.run_workload(run.WORKLOADS[workload], seed=1, seconds=0, trace=0,
+                                         pkg_loader=loaded_program)
+    path = tmp_path / "bench.out"
+    path.write_text(json.dumps({"run": record}) + "\n" + json.dumps(result) + "\n")
+    assert check.main(path) == 0, capsys.readouterr().out

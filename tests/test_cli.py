@@ -707,6 +707,31 @@ def test_generate_bytes_at_the_north_star_scales(capsys, name):
     assert hashlib.sha256(out.encode()).hexdigest() == _GENERATE_DIGESTS[name]["sha256"]
 
 
+_NORTH_STAR_DIGESTS = json.loads((Path(__file__).resolve().parent / "data" / "north_star_digests.json").read_text())
+_NORTH_STAR_RUNS = {  # report -> (instance of generate_digests.json, embed-* argv)
+    "embed-paths": ("paths 200/1000/2000", ["embed-paths"]),
+    "embed-generic": ("paths 200/1000/2000", ["embed-generic"]),
+    "embed-cycles": ("ring 60/100", ["embed-cycles"]),
+    "embed-cycles-no-fallback": ("ring 60/100", ["embed-cycles", "--no-fallback"]),
+    "embed-generic-ring": ("ring 60/100", ["embed-generic"]),
+}
+
+
+def test_north_star_reports_match_the_pinned_digests(tmp_path, capsys):
+    # the sha256 of each report's JSON-encoded `accepted` list and of its
+    # `embeddings` list, so a change that moves a request but keeps its id fails too
+    assert sorted(_NORTH_STAR_RUNS) == sorted(_NORTH_STAR_DIGESTS)
+    files = {name: str(tmp_path / f"{name.split()[0]}.json") for name in _GENERATE_DIGESTS}
+    for name, pin in _GENERATE_DIGESTS.items():
+        main([*pin["argv"], "--out", files[name]])
+    capsys.readouterr()
+    for report, (instance, argv) in _NORTH_STAR_RUNS.items():
+        main([*argv, "--instance", files[instance]])
+        out = json.loads(capsys.readouterr().out)
+        got = {key: hashlib.sha256(json.dumps(out[key]).encode()).hexdigest() for key in ("accepted", "embeddings")}
+        assert got == _NORTH_STAR_DIGESTS[report], report
+
+
 def test_console_entry_point():
     proc = subprocess.run([sys.executable, "-m", "pcvne.cli", "--help"],
                           capture_output=True, text=True)

@@ -47,7 +47,7 @@ from pcvne.cycle_embedding import (
     min_weight_cycle,
     wdags,
 )
-from pcvne.model import ModelError, as_quantity, commit, edge_key, validate_embedding
+from pcvne.model import ModelError, as_quantity, commit, edge_key
 
 
 def per_direction_minimum(net, req, direction):
@@ -255,9 +255,7 @@ class TestC2ce:
             assert sum(sx.hops) == CycleView(net).m
             used = [e for seg in sx.segments for e in seg]
             assert len(used) == len(set(used))  # link-disjoint segments
-            ok, violations = validate_embedding(net, req, emb, against_residuals=True)
-            assert ok, violations
-            # what commit charges is the cost read off the link paths
+            # commit takes it on the residuals and charges the cost read off the link paths
             assert sum(commit(net.copy(), req, emb)[1].values()) == sx.cost
 
     def test_uniform_demand_ties_follow_the_rule(self):
@@ -451,8 +449,6 @@ class TestReturnedEmbedding:
             ways = [[edge_key(order[(i + s * k) % m], order[(i + s * (k + 1)) % m]) for k in range(m)]
                     for s in (1, -1)]
             assert [e for seg in segments for e in seg] in ways
-            ok, violations = validate_embedding(net, req, emb, against_residuals=True)
-            assert ok, violations
             cost = sum(len(seg) * req.bw_demand[vl] for seg, vl in zip(segments, req.vls))
             assert cost == min(weights) == sum(commit(net, req, emb)[1].values())
 

@@ -178,7 +178,7 @@ class TestRequestsReadOnce:
         ring = (gen_substrate(SubstrateSpec(n_nodes=m, topology="cycle", **capacity), seed),
                 gen_requests(RequestSpec(shape="cycle", count=count, length_range=(3, 5)), seed + 1))
         embedders = [(procedure_pe, paths), (generic_batch, paths), (generic_batch, ring),
-                     (greedy_revenue, ring), (lambda net, reqs: greedy_revenue(net, reqs, fallback=True), ring)]
+                     (lambda net, reqs: greedy_revenue(net, reqs, fallback=False), ring), (greedy_revenue, ring)]
         for embed, (net, reqs) in embedders:
             views = [[(req.req_id, emb) for req, emb in embed(net.copy(), form).items]
                      for form in (reqs, tuple(reqs), (req for req in reqs))]
@@ -189,8 +189,8 @@ _EMBEDDERS = {
     "procedure_pe": (procedure_pe, "path"),
     "generic_batch-path": (generic_batch, "path"),
     "generic_batch-cycle": (generic_batch, "cycle"),
-    "greedy_revenue": (greedy_revenue, "cycle"),
-    "greedy_revenue-fallback": (lambda net, reqs: greedy_revenue(net, reqs, fallback=True), "cycle"),
+    "greedy_revenue": (lambda net, reqs: greedy_revenue(net, reqs, fallback=False), "cycle"),
+    "greedy_revenue-fallback": (greedy_revenue, "cycle"),
 }
 
 

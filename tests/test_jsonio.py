@@ -321,7 +321,7 @@ def test_embedding_dict_is_json_serializable():
     from pcvne.model import Embedding
 
     req = make_path_request("r", [1, 1], [1], revenue=2)
-    emb = Embedding("r", {0: 10, 1: 11}, {(0, 1): [(10, 11)]})
+    emb = Embedding({0: 10, 1: 11}, {(0, 1): [(10, 11)]})
     payload = embedding_to_dict(req, emb)
     text = json.dumps(payload)
     assert json.loads(text)["request"] == "r"

@@ -1,6 +1,7 @@
 import ast
 import re
-from collections import Counter
+from collections import Counter, defaultdict
+from math import inf
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -64,3 +65,34 @@ def test_every_module_level_name_has_a_caller_outside_tests():
             if refs[node.name] <= own:
                 unused.append(f"{path.name}:{node.lineno} {node.name}")
     assert unused == []
+
+
+def test_every_defaulted_parameter_is_passed_outside_tests():
+    """Every parameter with a default, of a def that `_definitions` yields, is
+    passed by position or by keyword by some call of that name in a Python
+    file under `src/`, `scripts/` or `perfbench/`: a mode that only tests
+    switch belongs in `tests/`. A `*` or `**` argument passes every parameter;
+    a method's calls pass no `self`."""
+    calls = defaultdict(list)  # callee name -> [(positional count, keyword names)]
+    for top in ("src", "scripts", "perfbench"):
+        for path in (ROOT / top).rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Call):
+                    name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                    star = any(isinstance(arg, ast.Starred) for arg in node.args)
+                    calls[name].append((inf if star else len(node.args), {k.arg for k in node.keywords}))
+    unpassed = []
+    for path in sorted((ROOT / "src" / "pcvne").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        methods = {id(m) for c in tree.body if isinstance(c, ast.ClassDef) for m in c.body}
+        for node in _definitions(tree):
+            if isinstance(node, ast.ClassDef):
+                continue
+            a = node.args
+            positional = [p.arg for p in a.posonlyargs + a.args][id(node) in methods:]
+            defaulted = list(enumerate(positional))[len(positional) - len(a.defaults):]
+            defaulted += [(inf, p.arg) for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+            for i, param in defaulted:
+                if not any(n > i or param in kws or None in kws for n, kws in calls[node.name]):
+                    unpassed.append(f"{path.name}:{node.lineno} {node.name}({param}=)")
+    assert unpassed == []

@@ -428,7 +428,7 @@ class TestAssignMdkp:
 
         def counting(*args, **kwargs):
             emb = Embedding(*args, **kwargs)
-            calls.append(emb.req_id)
+            calls.append(emb)
             return emb
 
         monkeypatch.setattr(path_embedding, "Embedding", counting)
@@ -438,7 +438,7 @@ class TestAssignMdkp:
         placements = pack_mkp(paths, path_items(reqs))
         accepted = assign_mdkp(net, paths, sl_keys(paths), placements)
         assert 0 < len(accepted) < len(placements)
-        assert sorted(calls) == sorted(req.req_id for req, _emb, _use in accepted)
+        assert list(map(id, calls)) == [id(emb) for _req, emb, _use in accepted]
 
 
 class TestProcedurePe:
