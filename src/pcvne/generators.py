@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import combinations
-from math import comb
+from itertools import combinations, filterfalse
+from math import comb, isqrt
 
 from .model import ModelError, Shape, SubstrateNetwork, VirtualRequest, edge_key
 
@@ -68,12 +70,8 @@ def gen_substrate(spec, seed):
         edges = random_connected_edges(rng, n, m - (n - 1))
     else:
         raise SpecError(f"unknown topology {spec.topology!r}")
-    return SubstrateNetwork(
-        nodes=nodes,
-        edges=edges,
-        cpu_capacity={v: spec.cpu_capacity for v in nodes},
-        bw_capacity={edge_key(u, v): spec.bw_capacity for u, v in edges},
-    )
+    return SubstrateNetwork(nodes, edges, dict.fromkeys(nodes, spec.cpu_capacity),
+                            {edge_key(u, v): spec.bw_capacity for u, v in edges})
 
 
 def random_connected_edges(rng, n, extra=None):
@@ -83,11 +81,34 @@ def random_connected_edges(rng, n, extra=None):
     order = list(range(n))
     rng.shuffle(order)
     tree = [edge_key(order[i], order[rng.randrange(i)]) for i in range(1, n)]
-    present = set(tree)
-    candidates = [e for e in combinations(range(n), 2) if e not in present]
+    free = _FreePairs(n, tree)
     if extra is None:
-        extra = rng.randint(0, len(candidates))
-    return tree + rng.sample(candidates, min(extra, len(candidates)))
+        extra = rng.randint(0, len(free))
+    return tree + rng.sample(free, min(extra, len(free)))
+
+
+class _FreePairs(Sequence):
+    """The pairs of `combinations(range(n), 2)` that are not tree links, in that order, in O(n)
+    memory: item i is the pair of rank i plus the tree ranks it passes, unranked in closed form."""
+
+    def __init__(self, n, tree):
+        self.n, self.tree = n, set(tree)
+        ranks = enumerate(sorted(u * (2 * n - u - 1) // 2 + v - u - 1 for u, v in self.tree))
+        self.skip = [r - j for j, r in ranks]  # the free pairs ranked below each tree link
+        self.size = comb(n, 2) - len(self.skip)
+
+    def __len__(self):
+        return self.size
+
+    def __getitem__(self, i):
+        if not 0 <= i < self.size:
+            raise IndexError(i)
+        back = self.size + len(self.skip) - 1 - i - bisect_right(self.skip, i)  # rank from the last pair
+        t = (isqrt(8 * back + 1) - 1) // 2  # the pair is in the row of t + 1 pairs, t rows above the last
+        return self.n - 2 - t, self.n - 1 - back + t * (t + 1) // 2
+
+    def __iter__(self):
+        return filterfalse(self.tree.__contains__, combinations(range(self.n), 2))
 
 
 def gen_requests(spec, seed):
@@ -122,22 +143,24 @@ def gen_requests(spec, seed):
         raise SpecError("cycle requests need at least 3 VNs")
     if shape is Shape.PATH and lo < 1:
         raise SpecError("path requests need at least one link")
-    draw = rng.randrange  # randrange(a, b + 1) is what randint(a, b) calls: the same stream
+    bits, width, proportional = rng.getrandbits, dhi - dlo + 1, spec.revenue_rule == "proportional"
+    k = width.bit_length()  # a demand draw is randrange(dlo, dhi + 1), inlined: the same stream
     chain, closing = [], {}  # chain[i] is the link (i, i + 1), closing[n] is (0, n - 1)
     requests = []
-    for k in range(spec.count):
-        length = draw(lo, hi + 1)
+    for req_id in range(spec.count):
+        length = rng.randrange(lo, hi + 1)
         n_vns = length + 1 if shape is Shape.PATH else length
         vns = list(range(n_vns))
         chain.extend((i, i + 1) for i in range(len(chain), n_vns - 1))
         vls = chain[:n_vns - 1]  # canonical links, the closing one of a cycle last
         if shape is Shape.CYCLE:
             vls.append(closing.setdefault(n_vns, (0, n_vns - 1)))
-        demands = [draw(dlo, dhi + 1) for _ in range(n_vns + len(vls))]  # CPU per VN, then BW per link
-        revenue = 1 if spec.revenue_rule == "unit" else n_vns
-        requests.append(VirtualRequest(
-            req_id=k, shape=shape, vns=vns, vls=vls,
-            cpu_demand=dict(zip(vns, demands)), bw_demand=dict(zip(vls, demands[n_vns:])),
-            revenue=revenue,
-        ))
+        demands = []  # CPU per VN, then BW per link
+        for _ in range(n_vns + len(vls)):
+            r = bits(k)
+            while r >= width:
+                r = bits(k)
+            demands.append(dlo + r)
+        requests.append(VirtualRequest(req_id, shape, vns, vls, dict(zip(vns, demands)),
+                                       dict(zip(vls, demands[n_vns:])), n_vns if proportional else 1))
     return requests

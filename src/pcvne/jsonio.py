@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 from itertools import chain
+from operator import itemgetter
 
 from .model import ModelError, Shape, SubstrateNetwork, VirtualRequest, as_quantity
 
@@ -64,11 +65,9 @@ def _parse_instance(data):
     ends share one tuple; others are a tuple each. A field defect raises a
     lookup or type error here, which `_name_defect` then names."""
     node_list, edge_list = _list(data, "nodes", "instance"), _list(data, "edges", "instance")
-    nodes = [n["id"] for n in node_list]
-    cpu = {n["id"]: n["cpu"] for n in node_list}
-    edges = [(e["u"], e["v"]) for e in edge_list]
-    bw = {(e["u"], e["v"]): e["bw"] for e in edge_list}
-    net = SubstrateNetwork(nodes, edges, cpu, bw)
+    nodes, edges = list(map(_ID, node_list)), list(map(_ENDS, edge_list))
+    net = SubstrateNetwork(nodes, edges, dict(zip(nodes, map(_CPU, node_list))),
+                           dict(zip(edges, map(_BW, edge_list))))
     requests, seen, shared = [], set(), {}  # shared: each int link's first tuple
     for i, r in enumerate(_list(data, "requests", "instance", [])):
         if not isinstance(r, dict):  # this test and the next are those of `_id` and `_list`
@@ -80,12 +79,12 @@ def _parse_instance(data):
             raise InstanceFormatError(f"requests[{i}].id: duplicate id {req_id!r}")
         seen.add(req_id)
         links = [shared.setdefault(k, k) if type(k[0]) is type(k[1]) is int else k
-                 for k in [(l["u"], l["v"]) for l in vls]]  # 1.0 == True == 1 as keys
+                 for k in map(_ENDS, vls)]  # 1.0 == True == 1 as keys
+        ids = list(map(_ID, vns))
         try:
             requests.append(VirtualRequest(
-                req_id, Shape(r["shape"]), [v["id"] for v in vns], links,
-                {v["id"]: v["cpu"] for v in vns}, dict(zip(links, [l["bw"] for l in vls])),
-                r.get("revenue", 1)))
+                req_id, _SHAPES[r["shape"]], ids, links, dict(zip(ids, map(_CPU, vns))),
+                dict(zip(links, map(_BW, vls))), r.get("revenue", 1)))
         except ModelError as exc:  # a field defect still takes precedence, by `_name_defect`
             raise ModelError(f"requests[{i}]: {exc}") from None
     return net, requests
@@ -93,6 +92,8 @@ def _parse_instance(data):
 
 _REQUIRED = object()
 _SCALARS = (str, int, float, bool, type(None))  # the ids JSON holds as they are
+_ID, _ENDS, _CPU, _BW = itemgetter("id"), itemgetter("u", "v"), itemgetter("cpu"), itemgetter("bw")
+_SHAPES = {s.value: s for s in Shape}  # an unknown shape is a KeyError, an unhashable one a TypeError
 
 
 def _field(obj, key, where, default=_REQUIRED):
@@ -153,23 +154,27 @@ def _check_entries(obj, key, where, fields):
 
 
 def dump_instance(net, requests, fp):
-    """Write the instance row by row from the model, one node, edge or
-    request per line, in one `fp.write`; the text equals
-    `dump_json(instance_to_dict(net, requests))` byte for byte. Ids must be
-    scalars. `_name_defect` checks `instance_to_dict` first only when an id's
-    type is not exactly a JSON scalar, so a tuple id, which would load back
-    as a list, raises before anything is written."""
+    """Write the instance row by row from the model, one node, edge or request
+    per line, in one `fp.write`; the text equals `dump_json(instance_to_dict(
+    net, requests))` byte for byte. Ids must be scalars: `_name_defect` checks
+    `instance_to_dict` first only when an id's type is not exactly a JSON
+    scalar, so a tuple id, which would load back as a list, raises before
+    anything is written. Ids, and quantities, that are all exactly `int`
+    format through the builtin `str`; otherwise through `_text` / `_q_text`."""
     types = set(map(type, chain(net.nodes, *net.edges)))
+    q_types = set(map(type, chain(net.cpu_capacity.values(), net.bw_capacity.values())))
     for r in requests:
         types.update(map(type, chain((r.req_id,), r.vns, *r.vls)))
+        q_types.update(map(type, chain((r.revenue,), r.cpu_demand.values(), r.bw_demand.values())))
     if not types.issubset(_SCALARS):  # exact types; `_id` lets subclasses pass
         _name_defect(instance_to_dict(net, requests))
-    rows = [f'{{"id": {_text(r.req_id)}, "shape": "{r.shape.value}", '
-            f'"vns": [{", ".join(_vn_rows(r.vns, r.cpu_demand))}], '
-            f'"vls": [{", ".join(_vl_rows(r.vls, r.bw_demand))}], "revenue": {_q_text(r.revenue)}}}'
+    text, q_text = (str if types <= {int} else _text), (str if q_types <= {int} else _q_text)
+    rows = [f'{{"id": {text(r.req_id)}, "shape": "{r.shape.value}", '
+            f'"vns": [{", ".join(_vn_rows(r.vns, r.cpu_demand, text, q_text))}], '
+            f'"vls": [{", ".join(_vl_rows(r.vls, r.bw_demand, text, q_text))}], "revenue": {q_text(r.revenue)}}}'
             for r in requests]
-    fp.write(f'{{"nodes": {_block(_vn_rows(net.nodes, net.cpu_capacity))},\n'
-             f'"edges": {_block(_vl_rows(net.edges, net.bw_capacity))},\n"requests": {_block(rows)}}}\n')
+    fp.write(f'{{"nodes": {_block(_vn_rows(net.nodes, net.cpu_capacity, text, q_text))},\n'
+             f'"edges": {_block(_vl_rows(net.edges, net.bw_capacity, text, q_text))},\n"requests": {_block(rows)}}}\n')
 
 
 def _text(x):
@@ -182,12 +187,12 @@ def _q_text(x):
     return str(x) if type(x) is int else json.dumps(_q_out(x))
 
 
-def _vn_rows(ids, cpu):
-    return [f'{{"id": {_text(v)}, "cpu": {_q_text(cpu[v])}}}' for v in ids]
+def _vn_rows(ids, cpu, text, q_text):
+    return [f'{{"id": {text(v)}, "cpu": {q_text(cpu[v])}}}' for v in ids]
 
 
-def _vl_rows(links, bw):
-    return [f'{{"u": {_text(u)}, "v": {_text(v)}, "bw": {_q_text(bw[(u, v)])}}}' for u, v in links]
+def _vl_rows(links, bw, text, q_text):
+    return [f'{{"u": {text(u)}, "v": {text(v)}, "bw": {q_text(bw[(u, v)])}}}' for u, v in links]
 
 
 def _block(rows):

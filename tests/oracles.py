@@ -7,6 +7,7 @@ code under test.
 
 import heapq
 import math
+import random
 from collections import deque, namedtuple
 from fractions import Fraction
 from itertools import combinations
@@ -1175,3 +1176,34 @@ def supereulerian_reference(g):
         if len(seen) == len(g.nodes):
             return True
     return False
+
+
+def random_connected_edges_reference(rng, n, extra=None):
+    """The list rule that `generators.random_connected_edges` replaced: the
+    same tree, then `extra` links sampled from a list of every other pair."""
+    order = list(range(n))
+    rng.shuffle(order)
+    tree = [edge_key(order[i], order[rng.randrange(i)]) for i in range(1, n)]
+    present = set(tree)
+    candidates = [e for e in combinations(range(n), 2) if e not in present]
+    if extra is None:
+        extra = rng.randint(0, len(candidates))
+    return tree + rng.sample(candidates, min(extra, len(candidates)))
+
+
+def gen_requests_reference(spec, seed):
+    """(vns, vls, cpu_demand, bw_demand, revenue) of each request that
+    `generators.gen_requests` makes for a valid spec, every draw through
+    `random.Random.randrange`."""
+    rng = random.Random(seed)
+    (lo, hi), (dlo, dhi) = spec.length_range, spec.demand_range
+    out = []
+    for _ in range(spec.count):
+        length = rng.randrange(lo, hi + 1)
+        n = length + 1 if spec.shape == "path" else length
+        vns = list(range(n))
+        vls = [(i, i + 1) for i in range(n - 1)] + ([(0, n - 1)] if spec.shape == "cycle" else [])
+        cpu = {v: rng.randrange(dlo, dhi + 1) for v in vns}
+        bw = {e: rng.randrange(dlo, dhi + 1) for e in vls}
+        out.append((vns, vls, cpu, bw, n if spec.revenue_rule == "proportional" else 1))
+    return out

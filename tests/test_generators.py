@@ -1,16 +1,26 @@
 import random
 import tracemalloc
+from itertools import combinations
+from math import comb
 
 import pytest
 
 from conftest import mask_hosts
-from oracles import cardinality_ddkp_optimum, cpu_link_feasible_hosts, mdkp_pairs
+from oracles import (
+    cardinality_ddkp_optimum,
+    cpu_link_feasible_hosts,
+    gen_requests_reference,
+    mdkp_pairs,
+    random_connected_edges_reference,
+)
 from pcvne.generators import (
     RequestSpec,
     SpecError,
     SubstrateSpec,
+    _FreePairs,
     gen_requests,
     gen_substrate,
+    random_connected_edges,
 )
 from pcvne.model import Shape
 from reductions import gen_ddkp_reduction, gen_edp_reduction
@@ -177,6 +187,73 @@ def test_a_range_that_is_not_a_pair_is_named(field, value):
     with pytest.raises(SpecError) as exc:
         gen_requests(RequestSpec(**{field: value}), 0)
     assert str(exc.value) == f"{field}: {value!r} is not a pair"
+
+
+class TestRandomConnectedEdges:
+    @pytest.mark.parametrize("n", [*range(1, 41), 100])
+    def test_same_links_as_the_list_of_every_pair(self, n):
+        # `extra` of 1 and 5 takes `sample`'s index path whenever more than
+        # 21 pairs are free; None, n and the rest past every pair copy the list
+        for seed in range(12):
+            for extra in (None, 0, 1, 5, n, comb(n, 2) + 1):
+                got = random_connected_edges(random.Random(seed), n, extra)
+                assert got == random_connected_edges_reference(random.Random(seed), n, extra)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 40, 100])
+    def test_free_pairs_are_the_non_tree_pairs_in_order(self, n):
+        rng = random.Random(n)
+        tree = random_connected_edges(rng, n, 0)
+        free = _FreePairs(n, tree)
+        want = [e for e in combinations(range(n), 2) if e not in set(tree)]
+        assert len(free) == comb(n, 2) - (n - 1) == len(want)
+        assert [free[i] for i in range(len(free))] == list(free) == want
+        for i in (-1, len(free)):
+            with pytest.raises(IndexError):
+                free[i]
+
+    def test_sparse_graph_memory_grows_with_its_links_not_its_pairs(self):
+        # the list of every pair peaked at 123.5 MiB here
+        was_tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            edges = random_connected_edges(random.Random(11), 2000, 4000)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
+        assert len(set(edges)) == 1999 + 4000
+        assert peak < 10 * 2 ** 20
+
+
+_DRAW_RANGES = [(1, 1), (7, 7), (0, 1), (1, 2), (1, 4), (0, 7), (3, 18), (1, 5), (5, 10), (1, 100), (0, 2 ** 40)]
+
+
+@pytest.mark.parametrize("lo, hi", _DRAW_RANGES)
+def test_demand_draw_is_randranges_getrandbits_rule(lo, hi):
+    # `gen_requests` inlines `randrange(lo, hi + 1)` as this rule; a Python
+    # whose randrange draws otherwise fails here by name
+    width = hi - lo + 1
+    k = width.bit_length()
+    for seed in range(40):
+        ref, rng = random.Random(seed), random.Random(seed)
+        for _ in range(50):
+            r = rng.getrandbits(k)
+            while r >= width:
+                r = rng.getrandbits(k)
+            assert lo + r == ref.randrange(lo, hi + 1)
+
+
+@pytest.mark.parametrize("shape", ["path", "cycle"])
+@pytest.mark.parametrize("demand_range", [(1, 1), (1, 2), (1, 4), (1, 5), (3, 18)])
+def test_requests_match_their_randrange_reference(shape, demand_range):
+    for seed in range(8):
+        for rule, lengths in (("unit", (5, 10)), ("proportional", (3, 3))):
+            spec = RequestSpec(shape=shape, count=30, length_range=lengths, demand_range=demand_range,
+                               revenue_rule=rule)
+            got = [(r.vns, r.vls, r.cpu_demand, r.bw_demand, r.revenue) for r in gen_requests(spec, seed)]
+            assert got == gen_requests_reference(spec, seed)
 
 
 class TestEdpReduction:

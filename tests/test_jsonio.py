@@ -110,6 +110,16 @@ def _two_nodes(**request):
     }
 
 
+def _with_row(path, row):
+    """`_two_nodes()` with the row at `path` replaced by `row`."""
+    data = _two_nodes()
+    obj = data
+    for key in path[:-1]:
+        obj = obj[key]
+    obj[path[-1]] = row
+    return data
+
+
 @pytest.mark.parametrize("data, field", [
     ({**_two_nodes(), "nodes": [{"id": 0, "cpu": float("inf")}, {"id": 1, "cpu": 5}]}, "nodes[0].cpu"),
     ({**_two_nodes(), "nodes": [{"id": [0], "cpu": 5}, {"id": 1, "cpu": 5}]}, "nodes[0].id"),
@@ -121,6 +131,15 @@ def _two_nodes(**request):
       for key in ("nodes", "edges", "requests") for empty in ({}, "")),
     # a one-VN path request without VLs is valid, so vls {} would load as []
     (_two_nodes(vns=[{"id": 0, "cpu": 1}], vls={}), "requests[0].vls: expected a list, got dict"),
+    # the whole message: an unknown shape, an unhashable one
+    (_two_nodes(shape="ring"), "requests[0].shape: unknown shape 'ring'"),
+    (_two_nodes(shape=[]), "requests[0].shape: unknown shape []"),
+    # a row that is a list or a string instead of an object
+    *((_with_row(path, row), f"{where}: expected an object, got {type(row).__name__}")
+      for path, where in [(("nodes", 1), "instance.nodes[1]"), (("edges", 0), "instance.edges[0]"),
+                          (("requests", 0), "requests[0]"), (("requests", 0, "vns", 1), "requests[0].vns[1]"),
+                          (("requests", 0, "vls", 0), "requests[0].vls[0]")]
+      for row in ([0, 1], "row")),
 ])
 def test_malformed_fields_are_named(data, field):
     with pytest.raises(InstanceFormatError, match=re.escape(field)):
@@ -265,6 +284,54 @@ def test_dump_builds_the_dict_only_to_name_a_defect(monkeypatch):
         dump_instance(net, [make_path_request(("r", 1), [1, 1], [1])], fp)
     assert len(calls) == 1
     assert fp.getvalue() == ""
+
+
+def _int_instance():
+    return make_net([0, 1, 2], [(0, 1), (1, 2)], 5, 5), [make_path_request(k, [1, 2, 3], [4, 5]) for k in range(3)]
+
+
+def _one_fraction_quantity():
+    net, reqs = _int_instance()
+    reqs[1].bw_demand[(0, 1)] = Fraction(9, 2)
+    return net, reqs
+
+
+def _one_string_id():
+    net, reqs = _int_instance()
+    return net, [*reqs, make_path_request("r", [1, 1], [1])]
+
+
+def _one_bool_id():
+    return make_net([True, 2], [(True, 2)], 5, 5), _int_instance()[1]
+
+
+@pytest.mark.parametrize("instance, by_text, by_q_text", [
+    (_int_instance, False, False),
+    (_one_fraction_quantity, False, True),
+    (_one_string_id, True, False),
+    (_one_bool_id, True, False),
+])
+def test_dump_formats_through_str_only_where_every_type_is_int(monkeypatch, instance, by_text, by_q_text):
+    # one non-int id sends every id through `_text`, one non-int quantity
+    # every quantity through `_q_text`; the text is the dict's either way
+    calls = []
+    for name in ("_text", "_q_text"):
+        real = getattr(jsonio, name)
+        monkeypatch.setattr(jsonio, name, lambda x, name=name, real=real: calls.append(name) or real(x))
+    got, want = _both_dumps(*instance())
+    assert got == want
+    assert ("_text" in calls, "_q_text" in calls) == (by_text, by_q_text)
+
+
+def test_dump_of_a_bool_quantity_raises_as_the_dicts_does():
+    # set after the model checked it; neither writer may print it as true or 1
+    net, reqs = _int_instance()
+    reqs[2].revenue = True
+    for write in (lambda fp: dump_instance(net, reqs, fp), lambda fp: dump_json(instance_to_dict(net, reqs), fp)):
+        fp = io.StringIO()
+        with pytest.raises(ModelError, match="bool is not a quantity: True"):
+            write(fp)
+        assert fp.getvalue() == ""
 
 
 def test_request_ids_default_to_index():
