@@ -192,8 +192,9 @@ def test_a_range_that_is_not_a_pair_is_named(field, value):
 class TestRandomConnectedEdges:
     @pytest.mark.parametrize("n", [*range(1, 41), 100])
     def test_same_links_as_the_list_of_every_pair(self, n):
-        # `extra` of 1 and 5 takes `sample`'s index path whenever more than
-        # 21 pairs are free; None, n and the rest past every pair copy the list
+        # `sample` indexes the pairs when there are more than a bound that
+        # grows with `extra` (21 up to 5), and copies them to a list otherwise:
+        # these `extra` values take both paths, and past every pair
         for seed in range(12):
             for extra in (None, 0, 1, 5, n, comb(n, 2) + 1):
                 got = random_connected_edges(random.Random(seed), n, extra)
@@ -212,7 +213,7 @@ class TestRandomConnectedEdges:
                 free[i]
 
     def test_sparse_graph_memory_grows_with_its_links_not_its_pairs(self):
-        # the list of every pair peaked at 123.5 MiB here
+        # the list of every pair peaked at 123.5 MiB at this size
         was_tracing = tracemalloc.is_tracing()
         tracemalloc.start()
         try:
